@@ -2,7 +2,7 @@
 
 GO ?= go
 
-.PHONY: build test vet race chaos lint obs-smoke scenario-smoke obs-live-smoke verify bench bench-telemetry bench-coalesce bench-mux bench-obsplane benchsmoke clean
+.PHONY: build test vet race chaos lint obs-smoke scenario-smoke obs-live-smoke verify bench bench-telemetry bench-coalesce bench-mux bench-obsplane bench-compare benchsmoke clean
 
 build:
 	$(GO) build ./...
@@ -141,6 +141,20 @@ bench-mux:
 bench-obsplane:
 	$(GO) run ./cmd/p2pbench -count 5 -bench obs_broadcast,obs_live -live \
 		-o BENCH_obsplane.json
+
+# bench-compare is the regression gate over the repo benchmark
+# (BENCHMARK.json, bench/README.md): run the whole suite on this tree
+# into a scratch directory, then check every end-to-end metric against
+# the bounds relative to an earlier results.json —
+#   make bench-compare BASE=path/to/results.json
+# A full suite is five workloads x two passes x run_seconds; take BASE
+# on the same host in the same window, or the comparison reads host
+# drift.
+bench-compare:
+	@test -n "$(BASE)" || { echo "usage: make bench-compare BASE=<results.json>"; exit 2; }
+	@dir=$$(mktemp -d) && trap 'rm -rf "$$dir"' EXIT && \
+	$(GO) run ./bench -out "$$dir" && \
+	$(GO) run ./bench -compare $(BASE) "$$dir/results.json"
 
 clean:
 	$(GO) clean ./...

@@ -27,6 +27,7 @@ import (
 	"encoding/binary"
 	"errors"
 	"fmt"
+	"math/bits"
 
 	"sgxp2p/internal/enclave"
 	"sgxp2p/internal/telemetry"
@@ -136,9 +137,10 @@ func (RealSealer) OpenAppend(keys xcrypto.SessionKeys, dst, sealed []byte) ([]by
 }
 
 // ModelSealer is the simulation-mode sealer: identical envelope geometry
-// (16-byte header, payload, 32-byte tag), with a keyed 64-bit checksum in
-// place of the HMAC and a key fingerprint binding the envelope to the
-// session (and therefore to the program measurement mixed into the keys).
+// (16-byte header, payload, 32-byte tag), with a keyed 64-bit checksum
+// (keyedFold) in place of the HMAC, seeded from the session's MAC key so
+// the envelope is bound to the pair (and therefore to the program
+// measurement mixed into the keys).
 // Confidentiality is modelled rather than computed: the payload bytes are
 // physically present, but the only code that ever handles envelopes below
 // the trust boundary is the adversary package, whose API operates on
@@ -162,21 +164,11 @@ func (s *ModelSealer) Seal(keys xcrypto.SessionKeys, plaintext []byte) ([]byte, 
 	return s.SealAppend(keys, dst, plaintext)
 }
 
-// SealAppend implements Sealer. The counter is shared with Seal, so mixed
-// usage stays byte-identical to an all-Seal sequence.
+// SealAppend implements Sealer. The counter is shared with Seal and with
+// every link prepared over this sealer, so mixed usage stays
+// byte-identical to an all-Seal sequence.
 func (s *ModelSealer) SealAppend(keys xcrypto.SessionKeys, dst, plaintext []byte) ([]byte, error) {
-	s.counter++
-	start := len(dst)
-	dst = binary.LittleEndian.AppendUint64(dst, s.counter)
-	dst = binary.LittleEndian.AppendUint64(dst, 0) // header padding
-	dst = append(dst, plaintext...)
-	sum := modelChecksum(keys, dst[start:])
-	// Fill the whole 32-byte tag region so flips anywhere in it are
-	// detected, as they would be against a real HMAC.
-	for i := 0; i < modelTag; i += 8 {
-		dst = binary.LittleEndian.AppendUint64(dst, sum)
-	}
-	return dst, nil
+	return s.sealAppend(modelSeed(keys), dst, plaintext), nil
 }
 
 // Open implements Sealer.
@@ -187,18 +179,7 @@ func (s *ModelSealer) Open(keys xcrypto.SessionKeys, sealed []byte) ([]byte, err
 
 // OpenAppend implements Sealer.
 func (s *ModelSealer) OpenAppend(keys xcrypto.SessionKeys, dst, sealed []byte) ([]byte, error) {
-	if len(sealed) < modelHeader+modelTag {
-		return nil, ErrAuth
-	}
-	body := sealed[:len(sealed)-modelTag]
-	sum := modelChecksum(keys, body)
-	tag := sealed[len(body):]
-	for i := 0; i < modelTag; i += 8 {
-		if binary.LittleEndian.Uint64(tag[i:]) != sum {
-			return nil, ErrAuth
-		}
-	}
-	return append(dst, body[modelHeader:]...), nil
+	return modelOpenAppend(modelSeed(keys), dst, sealed)
 }
 
 // SealedSize implements Sealer.
@@ -206,59 +187,31 @@ func (s *ModelSealer) SealedSize(plaintextLen int) int {
 	return modelHeader + plaintextLen + modelTag
 }
 
-// FNV-1a parameters of the model checksum (identical to hash/fnv's
-// 64-bit variant; hand-rolled so the MAC-key prefix state can be
-// precomputed per link).
-const (
-	fnvOffset64 = 14695981039346656037
-	fnvPrime64  = 1099511628211
-)
-
-// fnvFold folds data into an FNV-1a state, byte for byte.
-func fnvFold(h uint64, data []byte) uint64 {
-	for _, b := range data {
-		h = (h ^ uint64(b)) * fnvPrime64
-	}
-	return h
-}
-
-// modelChecksum computes the keyed checksum standing in for the HMAC:
-// FNV-1a over MAC key || body.
-func modelChecksum(keys xcrypto.SessionKeys, body []byte) uint64 {
-	return fnvFold(fnvFold(fnvOffset64, keys.Mac[:]), body)
-}
-
-// modelCipher is the prepared per-link state of a ModelSealer link — the
-// simulation analogue of xcrypto.LinkCipher: the FNV state after folding
-// the link's 32-byte MAC key is derived once at link establishment, so
-// every envelope checksum starts from the precomputed seed instead of
-// re-hashing the key. The envelope counter stays on the shared
-// *ModelSealer, so the envelope stream is byte-identical to the generic
-// Sealer path (pinned by the package equivalence tests).
-type modelCipher struct {
-	s       *ModelSealer
-	macSeed uint64
-}
-
-func (c *modelCipher) sealAppend(dst, plaintext []byte) ([]byte, error) {
-	c.s.counter++
+// sealAppend is the one model seal routine: the generic Sealer path
+// derives seed from the keys per call, a prepared link passes the seed
+// it derived once.
+func (s *ModelSealer) sealAppend(seed uint64, dst, plaintext []byte) []byte {
+	s.counter++
 	start := len(dst)
-	dst = binary.LittleEndian.AppendUint64(dst, c.s.counter)
+	dst = binary.LittleEndian.AppendUint64(dst, s.counter)
 	dst = binary.LittleEndian.AppendUint64(dst, 0) // header padding
 	dst = append(dst, plaintext...)
-	sum := fnvFold(c.macSeed, dst[start:])
+	sum := keyedFold(seed, dst[start:])
+	// Fill the whole 32-byte tag region so flips anywhere in it are
+	// detected, as they would be against a real HMAC.
 	for i := 0; i < modelTag; i += 8 {
 		dst = binary.LittleEndian.AppendUint64(dst, sum)
 	}
-	return dst, nil
+	return dst
 }
 
-func (c *modelCipher) openAppend(dst, sealed []byte) ([]byte, error) {
+// modelOpenAppend is the one model open routine (see sealAppend).
+func modelOpenAppend(seed uint64, dst, sealed []byte) ([]byte, error) {
 	if len(sealed) < modelHeader+modelTag {
 		return nil, ErrAuth
 	}
 	body := sealed[:len(sealed)-modelTag]
-	sum := fnvFold(c.macSeed, body)
+	sum := keyedFold(seed, body)
 	tag := sealed[len(body):]
 	for i := 0; i < modelTag; i += 8 {
 		if binary.LittleEndian.Uint64(tag[i:]) != sum {
@@ -266,6 +219,96 @@ func (c *modelCipher) openAppend(dst, sealed []byte) ([]byte, error) {
 		}
 	}
 	return append(dst, body[modelHeader:]...), nil
+}
+
+// Parameters of keyedFold: one odd multiplier per lane (so every lane
+// step is a bijection of the lane state), an odd finalizer multiplier,
+// and the basis the MAC key is folded from.
+const (
+	foldMul0  = 0x9e3779b97f4a7c15
+	foldMul1  = 0xc2b2ae3d27d4eb4f
+	foldMul2  = 0x165667b19e3779f9
+	foldMul3  = 0x27d4eb2f165667c5
+	foldMulF  = 0xff51afd7ed558ccd
+	foldBasis = 0xcbf29ce484222325
+)
+
+// foldStep is one lane step: xor the word in, multiply by the lane's odd
+// constant, rotate. All three are bijections of the lane state. The
+// rotate moves each word's high bits back under the next multiply:
+// without it, bit 63 of a word would only ever reach bit 63 of the lane,
+// and flipping the top bit of two words of one lane would cancel.
+func foldStep(lane, word, mul uint64) uint64 {
+	return bits.RotateLeft64((lane^word)*mul, 29)
+}
+
+// keyedFold is the keyed checksum standing in for the HMAC. It consumes
+// data as little-endian 64-bit words, each 32-byte block dealt across
+// four independent lanes so four multiply chains overlap instead of one
+// multiply per byte running serially; of the last partial block a word
+// pair goes to lanes 0 and 1, a single word to lane 2 and the
+// zero-padded tail to lane 3. The data length is folded into lane 0
+// like a word, then the lanes are combined and finalized.
+//
+// Guarantee: every lane step, the length fold, the combine (in any one
+// lane with the others fixed) and the finalizer are bijections, so two
+// inputs of equal length that differ in exactly one word — any change
+// confined to 8 aligned bytes, which covers every single-bit and
+// single-byte corruption — always produce different sums, as do inputs
+// that differ only in how many zero bytes pad the last word (the length
+// fold). Any other difference is missed with probability about 2^-64
+// over the seed. It is a checksum, not a MAC: the simulation's adversary
+// corrupts, drops and replays envelopes, it does not solve for the seed.
+func keyedFold(seed uint64, data []byte) uint64 {
+	l0, l1 := seed, ^seed
+	l2, l3 := bits.RotateLeft64(seed, 32), ^bits.RotateLeft64(seed, 32)
+	n := uint64(len(data))
+	for len(data) >= 32 {
+		l0 = foldStep(l0, binary.LittleEndian.Uint64(data), foldMul0)
+		l1 = foldStep(l1, binary.LittleEndian.Uint64(data[8:]), foldMul1)
+		l2 = foldStep(l2, binary.LittleEndian.Uint64(data[16:]), foldMul2)
+		l3 = foldStep(l3, binary.LittleEndian.Uint64(data[24:]), foldMul3)
+		data = data[32:]
+	}
+	if len(data) >= 16 {
+		l0 = foldStep(l0, binary.LittleEndian.Uint64(data), foldMul0)
+		l1 = foldStep(l1, binary.LittleEndian.Uint64(data[8:]), foldMul1)
+		data = data[16:]
+	}
+	if len(data) >= 8 {
+		l2 = foldStep(l2, binary.LittleEndian.Uint64(data), foldMul2)
+		data = data[8:]
+	}
+	if len(data) > 0 {
+		var tail [8]byte
+		copy(tail[:], data)
+		l3 = foldStep(l3, binary.LittleEndian.Uint64(tail[:]), foldMul3)
+	}
+	l0 = foldStep(l0, n, foldMul0)
+	h := l0 ^ bits.RotateLeft64(l1, 16) ^ bits.RotateLeft64(l2, 32) ^ bits.RotateLeft64(l3, 48)
+	h ^= h >> 32
+	h *= foldMulF
+	h ^= h >> 29
+	return h
+}
+
+// modelSeed derives the per-session checksum seed: the MAC key's four
+// words folded from a fixed basis. Distinct MAC keys — another pair, or
+// the same pair running a different program — give distinct seeds except
+// with probability 2^-64.
+func modelSeed(keys xcrypto.SessionKeys) uint64 {
+	return keyedFold(foldBasis, keys.Mac[:])
+}
+
+// modelCipher is the prepared per-link state of a ModelSealer link — the
+// simulation analogue of xcrypto.LinkCipher: the seed is derived from the
+// link's MAC key once at link establishment instead of on every
+// envelope. The envelope counter stays on the shared *ModelSealer, so the
+// envelope stream is byte-identical to the generic Sealer path (pinned by
+// the package equivalence tests).
+type modelCipher struct {
+	s    *ModelSealer
+	seed uint64
 }
 
 // Link is one direction-agnostic secure channel between the local enclave
@@ -283,7 +326,7 @@ type Link struct {
 	// shared through the enclave key cache.
 	cipher *xcrypto.LinkCipher
 	// model is the prepared per-link state for *ModelSealer links (the
-	// precomputed MAC-key FNV seed), nil otherwise.
+	// precomputed MAC-key seed of the keyed checksum), nil otherwise.
 	model *modelCipher
 	// ctr, when non-nil, tallies seal/open traffic. Every seal and open
 	// funnels through sealAppend/openAppend, so counting there covers all
@@ -318,7 +361,7 @@ func NewLink(local *enclave.Enclave, remote wire.NodeID, remotePub [xcrypto.Publ
 		}
 	}
 	if ms, ok := sealer.(*ModelSealer); ok {
-		l.model = &modelCipher{s: ms, macSeed: fnvFold(fnvOffset64, keys.Mac[:])}
+		l.model = &modelCipher{s: ms, seed: modelSeed(keys)}
 	}
 	return l, nil
 }
@@ -332,7 +375,7 @@ func (l *Link) sealAppend(dst, plaintext []byte) ([]byte, error) {
 	case l.cipher != nil:
 		out, err = l.cipher.SealAppend(dst, nil, plaintext)
 	case l.model != nil:
-		out, err = l.model.sealAppend(dst, plaintext)
+		out = l.model.s.sealAppend(l.model.seed, dst, plaintext)
 	default:
 		out, err = l.sealer.SealAppend(l.keys, dst, plaintext)
 	}
@@ -354,7 +397,7 @@ func (l *Link) openAppend(dst, sealed []byte) ([]byte, error) {
 			err = ErrAuth
 		}
 	case l.model != nil:
-		out, err = l.model.openAppend(dst, sealed)
+		out, err = modelOpenAppend(l.model.seed, dst, sealed)
 	default:
 		out, err = l.sealer.OpenAppend(l.keys, dst, sealed)
 	}

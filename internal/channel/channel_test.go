@@ -2,6 +2,7 @@ package channel
 
 import (
 	"errors"
+	"fmt"
 	"math/rand"
 	"testing"
 	"testing/quick"
@@ -277,29 +278,49 @@ func TestQuickSealerEquivalence(t *testing.T) {
 	}
 }
 
+// BenchmarkModelSealOpen measures the model sealer: the one-shot
+// Seal/Open of a small message (msg), then the prepared-link hot path
+// with reused buffers at the erng_basic workload's p50 and p99 envelope
+// sizes, with MB/s over the envelope bytes so the model path reads next
+// to BenchmarkPreparedRealSealOpen.
 func BenchmarkModelSealOpen(b *testing.B) {
-	clock := &fakeClock{}
-	a, _ := enclave.Launch(program, 0, rand.New(rand.NewSource(1)), clock)
-	c, _ := enclave.Launch(program, 1, rand.New(rand.NewSource(2)), clock)
-	la, err := NewLink(a, 1, c.DHPublic(), NewModelSealer())
+	a := pairedEnclaves(b)
+	la, err := NewLink(a[0], 1, a[1].DHPublic(), NewModelSealer())
 	if err != nil {
 		b.Fatal(err)
 	}
-	lb, err := NewLink(c, 0, a.DHPublic(), NewModelSealer())
+	lb, err := NewLink(a[1], 0, a[0].DHPublic(), NewModelSealer())
 	if err != nil {
 		b.Fatal(err)
 	}
-	msg := testMsg(0)
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		env, err := la.Seal(msg)
-		if err != nil {
-			b.Fatal(err)
+	b.Run("msg", func(b *testing.B) {
+		msg := testMsg(0)
+		b.ReportAllocs()
+		for i := 0; i < b.N; i++ {
+			env, err := la.Seal(msg)
+			if err != nil {
+				b.Fatal(err)
+			}
+			if _, err := lb.Open(env); err != nil {
+				b.Fatal(err)
+			}
 		}
-		if _, err := lb.Open(env); err != nil {
-			b.Fatal(err)
-		}
+	})
+	for _, size := range []int{110, 2048} {
+		b.Run(fmt.Sprintf("%dB", size), func(b *testing.B) {
+			plain := make([]byte, size-la.sealer.SealedSize(0))
+			var env, scratch []byte
+			b.SetBytes(int64(size))
+			b.ReportAllocs()
+			for i := 0; i < b.N; i++ {
+				if env, err = la.SealEncodedAppend(env[:0], plain); err != nil {
+					b.Fatal(err)
+				}
+				if scratch, err = lb.OpenRawAppend(scratch[:0], env); err != nil {
+					b.Fatal(err)
+				}
+			}
+		})
 	}
 }
 

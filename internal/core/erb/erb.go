@@ -138,6 +138,18 @@ type Engine struct {
 	pending   []*instance // instances with an ECHO queued for next round
 	accepted  int         // instances decided with a value (not bottom)
 	metrics   erbMetrics
+
+	// slab and setSlab are the chunks instances and their Secho words
+	// are carved from (see newInstance): two allocations per chunk
+	// instead of two per initiator. setWords is the words one Secho needs
+	// to hold every member id.
+	slab     []instance
+	setSlab  []uint64
+	setWords int
+	// txMsg is the scratch every ECHO is built in: Host.Multicast encodes
+	// the message during the call and keeps no reference to it, so one
+	// engine-owned message replaces a heap allocation per relay.
+	txMsg wire.Message
 }
 
 // singleExpect reports the single-expected-initiator shape.
@@ -219,6 +231,7 @@ func NewEngine(peer runtime.Host, cfg Config) (*Engine, error) {
 		}
 		e.mcast = cfg.Members
 	}
+	e.setWords = (size + 63) / 64
 	e.selfMember = e.isMember(e.self)
 	if m := peer.Metrics(); m != nil {
 		e.metrics = erbMetrics{
@@ -366,11 +379,40 @@ func (e *Engine) getInstance(initiator wire.NodeID) *instance {
 	}
 	inst := e.instances[initiator]
 	if inst == nil {
-		inst = &instance{initiator: initiator}
+		inst = e.newInstance(initiator)
 		e.instances[initiator] = inst
 	}
 	return inst
 }
+
+// newInstance carves one instance from the engine's slab. With explicit
+// expected initiators every one of them ends up tracked (finalize decides
+// bottom for the silent ones), so the first chunk holds them all; without
+// an expectation the engine cannot know how many initiators will show up,
+// so chunks double from instanceChunkMin up to the member count. A full
+// chunk is replaced, never grown: instances handed out stay where they
+// are.
+func (e *Engine) newInstance(initiator wire.NodeID) *instance {
+	if len(e.slab) == cap(e.slab) {
+		chunk := len(e.cfg.ExpectedInitiators)
+		if !e.hasExpect {
+			chunk = min(max(2*cap(e.slab), instanceChunkMin), e.nm)
+		}
+		e.slab = make([]instance, 0, chunk)
+		e.setSlab = make([]uint64, chunk*e.setWords)
+	}
+	// Capacity-capped, so a Secho that outgrows its words (an initiator
+	// id past the member ids) reallocates instead of running into its
+	// neighbour's.
+	words := e.setSlab[:e.setWords:e.setWords]
+	e.setSlab = e.setSlab[e.setWords:]
+	e.slab = append(e.slab, instance{initiator: initiator, echo: nodeSet{words: words}})
+	return &e.slab[len(e.slab)-1]
+}
+
+// instanceChunkMin is the first slab chunk of an engine with no explicit
+// expected initiators.
+const instanceChunkMin = 4
 
 // OnRound implements runtime.Protocol: flush queued ECHOs, then (at the
 // start round) launch our own broadcast if we are an initiator.
@@ -434,7 +476,7 @@ func (e *Engine) multicastEcho(inst *instance, rnd uint32) {
 	}
 	inst.echoed = true
 	e.peer.Trace(telemetry.KindEcho, inst.initiator, valueFP(inst.value))
-	msg := &wire.Message{
+	e.txMsg = wire.Message{
 		Type:      wire.TypeEcho,
 		Sender:    e.self,
 		Initiator: inst.initiator,
@@ -444,7 +486,7 @@ func (e *Engine) multicastEcho(inst *instance, rnd uint32) {
 		HasValue:  true,
 		Value:     inst.value,
 	}
-	_ = e.peer.Multicast(e.mcast, msg, e.cfg.AckThreshold) //lint:allow sealerr a halted or partitioned receiver is recorded by the runtime; the sender has nothing further to do this round
+	_ = e.peer.Multicast(e.mcast, &e.txMsg, e.cfg.AckThreshold) //lint:allow sealerr a halted or partitioned receiver is recorded by the runtime; the sender has nothing further to do this round
 }
 
 // OnMessage implements runtime.Protocol. The runtime already enforced

@@ -8,48 +8,72 @@ import (
 	"sgxp2p/internal/deploy"
 	"sgxp2p/internal/runtime"
 	"sgxp2p/internal/wire"
+	"sgxp2p/internal/xcrypto"
 )
 
 // Golden FNV-1a fingerprints over every (src, dst, envelope) triple a
-// seeded deployment emits, in send order, recorded on the pre-coalescing
-// tree (PR 5). With batching disabled the runtime must keep producing
-// exactly these envelope streams: same frames, same bytes, same order.
-// A change here means the unbatched wire format or send schedule drifted
-// from the pre-PR tree, which the coalescing PR promised not to do.
+// seeded deployment emits, in send order. With batching disabled the
+// runtime must keep producing exactly these envelope streams: same
+// frames, same bytes, same order.
+//
+// Two fingerprints are pinned per scenario. The tag-masked pair skips
+// each envelope's trailing 32 tag bytes and still carries the values
+// recorded on the pre-coalescing tree's envelope stream (PR 5): frame
+// count, order, sizes, headers and payloads have not moved since. The
+// full-envelope pair also covers the tag bytes, so it moves whenever the
+// sealer's checksum does: it was re-recorded when the ModelSealer's
+// byte-serial FNV-1a became the word-parallel keyed fold (PR 12), and
+// the tag-masked pair — pinned on the parent tree first, unchanged
+// after — is the proof that only the tag bytes changed. A change in the
+// masked pair means the unbatched wire format or send schedule drifted.
 const (
-	goldenERBWireHash  uint64 = 0xe35a6cd01d546f71
-	goldenERNGWireHash uint64 = 0x7aad6278c717c365
+	goldenERBWireHash  uint64 = 0x492e49ab4f39ec89
+	goldenERNGWireHash uint64 = 0xd109dbb9c385aedd
+
+	goldenERBMaskedHash  uint64 = 0x1a55961a2745ab11
+	goldenERNGMaskedHash uint64 = 0xa6158b2bbd43af55
 )
 
-// wireHasher is a TransportWrapper hook folding every outbound envelope
-// into a shared FNV-1a hash. The simulation is single-threaded, so send
-// order (and therefore the fold order) is deterministic for a seed.
-type wireHasher struct {
-	h uint64
+// fnvHash is a running FNV-1a fingerprint.
+type fnvHash uint64
+
+func (h *fnvHash) fold(b byte) {
+	*h = (*h ^ fnvHash(b)) * 1099511628211
 }
 
-func newWireHasher() *wireHasher {
-	return &wireHasher{h: 14695981039346656037}
-}
-
-func (w *wireHasher) fold(b byte) {
-	w.h = (w.h ^ uint64(b)) * 1099511628211
-}
-
-func (w *wireHasher) foldU32(x uint32) {
+func (h *fnvHash) foldU32(x uint32) {
 	for i := 0; i < 4; i++ {
-		w.fold(byte(x))
+		h.fold(byte(x))
 		x >>= 8
 	}
 }
 
-func (w *wireHasher) record(src, dst wire.NodeID, payload []byte) {
-	w.foldU32(uint32(src))
-	w.foldU32(uint32(dst))
-	w.foldU32(uint32(len(payload)))
-	for _, b := range payload {
-		w.fold(b)
+func (h *fnvHash) record(src, dst wire.NodeID, frameLen int, covered []byte) {
+	h.foldU32(uint32(src))
+	h.foldU32(uint32(dst))
+	h.foldU32(uint32(frameLen))
+	for _, b := range covered {
+		h.fold(b)
 	}
+}
+
+// wireHasher is a TransportWrapper hook folding every outbound envelope
+// into two shared FNV-1a hashes: full over the whole envelope, masked
+// over everything but its trailing tag (xcrypto.MACSize bytes under both
+// sealers — the ModelSealer matches the real geometry). The simulation is
+// single-threaded, so send order (and therefore the fold order) is
+// deterministic for a seed.
+type wireHasher struct {
+	full, masked fnvHash
+}
+
+func newWireHasher() *wireHasher {
+	return &wireHasher{full: 14695981039346656037, masked: 14695981039346656037}
+}
+
+func (w *wireHasher) record(src, dst wire.NodeID, payload []byte) {
+	w.full.record(src, dst, len(payload), payload)
+	w.masked.record(src, dst, len(payload), payload[:max(len(payload)-xcrypto.MACSize, 0)])
 }
 
 // Wrap returns the deploy.TransportWrapper installing the recorder.
@@ -70,7 +94,7 @@ func (t *hashingTransport) Send(dst wire.NodeID, payload []byte) {
 
 // runGoldenERB replays the reference ERB scenario: N=5, T=2, seed 1,
 // initiator 0 broadcasting a fixed value, full round budget.
-func runGoldenERB(t *testing.T, opts deploy.Options) uint64 {
+func runGoldenERB(t *testing.T, opts deploy.Options) *wireHasher {
 	t.Helper()
 	rec := newWireHasher()
 	opts.N, opts.T, opts.Seed = 5, 2, 1
@@ -99,13 +123,13 @@ func runGoldenERB(t *testing.T, opts deploy.Options) uint64 {
 			t.Fatalf("node %d did not accept the golden broadcast", i)
 		}
 	}
-	return rec.h
+	return rec
 }
 
 // runGoldenERNG replays the reference basic-ERNG scenario: N=5, T=2,
 // seed 3 (all five nodes initiate concurrently — the batching-heavy
 // traffic shape).
-func runGoldenERNG(t *testing.T, opts deploy.Options) uint64 {
+func runGoldenERNG(t *testing.T, opts deploy.Options) *wireHasher {
 	t.Helper()
 	rec := newWireHasher()
 	opts.N, opts.T, opts.Seed = 5, 2, 3
@@ -135,17 +159,26 @@ func runGoldenERNG(t *testing.T, opts deploy.Options) uint64 {
 			t.Fatalf("node %d produced no ERNG output", i)
 		}
 	}
-	return rec.h
+	return rec
 }
 
-// TestUnbatchedWireStreamGolden pins the batching-disabled wire stream to
-// the pre-coalescing tree, byte for byte.
+// TestUnbatchedWireStreamGolden pins the batching-disabled wire stream,
+// byte for byte, and separately with the tag bytes masked out.
 func TestUnbatchedWireStreamGolden(t *testing.T) {
 	opts := deploy.Options{DisableBatching: true}
-	if got := runGoldenERB(t, opts); got != goldenERBWireHash {
-		t.Errorf("ERB unbatched wire hash %#x, want %#x (unbatched envelope stream drifted from pre-PR tree)", got, goldenERBWireHash)
-	}
-	if got := runGoldenERNG(t, opts); got != goldenERNGWireHash {
-		t.Errorf("ERNG unbatched wire hash %#x, want %#x (unbatched envelope stream drifted from pre-PR tree)", got, goldenERNGWireHash)
+	for _, sc := range []struct {
+		name         string
+		got          *wireHasher
+		full, masked uint64
+	}{
+		{"ERB", runGoldenERB(t, opts), goldenERBWireHash, goldenERBMaskedHash},
+		{"ERNG", runGoldenERNG(t, opts), goldenERNGWireHash, goldenERNGMaskedHash},
+	} {
+		if got := uint64(sc.got.masked); got != sc.masked {
+			t.Errorf("%s unbatched tag-masked wire hash %#x, want %#x (frames, headers or payloads drifted)", sc.name, got, sc.masked)
+		}
+		if got := uint64(sc.got.full); got != sc.full {
+			t.Errorf("%s unbatched wire hash %#x, want %#x (envelope stream drifted)", sc.name, got, sc.full)
+		}
 	}
 }

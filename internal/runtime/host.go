@@ -47,6 +47,8 @@ type Host interface {
 	Trace(kind telemetry.Kind, peer wire.NodeID, arg uint64)
 	// Multicast, Send and SendAck are the sealed messaging primitives of
 	// the shared runtime (see the *Peer methods for their contracts).
+	// Messages are borrowed: encoded before the call returns and never
+	// retained, so callers may reuse one scratch message across calls.
 	Multicast(dsts []wire.NodeID, msg *wire.Message, ackThreshold int) error
 	Send(dst wire.NodeID, msg *wire.Message) error
 	SendAck(dst wire.NodeID, received *wire.Message) error

@@ -353,6 +353,11 @@ type Peer struct {
 	trace       *telemetry.Tracer
 	ctr         *counters
 
+	// trackerFree holds retired trackers (bitset words included) for
+	// Multicast to reuse: closeRound and Stop refill it, so a standing
+	// peer allocates trackers only up to its busiest round.
+	trackerFree []*ackTracker
+
 	// spans caches trace.SpansEnabled() so every causal-span site costs
 	// one bool test when spans are off (and nothing at all builds when
 	// the tracer is nil). curSpan is the frame tag of the envelope whose
@@ -717,8 +722,25 @@ func (p *Peer) tick(rnd uint32) {
 // multicast that gathered fewer than threshold acknowledgments halts the
 // peer (property P4, the Halt function of Algorithm 2).
 func (p *Peer) closeRound() {
-	trackers := p.trackers
-	p.trackers = nil
+	starved := false
+	for _, tk := range p.trackers {
+		if tk.ackCount() < tk.threshold {
+			starved = true
+			break
+		}
+	}
+	p.retireTrackers()
+	if starved {
+		p.haltSelf("ack-threshold")
+	}
+}
+
+// retireTrackers ends the round's acknowledgment bookkeeping: every
+// tracker moves to the freelist, and the indexes that pointed at them and
+// the flush window that spanned them are reset.
+func (p *Peer) retireTrackers() {
+	p.trackerFree = append(p.trackerFree, p.trackers...)
+	p.trackers = p.trackers[:0]
 	if p.trackerIdx != nil {
 		clear(p.trackerIdx)
 	}
@@ -728,12 +750,24 @@ func (p *Peer) closeRound() {
 	p.winStart = 0
 	p.winMixed = false
 	p.winCoverFull = true
-	for _, tk := range trackers {
-		if tk.ackCount() < tk.threshold {
-			p.haltSelf("ack-threshold")
-			return
-		}
+}
+
+// newTracker registers a tracker for a multicast of the current round,
+// reusing a retired one when the freelist has any.
+func (p *Peer) newTracker(digest wire.Value, threshold int) {
+	var tk *ackTracker
+	if n := len(p.trackerFree); n > 0 {
+		tk = p.trackerFree[n-1]
+		p.trackerFree[n-1] = nil
+		p.trackerFree = p.trackerFree[:n-1]
+		tk.acked.reset()
+		tk.group = nil
+	} else {
+		tk = new(ackTracker)
 	}
+	tk.digest, tk.round, tk.threshold = digest, p.round, threshold
+	p.trackers = append(p.trackers, tk)
+	p.indexTracker(tk)
 }
 
 // Stop withdraws the peer from its protocol instance without executing
@@ -754,14 +788,8 @@ func (p *Peer) Stop() {
 	p.flushOutbox()
 	p.started = false
 	p.proto = nil
-	p.trackers = nil
+	p.retireTrackers()
 	p.early = nil
-	if p.frameIdx != nil {
-		clear(p.frameIdx)
-	}
-	p.winStart = 0
-	p.winMixed = false
-	p.winCoverFull = true
 	p.frameAckOn = false
 }
 
@@ -835,13 +863,7 @@ func (p *Peer) Multicast(dsts []wire.NodeID, msg *wire.Message, ackThreshold int
 	}
 	p.encodeBuf = encoded
 	if ackThreshold > 0 {
-		tk := &ackTracker{
-			digest:    DigestEncoded(encoded),
-			round:     p.round,
-			threshold: ackThreshold,
-		}
-		p.trackers = append(p.trackers, tk)
-		p.indexTracker(tk)
+		p.newTracker(DigestEncoded(encoded), ackThreshold)
 	}
 	if dsts == nil {
 		for id := 0; id < p.cfg.N; id++ {

@@ -273,7 +273,7 @@ func TestERBEpochAfterRestartOverTCP(t *testing.T) {
 			}
 			nd.probe = &finishProbe{eng: eng, done: make(chan struct{})}
 			peer, probe := nd.peer, nd.probe
-			nd.port.After(0, func() { peer.Start(probe, probe.eng.Rounds()) })
+			nd.port.After(0, func() { peer.StartIn(probe, probe.eng.Rounds(), startLead) })
 		}
 		deadline := time.After(time.Duration(byz+4) * 2 * delta * 4)
 		for i, nd := range participants {

@@ -83,6 +83,9 @@ func (f *finishProbe) OnRound(rnd uint32)          { f.eng.OnRound(rnd) }
 func (f *finishProbe) OnMessage(msg *wire.Message) { f.eng.OnMessage(msg) }
 func (f *finishProbe) OnFinish()                   { f.eng.OnFinish(); close(f.done) }
 
+// startLead is how far ahead of round 1 the live tests arm their peers.
+const startLead = 50 * time.Millisecond
+
 func TestERBOverRealTCP(t *testing.T) {
 	// End-to-end: 5 enclaved peers with real AES+HMAC channels over real
 	// TCP sockets on localhost run one ERB broadcast.
@@ -152,11 +155,14 @@ func TestERBOverRealTCP(t *testing.T) {
 			eng.SetInput(wire.Value{0xCA, 0xFE})
 		}
 	}
-	// Start on each node's event loop: peer state is loop-confined.
+	// Start on each node's event loop: peer state is loop-confined. Round
+	// 1 is armed a little ahead (StartIn, as live deployments do), so the
+	// initiator's INIT cannot reach a peer whose start is still queued —
+	// over loopback it otherwise can, and is dropped as not-yet-started.
 	for i := 0; i < n; i++ {
 		i := i
 		ports[i].After(0, func() {
-			peers[i].Start(probes[i], probes[i].eng.Rounds())
+			peers[i].StartIn(probes[i], probes[i].eng.Rounds(), startLead)
 		})
 	}
 

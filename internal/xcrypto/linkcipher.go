@@ -16,6 +16,8 @@ import (
 	"crypto/hmac"
 	"crypto/rand"
 	"crypto/sha256"
+	"crypto/subtle"
+	"encoding/binary"
 	"fmt"
 	"hash"
 	"io"
@@ -119,22 +121,15 @@ func OpenAppend(keys SessionKeys, dst, sealed []byte) ([]byte, error) {
 // TestCTRXORMatchesStdlib). Using the struct's scratch blocks keeps the
 // per-envelope path free of heap allocations.
 func (c *LinkCipher) ctrXOR(iv, dst, src []byte) {
-	copy(c.ctr[:], iv)
+	hi, lo := binary.BigEndian.Uint64(iv), binary.BigEndian.Uint64(iv[8:])
 	for len(src) > 0 {
+		binary.BigEndian.PutUint64(c.ctr[:], hi)
+		binary.BigEndian.PutUint64(c.ctr[8:], lo)
 		c.block.Encrypt(c.ks[:], c.ctr[:])
-		n := len(src)
-		if n > len(c.ks) {
-			n = len(c.ks)
-		}
-		for i := 0; i < n; i++ {
-			dst[i] = src[i] ^ c.ks[i]
-		}
+		n := subtle.XORBytes(dst, src, c.ks[:])
 		src, dst = src[n:], dst[n:]
-		for i := len(c.ctr) - 1; i >= 0; i-- {
-			c.ctr[i]++
-			if c.ctr[i] != 0 {
-				break
-			}
+		if lo++; lo == 0 {
+			hi++
 		}
 	}
 }

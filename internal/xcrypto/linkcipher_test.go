@@ -147,8 +147,9 @@ func TestOneShotAppendHelpers(t *testing.T) {
 }
 
 // TestCTRXORMatchesStdlib drives the manual CTR directly against
-// crypto/cipher.NewCTR over many lengths and IVs, including IVs that
-// overflow the low counter bytes mid-message.
+// crypto/cipher.NewCTR over many lengths and IVs, including IVs whose
+// low 64 bits are all ones — the first block increment carries into the
+// high counter word — and the all-ones IV, which wraps to zero.
 func TestCTRXORMatchesStdlib(t *testing.T) {
 	keys := testKeys(42)
 	lc, err := NewLinkCipher(keys)
@@ -163,13 +164,20 @@ func TestCTRXORMatchesStdlib(t *testing.T) {
 	for trial := 0; trial < 64; trial++ {
 		iv := make([]byte, NonceSize)
 		rng.Read(iv)
+		src := make([]byte, rng.Intn(200))
 		if trial%4 == 0 {
-			// Force carry propagation through the counter tail.
+			// Carry out of the low word on the first increment; three
+			// blocks so the carried counter is used.
 			for i := NonceSize / 2; i < NonceSize; i++ {
 				iv[i] = 0xFF
 			}
+			src = make([]byte, 3*NonceSize+trial)
 		}
-		src := make([]byte, rng.Intn(200))
+		if trial == 8 {
+			for i := range iv {
+				iv[i] = 0xFF
+			}
+		}
 		rng.Read(src)
 		want := make([]byte, len(src))
 		cipher.NewCTR(block, iv).XORKeyStream(want, src)
