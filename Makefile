@@ -112,11 +112,11 @@ bench-telemetry:
 		-baseline BENCH_pretelemetry.json -o BENCH_telemetry.json
 
 # bench-coalesce re-measures the frame-coalescing artifact: the ERB
-# broadcast benchmarks, batched and unbatched, at N=64 and N=512,
-# best-of-5, diffed against the pre-coalescing baseline
-# (BENCH_telemetry.json). The snapshot carries both comparisons the
-# coalescing PR is judged on: same-binary batched-vs-unbatched (the
-# *_nobatch rows) and batched-vs-pre-PR (the embedded comparison block).
+# broadcast benchmarks at N=64 and N=512, best-of-5, diffed against the
+# pre-coalescing baseline (BENCH_telemetry.json) in the embedded
+# comparison block. The same-binary batched-vs-unbatched ablation rows
+# are retired (EXPERIMENTS.md); their numbers are on record in the
+# checked-in BENCH_coalesce.json, which a re-run overwrites without them.
 bench-coalesce:
 	$(GO) run ./cmd/p2pbench -count 5 -bench cluster_broadcast \
 		-baseline BENCH_telemetry.json -o BENCH_coalesce.json
@@ -125,9 +125,10 @@ bench-coalesce:
 # broadcast throughput at N=64 with 1/10/100/1000 concurrent instances
 # over one standing cluster, against three baselines measured in the
 # same window — dedicated deployments (the pre-mux status quo: a fresh
-# cluster per broadcast), serial broadcasts on the standing cluster
-# (stricter: setup amortized away), and the mux with batching disabled
-# (ablation). Best-of-3; the dedicated rows dominate the wall time.
+# cluster per broadcast) and serial broadcasts on the standing cluster
+# (stricter: setup amortized away). The batching-disabled ablation row
+# is retired; its numbers are on record in the checked-in BENCH_mux.json.
+# Best-of-3; the dedicated rows dominate the wall time.
 bench-mux:
 	$(GO) run ./cmd/p2pbench -count 3 -bench cluster_mux -o BENCH_mux.json
 

@@ -149,14 +149,9 @@ func run(args []string) error {
 	}
 	// broadcast measures a full ERB broadcast on a standing cluster —
 	// the protocol hot loop the round-scoped frame coalescing targets.
-	// The nobatch variants run the identical workload with coalescing
-	// off, so a snapshot carries the batched-vs-unbatched delta for the
-	// same binary.
-	broadcast := func(n, t int, disableBatching bool) func(b *testing.B) {
+	broadcast := func(n, t int) func(b *testing.B) {
 		return func(b *testing.B) {
-			cluster, err := sgxp2p.NewCluster(sgxp2p.Options{
-				N: n, T: t, Seed: 1, DisableBatching: disableBatching,
-			})
+			cluster, err := sgxp2p.NewCluster(sgxp2p.Options{N: n, T: t, Seed: 1})
 			if err != nil {
 				b.Fatal(err)
 			}
@@ -173,16 +168,10 @@ func run(args []string) error {
 	// muxBroadcast measures k concurrent ERB broadcasts multiplexed over a
 	// standing cluster's shared links (one BroadcastMany per op): the
 	// sustained-throughput workload the Mux exists for. Initiators rotate
-	// round-robin so every node both initiates and relays. The nobatch
-	// variant disables cross-instance frame coalescing — on this workload
-	// the ablation is live, because concurrent instances give every link
-	// multiple same-round frames to merge (a single broadcast does not;
-	// see EXPERIMENTS.md).
-	muxBroadcast := func(n, t, k int, disableBatching bool) func(b *testing.B) {
+	// round-robin so every node both initiates and relays.
+	muxBroadcast := func(n, t, k int) func(b *testing.B) {
 		return func(b *testing.B) {
-			cluster, err := sgxp2p.NewCluster(sgxp2p.Options{
-				N: n, T: t, Seed: 1, DisableBatching: disableBatching,
-			})
+			cluster, err := sgxp2p.NewCluster(sgxp2p.Options{N: n, T: t, Seed: 1})
 			if err != nil {
 				b.Fatal(err)
 			}
@@ -384,18 +373,15 @@ func run(args []string) error {
 				}
 			}
 		}},
-		{"cluster_broadcast_n64", broadcast(64, 31, false)},
-		{"cluster_broadcast_n64_nobatch", broadcast(64, 31, true)},
-		{"cluster_broadcast_n512", broadcast(512, 255, false)},
-		{"cluster_broadcast_n512_nobatch", broadcast(512, 255, true)},
+		{"cluster_broadcast_n64", broadcast(64, 31)},
+		{"cluster_broadcast_n512", broadcast(512, 255)},
 		// The instances sweep: same cluster, growing concurrency. The
-		// headline count is -instances; the serial and nobatch rows at that
-		// count are the two comparisons BENCH_mux.json is judged on.
-		{"cluster_mux_n64_i1", muxBroadcast(64, 31, 1, false)},
-		{"cluster_mux_n64_i10", muxBroadcast(64, 31, 10, false)},
-		{"cluster_mux_n64_i100", muxBroadcast(64, 31, 100, false)},
-		{fmt.Sprintf("cluster_mux_n64_i%d", *instances), muxBroadcast(64, 31, *instances, false)},
-		{fmt.Sprintf("cluster_mux_nobatch_n64_i%d", *instances), muxBroadcast(64, 31, *instances, true)},
+		// headline count is -instances; the serial and dedicated rows at
+		// that count are the baselines the mux is judged against.
+		{"cluster_mux_n64_i1", muxBroadcast(64, 31, 1)},
+		{"cluster_mux_n64_i10", muxBroadcast(64, 31, 10)},
+		{"cluster_mux_n64_i100", muxBroadcast(64, 31, 100)},
+		{fmt.Sprintf("cluster_mux_n64_i%d", *instances), muxBroadcast(64, 31, *instances)},
 		{fmt.Sprintf("cluster_mux_serial_n64_i%d", *instances), serialMany(64, 31, *instances)},
 		{fmt.Sprintf("cluster_mux_dedicated_n64_i%d", *instances), dedicatedMany(64, 31, *instances)},
 		{"obs_broadcast_n64_off", obsBroadcast(64, 31, false, false)},
@@ -491,8 +477,10 @@ func run(args []string) error {
 
 // benchSealOpenHot measures the steady-state per-message cost of a live
 // RealSealer link: encode once, seal with the prepared per-link cipher
-// into a warm envelope buffer, open on the peer side into a warm scratch.
-// This is the per-hop unit of work every multicast fans out N-1 times.
+// into a warm envelope buffer, open on the peer side into a warm scratch
+// and decode into a reused message — what the runtime's receive path
+// does. This is the per-hop unit of work every multicast fans out N-1
+// times.
 func benchSealOpenHot(b *testing.B) {
 	clock := enclave.NewWallClock()
 	ea, err := enclave.Launch(deploy.DefaultProgram, 0, rand.Reader, clock)
@@ -517,6 +505,7 @@ func benchSealOpenHot(b *testing.B) {
 		Value: sgxp2p.ValueFromString("hot path"),
 	}
 	var encodeBuf, env, scratch []byte
+	var rx wire.Message
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
@@ -528,7 +517,10 @@ func benchSealOpenHot(b *testing.B) {
 		if env, err = la.SealEncodedAppend(env[:0], encoded); err != nil {
 			b.Fatal(err)
 		}
-		if _, scratch, err = lb.OpenEncodedAppend(scratch[:0], env); err != nil {
+		if scratch, err = lb.OpenRawAppend(scratch[:0], env); err != nil {
+			b.Fatal(err)
+		}
+		if err = wire.DecodeInto(&rx, scratch); err != nil {
 			b.Fatal(err)
 		}
 	}

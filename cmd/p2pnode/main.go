@@ -108,7 +108,6 @@ func run(args []string) error {
 		slow       = fs.String("slow", "", "slow-link shaping: 'all=50ms' or 'id=dur,id=dur' extra delay per outbound frame")
 		connectTO  = fs.Duration("connect-timeout", 10*time.Second, "preflight: every peer must accept a TCP connection within this window")
 		noPref     = fs.Bool("no-preflight", false, "skip the peer reachability preflight")
-		noBatch    = fs.Bool("nobatch", false, "disable round-scoped frame coalescing (paper-faithful per-message wire accounting)")
 		demoSecret = fs.Int64("demo-secret", 42, "shared demo attestation seed (all nodes must agree)")
 		tracePath  = fs.String("trace", "", "write this node's telemetry event stream (JSONL) to a file on exit")
 		metricsOut = fs.String("metrics-out", "", "write this node's metrics in Prometheus text format to a file on exit")
@@ -341,7 +340,6 @@ func run(args []string) error {
 
 	peer, err := runtime.NewPeer(encl, transport, roster, runtime.Config{
 		N: *n, T: *t, Delta: *delta, Trace: trace, Metrics: metrics,
-		DisableBatching: *noBatch,
 	})
 	if err != nil {
 		return fail(err)

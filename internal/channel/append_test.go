@@ -2,144 +2,59 @@ package channel
 
 import (
 	"bytes"
-	"math/rand"
+	"errors"
 	"testing"
 
-	"sgxp2p/internal/enclave"
-	"sgxp2p/internal/xcrypto"
+	"sgxp2p/internal/wire"
 )
 
-// pairedEnclaves launches two enclaves running the test program, for
-// benchmarks that build links directly.
-func pairedEnclaves(tb testing.TB) [2]*enclave.Enclave {
-	tb.Helper()
-	clock := &fakeClock{}
-	a, err := enclave.Launch(program, 0, rand.New(rand.NewSource(1)), clock)
-	if err != nil {
-		tb.Fatal(err)
-	}
-	b, err := enclave.Launch(program, 1, rand.New(rand.NewSource(2)), clock)
-	if err != nil {
-		tb.Fatal(err)
-	}
-	return [2]*enclave.Enclave{a, b}
-}
-
-// TestSealAppendByteIdenticalToSeal pins the Sealer interface contract:
-// for the same sealer state, SealAppend appends exactly the bytes Seal
-// returns. The ModelSealer is stateful (a counter), so each path gets a
-// fresh instance; the RealSealer draws a random nonce, so its
-// byte-identity is pinned at the xcrypto layer with a seeded rng
-// (TestLinkCipherSealByteIdentical) and its envelopes are checked
-// semantically here.
-func TestSealAppendByteIdenticalToSeal(t *testing.T) {
-	keys := xcrypto.SessionKeys{Enc: [32]byte{1}, Mac: [32]byte{2}}
-	viaSeal, viaAppend := NewModelSealer(), NewModelSealer()
-	var dst []byte
-	for i := 0; i < 5; i++ {
-		msg := testMsg(0)
-		msg.Seq = uint64(i)
-		enc, err := msg.Encode()
-		if err != nil {
-			t.Fatal(err)
-		}
-		want, err := viaSeal.Seal(keys, enc)
-		if err != nil {
-			t.Fatal(err)
-		}
-		var got []byte
-		if got, err = viaAppend.SealAppend(keys, dst[:0], enc); err != nil {
-			t.Fatal(err)
-		}
-		dst = got // reuse the scratch across iterations, like the runtime
-		if !bytes.Equal(want, got) {
-			t.Fatalf("msg %d: SealAppend differs from Seal", i)
-		}
-	}
-}
-
-// TestOpenAppendMatchesOpen proves Open and OpenAppend agree on both the
-// accept/reject decision and the recovered plaintext, for both sealers,
-// including with a reused scratch buffer.
-func TestOpenAppendMatchesOpen(t *testing.T) {
-	for _, s := range sealers {
-		t.Run(s.name, func(t *testing.T) {
-			la, lb := pairedLinks(t, s.mk)
-			var scratch []byte
-			for i := 0; i < 4; i++ {
-				msg := testMsg(0)
-				msg.Seq = uint64(i)
-				env, err := la.Seal(msg)
-				if err != nil {
-					t.Fatal(err)
-				}
-				viaOpen, err := lb.sealer.Open(lb.keys, env)
-				if err != nil {
-					t.Fatal(err)
-				}
-				viaAppend, err := lb.sealer.OpenAppend(lb.keys, scratch[:0], env)
-				if err != nil {
-					t.Fatal(err)
-				}
-				scratch = viaAppend
-				if !bytes.Equal(viaOpen, viaAppend) {
-					t.Fatalf("msg %d: OpenAppend plaintext differs from Open", i)
-				}
-				// Every single-byte corruption is rejected by both paths.
-				for _, pos := range []int{0, len(env) / 2, len(env) - 1} {
-					bad := append([]byte(nil), env...)
-					bad[pos] ^= 0x08
-					_, errOpen := lb.sealer.Open(lb.keys, bad)
-					_, errAppend := lb.sealer.OpenAppend(lb.keys, nil, bad)
-					if (errOpen == nil) != (errAppend == nil) {
-						t.Fatalf("byte %d: Open and OpenAppend disagree", pos)
-					}
-					if errAppend == nil {
-						t.Fatalf("byte %d: corruption accepted", pos)
-					}
-				}
-			}
-		})
-	}
-}
-
-// TestSealEncodedAppendByteIdentical extends the encode-once equivalence
-// to the append path: SealEncodedAppend(dst, enc) appends exactly the
-// envelope Seal(msg) produces for the same sealer state.
+// TestSealEncodedAppendByteIdentical pins that where the envelope lands
+// does not change its bytes: for the same sealer state, sealing into a
+// nil dst, into a reused warm buffer and after an existing prefix append
+// the same envelope, and the prefix is left alone. The ModelSealer is
+// stateful (a counter), so each destination style gets a fresh instance;
+// the RealSealer draws a random nonce, so its byte-identity is pinned at
+// the xcrypto layer with a seeded rng (TestLinkCipherSealByteIdentical).
 func TestSealEncodedAppendByteIdentical(t *testing.T) {
-	la1, _ := pairedLinks(t, func() Sealer { return NewModelSealer() })
-	la2, _ := pairedLinks(t, func() Sealer { return NewModelSealer() })
+	model := func() Sealer { return NewModelSealer() }
+	fresh, _ := pairedLinks(t, model)
+	warm, _ := pairedLinks(t, model)
+	prefixed, _ := pairedLinks(t, model)
+	prefix := []byte("prefix")
 	var dst []byte
 	for i := 0; i < 5; i++ {
 		msg := testMsg(0)
 		msg.Seq = uint64(i)
-		want, err := la1.Seal(msg)
-		if err != nil {
-			t.Fatal(err)
-		}
 		enc, err := msg.Encode()
 		if err != nil {
 			t.Fatal(err)
 		}
-		got, err := la2.SealEncodedAppend(dst[:0], enc)
+		want := sealMsg(t, fresh, msg)
+		if dst, err = warm.SealEncodedAppend(dst[:0], enc); err != nil {
+			t.Fatal(err)
+		}
+		if !bytes.Equal(want, dst) {
+			t.Fatalf("msg %d: warm-buffer envelope differs from the nil-dst one", i)
+		}
+		got, err := prefixed.SealEncodedAppend(prefix[:len(prefix):len(prefix)], enc)
 		if err != nil {
 			t.Fatal(err)
 		}
-		dst = got
-		if !bytes.Equal(want, got) {
-			t.Fatalf("msg %d: SealEncodedAppend differs from Seal", i)
+		if !bytes.Equal(got[:len(prefix)], prefix) || !bytes.Equal(got[len(prefix):], want) {
+			t.Fatalf("msg %d: envelope appended after a prefix differs", i)
 		}
 	}
 }
 
-// TestOpenEncodedAppendRoundTrip drives the full append hot path for
-// both sealers: seal into a reused envelope buffer, open into a reused
-// scratch, and check message, plaintext and sender enforcement.
+// TestOpenEncodedAppendRoundTrip drives the append hot path for both
+// sealers the way the runtime does: seal into a reused envelope buffer,
+// open into a reused scratch, decode, and check message and plaintext.
 func TestOpenEncodedAppendRoundTrip(t *testing.T) {
 	for _, s := range sealers {
 		t.Run(s.name, func(t *testing.T) {
 			la, lb := pairedLinks(t, s.mk)
 			var env, scratch []byte
+			var got wire.Message
 			for i := 0; i < 4; i++ {
 				msg := testMsg(0)
 				msg.Seq = uint64(i)
@@ -150,93 +65,89 @@ func TestOpenEncodedAppendRoundTrip(t *testing.T) {
 				if env, err = la.SealEncodedAppend(env[:0], enc); err != nil {
 					t.Fatal(err)
 				}
-				got, plaintext, err := lb.OpenEncodedAppend(scratch[:0], env)
-				if err != nil {
+				if scratch, err = lb.OpenRawAppend(scratch[:0], env); err != nil {
 					t.Fatal(err)
 				}
-				scratch = plaintext
+				if !bytes.Equal(scratch, enc) {
+					t.Fatal("opened plaintext differs from the sealed encoding")
+				}
+				if err := wire.DecodeInto(&got, scratch); err != nil {
+					t.Fatal(err)
+				}
 				if got.String() != msg.String() || got.Value != msg.Value {
-					t.Fatalf("round trip mismatch: %v vs %v", got, msg)
+					t.Fatalf("round trip mismatch: %v vs %v", &got, msg)
 				}
-				if !bytes.Equal(plaintext, enc) {
-					t.Fatal("OpenEncodedAppend plaintext differs from the sealed encoding")
-				}
-			}
-			// Sender mismatch and truncation still reject.
-			msg := testMsg(5)
-			enc, err := msg.Encode()
-			if err != nil {
-				t.Fatal(err)
-			}
-			env, err = la.SealEncodedAppend(nil, enc)
-			if err != nil {
-				t.Fatal(err)
-			}
-			if _, _, err := lb.OpenEncodedAppend(nil, env); err != ErrSenderMismatch {
-				t.Fatalf("got %v, want ErrSenderMismatch", err)
-			}
-			if _, _, err := lb.OpenEncodedAppend(nil, env[:10]); err == nil {
-				t.Fatal("accepted truncated envelope")
 			}
 		})
 	}
 }
 
-// TestMixedSealAndSealAppendCounter proves the ModelSealer counter is
-// shared between the two seal forms: an interleaved sequence matches an
-// all-Seal sequence byte for byte.
-func TestMixedSealAndSealAppendCounter(t *testing.T) {
-	keys := xcrypto.SessionKeys{Enc: [32]byte{9}, Mac: [32]byte{7}}
-	reference, mixed := NewModelSealer(), NewModelSealer()
-	payload := []byte("counter check")
-	for i := 0; i < 6; i++ {
-		want, err := reference.Seal(keys, payload)
-		if err != nil {
-			t.Fatal(err)
-		}
-		var got []byte
-		if i%2 == 0 {
-			got, err = mixed.SealAppend(keys, nil, payload)
-		} else {
-			got, err = mixed.Seal(keys, payload)
-		}
-		if err != nil {
-			t.Fatal(err)
-		}
-		if !bytes.Equal(want, got) {
-			t.Fatalf("step %d: mixed Seal/SealAppend diverged from all-Seal", i)
-		}
+// TestSealEncodedRoundTrip proves a wire batch container is opaque
+// plaintext to the channel: a coalesced frame goes through the same seal
+// and open as a bare message and comes out entry for entry.
+func TestSealEncodedRoundTrip(t *testing.T) {
+	for _, s := range sealers {
+		t.Run(s.name, func(t *testing.T) {
+			la, lb := pairedLinks(t, s.mk)
+			var batch []byte
+			var encs [][]byte
+			for i := 0; i < 3; i++ {
+				msg := testMsg(0)
+				msg.Seq = uint64(i)
+				enc, err := msg.Encode()
+				if err != nil {
+					t.Fatal(err)
+				}
+				encs = append(encs, enc)
+				batch = wire.AppendBatchEntry(batch, enc)
+			}
+			env, err := la.SealEncodedAppend(nil, batch)
+			if err != nil {
+				t.Fatal(err)
+			}
+			plain, err := lb.OpenRawAppend(nil, env)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if !wire.IsBatch(plain) || !bytes.Equal(plain, batch) {
+				t.Fatal("opened plaintext is not the sealed batch container")
+			}
+			it, err := wire.IterBatch(plain)
+			if err != nil {
+				t.Fatal(err)
+			}
+			for i, want := range encs {
+				raw, ok, err := it.Next()
+				if err != nil || !ok || !bytes.Equal(raw, want) {
+					t.Fatalf("entry %d: ok=%v err=%v, bytes match=%v", i, ok, err, bytes.Equal(raw, want))
+				}
+			}
+		})
 	}
 }
 
-// BenchmarkPreparedRealSealOpen measures the prepared AES+HMAC link hot
-// path with reused buffers (compare BenchmarkRealSealOpen, the one-shot
-// form).
-func BenchmarkPreparedRealSealOpen(b *testing.B) {
-	a := pairedEnclaves(b)
-	la, err := NewLink(a[0], 1, a[1].DHPublic(), RealSealer{})
-	if err != nil {
-		b.Fatal(err)
-	}
-	lb, err := NewLink(a[1], 0, a[0].DHPublic(), RealSealer{})
-	if err != nil {
-		b.Fatal(err)
-	}
-	msg := testMsg(0)
-	enc, err := msg.Encode()
-	if err != nil {
-		b.Fatal(err)
-	}
-	var env, scratch []byte
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		env, err = la.SealEncodedAppend(env[:0], enc)
-		if err != nil {
-			b.Fatal(err)
-		}
-		if _, scratch, err = lb.OpenEncodedAppend(scratch[:0], env); err != nil {
-			b.Fatal(err)
+// TestOpenEncodedRejects pins the shape of a rejection for both sealers:
+// whatever is wrong with the envelope — too short for a header and tag,
+// empty, garbage — the error is ErrAuth, nothing is returned, and the
+// destination buffer's contents are untouched.
+func TestOpenEncodedRejects(t *testing.T) {
+	for _, s := range sealers {
+		la, lb := pairedLinks(t, s.mk)
+		env := sealMsg(t, la, testMsg(0))
+		dst := []byte("kept")
+		for name, bad := range map[string][]byte{
+			"truncated": env[:10],
+			"tagless":   env[:len(env)-32],
+			"empty":     {},
+			"garbage":   bytes.Repeat([]byte{0xFF}, len(env)),
+		} {
+			out, err := lb.OpenRawAppend(dst, bad)
+			if !errors.Is(err, ErrAuth) || out != nil {
+				t.Errorf("%s/%s: got (%v, %v), want (nil, ErrAuth)", s.name, name, out, err)
+			}
+			if string(dst) != "kept" {
+				t.Errorf("%s/%s: destination buffer modified by a rejected open", s.name, name)
+			}
 		}
 	}
 }

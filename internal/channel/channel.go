@@ -12,7 +12,10 @@
 // duplicate or corrupt envelopes but cannot read or forge them, which is
 // exactly the reduction of Theorem A.2 (byzantine => replay/omit/delay).
 //
-// Sealing is pluggable via the Sealer interface:
+// A Link has one seal and one open, like PeerCh_sgx's Write and Read:
+// SealEncodedAppend and OpenRawAppend, both through the per-link cipher
+// state NewLink prepares once. The Sealer handed to NewLink picks that
+// state:
 //
 //   - RealSealer computes the actual AES-CTR + HMAC-SHA256 composition of
 //     the paper and is used in unit tests and the live TCP deployment.
@@ -61,79 +64,28 @@ func NewCounters(m *telemetry.Metrics) *Counters {
 	}
 }
 
-// Errors returned when opening envelopes.
-var (
-	// ErrAuth indicates an envelope that failed authentication: tampered,
-	// replayed from a different pair, or produced by a different program.
-	ErrAuth = errors.New("channel: envelope authentication failed")
-	// ErrSenderMismatch indicates a structurally valid message whose
-	// Sender field does not match the link's remote peer. With honest
-	// enclaves this cannot happen; it guards protocol invariants.
-	ErrSenderMismatch = errors.New("channel: sender does not match link peer")
-)
+// ErrAuth is returned when opening an envelope that failed
+// authentication: tampered, replayed from a different pair, or produced by
+// a different program.
+var ErrAuth = errors.New("channel: envelope authentication failed")
 
-// Sealer converts plaintext to sealed envelopes under session keys.
-// Implementations must be deterministic in size: SealedSize(n) bytes for
-// an n-byte plaintext.
-//
-// The append-style variants are the hot path: they write into a
-// caller-provided buffer so a warm caller seals and opens without
-// allocating. For any sealer state, SealAppend must append exactly the
-// bytes Seal would return, and OpenAppend must accept and reject exactly
-// the envelopes Open would (pinned by the package equivalence tests).
+// Sealer names the envelope scheme of a link: RealSealer or *ModelSealer,
+// the two NewLink knows how to prepare per-link state for. It never sees
+// key material. Implementations must be deterministic in size:
+// SealedSize(n) bytes for an n-byte plaintext.
 type Sealer interface {
-	// Seal produces the envelope.
-	Seal(keys xcrypto.SessionKeys, plaintext []byte) ([]byte, error)
-	// Open verifies and recovers the plaintext, returning an error for
-	// any envelope not produced under keys.
-	Open(keys xcrypto.SessionKeys, sealed []byte) ([]byte, error)
 	// SealedSize returns the envelope size for a plaintext length.
 	SealedSize(plaintextLen int) int
-	// SealAppend appends the envelope for plaintext to dst and returns
-	// the extended slice.
-	SealAppend(keys xcrypto.SessionKeys, dst, plaintext []byte) ([]byte, error)
-	// OpenAppend appends the recovered plaintext to dst and returns the
-	// extended slice; dst is untouched when verification fails.
-	OpenAppend(keys xcrypto.SessionKeys, dst, sealed []byte) ([]byte, error)
 }
 
 // RealSealer performs genuine AES-256-CTR encryption with an HMAC-SHA256
 // tag (encrypt-then-MAC), the composition proven secure in Theorem A.1.
+// Its links seal and open through a prepared xcrypto.LinkCipher.
 type RealSealer struct{}
-
-// Seal implements Sealer.
-func (RealSealer) Seal(keys xcrypto.SessionKeys, plaintext []byte) ([]byte, error) {
-	return xcrypto.Seal(keys, nil, plaintext)
-}
-
-// Open implements Sealer.
-func (RealSealer) Open(keys xcrypto.SessionKeys, sealed []byte) ([]byte, error) {
-	out, err := xcrypto.Open(keys, sealed)
-	if err != nil {
-		return nil, ErrAuth
-	}
-	return out, nil
-}
 
 // SealedSize implements Sealer.
 func (RealSealer) SealedSize(plaintextLen int) int {
 	return xcrypto.SealedSize(plaintextLen)
-}
-
-// SealAppend implements Sealer. Links established with a RealSealer do
-// not call it — they hold a prepared xcrypto.LinkCipher and skip the
-// per-envelope key-schedule rebuild this one-shot form pays.
-func (RealSealer) SealAppend(keys xcrypto.SessionKeys, dst, plaintext []byte) ([]byte, error) {
-	return xcrypto.SealAppend(keys, nil, dst, plaintext)
-}
-
-// OpenAppend implements Sealer.
-func (RealSealer) OpenAppend(keys xcrypto.SessionKeys, dst, sealed []byte) ([]byte, error) {
-	out, err := xcrypto.OpenAppend(keys, dst, sealed)
-	if err != nil {
-		return nil, ErrAuth
-	}
-	return out, nil
 }
 
 // ModelSealer is the simulation-mode sealer: identical envelope geometry
@@ -158,41 +110,22 @@ const (
 	modelTag    = 32
 )
 
-// Seal implements Sealer.
-func (s *ModelSealer) Seal(keys xcrypto.SessionKeys, plaintext []byte) ([]byte, error) {
-	dst := make([]byte, 0, modelHeader+len(plaintext)+modelTag)
-	return s.SealAppend(keys, dst, plaintext)
-}
-
-// SealAppend implements Sealer. The counter is shared with Seal and with
-// every link prepared over this sealer, so mixed usage stays
-// byte-identical to an all-Seal sequence.
-func (s *ModelSealer) SealAppend(keys xcrypto.SessionKeys, dst, plaintext []byte) ([]byte, error) {
-	return s.sealAppend(modelSeed(keys), dst, plaintext), nil
-}
-
-// Open implements Sealer.
-func (s *ModelSealer) Open(keys xcrypto.SessionKeys, sealed []byte) ([]byte, error) {
-	// Return a copy: envelopes may be aliased by replaying adversaries.
-	return s.OpenAppend(keys, nil, sealed)
-}
-
-// OpenAppend implements Sealer.
-func (s *ModelSealer) OpenAppend(keys xcrypto.SessionKeys, dst, sealed []byte) ([]byte, error) {
-	return modelOpenAppend(modelSeed(keys), dst, sealed)
-}
-
 // SealedSize implements Sealer.
 func (s *ModelSealer) SealedSize(plaintextLen int) int {
 	return modelHeader + plaintextLen + modelTag
 }
 
-// sealAppend is the one model seal routine: the generic Sealer path
-// derives seed from the keys per call, a prepared link passes the seed
-// it derived once.
+// sealAppend is the model seal routine. The envelope counter is shared by
+// every link prepared over this sealer (one peer's links); seed is the
+// calling link's.
 func (s *ModelSealer) sealAppend(seed uint64, dst, plaintext []byte) []byte {
 	s.counter++
 	start := len(dst)
+	if need := s.SealedSize(len(plaintext)); cap(dst)-start < need {
+		grown := make([]byte, start, start+need)
+		copy(grown, dst)
+		dst = grown
+	}
 	dst = binary.LittleEndian.AppendUint64(dst, s.counter)
 	dst = binary.LittleEndian.AppendUint64(dst, 0) // header padding
 	dst = append(dst, plaintext...)
@@ -205,7 +138,8 @@ func (s *ModelSealer) sealAppend(seed uint64, dst, plaintext []byte) []byte {
 	return dst
 }
 
-// modelOpenAppend is the one model open routine (see sealAppend).
+// modelOpenAppend is the model open routine: dst is untouched when
+// verification fails.
 func modelOpenAppend(seed uint64, dst, sealed []byte) ([]byte, error) {
 	if len(sealed) < modelHeader+modelTag {
 		return nil, ErrAuth
@@ -300,24 +234,14 @@ func modelSeed(keys xcrypto.SessionKeys) uint64 {
 	return keyedFold(foldBasis, keys.Mac[:])
 }
 
-// modelCipher is the prepared per-link state of a ModelSealer link — the
-// simulation analogue of xcrypto.LinkCipher: the seed is derived from the
-// link's MAC key once at link establishment instead of on every
-// envelope. The envelope counter stays on the shared *ModelSealer, so the
-// envelope stream is byte-identical to the generic Sealer path (pinned by
-// the package equivalence tests).
-type modelCipher struct {
-	s    *ModelSealer
-	seed uint64
-}
-
 // Link is one direction-agnostic secure channel between the local enclave
 // and one remote peer, established during the setup phase.
 type Link struct {
 	// The dispatch pointers every seal/open touches lead the struct so
 	// they share the Link's first cache line: a large topology holds one
 	// Link per directed pair, and the per-envelope hot path reads only
-	// these three fields.
+	// these fields. Exactly one of cipher and model is set, and the
+	// prepared state is all the link keeps of its session keys.
 	//
 	// cipher is the prepared per-link cipher state built at link
 	// establishment for RealSealer links: the AES key schedule and the
@@ -325,17 +249,16 @@ type Link struct {
 	// Stateful (scratch blocks, HMAC state), hence per-link and never
 	// shared through the enclave key cache.
 	cipher *xcrypto.LinkCipher
-	// model is the prepared per-link state for *ModelSealer links (the
-	// precomputed MAC-key seed of the keyed checksum), nil otherwise.
-	model *modelCipher
-	// ctr, when non-nil, tallies seal/open traffic. Every seal and open
-	// funnels through sealAppend/openAppend, so counting there covers all
-	// entry points.
+	// model and seed are the prepared per-link state for *ModelSealer
+	// links — the simulation analogue of the LinkCipher: the sealer whose
+	// envelope counter all of one peer's links share, and the keyed
+	// checksum's seed, derived from this link's MAC key once here instead
+	// of on every envelope. model is nil otherwise.
+	model *ModelSealer
+	seed  uint64
+	// ctr, when non-nil, tallies seal/open traffic.
 	ctr    *Counters
-	local  wire.NodeID
 	remote wire.NodeID
-	keys   xcrypto.SessionKeys
-	sealer Sealer
 }
 
 // SetCounters attaches metric counters to the link (nil detaches them).
@@ -343,41 +266,56 @@ func (l *Link) SetCounters(c *Counters) { l.ctr = c }
 
 // NewLink derives the session keys with the remote enclave's public key
 // and returns the established link. It fails if the local enclave has
-// halted. For the real AES+HMAC sealer the per-link cipher state is
-// prepared here, once, so every later seal and open skips the key
-// schedule and HMAC pad derivation.
+// halted, or if sealer is anything but a RealSealer or a *ModelSealer.
+// The per-link cipher state is prepared here, once, so every later seal
+// and open skips the key schedule and HMAC pad (or checksum seed)
+// derivation; the raw keys are not retained.
 func NewLink(local *enclave.Enclave, remote wire.NodeID, remotePub [xcrypto.PublicKeySize]byte, sealer Sealer) (*Link, error) {
-	if sealer == nil {
-		return nil, errors.New("channel: nil sealer")
-	}
 	keys, err := local.SessionKeys(remotePub)
 	if err != nil {
 		return nil, fmt.Errorf("channel: link to %d: %w", remote, err)
 	}
-	l := &Link{local: local.ID(), remote: remote, keys: keys, sealer: sealer}
-	if _, ok := sealer.(RealSealer); ok {
-		if l.cipher, err = xcrypto.NewLinkCipher(keys); err != nil {
+	return newLinkFromKeys(remote, keys, sealer)
+}
+
+// newLinkFromKeys is NewLink after key agreement; the package tests use
+// it to build links under fixed keys.
+func newLinkFromKeys(remote wire.NodeID, keys xcrypto.SessionKeys, sealer Sealer) (*Link, error) {
+	l := &Link{remote: remote}
+	switch s := sealer.(type) {
+	case RealSealer:
+		c, err := xcrypto.NewLinkCipher(keys)
+		if err != nil {
 			return nil, fmt.Errorf("channel: link to %d: %w", remote, err)
 		}
-	}
-	if ms, ok := sealer.(*ModelSealer); ok {
-		l.model = &modelCipher{s: ms, seed: modelSeed(keys)}
+		l.cipher = c
+	case *ModelSealer:
+		l.model, l.seed = s, modelSeed(keys)
+	default:
+		return nil, fmt.Errorf("channel: link to %d: unsupported sealer %T", remote, sealer)
 	}
 	return l, nil
 }
 
-// sealAppend appends the envelope for plaintext to dst via the prepared
-// cipher when the link has one, the sealer otherwise.
-func (l *Link) sealAppend(dst, plaintext []byte) ([]byte, error) {
+// Remote returns the peer on the far side of the link.
+func (l *Link) Remote() wire.NodeID { return l.remote }
+
+// SealEncodedAppend seals an encoded message — or a wire batch container,
+// which is opaque plaintext to the channel — for the remote peer,
+// appending the envelope to dst. Both ciphers grow dst to the exact
+// envelope size, so sealing into a nil dst costs one exactly-sized
+// allocation and sealing into a warm buffer costs none. The runtime seals
+// every envelope into one reused per-peer scratch buffer — the
+// Transport.Send contract makes the payload valid only during the call,
+// and transports that keep envelopes (queues, adversarial holds) copy
+// them.
+func (l *Link) SealEncodedAppend(dst, encoded []byte) ([]byte, error) {
 	var out []byte
 	var err error
-	switch {
-	case l.cipher != nil:
-		out, err = l.cipher.SealAppend(dst, nil, plaintext)
-	case l.model != nil:
-		out = l.model.s.sealAppend(l.model.seed, dst, plaintext)
-	default:
-		out, err = l.sealer.SealAppend(l.keys, dst, plaintext)
+	if l.cipher != nil {
+		out, err = l.cipher.SealAppend(dst, nil, encoded)
+	} else {
+		out = l.model.sealAppend(l.seed, dst, encoded)
 	}
 	if err == nil && l.ctr != nil {
 		l.ctr.Seals.Inc()
@@ -386,20 +324,22 @@ func (l *Link) sealAppend(dst, plaintext []byte) ([]byte, error) {
 	return out, err
 }
 
-// openAppend appends the verified plaintext of sealed to dst.
-func (l *Link) openAppend(dst, sealed []byte) ([]byte, error) {
+// OpenRawAppend verifies and decrypts an envelope without interpreting
+// the plaintext, appending it to dst. Any failure is ErrAuth and means
+// the envelope must be treated as an omission (Theorem A.2, step 1). The
+// runtime's receive path opens raw first, then dispatches on the
+// plaintext's first byte: a batch container is unbatched entry by entry,
+// a bare message is decoded directly — with the per-message decode and
+// the Sender == Remote() binding applied by the caller either way.
+func (l *Link) OpenRawAppend(dst, sealed []byte) ([]byte, error) {
 	var out []byte
 	var err error
-	switch {
-	case l.cipher != nil:
-		out, err = l.cipher.OpenAppend(dst, sealed)
-		if err != nil {
+	if l.cipher != nil {
+		if out, err = l.cipher.OpenAppend(dst, sealed); err != nil {
 			err = ErrAuth
 		}
-	case l.model != nil:
-		out, err = modelOpenAppend(l.model.seed, dst, sealed)
-	default:
-		out, err = l.sealer.OpenAppend(l.keys, dst, sealed)
+	} else {
+		out, err = modelOpenAppend(l.seed, dst, sealed)
 	}
 	if l.ctr != nil {
 		if err != nil {
@@ -409,112 +349,7 @@ func (l *Link) openAppend(dst, sealed []byte) ([]byte, error) {
 			l.ctr.OpenedBytes.Add(uint64(len(out) - len(dst)))
 		}
 	}
-	if err != nil {
-		return nil, err
-	}
-	return out, nil
-}
-
-// Remote returns the peer on the far side of the link.
-func (l *Link) Remote() wire.NodeID { return l.remote }
-
-// Seal encodes and seals a protocol message for the remote peer.
-func (l *Link) Seal(msg *wire.Message) ([]byte, error) {
-	plaintext, err := msg.Encode()
-	if err != nil {
-		return nil, fmt.Errorf("channel: encode: %w", err)
-	}
-	return l.SealEncodedAppend(nil, plaintext)
-}
-
-// SealEncoded seals an already-encoded message for the remote peer. It is
-// the multicast hot path: a message sent to N-1 destinations is encoded
-// once by the runtime and sealed per link, instead of being re-encoded
-// inside every Seal. The envelope is byte-identical to Seal(msg) for the
-// same sealer state (proven by the package's equivalence tests).
-func (l *Link) SealEncoded(encoded []byte) ([]byte, error) {
-	return l.SealEncodedAppend(nil, encoded)
-}
-
-// SealEncodedAppend is SealEncoded appending the envelope to dst. It
-// pre-grows dst to the exact envelope size, so sealing into a nil dst
-// costs one exactly-sized allocation and sealing into a warm buffer
-// costs none; the envelope bytes are identical to SealEncoded for the
-// same sealer state. The runtime seals every envelope into one reused
-// per-peer scratch buffer — the Transport.Send contract makes the
-// payload valid only during the call, and transports that keep
-// envelopes (queues, adversarial holds) copy them.
-func (l *Link) SealEncodedAppend(dst, encoded []byte) ([]byte, error) {
-	if need := l.sealer.SealedSize(len(encoded)); cap(dst)-len(dst) < need {
-		grown := make([]byte, len(dst), len(dst)+need)
-		copy(grown, dst)
-		dst = grown
-	}
-	return l.sealAppend(dst, encoded)
-}
-
-// SealBatchAppend seals a wire batch container (wire.AppendBatchEntry)
-// for the remote peer, appending the envelope to dst. The container is
-// opaque plaintext to the channel, so this is SealEncodedAppend under a
-// name marking the coalesced-outbox entry point: one seal pass covers
-// every message in the batch.
-func (l *Link) SealBatchAppend(dst, batch []byte) ([]byte, error) {
-	return l.SealEncodedAppend(dst, batch)
-}
-
-// OpenRawAppend verifies and decrypts an envelope without interpreting
-// the plaintext, appending it to dst. The runtime's receive path opens
-// raw first, then dispatches on the plaintext's first byte: a batch
-// container is unbatched entry by entry, a bare message is decoded
-// directly — with the per-message decode and sender checks applied by
-// the caller either way (wire.Decode plus a Sender == Remote() check,
-// exactly what OpenEncodedAppend enforces).
-func (l *Link) OpenRawAppend(dst, sealed []byte) ([]byte, error) {
-	return l.openAppend(dst, sealed)
-}
-
-// Open verifies, decrypts and decodes an envelope received from the remote
-// peer. Any failure means the envelope must be treated as an omission
-// (Theorem A.2, step 1).
-func (l *Link) Open(sealed []byte) (*wire.Message, error) {
-	msg, _, err := l.OpenEncoded(sealed)
-	return msg, err
-}
-
-// OpenEncoded is Open returning the decoded message together with its
-// encoded plaintext. The receive path uses the plaintext to compute the
-// ACK digest H(val) directly, instead of re-encoding the message it just
-// decoded.
-func (l *Link) OpenEncoded(sealed []byte) (*wire.Message, []byte, error) {
-	return l.OpenEncodedAppend(nil, sealed)
-}
-
-// OpenEncodedAppend is OpenEncoded decrypting into dst: the returned
-// plaintext is dst extended by the envelope's payload bytes. The receive
-// hot path passes a per-peer scratch buffer (sliced to length 0), so a
-// warm receive verifies, decrypts and digests without allocating the
-// plaintext. The returned plaintext aliases dst's backing array and is
-// only valid until the buffer's next use; the decoded message owns no
-// part of it.
-func (l *Link) OpenEncodedAppend(dst, sealed []byte) (*wire.Message, []byte, error) {
-	plaintext, err := l.openAppend(dst, sealed)
-	if err != nil {
-		return nil, nil, err
-	}
-	msg, err := wire.Decode(plaintext[len(dst):])
-	if err != nil {
-		return nil, nil, fmt.Errorf("channel: decode: %w", err)
-	}
-	if msg.Sender != l.remote {
-		return nil, nil, ErrSenderMismatch
-	}
-	return msg, plaintext, nil
-}
-
-// SealedMessageSize returns the on-wire envelope size for a message,
-// letting callers budget traffic without sealing.
-func (l *Link) SealedMessageSize(msg *wire.Message) int {
-	return l.sealer.SealedSize(msg.EncodedSize())
+	return out, err
 }
 
 // FrameTag returns the link-unique identifier of a sealed envelope: the

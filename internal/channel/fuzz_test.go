@@ -2,6 +2,7 @@ package channel
 
 import (
 	"bytes"
+	"errors"
 	"testing"
 
 	"sgxp2p/internal/xcrypto"
@@ -17,15 +18,19 @@ func fuzzKeys() xcrypto.SessionKeys {
 	return keys
 }
 
-// fuzzSealerOpen feeds arbitrary bytes to a sealer's Open and OpenAppend:
-// neither may panic, both must agree on accept/reject and plaintext, and
-// any accepted input must re-seal to the same size class. The Theorem A.2
-// reduction (byzantine => omission) depends on corrupt envelopes being
-// *rejected*, never crashing the enclave runtime.
+// fuzzSealerOpen feeds arbitrary bytes to the open of a link established
+// under fixed keys: it may not panic, a rejection is ErrAuth with nothing
+// returned, and an accepted input has the envelope size of the plaintext
+// it opened to. The Theorem A.2 reduction (byzantine => omission) depends
+// on corrupt envelopes being *rejected*, never crashing the enclave
+// runtime.
 func fuzzSealerOpen(f *testing.F, mk func() Sealer) {
-	keys := fuzzKeys()
-	seedSealer := mk()
-	valid, err := seedSealer.Seal(keys, []byte("fuzz seed payload"))
+	sealer := mk()
+	link, err := newLinkFromKeys(1, fuzzKeys(), sealer)
+	if err != nil {
+		f.Fatal(err)
+	}
+	valid, err := link.SealEncodedAppend(nil, []byte("fuzz seed payload"))
 	if err != nil {
 		f.Fatal(err)
 	}
@@ -37,32 +42,33 @@ func fuzzSealerOpen(f *testing.F, mk func() Sealer) {
 	flipped[len(flipped)/2] ^= 0x01
 	f.Add(flipped)                        // bit-flipped body
 	f.Add(bytes.Repeat([]byte{0xFF}, 48)) // minimum-size garbage
-	sealer := mk()
 	f.Fuzz(func(t *testing.T, data []byte) {
-		viaOpen, errOpen := sealer.Open(keys, data)
-		viaAppend, errAppend := sealer.OpenAppend(keys, nil, data)
-		if (errOpen == nil) != (errAppend == nil) {
-			t.Fatalf("Open err=%v but OpenAppend err=%v", errOpen, errAppend)
+		plain, err := link.OpenRawAppend(nil, data)
+		if err != nil {
+			if !errors.Is(err, ErrAuth) || plain != nil {
+				t.Fatalf("rejection returned (%v, %v), want (nil, ErrAuth)", plain, err)
+			}
+			return
 		}
-		if errOpen == nil && !bytes.Equal(viaOpen, viaAppend) {
-			t.Fatal("Open and OpenAppend recovered different plaintexts")
+		if want := sealer.SealedSize(len(plain)); len(data) != want {
+			t.Fatalf("accepted a %d-byte envelope for a %d-byte plaintext, want %d", len(data), len(plain), want)
 		}
 	})
 }
 
-// FuzzRealSealerOpen fuzzes the AES-CTR + HMAC-SHA256 open path on
-// truncated, bit-flipped and arbitrary envelopes.
+// FuzzRealSealerOpen fuzzes a RealSealer link's open (AES-CTR +
+// HMAC-SHA256) on truncated, bit-flipped and arbitrary envelopes.
 func FuzzRealSealerOpen(f *testing.F) {
 	fuzzSealerOpen(f, func() Sealer { return RealSealer{} })
 }
 
-// FuzzModelSealerOpen fuzzes the simulation-mode open path the same way.
+// FuzzModelSealerOpen fuzzes a ModelSealer link's open the same way.
 func FuzzModelSealerOpen(f *testing.F) {
 	fuzzSealerOpen(f, func() Sealer { return NewModelSealer() })
 }
 
-// FuzzLinkCipherOpen fuzzes the prepared-cipher open path used by
-// RealSealer links, cross-checking it against the one-shot xcrypto.Open.
+// FuzzLinkCipherOpen fuzzes the prepared cipher under a RealSealer link,
+// cross-checking it against the stdlib reference xcrypto.Open.
 func FuzzLinkCipherOpen(f *testing.F) {
 	keys := fuzzKeys()
 	lc, err := xcrypto.NewLinkCipher(keys)

@@ -171,10 +171,7 @@ func New(opts Options) (*Deployment, error) {
 
 	clock := simClock{sim: sim}
 	d.keyCache = enclave.NewKeyCache()
-	enclOpts := []enclave.Option{enclave.WithKeyCache(d.keyCache)}
-	if !opts.RealCrypto {
-		enclOpts = append(enclOpts, enclave.WithModelKEX())
-	}
+	enclOpts := d.enclaveOptions()
 	// Phase 1 (parallel): launch and attest every enclave. Each enclave
 	// draws only from its own seeded RNG and writes index-distinct slots,
 	// so the result is independent of the worker count.
@@ -223,15 +220,7 @@ func New(opts Options) (*Deployment, error) {
 	// each unordered pair is derived once and the parallel pool spreads
 	// the rest across cores.
 	err = parallel.ForEach(opts.N, opts.Workers, func(id int) error {
-		peer, perr := runtime.NewPeer(d.Encls[id], transports[id], d.Roster, runtime.Config{
-			N:               opts.N,
-			T:               opts.T,
-			Delta:           opts.Delta,
-			Sealer:          d.newSealer(),
-			Trace:           opts.Trace,
-			Metrics:         opts.Metrics,
-			DisableBatching: opts.DisableBatching,
-		})
+		peer, perr := runtime.NewPeer(d.Encls[id], transports[id], d.Roster, d.peerConfig(opts.N))
 		if perr != nil {
 			return fmt.Errorf("deploy: peer %d: %w", id, perr)
 		}

@@ -153,15 +153,7 @@ func (d *Deployment) Join(opts JoinOptions) (wire.NodeID, error) {
 	if opts.Wrap != nil {
 		tr = opts.Wrap(newID, tr)
 	}
-	peer, err := runtime.NewPeer(encl, tr, newRoster, runtime.Config{
-		N:               len(newRoster.Quotes),
-		T:               d.Opts.T,
-		Delta:           d.Opts.Delta,
-		Sealer:          d.newSealer(),
-		Trace:           d.Opts.Trace,
-		Metrics:         d.Opts.Metrics,
-		DisableBatching: d.Opts.DisableBatching,
-	})
+	peer, err := runtime.NewPeer(encl, tr, newRoster, d.peerConfig(len(newRoster.Quotes)))
 	if err != nil {
 		return wire.NoNode, fmt.Errorf("deploy: joiner peer: %w", err)
 	}
@@ -200,7 +192,8 @@ func (d *Deployment) joinPuzzle(binding wire.Value, difficulty int) sybil.Puzzle
 	return p
 }
 
-// enclaveOptions mirrors the option selection of New, including the
+// enclaveOptions is the option set every enclave of the deployment is
+// launched with (New, Restart, Join): the crypto mode, and the
 // deployment-wide key cache so a joiner's N link derivations reuse the
 // halves already computed by the existing members.
 func (d *Deployment) enclaveOptions() []enclave.Option {

@@ -30,6 +30,21 @@ func (d *Deployment) newSealer() channel.Sealer {
 	return channel.NewModelSealer()
 }
 
+// peerConfig is the runtime configuration of one peer in a network of n
+// nodes: the deployment's options plus a fresh sealer. New, Restart and
+// Join all build their peers from it.
+func (d *Deployment) peerConfig(n int) runtime.Config {
+	return runtime.Config{
+		N:               n,
+		T:               d.Opts.T,
+		Delta:           d.Opts.Delta,
+		Sealer:          d.newSealer(),
+		Trace:           d.Opts.Trace,
+		Metrics:         d.Opts.Metrics,
+		DisableBatching: d.Opts.DisableBatching,
+	}
+}
+
 // buildTransport assembles one node's transport stack: network port, the
 // optional adversary wrap, the optional overlay router on top. Used by
 // New for the initial membership and by Restart to rebuild a crashed
@@ -129,15 +144,7 @@ func (d *Deployment) Restart(id wire.NodeID) error {
 	if err != nil {
 		return err
 	}
-	peer, err := runtime.NewPeer(encl, tr, d.Roster, runtime.Config{
-		N:               d.Opts.N,
-		T:               d.Opts.T,
-		Delta:           d.Opts.Delta,
-		Sealer:          d.newSealer(),
-		Trace:           d.Opts.Trace,
-		Metrics:         d.Opts.Metrics,
-		DisableBatching: d.Opts.DisableBatching,
-	})
+	peer, err := runtime.NewPeer(encl, tr, d.Roster, d.peerConfig(d.Opts.N))
 	if err != nil {
 		return fmt.Errorf("deploy: restart peer %d: %w", id, err)
 	}

@@ -37,12 +37,12 @@ func fnPkgPath(fn *types.Func) string {
 
 // sealflowSpec: payload plaintext (wire-encoded messages, opened envelopes)
 // may only reach a network Send/Write sink after passing through
-// channel.Seal*/SealEncoded*. Covers the unbatched path (AppendEncode →
-// SealEncodedAppend → Transport.Send) and the batch outbox
-// (AppendBatchEntry → SealBatchAppend → Transport.Send) alike.
+// channel.Link.SealEncodedAppend. Covers the unbatched path
+// (AppendEncode → SealEncodedAppend → Transport.Send) and the batch
+// outbox (AppendBatchEntry → SealEncodedAppend → Transport.Send) alike.
 var sealflowSpec = &flow.Spec{
 	Kind:   "payload plaintext",
-	Advice: "seal with channel.Seal*/SealEncoded* before the transport",
+	Advice: "seal with channel.Link.SealEncodedAppend before the transport",
 	SourceCall: func(fn *types.Func) bool {
 		pkg := fnPkgPath(fn)
 		switch {

@@ -72,7 +72,7 @@ func sealedBatch(p *tcpnet.Port, l *channel.Link, msgs []*wire.Message) error {
 		}
 		batch = wire.AppendBatchEntry(batch, encoded)
 	}
-	env, err := l.SealBatchAppend(nil, batch)
+	env, err := l.SealEncodedAppend(nil, batch)
 	if err != nil {
 		return err
 	}
@@ -83,11 +83,11 @@ func sealedBatch(p *tcpnet.Port, l *channel.Link, msgs []*wire.Message) error {
 // reopened plaintext is a source again: opening an envelope and forwarding
 // the plaintext unsealed is a violation.
 func leakReopened(p *tcpnet.Port, l *channel.Link, sealed []byte) error {
-	plain, err := l.OpenEncodedAppend(nil, sealed)
+	plain, err := l.OpenRawAppend(nil, sealed)
 	if err != nil {
 		return err
 	}
-	p.Send(6, plain) // want "payload plaintext from channel.Link.OpenEncodedAppend reaches network sink tcpnet.Port.Send"
+	p.Send(6, plain) // want "payload plaintext from channel.Link.OpenRawAppend reaches network sink tcpnet.Port.Send"
 	return nil
 }
 

@@ -931,10 +931,7 @@ func (p *Peer) multicastOne(dst wire.NodeID, encoded []byte) error {
 	// ACK from that destination would over-credit the tracker of a
 	// message it never received. Degrade the window.
 	p.winMixed = true
-	p.stats.SendFailures++
-	if p.ctr != nil {
-		p.ctr.sendFailures.Inc()
-	}
+	p.sendFailed(1)
 	if p.trace != nil {
 		inst, _ := wire.PeekInstance(encoded)
 		p.trace.RecordInst(p.ID(), p.round, inst, telemetry.KindSendFail, dst, 0, "")
@@ -960,10 +957,7 @@ func (p *Peer) Send(dst wire.NodeID, msg *wire.Message) error {
 // runs with batching on, appends it to the destination's outbox buffer
 // for the end-of-callback flush. The unknown-peer check stays here, at
 // enqueue time, so Multicast's omission accounting is identical in both
-// modes. Envelopes are sealed into the peer's reused seal scratch: the
-// Transport.Send contract makes the payload valid only during the call,
-// so a transport (or adversary wrapper) that keeps the envelope copies
-// it, and the runtime pays no per-envelope allocation.
+// modes.
 func (p *Peer) sendEncoded(dst wire.NodeID, encoded []byte) error {
 	if p.Halted() {
 		return ErrHalted
@@ -975,20 +969,46 @@ func (p *Peer) sendEncoded(dst wire.NodeID, encoded []byte) error {
 		p.enqueueBatch(dst, encoded)
 		return nil
 	}
-	sp := p.trace.BeginSpan()
-	env, err := p.links[dst].SealEncodedAppend(p.sealBuf[:0], encoded)
-	if err != nil {
-		return err
+	_, err := p.sealSend(dst, encoded)
+	return err
+}
+
+// sendFailed counts n messages that could not be sealed or addressed:
+// omissions, as far as the protocol can tell.
+func (p *Peer) sendFailed(n uint64) {
+	p.stats.SendFailures += n
+	if p.ctr != nil {
+		p.ctr.sendFailures.Add(n)
 	}
-	if p.spans {
-		sp.Finish(p.ID(), p.round, 0, telemetry.KindSeal, dst, channel.FrameTag(env))
+}
+
+// sealSend is the one place a frame leaves the peer: it seals plaintext —
+// a bare encoded message or a batch container — for dst, hands the
+// envelope to the transport and returns its frame tag. Envelopes are
+// sealed into the peer's reused seal scratch: the Transport.Send contract
+// makes the payload valid only during the call, so a transport (or
+// adversary wrapper) that keeps the envelope copies it, and the runtime
+// pays no per-envelope allocation. On a seal error nothing was sent; the
+// caller does the omission accounting (per leg in multicastOne, per
+// buffered message in flushOutbox).
+func (p *Peer) sealSend(dst wire.NodeID, plaintext []byte) (uint64, error) {
+	sp := p.trace.BeginSpan()
+	env, err := p.links[dst].SealEncodedAppend(p.sealBuf[:0], plaintext)
+	if err != nil {
+		return 0, err
 	}
 	p.sealBuf = env
+	tag := channel.FrameTag(env)
+	if p.spans {
+		// For a coalesced frame this is the seal of the whole frame; the
+		// hop is attributed to the tag every entry's delivery inherits.
+		sp.Finish(p.ID(), p.round, 0, telemetry.KindSeal, dst, tag)
+	}
 	if p.ctr != nil {
 		p.ctr.envelopesSent.Inc()
 	}
 	p.tr.Send(dst, env)
-	return nil
+	return tag, nil
 }
 
 // enqueueBatch appends one encoded message to dst's outbox buffer. The
@@ -1109,27 +1129,15 @@ func (p *Peer) flushOutbox() {
 				marked = true
 			}
 		}
-		sp := p.trace.BeginSpan()
-		env, err := p.links[dst].SealEncodedAppend(p.sealBuf[:0], plaintext)
+		tag, err := p.sealSend(dst, plaintext)
 		if err != nil {
 			// Degrade the whole frame to omissions, one per buffered
 			// message, mirroring the per-leg accounting of multicastOne.
-			p.stats.SendFailures += uint64(n)
-			if p.ctr != nil {
-				p.ctr.sendFailures.Add(uint64(n))
-			}
+			p.sendFailed(uint64(n))
 			if p.trace != nil {
 				p.trace.Record(p.ID(), p.round, telemetry.KindSendFail, dst, uint64(n), "")
 			}
 			continue
-		}
-		if p.ctr != nil {
-			p.ctr.envelopesSent.Inc()
-		}
-		if p.spans {
-			// Arg counts the seal of the whole coalesced frame; the hop is
-			// attributed to the frame tag every entry's delivery inherits.
-			sp.Finish(p.ID(), p.round, 0, telemetry.KindSeal, dst, channel.FrameTag(env))
 		}
 		if p.trace != nil {
 			p.trace.Record(p.ID(), p.round, telemetry.KindBatchFlush, dst, uint64(n), "")
@@ -1144,10 +1152,8 @@ func (p *Peer) flushOutbox() {
 					tk.group = fg
 				}
 			}
-			p.registerFrame(dst, channel.FrameTag(env), fg)
+			p.registerFrame(dst, tag, fg)
 		}
-		p.sealBuf = env
-		p.tr.Send(dst, env)
 	}
 	p.outDirty = p.outDirty[:0]
 	p.outHasRefs = false
@@ -1387,10 +1393,7 @@ func (p *Peer) ackSendFailed(err error) {
 	if err == nil || errors.Is(err, ErrHalted) {
 		return
 	}
-	p.stats.SendFailures++
-	if p.ctr != nil {
-		p.ctr.sendFailures.Inc()
-	}
+	p.sendFailed(1)
 }
 
 // receiveOne handles a bare (non-coalesced) frame: one encoded message.

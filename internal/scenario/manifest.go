@@ -46,9 +46,9 @@ type Range struct {
 // Param is a typed parameter with a default, testground-style:
 // { type = "int", default = 3 }.
 type Param struct {
-	// Type is one of int, bool, string, duration, enum.
+	// Type is one of int, string, duration, enum.
 	Type string
-	// Default is the typed default value (int64, bool, string).
+	// Default is the typed default value (int64, string).
 	Default any
 	// Values enumerates the legal enum values.
 	Values []string
@@ -90,7 +90,6 @@ var knownParams = map[string]string{
 	"chain_len": "int",
 	"slow":      "string",
 	"slow_node": "int",
-	"nobatch":   "bool",
 	"message":   "string",
 }
 
@@ -103,7 +102,6 @@ type RunParams struct {
 	ChainLen int           `json:"chain_len"`
 	Slow     string        `json:"slow,omitempty"`
 	SlowNode int           `json:"slow_node"`
-	NoBatch  bool          `json:"nobatch"`
 	Message  string        `json:"message,omitempty"`
 }
 
@@ -308,13 +306,6 @@ func coerceParam(key string, p Param, raw any) (any, error) {
 			}
 			return i, nil
 		}
-	case "bool":
-		switch v := raw.(type) {
-		case bool:
-			return v, nil
-		case string:
-			return v == "true", nil
-		}
 	case "string":
 		if v, ok := raw.(string); ok {
 			return v, nil
@@ -369,8 +360,6 @@ func (tc *Testcase) ResolveParams(overrides map[string]string) (RunParams, error
 			rp.Slow = val.(string)
 		case "slow_node":
 			rp.SlowNode = val.(int)
-		case "nobatch":
-			rp.NoBatch = val.(bool)
 		case "message":
 			rp.Message = val.(string)
 		}

@@ -100,6 +100,13 @@ func TestManifestValidation(t *testing.T) {
 			"unknown parameter",
 		},
 		{
+			// The batching knob is not a manifest parameter (it lives on
+			// runtime.Config / deploy.Options only): rejected like any
+			// other unknown name.
+			"name = \"x\"\n[[testcases]]\nname = \"a\"\ninstances = { min = 2, max = 4, default = 2 }\n[testcases.params]\nnobatch = { type = \"bool\", default = true }",
+			"param \"nobatch\": unknown parameter",
+		},
+		{
 			"name = \"x\"\n[[testcases]]\nname = \"a\"\ninstances = { min = 2, max = 4, default = 2 }\n[[testcases.churn]]\naction = \"explode\"\nnode = 0\nepoch = 0",
 			"unknown action",
 		},

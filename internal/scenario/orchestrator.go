@@ -394,9 +394,6 @@ func (f *fleet) spawn(id, incarnation, resumeEpoch int, listen string) error {
 	if p.Slow != "" && (p.SlowNode < 0 || p.SlowNode == id) {
 		args = append(args, "-slow", p.Slow)
 	}
-	if p.NoBatch {
-		args = append(args, "-nobatch")
-	}
 	if f.cfg.Stream {
 		args = append(args, "-stream", "-spans")
 		if f.cfg.ProbeInterval > 0 {

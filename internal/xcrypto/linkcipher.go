@@ -1,13 +1,14 @@
 // Prepared per-link cipher state for the channel hot path.
 //
-// The one-shot Seal/Open functions rebuild the AES-256 key schedule and
-// the HMAC-SHA256 inner/outer pads from the raw session keys on every
-// envelope. Those derivations are pure functions of the (immutable) link
-// keys, so a LinkCipher computes them once at link establishment and
-// every subsequent SealAppend/OpenAppend reuses them, appending into
-// caller-provided buffers instead of allocating fresh ones. With a warm
-// destination buffer the steady-state seal and open paths allocate
-// nothing.
+// The one-shot Seal/Open functions — the stdlib cipher.NewCTR + hmac
+// reference the tests compare a LinkCipher against — rebuild the AES-256
+// key schedule and the HMAC-SHA256 inner/outer pads from the raw session
+// keys on every envelope. Those derivations are pure functions of the
+// (immutable) link keys, so a LinkCipher computes them once at link
+// establishment and every subsequent SealAppend/OpenAppend reuses them,
+// appending into caller-provided buffers instead of allocating fresh
+// ones. With a warm destination buffer the steady-state seal and open
+// paths allocate nothing.
 package xcrypto
 
 import (
@@ -93,26 +94,6 @@ func (c *LinkCipher) OpenAppend(dst, sealed []byte) ([]byte, error) {
 	dst = appendGrow(dst, len(body)-NonceSize)
 	c.ctrXOR(body[:NonceSize], dst[start:], body[NonceSize:])
 	return dst, nil
-}
-
-// SealAppend is the one-shot form of LinkCipher.SealAppend for callers
-// without prepared link state: same bytes, but the key schedule and HMAC
-// pads are rebuilt from keys.
-func SealAppend(keys SessionKeys, rng io.Reader, dst, plaintext []byte) ([]byte, error) {
-	c, err := NewLinkCipher(keys)
-	if err != nil {
-		return nil, err
-	}
-	return c.SealAppend(dst, rng, plaintext)
-}
-
-// OpenAppend is the one-shot form of LinkCipher.OpenAppend.
-func OpenAppend(keys SessionKeys, dst, sealed []byte) ([]byte, error) {
-	c, err := NewLinkCipher(keys)
-	if err != nil {
-		return nil, err
-	}
-	return c.OpenAppend(dst, sealed)
 }
 
 // ctrXOR applies AES-CTR over src into dst with the same semantics as

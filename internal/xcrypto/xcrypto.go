@@ -177,7 +177,9 @@ func lessBytes(a, b []byte) bool {
 //
 //	nonce [16] || ciphertext [len(plaintext)] || mac [32]
 //
-// so SealedSize(len(plaintext)) bytes in total.
+// so SealedSize(len(plaintext)) bytes in total. Seal and Open are the
+// stdlib (cipher.NewCTR + hmac) reference: links seal and open through a
+// prepared LinkCipher, which the tests pin byte-identical to this pair.
 func Seal(keys SessionKeys, rng io.Reader, plaintext []byte) ([]byte, error) {
 	if rng == nil {
 		rng = rand.Reader

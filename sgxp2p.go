@@ -86,12 +86,6 @@ type Options struct {
 	// RealCrypto switches from the size-identical simulation sealer to
 	// real AES-CTR + HMAC-SHA256 channels.
 	RealCrypto bool
-	// DisableBatching turns off per-round frame coalescing: every
-	// protocol message travels as its own sealed envelope instead of one
-	// batch frame per link per round. Protocol outcomes are identical
-	// either way; the knob exists for wire-level debugging and for
-	// measuring the coalescing win (cmd/p2pbench's *_nobatch benches).
-	DisableBatching bool
 	// Adversary assigns byzantine OS behaviour to nodes (nil entries and
 	// missing ids are honest). See the Omit*/Delay*/Chain constructors.
 	Adversary map[NodeID]Behavior
@@ -117,16 +111,15 @@ type Cluster struct {
 func NewCluster(opts Options) (*Cluster, error) {
 	c := &Cluster{t: opts.T, ads: make(map[NodeID]*AdversaryOS)}
 	d, err := deploy.New(deploy.Options{
-		N:               opts.N,
-		T:               opts.T,
-		Delta:           opts.Delta,
-		Bandwidth:       opts.Bandwidth,
-		Seed:            opts.Seed,
-		RealCrypto:      opts.RealCrypto,
-		DisableBatching: opts.DisableBatching,
-		Trace:           opts.Trace,
-		Metrics:         opts.Metrics,
-		Wrap:            c.wrapper(opts),
+		N:          opts.N,
+		T:          opts.T,
+		Delta:      opts.Delta,
+		Bandwidth:  opts.Bandwidth,
+		Seed:       opts.Seed,
+		RealCrypto: opts.RealCrypto,
+		Trace:      opts.Trace,
+		Metrics:    opts.Metrics,
+		Wrap:       c.wrapper(opts),
 	})
 	if err != nil {
 		return nil, err
