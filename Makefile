@@ -1,8 +1,9 @@
-# Tier-1 verification and benchmark entry points (see ROADMAP.md).
+# Tier-1 verification (`make verify`, see ROADMAP.md) and the benchmark
+# regression gate (`make bench-compare`, see bench/README.md).
 
 GO ?= go
 
-.PHONY: build test vet race chaos lint obs-smoke scenario-smoke obs-live-smoke verify bench bench-telemetry bench-coalesce bench-mux bench-obsplane bench-compare benchsmoke clean
+.PHONY: build test vet race chaos benchsmoke lint obs-smoke scenario-smoke obs-live-smoke verify bench-compare clean
 
 build:
 	$(GO) build ./...
@@ -97,51 +98,6 @@ obs-live-smoke:
 # multi-process scenario smoke, and the live-streaming observability
 # smoke.
 verify: build vet test race chaos benchsmoke lint obs-smoke scenario-smoke obs-live-smoke
-
-# bench regenerates BENCH_setup.json: setup/broadcast microbenchmarks plus
-# the fig2a/fig2b sweeps (ns/op and allocs/op) via cmd/p2pbench.
-bench:
-	$(GO) run ./cmd/p2pbench -o BENCH_setup.json
-
-# bench-telemetry re-measures the telemetry overhead artifact: the two
-# hot-path benchmarks, best-of-10, compared against the pre-telemetry
-# baseline (see the methodology note in EXPERIMENTS.md — the baseline
-# must be re-measured in the same window to mean anything).
-bench-telemetry:
-	$(GO) run ./cmd/p2pbench -count 10 -bench seal_open_hot,cluster_broadcast_n64 \
-		-baseline BENCH_pretelemetry.json -o BENCH_telemetry.json
-
-# bench-coalesce re-measures the frame-coalescing artifact: the ERB
-# broadcast benchmarks at N=64 and N=512, best-of-5, diffed against the
-# pre-coalescing baseline (BENCH_telemetry.json) in the embedded
-# comparison block. The same-binary batched-vs-unbatched ablation rows
-# are retired (EXPERIMENTS.md); their numbers are on record in the
-# checked-in BENCH_coalesce.json, which a re-run overwrites without them.
-bench-coalesce:
-	$(GO) run ./cmd/p2pbench -count 5 -bench cluster_broadcast \
-		-baseline BENCH_telemetry.json -o BENCH_coalesce.json
-
-# bench-mux re-measures the multiplexed-runtime artifact: aggregate
-# broadcast throughput at N=64 with 1/10/100/1000 concurrent instances
-# over one standing cluster, against three baselines measured in the
-# same window — dedicated deployments (the pre-mux status quo: a fresh
-# cluster per broadcast) and serial broadcasts on the standing cluster
-# (stricter: setup amortized away). The batching-disabled ablation row
-# is retired; its numbers are on record in the checked-in BENCH_mux.json.
-# Best-of-3; the dedicated rows dominate the wall time.
-bench-mux:
-	$(GO) run ./cmd/p2pbench -count 3 -bench cluster_mux -o BENCH_mux.json
-
-# bench-obsplane re-measures the live-observability artifact: the
-# three-rung simnet ablation at N=64 (telemetry off / span recording on /
-# recording plus a live streaming consumer — the record-vs-stream delta
-# is the streaming overhead the PR is judged on, best-of-5) plus the
-# deployment-level proof: a real N=128 process fleet run plain and
-# streamed (-live, one run each, minutes of wall time — rounds are
-# Δ-gated, so the two wall times must agree).
-bench-obsplane:
-	$(GO) run ./cmd/p2pbench -count 5 -bench obs_broadcast,obs_live -live \
-		-o BENCH_obsplane.json
 
 # bench-compare is the regression gate over the repo benchmark
 # (BENCHMARK.json, bench/README.md): run the whole suite on this tree

@@ -80,6 +80,7 @@ func BenchmarkClusterBroadcast(b *testing.B) {
 		b.Fatal(err)
 	}
 	payload := sgxp2p.ValueFromString("bench")
+	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		if _, err := cluster.Broadcast(0, payload); err != nil {
@@ -90,8 +91,8 @@ func BenchmarkClusterBroadcast(b *testing.B) {
 
 // BenchmarkClusterBroadcastMany measures the multiplexed runtime: 32
 // concurrent ERB instances over one 16-node cluster, admitted 8 at a
-// time. Small-scale smoke coverage of the mux path; the real sustained
-// throughput artifact is BENCH_mux.json (make bench-mux).
+// time. Small-scale smoke coverage of the mux path; sustained throughput
+// at N=64 is the erb_mux workload of `go run ./bench`.
 func BenchmarkClusterBroadcastMany(b *testing.B) {
 	cluster, err := sgxp2p.NewCluster(sgxp2p.Options{N: 16, T: 7, Seed: 1})
 	if err != nil {
@@ -124,6 +125,7 @@ func BenchmarkClusterRandom(b *testing.B) {
 	if err != nil {
 		b.Fatal(err)
 	}
+	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		if _, err := cluster.GenerateRandom(); err != nil {

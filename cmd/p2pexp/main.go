@@ -41,7 +41,6 @@ func run(args []string) error {
 		csv        = fs.Bool("csv", false, "emit CSV instead of aligned tables")
 		delta      = fs.Duration("delta", time.Second, "base one-way delivery bound (a round is 2*delta)")
 		unlimited  = fs.Bool("unlimited-bandwidth", false, "disable the shared-link model")
-		workers    = fs.Int("workers", 0, "goroutines sweeping independent data points (0 = all cores, 1 = serial); tables are identical for any value")
 		chaosSeed  = fs.Int64("chaos-seed", 0, "replay a single chaos fault schedule by seed (chaos experiment only)")
 		tracePath  = fs.String("trace", "", "run one traced chaos replay and write its JSONL event stream to this file")
 		metricsOut = fs.String("metrics-out", "", "with -trace: also write the run's metrics in Prometheus text format")
@@ -103,7 +102,6 @@ func run(args []string) error {
 		Full:      *full,
 		Seed:      *seed,
 		Delta:     *delta,
-		Workers:   *workers,
 		ChaosSeed: *chaosSeed,
 	}
 	if *unlimited {

@@ -111,6 +111,10 @@ func run(args []string) error {
 		return nil
 	}
 
+	if *benchOut == "" && *caseName != "" && !hasTestcase(manifests, *caseName) {
+		return fmt.Errorf("no testcase named %q in the given manifests", *caseName)
+	}
+
 	dir := *outDir
 	if dir == "" {
 		tmp, err := os.MkdirTemp("", "p2pscenario-*")
@@ -163,6 +167,18 @@ func run(args []string) error {
 	return nil
 }
 
+// hasTestcase reports whether any manifest declares a testcase by name.
+func hasTestcase(manifests []*scenario.Manifest, name string) bool {
+	for _, m := range manifests {
+		for i := range m.Testcases {
+			if m.Testcases[i].Name == name {
+				return true
+			}
+		}
+	}
+	return false
+}
+
 // runOne orchestrates a single (testcase, instance count) run.
 func runOne(m *scenario.Manifest, tc *scenario.Testcase, bin, dir string, n int, overrides map[string]string, stream, profile bool) error {
 	rp, err := tc.ResolveParams(overrides)
@@ -196,8 +212,8 @@ func runOne(m *scenario.Manifest, tc *scenario.Testcase, bin, dir string, n int,
 	return nil
 }
 
-// benchEntry is one BENCH_scenario.json record, shaped like the repo's
-// other BENCH files with the live-vs-simnet fields added.
+// benchEntry is one BENCH_scenario.json record: go-benchmark-style
+// timing fields with the live-vs-simnet fields added.
 type benchEntry struct {
 	Name         string  `json:"name"`
 	Iterations   int     `json:"iterations"`

@@ -28,11 +28,6 @@ type DeployOptions struct {
 	// Wrap, when non-nil, wraps each node's transport (omission-fault /
 	// adversary injection, as in deploy.Options.Wrap).
 	Wrap func(id wire.NodeID, tr runtime.Transport) runtime.Transport
-	// Workers bounds the goroutines used for per-node key generation
-	// (0 = GOMAXPROCS, 1 = serial), as in deploy.Options.Workers. Each
-	// node's key derives from its own seeded RNG, so the deployment is
-	// identical for any worker count.
-	Workers int
 }
 
 // Deployment is a simulated network of plain (non-enclaved) peers.
@@ -68,7 +63,7 @@ func NewDeployment(opts DeployOptions) (*Deployment, error) {
 	if opts.PKI {
 		d.Keys = make([]*xcrypto.SigningKey, opts.N)
 		roster.Keys = make([]xcrypto.VerifyKey, opts.N)
-		err := parallel.ForEach(opts.N, opts.Workers, func(i int) error {
+		err := parallel.ForEach(opts.N, func(i int) error {
 			rng := rand.New(rand.NewSource(opts.Seed ^ int64(i+1)*0x51ED))
 			key, kerr := xcrypto.GenerateSigningKey(rng)
 			if kerr != nil {

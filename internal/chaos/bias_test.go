@@ -99,7 +99,7 @@ func testBias(t *testing.T, n, tb int, optimized bool, label string) {
 		value wire.Value
 		ok    bool
 	}
-	epochs, err := parallel.Map(runs, 0, func(run int) (epoch, error) {
+	epochs, err := parallel.Map(runs, func(run int) (epoch, error) {
 		v, ok, err := biasRun(run, n, tb, optimized)
 		return epoch{value: v, ok: ok}, err
 	})

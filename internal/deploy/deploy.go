@@ -66,13 +66,6 @@ type Options struct {
 	// (defaults to Delta). The lockstep round bound Delta must cover the
 	// overlay diameter times LinkDelta; see overlay.Diameter.
 	LinkDelta time.Duration
-	// Workers bounds the goroutines used for the per-node setup work
-	// (enclave launch, attestation, quote verification, link key
-	// derivation). Zero means GOMAXPROCS; one means strictly serial.
-	// The resulting deployment is identical for any worker count: every
-	// enclave draws from its own seeded RNG and all results land in
-	// index-distinct slots.
-	Workers int
 	// Trace, when non-nil, receives the round-structured event stream of
 	// every peer and the network (churn, round ticks, deliveries). New
 	// binds its clock to the simulator, so events carry virtual time.
@@ -174,8 +167,8 @@ func New(opts Options) (*Deployment, error) {
 	enclOpts := d.enclaveOptions()
 	// Phase 1 (parallel): launch and attest every enclave. Each enclave
 	// draws only from its own seeded RNG and writes index-distinct slots,
-	// so the result is independent of the worker count.
-	err = parallel.ForEach(opts.N, opts.Workers, func(id int) error {
+	// so the result is independent of the pool size.
+	err = parallel.ForEach(opts.N, func(id int) error {
 		rng := rand.New(rand.NewSource(opts.Seed ^ int64(id+1)*0x9E3779B9))
 		encl, lerr := enclave.Launch(opts.Program, wire.NodeID(id), rng, clock, enclOpts...)
 		if lerr != nil {
@@ -191,7 +184,7 @@ func New(opts Options) (*Deployment, error) {
 	// Phase 2 (parallel): verify the whole roster once here instead of
 	// once per peer — the simulated deployment shares one process, so N^2
 	// re-verifications of identical quotes would only burn CPU.
-	err = parallel.ForEach(opts.N, opts.Workers, func(id int) error {
+	err = parallel.ForEach(opts.N, func(id int) error {
 		if verr := enclave.VerifyQuote(d.Roster.ServiceKey, d.Roster.Measurement, d.Roster.Quotes[id]); verr != nil {
 			return fmt.Errorf("deploy: attestation of node %d: %w", id, verr)
 		}
@@ -219,7 +212,7 @@ func New(opts Options) (*Deployment, error) {
 	// This is the O(N^2) Diffie-Hellman work; the shared key cache means
 	// each unordered pair is derived once and the parallel pool spreads
 	// the rest across cores.
-	err = parallel.ForEach(opts.N, opts.Workers, func(id int) error {
+	err = parallel.ForEach(opts.N, func(id int) error {
 		peer, perr := runtime.NewPeer(d.Encls[id], transports[id], d.Roster, d.peerConfig(opts.N))
 		if perr != nil {
 			return fmt.Errorf("deploy: peer %d: %w", id, perr)

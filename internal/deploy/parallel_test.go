@@ -2,19 +2,29 @@ package deploy_test
 
 import (
 	"reflect"
+	"runtime"
 	"testing"
 
 	"sgxp2p/internal/deploy"
 	"sgxp2p/internal/wire"
 )
 
+// setProcs sets GOMAXPROCS — the size of the setup worker pool — for the
+// rest of the test.
+func setProcs(t *testing.T, procs int) {
+	t.Helper()
+	prev := runtime.GOMAXPROCS(procs)
+	t.Cleanup(func() { runtime.GOMAXPROCS(prev) })
+}
+
 // TestDeploymentIdenticalAcrossWorkerCounts pins the determinism contract
 // of the parallel setup: for a fixed seed, a deployment built serially
-// (Workers=1) and one built with many workers are indistinguishable —
+// (GOMAXPROCS=1) and one built with many workers are indistinguishable —
 // same quotes, same protocol outcome, same wire traffic.
 func TestDeploymentIdenticalAcrossWorkerCounts(t *testing.T) {
-	build := func(workers int) (*deploy.Deployment, error) {
-		return deploy.New(deploy.Options{N: 16, T: 7, Seed: 42, Workers: workers})
+	build := func(procs int) (*deploy.Deployment, error) {
+		setProcs(t, procs)
+		return deploy.New(deploy.Options{N: 16, T: 7, Seed: 42})
 	}
 	serial, err := build(1)
 	if err != nil {
@@ -51,7 +61,8 @@ func TestDeploymentIdenticalAcrossWorkerCounts(t *testing.T) {
 // the real ECDH derivations and sealer (the heavier path the worker pool
 // exists for).
 func TestRealCryptoParallelDeploy(t *testing.T) {
-	d, err := deploy.New(deploy.Options{N: 8, T: 3, Seed: 5, RealCrypto: true, Workers: 4})
+	setProcs(t, 4)
+	d, err := deploy.New(deploy.Options{N: 8, T: 3, Seed: 5, RealCrypto: true})
 	if err != nil {
 		t.Fatal(err)
 	}

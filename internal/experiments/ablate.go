@@ -1,6 +1,10 @@
 package experiments
 
-import "fmt"
+import (
+	"fmt"
+
+	"sgxp2p/internal/parallel"
+)
 
 // Ablate quantifies the design choices DESIGN.md calls out:
 //
@@ -40,7 +44,7 @@ func Ablate(cfg Config) (*Table, error) {
 		{"chain, P4 on", f, 0},
 		{"chain, P4 off", f, -1},
 	}
-	rows, err := sweepRows(cfg, len(variants), func(i int) ([]string, error) {
+	rows, err := parallel.Map(len(variants), func(i int) ([]string, error) {
 		v := variants[i]
 		run, rerr := runERBOpts(cfg, n, v.chainLen, v.ackThreshold)
 		if rerr != nil {

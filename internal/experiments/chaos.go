@@ -53,7 +53,7 @@ func Chaos(cfg Config) (*Table, error) {
 		verdict string
 		detail  string
 	}
-	results, err := parallel.Map(len(jobs), cfg.Workers, func(i int) (result, error) {
+	results, err := parallel.Map(len(jobs), func(i int) (result, error) {
 		j := jobs[i]
 		var o *chaos.Outcome
 		var runErr, check error

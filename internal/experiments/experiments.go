@@ -37,11 +37,6 @@ type Config struct {
 	// DeterLab testbed). Zero keeps the default; use Unlimited to remove
 	// the link model.
 	Bandwidth float64
-	// Workers bounds the goroutines sweeping independent data points
-	// (0 = GOMAXPROCS, 1 = serial). Every point builds its own simulator
-	// and network from per-point seeds and rows are assembled in sweep
-	// order, so tables are bit-for-bit identical for any worker count.
-	Workers int
 	// ChaosSeed, when non-zero, restricts the chaos experiment to the
 	// single fault schedule derived from that seed — the reproduction
 	// mode printed by failing chaos invariants.
@@ -233,8 +228,8 @@ func runERBOpts(cfg Config, n int, chainLen int, ackThreshold int) (erbRun, erro
 		Wrap:      wrap,
 		// Paper-faithful wire accounting: figure/table experiments count
 		// the per-message envelopes the paper's evaluation measured, so
-		// frame coalescing stays off here (it is a post-paper speedup;
-		// its win is quantified in BENCH_coalesce.json instead).
+		// frame coalescing stays off here (it is a post-paper speedup,
+		// quantified in the coalesce section of EXPERIMENTS.md).
 		DisableBatching: true,
 	})
 	if err != nil {

@@ -23,7 +23,7 @@ import (
 //
 // Unlike the other sweeps, the epochs here feed one stateful deployment
 // forward (each epoch's halts persist into the next), so this experiment
-// is inherently serial and ignores Config.Workers.
+// is inherently serial.
 func Sanitize(cfg Config) (*Table, error) {
 	n, byz := 24, 11
 	epochs := 16
@@ -150,7 +150,7 @@ func Bias(cfg Config) (*Table, error) {
 	// Every epoch runs on a private deployment from its own seed, so the
 	// epochs sweep in parallel.
 	target := wire.Value{0xD7, 0x01}
-	sigOutputs, err := parallel.Map(epochs, cfg.Workers, func(e int) (wire.Value, error) {
+	sigOutputs, err := parallel.Map(epochs, func(e int) (wire.Value, error) {
 		out, rerr := runAttackedSigRNG(cfg, n, byz, cfg.Seed+int64(e)*101, target)
 		if rerr != nil {
 			return wire.Value{}, fmt.Errorf("bias sigrng epoch %d: %w", e, rerr)
@@ -172,7 +172,7 @@ func Bias(cfg Config) (*Table, error) {
 	}
 
 	// ERNG under byzantine delay + selective omission.
-	erngOutputs, err := parallel.Map(epochs, cfg.Workers, func(e int) (wire.Value, error) {
+	erngOutputs, err := parallel.Map(epochs, func(e int) (wire.Value, error) {
 		out, rerr := runAttackedERNG(cfg, n, byz, cfg.Seed+int64(e)*131)
 		if rerr != nil {
 			return wire.Value{}, fmt.Errorf("bias erng epoch %d: %w", e, rerr)

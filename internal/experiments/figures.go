@@ -36,7 +36,7 @@ func Fig2a(cfg Config) (*Table, error) {
 		},
 	}
 	sizes := sizesUpTo(1, hi)
-	rows, err := sweepRows(cfg, len(sizes), func(i int) ([]string, error) {
+	rows, err := parallel.Map(len(sizes), func(i int) ([]string, error) {
 		n := sizes[i]
 		run, rerr := runERB(cfg, n, 0)
 		if rerr != nil {
@@ -186,7 +186,7 @@ func Fig2b(cfg Config) (*Table, error) {
 		},
 	}
 	sizes := sizesUpTo(2, hi)
-	rows, err := sweepRows(cfg, len(sizes), func(i int) ([]string, error) {
+	rows, err := parallel.Map(len(sizes), func(i int) ([]string, error) {
 		n := sizes[i]
 		run, rerr := runBasicERNG(cfg, n)
 		if rerr != nil {
@@ -233,7 +233,7 @@ func Fig2c(cfg Config) (*Table, error) {
 		},
 	}
 	fractions := byzFractions(n)
-	rows, err := sweepRows(cfg, len(fractions), func(i int) ([]string, error) {
+	rows, err := parallel.Map(len(fractions), func(i int) ([]string, error) {
 		f := fractions[i]
 		run, rerr := runERB(cfg, n, f)
 		if rerr != nil {
@@ -274,7 +274,7 @@ func Fig3a(cfg Config) (*Table, error) {
 		},
 	}
 	sizes := sizesUpTo(1, hi)
-	rows, err := sweepRows(cfg, len(sizes), func(i int) ([]string, error) {
+	rows, err := parallel.Map(len(sizes), func(i int) ([]string, error) {
 		n := sizes[i]
 		run, rerr := runERB(cfg, n, 0)
 		if rerr != nil {
@@ -322,7 +322,7 @@ func Fig3b(cfg Config) (*Table, error) {
 	// The basic and optimized runs of each size are independent; sweep
 	// them as 2*len(sizes) flat jobs so the two heavyweight runs at the
 	// largest N overlap instead of serializing within one point.
-	runs, err := parallel.Map(2*len(sizes), cfg.Workers, func(j int) (erngRun, error) {
+	runs, err := parallel.Map(2*len(sizes), func(j int) (erngRun, error) {
 		n := sizes[j/2]
 		if j%2 == 0 {
 			run, rerr := runBasicERNG(cfg, n)
@@ -380,7 +380,7 @@ func Fig3c(cfg Config) (*Table, error) {
 		},
 	}
 	fractions := byzFractions(n)
-	rows, err := sweepRows(cfg, len(fractions), func(i int) ([]string, error) {
+	rows, err := parallel.Map(len(fractions), func(i int) ([]string, error) {
 		f := fractions[i]
 		run, rerr := runERB(cfg, n, f)
 		if rerr != nil {

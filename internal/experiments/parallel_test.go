@@ -2,6 +2,7 @@ package experiments
 
 import (
 	"bytes"
+	"runtime"
 	"testing"
 )
 
@@ -17,10 +18,11 @@ func renderAll(t *testing.T, tbl *Table) string {
 
 // TestSweepsIdenticalAcrossWorkerCounts pins the sweep engine's
 // determinism contract: for a fixed seed, the rendered table of a sweep
-// is byte-for-byte identical whether the points ran serially or on a
-// parallel worker pool. Exercised on a per-point sweep (fig2a), a
-// flattened multi-job table (ablate), and the per-epoch bias sweep —
-// the three sweep shapes the engine supports.
+// is byte-for-byte identical whether the points ran serially
+// (GOMAXPROCS=1) or on a parallel worker pool (GOMAXPROCS=4). Exercised
+// on a per-point sweep (fig2a), a flattened multi-job table (ablate),
+// and the per-epoch bias sweep — the three sweep shapes the engine
+// supports.
 func TestSweepsIdenticalAcrossWorkerCounts(t *testing.T) {
 	sweeps := []struct {
 		name string
@@ -33,15 +35,14 @@ func TestSweepsIdenticalAcrossWorkerCounts(t *testing.T) {
 	for _, sw := range sweeps {
 		sw := sw
 		t.Run(sw.name, func(t *testing.T) {
-			serialCfg := cfg()
-			serialCfg.Workers = 1
-			parallelCfg := cfg()
-			parallelCfg.Workers = 4
-			serial, err := sw.run(serialCfg)
+			prev := runtime.GOMAXPROCS(1)
+			t.Cleanup(func() { runtime.GOMAXPROCS(prev) })
+			serial, err := sw.run(cfg())
 			if err != nil {
 				t.Fatal(err)
 			}
-			par, err := sw.run(parallelCfg)
+			runtime.GOMAXPROCS(4)
+			par, err := sw.run(cfg())
 			if err != nil {
 				t.Fatal(err)
 			}

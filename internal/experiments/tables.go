@@ -185,7 +185,7 @@ func Tab1(cfg Config) (*Table, error) {
 	// sweep plus the chain run — so the expensive chain runs overlap with
 	// the honest sweeps of other protocols.
 	perProto := len(sizes) + 1
-	runs, err := parallel.Map(len(protos)*perProto, cfg.Workers, func(j int) (baselineRun, error) {
+	runs, err := parallel.Map(len(protos)*perProto, func(j int) (baselineRun, error) {
 		p := protos[j/perProto]
 		k := j % perProto
 		if k < len(sizes) {
@@ -310,7 +310,7 @@ func Tab2(cfg Config) (*Table, error) {
 		{name: "Optimized ERNG (Alg. 6)", network: "3t+1", claim: "O(log N) rounds, O(N log N)", run: optRun},
 		{name: "SigRNG (RBsig-based)", network: "2t+1 + PKI", claim: "t+1 rounds, O(N^4), biasable", run: sigRun},
 	}
-	runs, err := parallel.Map(len(rngs)*len(sizes), cfg.Workers, func(j int) (baselineRun, error) {
+	runs, err := parallel.Map(len(rngs)*len(sizes), func(j int) (baselineRun, error) {
 		r := rngs[j/len(sizes)]
 		n := sizes[j%len(sizes)]
 		run, rerr := r.run(n)

@@ -11,7 +11,7 @@
 //
 // Results are always written to index-distinct slots and errors are
 // reported in index order, so for a fixed seed the outcome is identical
-// for any worker count — the determinism contract the equivalence tests
+// for any pool size (GOMAXPROCS) — the determinism contract the equivalence tests
 // in internal/deploy and internal/experiments pin down.
 package parallel
 
@@ -21,29 +21,17 @@ import (
 	"sync/atomic"
 )
 
-// Workers resolves a requested worker count: zero or negative means
-// GOMAXPROCS (use every core), anything else is taken literally. One
-// means strictly serial execution on the calling goroutine.
-func Workers(n int) int {
-	if n <= 0 {
-		return runtime.GOMAXPROCS(0)
-	}
-	return n
-}
-
-// ForEach runs fn(i) for every i in [0, n) on at most workers goroutines
-// (resolved by Workers). Indexes are claimed atomically, so the pool
-// balances uneven work items. All items run even if some fail; the error
-// for the lowest failing index is returned, which keeps the reported
-// error independent of goroutine scheduling.
-func ForEach(n, workers int, fn func(i int) error) error {
+// ForEach runs fn(i) for every i in [0, n) on min(n, GOMAXPROCS)
+// goroutines; with one, it runs serially on the calling goroutine.
+// Indexes are claimed atomically, so the pool balances uneven work
+// items. All items run even if some fail; the error for the lowest
+// failing index is returned, which keeps the reported error independent
+// of goroutine scheduling.
+func ForEach(n int, fn func(i int) error) error {
 	if n <= 0 {
 		return nil
 	}
-	workers = Workers(workers)
-	if workers > n {
-		workers = n
-	}
+	workers := min(n, runtime.GOMAXPROCS(0))
 	if workers <= 1 {
 		// Serial path: stop at the first error like a plain loop would.
 		for i := 0; i < n; i++ {
@@ -80,12 +68,12 @@ func ForEach(n, workers int, fn func(i int) error) error {
 	return nil
 }
 
-// Map runs fn(i) for every i in [0, n) on at most workers goroutines and
-// returns the results in index order. On error the first failure by index
-// is returned and the results are discarded.
-func Map[T any](n, workers int, fn func(i int) (T, error)) ([]T, error) {
+// Map runs fn(i) for every i in [0, n) on ForEach's pool and returns the
+// results in index order. On error the first failure by index is
+// returned and the results are discarded.
+func Map[T any](n int, fn func(i int) (T, error)) ([]T, error) {
 	out := make([]T, n)
-	err := ForEach(n, workers, func(i int) error {
+	err := ForEach(n, func(i int) error {
 		v, ferr := fn(i)
 		if ferr != nil {
 			return ferr

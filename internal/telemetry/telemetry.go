@@ -11,7 +11,7 @@
 //     no-op (a nil *Tracer records nothing, a nil *Counter counts nothing),
 //     and instrumented packages keep their hot paths behind a single
 //     pointer check, so a deployment built without telemetry pays no
-//     allocations and no measurable time (pinned by BENCH_telemetry.json).
+//     allocations and no measurable time.
 //
 //   - Logical time only. The tracer has no clock of its own: it stamps
 //     events with an injected clock function (vclock.Sim.Now in simulation,

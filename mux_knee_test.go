@@ -46,8 +46,8 @@ func muxBatchSeconds(t *testing.T, c *sgxp2p.Cluster, count int) time.Duration {
 // The mux admits MaxInFlight instances at a time and retires whole
 // windows as they finish, so a tenfold-longer queue amortizes over
 // tenfold more work — historically the i100→i1000 per-instance ratio is
-// ~0.95 (BENCH_mux.json). The 0.4 floor leaves generous room for
-// scheduler noise on loaded hosts while still catching a regression
+// ~0.95 (EXPERIMENTS.md, mux section). The 0.4 floor leaves generous
+// room for scheduler noise on loaded hosts while still catching a regression
 // that makes admission cost grow with queue depth (the failure mode the
 // knee guards: per-instance work scaling with backlog length, which
 // turns the flat line into a cliff).
