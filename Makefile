@@ -17,9 +17,12 @@ vet:
 # Race-check the packages with real concurrency: the parallel deployment
 # builder, the sweep engine, the peer runtime underneath both, the TCP
 # transport with its pooled frame handoff, the multi-process scenario
-# orchestrator, and the chaos suite's schedule driver.
+# orchestrator, the chaos suite's schedule driver, and — since the
+# simulator fires a window's nodes on every core (DESIGN.md §6) — the
+# event engine, the simulated network, and the protocol, beacon and
+# public-API suites that drive clusters through them.
 race:
-	$(GO) test -race ./internal/deploy/... ./internal/experiments/... ./internal/runtime/... ./internal/tcpnet/... ./internal/scenario/... ./internal/chaos/...
+	$(GO) test -race ./internal/deploy/... ./internal/experiments/... ./internal/runtime/... ./internal/tcpnet/... ./internal/scenario/... ./internal/chaos/... ./internal/vclock/... ./internal/simnet/... ./internal/core/... ./internal/beacon/... .
 
 # chaos runs the deterministic fault-injection suite under the race
 # detector: fixed-seed schedules (crash-restart, partitions, flips)

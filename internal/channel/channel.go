@@ -30,6 +30,7 @@ import (
 	"encoding/binary"
 	"errors"
 	"fmt"
+	"io"
 	"math/bits"
 
 	"sgxp2p/internal/enclave"
@@ -249,6 +250,10 @@ type Link struct {
 	// Stateful (scratch blocks, HMAC state), hence per-link and never
 	// shared through the enclave key cache.
 	cipher *xcrypto.LinkCipher
+	// nonces is where cipher draws envelope nonces: the local enclave's
+	// batched reader, shared by all its links (nil means crypto/rand
+	// directly, one read per envelope).
+	nonces io.Reader
 	// model and seed are the prepared per-link state for *ModelSealer
 	// links — the simulation analogue of the LinkCipher: the sealer whose
 	// envelope counter all of one peer's links share, and the keyed
@@ -275,7 +280,11 @@ func NewLink(local *enclave.Enclave, remote wire.NodeID, remotePub [xcrypto.Publ
 	if err != nil {
 		return nil, fmt.Errorf("channel: link to %d: %w", remote, err)
 	}
-	return newLinkFromKeys(remote, keys, sealer)
+	l, err := newLinkFromKeys(remote, keys, sealer)
+	if err == nil && l.cipher != nil {
+		l.nonces = local.NonceReader()
+	}
+	return l, err
 }
 
 // newLinkFromKeys is NewLink after key agreement; the package tests use
@@ -313,7 +322,7 @@ func (l *Link) SealEncodedAppend(dst, encoded []byte) ([]byte, error) {
 	var out []byte
 	var err error
 	if l.cipher != nil {
-		out, err = l.cipher.SealAppend(dst, nil, encoded)
+		out, err = l.cipher.SealAppend(dst, l.nonces, encoded)
 	} else {
 		out = l.model.sealAppend(l.seed, dst, encoded)
 	}

@@ -188,6 +188,42 @@ func TestReplayedEnvelopeStillOpens(t *testing.T) {
 	}
 }
 
+// TestLinksShareEnclaveNonceReader pins where real envelopes get their
+// nonces: one batched reader per enclave, shared by all its links (not one
+// per link — a peer of a 256-node roster has 255), none for model links.
+// The nonces stay fresh randomness: consecutive envelopes of one link and
+// of sibling links all carry different ones.
+func TestLinksShareEnclaveNonceReader(t *testing.T) {
+	a, b, c := launch(t, 0, 1, program), launch(t, 1, 2, program), launch(t, 2, 3, program)
+	ab := mustLink(t, a, 1, b.DHPublic(), RealSealer{})
+	ac := mustLink(t, a, 2, c.DHPublic(), RealSealer{})
+	ba := mustLink(t, b, 0, a.DHPublic(), RealSealer{})
+	if ab.nonces == nil || ab.nonces != ac.nonces {
+		t.Fatal("links of one enclave do not share its nonce reader")
+	}
+	if ab.nonces == ba.nonces {
+		t.Fatal("links of different enclaves share a nonce reader")
+	}
+	if l := mustLink(t, a, 1, b.DHPublic(), NewModelSealer()); l.nonces != nil {
+		t.Fatal("model link holds a nonce reader")
+	}
+	seen := make(map[[xcrypto.NonceSize]byte]bool)
+	// 100 envelopes cross the reader's 32-nonce batch several times.
+	for i := 0; i < 100; i++ {
+		for _, l := range []*Link{ab, ac} {
+			env := sealMsg(t, l, testMsg(0))
+			nonce := [xcrypto.NonceSize]byte(env[:xcrypto.NonceSize])
+			if seen[nonce] {
+				t.Fatalf("nonce %x drawn twice", nonce)
+			}
+			seen[nonce] = true
+		}
+	}
+	if _, err := openMsg(ba, sealMsg(t, ab, testMsg(0))); err != nil {
+		t.Fatalf("envelope sealed with a batched nonce does not open: %v", err)
+	}
+}
+
 func TestNewLinkHaltedEnclave(t *testing.T) {
 	a := launch(t, 0, 1, program)
 	b := launch(t, 1, 2, program)

@@ -4,6 +4,14 @@
 // the roster, and the executed setup phase. It is the single entry point
 // used by the protocol tests, the experiment harness and the public
 // facade, so every consumer runs on an identically constructed testbed.
+//
+// A deployment's nodes may fire side by side: unless an option says
+// otherwise (see lanesSafe), Run hands the nodes of one network-latency
+// window to GOMAXPROCS goroutines (DESIGN.md §6). Nothing a run computes
+// depends on that, but a runtime.Protocol started on one peer must touch
+// only that peer's state — the shipped protocols do — and code that
+// looks across peers belongs between runs or in an event scheduled on
+// Sim directly, which fires alone.
 package deploy
 
 import (
@@ -101,12 +109,20 @@ type Deployment struct {
 	keyCache *enclave.KeyCache
 }
 
-// simClock adapts the simulator to the enclave Clock interface.
-type simClock struct {
-	sim *vclock.Sim
-}
+// clock is the trusted-time source of node id's enclave: the node's port,
+// whose Now is the time of the node's own firing event — the simulator's
+// clock, except that nodes firing side by side in one lookahead window
+// each read their own event's time.
+func (d *Deployment) clock(id wire.NodeID) enclave.Clock { return d.Net.Port(id) }
 
-func (c simClock) Now() time.Duration { return c.sim.Now() }
+// lanesSafe reports whether the nodes of this deployment may fire side by
+// side (simnet.EnableLanes). Caller-supplied Wrap and Neighbors closures
+// are not goroutine-safe by contract, and with Trace or Metrics the order
+// in which nodes record is itself the output, so any of the four keeps
+// every event firing alone.
+func (o *Options) lanesSafe() bool {
+	return o.Wrap == nil && o.Neighbors == nil && o.Trace == nil && o.Metrics == nil
+}
 
 // New builds a deployment and runs the setup phase (attestation, link
 // establishment, sequence-number exchange).
@@ -140,6 +156,9 @@ func New(opts Options) (*Deployment, error) {
 	}
 	opts.Trace.SetClock(sim.Now)
 	net.SetTelemetry(opts.Trace, opts.Metrics)
+	if opts.lanesSafe() {
+		net.EnableLanes()
+	}
 
 	masterRNG := rand.New(rand.NewSource(opts.Seed ^ 0x5eed))
 	service, err := enclave.NewAttestationService(masterRNG)
@@ -162,7 +181,6 @@ func New(opts Options) (*Deployment, error) {
 		Measurement: xcrypto.Measure(opts.Program),
 	}
 
-	clock := simClock{sim: sim}
 	d.keyCache = enclave.NewKeyCache()
 	enclOpts := d.enclaveOptions()
 	// Phase 1 (parallel): launch and attest every enclave. Each enclave
@@ -170,7 +188,7 @@ func New(opts Options) (*Deployment, error) {
 	// so the result is independent of the pool size.
 	err = parallel.ForEach(opts.N, func(id int) error {
 		rng := rand.New(rand.NewSource(opts.Seed ^ int64(id+1)*0x9E3779B9))
-		encl, lerr := enclave.Launch(opts.Program, wire.NodeID(id), rng, clock, enclOpts...)
+		encl, lerr := enclave.Launch(opts.Program, wire.NodeID(id), rng, d.clock(wire.NodeID(id)), enclOpts...)
 		if lerr != nil {
 			return fmt.Errorf("deploy: enclave %d: %w", id, lerr)
 		}

@@ -73,7 +73,7 @@ func (d *Deployment) Join(opts JoinOptions) (wire.NodeID, error) {
 	// Launch and attest the joiner's enclave.
 	newID := d.Net.AddNode()
 	rng := rand.New(rand.NewSource(d.Opts.Seed ^ int64(newID+1)*0x9E3779B9))
-	encl, err := enclave.Launch(d.Opts.Program, newID, rng, simClock{sim: d.Sim}, d.enclaveOptions()...)
+	encl, err := enclave.Launch(d.Opts.Program, newID, rng, d.clock(newID), d.enclaveOptions()...)
 	if err != nil {
 		return wire.NoNode, fmt.Errorf("deploy: joiner enclave: %w", err)
 	}
@@ -151,6 +151,8 @@ func (d *Deployment) Join(opts JoinOptions) (wire.NodeID, error) {
 	newRoster.Quotes = append(append([]enclave.Quote(nil), d.Roster.Quotes...), quote)
 	var tr runtime.Transport = d.Net.Port(newID)
 	if opts.Wrap != nil {
+		// A wrapped transport is not goroutine-safe by contract.
+		d.Net.DisableLanes()
 		tr = opts.Wrap(newID, tr)
 	}
 	peer, err := runtime.NewPeer(encl, tr, newRoster, d.peerConfig(len(newRoster.Quotes)))

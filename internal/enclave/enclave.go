@@ -18,6 +18,7 @@
 package enclave
 
 import (
+	"bufio"
 	"crypto/rand"
 	"errors"
 	"fmt"
@@ -67,8 +68,8 @@ func (c *WallClock) Now() time.Duration { return time.Since(c.origin) }
 
 // Enclave is one peer's trusted execution environment. All fields are
 // unexported: the OS layer cannot reach enclave state (F1). An Enclave is
-// not safe for concurrent use; in the simulator each node's events run on
-// one goroutine, and the TCP runtime serializes access.
+// not safe for concurrent use; in the simulator a node's events run one
+// at a time, and the TCP runtime serializes access.
 type Enclave struct {
 	id          wire.NodeID
 	measurement xcrypto.Measurement
@@ -80,6 +81,7 @@ type Enclave struct {
 	modelKEX    bool
 	keyCache    *KeyCache
 	halted      bool
+	nonces      *bufio.Reader
 }
 
 // pairKey identifies one memoized session-key derivation: the unordered
@@ -270,6 +272,25 @@ func modelSessionKeys(a, b [xcrypto.PublicKeySize]byte) xcrypto.SessionKeys {
 	keys.Enc = xcrypto.Measure(append(body, 'e'))
 	keys.Mac = xcrypto.Measure(append(append([]byte(nil), body...), 'm'))
 	return keys
+}
+
+// nonceBatch is how many bytes of operating-system randomness one read
+// fetches for envelope nonces: 32 nonces per getrandom call.
+const nonceBatch = 512
+
+// NonceReader returns the enclave's source of envelope nonces: the
+// operating system's CSPRNG (crypto/rand, whatever rng the enclave was
+// launched with — nonces need uniqueness, not replayability), read
+// nonceBatch bytes at a time. Drawing every 16-byte nonce on its own cost
+// a system call and a process-global atomic per envelope; one reader per
+// enclave, shared by all its links, amortizes both and keeps the
+// buffered bytes inside enclave state. Like the enclave it is not safe
+// for concurrent use.
+func (e *Enclave) NonceReader() io.Reader {
+	if e.nonces == nil {
+		e.nonces = bufio.NewReaderSize(rand.Reader, nonceBatch)
+	}
+	return e.nonces
 }
 
 // ReadRand fills buf with unbiased randomness (F2). The OS never observes

@@ -380,8 +380,9 @@ type Peer struct {
 	early []earlyMsg
 
 	// rxMsg is the scratch Message every delivery is decoded into
-	// (wire.DecodeInto): messages are borrowed by OnMessage, never owned,
-	// so one broadcast round performs zero message allocations. Reuse is
+	// (wire.DecodeInto, which also reuses its Set and Sigs capacity):
+	// messages are borrowed by OnMessage, never owned, so one broadcast
+	// round performs zero message allocations. Reuse is
 	// safe for the same reason the byte scratches above are — deliveries
 	// are serialized on the event loop and protocols copy what they keep.
 	rxMsg wire.Message
@@ -1445,10 +1446,11 @@ func (p *Peer) receiveBatch(src wire.NodeID, plaintext []byte) bool {
 	}
 }
 
-// earlyMsg is one parked early arrival: the decoded message by value
-// (the shared rxMsg scratch is overwritten by the next delivery) and its
-// exact transmitted encoding, copied out of the reused open scratch so
-// SendAck digests the same bytes a live delivery would.
+// earlyMsg is one parked early arrival: a deep copy of the decoded message
+// (the next delivery decodes into the shared rxMsg scratch, Set and Sigs
+// backing arrays included) and its exact transmitted encoding, copied out
+// of the reused open scratch so SendAck digests the same bytes a live
+// delivery would.
 type earlyMsg struct {
 	src wire.NodeID
 	msg wire.Message
@@ -1546,7 +1548,7 @@ func (p *Peer) deliverOne(src wire.NodeID, msg *wire.Message, encoded []byte) {
 		}
 		p.early = append(p.early, earlyMsg{
 			src:  src,
-			msg:  *msg,
+			msg:  *msg.Clone(),
 			enc:  append([]byte(nil), encoded...),
 			span: p.curSpan,
 		})

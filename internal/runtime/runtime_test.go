@@ -1,6 +1,7 @@
 package runtime_test
 
 import (
+	"reflect"
 	"testing"
 	"time"
 
@@ -301,6 +302,47 @@ func TestEarlyMessageBufferedOneRound(t *testing.T) {
 		}
 		if st.RoundMismatches != 0 {
 			t.Fatalf("peer %d counted %d round mismatches, want 0", i, st.RoundMismatches)
+		}
+	}
+}
+
+// TestEarlyMessageSurvivesNextDelivery pins that a parked early message
+// owns its Set: deliveries decode into one per-peer scratch message whose
+// Set capacity is reused, so the round-1 FINAL that follows the early one
+// in the same frame overwrites the very backing array the early one was
+// decoded into.
+func TestEarlyMessageSurvivesNextDelivery(t *testing.T) {
+	d := newDeployment(t, 3, 1)
+	probes := startAll(d, 3)
+	sender := probes[0]
+	early := []wire.SetEntry{{Initiator: 1, Value: wire.Value{0xEA}}}
+	later := []wire.SetEntry{{Initiator: 2, Value: wire.Value{0x1A}}}
+	sender.onRound = func(rnd uint32) {
+		if rnd != 1 {
+			return
+		}
+		for _, m := range []*wire.Message{
+			{Type: wire.TypeFinal, Sender: 0, Initiator: 0, Seq: sender.peer.SeqOf(0), Round: 2, Set: early},
+			{Type: wire.TypeFinal, Sender: 0, Initiator: 0, Seq: sender.peer.SeqOf(0), Round: 1, Set: later},
+		} {
+			if err := sender.peer.Multicast(nil, m, 0); err != nil {
+				t.Errorf("Multicast: %v", err)
+			}
+		}
+	}
+	if err := d.Run(); err != nil {
+		t.Fatal(err)
+	}
+	for i := 1; i < 3; i++ {
+		msgs := probes[i].msgs
+		if len(msgs) != 2 {
+			t.Fatalf("peer %d delivered %d messages, want 2", i, len(msgs))
+		}
+		if got := msgs[0]; got.Round != 1 || !reflect.DeepEqual(got.Set, later) {
+			t.Fatalf("peer %d first delivery = round %d set %v, want the round-1 FINAL", i, got.Round, got.Set)
+		}
+		if got := msgs[1]; got.Round != 2 || !reflect.DeepEqual(got.Set, early) {
+			t.Fatalf("peer %d replayed early message = round %d set %v, want set %v", i, got.Round, got.Set, early)
 		}
 	}
 }

@@ -15,6 +15,14 @@
 // per node and total) that the communication-complexity experiments of
 // Figure 3 report, and supports detaching nodes, which is how
 // halt-on-divergence (P4) churn is reflected at the transport level.
+//
+// Every node is a lane of the simulator (vclock.Lanes): deliveries to it
+// and timers of its port are its lane's events. Once EnableLanes promised
+// BaseLatency as the lookahead, the simulator may run one window's lanes
+// on several goroutines, and the network holds back what the nodes do to
+// shared state until the window commits (lanes.go). The numbers above —
+// latencies, traffic, drops, the order of everything — do not depend on
+// whether it does.
 package simnet
 
 import (
@@ -70,15 +78,18 @@ type Traffic struct {
 	Late uint64
 }
 
-// Network is the simulated network. It is single-threaded: all sends and
-// deliveries happen on the event loop of the underlying vclock.Sim.
+// Network is the simulated network. Its methods belong to the goroutine
+// that runs the simulator: call them between runs or from untagged events.
+// What a node does from its own lane's events — a delivery handler, a
+// port timer — goes through its Port: Send, After, Detach and Now are the
+// calls a lane event may make, and only on its own node's port.
 type Network struct {
 	sim *vclock.Sim
 	cfg Config
 	rng *rand.Rand
 	// nodes packs each node's delivery state (handler, detach flag,
-	// detach epoch) into one slot, so the per-delivery destination
-	// checks are one indexed load instead of three scattered slices.
+	// detach epoch) and its lane's window state into one slot, so the
+	// per-delivery destination checks are one indexed load.
 	nodes    []nodeSlot
 	linkFree time.Duration
 	traffic  Traffic
@@ -89,19 +100,39 @@ type Network struct {
 	// buffer and a prebound fire closure, so a steady-state send allocates
 	// nothing: the payload is copied into the recycled buffer and the
 	// recycled closure is scheduled. Records return to the list after
-	// their handler ran (the single-threaded event loop guarantees the
-	// handler cannot outlive the delivery event).
+	// their handler ran (a handler cannot outlive the delivery event).
+	// While a window runs on workers the list is dealt out among them
+	// (BeginWindow) and gathered back after (EndWindow).
 	free []*delivery
+	// windowed is set while a window runs on workers, written only while
+	// they park; see lanes.go for it and the worker pools.
+	windowed bool
+	pools    []workerPool
 }
 
 // nodeSlot is one node's delivery state. epoch counts the node's
 // detachments: deliveries capture the destination epoch at send time
 // and drop if it changed — frames in flight when a machine crashes are
 // lost even if it reboots before their arrival time.
+//
+// handler, epoch and detached change only on the simulator's goroutine,
+// never while a window runs on workers. The rest is the node's lane
+// state, which during such a window belongs to the worker that claimed
+// the lane; the padding keeps neighbours on different workers off each
+// other's cache lines.
 type nodeSlot struct {
 	handler  Handler
 	epoch    int
 	detached bool
+
+	// gone shadows detached for the node's own Detach inside a window,
+	// so the lane's later deliveries drop as they would have serially.
+	gone    bool
+	dropped uint64
+	log     []op
+	next    int          // first uncommitted op
+	pool    *[]*delivery // records for the lane's sends; nil means free
+	_       [56]byte     // to 128 bytes
 }
 
 // delivery is one in-flight frame: destination epoch captured at send
@@ -115,29 +146,50 @@ type delivery struct {
 	fire     func()
 }
 
-// run delivers (or drops) the frame, then recycles the record.
+// run delivers (or drops) the frame, then recycles the record. It is an
+// event of the destination's lane.
 func (d *delivery) run() {
 	n := d.n
 	// Only the destination is re-checked at delivery time: envelopes
 	// already in flight when their sender halts still arrive, as they
 	// would on a real network. An epoch change means the destination
 	// crashed after the send — the frame is lost even if it rebooted.
-	if ns := &n.nodes[int(d.dst)]; ns.detached || ns.epoch != d.ep {
-		n.traffic.Dropped++
-		if n.ctr != nil {
-			n.ctr.dropped.Inc()
+	ns := &n.nodes[int(d.dst)]
+	if ns.detached || ns.gone || ns.epoch != d.ep {
+		if n.windowed {
+			ns.dropped++
+		} else {
+			n.drop()
 		}
 	} else if ns.handler != nil {
 		ns.handler(d.src, d.payload)
 	}
-	n.free = append(n.free, d)
+	pool := n.recordPool(ns)
+	*pool = append(*pool, d)
 }
 
-// getDelivery pops a recycled record or builds a fresh one.
-func (n *Network) getDelivery() *delivery {
-	if len(n.free) > 0 {
-		d := n.free[len(n.free)-1]
-		n.free = n.free[:len(n.free)-1]
+// drop counts one message discarded at a detached node.
+func (n *Network) drop() {
+	n.traffic.Dropped++
+	if n.ctr != nil {
+		n.ctr.dropped.Inc()
+	}
+}
+
+// recordPool returns the record list a node's lane takes from and
+// recycles into: the free list, or the pool of the worker firing the lane.
+func (n *Network) recordPool(ns *nodeSlot) *[]*delivery {
+	if ns.pool != nil {
+		return ns.pool
+	}
+	return &n.free
+}
+
+// getDelivery pops a recycled record off the list or builds a fresh one.
+func (n *Network) getDelivery(pool *[]*delivery) *delivery {
+	if k := len(*pool); k > 0 {
+		d := (*pool)[k-1]
+		*pool = (*pool)[:k-1]
 		return d
 	}
 	d := &delivery{n: n}
@@ -213,8 +265,8 @@ func (n *Network) Config() Config { return n.cfg }
 // Now returns the current virtual time.
 func (n *Network) Now() time.Duration { return n.sim.Now() }
 
-// After schedules fn after the given virtual delay. It exists so protocol
-// runtimes can depend on a narrow scheduling interface. The event is
+// After schedules fn after the given virtual delay as an untagged event:
+// it fires alone, on the simulator's goroutine. The event is
 // fire-and-forget (Schedule), so no cancellation handle is allocated.
 func (n *Network) After(d time.Duration, fn func()) {
 	n.sim.ScheduleAfter(d, fn)
@@ -275,19 +327,35 @@ func (n *Network) Reattach(id wire.NodeID) {
 // pooled delivery record before Send returns, so the caller may reuse
 // its buffer immediately — this is what lets the runtime seal every
 // envelope into one per-peer scratch buffer. Delivery is scheduled on
-// the simulator after queueing and propagation delay.
+// the simulator after queueing and propagation delay — at once, or, from
+// a window running on workers, when src's event commits.
 func (n *Network) Send(src, dst wire.NodeID, payload []byte) {
 	if int(src) >= len(n.nodes) || int(dst) >= len(n.nodes) || src == dst {
 		return
 	}
-	if n.nodes[int(src)].detached || n.nodes[int(dst)].detached {
-		n.traffic.Dropped++
-		if n.ctr != nil {
-			n.ctr.dropped.Inc()
-		}
+	ns := &n.nodes[int(src)]
+	d := n.getDelivery(n.recordPool(ns))
+	d.src, d.dst = src, dst
+	d.payload = append(d.payload[:0], payload...)
+	if n.windowed {
+		ns.log = append(ns.log, op{kind: opSend, d: d})
 		return
 	}
-	size := len(payload)
+	n.transmit(d)
+}
+
+// transmit puts a filled record on the wire: detach check, traffic
+// accounting, link queueing, the latency draw and the delivery event. It
+// is everything about a send that reads or writes shared state, so it
+// runs in the serial order of the sends.
+func (n *Network) transmit(d *delivery) {
+	src, dst := d.src, d.dst
+	if n.nodes[int(src)].detached || n.nodes[int(dst)].detached {
+		n.drop()
+		n.free = append(n.free, d)
+		return
+	}
+	size := len(d.payload)
 	n.traffic.Messages++
 	n.traffic.Bytes += uint64(size)
 	n.perNode[int(src)].Messages++
@@ -322,10 +390,8 @@ func (n *Network) Send(src, dst wire.NodeID, payload []byte) {
 			n.ctr.late.Inc()
 		}
 	}
-	d := n.getDelivery()
-	d.src, d.dst, d.ep = src, dst, n.nodes[int(dst)].epoch
-	d.payload = append(d.payload[:0], payload...)
-	n.sim.Schedule(arrival, d.fire)
+	d.ep = n.nodes[int(dst)].epoch
+	n.sim.ScheduleLane(int(dst), arrival, d.fire)
 }
 
 // Traffic returns a snapshot of the aggregate traffic counters.
@@ -373,15 +439,32 @@ func (p *Port) SetHandler(h func(src wire.NodeID, payload []byte)) {
 
 // Detach removes this node from the network.
 func (p *Port) Detach() {
-	p.net.Detach(p.id)
+	n := p.net
+	if !n.windowed {
+		n.Detach(p.id)
+		return
+	}
+	if ns := &n.nodes[int(p.id)]; !ns.detached && !ns.gone {
+		ns.gone = true
+		ns.log = append(ns.log, op{kind: opDetach})
+	}
 }
 
-// After schedules fn after the given virtual delay.
+// After schedules fn after the given virtual delay as an event of this
+// node's lane. Once EnableLanes promised a lookahead, the delay must not
+// be shorter than it.
 func (p *Port) After(d time.Duration, fn func()) {
-	p.net.After(d, fn)
+	n := p.net
+	if n.windowed {
+		ns := &n.nodes[int(p.id)]
+		ns.log = append(ns.log, op{kind: opAfter, after: d, fn: fn})
+		return
+	}
+	n.sim.ScheduleLane(int(p.id), n.sim.Now()+d, fn)
 }
 
-// Now returns the current virtual time.
+// Now returns the virtual time as this node sees it: the time of its
+// lane's firing event.
 func (p *Port) Now() time.Duration {
-	return p.net.Now()
+	return p.net.sim.LaneNow(int(p.id))
 }

@@ -28,8 +28,9 @@ type Options struct {
 }
 
 // Tracer records the round-structured event stream of one run. All methods
-// are safe on a nil receiver (no-ops) and safe for concurrent use: the
-// simulator is single-threaded, but the TCP deployment records from its
+// are safe on a nil receiver (no-ops) and safe for concurrent use: a traced
+// simulation fires its events one at a time (deploy turns the lane
+// executor off under Trace), but the TCP deployment records from its
 // event-loop goroutines.
 type Tracer struct {
 	mu        sync.Mutex

@@ -18,12 +18,21 @@
 // sequence), so neither the calendar tier nor the hand-rolled fallback
 // heap changes the order events fire in and simulation determinism is
 // unaffected.
+//
+// Events may be tagged with a lane (ScheduleLane): the node whose state
+// the callback touches. When the lanes' owner promises a lookahead
+// (SetLanes), Run fires one lookahead window of lane events at a time,
+// the lanes of a busy window side by side on a worker pool, and commits
+// what they did in the serial (time, sequence) order — see lanes.go.
 package vclock
 
 import (
 	"cmp"
 	"errors"
+	"runtime"
 	"slices"
+	"sync"
+	"sync/atomic"
 	"time"
 )
 
@@ -46,9 +55,15 @@ func (e *Event) Cancelled() bool { return e.fn == nil && !e.fired }
 // At returns the virtual time at which the event is (or was) scheduled.
 func (e *Event) At() time.Duration { return e.at }
 
-// Sim is a single-threaded discrete-event simulator. It is not safe for
-// concurrent use; protocols built on it run as event callbacks on one
-// goroutine, which is what makes large topologies cheap.
+// Sim is a discrete-event simulator owned by one goroutine: every method
+// is called from the goroutine that calls Run, from the callbacks of
+// untagged events, or between runs. Untagged events fire on that
+// goroutine, alone, in (time, sequence) order. Lane events fire in the
+// same order as far as anything they touch can tell, but those of
+// different lanes may run at once on Run's worker pool, so a lane
+// callback touches only its own lane's state, reads the clock with
+// LaneNow, and reaches everything shared — this Sim included — through
+// the lanes' owner (see Lanes).
 type Sim struct {
 	now       time.Duration
 	queue     eventQueue
@@ -58,6 +73,25 @@ type Sim struct {
 	limit     time.Duration // 0 means no limit
 	fired     uint64
 	trace     uint64
+
+	// Lane execution; see lanes.go.
+	owner     Lanes
+	lookahead time.Duration
+	// windowEnd is the exclusive end of the window being fired or
+	// committed, 0 between windows: nothing may be scheduled before it.
+	windowEnd time.Duration
+	lanes     []laneState
+	order     []int32 // lane of every event of the window, in pop order
+	active    []int32 // lanes with an event in the window, by first event
+	procs     int     // GOMAXPROCS, read once per Run
+	// parallel is set while workers fire a window: LaneNow then answers
+	// from the lane, not from now. Written only while the workers park.
+	parallel bool
+	wake     []chan struct{} // one per started worker besides Run's goroutine
+	claim    atomic.Int32    // next unclaimed index of active
+	windowWG sync.WaitGroup  // workers still firing the current window
+	exitWG   sync.WaitGroup  // workers not yet returned
+	nPar     uint64
 }
 
 // SetHorizon hints the timescale most events are scheduled on: d should
@@ -118,8 +152,7 @@ func (s *Sim) At(t time.Duration, fn func()) *Event {
 		t = s.now
 	}
 	e := &Event{at: t, fn: fn}
-	s.queue.push(entry{at: t, seq: s.nextSeq, e: e})
-	s.nextSeq++
+	s.push(entry{at: t, e: e}, 0)
 	return e
 }
 
@@ -139,8 +172,18 @@ func (s *Sim) Schedule(t time.Duration, fn func()) {
 	if t < s.now {
 		t = s.now
 	}
-	s.queue.push(entry{at: t, seq: s.nextSeq, fn: fn})
+	s.push(entry{at: t, fn: fn}, 0)
+}
+
+// push stamps the entry with the next sequence number and its lane tag
+// (lane plus one; 0 for an untagged event) and queues it.
+func (s *Sim) push(en entry, tag uint64) {
+	if en.at < s.windowEnd {
+		panic("vclock: event scheduled inside the lookahead window being fired")
+	}
+	en.seq = s.nextSeq<<laneBits | tag
 	s.nextSeq++
+	s.queue.push(en)
 }
 
 // ScheduleAfter is Schedule with a delay relative to now.
@@ -159,7 +202,8 @@ func (s *Sim) Cancel(e *Event) {
 	s.cancelled++
 }
 
-// Stop aborts Run at the next event boundary.
+// Stop aborts Run at the next event boundary. Like every method it
+// belongs to Run's goroutine: call it from an untagged event.
 func (s *Sim) Stop() { s.stopped = true }
 
 // Pending returns the number of live (non-cancelled) events still queued.
@@ -207,7 +251,7 @@ func (s *Sim) Step() bool {
 			en.e.fired = true
 		}
 		s.now = en.at
-		s.traceFire(en.at, en.seq)
+		s.traceFire(en.at, en.number())
 		fn()
 		return true
 	}
@@ -239,15 +283,20 @@ func (s *Sim) fire(en entry) {
 		en.e.fired = true
 	}
 	s.now = en.at
-	s.traceFire(en.at, en.seq)
+	s.traceFire(en.at, en.number())
 	fn()
 }
 
 // Run fires events until the queue drains, a deadline set with SetDeadline
 // is reached, or Stop is called. It returns ErrStopped only in the explicit
-// Stop case.
+// Stop case. An untagged event, or any event while no lookahead is set,
+// fires alone; otherwise the lane events of one lookahead window fire
+// together (fireWindow). The workers a busy window needs start inside Run
+// and have returned when Run does.
 func (s *Sim) Run() error {
 	s.stopped = false
+	s.procs = runtime.GOMAXPROCS(0)
+	defer s.stopWorkers()
 	for {
 		head := s.livePeek()
 		if head == nil {
@@ -260,13 +309,17 @@ func (s *Sim) Run() error {
 			s.now = s.limit
 			return nil
 		}
-		s.fire(s.queue.popKnownHead(head))
+		if head.laneTag() == 0 || s.lookahead <= 0 {
+			s.fire(s.queue.popKnownHead(head))
+			continue
+		}
+		s.fireWindow(head)
 	}
 }
 
 // RunUntil fires events until the clock reaches the given virtual time or
-// the queue drains. The clock is left at t (or beyond the last event) and
-// never exceeds t.
+// the queue drains, one event at a time on the calling goroutine. The
+// clock is left at t (or beyond the last event) and never exceeds t.
 func (s *Sim) RunUntil(t time.Duration) {
 	for {
 		head := s.livePeek()
@@ -285,12 +338,29 @@ func (s *Sim) RunUntil(t time.Duration) {
 // event simulations the pointer chase was the dominant cost. Exactly one
 // of fn (a Schedule entry) and e (an At entry, cancellable through the
 // handle) is set.
+//
+// seq is the tie-break key: the event's sequence number in the high bits
+// and, below it, its lane tag — the lane plus one, 0 for an untagged event.
+// Sequence numbers are unique, so the tag never decides a comparison; it
+// rides in the key because a fifth field would grow every queued entry
+// from 32 to 40 bytes, and entries straddling cache lines cost the
+// calendar's scattered appends more than the tag is worth.
 type entry struct {
 	at  time.Duration
 	seq uint64
 	fn  func()
 	e   *Event
 }
+
+// laneBits is the width of the lane tag in entry.seq: room for a million
+// lanes, and 2^44 events in one simulator's life.
+const laneBits = 20
+
+// number returns the event's sequence number.
+func (en *entry) number() uint64 { return en.seq >> laneBits }
+
+// laneTag returns the event's lane plus one, 0 for an untagged event.
+func (en *entry) laneTag() uint64 { return en.seq & (1<<laneBits - 1) }
 
 // Calendar-tier geometry: the horizon hint is split into
 // bucketsPerHorizon windows (width rounded up to a power of two), and

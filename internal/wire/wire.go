@@ -259,9 +259,13 @@ func Decode(data []byte) (*Message, error) {
 // overwriting every field. It exists for the runtime's receive path,
 // which decodes each delivered message into one per-peer scratch Message
 // instead of allocating one per delivery — the dominant allocation of a
-// broadcast round before it was pooled. Semantics are identical to
-// Decode (Set and Sigs come out nil when absent); on error m is left
-// partially overwritten and must not be used.
+// broadcast round before it was pooled. Set, Sigs and the signatures in
+// Sigs are decoded into the capacity m already has, so a scratch that
+// has seen a FINAL decodes the next one without allocating; whoever
+// keeps a decoded message past the next DecodeInto into the same
+// Message must copy them (Clone). A section absent from the encoding
+// comes out with length zero — nil when m had none, as in Decode. On
+// error m is left partially overwritten and must not be used.
 func DecodeInto(m *Message, data []byte) error {
 	if len(data) < headerSize {
 		return ErrTruncated
@@ -295,40 +299,42 @@ func DecodeInto(m *Message, data []byte) error {
 	off += 2
 	sigLen := int(binary.LittleEndian.Uint16(data[off:]))
 	off += 2
-	m.Set = nil
-	m.Sigs = nil
-	if setLen > 0 {
+	m.Set = m.Set[:0]
+	if setLen > cap(m.Set) {
 		m.Set = make([]SetEntry, 0, setLen)
-		for i := 0; i < setLen; i++ {
-			if len(data)-off < 4+ValueSize {
-				return ErrTruncated
-			}
-			var e SetEntry
-			e.Initiator = NodeID(binary.LittleEndian.Uint32(data[off:]))
-			off += 4
-			copy(e.Value[:], data[off:off+ValueSize])
-			off += ValueSize
-			m.Set = append(m.Set, e)
-		}
 	}
-	if sigLen > 0 {
-		m.Sigs = make([]SigEntry, 0, sigLen)
-		for i := 0; i < sigLen; i++ {
-			if len(data)-off < 5 {
-				return ErrTruncated
-			}
-			var s SigEntry
-			s.Signer = NodeID(binary.LittleEndian.Uint32(data[off:]))
-			off += 4
-			n := int(data[off])
-			off++
-			if len(data)-off < n {
-				return ErrTruncated
-			}
-			s.Signature = append([]byte(nil), data[off:off+n]...)
-			off += n
-			m.Sigs = append(m.Sigs, s)
+	for i := 0; i < setLen; i++ {
+		if len(data)-off < 4+ValueSize {
+			return ErrTruncated
 		}
+		var e SetEntry
+		e.Initiator = NodeID(binary.LittleEndian.Uint32(data[off:]))
+		off += 4
+		copy(e.Value[:], data[off:off+ValueSize])
+		off += ValueSize
+		m.Set = append(m.Set, e)
+	}
+	// Entries past the old length keep their Signature buffers; reslicing
+	// to the full capacity brings them back for reuse.
+	sigs := m.Sigs[:cap(m.Sigs)]
+	if sigLen > len(sigs) {
+		sigs = append(sigs, make([]SigEntry, sigLen-len(sigs))...)
+	}
+	m.Sigs = sigs[:sigLen]
+	for i := range m.Sigs {
+		if len(data)-off < 5 {
+			return ErrTruncated
+		}
+		s := &m.Sigs[i]
+		s.Signer = NodeID(binary.LittleEndian.Uint32(data[off:]))
+		off += 4
+		n := int(data[off])
+		off++
+		if len(data)-off < n {
+			return ErrTruncated
+		}
+		s.Signature = append(s.Signature[:0], data[off:off+n]...)
+		off += n
 	}
 	if off != len(data) {
 		return ErrTrailing

@@ -84,6 +84,61 @@ func TestEncodeDecodeRoundTrip(t *testing.T) {
 	}
 }
 
+// TestDecodeIntoReusesSections pins the scratch contract of DecodeInto:
+// one Message decodes a FINAL, a message with no sections, a signature
+// chain and a longer FINAL in turn, every result re-encodes to its input,
+// and once the scratch has seen the sizes the decodes allocate nothing.
+func TestDecodeIntoReusesSections(t *testing.T) {
+	final := func(n int) *Message {
+		m := &Message{Type: TypeFinal, Sender: 2, Initiator: 2, Round: 10}
+		for i := 0; i < n; i++ {
+			m.Set = append(m.Set, SetEntry{Initiator: NodeID(i), Value: Value{byte(i + 1)}})
+		}
+		return m
+	}
+	msgs := []*Message{
+		final(3),
+		sampleMessage(),
+		{Type: TypeSigRelay, Sender: 6, Round: 2, Sigs: []SigEntry{
+			{Signer: 0, Signature: bytes.Repeat([]byte{1}, 64)},
+			{Signer: 6, Signature: bytes.Repeat([]byte{2}, 48)},
+		}},
+		{Type: TypeSigRelay, Sender: 6, Round: 1, Sigs: []SigEntry{{Signer: 0, Signature: []byte{7}}}},
+		final(5),
+	}
+	var encs [][]byte
+	for _, m := range msgs {
+		enc, err := m.Encode()
+		if err != nil {
+			t.Fatal(err)
+		}
+		encs = append(encs, enc)
+	}
+	var scratch Message
+	pass := func() {
+		for i, enc := range encs {
+			if err := DecodeInto(&scratch, enc); err != nil {
+				t.Fatalf("message %d: %v", i, err)
+			}
+			again, err := scratch.Encode()
+			if err != nil || !bytes.Equal(again, enc) {
+				t.Fatalf("message %d decoded to %+v (re-encode error %v)", i, &scratch, err)
+			}
+		}
+	}
+	pass()
+	if allocs := testing.AllocsPerRun(10, func() {
+		for _, enc := range encs {
+			if err := DecodeInto(&scratch, enc); err != nil {
+				t.Fatal(err)
+			}
+		}
+	}); allocs != 0 {
+		t.Fatalf("warm DecodeInto allocated %.0f times per pass, want 0", allocs)
+	}
+	pass()
+}
+
 func TestWireSizesMatchPaper(t *testing.T) {
 	// The paper reports INIT around 100 bytes and ACK around 80 bytes.
 	// Our plaintext encoding must stay in that ballpark so the traffic
