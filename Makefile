@@ -3,7 +3,7 @@
 
 GO ?= go
 
-.PHONY: build test vet race chaos benchsmoke lint obs-smoke scenario-smoke obs-live-smoke verify bench-compare clean
+.PHONY: build test vet race chaos benchsmoke lint obs-smoke scenario-smoke obs-live-smoke figures-check verify bench-compare clean
 
 build:
 	$(GO) build ./...
@@ -79,28 +79,36 @@ scenario-smoke:
 	for f in "$$dir"/*/merged.jsonl; do \
 		$(GO) run ./cmd/p2ptrace -check "$$f" || exit 1; done
 
-# obs-live-smoke is the live observability plane check (DESIGN.md §15):
-# run a small fleet with -stream on, so every node streams its telemetry
-# events, metric deltas and resource-probe gauges over the control
-# connection while running; the runner asserts stream parity (streamed ≡
-# exit-dumped events) as an invariant and archives streamed.jsonl, which
-# is then schema-checked and span-reconstructed — the full path from
-# per-process BeginSpan to the cross-process hop histogram.
+# obs-live-smoke is the live observability plane check (DESIGN.md §10):
+# run a small fleet with -stream on, so every node's exporter feeds its
+# trace file and, over the control connection, the runner's live view
+# (events, metric deltas, resource-probe gauges). The run's one event
+# archive, merged.jsonl, is then schema-checked and span-reconstructed —
+# the full path from per-process BeginSpan to the cross-process hop
+# histogram.
 obs-live-smoke:
 	@dir=$$(mktemp -d) && trap 'rm -rf "$$dir"' EXIT && \
 	$(GO) build -o "$$dir/p2pnode" ./cmd/p2pnode && \
 	$(GO) run ./cmd/p2pscenario -node-bin "$$dir/p2pnode" -out "$$dir" -keep \
 		-stream -testcase erb-honest -instances 4 -param delta=300ms \
 		scenarios/honest-sweep.toml && \
-	$(GO) run ./cmd/p2ptrace -check "$$dir"/*/streamed.jsonl && \
-	$(GO) run ./cmd/p2ptrace -spans "$$dir"/*/streamed.jsonl
+	$(GO) run ./cmd/p2ptrace -check "$$dir"/*/merged.jsonl && \
+	$(GO) run ./cmd/p2ptrace -spans "$$dir"/*/merged.jsonl
+
+# figures-check regenerates every table and figure at default scale and
+# compares the output byte for byte with the recorded golden (the sweeps
+# are deterministic for a fixed seed at any GOMAXPROCS). An intended
+# change re-records it:
+#   go run ./cmd/p2pexp -experiment all > cmd/p2pexp/testdata/all.golden
+figures-check:
+	$(GO) run ./cmd/p2pexp -experiment all -check cmd/p2pexp/testdata/all.golden
 
 # verify is the tier-1 gate: build, vet, full test suite, race subset,
 # chaos fault-injection suite, one-iteration benchmark smoke run, the
 # project lint battery, the traced-replay determinism smoke, the
-# multi-process scenario smoke, and the live-streaming observability
-# smoke.
-verify: build vet test race chaos benchsmoke lint obs-smoke scenario-smoke obs-live-smoke
+# multi-process scenario smoke, the live-streaming observability smoke,
+# and the figures golden check.
+verify: build vet test race chaos benchsmoke lint obs-smoke scenario-smoke obs-live-smoke figures-check
 
 # bench-compare is the regression gate over the repo benchmark
 # (BENCHMARK.json, bench/README.md): run the whole suite on this tree

@@ -6,12 +6,19 @@
 //	p2pexp -experiment all            # everything, default scale
 //	p2pexp -experiment fig2a -full    # one figure at paper scale
 //	p2pexp -experiment tab1 -csv      # machine-readable output
+//	p2pexp -experiment all -check cmd/p2pexp/testdata/all.golden
+//
+// -check compares the output byte for byte with a recorded file instead
+// of printing it (the tables are deterministic for a fixed seed at any
+// GOMAXPROCS); an intended change re-records the file by redirecting the
+// same command without -check into it.
 //
 // Experiment ids: fig2a fig2b fig2c fig3a fig3b fig3c tab1 tab2 sanitize
 // bias ablate chaos (see DESIGN.md for the per-experiment index).
 package main
 
 import (
+	"bytes"
 	"flag"
 	"fmt"
 	"io"
@@ -23,6 +30,7 @@ import (
 
 	"sgxp2p/internal/chaos"
 	"sgxp2p/internal/experiments"
+	"sgxp2p/internal/telemetry"
 )
 
 func main() {
@@ -47,6 +55,7 @@ func run(args []string) error {
 		traceProto = fs.String("trace-proto", "erb", "traced replay protocol: erb, erng or erng-opt")
 		traceN     = fs.Int("trace-n", 9, "traced replay network size")
 		list       = fs.Bool("list", false, "list experiment ids and exit")
+		check      = fs.String("check", "", "compare the output byte for byte with this recorded file instead of printing it")
 		cpuprofile = fs.String("cpuprofile", "", "write a CPU profile of the sweep to this file")
 		memprofile = fs.String("memprofile", "", "write a heap profile taken after the sweep to this file")
 	)
@@ -125,22 +134,50 @@ func run(args []string) error {
 		if err != nil {
 			return err
 		}
-		tbl.Notes = append(tbl.Notes, fmt.Sprintf("generated in %.1fs wall-clock", time.Since(start).Seconds()))
+		if *check == "" {
+			tbl.Notes = append(tbl.Notes, fmt.Sprintf("generated in %.1fs wall-clock", time.Since(start).Seconds()))
+		}
 		tables = []*experiments.Table{tbl}
 	}
 
+	var out io.Writer = os.Stdout
+	var got bytes.Buffer
+	if *check != "" {
+		out = &got
+	}
 	for _, tbl := range tables {
 		if *csv {
-			if err := tbl.CSV(os.Stdout); err != nil {
+			if err := tbl.CSV(out); err != nil {
 				return err
 			}
 			continue
 		}
-		if err := tbl.Render(os.Stdout); err != nil {
+		if err := tbl.Render(out); err != nil {
 			return err
 		}
 	}
+	if *check != "" {
+		return checkGolden(*check, got.Bytes())
+	}
 	return nil
+}
+
+// checkGolden fails with the first diverging line unless got is
+// byte-identical to the recorded file.
+func checkGolden(path string, got []byte) error {
+	want, err := os.ReadFile(path)
+	if err != nil {
+		return err
+	}
+	if bytes.Equal(got, want) {
+		fmt.Printf("output matches %s (%d bytes)\n", path, len(want))
+		return nil
+	}
+	line, wantLine, gotLine, err := telemetry.DiffLines(bytes.NewReader(want), bytes.NewReader(got))
+	if err != nil {
+		return err
+	}
+	return fmt.Errorf("output diverges from %s at line %d:\n  recorded: %s\n  this run: %s", path, line, wantLine, gotLine)
 }
 
 // tracedRun executes one seeded chaos replay with telemetry enabled and

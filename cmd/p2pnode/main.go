@@ -109,7 +109,7 @@ func run(args []string) error {
 		connectTO  = fs.Duration("connect-timeout", 10*time.Second, "preflight: every peer must accept a TCP connection within this window")
 		noPref     = fs.Bool("no-preflight", false, "skip the peer reachability preflight")
 		demoSecret = fs.Int64("demo-secret", 42, "shared demo attestation seed (all nodes must agree)")
-		tracePath  = fs.String("trace", "", "write this node's telemetry event stream (JSONL) to a file on exit")
+		tracePath  = fs.String("trace", "", "append this node's telemetry event stream (JSONL) to a file as the run proceeds")
 		metricsOut = fs.String("metrics-out", "", "write this node's metrics in Prometheus text format to a file on exit")
 		resultOut  = fs.String("result-out", "", "write this node's per-epoch results as JSON to a file on exit")
 		stream     = fs.Bool("stream", false, "stream telemetry events and metric deltas over the control connection during the run (-control mode)")
@@ -176,8 +176,8 @@ func run(args []string) error {
 
 	// Telemetry rides on the port's logical clock (time since the shared
 	// start instant), so traces from different nodes of one run line up.
-	// Streaming implies a tracer and registry even without the dump flags:
-	// the live plane's whole point is observing a node that never dumps.
+	// Streaming implies a tracer and registry even without the file flags:
+	// the live plane's whole point is observing a node as it runs.
 	var trace *telemetry.Tracer
 	var metrics *telemetry.Metrics
 	if *tracePath != "" || *stream {
@@ -198,32 +198,26 @@ func run(args []string) error {
 			},
 		})
 	}
-	var exporter *streamer
-	if *stream {
-		exporter = startStreamer(ctrl, trace, metrics, *tracePath == "")
-	}
 	watchProfileRequests(ctrl, *profileDir, *id)
-	// stopLive quiesces the live plane in dependency order: the probe's
-	// final sample lands in the registry, then the exporter's final drain
-	// ships it. Idempotent, so the success, failure and signal paths can
-	// all run it.
-	stopLive := func() {
-		probe.Stop()
-		exporter.Stop()
-	}
+	var exp *exporter // started below, once fail exists to report a bad -trace path
 	results := &nodeResult{ID: *id, Mode: *mode, N: *n, T: *t, Byz: int(self) < *chainLen}
-	// dump is serialized: the signal handler below may run it concurrently
-	// with the main goroutine's exit path, and both must see a quiesced
-	// live plane and whole files.
+	// dump quiesces the live plane in dependency order — the probe's final
+	// sample lands in the registry, then the exporter's final drain ships
+	// it and completes the trace file — and writes the exit artifacts. It
+	// is idempotent and serialized: the signal handler below may run it
+	// concurrently with the main goroutine's exit path, and both must see
+	// a quiesced live plane and whole files.
 	var dumpMu sync.Mutex
 	dump := func() error {
 		dumpMu.Lock()
 		defer dumpMu.Unlock()
-		stopLive()
-		if trace != nil && *tracePath != "" {
-			if werr := writeExport(*tracePath, trace.ExportJSONL); werr != nil {
-				return werr
-			}
+		probe.Stop()
+		xerr := exp.Stop()
+		if exp != nil {
+			fmt.Printf("node %d: telemetry: %d events exported, %d export errors\n", self, exp.cursor-exp.failed, exp.failed)
+		}
+		if xerr != nil {
+			return xerr
 		}
 		if metrics != nil && *metricsOut != "" {
 			if werr := writeExport(*metricsOut, metrics.ExportPrometheus); werr != nil {
@@ -240,7 +234,7 @@ func run(args []string) error {
 		}
 		return nil
 	}
-	// fail dumps whatever telemetry exists before returning the error, so
+	// fail flushes whatever telemetry exists before returning the error, so
 	// a run that never gets off the ground still leaves its trace behind —
 	// plus a heap snapshot when profiling is on, so a FAIL is diagnosable
 	// even if the orchestrator never sends PROF.
@@ -254,11 +248,23 @@ func run(args []string) error {
 		}
 		return ferr
 	}
+	if trace != nil {
+		var traceFile *os.File
+		if *tracePath != "" {
+			if traceFile, err = os.Create(*tracePath); err != nil {
+				return fail(err)
+			}
+		}
+		var streamTo *controlConn
+		if *stream {
+			streamTo = ctrl
+		}
+		exp = startExporter(trace, metrics, traceFile, streamTo)
+	}
 
 	// A terminating signal flushes before exiting: churn phases and manual
 	// interrupts get the same artifacts as a clean run. (SIGKILL cannot be
-	// caught — there the streamed prefix at the orchestrator is all that
-	// survives, which is exactly what live export is for.)
+	// caught — there the trace file ends at the exporter's last drain.)
 	sigc := make(chan os.Signal, 2)
 	signal.Notify(sigc, syscall.SIGTERM, os.Interrupt)
 	go func() {
@@ -362,8 +368,9 @@ func run(args []string) error {
 		return fail(runErr)
 	}
 	// Artifacts before DONE: the orchestrator may reap the fleet the
-	// moment the last node reports, so the trace and result files must
-	// already be on disk when the control message leaves.
+	// moment the last node reports, so the final drain must have reached
+	// the trace file, and the result file must be on disk, when the
+	// control message leaves.
 	if derr := dump(); derr != nil {
 		return fail(derr)
 	}
@@ -582,7 +589,7 @@ func applyShaping(port *tcpnet.Port, spec string, n int) error {
 // line-oriented TCP conversation (READY → PEERS+START → DONE/FAIL),
 // which in -stream mode also multiplexes live telemetry (EV/MT lines
 // node→runner) and profile requests (PROF lines runner→node). The write
-// mutex keeps the streamer's lines whole against DONE/FAIL.
+// mutex keeps the exporter's lines whole against DONE/FAIL.
 type controlConn struct {
 	conn net.Conn
 	rd   *bufio.Reader

@@ -11,104 +11,137 @@ import (
 	"sgxp2p/internal/telemetry"
 )
 
-// streamInterval is how often the live exporter drains new telemetry
-// onto the control connection. Short enough that the orchestrator's
-// per-round percentiles track the fleet live, long enough that a node
-// writes a handful of syscalls per round, not per event.
-const streamInterval = 200 * time.Millisecond
+// exportInterval is how often the exporter drains new telemetry into its
+// sinks. Short enough that the orchestrator's per-round percentiles track
+// the fleet live and a SIGKILLed node's file ends within a fraction of a
+// round of its death, long enough that a node issues a handful of writes
+// per round, not per event.
+const exportInterval = 200 * time.Millisecond
 
-// streamer is the live telemetry exporter: a goroutine that polls the
-// tracer's event stream and the metrics registry and writes what changed
-// to the scenario control connection, framed one record per line:
+// exporter is the node's one telemetry exporter: a goroutine that drains
+// the tracer with a Since cursor, feeds every configured sink and releases
+// what it shipped, so the tracer holds at most one interval's events.
+//
+// file is the -trace sink: each drain's events are appended as whole JSONL
+// lines in one Write, so the file is strictly parseable after any drain —
+// a SIGKILLed node leaves everything up to its last one.
+//
+// ctrl is the -stream sink: the same lines framed onto the scenario
+// control connection, plus the metric rows whose value changed:
 //
 //	EV <seq> <event-jsonl>          sequence-numbered trace events
 //	MT <seq> <kind> <name> <value>  metric rows whose value changed
 //
 // The event seq is the tracer's own stream sequence (telemetry.Event.Seq),
-// so the orchestrator can detect gaps and deduplicate re-sent prefixes
-// after a reconnect (MergeEvents is Seq-aware). The exporter never blocks
-// the protocol: it reads snapshots outside the runtime's event loop and
-// owns no locks the hot path touches.
-type streamer struct {
-	ctrl    *controlConn
+// so a consumer can detect gaps. The exporter never blocks the protocol: it
+// reads snapshots outside the runtime's event loop and owns no locks the
+// hot path touches. Stop runs the final drain; the exit, FAIL and SIGTERM
+// paths all go through it.
+type exporter struct {
 	trace   *telemetry.Tracer
 	metrics *telemetry.Metrics
+	file    *os.File     // nil without -trace
+	ctrl    *controlConn // nil without -stream
+	errs    *telemetry.Counter
 
 	stop chan struct{}
 	done chan struct{}
 	once sync.Once
 
-	cursor  uint64
-	mseq    uint64
-	last    map[string]float64
-	release bool
+	cursor uint64
+	failed uint64 // events MarshalEvent rejected: holes in every sink
+	err    error  // first file write/close error
+	buf    []byte
+	mseq   uint64
+	last   map[string]float64
 }
 
-// startStreamer begins live export. Returns nil when there is no control
-// connection to stream over. release marks stream-only mode (no -trace
-// exit dump): shipped event prefixes are released from the tracer so a
-// long run's memory stays bounded by the flush interval, not the run.
-func startStreamer(ctrl *controlConn, trace *telemetry.Tracer, metrics *telemetry.Metrics, release bool) *streamer {
-	if ctrl == nil {
-		return nil
-	}
-	s := &streamer{
-		ctrl: ctrl, trace: trace, metrics: metrics,
+// startExporter begins draining trace into file and ctrl (either may be
+// nil, not both).
+func startExporter(trace *telemetry.Tracer, metrics *telemetry.Metrics, file *os.File, ctrl *controlConn) *exporter {
+	e := &exporter{
+		trace: trace, metrics: metrics, file: file, ctrl: ctrl,
+		errs: metrics.Counter("telemetry_export_errors_total"),
 		stop: make(chan struct{}), done: make(chan struct{}),
-		last: make(map[string]float64), release: release,
+		last: make(map[string]float64),
 	}
-	go s.loop()
-	return s
+	go e.loop()
+	return e
 }
 
-func (s *streamer) loop() {
-	defer close(s.done)
-	t := time.NewTicker(streamInterval)
+func (e *exporter) loop() {
+	defer close(e.done)
+	t := time.NewTicker(exportInterval)
 	defer t.Stop()
 	for {
 		select {
 		case <-t.C:
-			s.flush()
-		case <-s.stop:
-			s.flush()
+			e.drain()
+		case <-e.stop:
+			e.drain()
+			if e.file != nil {
+				e.keepErr(e.file.Close())
+			}
 			return
 		}
 	}
 }
 
-// flush drains every event recorded since the last flush and every
-// metric row whose value changed.
-func (s *streamer) flush() {
-	for _, ev := range s.trace.Since(s.cursor) {
-		s.cursor++
-		line, err := telemetry.MarshalEvent(ev)
-		if err != nil {
-			continue
-		}
-		s.ctrl.StreamEvent(ev.Seq, line)
-	}
-	if s.release {
-		s.trace.Release(s.cursor)
-	}
-	for _, mv := range s.metrics.Snapshot() {
-		k := mv.Kind + " " + mv.Name
-		if prev, seen := s.last[k]; seen && prev == mv.Value {
-			continue
-		}
-		s.last[k] = mv.Value
-		s.mseq++
-		s.ctrl.StreamMetric(s.mseq, mv)
+func (e *exporter) keepErr(err error) {
+	if e.err == nil {
+		e.err = err
 	}
 }
 
-// Stop drains one final time and halts the exporter. Safe on nil and
-// safe to call twice — the fail path and the signal handler both run it.
-func (s *streamer) Stop() {
-	if s == nil {
+// drain ships every event recorded since the last drain to each sink,
+// releases them, and streams every metric row whose value changed.
+func (e *exporter) drain() {
+	events := e.trace.Since(e.cursor)
+	e.buf = e.buf[:0]
+	for _, ev := range events {
+		line, err := telemetry.MarshalEvent(ev)
+		if err != nil {
+			e.failed++
+			e.errs.Inc()
+			continue
+		}
+		if e.file != nil {
+			e.buf = append(append(e.buf, line...), '\n')
+		}
+		if e.ctrl != nil {
+			e.ctrl.StreamEvent(ev.Seq, line)
+		}
+	}
+	if len(e.buf) > 0 {
+		_, werr := e.file.Write(e.buf)
+		e.keepErr(werr)
+	}
+	e.cursor += uint64(len(events))
+	e.trace.Release(e.cursor)
+	if e.ctrl == nil {
 		return
 	}
-	s.once.Do(func() { close(s.stop) })
-	<-s.done
+	for _, mv := range e.metrics.Snapshot() {
+		k := mv.Kind + " " + mv.Name
+		if prev, seen := e.last[k]; seen && prev == mv.Value {
+			continue
+		}
+		e.last[k] = mv.Value
+		e.mseq++
+		e.ctrl.StreamMetric(e.mseq, mv)
+	}
+}
+
+// Stop drains one final time, closes the trace file and halts the
+// exporter, returning the first file error of the run. Safe on nil and
+// safe to call twice — the fail path and the signal handler both run it.
+func (e *exporter) Stop() error {
+	if e == nil {
+		return nil
+	}
+	e.once.Do(func() { close(e.stop) })
+	<-e.done
+	return e.err
 }
 
 // watchProfileRequests reads control lines after the barrier released us:

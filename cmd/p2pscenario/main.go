@@ -17,7 +17,8 @@
 // -stream turns on the live observability plane: every node streams its
 // telemetry events (with causal span hops) and metric deltas over the
 // control connection while running, and the runner reports per-round
-// fleet percentiles live and archives aggregate.jsonl + streamed.jsonl.
+// fleet percentiles live and writes aggregate.jsonl; the events
+// themselves are in merged.jsonl, streamed or not.
 // -profile arms pprof-on-violation captures for wedged nodes.
 //
 // The p2pnode binary is built automatically unless -node-bin points at a
@@ -71,7 +72,7 @@ func run(args []string) error {
 		keep      = fs.Bool("keep", false, "keep the artifact directory")
 		benchOut  = fs.String("bench", "", "run the live fig2a cross-check and write this BENCH json")
 		benchN    = fs.Int("bench-n", 128, "network size of the live bench point")
-		stream    = fs.Bool("stream", false, "live observability plane: nodes stream telemetry+metrics during the run, the runner aggregates per-round fleet percentiles and writes aggregate.jsonl/streamed.jsonl")
+		stream    = fs.Bool("stream", false, "live observability plane: nodes stream telemetry+metrics during the run, the runner aggregates per-round fleet percentiles and writes aggregate.jsonl")
 		profile   = fs.Bool("profile", false, "pprof-on-violation: wedged nodes get CPU+heap captures into <out>/profiles before the fleet is reaped")
 	)
 	fs.Var(params, "param", "parameter override key=value (repeatable)")

@@ -17,7 +17,7 @@
 //
 // -spans joins the seal/open/deliver/handle hop events of one or more
 // traces (a span-enabled run: p2pnode -spans, or the scenario runner's
-// merged/streamed archives) into cross-process happens-before chains and
+// merged.jsonl archive) into cross-process happens-before chains and
 // prints each hop's latency distribution.
 package main
 

@@ -9,7 +9,9 @@ import (
 // TestDocsNameOnlyThingsThatExist scans the documents that tell a reader
 // what to run for make targets, BENCH_*.json snapshots and cmd/
 // directories, and fails on any that is not in the tree — so retiring a
-// harness cannot leave instructions for it behind.
+// harness cannot leave instructions for it behind. Names retired with the
+// second telemetry path (the runner's streamed archive, the invariant that
+// compared it with the dumps, the tracer's ring option) may not reappear.
 func TestDocsNameOnlyThingsThatExist(t *testing.T) {
 	makefile, err := os.ReadFile("Makefile")
 	if err != nil {
@@ -32,6 +34,7 @@ func TestDocsNameOnlyThingsThatExist(t *testing.T) {
 		{"make target", regexp.MustCompile("(?m)(?:`|^)make ([a-z][a-z0-9-]*)"), func(n string) bool { return targets[n] }},
 		{"snapshot", regexp.MustCompile(`(BENCH_\w+\.json)`), exists},
 		{"command", regexp.MustCompile(`(cmd/[a-z0-9]+)`), exists},
+		{"retired name", regexp.MustCompile(`(streamed\.jsonl|stream-parity|Options\.Ring)`), func(string) bool { return false }},
 	}
 	for _, doc := range []string{"README.md", "DESIGN.md", "EXPERIMENTS.md", ".claude/skills/verify/SKILL.md"} {
 		text, err := os.ReadFile(doc)

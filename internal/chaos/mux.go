@@ -6,15 +6,8 @@ import (
 	"sgxp2p/internal/core/erb"
 	"sgxp2p/internal/deploy"
 	"sgxp2p/internal/runtime"
-	"sgxp2p/internal/telemetry"
 	"sgxp2p/internal/wire"
 )
-
-// muxFlightRing is the per-node flight-recorder capacity of multiplexed
-// chaos runs: with many instances interleaving on every node, the default
-// ring would hold only the last few events of any single instance, making
-// the per-instance violation dumps useless.
-const muxFlightRing = 4096
 
 // InstanceDecision is one node's decision for one multiplexed broadcast.
 type InstanceDecision struct {
@@ -56,8 +49,7 @@ func RunMuxERBSchedule(seed int64, n, t, k int, sched *Schedule) (*MuxOutcome, e
 		return nil, fmt.Errorf("chaos: need at least 1 broadcast, got %d", k)
 	}
 	eng := NewEngine(sched, seed)
-	trace := telemetry.New(telemetry.Options{Ring: muxFlightRing})
-	metrics := telemetry.NewMetrics()
+	trace, metrics := newRunTelemetry()
 	d, err := deploy.New(deploy.Options{N: n, T: t, Seed: seed, Wrap: eng.Wrap, Trace: trace, Metrics: metrics})
 	if err != nil {
 		return nil, err
@@ -218,12 +210,13 @@ func CheckMuxERB(o *MuxOutcome) error {
 }
 
 // violationAt is violation with an instance attribution: the embedded
-// flight dump is filtered to the offending instance's events, so the
-// evidence names one broadcast's timeline instead of the interleaved
-// traffic of every concurrent neighbor.
+// flight dump is the offending instance's whole timeline on that node —
+// filtered out of the full event stream, so it is exact however many
+// neighbor instances interleaved with it, and bounded by one broadcast's
+// events rather than by a line cap.
 func (o *Outcome) violationAt(property string, node wire.NodeID, instance uint32, format string, args ...any) error {
 	err := fmt.Errorf("chaos: %s violated: %s — %s", property, fmt.Sprintf(format, args...), o.Repro())
-	if flight := o.Trace.FlightInstanceString(node, instance, 12); flight != "" {
+	if flight := o.Trace.FlightInstanceString(node, instance); flight != "" {
 		err = fmt.Errorf("%w\nflight recorder, node %d, instance %d (last round %d):\n%s",
 			err, node, instance, o.Trace.LastRound(node), flight)
 	}

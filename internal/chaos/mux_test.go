@@ -109,3 +109,60 @@ func TestMuxViolationNamesInstance(t *testing.T) {
 		}
 	}
 }
+
+// TestMuxViolationTimelineIsExact checks that a violation's instance
+// timeline is read out of the full event stream: the first broadcast's
+// round-1 events are still in the dump although the same node recorded
+// more than 4096 events after them (a per-node ring of that size, which
+// this run used to have, had overwritten them).
+func TestMuxViolationTimelineIsExact(t *testing.T) {
+	const k = 800
+	o, err := RunMuxERB(31, 5, 2, k)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := CheckMuxERB(o); err != nil {
+		t.Fatalf("clean run failed checks: %v", err)
+	}
+	faulty := make(map[wire.NodeID]bool)
+	for _, id := range o.Faulty {
+		faulty[id] = true
+	}
+	node := wire.NodeID(o.N - 1)
+	for faulty[node] {
+		node--
+	}
+	inst := o.InstanceIDs[0]
+	flight := o.Trace.Flight(node)
+	first, own := -1, 0
+	for i, ev := range flight {
+		if ev.Instance != inst {
+			continue
+		}
+		if first < 0 {
+			first = i
+		}
+		own++
+	}
+	if first < 0 || flight[first].Round != 1 {
+		t.Fatalf("instance %d has no round-1 event on node %d", inst, node)
+	}
+	if later := len(flight) - first - 1; later <= 4096 {
+		t.Fatalf("only %d events follow the instance's first on node %d; the test needs > 4096", later, node)
+	}
+
+	o.Decisions[0][node].Value[0] ^= 0xFF
+	verr := CheckMuxERB(o)
+	if verr == nil {
+		t.Fatal("tampered outcome passed CheckMuxERB")
+	}
+	var timeline []string
+	for _, line := range strings.Split(verr.Error(), "\n") {
+		if strings.HasPrefix(line, "  r") {
+			timeline = append(timeline, line)
+		}
+	}
+	if len(timeline) != own || !strings.HasPrefix(timeline[0], "  r1 ") {
+		t.Fatalf("violation timeline has %d lines, want the instance's %d events from round 1 on:\n%s", len(timeline), own, verr)
+	}
+}

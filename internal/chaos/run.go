@@ -185,7 +185,7 @@ func RunERNGSchedule(seed int64, n, t int, optimized bool, sched *Schedule) (*Ou
 
 // newRunTelemetry builds the tracer and registry every chaos run records
 // into: the tracer is the single event stream the outcome's per-node
-// bookkeeping (LastRound, flight recorders) derives from.
+// bookkeeping (LastRound, violation timelines) derives from.
 func newRunTelemetry() (*telemetry.Tracer, *telemetry.Metrics) {
 	return telemetry.New(telemetry.Options{}), telemetry.NewMetrics()
 }

@@ -286,7 +286,7 @@ func TestMuxSerialEquivalenceERNG(t *testing.T) {
 // and returns the exported JSONL stream.
 func muxTraceRun(t *testing.T, seed int64) []byte {
 	t.Helper()
-	tracer := telemetry.New(telemetry.Options{Ring: 256})
+	tracer := telemetry.New(telemetry.Options{})
 	d, err := deploy.New(deploy.Options{N: 4, T: 1, Seed: seed, Trace: tracer})
 	if err != nil {
 		t.Fatal(err)

@@ -78,6 +78,10 @@ func runBasicERNG(cfg Config, n int) (erngRun, error) {
 		Bandwidth: cfg.bandwidth(),
 		Seed:      cfg.Seed,
 		// Paper-faithful per-message wire accounting (see runERBOpts).
+		// Not a leftover: batched, this epoch's fig2b termination, fig3b
+		// bytes and tab2 message count and fitted exponent (3.07 → 2.07,
+		// the O(N^3) evidence) all move — EXPERIMENTS.md "coalesce",
+		// verdict on the knob; `make figures-check` is the oracle.
 		DisableBatching: true,
 	})
 	if err != nil {
@@ -127,7 +131,8 @@ func runOptERNG(cfg Config, n int) (erngRun, error) {
 		Delta:     delta,
 		Bandwidth: cfg.bandwidth(),
 		Seed:      cfg.Seed,
-		// Paper-faithful per-message wire accounting (see runERBOpts).
+		// Paper-faithful per-message wire accounting; batched, fig3b and
+		// tab2 move (see runBasicERNG).
 		DisableBatching: true,
 	})
 	if err != nil {

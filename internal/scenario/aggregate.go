@@ -27,8 +27,11 @@ import (
 //   - metric gauges: the latest streamed value of every metric row per
 //     node, so resource pressure (the obsplane probe gauges) is visible
 //     next to protocol progress.
-//   - retained event streams per node, for the streamed-equals-dumped
-//     invariant and for span reconstruction over nodes that never dump.
+//   - the seq-gap count: stream lines that were lost or malformed.
+//
+// It retains no events — every node, a SIGKILLed one included, leaves its
+// own trace file, and merged.jsonl is the run's one event archive — so
+// its memory is O(nodes × rounds).
 //
 // Ingest runs on the barrier's per-connection goroutines; everything is
 // guarded by one mutex — the streams are a few lines per node per poll
@@ -38,7 +41,6 @@ type Aggregator struct {
 	n   int
 	log io.Writer
 
-	events  map[int][]telemetry.Event
 	metrics map[int]map[string]float64
 	rounds  map[uint32]map[int]time.Duration
 	seen    map[uint32]bool
@@ -51,7 +53,6 @@ type Aggregator struct {
 func NewAggregator(n int, log io.Writer) *Aggregator {
 	return &Aggregator{
 		n: n, log: log,
-		events:  make(map[int][]telemetry.Event, n),
 		metrics: make(map[int]map[string]float64, n),
 		rounds:  make(map[uint32]map[int]time.Duration),
 		seen:    make(map[uint32]bool),
@@ -96,7 +97,6 @@ func (a *Aggregator) ingestEvent(id int, rest string) {
 		a.gaps++
 	}
 	a.lastSeq[id] = seq
-	a.events[id] = append(a.events[id], ev)
 	if ev.Kind == telemetry.KindRound && int(ev.Node) == id {
 		byNode := a.rounds[ev.Round]
 		if byNode == nil {
@@ -175,30 +175,6 @@ func roundSkew(byNode map[int]time.Duration) skewStats {
 	}
 }
 
-// Streams returns a copy of the per-node streamed event slices, ready for
-// telemetry.MergeEvents. Safe to call after the fleet is gone.
-func (a *Aggregator) Streams() [][]telemetry.Event {
-	a.mu.Lock()
-	defer a.mu.Unlock()
-	ids := make([]int, 0, len(a.events))
-	for id := range a.events {
-		ids = append(ids, id)
-	}
-	sort.Ints(ids)
-	out := make([][]telemetry.Event, 0, len(ids))
-	for _, id := range ids {
-		out = append(out, append([]telemetry.Event(nil), a.events[id]...))
-	}
-	return out
-}
-
-// NodeEvents returns the events streamed by one node, in arrival order.
-func (a *Aggregator) NodeEvents(id int) []telemetry.Event {
-	a.mu.Lock()
-	defer a.mu.Unlock()
-	return append([]telemetry.Event(nil), a.events[id]...)
-}
-
 // Gaps reports how many malformed or out-of-sequence stream lines were
 // seen — nonzero under churn (a relaunch restarts its sequence), zero in
 // a clean run.
@@ -208,13 +184,9 @@ func (a *Aggregator) Gaps() int {
 	return a.gaps
 }
 
-// WriteArtifacts persists the aggregated views into outDir:
-//
-//	aggregate.jsonl  one line per completed round's skew percentiles,
-//	                 then one line per node's final streamed gauge set
-//	streamed.jsonl   the merged streamed event stream (same format as
-//	                 merged.jsonl, but built from live lines — for a
-//	                 SIGKILLed node this is the only trace that exists)
+// WriteArtifacts persists the aggregated views into outDir as
+// aggregate.jsonl: one line per completed round's skew percentiles, then
+// one line per node's final streamed gauge set.
 func (a *Aggregator) WriteArtifacts(outDir string) error {
 	a.mu.Lock()
 	rounds := make([]uint32, 0, len(a.rounds))
@@ -247,43 +219,27 @@ func (a *Aggregator) WriteArtifacts(outDir string) error {
 	}
 	a.mu.Unlock()
 
-	writeAggregate := func(path string) error {
-		f, err := os.Create(path)
-		if err != nil {
-			return err
-		}
-		bw := bufio.NewWriter(f)
-		enc := json.NewEncoder(bw)
-		for _, row := range rows {
-			if err = enc.Encode(row); err != nil {
-				f.Close()
-				return err
-			}
-		}
-		for _, g := range gauges {
-			if err = enc.Encode(g); err != nil {
-				f.Close()
-				return err
-			}
-		}
-		if err = bw.Flush(); err != nil {
-			f.Close()
-			return err
-		}
-		return f.Close()
-	}
-	if err := writeAggregate(filepath.Join(outDir, "aggregate.jsonl")); err != nil {
-		return err
-	}
-
-	sf, err := os.Create(filepath.Join(outDir, "streamed.jsonl"))
+	f, err := os.Create(filepath.Join(outDir, "aggregate.jsonl"))
 	if err != nil {
 		return err
 	}
-	merged := telemetry.MergeEvents(a.Streams()...)
-	if err := telemetry.WriteJSONL(sf, merged); err != nil {
-		sf.Close()
+	bw := bufio.NewWriter(f)
+	enc := json.NewEncoder(bw)
+	for _, row := range rows {
+		if err = enc.Encode(row); err != nil {
+			f.Close()
+			return err
+		}
+	}
+	for _, g := range gauges {
+		if err = enc.Encode(g); err != nil {
+			f.Close()
+			return err
+		}
+	}
+	if err = bw.Flush(); err != nil {
+		f.Close()
 		return err
 	}
-	return sf.Close()
+	return f.Close()
 }

@@ -2,9 +2,27 @@ package scenario
 
 import (
 	"os"
+	"path/filepath"
 	"sync"
 	"testing"
+
+	"sgxp2p/internal/telemetry"
 )
+
+// readTrace strictly parses one JSONL trace file.
+func readTrace(t *testing.T, path string) []telemetry.Event {
+	t.Helper()
+	f, err := os.Open(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer f.Close()
+	events, err := telemetry.ReadJSONL(f)
+	if err != nil {
+		t.Fatalf("%s: %v", filepath.Base(path), err)
+	}
+	return events
+}
 
 // nodeBin builds cmd/p2pnode once per test binary.
 var nodeBinOnce struct {
@@ -86,7 +104,10 @@ func TestScenarioHonestERB(t *testing.T) {
 // TestScenarioCrashRestart runs the crash-restart manifest: node 4 is
 // SIGKILLed mid-epoch 1 and a relaunched incarnation (same identity,
 // same address, re-derived keys) rejoins at epoch 2 — the PR 3 restart
-// lifecycle exercised across real process boundaries.
+// lifecycle exercised across real process boundaries. The run is not
+// streamed, and the killed incarnation still leaves its evidence: its
+// exporter appended whole lines up to its last drain, so trace-4-0.jsonl
+// parses strictly and its events are in the merged archive.
 func TestScenarioCrashRestart(t *testing.T) {
 	if testing.Short() {
 		t.Skip("spawns a process fleet")
@@ -106,5 +127,19 @@ func TestScenarioCrashRestart(t *testing.T) {
 	}
 	if first := restarted.Result.Epochs[0].Epoch; first != 2 {
 		t.Fatalf("restarted node's first epoch %d, want 2", first)
+	}
+
+	killed := readTrace(t, filepath.Join(filepath.Dir(report.MergedPath), traceName(4, 0)))
+	if len(killed) == 0 || len(restarted.TracePaths) != 2 {
+		t.Fatalf("SIGKILLed incarnation left %d events; node 4 trace files %v, want both incarnations", len(killed), restarted.TracePaths)
+	}
+	merged := make(map[telemetry.Event]bool)
+	for _, ev := range readTrace(t, report.MergedPath) {
+		merged[ev] = true
+	}
+	for _, ev := range killed {
+		if !merged[ev] {
+			t.Fatalf("event %+v of the SIGKILLed incarnation is not in merged.jsonl", ev)
+		}
 	}
 }

@@ -11,24 +11,28 @@ import (
 )
 
 // mergeTraces validates every per-process trace, merges them into one
-// globally time-ordered stream (merged.jsonl in outDir) and validates
-// the merged stream too — the "trace consistency" invariant. Nodes with
-// no trace (SIGKILLed incarnations) are skipped.
+// globally time-ordered stream (merged.jsonl in outDir, the run's one
+// event archive) and validates the merged stream too — the "trace
+// consistency" invariant. Every problem names the file it is about, so a
+// bad incarnation is identified as trace-<id>-<inc>.jsonl.
 func mergeTraces(outDir string, nodes []*NodeOutcome) (string, InvariantResult) {
 	inv := InvariantResult{Name: "trace-consistency"}
 	var streams [][]telemetry.Event
 	var problems []string
+	problem := func(path string, err error) {
+		problems = append(problems, fmt.Sprintf("%s: %v", filepath.Base(path), err))
+	}
 	for _, node := range nodes {
 		for _, path := range node.TracePaths {
 			f, err := os.Open(path)
 			if err != nil {
-				problems = append(problems, fmt.Sprintf("%s: %v", filepath.Base(path), err))
+				problem(path, err)
 				continue
 			}
 			events, err := telemetry.ReadJSONL(f)
 			f.Close()
 			if err != nil {
-				problems = append(problems, fmt.Sprintf("%s: %v", filepath.Base(path), err))
+				problem(path, err)
 				continue
 			}
 			streams = append(streams, events)
@@ -38,10 +42,10 @@ func mergeTraces(outDir string, nodes []*NodeOutcome) (string, InvariantResult) 
 	mergedPath := filepath.Join(outDir, "merged.jsonl")
 	f, err := os.Create(mergedPath)
 	if err != nil {
-		problems = append(problems, err.Error())
+		problem(mergedPath, err)
 	} else {
 		if werr := telemetry.WriteJSONL(f, merged); werr != nil {
-			problems = append(problems, werr.Error())
+			problem(mergedPath, werr)
 		}
 		f.Close()
 		// Re-read through the strict validator: the merged stream must
@@ -49,10 +53,10 @@ func mergeTraces(outDir string, nodes []*NodeOutcome) (string, InvariantResult) 
 		// enforces.
 		rf, rerr := os.Open(mergedPath)
 		if rerr != nil {
-			problems = append(problems, rerr.Error())
+			problem(mergedPath, rerr)
 		} else {
 			if _, verr := telemetry.ValidateJSONL(rf); verr != nil {
-				problems = append(problems, fmt.Sprintf("merged: %v", verr))
+				problem(mergedPath, verr)
 			}
 			rf.Close()
 		}
@@ -64,64 +68,6 @@ func mergeTraces(outDir string, nodes []*NodeOutcome) (string, InvariantResult) 
 	inv.OK = true
 	inv.Detail = fmt.Sprintf("%d events across %d traces", len(merged), len(streams))
 	return mergedPath, inv
-}
-
-// checkStreamParity asserts the live plane lost nothing: for every node
-// that exited cleanly, the events it streamed during the run are exactly
-// the events it dumped at exit. Crashed nodes are skipped — for them the
-// stream is the only record (that asymmetry is the feature, not a
-// violation).
-func checkStreamParity(agg *Aggregator, nodes []*NodeOutcome) InvariantResult {
-	inv := InvariantResult{Name: "stream-parity", OK: true}
-	var problems []string
-	checked, total := 0, 0
-	for _, node := range nodes {
-		if node.Crashed || node.FailDetail != "" || len(node.TracePaths) == 0 {
-			continue
-		}
-		var dumped []telemetry.Event
-		readOK := true
-		for _, path := range node.TracePaths {
-			f, err := os.Open(path)
-			if err != nil {
-				problems = append(problems, fmt.Sprintf("node %d: %v", node.ID, err))
-				readOK = false
-				break
-			}
-			events, err := telemetry.ReadJSONL(f)
-			f.Close()
-			if err != nil {
-				problems = append(problems, fmt.Sprintf("node %d: %v", node.ID, err))
-				readOK = false
-				break
-			}
-			dumped = append(dumped, events...)
-		}
-		if !readOK {
-			continue
-		}
-		streamed := telemetry.MergeEvents(agg.NodeEvents(node.ID))
-		want := telemetry.MergeEvents(dumped)
-		if len(streamed) != len(want) {
-			problems = append(problems, fmt.Sprintf("node %d: streamed %d events, dumped %d", node.ID, len(streamed), len(want)))
-			continue
-		}
-		for i := range want {
-			if streamed[i] != want[i] {
-				problems = append(problems, fmt.Sprintf("node %d: stream diverges from dump at event %d", node.ID, i))
-				break
-			}
-		}
-		checked++
-		total += len(want)
-	}
-	if len(problems) > 0 {
-		inv.OK = false
-		inv.Detail = strings.Join(problems, "; ")
-		return inv
-	}
-	inv.Detail = fmt.Sprintf("%d nodes streamed their full dumps live (%d events, %d stream gaps)", checked, total, agg.Gaps())
-	return inv
 }
 
 // checkCompletion asserts that every node expected to finish produced a

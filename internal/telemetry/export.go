@@ -74,9 +74,9 @@ func nodeFromJSON(v int64) (wire.NodeID, error) {
 func WriteJSONL(w io.Writer, events []Event) error {
 	bw := bufio.NewWriter(w)
 	for _, ev := range events {
-		line, err := json.Marshal(encodeEvent(ev))
+		line, err := MarshalEvent(ev)
 		if err != nil {
-			return fmt.Errorf("telemetry: marshal event: %w", err)
+			return err
 		}
 		if _, err := bw.Write(line); err != nil {
 			return err
@@ -101,10 +101,9 @@ func (t *Tracer) ExportJSONL(w io.Writer) error {
 //
 // Two guarantees matter to the live observability plane:
 //
-//   - Duplicates are dropped. A stream that reconnects mid-run re-sends
-//     from an earlier cursor, and the exit dump repeats everything that
-//     was already streamed, so the same tracer event can arrive several
-//     times. Events that carry a stream sequence number (Seq != 0) are
+//   - Duplicates are dropped. An exporter that rewinds its cursor
+//     re-sends a prefix, so the same tracer event can arrive more than
+//     once. Events that carry a stream sequence number (Seq != 0) are
 //     deduplicated on their full identity — an event equal in every
 //     field, Seq included, is the same record; a legitimately repeated
 //     action differs at least in Seq. Hand-built events (Seq == 0) are
@@ -185,8 +184,8 @@ func decodeLine(line []byte, lineNo int) (Event, error) {
 }
 
 // MarshalEvent renders one event as its JSONL line (no trailing newline)
-// — the unit the live streaming exporter frames onto the control
-// connection, byte-identical to the same event's WriteJSONL line.
+// — the unit WriteJSONL writes and a live node's exporter appends to its
+// trace file and frames onto the control connection.
 func MarshalEvent(ev Event) ([]byte, error) {
 	line, err := json.Marshal(encodeEvent(ev))
 	if err != nil {
@@ -336,14 +335,25 @@ func (t *Tracer) ExportTimeline(w io.Writer) error {
 	return WriteTimeline(w, t.Events())
 }
 
-// FlightString renders a node's flight-recorder contents (at most max
-// lines, newest events kept) for embedding in error messages. Empty when
-// the tracer is nil or the node recorded nothing.
+// FlightString renders the tail of a node's timeline (at most max lines,
+// newest events kept) for embedding in error messages. Empty when the
+// tracer is nil or the node recorded nothing.
 func (t *Tracer) FlightString(node wire.NodeID, max int) string {
-	events := t.Flight(node)
-	if len(events) == 0 {
-		return ""
-	}
+	return tailString(t.Flight(node), max)
+}
+
+// FlightInstanceString renders one protocol instance's whole timeline on
+// a node — the attribution dump a multiplexed chaos violation embeds so
+// the evidence names only the offending instance's events, not its
+// thousand neighbors. It is bounded by one instance's events, so there is
+// no line cap.
+func (t *Tracer) FlightInstanceString(node wire.NodeID, instance uint32) string {
+	return tailString(FilterInstance(t.Flight(node), instance), 0)
+}
+
+// tailString renders the last max events (all of them when max <= 0),
+// one line each.
+func tailString(events []Event, max int) string {
 	if max > 0 && len(events) > max {
 		events = events[len(events)-max:]
 	}
@@ -354,26 +364,7 @@ func (t *Tracer) FlightString(node wire.NodeID, max int) string {
 	return strings.Join(lines, "\n")
 }
 
-// FlightInstanceString renders a node's flight-recorder contents filtered
-// to one protocol instance (at most max lines, newest events kept) — the
-// attribution dump a multiplexed chaos violation embeds so the evidence
-// names only the offending instance's events, not its thousand neighbors.
-func (t *Tracer) FlightInstanceString(node wire.NodeID, instance uint32, max int) string {
-	events := t.FlightInstance(node, instance)
-	if len(events) == 0 {
-		return ""
-	}
-	if max > 0 && len(events) > max {
-		events = events[len(events)-max:]
-	}
-	lines := make([]string, len(events))
-	for i, ev := range events {
-		lines[i] = "  r" + strconv.FormatUint(uint64(ev.Round), 10) + " " + formatEvent(ev)
-	}
-	return strings.Join(lines, "\n")
-}
-
-// DumpFlight writes a node's flight-recorder timeline to w.
+// DumpFlight writes a node's timeline to w.
 func (t *Tracer) DumpFlight(w io.Writer, node wire.NodeID) error {
 	if t == nil {
 		return errors.New("telemetry: nil tracer")

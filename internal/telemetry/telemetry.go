@@ -1,6 +1,6 @@
 // Package telemetry is the reproduction's zero-dependency observability
-// layer: a metrics registry (counters, gauges, fixed-bucket histograms), a
-// round-structured event tracer, and a bounded per-node flight recorder.
+// layer: a metrics registry (counters, gauges, fixed-bucket histograms) and
+// a round-structured event tracer.
 //
 // The paper's evaluation is built on measured per-round latency, message
 // counts and churn events; this package makes the same quantities visible
@@ -19,15 +19,16 @@
 //     stay wall-clock free (the detrand analyzer checks this), and two runs
 //     of the same chaos seed export byte-identical JSONL traces.
 //
-//   - Bounded failure evidence. Besides the full event stream, the tracer
-//     keeps a fixed-size ring of recent events per node — the flight
-//     recorder — so an invariant violation can dump exactly what the
-//     offending node did last, however long the run was.
+//   - One store. The event stream is the only copy of an event: an
+//     invariant violation renders the offending node's timeline (Flight)
+//     out of it, an exporter drains it with a Since cursor and Releases
+//     what it shipped, and the hash folds as events arrive.
 //
 // Event volume is bounded by the run, not the network: events are recorded
 // per protocol action (round ticks, multicasts, deliveries, decisions,
 // churn), so a trace grows linearly with simulated work and is safe to keep
-// in memory for experiment-scale runs.
+// in memory for experiment-scale runs; a live node's exporter releases
+// what it has written, so there memory is bounded by the drain interval.
 package telemetry
 
 import (
@@ -192,9 +193,9 @@ type Event struct {
 	// Options.Spans; the JSONL field is omitempty).
 	Span uint64
 	// Seq is the event's 1-based position in its tracer's stream, stamped
-	// at record time. It makes streamed copies of an event deduplicable
-	// against the exit dump (MergeEvents drops exact duplicates with
-	// equal Seq) and lets a stream consumer detect gaps. 0 means a
-	// hand-built event that never passed through a Tracer.
+	// at record time. It makes a re-sent copy of an event deduplicable
+	// (MergeEvents drops exact duplicates with equal Seq) and lets a
+	// stream consumer detect gaps. 0 means a hand-built event that never
+	// passed through a Tracer.
 	Seq uint64
 }

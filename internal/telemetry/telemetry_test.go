@@ -60,9 +60,9 @@ func TestTracerRecordAndHash(t *testing.T) {
 	if tr.LastRound(0) != 2 || tr.LastRound(1) != 0 {
 		t.Fatalf("LastRound = %d/%d, want 2/0", tr.LastRound(0), tr.LastRound(1))
 	}
-	// NoNode events must not grow per-node state.
+	// Network-wide events belong to no node's timeline.
 	if tr.Flight(wire.NoNode) != nil {
-		t.Fatal("NoNode has a flight ring")
+		t.Fatal("NoNode has a timeline")
 	}
 
 	// An identical re-recording produces the identical hash; a different
@@ -145,46 +145,43 @@ func TestReleaseBoundsRetention(t *testing.T) {
 	}
 }
 
-// TestRingWraparound fills a small flight recorder past capacity and
-// checks that the snapshot keeps exactly the newest events, oldest first.
-func TestRingWraparound(t *testing.T) {
-	tr := New(Options{Ring: 4})
-	for i := 1; i <= 10; i++ {
+// TestFlightReadsRetainedStream checks that a node's timeline is read out
+// of the one event stream: every event the node recorded, oldest first,
+// however many there are, no other node's events — and that Release
+// shrinks the view together with the stream.
+func TestFlightReadsRetainedStream(t *testing.T) {
+	tr := New(Options{})
+	for i := 1; i <= 100; i++ {
 		tr.Record(0, uint32(i), KindRound, wire.NoNode, uint64(i), "")
+		tr.Record(1, uint32(i), KindDeliver, 0, 0, "")
 	}
 	got := tr.Flight(0)
-	if len(got) != 4 {
-		t.Fatalf("flight length = %d, want 4", len(got))
+	if len(got) != 100 {
+		t.Fatalf("flight length = %d, want all 100 of node 0's events", len(got))
 	}
 	for i, ev := range got {
-		if want := uint64(7 + i); ev.Arg != want {
-			t.Fatalf("flight[%d].Arg = %d, want %d (oldest-first)", i, ev.Arg, want)
+		if ev.Node != 0 || ev.Arg != uint64(i+1) {
+			t.Fatalf("flight[%d] = %+v, want node 0's event %d (oldest first)", i, ev, i+1)
 		}
 	}
-
-	// Below capacity: everything is kept, in order.
-	tr2 := New(Options{Ring: 4})
-	tr2.Record(3, 1, KindRound, wire.NoNode, 0, "")
-	tr2.Record(3, 1, KindDeliver, 0, 0, "")
-	if got := tr2.Flight(3); len(got) != 2 || got[0].Kind != KindRound || got[1].Kind != KindDeliver {
-		t.Fatalf("partial ring snapshot wrong: %+v", got)
+	if tr.LastRound(0) != 100 || tr.LastRound(1) != 0 {
+		t.Fatalf("LastRound = %d/%d, want 100/0", tr.LastRound(0), tr.LastRound(1))
 	}
 
-	// Exactly at capacity: one full revolution, no loss.
-	tr3 := New(Options{Ring: 4})
-	for i := 1; i <= 4; i++ {
-		tr3.Record(0, uint32(i), KindRound, wire.NoNode, uint64(i), "")
+	tr.Release(190) // keeps the last five events of each node
+	got = tr.Flight(0)
+	if len(got) != 5 || got[0].Arg != 96 {
+		t.Fatalf("flight after Release = %+v, want node 0's events 96..100", got)
 	}
-	got3 := tr3.Flight(0)
-	if len(got3) != 4 || got3[0].Arg != 1 || got3[3].Arg != 4 {
-		t.Fatalf("full ring snapshot wrong: %+v", got3)
+	if tr.LastRound(0) != 100 {
+		t.Fatalf("LastRound after Release = %d, want 100", tr.LastRound(0))
 	}
 }
 
 // TestFlightString checks the trimming and formatting of the error-message
 // rendering.
 func TestFlightString(t *testing.T) {
-	tr := New(Options{Ring: 8})
+	tr := New(Options{})
 	for i := 1; i <= 6; i++ {
 		tr.Record(2, uint32(i), KindRound, wire.NoNode, 0, "")
 	}

@@ -7,18 +7,12 @@ import (
 	"sgxp2p/internal/wire"
 )
 
-// DefaultRing is the per-node flight-recorder capacity used when Options
-// leaves Ring zero.
-const DefaultRing = 64
-
 // Options configures a Tracer.
 type Options struct {
 	// Clock supplies logical timestamps. Nil is valid — events are stamped
 	// 0 until SetClock binds one (deploy.New binds the simulator's clock so
 	// callers can construct the tracer before the deployment exists).
 	Clock func() time.Duration
-	// Ring is the per-node flight-recorder capacity; 0 means DefaultRing.
-	Ring int
 	// Spans turns on causal-span hop events (KindSeal/KindOpen/
 	// KindHandled): the runtime checks SpansEnabled once per peer and
 	// records the seal→transit→open→deliver→handle decomposition keyed by
@@ -33,23 +27,17 @@ type Options struct {
 // executor off under Trace), but the TCP deployment records from its
 // event-loop goroutines.
 type Tracer struct {
-	mu        sync.Mutex
-	clock     func() time.Duration
-	ringCap   int
-	spans     bool
-	events    []Event
-	base      uint64 // stream position of events[0]: count of released events
-	rings     []*ring
-	lastRound []uint32
-	hash      uint64
+	mu     sync.Mutex
+	clock  func() time.Duration
+	spans  bool
+	events []Event
+	base   uint64 // stream position of events[0]: count of released events
+	hash   uint64
 }
 
 // New builds a tracer.
 func New(opts Options) *Tracer {
-	if opts.Ring <= 0 {
-		opts.Ring = DefaultRing
-	}
-	return &Tracer{clock: opts.Clock, ringCap: opts.Ring, spans: opts.Spans}
+	return &Tracer{clock: opts.Clock, spans: opts.Spans}
 }
 
 // SpansEnabled reports whether the tracer wants causal-span hop events.
@@ -71,8 +59,8 @@ func (t *Tracer) SetClock(clock func() time.Duration) {
 
 // Record appends one event: node acted in round, kind says what happened,
 // peer is the counterparty (wire.NoNode when none), arg and note carry
-// kind-specific detail. Events flow into the full stream, the node's
-// flight ring, and — for KindRound — the per-node round high-water mark.
+// kind-specific detail. The stream is the tracer's only store: LastRound
+// and the Flight views are read back out of it.
 func (t *Tracer) Record(node wire.NodeID, round uint32, kind Kind, peer wire.NodeID, arg uint64, note string) {
 	t.RecordInst(node, round, 0, kind, peer, arg, note)
 }
@@ -99,7 +87,7 @@ func (t *Tracer) RecordSpan(node wire.NodeID, round uint32, instance uint32, kin
 }
 
 // record stamps the clock and stream sequence, then appends the event to
-// the stream, the hash fold, and the node's flight ring.
+// the stream and folds it into the hash.
 func (t *Tracer) record(ev Event) {
 	t.mu.Lock()
 	if t.clock != nil {
@@ -108,20 +96,6 @@ func (t *Tracer) record(ev Event) {
 	ev.Seq = t.base + uint64(len(t.events)) + 1
 	t.events = append(t.events, ev)
 	t.hash = foldEvent(t.hash, ev)
-	if ev.Node != wire.NoNode {
-		i := int(ev.Node)
-		for i >= len(t.rings) {
-			t.rings = append(t.rings, nil)
-			t.lastRound = append(t.lastRound, 0)
-		}
-		if t.rings[i] == nil {
-			t.rings[i] = newRing(t.ringCap)
-		}
-		t.rings[i].push(ev)
-		if ev.Kind == KindRound {
-			t.lastRound[i] = ev.Round
-		}
-	}
 	t.mu.Unlock()
 }
 
@@ -209,12 +183,11 @@ func (t *Tracer) Since(cursor uint64) []Event {
 }
 
 // Release drops the first upto events from the retained stream — the
-// memory bound for stream-only runs: once an exporter has shipped a
-// prefix (its Since cursor), the tracer need not hold it for an exit
-// dump that will never happen. Sequence numbers, the event count and the
-// hash all keep counting across released prefixes; only Events() (and
-// exports built on it) shrink to the unreleased suffix. A tracer that
-// will dump at exit must simply never call Release.
+// memory bound for a live node: once the exporter has shipped a prefix
+// (its Since cursor) to every sink, the tracer need not hold it. Sequence
+// numbers, the event count and the hash all keep counting across released
+// prefixes; Events() and the views read out of the retained stream
+// (LastRound, Flight, exports) see only the unreleased suffix.
 func (t *Tracer) Release(upto uint64) {
 	if t == nil {
 		return
@@ -257,39 +230,37 @@ func (t *Tracer) Hash() uint64 {
 	return h
 }
 
-// LastRound returns the highest lockstep round node ticked (0 when the
-// node never ticked or the tracer is nil).
+// LastRound returns the latest lockstep round node ticked in the retained
+// stream (0 when the node never ticked or the tracer is nil).
 func (t *Tracer) LastRound(node wire.NodeID) uint32 {
 	if t == nil || node == wire.NoNode {
 		return 0
 	}
 	t.mu.Lock()
 	defer t.mu.Unlock()
-	if int(node) >= len(t.lastRound) {
-		return 0
+	for i := len(t.events) - 1; i >= 0; i-- {
+		if ev := &t.events[i]; ev.Node == node && ev.Kind == KindRound {
+			return ev.Round
+		}
 	}
-	return t.lastRound[int(node)]
+	return 0
 }
 
-// Flight returns the node's flight-recorder contents, oldest first: the
-// last Ring events the node recorded, however long the run was.
+// Flight returns every retained event node recorded, oldest first — the
+// node's own timeline, which an invariant violation renders the tail of.
 func (t *Tracer) Flight(node wire.NodeID) []Event {
 	if t == nil || node == wire.NoNode {
 		return nil
 	}
 	t.mu.Lock()
 	defer t.mu.Unlock()
-	if int(node) >= len(t.rings) || t.rings[int(node)] == nil {
-		return nil
+	var out []Event
+	for _, ev := range t.events {
+		if ev.Node == node {
+			out = append(out, ev)
+		}
 	}
-	return t.rings[int(node)].snapshot()
-}
-
-// FlightInstance returns the node's flight-recorder events attributed to
-// one protocol instance, oldest first: the per-instance view a chaos
-// violation dumps when a multiplexed run goes wrong.
-func (t *Tracer) FlightInstance(node wire.NodeID, instance uint32) []Event {
-	return FilterInstance(t.Flight(node), instance)
+	return out
 }
 
 // FilterInstance returns the events attributed to one instance, in order.
@@ -331,37 +302,4 @@ func foldUint64(h, v uint64) uint64 {
 		v >>= 8
 	}
 	return h
-}
-
-// ring is a fixed-capacity circular event buffer.
-type ring struct {
-	buf  []Event
-	next int
-	full bool
-}
-
-func newRing(capacity int) *ring {
-	return &ring{buf: make([]Event, capacity)}
-}
-
-// push overwrites the oldest entry once the ring is full.
-func (r *ring) push(ev Event) {
-	r.buf[r.next] = ev
-	r.next++
-	if r.next == len(r.buf) {
-		r.next = 0
-		r.full = true
-	}
-}
-
-// snapshot returns the contents oldest-first.
-func (r *ring) snapshot() []Event {
-	if !r.full {
-		out := make([]Event, r.next)
-		copy(out, r.buf[:r.next])
-		return out
-	}
-	out := make([]Event, 0, len(r.buf))
-	out = append(out, r.buf[r.next:]...)
-	return append(out, r.buf[:r.next]...)
 }
