@@ -17,17 +17,18 @@ vet:
 # Race-check the packages with real concurrency: the parallel deployment
 # builder, the sweep engine, the peer runtime underneath both, the TCP
 # transport with its pooled frame handoff, the multi-process scenario
-# orchestrator, the chaos suite's schedule driver, and — since the
-# simulator fires a window's nodes on every core (DESIGN.md §6) — the
-# event engine, the simulated network, and the protocol, beacon and
-# public-API suites that drive clusters through them.
+# orchestrator, and — since the simulator fires a window's nodes on every
+# core (DESIGN.md §6) — the event engine, the simulated network, and the
+# protocol, beacon and public-API suites that drive clusters through
+# them. The chaos suite is not listed: `chaos` below is its race run.
 race:
-	$(GO) test -race ./internal/deploy/... ./internal/experiments/... ./internal/runtime/... ./internal/tcpnet/... ./internal/scenario/... ./internal/chaos/... ./internal/vclock/... ./internal/simnet/... ./internal/core/... ./internal/beacon/... .
+	$(GO) test -race ./internal/deploy/... ./internal/experiments/... ./internal/runtime/... ./internal/tcpnet/... ./internal/scenario/... ./internal/vclock/... ./internal/simnet/... ./internal/core/... ./internal/beacon/... .
 
 # chaos runs the deterministic fault-injection suite under the race
-# detector: fixed-seed schedules (crash-restart, partitions, flips)
-# against ERB/ERNG invariants plus the beacon bias battery. Failures
-# print the seed to replay with `p2pexp -experiment chaos -chaos-seed`.
+# detector (its only race run in `verify`): fixed-seed schedules
+# (crash-restart, partitions, flips) against ERB/ERNG invariants plus the
+# beacon bias battery. Failures print the seed to replay with
+# `p2pexp -experiment chaos -chaos-seed`.
 chaos:
 	$(GO) test -race -count=1 ./internal/chaos/...
 
@@ -62,25 +63,24 @@ obs-smoke:
 	$(GO) run ./cmd/p2ptrace -diff "$$dir/a.jsonl" "$$dir/b.jsonl"
 
 # scenario-smoke is the multi-process end-to-end check (DESIGN.md §13):
-# build the real node binary once, run two small manifests — honest ERB
-# at n=4 and the ERNG slow-link profile — as actual TCP process fleets
-# via cmd/p2pscenario, then validate every run's merged cross-process
-# telemetry with p2ptrace -check. The generous Δ override keeps the
-# round windows safe on loaded CI hosts; the invariants (agreement,
-# acceptance, round bounds) are asserted by the runner itself.
+# build the real node binary, run the ERNG slow-link manifest as an
+# actual TCP process fleet via cmd/p2pscenario, then validate the run's
+# merged cross-process telemetry with p2ptrace -check. (The honest ERB
+# fleet at n=4 is obs-live-smoke's run, under the same invariants.) The
+# generous Δ override keeps the round windows safe on loaded CI hosts;
+# the invariants (agreement, acceptance, round bounds) are asserted by
+# the runner itself.
 scenario-smoke:
 	@dir=$$(mktemp -d) && trap 'rm -rf "$$dir"' EXIT && \
 	$(GO) build -o "$$dir/p2pnode" ./cmd/p2pnode && \
-	$(GO) run ./cmd/p2pscenario -node-bin "$$dir/p2pnode" -out "$$dir" -keep \
-		-testcase erb-honest -instances 4 -param delta=300ms \
-		scenarios/honest-sweep.toml && \
 	$(GO) run ./cmd/p2pscenario -node-bin "$$dir/p2pnode" -out "$$dir" -keep \
 		-param delta=300ms scenarios/slow-link.toml && \
 	for f in "$$dir"/*/merged.jsonl; do \
 		$(GO) run ./cmd/p2ptrace -check "$$f" || exit 1; done
 
-# obs-live-smoke is the live observability plane check (DESIGN.md §10):
-# run a small fleet with -stream on, so every node's exporter feeds its
+# obs-live-smoke is the live observability plane check (DESIGN.md §10)
+# and the honest-ERB half of the multi-process check: run the 4-node
+# erb-honest fleet with -stream on, so every node's exporter feeds its
 # trace file and, over the control connection, the runner's live view
 # (events, metric deltas, resource-probe gauges). The run's one event
 # archive, merged.jsonl, is then schema-checked and span-reconstructed —

@@ -53,6 +53,7 @@ import (
 	"sgxp2p/internal/enclave"
 	"sgxp2p/internal/obsplane"
 	"sgxp2p/internal/runtime"
+	"sgxp2p/internal/scenario"
 	"sgxp2p/internal/tcpnet"
 	"sgxp2p/internal/telemetry"
 	"sgxp2p/internal/wire"
@@ -64,28 +65,6 @@ func main() {
 		fmt.Fprintln(os.Stderr, "p2pnode:", err)
 		os.Exit(1)
 	}
-}
-
-// epochResult is one epoch's outcome in the -result-out JSON: what this
-// node decided, in which round, so the scenario runner can assert
-// cross-process invariants without parsing human-readable logs.
-type epochResult struct {
-	Epoch    int    `json:"epoch"`
-	OK       bool   `json:"ok"`
-	Accepted bool   `json:"accepted"`
-	Value    string `json:"value,omitempty"`
-	Round    uint32 `json:"round,omitempty"`
-	Note     string `json:"note,omitempty"`
-}
-
-// nodeResult is the full -result-out document.
-type nodeResult struct {
-	ID     int           `json:"id"`
-	Mode   string        `json:"mode"`
-	N      int           `json:"n"`
-	T      int           `json:"t"`
-	Byz    bool          `json:"byz"`
-	Epochs []epochResult `json:"epochs"`
 }
 
 func run(args []string) error {
@@ -200,7 +179,7 @@ func run(args []string) error {
 	}
 	watchProfileRequests(ctrl, *profileDir, *id)
 	var exp *exporter // started below, once fail exists to report a bad -trace path
-	results := &nodeResult{ID: *id, Mode: *mode, N: *n, T: *t, Byz: int(self) < *chainLen}
+	results := &scenario.NodeResult{ID: *id, Mode: *mode, N: *n, T: *t, Byz: int(self) < *chainLen}
 	// dump quiesces the live plane in dependency order — the probe's final
 	// sample lands in the registry, then the exporter's final drain ships
 	// it and completes the trace file — and writes the exit artifacts. It
@@ -396,23 +375,17 @@ type epochsConfig struct {
 	byz       bool
 }
 
-// epochWindow is the wall-clock length of one epoch slot: the protocol's
-// rounds plus two rounds of slack for finish callbacks and stragglers.
-func epochWindow(rounds int, delta time.Duration) time.Duration {
-	return time.Duration(rounds+2) * 2 * delta
-}
-
 // runEpochs drives the shared epoch schedule: epoch e starts at
 // start + e*window; every node runs the protocol, then bumps its sequence
 // table at the epoch boundary, exactly like the managed restart
 // lifecycle. A process that joined with -resume-epoch starts at its first
 // scheduled slot; earlier epochs belong to its previous incarnation.
-func runEpochs(cfg epochsConfig, results *nodeResult) error {
+func runEpochs(cfg epochsConfig, results *scenario.NodeResult) error {
 	firstProto, firstDone, protoRounds, err := buildProtocol(cfg)
 	if err != nil {
 		return err
 	}
-	window := epochWindow(protoRounds, cfg.delta)
+	window := scenario.EpochWindow(cfg.t, cfg.delta)
 	fmt.Printf("node %d: listening on %s, %s run: epochs %d..%d of %d rounds, window %v\n",
 		cfg.self, cfg.port.Addr(), cfg.mode, cfg.resume, cfg.epochs-1, protoRounds, window)
 
@@ -437,7 +410,7 @@ func runEpochs(cfg epochsConfig, results *nodeResult) error {
 		// The epoch deadline leaves the full window plus one spare window
 		// of wall-clock grace (process scheduling, dump time).
 		deadline := time.Until(epochStart) + 2*window
-		res := epochResult{Epoch: e}
+		res := scenario.EpochResult{Epoch: e}
 		select {
 		case out := <-done:
 			res.OK, res.Accepted, res.Value, res.Round, res.Note = out.ok, out.accepted, out.value, out.round, out.note

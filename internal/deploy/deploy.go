@@ -253,11 +253,6 @@ func (d *Deployment) Run() error {
 	return d.Sim.Run()
 }
 
-// RunFor advances the simulation by the given virtual duration.
-func (d *Deployment) RunFor(dur time.Duration) {
-	d.Sim.RunUntil(d.Sim.Now() + dur)
-}
-
 // RoundDuration returns the lockstep round length, 2*Delta.
 func (d *Deployment) RoundDuration() time.Duration {
 	return 2 * d.Opts.Delta

@@ -78,13 +78,6 @@ type implKey struct {
 	method string
 }
 
-// NodeOf returns the graph node of a declared function or method, nil when
-// it is not part of the module.
-func (g *Graph) NodeOf(fn *types.Func) *FuncNode { return g.byObj[fn] }
-
-// LitNode returns the graph node of a function literal.
-func (g *Graph) LitNode(lit *ast.FuncLit) *FuncNode { return g.byLit[lit] }
-
 // ResolveSite returns the candidate in-module callees of a call expression
 // anywhere in the module (nil for unresolved/external calls, conversions
 // and builtins).

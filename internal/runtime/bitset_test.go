@@ -31,49 +31,23 @@ func TestNodeBitsetDedupAndGrowth(t *testing.T) {
 	}
 }
 
-func TestNodeBitsetHasResetIntersect(t *testing.T) {
+func TestNodeBitsetReset(t *testing.T) {
 	var b nodeBitset
 	for _, id := range []wire.NodeID{1, 5, 64} {
 		b.set(id)
 	}
-	for _, id := range []wire.NodeID{1, 5, 64} {
-		if !b.has(id) {
-			t.Fatalf("has(%d) = false after set", id)
-		}
-	}
-	// Probes past the allocated words must not panic or report membership.
-	for _, id := range []wire.NodeID{0, 2, 63, 65, 1024} {
-		if b.has(id) {
-			t.Fatalf("has(%d) = true, never set", id)
-		}
-	}
-
-	var o nodeBitset
-	for _, id := range []wire.NodeID{5, 63, 64, 200} {
-		o.set(id)
-	}
-	b.intersect(&o)
-	if b.count != 2 || !b.has(5) || !b.has(64) {
-		t.Fatalf("intersect: count = %d, has(5)=%v has(64)=%v, want {5, 64}", b.count, b.has(5), b.has(64))
-	}
-	if b.has(1) || b.has(200) {
-		t.Fatal("intersect kept an id outside the intersection")
-	}
-
-	// Intersecting with a shorter set must drop ids beyond its words.
-	var short nodeBitset
-	short.set(5)
-	b.intersect(&short)
-	if b.count != 1 || !b.has(5) || b.has(64) {
-		t.Fatalf("intersect with shorter set: count = %d, want exactly {5}", b.count)
-	}
-
+	words := len(b.words)
 	b.reset()
-	if b.count != 0 || b.has(5) {
-		t.Fatal("reset did not clear membership")
+	if b.count != 0 {
+		t.Fatalf("count = %d after reset, want 0", b.count)
 	}
-	if !b.set(5) {
-		t.Fatal("set after reset not reported as new")
+	if len(b.words) != words {
+		t.Fatalf("reset dropped the word capacity: %d words, had %d", len(b.words), words)
+	}
+	for _, id := range []wire.NodeID{1, 5, 64} {
+		if !b.set(id) {
+			t.Fatalf("set(%d) after reset not reported as new", id)
+		}
 	}
 }
 

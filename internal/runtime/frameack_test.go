@@ -161,10 +161,10 @@ func TestFrameAckMidFrameFlushMaterializes(t *testing.T) {
 // TestFrameAckSubsetCover: tracked multicasts to an explicit destination
 // subset keep frame-cumulative ACKs for exactly that subset (the window's
 // cover), and disjoint subsets in one window empty the cover, degrading
-// every frame to per-message ACKs. Both shapes must deliver full P4
+// every frame to per-message ACKs. Every shape must deliver full P4
 // credit.
 func TestFrameAckSubsetCover(t *testing.T) {
-	run := func(t *testing.T, second []wire.NodeID, wantEvents int, wantLogical uint64) {
+	run := func(t *testing.T, first, second []wire.NodeID, wantEvents int, wantLogical uint64) {
 		t.Helper()
 		tr := telemetry.New(telemetry.Options{})
 		d, err := deploy.New(deploy.Options{N: 5, T: 2, Seed: 1, Trace: tr})
@@ -177,7 +177,7 @@ func TestFrameAckSubsetCover(t *testing.T) {
 			if rnd != 1 {
 				return
 			}
-			for i, dsts := range [][]wire.NodeID{{1, 2}, second} {
+			for i, dsts := range [][]wire.NodeID{first, second} {
 				msg := &wire.Message{
 					Type: wire.TypeEcho, Sender: 0, Initiator: 0,
 					Seq: sender.peer.SeqOf(0), Round: 1, HasValue: true,
@@ -216,11 +216,18 @@ func TestFrameAckSubsetCover(t *testing.T) {
 	}
 	// Same subset twice: destinations 1 and 2 each get a two-message
 	// marked frame and answer with one merged ACK apiece.
-	t.Run("uniform", func(t *testing.T) { run(t, []wire.NodeID{1, 2}, 2, 4) })
+	t.Run("uniform", func(t *testing.T) { run(t, []wire.NodeID{1, 2}, []wire.NodeID{1, 2}, 2, 4) })
 	// Disjoint second subset: the cover intersects to {1}; destination 1
 	// still merges its two-message frame, destination 3's singleton is a
 	// bare message (nothing to merge).
-	t.Run("narrowed", func(t *testing.T) { run(t, []wire.NodeID{1, 3}, 3, 4) })
+	t.Run("narrowed", func(t *testing.T) { run(t, []wire.NodeID{1, 2}, []wire.NodeID{1, 3}, 3, 4) })
+	// Destination 1 listed twice by the first multicast, absent from the
+	// second: its frame holds two messages but only one of the window's
+	// two trackers, so it must not be marked — a frame ACK would credit
+	// the second tracker, whose message 1 never received. It answers with
+	// two digest ACKs for the duplicate (one credit, the replay deduped);
+	// destination 2's singleton is a bare message.
+	t.Run("duplicate", func(t *testing.T) { run(t, []wire.NodeID{1, 1}, []wire.NodeID{2}, 3, 3) })
 }
 
 // TestFrameAckFailedLegDegrades: a multicast leg that fails (destination

@@ -3,9 +3,7 @@ package runtime
 import (
 	"errors"
 	"fmt"
-	"time"
 
-	"sgxp2p/internal/enclave"
 	"sgxp2p/internal/telemetry"
 	"sgxp2p/internal/wire"
 )
@@ -124,7 +122,7 @@ func (m *Mux) Spawn(windowRounds int, build func(*Instance) (Protocol, error)) (
 	if m.cfg.MaxBacklog > 0 && len(m.backlog) >= m.cfg.MaxBacklog {
 		return nil, ErrMuxBacklog
 	}
-	it := &Instance{mux: m, id: m.nextID, window: uint32(windowRounds), build: build}
+	it := &Instance{Host: m.peer, mux: m, id: m.nextID, window: uint32(windowRounds), build: build}
 	m.nextID++
 	m.backlog = append(m.backlog, it)
 	m.byID = append(m.byID, it)
@@ -143,10 +141,9 @@ func (m *Mux) PlannedRounds() int {
 	last := uint32(0)
 	var ends []uint32
 	for _, it := range m.running {
-		ends = append(ends, it.endRound)
-		if it.endRound > last {
-			last = it.endRound
-		}
+		end := it.lastRound()
+		ends = append(ends, end)
+		last = max(last, end)
 	}
 	backlog := m.backlog
 	for rnd := m.peer.Round() + 1; len(backlog) > 0; rnd++ {
@@ -222,7 +219,7 @@ func (m *Mux) retireExpired(rnd uint32) {
 	}
 	kept := m.running[:0]
 	for _, it := range m.running {
-		if rnd > it.endRound {
+		if rnd > it.lastRound() {
 			m.finish(it, nil)
 		} else {
 			kept = append(kept, it)
@@ -247,7 +244,6 @@ func (m *Mux) admit(rnd uint32) {
 		m.backlog = m.backlog[1:]
 		changed = true
 		it.startRound = rnd
-		it.endRound = rnd + it.window - 1
 		proto, err := it.build(it)
 		if err != nil {
 			it.done, it.err = true, err
@@ -294,92 +290,42 @@ func (m *Mux) lookup(id uint32) *Instance {
 var _ Protocol = (*Mux)(nil)
 
 // Instance is the handle of one multiplexed protocol instance: the Host
-// its protocol programs against. Every capability delegates to the shared
-// peer except identity — Instance() returns the per-instance wire id, so
-// messages the protocol sends are stamped with it and telemetry events
-// carry it — which is all a protocol needs to coexist with a thousand
-// neighbors on the same links.
+// its protocol programs against. Every capability is the shared peer's,
+// promoted through the embedded Host (the interface, not the *Peer, so a
+// handle grants nothing a protocol may not touch — Start, Stop, the
+// links), except identity: Instance() returns the per-instance wire id,
+// so messages the protocol sends are stamped with it, and Trace
+// attributes events to it — which is all a protocol needs to coexist
+// with a thousand neighbors on the same links.
 type Instance struct {
-	mux    *Mux
-	id     uint32
-	window uint32
-	build  func(*Instance) (Protocol, error)
+	Host
+	mux   *Mux
+	build func(*Instance) (Protocol, error)
+	proto Protocol
+	err   error
 
-	proto      Protocol
+	// An admitted instance occupies rounds [startRound, startRound+window).
+	id         uint32
+	window     uint32
 	startRound uint32
-	endRound   uint32
 	running    bool
 	done       bool
-	err        error
 }
-
-// ID returns the node id of the hosting peer.
-func (it *Instance) ID() wire.NodeID { return it.mux.peer.ID() }
-
-// N returns the network size.
-func (it *Instance) N() int { return it.mux.peer.N() }
-
-// T returns the byzantine bound.
-func (it *Instance) T() int { return it.mux.peer.T() }
-
-// Delta returns the delivery bound.
-func (it *Instance) Delta() time.Duration { return it.mux.peer.Delta() }
 
 // Instance returns this instance's wire id.
 func (it *Instance) Instance() uint32 { return it.id }
-
-// Round returns the shared peer's current lockstep round.
-func (it *Instance) Round() uint32 { return it.mux.peer.Round() }
-
-// Now returns the transport's current time.
-func (it *Instance) Now() time.Duration { return it.mux.peer.Now() }
-
-// Halted reports whether the hosting peer churned itself out.
-func (it *Instance) Halted() bool { return it.mux.peer.Halted() }
-
-// SeqOf returns the expected sequence number of a peer (P6).
-func (it *Instance) SeqOf(id wire.NodeID) uint64 { return it.mux.peer.SeqOf(id) }
-
-// Enclave exposes the hosting peer's enclave.
-func (it *Instance) Enclave() *enclave.Enclave { return it.mux.peer.Enclave() }
-
-// Metrics exposes the deployment's metric registry.
-func (it *Instance) Metrics() *telemetry.Metrics { return it.mux.peer.Metrics() }
 
 // Trace records a protocol-layer event attributed to this instance.
 func (it *Instance) Trace(kind telemetry.Kind, peer wire.NodeID, arg uint64) {
 	it.mux.peer.traceInst(it.id, kind, peer, arg)
 }
 
-// Multicast sends through the shared peer; frames coalesce with every
-// other instance's traffic of the same callback.
-func (it *Instance) Multicast(dsts []wire.NodeID, msg *wire.Message, ackThreshold int) error {
-	return it.mux.peer.Multicast(dsts, msg, ackThreshold)
-}
-
-// Send sends one message through the shared peer.
-func (it *Instance) Send(dst wire.NodeID, msg *wire.Message) error {
-	return it.mux.peer.Send(dst, msg)
-}
-
-// SendAck acknowledges a received message through the shared peer.
-func (it *Instance) SendAck(dst wire.NodeID, received *wire.Message) error {
-	return it.mux.peer.SendAck(dst, received)
-}
-
-// Flush forces the shared round-scoped outbox onto the wire.
-func (it *Instance) Flush() { it.mux.peer.Flush() }
-
 // StartRound returns the round the instance was admitted in (0 while it
 // waits in the backlog) — the protocol's absolute round origin.
 func (it *Instance) StartRound() uint32 { return it.startRound }
 
-// EndRound returns the last round of the instance's window (0 while it
-// waits in the backlog).
-func (it *Instance) EndRound() uint32 { return it.endRound }
-
-// Running reports whether the instance is currently admitted.
-func (it *Instance) Running() bool { return it.running }
+// lastRound is the final round of an admitted instance's window.
+func (it *Instance) lastRound() uint32 { return it.startRound + it.window - 1 }
 
 // Done reports whether the instance's window ended (or it failed).
 func (it *Instance) Done() bool { return it.done }

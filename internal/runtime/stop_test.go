@@ -5,6 +5,7 @@ import (
 
 	"sgxp2p/internal/deploy"
 	"sgxp2p/internal/runtime"
+	"sgxp2p/internal/telemetry"
 	"sgxp2p/internal/wire"
 )
 
@@ -172,6 +173,57 @@ func TestRoundBoundaryFlushOrdering(t *testing.T) {
 			if st := pr.peer.Stats(); st.RoundMismatches != 0 {
 				t.Errorf("%s: peer %d counted %d round mismatches, want 0", mode.name, i+1, st.RoundMismatches)
 			}
+		}
+	}
+}
+
+// TestUnbatchedRunLeavesNoBatchTelemetry pins what DisableBatching means
+// to the observability plane: no send passes through the outbox, so a
+// traced, metered unbatched run records no KindBatchFlush event and
+// never registers the runtime_batch_msgs histogram — even for a callback
+// that emits two messages per destination, which batching would coalesce.
+func TestUnbatchedRunLeavesNoBatchTelemetry(t *testing.T) {
+	tr := telemetry.New(telemetry.Options{})
+	reg := telemetry.NewMetrics()
+	d, err := deploy.New(deploy.Options{N: 4, T: 1, Seed: 1, DisableBatching: true, Trace: tr, Metrics: reg})
+	if err != nil {
+		t.Fatal(err)
+	}
+	probes := startAll(d, 2)
+	sender := probes[0]
+	sender.onRound = func(rnd uint32) {
+		for _, v := range []wire.Value{{0x01}, {0x02}} {
+			msg := &wire.Message{
+				Type: wire.TypeEcho, Sender: 0, Initiator: 0,
+				Seq: sender.peer.SeqOf(0), Round: rnd, HasValue: true, Value: v,
+			}
+			if err := sender.peer.Multicast(nil, msg, 3); err != nil {
+				t.Errorf("round %d multicast: %v", rnd, err)
+			}
+		}
+	}
+	for _, pr := range probes[1:] {
+		pr := pr
+		pr.onMsg = func(m *wire.Message) {
+			if err := pr.peer.SendAck(m.Sender, m); err != nil {
+				t.Errorf("SendAck: %v", err)
+			}
+		}
+	}
+	if err := d.Run(); err != nil {
+		t.Fatal(err)
+	}
+	if st := sender.peer.Stats(); st.Halts != 0 || st.AcksReceived != 12 {
+		t.Fatalf("sender stats %+v, want no halt and 12 digest ACKs", st)
+	}
+	for _, ev := range tr.Events() {
+		if ev.Kind == telemetry.KindBatchFlush {
+			t.Fatalf("unbatched run recorded a batch flush: %+v", ev)
+		}
+	}
+	for _, mv := range reg.Snapshot() {
+		if mv.Name == "runtime_batch_msgs" {
+			t.Fatalf("unbatched run registered %s (%s = %v)", mv.Name, mv.Kind, mv.Value)
 		}
 	}
 }

@@ -13,20 +13,21 @@ import (
 	"time"
 )
 
-// protocolRounds is the lockstep round count of both live protocols for
-// a byzantine bound t: ERB runs t+2 rounds from a round-1 start, and
-// basic ERNG embeds an ERB engine with the same window (erb.Engine.Rounds
-// and erng.Basic.Rounds — the runner must agree with p2pnode on this so
-// both compute the same epoch schedule).
-func protocolRounds(t int) int { return t + 2 }
-
-// epochWindow mirrors p2pnode's epoch slot: protocol rounds plus two
-// rounds of slack, each round 2Δ long.
-func epochWindow(rounds int, delta time.Duration) time.Duration {
-	return time.Duration(rounds+2) * 2 * delta
+// EpochWindow is the wall-clock length of one live epoch slot under a
+// byzantine bound t — the one definition p2pnode and the runner both
+// compute the epoch schedule from. Both live protocols run t+2 lockstep
+// rounds (ERB from a round-1 start; basic ERNG embeds an ERB engine with
+// the same window: erb.Engine.Rounds, erng.Basic.Rounds); two more
+// rounds of slack cover finish callbacks and stragglers, and a round
+// lasts 2Δ.
+func EpochWindow(t int, delta time.Duration) time.Duration {
+	return time.Duration(t+2+2) * 2 * delta
 }
 
-// NodeResult mirrors p2pnode's -result-out JSON document.
+// NodeResult is p2pnode's -result-out JSON document: what the node
+// decided in each epoch, so the runner can assert cross-process
+// invariants without parsing human-readable logs. p2pnode writes this
+// type and the runner reads it.
 type NodeResult struct {
 	ID     int           `json:"id"`
 	Mode   string        `json:"mode"`
@@ -149,8 +150,7 @@ func Run(cfg RunConfig) (*RunReport, error) {
 		}
 	}
 
-	rounds := protocolRounds(cfg.Params.T)
-	window := epochWindow(rounds, cfg.Params.Delta)
+	window := EpochWindow(cfg.Params.T, cfg.Params.Delta)
 	report := &RunReport{Testcase: cfg.Testcase.Name, N: n, Params: cfg.Params, Window: window}
 	began := time.Now() //lint:allow detrand the orchestrator times real OS processes; wall-clock is the quantity being reported
 
