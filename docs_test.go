@@ -11,7 +11,9 @@ import (
 // directories, and fails on any that is not in the tree — so retiring a
 // harness cannot leave instructions for it behind. Names retired with the
 // second telemetry path (the runner's streamed archive, the invariant that
-// compared it with the dumps, the tracer's ring option) may not reappear.
+// compared it with the dumps, the tracer's ring option) may not reappear,
+// nor may the lane executor's event-count hand-off rule, which a measured
+// one replaced.
 func TestDocsNameOnlyThingsThatExist(t *testing.T) {
 	makefile, err := os.ReadFile("Makefile")
 	if err != nil {
@@ -35,6 +37,7 @@ func TestDocsNameOnlyThingsThatExist(t *testing.T) {
 		{"snapshot", regexp.MustCompile(`(BENCH_\w+\.json)`), exists},
 		{"command", regexp.MustCompile(`(cmd/[a-z0-9]+)`), exists},
 		{"retired name", regexp.MustCompile(`(streamed\.jsonl|stream-parity|Options\.Ring)`), func(string) bool { return false }},
+		{"retired rule", regexp.MustCompile(`(minParallelEvents|256 events)`), func(string) bool { return false }},
 	}
 	for _, doc := range []string{"README.md", "DESIGN.md", "EXPERIMENTS.md", ".claude/skills/verify/SKILL.md"} {
 		text, err := os.ReadFile(doc)

@@ -10,6 +10,7 @@ import (
 	"sgxp2p/internal/deploy"
 	"sgxp2p/internal/runtime"
 	"sgxp2p/internal/simnet"
+	"sgxp2p/internal/vclock"
 	"sgxp2p/internal/wire"
 )
 
@@ -19,6 +20,12 @@ import (
 // computes. Every scenario runs at GOMAXPROCS 1, 2 and 4 and must end
 // with the same event trace, event count, clock, traffic counters, per-node
 // runtime stats and protocol decisions.
+//
+// Whether a window leaves Run's goroutine is otherwise the host's call —
+// the simulator times a window's first events and hands the rest off when
+// that pays — so the tests set the break-even themselves: at 0 every window
+// with two lanes or more goes to the workers whole, at one nanosecond after
+// its first event.
 
 // laneOutcome is everything one run can be compared by.
 type laneOutcome struct {
@@ -33,9 +40,10 @@ type laneOutcome struct {
 
 // laneScenario drives a fresh deployment and returns its decisions.
 type laneScenario struct {
-	name string
-	opts deploy.Options
-	run  func(t *testing.T, d *deploy.Deployment) any
+	name      string
+	opts      deploy.Options
+	breakEven time.Duration // see above
+	run       func(t *testing.T, d *deploy.Deployment) any
 }
 
 func (sc laneScenario) outcome(t *testing.T, procs int) (laneOutcome, uint64) {
@@ -58,6 +66,7 @@ func (sc laneScenario) outcome(t *testing.T, procs int) (laneOutcome, uint64) {
 // check runs the scenario on one, two and four workers and compares.
 func (sc laneScenario) check(t *testing.T) laneOutcome {
 	t.Helper()
+	defer vclock.SetHandoffBreakEven(sc.breakEven)()
 	serial, windows := sc.outcome(t, 1)
 	if windows != 0 {
 		t.Fatalf("%s: GOMAXPROCS=1 fired %d windows on workers", sc.name, windows)
@@ -199,6 +208,24 @@ func TestLanesMatchSerialLoop(t *testing.T) {
 				return epochs(t, d, 5, true)
 			},
 		},
+		// The two shapes whose round ticks the hand-off rule moves to the
+		// workers, split where it splits them: after the first tick.
+		{
+			name:      "broadcast-many-split",
+			opts:      deploy.Options{N: 64, T: 31, Seed: 7, RealCrypto: true},
+			breakEven: time.Nanosecond,
+			run: func(t *testing.T, d *deploy.Deployment) any {
+				return muxBroadcasts(t, d, 64, 16)
+			},
+		},
+		{
+			name:      "algorithm-3-split",
+			opts:      deploy.Options{N: 32, T: 15, Seed: 8},
+			breakEven: time.Nanosecond,
+			run: func(t *testing.T, d *deploy.Deployment) any {
+				return epochs(t, d, 1, false)
+			},
+		},
 	}
 	for _, sc := range scenarios {
 		for _, bandwidth := range []float64{0, simnet.DefaultBandwidth} {
@@ -295,6 +322,7 @@ func TestLanesJoinAndRestart(t *testing.T) {
 	}
 	sc.check(t)
 
+	defer vclock.SetHandoffBreakEven(0)()
 	setProcs(t, 4)
 	d, err := deploy.New(sc.opts)
 	if err != nil {
@@ -322,6 +350,7 @@ func TestLanesJoinAndRestart(t *testing.T) {
 // are covered by the telemetry tests' byte-identity) keeps every event
 // firing alone.
 func TestLanesOffForUnsafeOptions(t *testing.T) {
+	defer vclock.SetHandoffBreakEven(0)()
 	setProcs(t, 4)
 	d, err := deploy.New(deploy.Options{N: 64, T: 31, Seed: 3,
 		Wrap: func(_ wire.NodeID, tr runtime.Transport) runtime.Transport { return tr }})

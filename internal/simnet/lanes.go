@@ -16,7 +16,10 @@ import (
 // the serial path runs (transmit, Detach, ScheduleLane), fed in the same
 // order, so every draw, counter and sequence number comes out the same.
 // Only the payload copy happens at Send time, because the caller's buffer
-// is gone afterwards.
+// is gone afterwards. A window may reach the workers part-way — the
+// simulator fires its first events inline and hands off the rest once they
+// are worth it: what fired before BeginWindow took the serial path and left
+// nothing in any log.
 
 // opKind says what a logged op replays as. The zero kind ends one
 // event's ops.
@@ -37,18 +40,29 @@ type op struct {
 	fn    func()        // opAfter
 }
 
-// workerPool is what one worker owns during a window: its share of the
-// delivery records and the list of lanes it fired. Per-worker, not
+// workerPool is what one worker owns during a window: the delivery
+// records it holds and the list of lanes it fired. Per-worker, not
 // per-lane: a lane's demand for records is unknowable up front (a tick
 // multicasts to everyone, a delivery answers with one ACK), and records
 // stranded in 256 lane pools cost more allocations and heap than the
-// dealing does. Worker 0 is the simulator's goroutine and keeps using the
-// free list itself.
+// dealing does. Nor is the free list split among the workers up front: a
+// round-tick window's demand is all on whichever worker claims the
+// multicasting lanes, so an even split runs one pool dry — it allocates —
+// while the others strand their share. A worker instead takes recordChunk
+// records off the free list whenever its pool is empty, and recycles the
+// records of the deliveries it fires into its pool. Run's goroutine is
+// worker 0 and does the same: the others are taking from the free list
+// while it fires.
 type workerPool struct {
 	free    []*delivery
 	claimed []int32
 	_       [16]byte
 }
+
+// recordChunk is how many records a worker takes off the free list at a
+// time: enough that the lock is taken twice per 63-frame multicast, few
+// enough that what a worker leaves unused (at most a chunk) strands little.
+const recordChunk = 32
 
 // EnableLanes promises the simulator BaseLatency as the lookahead of this
 // network's lane events — no delivery arrives sooner after its send — so
@@ -61,17 +75,10 @@ func (n *Network) EnableLanes() { n.sim.SetLanes(n, n.cfg.BaseLatency) }
 // DisableLanes takes the promise back: every event fires alone again.
 func (n *Network) DisableLanes() { n.sim.SetLanes(nil, 0) }
 
-// BeginWindow implements vclock.Lanes: the free list is dealt out evenly
-// among the workers.
+// BeginWindow implements vclock.Lanes.
 func (n *Network) BeginWindow(workers int) {
 	for len(n.pools) < workers {
 		n.pools = append(n.pools, workerPool{})
-	}
-	share := len(n.free) / workers
-	for w := 1; w < workers; w++ {
-		cut := len(n.free) - share
-		n.pools[w].free = append(n.pools[w].free[:0], n.free[cut:]...)
-		n.free = n.free[:cut]
 	}
 	n.windowed = true
 }
@@ -80,9 +87,17 @@ func (n *Network) BeginWindow(workers int) {
 func (n *Network) Claim(worker, lane int) {
 	p := &n.pools[worker]
 	p.claimed = append(p.claimed, int32(lane))
-	if worker > 0 {
-		n.nodes[lane].pool = &p.free
-	}
+	n.nodes[lane].pool = &p.free
+}
+
+// refill moves up to recordChunk records from the free list to a worker's
+// empty pool.
+func (n *Network) refill(pool *[]*delivery) {
+	n.freeMu.Lock()
+	cut := max(0, len(n.free)-recordChunk)
+	*pool = append(*pool, n.free[cut:]...)
+	n.free = n.free[:cut]
+	n.freeMu.Unlock()
 }
 
 // EndEvent implements vclock.Lanes.

@@ -82,6 +82,7 @@ func (g *gossip) receive(id, src wire.NodeID, payload []byte) {
 // counts, every node's journal with its timestamps, and the simulator's
 // trace must not depend on the pool.
 func TestLanesMatchSerialNetwork(t *testing.T) {
+	t.Cleanup(vclock.SetHandoffBreakEven(0))
 	for _, bandwidth := range []float64{0, DefaultBandwidth / 64} {
 		run := func(procs int) *gossip {
 			prev := runtime.GOMAXPROCS(procs)
@@ -133,6 +134,7 @@ func TestLanesMatchSerialNetwork(t *testing.T) {
 // pools are empty, and the same burst again — on one goroutine, so out of
 // the free list alone — finds enough records there to build no new one.
 func TestLaneRecordsReturnToFreeList(t *testing.T) {
+	t.Cleanup(vclock.SetHandoffBreakEven(0))
 	prev := runtime.GOMAXPROCS(4)
 	defer runtime.GOMAXPROCS(prev)
 	g := newGossip(t, 0)
@@ -159,5 +161,64 @@ func TestLaneRecordsReturnToFreeList(t *testing.T) {
 	}
 	if got := len(g.net.free); got != records {
 		t.Fatalf("free list holds %d records after the second burst, %d after the first", got, records)
+	}
+}
+
+// TestLaneRecordsDealtOnDemand puts one window's demand for records on one
+// lane — a multicast of more frames than the free list holds, next to
+// lanes sending one frame each. The workers take records a chunk at a
+// time, so the most the heavy lane's worker can find missing, and build
+// anew, is the chunk each of the others took for its one frame; and every
+// record is back on the free list when the run ends.
+func TestLaneRecordsDealtOnDemand(t *testing.T) {
+	t.Cleanup(vclock.SetHandoffBreakEven(0))
+	const nodes, primed, burst = 8, 100, 1000
+	run := func(procs int) *Network {
+		prev := runtime.GOMAXPROCS(procs)
+		defer runtime.GOMAXPROCS(prev)
+		sim, net := newNet(t, nodes, 0)
+		net.EnableLanes()
+		send := func(id, frames int) {
+			p := net.Port(wire.NodeID(id))
+			p.After(0, func() {
+				for k := 0; k < frames; k++ {
+					p.Send(wire.NodeID((id+1+k%(nodes-1))%nodes), []byte{byte(k)})
+				}
+			})
+		}
+		for id := 0; id < nodes; id++ {
+			send(id, primed)
+		}
+		if err := sim.Run(); err != nil {
+			t.Fatal(err)
+		}
+		if len(net.free) != nodes*primed {
+			t.Fatalf("procs=%d: %d records on the free list after %d sends", procs, len(net.free), nodes*primed)
+		}
+		send(0, burst)
+		for id := 1; id < nodes; id++ {
+			send(id, 1)
+		}
+		if err := sim.Run(); err != nil {
+			t.Fatal(err)
+		}
+		if procs > 1 && sim.ParallelWindows() == 0 {
+			t.Fatalf("procs=%d: no window fired on workers", procs)
+		}
+		for w, pool := range net.pools {
+			if len(pool.free) != 0 || len(pool.claimed) != 0 {
+				t.Errorf("procs=%d: worker %d still holds %d records and %d lanes", procs, w, len(pool.free), len(pool.claimed))
+			}
+		}
+		return net
+	}
+	serial := len(run(1).free)
+	if serial != burst+nodes-1 {
+		t.Fatalf("one goroutine built %d records for a window sending %d", serial, burst+nodes-1)
+	}
+	for _, procs := range []int{2, 4} {
+		if got := len(run(procs).free); got < serial || got > serial+procs*recordChunk {
+			t.Errorf("procs=%d: %d records built, %d on one goroutine: more than a chunk (%d) a worker apart", procs, got, serial, recordChunk)
+		}
 	}
 }

@@ -29,6 +29,7 @@ import (
 	"errors"
 	"fmt"
 	"math/rand"
+	"sync"
 	"time"
 
 	"sgxp2p/internal/telemetry"
@@ -101,9 +102,10 @@ type Network struct {
 	// nothing: the payload is copied into the recycled buffer and the
 	// recycled closure is scheduled. Records return to the list after
 	// their handler ran (a handler cannot outlive the delivery event).
-	// While a window runs on workers the list is dealt out among them
-	// (BeginWindow) and gathered back after (EndWindow).
-	free []*delivery
+	// While a window runs on workers each takes a chunk at a time under
+	// freeMu (refill) and EndWindow gathers what they hold.
+	free   []*delivery
+	freeMu sync.Mutex
 	// windowed is set while a window runs on workers, written only while
 	// they park; see lanes.go for it and the worker pools.
 	windowed bool
@@ -131,7 +133,7 @@ type nodeSlot struct {
 	dropped uint64
 	log     []op
 	next    int          // first uncommitted op
-	pool    *[]*delivery // records for the lane's sends; nil means free
+	pool    *[]*delivery // the firing worker's records; nil outside a window: free
 	_       [56]byte     // to 128 bytes
 }
 
@@ -185,8 +187,12 @@ func (n *Network) recordPool(ns *nodeSlot) *[]*delivery {
 	return &n.free
 }
 
-// getDelivery pops a recycled record off the list or builds a fresh one.
+// getDelivery pops a recycled record off the list — a worker's, refilled
+// from the free list when empty — or builds a fresh one.
 func (n *Network) getDelivery(pool *[]*delivery) *delivery {
+	if len(*pool) == 0 && n.windowed {
+		n.refill(pool)
+	}
 	if k := len(*pool); k > 0 {
 		d := (*pool)[k-1]
 		*pool = (*pool)[:k-1]

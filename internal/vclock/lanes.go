@@ -1,6 +1,11 @@
 package vclock
 
-import "time"
+import (
+	"sync/atomic"
+	"time"
+
+	"sgxp2p/internal/hosttime"
+)
 
 // Lanes is implemented by the owner of the state that events of different
 // lanes share — for a simulated network, the network (internal/simnet).
@@ -13,10 +18,13 @@ import "time"
 //
 // BeginWindow, Commit and EndWindow run on Run's goroutine while the
 // workers park; Claim and EndEvent run on the worker firing the lane and
-// may touch that lane's state only. A window fired inline — too light to
-// hand off, or a pool of one — calls none of them: its events fire on
-// Run's goroutine in (time, sequence) order and act on shared state
-// directly.
+// may touch that lane's state only. Every window starts inline: its events
+// fire on Run's goroutine in (time, sequence) order and act on shared state
+// directly. A window that stays inline to its end — too light to hand off,
+// one lane, or a pool of one — calls none of the methods. A window handed
+// off part-way calls them for the events not yet fired: the inline prefix
+// has acted already and has nothing to commit, and a lane with events on
+// both sides of the split is claimed at its first unfired event.
 type Lanes interface {
 	// BeginWindow announces a window about to fire on the given number of
 	// workers, numbered from 0.
@@ -36,23 +44,67 @@ type Lanes interface {
 	EndWindow()
 }
 
-// minParallelEvents is the size below which a window fires inline. The
-// workers park between windows, and a parked worker is slow to start:
-// around 100 µs passed on the 2-vCPU benchmark host before the first
-// worker claimed a lane (the scheduler is in no hurry to steal the
-// goroutine Run just woke, and the idle CPU has to be woken too). A
-// window has to hold a few hundred µs of work to earn that back. The
-// event count is what the loop can see of a window's weight before firing
-// it; at the ≈ 1 µs a delivery costs, windows of 128-255 events measured
-// slower on two workers than inline (152 vs 139 µs) and windows of
-// 256-511 faster (319 vs 408 µs).
-const minParallelEvents = 256
+// handoffBreakEven is the inline time a window must still have ahead of
+// it — the pace of its last few events times the events unfired — for the
+// rest of it to go to the workers. The workers park between windows, and a
+// parked worker is slow to start: 64–256 µs pass on the 2-vCPU benchmark
+// host before the first one claims a lane (the scheduler is in no hurry to
+// steal the goroutine Run just woke, and the idle CPU has to be woken too),
+// and what it fires is committed a second time through the owner's log.
+// BenchmarkWindowHandoff, one 64-lane window inline against handed off
+// whole (median µs, three runs): 122–125 against 140–157 at 125 µs of work,
+// 242–258 against 229–261 at 250 µs, 472–512 against 351–361 at 500 µs,
+// 929–1013 against 592–634 at 1 ms — a break-even near 250 µs when the
+// second CPU is there to be had. It is not always: in one run of the three
+// no worker arrived inside a millisecond (the hand-off then costs 15–35 µs),
+// and on that host's two vCPUs of one core a memory-bound window gains
+// nothing from the second. So the repository benchmark decides (go run
+// ./bench, 5 s windows, break-even 300 / 600 / 1000 / 1500 / 2000 µs
+// against the event-count rule this one replaced): erb_mux ops_per_s
+// +24 / +29 / +25 / +19 / +20 %; erb_serial +13 / +5 / +4 / −7 / −11 %
+// (from 1500 µs its 500-event delivery windows stay inline, which the
+// count rule handed off); erng_basic ops_per_cpu_s −25 / −26 / −1 to −8 /
+// 0 / 0 % with ops_per_s unmoved at every value. 1 ms is the value with no
+// loser.
+//
+// A variable only for the tests, which set it to 0 (hand off at the first
+// check) or past any window's length (never).
+var handoffBreakEven = 1000 * time.Microsecond
+
+// SetHandoffBreakEven is for the tests of packages that drive a Sim: they
+// have to reach the workers, or stay off them, whatever the host's speed.
+// It sets handoffBreakEven and returns the function that puts it back.
+func SetHandoffBreakEven(d time.Duration) (restore func()) {
+	prev := handoffBreakEven
+	handoffBreakEven = d
+	return func() { handoffBreakEven = prev }
+}
+
+// paceCheckEvery is how many events fire inline between two reads of the
+// wall clock once a window's first few events — each of them a check — say
+// it is light: a read costs ≈ 35 ns, a light event ≈ 1 µs, and a window
+// that turns heavy part-way (late ACKs, then the round's ticks) is caught
+// within that many events.
+const paceCheckEvery = 8
+
+// paceSampleTime is the shortest stretch of fewer than paceCheckEvery
+// events whose pace is believed: one event that missed the cache must not
+// send a window of two hundred light ones to the workers, and two round
+// ticks of 63 seals each are enough to send the other 62.
+const paceSampleTime = 40 * time.Microsecond
+
+// running counts the Runs in flight in this process. Simulators running
+// side by side — a sweep runs one per core — share the cores, so each
+// sizes its pool as its share of GOMAXPROCS: a worker with no core to run
+// on only adds its start-up cost. What a run computes does not depend on
+// the pool's size.
+var running atomic.Int32
 
 // laneState is one lane's share of the window being fired, padded to a
 // cache line because neighbouring lanes fire on different workers.
 type laneState struct {
 	events []entry // this window's events, in (time, sequence) order
-	next   int     // first uncommitted event
+	next   int     // first event neither fired inline nor committed
 	now    time.Duration
 	_      [24]byte
 }
@@ -98,12 +150,30 @@ func (s *Sim) LaneNow(lane int) time.Duration {
 // ParallelWindows returns how many windows were fired on more than one
 // worker so far. Which windows are is a property of the host, not of the
 // simulation: nothing a simulation computes depends on it.
-func (s *Sim) ParallelWindows() uint64 { return s.nPar }
+func (s *Sim) ParallelWindows() uint64 { return s.counts.HandedOff }
+
+// LaneCounts says what the hand-off rule did with the windows of lane
+// events fired so far. Like ParallelWindows it describes the host.
+type LaneCounts struct {
+	Inline       uint64 // windows fired on Run's goroutine to their end
+	HandedOff    uint64 // windows whose remainder went to the workers
+	WorkerEvents uint64 // events of those remainders
+}
+
+// LaneCounts returns the counts so far.
+func (s *Sim) LaneCounts() LaneCounts { return s.counts }
 
 // fireWindow pops every lane event in [head.at, head.at+lookahead) — up
 // to the first untagged event, which is a barrier, and the deadline — and
-// fires them, each lane's in order: on the workers when the window is
-// heavy enough to hand off, else right here.
+// fires them, each lane's in order. It starts right here, in (time,
+// sequence) order, and reads the wall clock as it goes; once the events
+// still unfired would take longer at the pace of the last few than a
+// hand-off costs (handoffBreakEven) and span two lanes or more, the workers
+// fire the rest and the loop commits it. Only the pace is measured, so
+// only the host decides where a window splits; the lookahead argument
+// holds for any suffix of a window — nothing the prefix scheduled lands
+// before the window's end (push panics otherwise) — so what the window
+// computes is the same wherever it does.
 func (s *Sim) fireWindow(head *entry) {
 	end := head.at + s.lookahead
 	if s.limit > 0 && end > s.limit {
@@ -120,14 +190,42 @@ func (s *Sim) fireWindow(head *entry) {
 		head = s.livePeek()
 	}
 	s.windowEnd = end
-	// One loop either way: on workers the events have fired by the time it
-	// runs and it commits what they held back; inline it fires them.
-	workers := min(len(s.active), s.procs)
-	onWorkers := workers > 1 && len(s.order) >= minParallelEvents
-	if onWorkers {
-		s.fireOnWorkers(workers)
+
+	pool := 1
+	if len(s.active) > 1 {
+		pool = max(1, s.procs/int(running.Load()))
 	}
-	for _, li := range s.order {
+	var (
+		last  time.Duration // host time of the last pace sample
+		lastI int           // its index
+		check = -1          // index of the next pace check; none on a pool of one
+	)
+	if pool > 1 {
+		last, check = hosttime.Now(), 0
+	}
+	onWorkers := false
+	for i, li := range s.order {
+		if i == check {
+			if check++; i >= paceCheckEvery {
+				check = i + paceCheckEvery
+			}
+			var ahead time.Duration
+			if i > 0 {
+				now := hosttime.Now()
+				if n, dt := i-lastI, now-last; n >= paceCheckEvery || dt >= paceSampleTime {
+					ahead = dt / time.Duration(n) * time.Duration(len(s.order)-i)
+					last, lastI = now, i
+				}
+			}
+			if ahead >= handoffBreakEven {
+				check = -1 // the rest goes to the workers, or is all on one lane
+				if workers := s.unfiredLanes(pool); workers > 1 {
+					s.counts.WorkerEvents += uint64(len(s.order) - i)
+					s.fireOnWorkers(workers)
+					onWorkers = true
+				}
+			}
+		}
 		ln := &s.lanes[li]
 		en := &ln.events[ln.next]
 		ln.next++
@@ -141,6 +239,8 @@ func (s *Sim) fireWindow(head *entry) {
 	}
 	if onWorkers {
 		s.owner.EndWindow()
+	} else {
+		s.counts.Inline++
 	}
 	s.windowEnd = 0
 	for _, li := range s.active {
@@ -150,11 +250,25 @@ func (s *Sim) fireWindow(head *entry) {
 	s.order, s.active = s.order[:0], s.active[:0]
 }
 
-// fireOnWorkers fires the gathered window's lanes on the given number of
-// workers, Run's goroutine being worker 0, and returns when all have
-// fired.
+// unfiredLanes counts the window's lanes with an event still to fire, up
+// to limit.
+func (s *Sim) unfiredLanes(limit int) int {
+	n := 0
+	for _, li := range s.active {
+		if ln := &s.lanes[li]; ln.next < len(ln.events) {
+			if n++; n == limit {
+				break
+			}
+		}
+	}
+	return n
+}
+
+// fireOnWorkers fires what is left of the gathered window's lanes on the
+// given number of workers, Run's goroutine being worker 0 — it fires lanes
+// while the parked ones start — and returns when all have fired.
 func (s *Sim) fireOnWorkers(workers int) {
-	s.nPar++
+	s.counts.HandedOff++
 	s.owner.BeginWindow(workers)
 	for len(s.wake) < workers-1 {
 		// Buffered so that Run's goroutine never waits for a worker to
@@ -186,9 +300,9 @@ func (s *Sim) worker(w int, wake <-chan struct{}) {
 }
 
 // fireLanes claims lanes of the window until none is left and fires each
-// one's events in order. Claiming one lane at a time balances a window
-// whose lanes differ in weight — a node ticking a multicast next to nodes
-// taking one delivery each.
+// one's unfired events in order. Claiming one lane at a time balances a
+// window whose lanes differ in weight — a node ticking a multicast next to
+// nodes taking one delivery each.
 func (s *Sim) fireLanes(w int) {
 	for {
 		i := int(s.claim.Add(1)) - 1
@@ -196,9 +310,12 @@ func (s *Sim) fireLanes(w int) {
 			return
 		}
 		li := int(s.active[i])
-		s.owner.Claim(w, li)
 		ln := &s.lanes[li]
-		for k := range ln.events {
+		if ln.next == len(ln.events) {
+			continue // fired to its end before the hand-off
+		}
+		s.owner.Claim(w, li)
+		for k := ln.next; k < len(ln.events); k++ {
 			ln.now = ln.events[k].at
 			ln.events[k].fn()
 			s.owner.EndEvent(li)

@@ -83,7 +83,7 @@ type Sim struct {
 	lanes     []laneState
 	order     []int32 // lane of every event of the window, in pop order
 	active    []int32 // lanes with an event in the window, by first event
-	procs     int     // GOMAXPROCS, read once per Run
+	procs     int     // GOMAXPROCS, read once per Run; see running
 	// parallel is set while workers fire a window: LaneNow then answers
 	// from the lane, not from now. Written only while the workers park.
 	parallel bool
@@ -91,7 +91,7 @@ type Sim struct {
 	claim    atomic.Int32    // next unclaimed index of active
 	windowWG sync.WaitGroup  // workers still firing the current window
 	exitWG   sync.WaitGroup  // workers not yet returned
-	nPar     uint64
+	counts   LaneCounts
 }
 
 // SetHorizon hints the timescale most events are scheduled on: d should
@@ -296,6 +296,8 @@ func (s *Sim) fire(en entry) {
 func (s *Sim) Run() error {
 	s.stopped = false
 	s.procs = runtime.GOMAXPROCS(0)
+	running.Add(1)
+	defer running.Add(-1)
 	defer s.stopWorkers()
 	for {
 		head := s.livePeek()
