@@ -318,8 +318,11 @@ func TestQuickSealerEquivalence(t *testing.T) {
 
 // BenchmarkSealOpen measures one seal plus one open on an established
 // link with reused buffers, per sealer: an encoded protocol message
-// (msg), then the erng_basic workload's p50 and p99 envelope sizes, with
-// MB/s over the envelope bytes.
+// (msg), then the repository benchmark's p50 and p99 envelope sizes, with
+// MB/s over the envelope bytes. 110 B is every workload's p50 (a
+// singleton frame) and 2048 B erng_basic's p99; the real sealer also runs
+// the p99 of the two real-crypto workloads that batch, beacon_opt (643 B)
+// and erb_mux (1105 B, which is also its largest: mean 501 B).
 func BenchmarkSealOpen(b *testing.B) {
 	for _, s := range sealers {
 		la, lb := pairedLinks(b, s.mk)
@@ -344,7 +347,11 @@ func BenchmarkSealOpen(b *testing.B) {
 			b.Fatal(err)
 		}
 		run("msg", enc)
-		for _, size := range []int{110, 2048} {
+		sizes := []int{110, 2048}
+		if s.name == "real" {
+			sizes = []int{110, 643, 1105, 2048}
+		}
+		for _, size := range sizes {
 			run(fmt.Sprintf("%dB", size), make([]byte, size-s.mk().SealedSize(0)))
 		}
 	}

@@ -252,7 +252,14 @@ func (e *Enclave) SessionKeys(remote [xcrypto.PublicKeySize]byte) (xcrypto.Sessi
 }
 
 func bindMeasurement(key [xcrypto.KeySize]byte, m xcrypto.Measurement, label string) [xcrypto.KeySize]byte {
-	return xcrypto.Measure(append(append([]byte("bind/"+label+"/"), key[:]...), m[:]...))
+	// Sized for the two three-byte labels so the hash input stays on the
+	// stack: this runs twice per link during cluster setup.
+	var buf [len("bind/enc/") + xcrypto.KeySize + xcrypto.MeasurementSize]byte
+	in := append(buf[:0], "bind/"...)
+	in = append(in, label...)
+	in = append(in, '/')
+	in = append(in, key[:]...)
+	return xcrypto.Measure(append(in, m[:]...))
 }
 
 // modelSessionKeys derives pairwise-symmetric session keys from the two

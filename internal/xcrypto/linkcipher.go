@@ -24,35 +24,61 @@ import (
 	"io"
 )
 
-// LinkCipher is the prepared cipher state of one secure link: the AES-256
-// block (expanded key schedule) and a reusable HMAC-SHA256 instance whose
-// key pads were absorbed once at construction. Envelopes it produces and
-// accepts are byte-identical to the one-shot Seal/Open under the same
-// keys and nonce stream (pinned by the package equivalence tests).
+// LinkCipher is the prepared cipher state of one secure link: the expanded
+// AES-256 encryption key schedule and a reusable HMAC-SHA256 instance
+// whose key pads were absorbed once at construction. Envelopes it
+// produces and accepts are byte-identical to the one-shot Seal/Open under
+// the same keys and nonce stream (pinned by the package equivalence
+// tests).
 //
-// A LinkCipher is NOT safe for concurrent use: the HMAC state and the CTR
-// scratch blocks are reused across calls. Each link owns one instance and
-// the peer runtime serializes all sends and receives on its event loop.
+// A LinkCipher is NOT safe for concurrent use: the HMAC state (and, on
+// the portable path, the CTR scratch blocks) is reused across calls. Each
+// link owns one instance and the peer runtime serializes all sends and
+// receives on its event loop.
 type LinkCipher struct {
-	block cipher.Block
-	mac   hash.Hash
-	// ctr and ks are the CTR-mode counter and keystream scratch blocks.
-	// They live in the struct (not the stack) so the interface call to
-	// block.Encrypt cannot force a per-envelope heap allocation.
-	ctr [NonceSize]byte
-	ks  [NonceSize]byte
+	mac hash.Hash
+	// portable is nil exactly when the kernel runs this link's CTR. The
+	// pointers come first: the collector scans an object up to its last
+	// pointer and paces itself on those bytes, and the schedule below is
+	// 240 of them per link end it has no reason to walk.
+	portable *portableCTR
+	// enc is the encryption schedule the keystream kernel reads, held by
+	// value: with the kernel a link retains nothing else of AES.
+	enc [60]uint32
 	// sum receives the computed tag during OpenAppend verification.
 	sum [MACSize]byte
+}
+
+// portableCTR is the CTR state of a link without the kernel: the stdlib
+// AES block plus the counter and keystream scratch blocks, which live
+// here (not on the stack) so the interface call to block.Encrypt cannot
+// force a per-envelope heap allocation.
+type portableCTR struct {
+	block cipher.Block
+	ctr   [NonceSize]byte
+	ks    [NonceSize]byte
 }
 
 // NewLinkCipher prepares per-link cipher state from the session keys:
 // the AES key expansion and the HMAC pad absorption happen here, once.
 func NewLinkCipher(keys SessionKeys) (*LinkCipher, error) {
+	return newLinkCipher(keys, haveCTRKernel)
+}
+
+// newLinkCipher is NewLinkCipher with the CTR path named, so the tests
+// can hold the portable loop against the kernel on a host that has both.
+func newLinkCipher(keys SessionKeys, kernel bool) (*LinkCipher, error) {
+	c := &LinkCipher{mac: hmac.New(sha256.New, keys.Mac[:])}
+	if kernel {
+		expandKeyAsm(&keys.Enc, &c.enc)
+		return c, nil
+	}
 	block, err := aes.NewCipher(keys.Enc[:])
 	if err != nil {
 		return nil, fmt.Errorf("xcrypto: aes: %w", err)
 	}
-	return &LinkCipher{block: block, mac: hmac.New(sha256.New, keys.Mac[:])}, nil
+	c.portable = &portableCTR{block: block}
+	return c, nil
 }
 
 // SealAppend encrypts and authenticates plaintext exactly like Seal but
@@ -96,18 +122,27 @@ func (c *LinkCipher) OpenAppend(dst, sealed []byte) ([]byte, error) {
 	return dst, nil
 }
 
-// ctrXOR applies AES-CTR over src into dst with the same semantics as
-// crypto/cipher.NewCTR: the full 16-byte IV is the initial counter,
-// incremented big-endian per block (pinned byte-identical by
-// TestCTRXORMatchesStdlib). Using the struct's scratch blocks keeps the
-// per-envelope path free of heap allocations.
+// ctrXOR applies AES-CTR over src into dst (same length; the same bytes
+// or disjoint) with the semantics of crypto/cipher.NewCTR: the full
+// 16-byte IV is the initial counter, incremented big-endian per block
+// with the carry running from the low 64 bits into the high (pinned
+// byte-identical by TestCTRXORMatchesStdlib). Neither path allocates.
 func (c *LinkCipher) ctrXOR(iv, dst, src []byte) {
 	hi, lo := binary.BigEndian.Uint64(iv), binary.BigEndian.Uint64(iv[8:])
+	if p := c.portable; p != nil {
+		p.xor(dst, src, lo, hi)
+		return
+	}
+	ctrKernel(&c.enc, dst[:len(src)], src, lo, hi)
+}
+
+// xor is the portable CTR loop: one Block.Encrypt per 16 bytes.
+func (p *portableCTR) xor(dst, src []byte, lo, hi uint64) {
 	for len(src) > 0 {
-		binary.BigEndian.PutUint64(c.ctr[:], hi)
-		binary.BigEndian.PutUint64(c.ctr[8:], lo)
-		c.block.Encrypt(c.ks[:], c.ctr[:])
-		n := subtle.XORBytes(dst, src, c.ks[:])
+		binary.BigEndian.PutUint64(p.ctr[:], hi)
+		binary.BigEndian.PutUint64(p.ctr[8:], lo)
+		p.block.Encrypt(p.ks[:], p.ctr[:])
+		n := subtle.XORBytes(dst, src, p.ks[:])
 		src, dst = src[n:], dst[n:]
 		if lo++; lo == 0 {
 			hi++

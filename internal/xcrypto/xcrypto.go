@@ -5,7 +5,9 @@
 // Ed25519 signatures for the digital-signature broadcast baseline, and
 // SHA-256 program measurements.
 //
-// Everything here is built from the Go standard library only.
+// Everything here is built from the Go standard library, plus one piece
+// of assembly adapted from it: the AES-256-CTR keystream kernel a
+// LinkCipher uses on amd64 (ctr_amd64.s, LICENSE-go).
 package xcrypto
 
 import (

@@ -271,18 +271,3 @@ func TestQuickTamperDetection(t *testing.T) {
 		t.Fatal(err)
 	}
 }
-
-func BenchmarkSeal1KiB(b *testing.B) {
-	kp1, _ := GenerateKeyPair(detRand(1))
-	kp2, _ := GenerateKeyPair(detRand(2))
-	keys, _ := kp1.DeriveSessionKeys(kp2.Public())
-	payload := make([]byte, 1024)
-	rng := detRand(3)
-	b.SetBytes(int64(len(payload)))
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		if _, err := Seal(keys, rng, payload); err != nil {
-			b.Fatal(err)
-		}
-	}
-}
