@@ -8,9 +8,10 @@ GO ?= go
 build:
 	$(GO) build ./...
 
-# The second run takes the portable CTR loop of the link cipher
-# (DESIGN.md §7) through the tests of the two packages that seal: an amd64
-# host with AES-NI otherwise only ever runs the keystream kernel.
+# The second run takes the portable CTR loop and the stdlib HMAC of the
+# link cipher (DESIGN.md §7) through the tests of the two packages that
+# seal, in a build with neither kernel: an amd64 host with AES-NI and
+# SHA-NI otherwise only ever runs the two kernels.
 test:
 	$(GO) test ./...
 	$(GO) test -tags purego ./internal/xcrypto/... ./internal/channel/...

@@ -246,8 +246,9 @@ type Link struct {
 	//
 	// cipher is the prepared per-link cipher state built at link
 	// establishment for RealSealer links: the AES key schedule and the
-	// HMAC pads are derived once here instead of on every envelope.
-	// Stateful (scratch blocks, HMAC state), hence per-link and never
+	// two HMAC chaining values are derived once here instead of on every
+	// envelope. Stateful (the tag scratch; on the portable paths also the
+	// CTR scratch blocks and the stdlib hash), hence per-link and never
 	// shared through the enclave key cache.
 	cipher *xcrypto.LinkCipher
 	// nonces is where cipher draws envelope nonces: the local enclave's

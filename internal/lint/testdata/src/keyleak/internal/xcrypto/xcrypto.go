@@ -1,6 +1,6 @@
 // Package xcrypto is a minimal fake of sgxp2p/internal/xcrypto for the
-// keyleak golden test: SessionKeys/LinkCipher/SigningKey are the key-typed
-// sources, Seal/Sign are the sanctioned consumers.
+// keyleak golden test: SessionKeys/LinkCipher/SigningKey/macState are the
+// key-typed sources, Seal/Sign are the sanctioned consumers.
 package xcrypto
 
 // SessionKeys is pairwise key material.
@@ -12,6 +12,16 @@ type SessionKeys struct {
 // LinkCipher is prepared per-link cipher state.
 type LinkCipher struct {
 	keys SessionKeys
+}
+
+// macState is an HMAC key with its pads absorbed: key-equivalent.
+type macState struct {
+	inner, outer [8]uint32
+}
+
+// AbsorbPads prepares a raw MAC key; what it returns is still the key.
+func AbsorbPads(key [32]byte) macState {
+	return macState{inner: [8]uint32{uint32(key[0])}}
 }
 
 // SigningKey is a private signing key.

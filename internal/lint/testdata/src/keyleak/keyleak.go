@@ -32,6 +32,12 @@ func SessionOf(keys xcrypto.SessionKeys) xcrypto.SessionKeys { // want "key mate
 	return keys
 }
 
+// describeMidstate leaks a prepared MAC key: the raw bytes it came from
+// are no key type, the midstate they become is.
+func describeMidstate(raw [32]byte) error {
+	return fmt.Errorf("mac state %v", xcrypto.AbsorbPads(raw)) // want "key material from xcrypto.macState reaches log/error formatting"
+}
+
 // sealedUse is sanctioned: Seal consumes the keys and returns ciphertext.
 // No finding.
 func sealedUse(t *telemetry.Tracer, keys xcrypto.SessionKeys, plaintext []byte) error {

@@ -18,7 +18,7 @@ import (
 func ctrPaths(tb testing.TB, keys SessionKeys) map[string]*LinkCipher {
 	tb.Helper()
 	mk := func(kernel bool) *LinkCipher {
-		lc, err := newLinkCipher(keys, kernel)
+		lc, err := newLinkCipher(&keys, kernel, haveMACKernel)
 		if err != nil {
 			tb.Fatal(err)
 		}
@@ -127,7 +127,7 @@ func TestExpandKeyMatchesStdlib(t *testing.T) {
 	for trial := 0; trial < 32; trial++ {
 		var keys SessionKeys
 		rng.Read(keys.Enc[:])
-		lc, err := newLinkCipher(keys, true)
+		lc, err := newLinkCipher(&keys, true, haveMACKernel)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -164,26 +164,27 @@ func FuzzCTRKernel(f *testing.F) {
 }
 
 // TestLinkCipherFootprint pins what NewLinkCipher allocates per link.
-// Before the kernel that was 8 objects and 1168 bytes (go1.24, amd64):
-// the HMAC's six, a 96-byte LinkCipher, and the 512-byte-class aes block
-// with both schedules behind a cipher.Block. With it the encryption
-// schedule sits inside a 320-byte LinkCipher and the block is gone — 7
-// objects, 864 bytes. Background allocations add a few bytes per link.
+// With both kernels that is the LinkCipher and nothing else: schedule,
+// chaining values and tag scratch behind two nil pointers, 352 bytes
+// (go1.24, amd64). It was 8 objects and 1168 bytes before the CTR kernel
+// (a cipher.Block with both schedules) and 7 and 864 before the MAC one
+// (crypto/hmac's six). Background allocations add a few bytes per link.
 // What the collector scans of it ends at the last pointer field, and that
-// is pinned too: with the schedule ahead of a pointer every link end is
-// 240 more bytes of mark work to the pacer than it holds pointers for.
+// is pinned too: with scalar state ahead of a pointer every link end is
+// that much more mark work to the pacer than it holds pointers for.
 func TestLinkCipherFootprint(t *testing.T) {
 	var lc LinkCipher
 	scanned := max(unsafe.Offsetof(lc.mac)+unsafe.Sizeof(lc.mac), unsafe.Offsetof(lc.portable)+unsafe.Sizeof(lc.portable))
-	if unsafe.Offsetof(lc.enc) < scanned || unsafe.Offsetof(lc.sum) < scanned {
-		t.Errorf("LinkCipher keeps scalar state ahead of its last pointer (enc at %d, sum at %d, pointers end at %d)",
-			unsafe.Offsetof(lc.enc), unsafe.Offsetof(lc.sum), scanned)
+	for name, off := range map[string]uintptr{"enc": unsafe.Offsetof(lc.enc), "mid": unsafe.Offsetof(lc.mid), "sum": unsafe.Offsetof(lc.sum)} {
+		if off < scanned {
+			t.Errorf("LinkCipher keeps %s (offset %d) ahead of its last pointer (pointers end at %d)", name, off, scanned)
+		}
 	}
-	if !haveCTRKernel {
-		t.Skip("the portable path keeps its cipher.Block")
+	if !haveCTRKernel || !haveMACKernel {
+		t.Skip("a portable path keeps its stdlib state")
 	}
 	keys := testKeys(21)
-	const links = 256
+	const links = 1024 // enough that a stray background allocation is under a byte per link
 	held := make([]*LinkCipher, links)
 	var before, after runtime.MemStats
 	runtime.GC()
@@ -200,12 +201,11 @@ func TestLinkCipherFootprint(t *testing.T) {
 	allocs := float64(after.Mallocs-before.Mallocs) / links
 	size := float64(after.TotalAlloc-before.TotalAlloc) / links
 	t.Logf("NewLinkCipher: %.2f allocations, %.0f bytes per link", allocs, size)
-	const parentAllocs, parentBytes = 8, 1168
-	if allocs > parentAllocs-0.5 {
-		t.Errorf("NewLinkCipher makes %.2f allocations per link: the parent's %d, cipher.Block included", allocs, parentAllocs)
+	if allocs > 1.5 {
+		t.Errorf("NewLinkCipher makes %.2f allocations per link, want 1: the LinkCipher itself", allocs)
 	}
-	if size > parentBytes-256 {
-		t.Errorf("NewLinkCipher allocates %.0f bytes per link, want at most %d (the parent's %d less a decryption schedule)", size, parentBytes-256, parentBytes)
+	if size > 352+16 {
+		t.Errorf("NewLinkCipher allocates %.0f bytes per link, want one 352-byte object", size)
 	}
 }
 

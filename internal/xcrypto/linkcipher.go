@@ -25,26 +25,33 @@ import (
 )
 
 // LinkCipher is the prepared cipher state of one secure link: the expanded
-// AES-256 encryption key schedule and a reusable HMAC-SHA256 instance
-// whose key pads were absorbed once at construction. Envelopes it
+// AES-256 encryption key schedule and the HMAC-SHA256 key with its two
+// pads absorbed, both computed once at construction. Envelopes it
 // produces and accepts are byte-identical to the one-shot Seal/Open under
 // the same keys and nonce stream (pinned by the package equivalence
 // tests).
 //
-// A LinkCipher is NOT safe for concurrent use: the HMAC state (and, on
-// the portable path, the CTR scratch blocks) is reused across calls. Each
-// link owns one instance and the peer runtime serializes all sends and
-// receives on its event loop.
+// With both kernels a LinkCipher is one object without a pointer in use:
+// the schedule, the two chaining values and the tag scratch, 336 bytes by
+// value. A LinkCipher is NOT safe for concurrent use: sum (and, on the
+// portable paths, the CTR scratch blocks and the hash.Hash) is reused
+// across calls. Each link owns one instance and the peer runtime
+// serializes all sends and receives on its event loop.
 type LinkCipher struct {
-	mac hash.Hash
-	// portable is nil exactly when the kernel runs this link's CTR. The
-	// pointers come first: the collector scans an object up to its last
-	// pointer and paces itself on those bytes, and the schedule below is
-	// 240 of them per link end it has no reason to walk.
+	// mac is nil exactly when the kernel computes this link's tags, and
+	// portable exactly when the kernel runs its CTR. The pointers come
+	// first: the collector scans an object up to its last pointer and
+	// paces itself on those bytes, and what follows is 336 of them per
+	// link end it has no reason to walk.
+	mac      *portableMAC
 	portable *portableCTR
 	// enc is the encryption schedule the keystream kernel reads, held by
 	// value: with the kernel a link retains nothing else of AES.
 	enc [60]uint32
+	// mid is the MAC key as the block routine uses it, by value for the
+	// same reason: a tag copies 32 bytes of it twice, and six objects of
+	// hmac state per link end are six cache misses on a link that was idle.
+	mid macState
 	// sum receives the computed tag during OpenAppend verification.
 	sum [MACSize]byte
 }
@@ -59,21 +66,38 @@ type portableCTR struct {
 	ks    [NonceSize]byte
 }
 
+// portableMAC is the MAC state of a link without the kernel: one reusable
+// stdlib HMAC-SHA256 whose key pads were absorbed at construction. It is
+// a struct around the interface so that a LinkCipher on the kernel pays
+// one nil word for it, not two, and stays in the 352-byte size class.
+type portableMAC struct {
+	hash.Hash
+}
+
 // NewLinkCipher prepares per-link cipher state from the session keys:
 // the AES key expansion and the HMAC pad absorption happen here, once.
 func NewLinkCipher(keys SessionKeys) (*LinkCipher, error) {
-	return newLinkCipher(keys, haveCTRKernel)
+	return newLinkCipher(&keys, haveCTRKernel, haveMACKernel)
 }
 
-// newLinkCipher is NewLinkCipher with the CTR path named, so the tests
-// can hold the portable loop against the kernel on a host that has both.
-func newLinkCipher(keys SessionKeys, kernel bool) (*LinkCipher, error) {
-	c := &LinkCipher{mac: hmac.New(sha256.New, keys.Mac[:])}
-	if kernel {
+// newLinkCipher is NewLinkCipher with the CTR and MAC paths named, so the
+// tests can hold each portable path against its kernel on a host that has
+// both. With both kernels it is one allocation: keys is read in place
+// and only the stdlib branches copy what they retain.
+func newLinkCipher(keys *SessionKeys, ctrKernel, macKernel bool) (*LinkCipher, error) {
+	c := new(LinkCipher)
+	if macKernel {
+		c.mid.setKey(&keys.Mac)
+	} else {
+		key := keys.Mac
+		c.mac = &portableMAC{hmac.New(sha256.New, key[:])}
+	}
+	if ctrKernel {
 		expandKeyAsm(&keys.Enc, &c.enc)
 		return c, nil
 	}
-	block, err := aes.NewCipher(keys.Enc[:])
+	key := keys.Enc
+	block, err := aes.NewCipher(key[:])
 	if err != nil {
 		return nil, fmt.Errorf("xcrypto: aes: %w", err)
 	}
@@ -96,9 +120,7 @@ func (c *LinkCipher) SealAppend(dst []byte, rng io.Reader, plaintext []byte) ([]
 		return nil, fmt.Errorf("xcrypto: nonce: %w", err)
 	}
 	c.ctrXOR(body[:NonceSize], body[NonceSize:], plaintext)
-	c.mac.Reset()
-	c.mac.Write(body)
-	c.mac.Sum(body) // appends the tag in place: dst has the capacity
+	c.tag((*[MACSize]byte)(dst[start+len(body):]), body)
 	return dst, nil
 }
 
@@ -111,15 +133,26 @@ func (c *LinkCipher) OpenAppend(dst, sealed []byte) ([]byte, error) {
 	}
 	body := sealed[:len(sealed)-MACSize]
 	tag := sealed[len(sealed)-MACSize:]
-	c.mac.Reset()
-	c.mac.Write(body)
-	if !hmac.Equal(c.mac.Sum(c.sum[:0]), tag) {
+	c.tag(&c.sum, body)
+	if !hmac.Equal(c.sum[:], tag) {
 		return nil, ErrAuthFailed
 	}
 	start := len(dst)
 	dst = appendGrow(dst, len(body)-NonceSize)
 	c.ctrXOR(body[:NonceSize], dst[start:], body[NonceSize:])
 	return dst, nil
+}
+
+// tag writes HMAC-SHA256(mac key, body) to out, which may be the bytes
+// that follow body. Neither path allocates.
+func (c *LinkCipher) tag(out *[MACSize]byte, body []byte) {
+	if h := c.mac; h != nil {
+		h.Reset()
+		h.Write(body)
+		h.Sum(out[:0])
+		return
+	}
+	c.mid.tag(out, body)
 }
 
 // ctrXOR applies AES-CTR over src into dst (same length; the same bytes

@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"crypto/aes"
 	"crypto/cipher"
+	"fmt"
 	"math/rand"
 	"testing"
 )
@@ -18,18 +19,46 @@ func testKeys(seed byte) SessionKeys {
 	return keys
 }
 
+// linkPaths returns a LinkCipher on every (CTR path × MAC path)
+// combination this build and host have: the portable pair always, each
+// kernel when the CPU has it.
+func linkPaths(tb testing.TB, keys SessionKeys) map[string]*LinkCipher {
+	tb.Helper()
+	paths := map[string]*LinkCipher{}
+	for _, ctr := range []bool{false, true} {
+		for _, mac := range []bool{false, true} {
+			if ctr && !haveCTRKernel || mac && !haveMACKernel {
+				continue
+			}
+			lc, err := newLinkCipher(&keys, ctr, mac)
+			if err != nil {
+				tb.Fatal(err)
+			}
+			if (lc.portable == nil) != ctr || (lc.mac == nil) != mac {
+				tb.Fatalf("newLinkCipher(ctrKernel=%v, macKernel=%v) took another path", ctr, mac)
+			}
+			paths[fmt.Sprintf("ctrKernel=%v,macKernel=%v", ctr, mac)] = lc
+		}
+	}
+	return paths
+}
+
 // TestLinkCipherSealByteIdentical pins the tentpole equivalence: under
 // the same keys and the same nonce stream, LinkCipher.SealAppend emits
 // exactly the bytes the one-shot Seal does (which uses the stdlib
 // crypto/cipher CTR implementation, so this also pins the manual CTR).
 func TestLinkCipherSealByteIdentical(t *testing.T) {
 	keys := testKeys(7)
-	lc, err := NewLinkCipher(keys)
-	if err != nil {
-		t.Fatal(err)
+	for name, lc := range linkPaths(t, keys) {
+		t.Run(name, func(t *testing.T) { sealByteIdentical(t, keys, lc) })
 	}
-	// Plaintext lengths spanning zero, partial, exact and multi-block.
-	for _, n := range []int{0, 1, 15, 16, 17, 31, 32, 33, 100, 257, 1024} {
+}
+
+func sealByteIdentical(t *testing.T, keys SessionKeys, lc *LinkCipher) {
+	// Plaintext lengths spanning zero, partial, exact and multi-block for
+	// the CTR (16-byte blocks) and, with the nonce ahead of them, for the
+	// MAC's padding (39/40 and 47/48 are its 55/56 and 63/64).
+	for _, n := range []int{0, 1, 15, 16, 17, 31, 32, 33, 39, 40, 47, 48, 100, 257, 1024} {
 		plaintext := make([]byte, n)
 		rand.New(rand.NewSource(int64(n))).Read(plaintext)
 		// Identical nonce streams for the two paths.
@@ -95,11 +124,12 @@ func TestLinkCipherAppendsToPrefix(t *testing.T) {
 // any single flipped bit across the whole envelope. dst must stay
 // untouched on failure.
 func TestLinkCipherOpenRejects(t *testing.T) {
-	keys := testKeys(11)
-	lc, err := NewLinkCipher(keys)
-	if err != nil {
-		t.Fatal(err)
+	for name, lc := range linkPaths(t, testKeys(11)) {
+		t.Run(name, func(t *testing.T) { openRejects(t, lc) })
 	}
+}
+
+func openRejects(t *testing.T, lc *LinkCipher) {
 	env, err := lc.SealAppend(nil, rand.New(rand.NewSource(1)), []byte("guarded"))
 	if err != nil {
 		t.Fatal(err)
@@ -168,16 +198,18 @@ func TestCTRXORMatchesStdlib(t *testing.T) {
 // the warm hot path: sealing into a buffer with capacity and opening
 // into a warm scratch must not allocate.
 func TestLinkCipherSteadyStateAllocs(t *testing.T) {
-	keys := testKeys(63)
-	lc, err := NewLinkCipher(keys)
-	if err != nil {
-		t.Fatal(err)
+	for name, lc := range linkPaths(t, testKeys(63)) {
+		t.Run(name, func(t *testing.T) { steadyStateAllocs(t, lc) })
 	}
+}
+
+func steadyStateAllocs(t *testing.T, lc *LinkCipher) {
+	var err error
 	rng := rand.New(rand.NewSource(2))
 	plaintext := make([]byte, 100)
 	env := make([]byte, 0, SealedSize(len(plaintext)))
 	scratch := make([]byte, 0, len(plaintext))
-	// Warm up: the reused HMAC caches its marshaled pad states on first
+	// Warm up: the stdlib HMAC caches its marshaled pad states on first
 	// use, and the rng warms its own internals.
 	for i := 0; i < 3; i++ {
 		if env, err = lc.SealAppend(env[:0], rng, plaintext); err != nil {

@@ -5,9 +5,10 @@
 // Ed25519 signatures for the digital-signature broadcast baseline, and
 // SHA-256 program measurements.
 //
-// Everything here is built from the Go standard library, plus one piece
-// of assembly adapted from it: the AES-256-CTR keystream kernel a
-// LinkCipher uses on amd64 (ctr_amd64.s, LICENSE-go).
+// Everything here is built from the Go standard library, plus two pieces
+// of assembly adapted from it that a LinkCipher uses on amd64: the
+// AES-256-CTR keystream kernel (ctr_amd64.s) and the SHA-256 block routine
+// under its HMAC (sha_amd64.s); LICENSE-go covers both.
 package xcrypto
 
 import (
@@ -77,9 +78,12 @@ type SessionKeys struct {
 	Mac [KeySize]byte
 }
 
-// KeyPair is an X25519 key pair used in the channel setup phase.
+// KeyPair is an X25519 key pair used in the channel setup phase. The
+// public half is kept as bytes from generation on: every session-key
+// derivation and every key-cache lookup reads it.
 type KeyPair struct {
 	priv *ecdh.PrivateKey
+	pub  [PublicKeySize]byte
 }
 
 // GenerateKeyPair creates a fresh X25519 key pair from the given entropy
@@ -98,14 +102,14 @@ func GenerateKeyPair(rng io.Reader) (*KeyPair, error) {
 	if err != nil {
 		return nil, fmt.Errorf("xcrypto: generate X25519 key: %w", err)
 	}
-	return &KeyPair{priv: priv}, nil
+	kp := &KeyPair{priv: priv}
+	copy(kp.pub[:], priv.PublicKey().Bytes())
+	return kp, nil
 }
 
 // Public returns the 32-byte X25519 public key.
 func (kp *KeyPair) Public() [PublicKeySize]byte {
-	var out [PublicKeySize]byte
-	copy(out[:], kp.priv.PublicKey().Bytes())
-	return out
+	return kp.pub
 }
 
 // DeriveSessionKeys completes the Diffie-Hellman exchange against the remote
@@ -121,8 +125,7 @@ func (kp *KeyPair) DeriveSessionKeys(remote [PublicKeySize]byte) (SessionKeys, e
 	if err != nil {
 		return keys, fmt.Errorf("xcrypto: ECDH: %w", err)
 	}
-	local := kp.Public()
-	lo, hi := local[:], remote[:]
+	lo, hi := kp.pub[:], remote[:]
 	if lessBytes(hi, lo) {
 		lo, hi = hi, lo
 	}
@@ -151,17 +154,20 @@ func MakePairID(a, b [PublicKeySize]byte) PairID {
 }
 
 // kdf derives one labeled 32-byte key from the shared secret and the two
-// canonically ordered public keys.
+// canonically ordered public keys: SHA-256 over prefix, label, secret and
+// keys, 113 bytes with a three-letter label, assembled on the stack.
 func kdf(shared, lo, hi []byte, label string) [KeySize]byte {
-	h := sha256.New()
-	h.Write([]byte("sgxp2p-kdf-v1/"))
-	h.Write([]byte(label))
-	h.Write(shared)
-	h.Write(lo)
-	h.Write(hi)
-	var out [KeySize]byte
-	copy(out[:], h.Sum(nil))
-	return out
+	const prefix = "sgxp2p-kdf-v1/"
+	var in [128]byte
+	if len(prefix)+len(label)+len(shared)+len(lo)+len(hi) > len(in) {
+		panic("xcrypto: kdf input outgrew its buffer")
+	}
+	n := copy(in[:], prefix)
+	n += copy(in[n:], label)
+	n += copy(in[n:], shared)
+	n += copy(in[n:], lo)
+	n += copy(in[n:], hi)
+	return sha256.Sum256(in[:n])
 }
 
 func lessBytes(a, b []byte) bool {

@@ -2,6 +2,7 @@ package xcrypto
 
 import (
 	"bytes"
+	"crypto/sha256"
 	"math/rand"
 	"testing"
 	"testing/quick"
@@ -44,6 +45,41 @@ func TestDeriveSessionKeysAgree(t *testing.T) {
 	}
 	if ka.Enc == ka.Mac {
 		t.Fatal("encryption and MAC keys must differ")
+	}
+}
+
+// TestDeriveSessionKeysFormula pins the derivation itself, computed here
+// the long way: SHA-256 over the version prefix, the label, the X25519
+// shared secret and the two public keys in ascending order. Every link
+// key, and so every recorded envelope, hangs off these bytes.
+func TestDeriveSessionKeysFormula(t *testing.T) {
+	a, b := mustKeyPair(t, 1), mustKeyPair(t, 2)
+	if got, want := a.Public(), a.priv.PublicKey().Bytes(); !bytes.Equal(got[:], want) {
+		t.Fatalf("Public() = %x, the private key says %x", got, want)
+	}
+	shared, err := a.priv.ECDH(b.priv.PublicKey())
+	if err != nil {
+		t.Fatal(err)
+	}
+	pa, pb := a.Public(), b.Public()
+	lo, hi := pa[:], pb[:]
+	if bytes.Compare(hi, lo) < 0 {
+		lo, hi = hi, lo
+	}
+	want := func(label string) (out [KeySize]byte) {
+		h := sha256.New()
+		for _, part := range [][]byte{[]byte("sgxp2p-kdf-v1/"), []byte(label), shared, lo, hi} {
+			h.Write(part)
+		}
+		copy(out[:], h.Sum(nil))
+		return out
+	}
+	keys, err := a.DeriveSessionKeys(pb)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if keys.Enc != want("enc") || keys.Mac != want("mac") {
+		t.Fatal("DeriveSessionKeys departs from SHA-256(prefix ‖ label ‖ shared ‖ lo ‖ hi)")
 	}
 }
 
