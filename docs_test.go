@@ -13,7 +13,8 @@ import (
 // second telemetry path (the runner's streamed archive, the invariant that
 // compared it with the dumps, the tracer's ring option) may not reappear,
 // nor may the lane executor's event-count hand-off rule, which a measured
-// one replaced.
+// one replaced, nor the option and the cancellable simulator events that
+// PR 22 deleted for want of a caller.
 func TestDocsNameOnlyThingsThatExist(t *testing.T) {
 	makefile, err := os.ReadFile("Makefile")
 	if err != nil {
@@ -38,6 +39,7 @@ func TestDocsNameOnlyThingsThatExist(t *testing.T) {
 		{"command", regexp.MustCompile(`(cmd/[a-z0-9]+)`), exists},
 		{"retired name", regexp.MustCompile(`(streamed\.jsonl|stream-parity|Options\.Ring)`), func(string) bool { return false }},
 		{"retired rule", regexp.MustCompile(`(minParallelEvents|256 events)`), func(string) bool { return false }},
+		{"retired name", regexp.MustCompile(`(Options\.Program|Sim\.Cancel|vclock\.Event|Sim\.Step|Sim\.At\b|Sim\.After\b)`), func(string) bool { return false }},
 	}
 	for _, doc := range []string{"README.md", "DESIGN.md", "EXPERIMENTS.md", ".claude/skills/verify/SKILL.md"} {
 		text, err := os.ReadFile(doc)

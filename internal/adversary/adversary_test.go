@@ -123,7 +123,7 @@ func TestForgedEnvelopesRejected(t *testing.T) {
 	h := build(t, n, byz, 22, nil)
 	h.startERB(t, byz, 0, val(0x44))
 	// Inject garbage from node 1's OS to node 2 right away.
-	h.d.Sim.At(0, func() {
+	h.d.Sim.Schedule(0, func() {
 		for i := 0; i < 10; i++ {
 			h.oses[1].InjectForged(2, 109)
 		}
@@ -153,7 +153,7 @@ func TestDelayAttackReducesToOmission(t *testing.T) {
 	// Release just before node 1 halts at the end of round 2 (t = 4s with
 	// the default 1s delta): the held ECHO is stamped round 2 but arrives
 	// during round 3, so receivers discard it (P5).
-	h.d.Sim.At(2*h.d.RoundDuration()-100*time.Millisecond, func() { h.oses[1].Release() })
+	h.d.Sim.Schedule(2*h.d.RoundDuration()-100*time.Millisecond, func() { h.oses[1].Release() })
 	if err := h.d.Run(); err != nil {
 		t.Fatal(err)
 	}
@@ -192,7 +192,7 @@ func TestReplayAttackRejectedAcrossInstances(t *testing.T) {
 	}
 	// Second instance: initiator 2 broadcasts; node 1 replays its tape.
 	h.startERB(t, byz, 2, val(0x77))
-	h.d.Sim.After(0, func() {
+	h.d.Sim.ScheduleAfter(0, func() {
 		if n := h.oses[1].ReplayTape(); n == 0 {
 			t.Error("nothing to replay")
 		}

@@ -158,33 +158,9 @@ func (b *Beacon) Next() (wire.Value, error) {
 // verifies that every honest (non-halted) node decided identically, and
 // records the emission.
 func (b *Beacon) RunEpoch() (Emission, error) {
-	type decider interface {
-		Result() (erng.Result, bool)
-	}
-	deciders := make([]decider, len(b.d.Peers))
-	for i, p := range b.d.Peers {
-		if p.Halted() {
-			continue
-		}
-		switch b.cfg.Mode {
-		case ModeOptimized:
-			o, err := erng.NewOptimized(p, b.cfg.T, erng.ModeAuto, 0)
-			if err != nil {
-				return Emission{}, fmt.Errorf("beacon: node %d: %w", i, err)
-			}
-			deciders[i] = o
-			p.Start(o, o.Rounds())
-		default:
-			ba, err := erng.NewBasic(p, b.cfg.T)
-			if err != nil {
-				return Emission{}, fmt.Errorf("beacon: node %d: %w", i, err)
-			}
-			deciders[i] = ba
-			p.Start(ba, ba.Rounds())
-		}
-	}
-	if err := b.d.Run(); err != nil {
-		return Emission{}, fmt.Errorf("beacon: epoch run: %w", err)
+	protos, err := b.d.Epoch(b.cfg.T, b.cfg.Mode == ModeOptimized, nil)
+	if err != nil {
+		return Emission{}, fmt.Errorf("beacon: epoch: %w", err)
 	}
 
 	var (
@@ -192,18 +168,19 @@ func (b *Beacon) RunEpoch() (Emission, error) {
 		common erng.Result
 		epoch  uint32
 	)
-	for i, dec := range deciders {
-		if dec == nil || b.d.Peers[i].Halted() {
+	for i, proto := range protos {
+		if proto == nil || b.d.Peers[i].Halted() {
 			continue
 		}
-		res, ok := dec.Result()
+		res, ok := proto.Result()
 		if !ok {
 			return Emission{}, fmt.Errorf("beacon: node %d undecided", i)
 		}
 		if !have {
 			common = res
 			have = true
-			epoch = b.d.Peers[i].Instance()
+			// The instance is closed: the counters stand one past it.
+			epoch = b.d.Peers[i].Instance() - 1
 			continue
 		}
 		if res.OK != common.OK || res.Value != common.Value {
@@ -212,9 +189,6 @@ func (b *Beacon) RunEpoch() (Emission, error) {
 	}
 	if !have {
 		return Emission{}, errors.New("beacon: no live nodes")
-	}
-	for _, p := range b.d.Peers {
-		p.BumpSeqs()
 	}
 	e := Emission{
 		Epoch:        epoch,

@@ -4,7 +4,6 @@ import (
 	"fmt"
 
 	"sgxp2p/internal/core/erb"
-	"sgxp2p/internal/deploy"
 	"sgxp2p/internal/runtime"
 	"sgxp2p/internal/wire"
 )
@@ -42,69 +41,59 @@ func RunMuxERB(seed int64, n, t, k int) (*MuxOutcome, error) {
 
 // RunMuxERBSchedule is RunMuxERB with an explicit schedule.
 func RunMuxERBSchedule(seed int64, n, t, k int, sched *Schedule) (*MuxOutcome, error) {
-	if err := sched.Validate(n, t); err != nil {
-		return nil, err
-	}
 	if k < 1 {
 		return nil, fmt.Errorf("chaos: need at least 1 broadcast, got %d", k)
 	}
-	eng := NewEngine(sched, seed)
-	trace, metrics := newRunTelemetry()
-	d, err := deploy.New(deploy.Options{N: n, T: t, Seed: seed, Wrap: eng.Wrap, Trace: trace, Metrics: metrics})
+	h, err := arm(seed, n, t, sched)
 	if err != nil {
 		return nil, err
 	}
-	eng.Arm(d)
-
 	initiators := make([]wire.NodeID, k)
 	values := make([]wire.Value, k)
-	for j := 0; j < k; j++ {
+	for j := range initiators {
 		initiators[j] = wire.NodeID(j % n)
-		v, verr := d.Encls[initiators[j]].RandomValue()
-		if verr != nil {
-			return nil, verr
+		if values[j], err = h.d.Encls[initiators[j]].RandomValue(); err != nil {
+			return nil, err
 		}
-		values[j] = v
 	}
-
 	engines := make([][]*erb.Engine, n)
 	handles := make([][]*runtime.Instance, n)
-	for i, p := range d.Peers {
+	// host queues the k broadcasts on one node's mux.
+	host := func(p *runtime.Peer) (runtime.Protocol, int, error) {
 		m := runtime.NewMux(p, runtime.MuxConfig{})
-		engines[i] = make([]*erb.Engine, k)
-		handles[i] = make([]*runtime.Instance, k)
-		self := p.ID()
-		engs := engines[i]
-		for j := 0; j < k; j++ {
-			initiator, value, slot := initiators[j], values[j], j
-			it, serr := m.Spawn(t+2, func(inst *runtime.Instance) (runtime.Protocol, error) {
+		engs := make([]*erb.Engine, k)
+		engines[p.ID()] = engs
+		handles[p.ID()] = make([]*runtime.Instance, k)
+		for j := range engs {
+			admit := func(inst *runtime.Instance) (runtime.Protocol, error) {
 				e, eerr := erb.NewEngine(inst, erb.Config{
 					T:                  t,
 					StartRound:         inst.StartRound(),
-					ExpectedInitiators: []wire.NodeID{initiator},
+					ExpectedInitiators: []wire.NodeID{initiators[j]},
 				})
 				if eerr != nil {
 					return nil, eerr
 				}
-				if self == initiator {
-					e.SetInput(value)
+				if p.ID() == initiators[j] {
+					e.SetInput(values[j])
 				}
-				engs[slot] = e
+				engs[j] = e
 				return e, nil
-			})
-			if serr != nil {
-				return nil, serr
 			}
-			handles[i][j] = it
+			it, serr := m.Spawn(t+2, admit)
+			if serr != nil {
+				return nil, 0, serr
+			}
+			handles[p.ID()][j] = it
 		}
-		p.Start(m, m.PlannedRounds())
+		return m, m.PlannedRounds(), nil
 	}
-	if err := settle(d, eng); err != nil {
+	if err = h.d.RunInstance(host, h.settle); err != nil {
 		return nil, err
 	}
 
 	mo := &MuxOutcome{
-		Outcome:     newOutcome(seed, n, t, sched, d, eng),
+		Outcome:     h.outcome(),
 		K:           k,
 		Initiators:  initiators,
 		InitValues:  values,

@@ -75,43 +75,64 @@ func RunERB(seed int64, n, t int) (*Outcome, error) {
 	return RunERBSchedule(seed, n, t, Generate(seed, n, t, t+2))
 }
 
-// RunERBSchedule is RunERB with an explicit schedule.
-func RunERBSchedule(seed int64, n, t int, sched *Schedule) (*Outcome, error) {
+// harness is the one chaos prologue and epilogue: a fresh deployment
+// wrapped and armed with a schedule's fault engine, the drain that settles
+// a run on it, and the outcome read off it afterwards. The protocol under
+// test runs in between, through the deployment's instance driver with
+// settle as its drain.
+type harness struct {
+	d     *deploy.Deployment
+	eng   *Engine
+	sched *Schedule
+}
+
+// arm validates the schedule and builds the harness for n nodes
+// tolerating t faults. The deployment records into a tracer — the single
+// event stream the outcome's per-node bookkeeping (LastRound, violation
+// timelines) derives from — and a metric registry.
+func arm(seed int64, n, t int, sched *Schedule) (*harness, error) {
 	if err := sched.Validate(n, t); err != nil {
 		return nil, err
 	}
 	eng := NewEngine(sched, seed)
-	trace, metrics := newRunTelemetry()
-	d, err := deploy.New(deploy.Options{N: n, T: t, Seed: seed, Wrap: eng.Wrap, Trace: trace, Metrics: metrics})
+	d, err := deploy.New(deploy.Options{
+		N: n, T: t, Seed: seed, Wrap: eng.Wrap,
+		Trace: telemetry.New(telemetry.Options{}), Metrics: telemetry.NewMetrics(),
+	})
 	if err != nil {
 		return nil, err
 	}
 	eng.Arm(d)
+	return &harness{d: d, eng: eng, sched: sched}, nil
+}
 
-	engines := make([]*erb.Engine, n)
-	for i, p := range d.Peers {
-		e, eerr := erb.NewEngine(p, erb.Config{
-			T:                  t,
-			ExpectedInitiators: []wire.NodeID{0},
-		})
-		if eerr != nil {
-			return nil, eerr
-		}
-		engines[i] = e
+// settle drains the run to completion: the main protocol window, then the
+// deterministic disposal of envelopes still held by delay behaviors, then
+// the stale deliveries that disposal produced. All three are part of the
+// fingerprinted trace.
+func (h *harness) settle() error {
+	if err := h.d.Run(); err != nil {
+		return err
 	}
-	v, err := d.Encls[0].RandomValue()
+	h.eng.Drain()
+	return h.d.Run()
+}
+
+// RunERBSchedule is RunERB with an explicit schedule.
+func RunERBSchedule(seed int64, n, t int, sched *Schedule) (*Outcome, error) {
+	h, err := arm(seed, n, t, sched)
 	if err != nil {
 		return nil, err
 	}
-	engines[0].SetInput(v)
-	for i, p := range d.Peers {
-		p.Start(engines[i], engines[i].Rounds())
-	}
-	if err := settle(d, eng); err != nil {
+	v, err := h.d.Encls[0].RandomValue()
+	if err != nil {
 		return nil, err
 	}
-
-	o := newOutcome(seed, n, t, sched, d, eng)
+	engines, err := h.d.Broadcast(erb.Config{T: t, ExpectedInitiators: []wire.NodeID{0}}, v, h.settle)
+	if err != nil {
+		return nil, err
+	}
+	o := h.outcome()
 	o.InitValue = v
 	for i := range o.Nodes {
 		no := &o.Nodes[i]
@@ -138,40 +159,15 @@ func RunERNG(seed int64, n, t int, optimized bool) (*Outcome, error) {
 // RunERNGSchedule is RunERNG with an explicit schedule (the bias tests
 // build targeted omission schedules directly).
 func RunERNGSchedule(seed int64, n, t int, optimized bool, sched *Schedule) (*Outcome, error) {
-	if err := sched.Validate(n, t); err != nil {
-		return nil, err
-	}
-	eng := NewEngine(sched, seed)
-	trace, metrics := newRunTelemetry()
-	d, err := deploy.New(deploy.Options{N: n, T: t, Seed: seed, Wrap: eng.Wrap, Trace: trace, Metrics: metrics})
+	h, err := arm(seed, n, t, sched)
 	if err != nil {
 		return nil, err
 	}
-	eng.Arm(d)
-
-	protos := make([]erngProto, n)
-	rounds := 0
-	for i, p := range d.Peers {
-		var proto erngProto
-		if optimized {
-			proto, err = erng.NewOptimized(p, t, 0, 0)
-		} else {
-			proto, err = erng.NewBasic(p, t)
-		}
-		if err != nil {
-			return nil, err
-		}
-		protos[i] = proto
-		rounds = proto.Rounds()
-	}
-	for i, p := range d.Peers {
-		p.Start(protos[i], rounds)
-	}
-	if err := settle(d, eng); err != nil {
+	protos, err := h.d.Epoch(t, optimized, h.settle)
+	if err != nil {
 		return nil, err
 	}
-
-	o := newOutcome(seed, n, t, sched, d, eng)
+	o := h.outcome()
 	for i := range o.Nodes {
 		no := &o.Nodes[i]
 		res, ok := protos[i].Result()
@@ -181,22 +177,6 @@ func RunERNGSchedule(seed int64, n, t int, optimized bool, sched *Schedule) (*Ou
 		no.Round = res.Round
 	}
 	return o, nil
-}
-
-// newRunTelemetry builds the tracer and registry every chaos run records
-// into: the tracer is the single event stream the outcome's per-node
-// bookkeeping (LastRound, violation timelines) derives from.
-func newRunTelemetry() (*telemetry.Tracer, *telemetry.Metrics) {
-	return telemetry.New(telemetry.Options{}), telemetry.NewMetrics()
-}
-
-// erngProto is the common surface of the two beacon variants.
-type erngProto interface {
-	OnRound(rnd uint32)
-	OnMessage(msg *wire.Message)
-	OnFinish()
-	Rounds() int
-	Result() (erng.Result, bool)
 }
 
 // erngRounds resolves the lockstep round count of a beacon variant.
@@ -211,36 +191,25 @@ func erngRounds(n, t int, optimized bool) (int, error) {
 	return params.Rounds(), nil
 }
 
-// settle drains the run to completion: the main protocol window, then the
-// deterministic disposal of envelopes still held by delay behaviors, then
-// the stale deliveries that disposal produced. All three are part of the
-// fingerprinted trace.
-func settle(d *deploy.Deployment, eng *Engine) error {
-	if err := d.Run(); err != nil {
-		return err
-	}
-	eng.Drain()
-	return d.Run()
-}
-
-// newOutcome fills the run-level fields common to ERB and ERNG runs.
-func newOutcome(seed int64, n, t int, sched *Schedule, d *deploy.Deployment, eng *Engine) *Outcome {
-	faulty := sched.Faulty(n)
+// outcome fills the run-level fields common to every settled run.
+func (h *harness) outcome() *Outcome {
+	d, n := h.d, h.d.Opts.N
+	faulty := h.sched.Faulty(n)
 	isFaulty := make([]bool, n)
 	for _, id := range faulty {
 		isFaulty[id] = true
 	}
 	o := &Outcome{
-		Seed:       seed,
+		Seed:       d.Opts.Seed,
 		N:          n,
-		T:          t,
+		T:          d.Opts.T,
 		F:          len(faulty),
 		Faulty:     faulty,
-		Schedule:   sched.String(),
+		Schedule:   h.sched.String(),
 		TraceHash:  d.Sim.TraceHash(),
 		Fired:      d.Sim.FiredCount(),
 		Nodes:      make([]NodeOutcome, n),
-		Stats:      eng.Stats(),
+		Stats:      h.eng.Stats(),
 		Trace:      d.Opts.Trace,
 		Metrics:    d.Opts.Metrics,
 		Events:     d.Opts.Trace.EventCount(),

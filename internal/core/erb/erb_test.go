@@ -471,7 +471,7 @@ func TestStaleEpochMessagesIgnored(t *testing.T) {
 	probeStart := func() {
 		_ = d.Peers[0].Multicast(nil, rogue, 0)
 	}
-	d.Sim.After(0, probeStart)
+	d.Sim.ScheduleAfter(0, probeStart)
 	startAll(d, engines)
 	if err := d.Run(); err != nil {
 		t.Fatal(err)
@@ -510,7 +510,7 @@ func TestEchoWithoutValueIgnored(t *testing.T) {
 		}
 		_ = d.Peers[2].Multicast(nil, impersonation, 0)
 	}
-	d.Sim.After(0, inject)
+	d.Sim.ScheduleAfter(0, inject)
 	startAll(d, engines)
 	if err := d.Run(); err != nil {
 		t.Fatal(err)

@@ -158,7 +158,7 @@ func TestQuickDelayedReleaseNeverForges(t *testing.T) {
 			p.Start(engines[i], engines[i].Rounds())
 		}
 		release := d.RoundDuration() * time.Duration(releaseAtRound%6)
-		d.Sim.At(release+d.RoundDuration()/3, func() { os0.Release() })
+		d.Sim.Schedule(release+d.RoundDuration()/3, func() { os0.Release() })
 		if err := d.Run(); err != nil {
 			return false
 		}

@@ -213,7 +213,7 @@ func TestBasicDelayLookAheadNeutralized(t *testing.T) {
 		t.Fatal(err)
 	}
 	// Release mid-round-3 (stamps are round 1/2: all stale on arrival).
-	d.Sim.At(d.RoundDuration()*2+d.RoundDuration()/2, func() { os0.Release() })
+	d.Sim.Schedule(d.RoundDuration()*2+d.RoundDuration()/2, func() { os0.Release() })
 	results := runBasic(t, d, byz)
 	common := checkCommon(t, results[1:])
 	if !common.OK {

@@ -67,7 +67,7 @@ func TestOptimizedRejectsStaleEpochMessages(t *testing.T) {
 		p.BumpSeqs()
 	}
 	// Second epoch with every node's first-epoch tape replayed at start.
-	d.Sim.After(0, func() {
+	d.Sim.ScheduleAfter(0, func() {
 		for _, os := range oses {
 			os.ReplayTape()
 		}

@@ -3,7 +3,9 @@
 // model, one enclave plus peer runtime per node, attestation quotes for
 // the roster, and the executed setup phase. It is the single entry point
 // used by the protocol tests, the experiment harness and the public
-// facade, so every consumer runs on an identically constructed testbed.
+// facade, so every consumer runs on an identically constructed testbed —
+// and through one instance lifecycle: RunInstance (instance.go) starts the
+// peers of every protocol instance they run and closes it.
 //
 // A deployment's nodes may fire side by side: unless an option says
 // otherwise (see lanesSafe), Run hands the nodes of one network-latency
@@ -58,8 +60,6 @@ type Options struct {
 	// size-identical model sealer. Experiments default to the model
 	// sealer; protocol-equivalence is proven in internal/channel tests.
 	RealCrypto bool
-	// Program overrides the protocol program identity.
-	Program []byte
 	// Wrap, when non-nil, wraps each node's transport (adversary hook).
 	// With Neighbors set, the wrap sits at the physical layer, below the
 	// overlay router — a byzantine OS there can also drop frames it was
@@ -136,9 +136,6 @@ func New(opts Options) (*Deployment, error) {
 	if opts.Delta <= 0 {
 		opts.Delta = time.Second
 	}
-	if len(opts.Program) == 0 {
-		opts.Program = DefaultProgram
-	}
 
 	linkDelta := opts.Delta
 	if opts.Neighbors != nil && opts.LinkDelta > 0 {
@@ -178,7 +175,7 @@ func New(opts Options) (*Deployment, error) {
 	d.Roster = runtime.Roster{
 		Quotes:      make([]enclave.Quote, opts.N),
 		ServiceKey:  service.VerifyKey(),
-		Measurement: xcrypto.Measure(opts.Program),
+		Measurement: xcrypto.Measure(DefaultProgram),
 	}
 
 	d.keyCache = enclave.NewKeyCache()
@@ -188,7 +185,7 @@ func New(opts Options) (*Deployment, error) {
 	// so the result is independent of the pool size.
 	err = parallel.ForEach(opts.N, func(id int) error {
 		rng := rand.New(rand.NewSource(opts.Seed ^ int64(id+1)*0x9E3779B9))
-		encl, lerr := enclave.Launch(opts.Program, wire.NodeID(id), rng, d.clock(wire.NodeID(id)), enclOpts...)
+		encl, lerr := enclave.Launch(DefaultProgram, wire.NodeID(id), rng, d.clock(wire.NodeID(id)), enclOpts...)
 		if lerr != nil {
 			return fmt.Errorf("deploy: enclave %d: %w", id, lerr)
 		}

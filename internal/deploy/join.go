@@ -73,7 +73,7 @@ func (d *Deployment) Join(opts JoinOptions) (wire.NodeID, error) {
 	// Launch and attest the joiner's enclave.
 	newID := d.Net.AddNode()
 	rng := rand.New(rand.NewSource(d.Opts.Seed ^ int64(newID+1)*0x9E3779B9))
-	encl, err := enclave.Launch(d.Opts.Program, newID, rng, d.clock(newID), d.enclaveOptions()...)
+	encl, err := enclave.Launch(DefaultProgram, newID, rng, d.clock(newID), d.enclaveOptions()...)
 	if err != nil {
 		return wire.NoNode, fmt.Errorf("deploy: joiner enclave: %w", err)
 	}
@@ -100,46 +100,28 @@ func (d *Deployment) Join(opts JoinOptions) (wire.NodeID, error) {
 	}
 
 	// The sponsor reliably broadcasts the join pair to the current
-	// membership.
-	live := make([]int, 0, len(d.Peers))
-	engines := make([]*erb.Engine, len(d.Peers))
-	for i, p := range d.Peers {
-		if p.Halted() {
-			continue
-		}
-		eng, eerr := erb.NewEngine(p, erb.Config{
-			T:                  d.Opts.T,
-			ExpectedInitiators: []wire.NodeID{opts.Sponsor},
-		})
-		if eerr != nil {
-			return wire.NoNode, eerr
-		}
-		engines[i] = eng
-		live = append(live, i)
-	}
-	engines[opts.Sponsor].SetInput(digest)
-	for _, i := range live {
-		d.Peers[i].Start(engines[i], engines[i].Rounds())
-	}
-	if rerr := d.Sim.Run(); rerr != nil {
-		return wire.NoNode, rerr
+	// membership: a join is an ordinary instance of the broadcast.
+	engines, err := d.Broadcast(erb.Config{T: d.Opts.T, ExpectedInitiators: []wire.NodeID{opts.Sponsor}}, digest, nil)
+	if err != nil {
+		return wire.NoNode, err
 	}
 
 	// Admission: nodes whose broadcast decision matched the digest verify
-	// the quote and extend their membership.
+	// the quote and extend their membership. The join instance is closed,
+	// so they record the joiner where it bumped everyone to: at seq+1.
 	admitted := 0
-	for _, i := range live {
-		res, ok := engines[i].Result(opts.Sponsor)
+	for i, eng := range engines {
+		if eng == nil {
+			continue
+		}
+		res, ok := eng.Result(opts.Sponsor)
 		if !ok || !res.Accepted || res.Value != digest {
 			continue
 		}
-		if aerr := d.Peers[i].AddPeer(d.Roster, quote, seq); aerr != nil {
+		if aerr := d.Peers[i].AddPeer(d.Roster, quote, seq+1); aerr != nil {
 			return wire.NoNode, fmt.Errorf("deploy: node %d admit: %w", i, aerr)
 		}
 		admitted++
-	}
-	for _, i := range live {
-		d.Peers[i].BumpSeqs()
 	}
 	if admitted == 0 {
 		return wire.NoNode, ErrJoinRejected
@@ -163,7 +145,7 @@ func (d *Deployment) Join(opts JoinOptions) (wire.NodeID, error) {
 	for i := range d.Peers {
 		seqs[i] = d.Peers[opts.Sponsor].SeqOf(wire.NodeID(i))
 	}
-	seqs[newID] = seq + 1 // the join instance bumped everyone, the joiner included
+	seqs[newID] = seq + 1
 	if err := peer.InstallSeqs(seqs); err != nil {
 		return wire.NoNode, err
 	}

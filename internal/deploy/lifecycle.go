@@ -130,7 +130,7 @@ func (d *Deployment) Restart(id wire.NodeID) error {
 
 	// Reboot: same seed, same rng stream, same enclave identity.
 	rng := rand.New(rand.NewSource(d.Opts.Seed ^ int64(id+1)*0x9E3779B9))
-	encl, err := enclave.Launch(d.Opts.Program, id, rng, d.clock(id), d.enclaveOptions()...)
+	encl, err := enclave.Launch(DefaultProgram, id, rng, d.clock(id), d.enclaveOptions()...)
 	if err != nil {
 		return fmt.Errorf("deploy: restart enclave %d: %w", id, err)
 	}

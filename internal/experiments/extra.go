@@ -8,7 +8,6 @@ import (
 	"sgxp2p/internal/adversary"
 	"sgxp2p/internal/baseline"
 	"sgxp2p/internal/core/erb"
-	"sgxp2p/internal/core/erng"
 	"sgxp2p/internal/deploy"
 	"sgxp2p/internal/parallel"
 	"sgxp2p/internal/runtime"
@@ -88,26 +87,8 @@ func Sanitize(cfg Config) (*Table, error) {
 				break
 			}
 		}
-		engines := make([]*erb.Engine, n)
-		for i, peer := range d.Peers {
-			if peer.Halted() {
-				continue
-			}
-			eng, err := erb.NewEngine(peer, erb.Config{T: byz, ExpectedInitiators: []wire.NodeID{initiator}})
-			if err != nil {
-				return nil, err
-			}
-			engines[i] = eng
-		}
-		if engines[initiator] != nil {
-			engines[initiator].SetInput(wire.Value{byte(e + 1)})
-		}
-		for i, peer := range d.Peers {
-			if engines[i] != nil {
-				peer.Start(engines[i], engines[i].Rounds())
-			}
-		}
-		if err := d.Sim.Run(); err != nil {
+		engines, err := d.Broadcast(erb.Config{T: byz, ExpectedInitiators: []wire.NodeID{initiator}}, wire.Value{byte(e + 1)}, nil)
+		if err != nil {
 			return nil, err
 		}
 		var maxRound uint32
@@ -118,9 +99,6 @@ func Sanitize(cfg Config) (*Table, error) {
 			if res, ok := engines[i].Result(initiator); ok && res.Round > maxRound {
 				maxRound = res.Round
 			}
-		}
-		for _, peer := range d.Peers {
-			peer.BumpSeqs()
 		}
 		predicted := math.Pow(1-p, float64(e+1)) * float64(byz)
 		t.Rows = append(t.Rows, []string{
@@ -269,22 +247,16 @@ func runAttackedERNG(cfg Config, n, byz int, seed int64) (wire.Value, error) {
 	if err != nil {
 		return wire.Value{}, err
 	}
-	protos := make([]*erng.Basic, n)
-	for i, p := range d.Peers {
-		b, err := erng.NewBasic(p, byz)
-		if err != nil {
-			return wire.Value{}, err
-		}
-		protos[i] = b
-		p.Start(b, b.Rounds())
-	}
 	// Release the delayed envelopes mid-run: stale rounds, all discarded.
-	d.Sim.At(5*cfg.delta(), func() {
-		if delayer != nil {
-			delayer.Release()
-		}
+	protos, err := d.Epoch(byz, false, func() error {
+		d.Sim.Schedule(5*cfg.delta(), func() {
+			if delayer != nil {
+				delayer.Release()
+			}
+		})
+		return d.Run()
 	})
-	if err := d.Sim.Run(); err != nil {
+	if err != nil {
 		return wire.Value{}, err
 	}
 	var out wire.Value

@@ -1,11 +1,11 @@
 package experiments
 
 import (
+	"errors"
 	"fmt"
 	"math"
 	"time"
 
-	"sgxp2p/internal/core/erng"
 	"sgxp2p/internal/deploy"
 	"sgxp2p/internal/parallel"
 )
@@ -71,97 +71,45 @@ type erngRun struct {
 // runBasicERNG executes one unoptimized ERNG epoch on a fresh deployment.
 func runBasicERNG(cfg Config, n int) (erngRun, error) {
 	byz := (n - 1) / 2
-	delta := effectiveDelta(cfg.delta(), erngBasicPeakBytes(n), cfg.bandwidth())
-	d, err := deploy.New(deploy.Options{
-		N: n, T: byz,
-		Delta:     delta,
-		Bandwidth: cfg.bandwidth(),
-		Seed:      cfg.Seed,
-		// Paper-faithful per-message wire accounting (see runERBOpts).
-		// Not a leftover: batched, this epoch's fig2b termination, fig3b
-		// bytes and tab2 message count and fitted exponent (3.07 → 2.07,
-		// the O(N^3) evidence) all move — EXPERIMENTS.md "coalesce",
-		// verdict on the knob; `make figures-check` is the oracle.
-		DisableBatching: true,
-	})
+	d, err := paperDeployment(cfg, n, byz, erngBasicPeakBytes(n), nil)
 	if err != nil {
 		return erngRun{}, err
 	}
-	protos := make([]*erng.Basic, n)
-	for i, p := range d.Peers {
-		b, err := erng.NewBasic(p, byz)
-		if err != nil {
-			return erngRun{}, err
-		}
-		protos[i] = b
-	}
-	d.Net.ResetTraffic()
-	for i, p := range d.Peers {
-		p.Start(protos[i], protos[i].Rounds())
-	}
 	// Honest epochs settle within a few rounds (early finish); skip the
 	// idle tail of the t+2 window.
-	d.Sim.SetDeadline(8 * 2 * delta)
-	if err := d.Sim.Run(); err != nil {
-		return erngRun{}, err
+	d.Sim.SetDeadline(8 * d.RoundDuration())
+	run, err := measureEpoch(d, byz, false)
+	if err == nil && !run.OK {
+		err = errors.New("bottom in honest ERNG")
 	}
-	out := erngRun{OneRound: 2 * delta, OK: true}
-	for i, pr := range protos {
-		res, ok := pr.Result()
-		if !ok || !res.OK {
-			return erngRun{}, fmt.Errorf("node %d undecided or bottom in honest ERNG", i)
-		}
-		if res.At > out.Termination {
-			out.Termination = res.At
-		}
-	}
-	tr := d.Net.Traffic()
-	out.Messages = tr.Messages
-	out.Bytes = tr.Bytes
-	return out, nil
+	return run, err
 }
 
 // runOptERNG executes one optimized ERNG epoch (auto mode: the paper's
 // 2N/3 fallback below the sampled threshold).
 func runOptERNG(cfg Config, n int) (erngRun, error) {
 	byz := n / 3
-	delta := effectiveDelta(cfg.delta(), erngOptPeakBytes(n), cfg.bandwidth())
-	d, err := deploy.New(deploy.Options{
-		N: n, T: byz,
-		Delta:     delta,
-		Bandwidth: cfg.bandwidth(),
-		Seed:      cfg.Seed,
-		// Paper-faithful per-message wire accounting; batched, fig3b and
-		// tab2 move (see runBasicERNG).
-		DisableBatching: true,
-	})
+	d, err := paperDeployment(cfg, n, byz, erngOptPeakBytes(n), nil)
 	if err != nil {
 		return erngRun{}, err
 	}
-	protos := make([]*erng.Optimized, n)
-	for i, p := range d.Peers {
-		o, err := erng.NewOptimized(p, byz, erng.ModeAuto, 0)
-		if err != nil {
-			return erngRun{}, err
-		}
-		protos[i] = o
-	}
-	d.Net.ResetTraffic()
-	for i, p := range d.Peers {
-		p.Start(protos[i], protos[i].Rounds())
-	}
-	if err := d.Sim.Run(); err != nil {
+	return measureEpoch(d, byz, true)
+}
+
+// measureEpoch runs one honest ERNG epoch over d and measures it; OK is
+// false when any node output bottom.
+func measureEpoch(d *deploy.Deployment, t int, optimized bool) (erngRun, error) {
+	protos, err := d.Epoch(t, optimized, nil)
+	if err != nil {
 		return erngRun{}, err
 	}
-	out := erngRun{OneRound: 2 * delta, OK: true}
+	out := erngRun{OneRound: d.RoundDuration(), OK: true}
 	for i, pr := range protos {
 		res, ok := pr.Result()
 		if !ok {
-			return erngRun{}, fmt.Errorf("node %d undecided in honest optimized ERNG", i)
+			return erngRun{}, fmt.Errorf("node %d undecided in honest ERNG", i)
 		}
-		if !res.OK {
-			out.OK = false
-		}
+		out.OK = out.OK && res.OK
 		if res.At > out.Termination {
 			out.Termination = res.At
 		}

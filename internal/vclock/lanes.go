@@ -122,19 +122,13 @@ func (s *Sim) SetLanes(owner Lanes, lookahead time.Duration) {
 // ScheduleLane is Schedule for an event that belongs to a lane: fn reads
 // and writes the state of that lane only, under the contract of Lanes.
 func (s *Sim) ScheduleLane(lane int, t time.Duration, fn func()) {
-	if fn == nil {
-		panic("vclock: nil event callback")
-	}
-	if t < s.now {
-		t = s.now
-	}
 	if lane < 0 || lane >= 1<<laneBits-1 {
 		panic("vclock: lane out of range")
 	}
 	for lane >= len(s.lanes) {
 		s.lanes = append(s.lanes, laneState{})
 	}
-	s.push(entry{at: t, fn: fn}, uint64(lane)+1)
+	s.push(t, fn, uint64(lane)+1)
 }
 
 // LaneNow is Now as an event of the lane sees it: the time of the lane's
@@ -187,7 +181,7 @@ func (s *Sim) fireWindow(head *entry) {
 		}
 		ln.events = append(ln.events, s.queue.popKnownHead(head))
 		s.order = append(s.order, li)
-		head = s.livePeek()
+		head = s.queue.peek()
 	}
 	s.windowEnd = end
 

@@ -371,8 +371,9 @@ func TestDeadlineAndStopInsideWindow(t *testing.T) {
 }
 
 // TestStepAndRunUntilAfterParallelRun checks that the one-at-a-time
-// drivers keep working on a simulator whose Run used workers: lane events
-// fire inline, act directly, and LaneNow follows the clock.
+// driver, RunUntil, keeps working on a simulator whose Run used workers —
+// one event at a step, then a stretch: lane events fire inline, act
+// directly, and LaneNow follows the clock.
 func TestStepAndRunUntilAfterParallelRun(t *testing.T) {
 	setBreakEven(t, 0)
 	setProcs(t, 4)
@@ -391,15 +392,15 @@ func TestStepAndRunUntilAfterParallelRun(t *testing.T) {
 			st.owner.do(i, func() { saw = append(saw, now) })
 		})
 	}
-	if !st.sim.Step() || len(saw) != 1 || saw[0] != base+1 {
-		t.Fatalf("Step fired %v, want the event at %v", saw, base+1)
+	if st.sim.RunUntil(base + 1); len(saw) != 1 || saw[0] != base+1 {
+		t.Fatalf("RunUntil fired %v, want the event at %v", saw, base+1)
 	}
 	st.sim.RunUntil(base + 3)
 	if want := []time.Duration{base + 1, base + 2, base + 3}; !reflect.DeepEqual(saw, want) || st.sim.Pending() != 1 {
 		t.Fatalf("RunUntil fired %v (pending %d), want %v and one pending", saw, st.sim.Pending(), want)
 	}
 	if st.sim.ParallelWindows() != windows {
-		t.Error("Step or RunUntil fired a window on workers")
+		t.Error("RunUntil fired a window on workers")
 	}
 }
 

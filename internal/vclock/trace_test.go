@@ -62,24 +62,3 @@ func TestTraceHashSensitive(t *testing.T) {
 		t.Fatal("shifted timing did not change the fingerprint")
 	}
 }
-
-// TestTraceHashCountsCancelledNever: cancelled events never fire and so
-// never enter the fingerprint.
-func TestTraceHashCountsCancelledNever(t *testing.T) {
-	a := New()
-	a.Schedule(time.Millisecond, func() {})
-	ev := a.At(2*time.Millisecond, func() {})
-	a.Cancel(ev)
-	if err := a.Run(); err != nil {
-		t.Fatal(err)
-	}
-
-	b := New()
-	b.Schedule(time.Millisecond, func() {})
-	if err := b.Run(); err != nil {
-		t.Fatal(err)
-	}
-	if a.FiredCount() != b.FiredCount() {
-		t.Fatalf("cancelled event counted: %d vs %d", a.FiredCount(), b.FiredCount())
-	}
-}

@@ -7,17 +7,14 @@
 //
 // The queue is tuned for simulations holding millions of in-flight
 // events: entries carry their ordering key inline (no pointer chase in
-// comparisons) and cancellation is lazy (cancelled events are skipped
-// at pop time instead of being removed), so queue operations never write
-// back through event pointers. Fire-and-forget callers use Schedule,
-// which skips the *Event handle allocation too — scheduling a delivery
-// then costs no allocations beyond amortized queue growth. When the
-// simulation owner hints its scheduling horizon (SetHorizon), near-future
-// events go through a calendar tier with O(1) push and pop instead of a
-// heap's O(log n) sift. Pop order is always the total order (time,
-// sequence), so neither the calendar tier nor the hand-rolled fallback
-// heap changes the order events fire in and simulation determinism is
-// unaffected.
+// comparisons) and every scheduled event fires, so there is no handle to
+// allocate and scheduling a delivery costs nothing beyond amortized queue
+// growth. When the simulation owner hints its scheduling horizon
+// (SetHorizon), near-future events go through a calendar tier with O(1)
+// push and pop instead of a heap's O(log n) sift. Pop order is always the
+// total order (time, sequence), so neither the calendar tier nor the
+// hand-rolled fallback heap changes the order events fire in and
+// simulation determinism is unaffected.
 //
 // Events may be tagged with a lane (ScheduleLane): the node whose state
 // the callback touches. When the lanes' owner promises a lookahead
@@ -40,39 +37,24 @@ import (
 // before the event queue drained.
 var ErrStopped = errors.New("vclock: simulation stopped")
 
-// Event is a scheduled callback. Events with equal times fire in the order
-// they were scheduled (FIFO tie-break), which keeps simulations
-// deterministic.
-type Event struct {
-	at    time.Duration
-	fn    func()
-	fired bool
-}
-
-// Cancelled reports whether the event was cancelled before firing.
-func (e *Event) Cancelled() bool { return e.fn == nil && !e.fired }
-
-// At returns the virtual time at which the event is (or was) scheduled.
-func (e *Event) At() time.Duration { return e.at }
-
 // Sim is a discrete-event simulator owned by one goroutine: every method
 // is called from the goroutine that calls Run, from the callbacks of
 // untagged events, or between runs. Untagged events fire on that
-// goroutine, alone, in (time, sequence) order. Lane events fire in the
-// same order as far as anything they touch can tell, but those of
-// different lanes may run at once on Run's worker pool, so a lane
-// callback touches only its own lane's state, reads the clock with
-// LaneNow, and reaches everything shared — this Sim included — through
-// the lanes' owner (see Lanes).
+// goroutine, alone, in (time, sequence) order — events with equal times in
+// the order they were scheduled, which keeps simulations deterministic.
+// Lane events fire in the same order as far as anything they touch can
+// tell, but those of different lanes may run at once on Run's worker pool,
+// so a lane callback touches only its own lane's state, reads the clock
+// with LaneNow, and reaches everything shared — this Sim included —
+// through the lanes' owner (see Lanes).
 type Sim struct {
-	now       time.Duration
-	queue     eventQueue
-	nextSeq   uint64
-	cancelled int
-	stopped   bool
-	limit     time.Duration // 0 means no limit
-	fired     uint64
-	trace     uint64
+	now     time.Duration
+	queue   eventQueue
+	nextSeq uint64
+	stopped bool
+	limit   time.Duration // 0 means no limit
+	fired   uint64
+	trace   uint64
 
 	// Lane execution; see lanes.go.
 	owner     Lanes
@@ -142,48 +124,24 @@ func (s *Sim) Now() time.Duration { return s.now }
 // given virtual time. Zero removes the deadline.
 func (s *Sim) SetDeadline(d time.Duration) { s.limit = d }
 
-// At schedules fn to run at the given absolute virtual time. Times in the
-// past are clamped to "now". The returned event may be cancelled.
-func (s *Sim) At(t time.Duration, fn func()) *Event {
+// Schedule queues fn to run at the given absolute virtual time, as an
+// untagged event. Times in the past are clamped to "now".
+func (s *Sim) Schedule(t time.Duration, fn func()) { s.push(t, fn, 0) }
+
+// push queues fn at time t (clamped to now) under the next sequence
+// number, tagged with its lane plus one, 0 for an untagged event.
+func (s *Sim) push(t time.Duration, fn func(), tag uint64) {
 	if fn == nil {
 		panic("vclock: nil event callback")
 	}
 	if t < s.now {
 		t = s.now
 	}
-	e := &Event{at: t, fn: fn}
-	s.push(entry{at: t, e: e}, 0)
-	return e
-}
-
-// After schedules fn to run after the given delay relative to now.
-func (s *Sim) After(d time.Duration, fn func()) *Event {
-	return s.At(s.now+d, fn)
-}
-
-// Schedule is the fire-and-forget form of At: no *Event handle is
-// allocated, so the event cannot be cancelled. It is the right call for
-// high-volume events that always fire, like message deliveries; it
-// interleaves with At events in the same (time, sequence) order.
-func (s *Sim) Schedule(t time.Duration, fn func()) {
-	if fn == nil {
-		panic("vclock: nil event callback")
-	}
-	if t < s.now {
-		t = s.now
-	}
-	s.push(entry{at: t, fn: fn}, 0)
-}
-
-// push stamps the entry with the next sequence number and its lane tag
-// (lane plus one; 0 for an untagged event) and queues it.
-func (s *Sim) push(en entry, tag uint64) {
-	if en.at < s.windowEnd {
+	if t < s.windowEnd {
 		panic("vclock: event scheduled inside the lookahead window being fired")
 	}
-	en.seq = s.nextSeq<<laneBits | tag
+	s.queue.push(entry{at: t, seq: s.nextSeq<<laneBits | tag, fn: fn})
 	s.nextSeq++
-	s.queue.push(en)
 }
 
 // ScheduleAfter is Schedule with a delay relative to now.
@@ -191,23 +149,12 @@ func (s *Sim) ScheduleAfter(d time.Duration, fn func()) {
 	s.Schedule(s.now+d, fn)
 }
 
-// Cancel marks a pending event so it will not fire; the entry is dropped
-// lazily when it reaches the head of the queue. Cancelling an
-// already-fired or already-cancelled event is a no-op.
-func (s *Sim) Cancel(e *Event) {
-	if e == nil || e.fn == nil {
-		return
-	}
-	e.fn = nil
-	s.cancelled++
-}
-
 // Stop aborts Run at the next event boundary. Like every method it
 // belongs to Run's goroutine: call it from an untagged event.
 func (s *Sim) Stop() { s.stopped = true }
 
-// Pending returns the number of live (non-cancelled) events still queued.
-func (s *Sim) Pending() int { return s.queue.len() - s.cancelled }
+// Pending returns the number of events still queued.
+func (s *Sim) Pending() int { return s.queue.len() }
 
 // FiredCount returns the number of events fired so far.
 func (s *Sim) FiredCount() uint64 { return s.fired }
@@ -235,56 +182,11 @@ func (s *Sim) traceFire(at time.Duration, seq uint64) {
 	s.trace = h
 }
 
-// Step fires the next live event, advancing the clock, and reports
-// whether an event was fired.
-func (s *Sim) Step() bool {
-	for s.queue.len() > 0 {
-		en := s.queue.pop()
-		fn := en.fn
-		if en.e != nil {
-			if en.e.fn == nil {
-				s.cancelled--
-				continue
-			}
-			fn = en.e.fn
-			en.e.fn = nil
-			en.e.fired = true
-		}
-		s.now = en.at
-		s.traceFire(en.at, en.number())
-		fn()
-		return true
-	}
-	return false
-}
-
-// livePeek returns the next live event entry, dropping cancelled
-// entries off the queue head so the head's time is that of a live
-// event, or nil when the queue is empty. Schedule entries (no handle)
-// cannot be cancelled and never match the cancellation test.
-func (s *Sim) livePeek() *entry {
-	for {
-		head := s.queue.peek()
-		if head == nil || head.e == nil || head.e.fn != nil {
-			return head
-		}
-		s.queue.popKnownHead(head)
-		s.cancelled--
-	}
-}
-
-// fire advances the clock to en and runs its callback. The entry must
-// be live — livePeek filters cancelled ones.
+// fire advances the clock to en and runs its callback.
 func (s *Sim) fire(en entry) {
-	fn := en.fn
-	if en.e != nil {
-		fn = en.e.fn
-		en.e.fn = nil
-		en.e.fired = true
-	}
 	s.now = en.at
 	s.traceFire(en.at, en.number())
-	fn()
+	en.fn()
 }
 
 // Run fires events until the queue drains, a deadline set with SetDeadline
@@ -300,7 +202,7 @@ func (s *Sim) Run() error {
 	defer running.Add(-1)
 	defer s.stopWorkers()
 	for {
-		head := s.livePeek()
+		head := s.queue.peek()
 		if head == nil {
 			return nil
 		}
@@ -324,7 +226,7 @@ func (s *Sim) Run() error {
 // clock is left at t (or beyond the last event) and never exceeds t.
 func (s *Sim) RunUntil(t time.Duration) {
 	for {
-		head := s.livePeek()
+		head := s.queue.peek()
 		if head == nil || head.at > t {
 			break
 		}
@@ -336,22 +238,19 @@ func (s *Sim) RunUntil(t time.Duration) {
 }
 
 // entry is a queue element with the ordering key stored inline, so
-// comparisons and moves never dereference the *Event — on multi-million-
-// event simulations the pointer chase was the dominant cost. Exactly one
-// of fn (a Schedule entry) and e (an At entry, cancellable through the
-// handle) is set.
+// comparisons and moves chase no pointer.
 //
 // seq is the tie-break key: the event's sequence number in the high bits
 // and, below it, its lane tag — the lane plus one, 0 for an untagged event.
-// Sequence numbers are unique, so the tag never decides a comparison; it
-// rides in the key because a fifth field would grow every queued entry
-// from 32 to 40 bytes, and entries straddling cache lines cost the
-// calendar's scattered appends more than the tag is worth.
+// Sequence numbers are unique, so the tag never decides a comparison. It
+// rides in the key, 24 bytes an entry, because a field of its own makes
+// that 32 and is slower where the queue is deep (ten alternated -cpu 1
+// runs, median: BenchmarkLaneWindows 7.1 ms against 8.2 ms with the field,
+// BenchmarkScheduleAndRun 2.4 ms either way).
 type entry struct {
 	at  time.Duration
 	seq uint64
 	fn  func()
-	e   *Event
 }
 
 // laneBits is the width of the lane tag in entry.seq: room for a million

@@ -13,7 +13,7 @@ func TestRunFiresInTimeOrder(t *testing.T) {
 	var got []time.Duration
 	for _, d := range []time.Duration{5, 1, 3, 2, 4} {
 		d := d * time.Second
-		s.At(d, func() { got = append(got, d) })
+		s.Schedule(d, func() { got = append(got, d) })
 	}
 	if err := s.Run(); err != nil {
 		t.Fatal(err)
@@ -34,7 +34,7 @@ func TestEqualTimesFireFIFO(t *testing.T) {
 	var got []int
 	for i := 0; i < 10; i++ {
 		i := i
-		s.At(time.Second, func() { got = append(got, i) })
+		s.Schedule(time.Second, func() { got = append(got, i) })
 	}
 	if err := s.Run(); err != nil {
 		t.Fatal(err)
@@ -49,8 +49,8 @@ func TestEqualTimesFireFIFO(t *testing.T) {
 func TestAfterSchedulesRelative(t *testing.T) {
 	s := New()
 	var at time.Duration
-	s.At(2*time.Second, func() {
-		s.After(3*time.Second, func() { at = s.Now() })
+	s.Schedule(2*time.Second, func() {
+		s.ScheduleAfter(3*time.Second, func() { at = s.Now() })
 	})
 	if err := s.Run(); err != nil {
 		t.Fatal(err)
@@ -63,8 +63,8 @@ func TestAfterSchedulesRelative(t *testing.T) {
 func TestPastEventsClampToNow(t *testing.T) {
 	s := New()
 	var fired bool
-	s.At(10*time.Second, func() {
-		s.At(time.Second, func() { fired = true }) // in the past
+	s.Schedule(10*time.Second, func() {
+		s.Schedule(time.Second, func() { fired = true }) // in the past
 	})
 	if err := s.Run(); err != nil {
 		t.Fatal(err)
@@ -77,53 +77,11 @@ func TestPastEventsClampToNow(t *testing.T) {
 	}
 }
 
-func TestCancel(t *testing.T) {
-	s := New()
-	fired := false
-	e := s.At(time.Second, func() { fired = true })
-	s.Cancel(e)
-	s.Cancel(e) // idempotent
-	s.Cancel(nil)
-	if err := s.Run(); err != nil {
-		t.Fatal(err)
-	}
-	if fired {
-		t.Fatal("cancelled event fired")
-	}
-	if !e.Cancelled() {
-		t.Fatal("event should report cancelled")
-	}
-}
-
-func TestCancelMiddleOfQueue(t *testing.T) {
-	s := New()
-	var got []int
-	var events []*Event
-	for i := 0; i < 20; i++ {
-		i := i
-		events = append(events, s.At(time.Duration(i)*time.Second, func() { got = append(got, i) }))
-	}
-	for i := 0; i < 20; i += 2 {
-		s.Cancel(events[i])
-	}
-	if err := s.Run(); err != nil {
-		t.Fatal(err)
-	}
-	if len(got) != 10 {
-		t.Fatalf("fired %d events, want 10", len(got))
-	}
-	for _, v := range got {
-		if v%2 == 0 {
-			t.Fatalf("cancelled event %d fired", v)
-		}
-	}
-}
-
 func TestStop(t *testing.T) {
 	s := New()
 	count := 0
 	for i := 1; i <= 10; i++ {
-		s.At(time.Duration(i)*time.Second, func() {
+		s.Schedule(time.Duration(i)*time.Second, func() {
 			count++
 			if count == 3 {
 				s.Stop()
@@ -142,7 +100,7 @@ func TestDeadline(t *testing.T) {
 	s := New()
 	count := 0
 	for i := 1; i <= 10; i++ {
-		s.At(time.Duration(i)*time.Second, func() { count++ })
+		s.Schedule(time.Duration(i)*time.Second, func() { count++ })
 	}
 	s.SetDeadline(5 * time.Second)
 	if err := s.Run(); err != nil {
@@ -160,7 +118,7 @@ func TestRunUntil(t *testing.T) {
 	s := New()
 	count := 0
 	for i := 1; i <= 10; i++ {
-		s.At(time.Duration(i)*time.Second, func() { count++ })
+		s.Schedule(time.Duration(i)*time.Second, func() { count++ })
 	}
 	s.RunUntil(3 * time.Second)
 	if count != 3 {
@@ -183,12 +141,12 @@ func TestPending(t *testing.T) {
 	if s.Pending() != 0 {
 		t.Fatal("fresh sim has pending events")
 	}
-	s.At(time.Second, func() {})
-	s.At(2*time.Second, func() {})
+	s.Schedule(time.Second, func() {})
+	s.Schedule(2*time.Second, func() {})
 	if s.Pending() != 2 {
 		t.Fatalf("pending = %d, want 2", s.Pending())
 	}
-	s.Step()
+	s.RunUntil(time.Second)
 	if s.Pending() != 1 {
 		t.Fatalf("pending = %d, want 1", s.Pending())
 	}
@@ -200,7 +158,7 @@ func TestNilCallbackPanics(t *testing.T) {
 			t.Fatal("scheduling nil callback must panic")
 		}
 	}()
-	New().At(time.Second, nil)
+	New().Schedule(time.Second, nil)
 }
 
 // Property: for any set of delays, Run fires every event exactly once in
@@ -215,7 +173,7 @@ func TestQuickOrdering(t *testing.T) {
 			if at > max {
 				max = at
 			}
-			s.At(at, func() { fired = append(fired, s.Now()) })
+			s.Schedule(at, func() { fired = append(fired, s.Now()) })
 		}
 		if err := s.Run(); err != nil {
 			return false
@@ -235,39 +193,6 @@ func TestQuickOrdering(t *testing.T) {
 	}
 }
 
-// Property: interleaving random cancellations preserves exactly the
-// surviving events.
-func TestQuickCancellation(t *testing.T) {
-	f := func(seed int64, n uint8) bool {
-		rng := rand.New(rand.NewSource(seed))
-		s := New()
-		fired := make(map[int]bool)
-		events := make([]*Event, n)
-		for i := 0; i < int(n); i++ {
-			i := i
-			events[i] = s.At(time.Duration(rng.Intn(100))*time.Millisecond, func() { fired[i] = true })
-		}
-		cancelled := make(map[int]bool)
-		for i := 0; i < int(n)/2; i++ {
-			j := rng.Intn(int(n))
-			s.Cancel(events[j])
-			cancelled[j] = true
-		}
-		if err := s.Run(); err != nil {
-			return false
-		}
-		for i := 0; i < int(n); i++ {
-			if cancelled[i] == fired[i] {
-				return false
-			}
-		}
-		return true
-	}
-	if err := quick.Check(f, &quick.Config{MaxCount: 100}); err != nil {
-		t.Fatal(err)
-	}
-}
-
 func BenchmarkScheduleAndRun(b *testing.B) {
 	rng := rand.New(rand.NewSource(1))
 	delays := make([]time.Duration, 10000)
@@ -278,7 +203,7 @@ func BenchmarkScheduleAndRun(b *testing.B) {
 	for i := 0; i < b.N; i++ {
 		s := New()
 		for _, d := range delays {
-			s.At(d, func() {})
+			s.Schedule(d, func() {})
 		}
 		if err := s.Run(); err != nil {
 			b.Fatal(err)
@@ -286,16 +211,16 @@ func BenchmarkScheduleAndRun(b *testing.B) {
 	}
 }
 
-// TestScheduleInterleavesWithAt pins that fire-and-forget Schedule
-// events share the (time, sequence) order with At events: scheduling
-// order breaks time ties regardless of which API queued the event.
+// TestScheduleInterleavesWithAt pins that the absolute and the relative
+// form share the (time, sequence) order: scheduling order breaks time ties
+// regardless of which of the two queued the event.
 func TestScheduleInterleavesWithAt(t *testing.T) {
 	s := New()
 	var got []int
-	s.At(time.Second, func() { got = append(got, 0) })
-	s.Schedule(time.Second, func() { got = append(got, 1) })
-	s.At(time.Second, func() { got = append(got, 2) })
-	s.Schedule(500*time.Millisecond, func() { got = append(got, 3) })
+	s.Schedule(time.Second, func() { got = append(got, 0) })
+	s.ScheduleAfter(time.Second, func() { got = append(got, 1) })
+	s.Schedule(time.Second, func() { got = append(got, 2) })
+	s.ScheduleAfter(500*time.Millisecond, func() { got = append(got, 3) })
 	if err := s.Run(); err != nil {
 		t.Fatal(err)
 	}
@@ -310,12 +235,13 @@ func TestScheduleInterleavesWithAt(t *testing.T) {
 	}
 }
 
-// TestSchedulePastClamped mirrors At's clamping for the handle-free form.
+// TestSchedulePastClamped is the clamping of the relative form: a negative
+// delay fires now.
 func TestSchedulePastClamped(t *testing.T) {
 	s := New()
 	fired := false
 	s.Schedule(10*time.Second, func() {
-		s.Schedule(time.Second, func() { fired = true }) // in the past
+		s.ScheduleAfter(-time.Second, func() { fired = true }) // in the past
 	})
 	if err := s.Run(); err != nil {
 		t.Fatal(err)
@@ -327,7 +253,7 @@ func TestSchedulePastClamped(t *testing.T) {
 
 // TestScheduleSteadyStateAllocs pins the hot-path property the simnet
 // delivery path depends on: once the queue has grown to its working
-// capacity, Schedule+Step cycles do not allocate (the closure passed in
+// capacity, Schedule+Run cycles do not allocate (the closure passed in
 // is the caller's business; here it is hoisted out of the loop).
 func TestScheduleSteadyStateAllocs(t *testing.T) {
 	s := New()
@@ -336,16 +262,14 @@ func TestScheduleSteadyStateAllocs(t *testing.T) {
 	for i := 0; i < 64; i++ {
 		s.Schedule(time.Duration(i), fn)
 	}
-	for s.Step() {
-	}
+	s.RunUntil(time.Second)
 	allocs := testing.AllocsPerRun(100, func() {
 		for i := 0; i < 32; i++ {
 			s.Schedule(s.Now()+time.Duration(i), fn)
 		}
-		for s.Step() {
-		}
+		s.RunUntil(s.Now() + time.Second)
 	})
 	if allocs != 0 {
-		t.Fatalf("warm Schedule+Step allocated %.1f times per run, want 0", allocs)
+		t.Fatalf("warm Schedule+RunUntil allocated %.1f times per run, want 0", allocs)
 	}
 }

@@ -160,26 +160,8 @@ func (c *Cluster) Broadcast(initiator NodeID, v Value) (map[NodeID]BroadcastResu
 	if int(initiator) >= c.N() {
 		return nil, fmt.Errorf("sgxp2p: initiator %d out of range", initiator)
 	}
-	engines := make([]*erb.Engine, c.N())
-	for i, p := range c.d.Peers {
-		if p.Halted() {
-			continue
-		}
-		eng, err := erb.NewEngine(p, erb.Config{T: c.t, ExpectedInitiators: []NodeID{initiator}})
-		if err != nil {
-			return nil, err
-		}
-		engines[i] = eng
-	}
-	if engines[initiator] != nil {
-		engines[initiator].SetInput(v)
-	}
-	for i, p := range c.d.Peers {
-		if engines[i] != nil {
-			p.Start(engines[i], engines[i].Rounds())
-		}
-	}
-	if err := c.d.Run(); err != nil {
+	engines, err := c.d.Broadcast(erb.Config{T: c.t, ExpectedInitiators: []NodeID{initiator}}, v, nil)
+	if err != nil {
 		return nil, err
 	}
 	out := make(map[NodeID]BroadcastResult, c.N())
@@ -190,9 +172,6 @@ func (c *Cluster) Broadcast(initiator NodeID, v Value) (map[NodeID]BroadcastResu
 		if res, ok := eng.Result(initiator); ok {
 			out[NodeID(i)] = res
 		}
-	}
-	for _, p := range c.d.Peers {
-		p.BumpSeqs()
 	}
 	return out, nil
 }
@@ -215,13 +194,64 @@ type MuxOptions struct {
 	MaxBacklog int
 }
 
+// runMany runs count protocol instances concurrently over one multiplexed
+// runtime: every live node hosts them behind a shared runtime.Mux, so all
+// same-round traffic to a peer — across every in-flight instance — leaves
+// in a single sealed batch frame. build constructs instance j against its
+// handle at admission; a window is T+2 rounds, an ERB's admission round
+// (INIT) through its acceptance deadline StartRound+T+1, which is also a
+// basic ERNG's. The j-th returned map holds result's answer for instance j
+// on every live node that has one.
+func runMany[P interface {
+	comparable
+	runtime.Protocol
+}, R any](c *Cluster, count int, opts MuxOptions,
+	build func(inst *runtime.Instance, j int) (P, error), result func(p P, j int) (R, bool)) ([]map[NodeID]R, error) {
+	var none P
+	hosted := make([][]P, c.N())
+	host := func(p *runtime.Peer) (runtime.Protocol, int, error) {
+		m := runtime.NewMux(p, runtime.MuxConfig(opts))
+		slots := make([]P, count)
+		hosted[p.ID()] = slots
+		for j := 0; j < count; j++ {
+			admit := func(inst *runtime.Instance) (runtime.Protocol, error) {
+				proto, err := build(inst, j)
+				if err != nil {
+					return nil, err
+				}
+				slots[j] = proto
+				return proto, nil
+			}
+			if _, err := m.Spawn(c.t+2, admit); err != nil {
+				return nil, 0, fmt.Errorf("spawn instance %d: %w", j, err)
+			}
+		}
+		return m, m.PlannedRounds(), nil
+	}
+	if err := c.d.RunInstance(host, nil); err != nil {
+		return nil, err
+	}
+	out := make([]map[NodeID]R, count)
+	for j := range out {
+		out[j] = make(map[NodeID]R, c.N())
+		for i, p := range c.d.Peers {
+			if hosted[i] == nil || hosted[i][j] == none || p.Halted() {
+				continue
+			}
+			if r, ok := result(hosted[i][j], j); ok {
+				out[j][NodeID(i)] = r
+			}
+		}
+	}
+	return out, nil
+}
+
 // BroadcastMany runs many ERB instances concurrently over one multiplexed
-// runtime: every node hosts one lightweight engine per request behind a
-// shared runtime.Mux, so all same-round traffic to a peer — across every
-// in-flight broadcast — leaves in a single sealed batch frame. The i-th
-// returned map holds every live node's decision for reqs[i], exactly as
-// the i-th call of a serial Broadcast sequence would (same engines, same
-// lockstep semantics; only the framing and the wall-clock change).
+// runtime (runMany): every node hosts one lightweight engine per request.
+// The i-th returned map holds every live node's decision for reqs[i],
+// exactly as the i-th call of a serial Broadcast sequence would (same
+// engines, same lockstep semantics; only the framing and the wall-clock
+// change).
 func (c *Cluster) BroadcastMany(reqs []BroadcastRequest, opts MuxOptions) ([]map[NodeID]BroadcastResult, error) {
 	if len(reqs) == 0 {
 		return nil, nil
@@ -231,145 +261,36 @@ func (c *Cluster) BroadcastMany(reqs []BroadcastRequest, opts MuxOptions) ([]map
 			return nil, fmt.Errorf("sgxp2p: request %d initiator %d out of range", j, r.Initiator)
 		}
 	}
-	n := c.N()
-	muxes := make([]*runtime.Mux, n)
-	engines := make([][]*erb.Engine, n)
-	for i, p := range c.d.Peers {
-		if p.Halted() {
-			continue
-		}
-		m := runtime.NewMux(p, runtime.MuxConfig{MaxInFlight: opts.MaxInFlight, MaxBacklog: opts.MaxBacklog})
-		muxes[i] = m
-		engines[i] = make([]*erb.Engine, len(reqs))
-		self := p.ID()
-		engs := engines[i]
-		for j, req := range reqs {
-			// An ERB window is T+2 rounds: admission round (INIT) through
-			// the acceptance deadline StartRound+T+1.
-			if _, err := m.Spawn(c.t+2, func(inst *runtime.Instance) (runtime.Protocol, error) {
-				eng, buildErr := erb.NewEngine(inst, erb.Config{
-					T:                  c.t,
-					StartRound:         inst.StartRound(),
-					ExpectedInitiators: []NodeID{req.Initiator},
-				})
-				if buildErr != nil {
-					return nil, buildErr
-				}
-				if self == req.Initiator {
-					eng.SetInput(req.Value)
-				}
-				engs[j] = eng
-				return eng, nil
-			}); err != nil {
-				return nil, fmt.Errorf("sgxp2p: spawn broadcast %d: %w", j, err)
+	return runMany(c, len(reqs), opts,
+		func(inst *runtime.Instance, j int) (*erb.Engine, error) {
+			eng, err := erb.NewEngine(inst, erb.Config{
+				T:                  c.t,
+				StartRound:         inst.StartRound(),
+				ExpectedInitiators: []NodeID{reqs[j].Initiator},
+			})
+			if err == nil && inst.ID() == reqs[j].Initiator {
+				eng.SetInput(reqs[j].Value)
 			}
-		}
-	}
-	var nextID uint32
-	for i, p := range c.d.Peers {
-		if muxes[i] == nil {
-			continue
-		}
-		nextID = muxes[i].NextID()
-		p.Start(muxes[i], muxes[i].PlannedRounds())
-	}
-	if err := c.d.Run(); err != nil {
-		return nil, err
-	}
-	out := make([]map[NodeID]BroadcastResult, len(reqs))
-	for j, req := range reqs {
-		res := make(map[NodeID]BroadcastResult, n)
-		for i := range c.d.Peers {
-			if engines[i] == nil || engines[i][j] == nil || c.d.Peers[i].Halted() {
-				continue
-			}
-			if r, ok := engines[i][j].Result(req.Initiator); ok {
-				res[NodeID(i)] = r
-			}
-		}
-		out[j] = res
-	}
-	for i, p := range c.d.Peers {
-		// The mux consumed one instance id per request; re-align the epoch
-		// counter past them so a later epoch never reuses a multiplexed id.
-		if muxes[i] != nil {
-			p.AlignInstance(nextID)
-		}
-		p.BumpSeqs()
-	}
-	return out, nil
+			return eng, err
+		},
+		func(eng *erb.Engine, j int) (BroadcastResult, bool) { return eng.Result(reqs[j].Initiator) })
 }
 
 // GenerateRandomMany runs count basic-ERNG epochs concurrently over one
-// multiplexed runtime: every node hosts one lightweight ERNG instance
-// per epoch behind a shared runtime.Mux, exactly as BroadcastMany hosts
-// ERB engines. Each epoch's contribution is drawn inside the enclave at
-// that instance's admission round, so concurrent epochs stay independent
-// and unbiased. The i-th returned map holds every live node's decision
-// for epoch i, indexed by node id.
+// multiplexed runtime (runMany), exactly as BroadcastMany hosts ERB
+// engines. Each epoch's contribution is drawn inside the enclave at that
+// instance's admission round, so concurrent epochs stay independent and
+// unbiased. The i-th returned map holds every live node's decision for
+// epoch i, indexed by node id.
 func (c *Cluster) GenerateRandomMany(count int, opts MuxOptions) ([]map[NodeID]RandomResult, error) {
 	if count <= 0 {
 		return nil, nil
 	}
-	n := c.N()
-	muxes := make([]*runtime.Mux, n)
-	rngs := make([][]*erng.Basic, n)
-	for i, p := range c.d.Peers {
-		if p.Halted() {
-			continue
-		}
-		m := runtime.NewMux(p, runtime.MuxConfig{MaxInFlight: opts.MaxInFlight, MaxBacklog: opts.MaxBacklog})
-		muxes[i] = m
-		rngs[i] = make([]*erng.Basic, count)
-		rs := rngs[i]
-		for j := 0; j < count; j++ {
-			// A basic-ERNG window is T+2 rounds: the embedded all-initiator
-			// ERB's admission round through its acceptance deadline.
-			if _, err := m.Spawn(c.t+2, func(inst *runtime.Instance) (runtime.Protocol, error) {
-				b, buildErr := erng.NewBasicAt(inst, c.t, inst.StartRound())
-				if buildErr != nil {
-					return nil, buildErr
-				}
-				rs[j] = b
-				return b, nil
-			}); err != nil {
-				return nil, fmt.Errorf("sgxp2p: spawn erng epoch %d: %w", j, err)
-			}
-		}
-	}
-	var nextID uint32
-	for i, p := range c.d.Peers {
-		if muxes[i] == nil {
-			continue
-		}
-		nextID = muxes[i].NextID()
-		p.Start(muxes[i], muxes[i].PlannedRounds())
-	}
-	if err := c.d.Run(); err != nil {
-		return nil, err
-	}
-	out := make([]map[NodeID]RandomResult, count)
-	for j := 0; j < count; j++ {
-		res := make(map[NodeID]RandomResult, n)
-		for i := range c.d.Peers {
-			if rngs[i] == nil || rngs[i][j] == nil || c.d.Peers[i].Halted() {
-				continue
-			}
-			if r, ok := rngs[i][j].Result(); ok {
-				res[NodeID(i)] = r
-			}
-		}
-		out[j] = res
-	}
-	for i, p := range c.d.Peers {
-		// The mux consumed one instance id per epoch; re-align the epoch
-		// counter past them so a later epoch never reuses a multiplexed id.
-		if muxes[i] != nil {
-			p.AlignInstance(nextID)
-		}
-		p.BumpSeqs()
-	}
-	return out, nil
+	return runMany(c, count, opts,
+		func(inst *runtime.Instance, _ int) (*erng.Basic, error) {
+			return erng.NewBasicAt(inst, c.t, inst.StartRound())
+		},
+		func(b *erng.Basic, _ int) (RandomResult, bool) { return b.Result() })
 }
 
 // BeaconMode selects the ERNG protocol behind a beacon.
