@@ -134,15 +134,52 @@ func BenchmarkClusterRandom(b *testing.B) {
 	}
 }
 
-// BenchmarkClusterSetup measures deployment construction (enclave launch,
-// attestation, pairwise channel establishment) for 128 nodes.
+// BenchmarkClusterSetup measures deployment construction — enclave launch,
+// attestation of the roster, sequence-number exchange; channels open at
+// their pair's first frame, so none is paid for here — at three sizes:
+// model crypto at 128 and 2048 nodes (B/op is what an idle cluster of
+// that size holds) and real crypto at 256, the beacon_opt shape.
 func BenchmarkClusterSetup(b *testing.B) {
-	b.ReportAllocs()
-	for i := 0; i < b.N; i++ {
-		if _, err := sgxp2p.NewCluster(sgxp2p.Options{N: 128, T: 63, Seed: int64(i)}); err != nil {
-			b.Fatal(err)
-		}
+	for _, c := range []struct {
+		name string
+		opts sgxp2p.Options
+	}{
+		{"model-n128", sgxp2p.Options{N: 128, T: 63}},
+		{"real-n256", sgxp2p.Options{N: 256, T: 85, RealCrypto: true}},
+		{"model-n2048", sgxp2p.Options{N: 2048, T: 682}},
+	} {
+		b.Run(c.name, func(b *testing.B) {
+			b.ReportAllocs()
+			for i := 0; i < b.N; i++ {
+				c.opts.Seed = int64(i)
+				if _, err := sgxp2p.NewCluster(c.opts); err != nil {
+					b.Fatal(err)
+				}
+			}
+		})
 	}
+}
+
+// BenchmarkFirstEmission measures what a beacon's first client waits for:
+// cluster, beacon and one sampled Algorithm 6 epoch from cold, the epoch
+// paying the key agreement of the pairs its cluster uses.
+func BenchmarkFirstEmission(b *testing.B) {
+	b.Run("real-n256", func(b *testing.B) {
+		b.ReportAllocs()
+		for i := 0; i < b.N; i++ {
+			cluster, err := sgxp2p.NewCluster(sgxp2p.Options{N: 256, T: 85, Seed: int64(i), RealCrypto: true})
+			if err != nil {
+				b.Fatal(err)
+			}
+			beacon, err := cluster.NewBeacon(sgxp2p.BeaconOptimized)
+			if err != nil {
+				b.Fatal(err)
+			}
+			if _, err := beacon.RunEpoch(); err != nil {
+				b.Fatal(err)
+			}
+		}
+	})
 }
 
 // BenchmarkAblation regenerates the design-choice ablations (P4

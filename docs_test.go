@@ -14,7 +14,8 @@ import (
 // compared it with the dumps, the tracer's ring option) may not reappear,
 // nor may the lane executor's event-count hand-off rule, which a measured
 // one replaced, nor the option and the cancellable simulator events that
-// PR 22 deleted for want of a caller.
+// PR 22 deleted for want of a caller, nor the setup phase that opened every
+// channel before round 1 (a pair's channel opens at its first frame).
 func TestDocsNameOnlyThingsThatExist(t *testing.T) {
 	makefile, err := os.ReadFile("Makefile")
 	if err != nil {
@@ -40,6 +41,7 @@ func TestDocsNameOnlyThingsThatExist(t *testing.T) {
 		{"retired name", regexp.MustCompile(`(streamed\.jsonl|stream-parity|Options\.Ring)`), func(string) bool { return false }},
 		{"retired rule", regexp.MustCompile(`(minParallelEvents|256 events)`), func(string) bool { return false }},
 		{"retired name", regexp.MustCompile(`(Options\.Program|Sim\.Cancel|vclock\.Event|Sim\.Step|Sim\.At\b|Sim\.After\b)`), func(string) bool { return false }},
+		{"retired phase", regexp.MustCompile(`(establish every peer's N-1 blinded channels)`), func(string) bool { return false }},
 	}
 	for _, doc := range []string{"README.md", "DESIGN.md", "EXPERIMENTS.md", ".claude/skills/verify/SKILL.md"} {
 		text, err := os.ReadFile(doc)

@@ -4,13 +4,16 @@
 // (blind-box computation), and — together with the enclave's
 // measurement-bound key derivation — the program-binding half of P1.
 //
-// A Link corresponds to one (sender, receiver) enclave pair after the
-// setup phase: it owns the directional session keys derived from the
-// Diffie-Hellman exchange and turns wire.Message values into sealed
-// envelopes and back. Everything that crosses the trust boundary to the
-// untrusted OS is a sealed envelope: the adversary can drop, hold,
-// duplicate or corrupt envelopes but cannot read or forge them, which is
-// exactly the reduction of Theorem A.2 (byzantine => replay/omit/delay).
+// A Link corresponds to one (sender, receiver) enclave pair after
+// PeerCh_sgx.Init, which the runtime runs when the pair first has a frame
+// to seal or open rather than for every pair up front (attestation, which
+// says whose key it is, comes before any of them). It owns the directional
+// session keys derived from the Diffie-Hellman exchange and turns
+// wire.Message values into sealed envelopes and back. Everything that
+// crosses the trust boundary to the untrusted OS is a sealed envelope: the
+// adversary can drop, hold, duplicate or corrupt envelopes but cannot read
+// or forge them, which is exactly the reduction of Theorem A.2 (byzantine
+// => replay/omit/delay).
 //
 // A Link has one seal and one open, like PeerCh_sgx's Write and Read:
 // SealEncodedAppend and OpenRawAppend, both through the per-link cipher

@@ -7,6 +7,15 @@
 // and through one instance lifecycle: RunInstance (instance.go) starts the
 // peers of every protocol instance they run and closes it.
 //
+// Setup here is admission: every enclave is launched and attested, the
+// whole roster verified, sequence numbers exchanged. The paper's Section
+// 4.1 also opens every pairwise channel at that point; New opens none. A
+// pair's PeerCh_sgx.Init runs at its first frame, or — all missing pairs
+// at once, on every core — in EstablishLinks, which RunInstance calls
+// ahead of every instance but a sampled Algorithm 6 epoch. The keys are
+// a function of the attested pair, so when they are derived shows in no
+// frame, trace or figure.
+//
 // A deployment's nodes may fire side by side: unless an option says
 // otherwise (see lanesSafe), Run hands the nodes of one network-latency
 // window to GOMAXPROCS goroutines (DESIGN.md §6). Nothing a run computes
@@ -104,8 +113,8 @@ type Deployment struct {
 
 	// keyCache memoizes pairwise session keys across all enclaves of the
 	// deployment: the (i,j) and (j,i) link derivations are symmetric, so
-	// sharing one cache halves the O(N^2) key-agreement work. Joining
-	// nodes (join.go) reuse it too.
+	// whichever end opens the pair first derives for both. Joining and
+	// restarted nodes (join.go, lifecycle.go) reuse it too.
 	keyCache *enclave.KeyCache
 }
 
@@ -124,8 +133,9 @@ func (o *Options) lanesSafe() bool {
 	return o.Wrap == nil && o.Neighbors == nil && o.Trace == nil && o.Metrics == nil
 }
 
-// New builds a deployment and runs the setup phase (attestation, link
-// establishment, sequence-number exchange).
+// New builds a deployment and runs the setup phase: attestation of the
+// whole roster and the sequence-number exchange. Channels are opened
+// afterwards, by the instances that use them (EstablishLinks).
 func New(opts Options) (*Deployment, error) {
 	if opts.N < 2 {
 		return nil, fmt.Errorf("deploy: need at least 2 nodes, got %d", opts.N)
@@ -210,39 +220,54 @@ func New(opts Options) (*Deployment, error) {
 	}
 	d.Roster.PreVerified = true
 
-	// Phase 3 (serial): build the transports. Caller-supplied Wrap and
-	// Neighbors closures are not required to be goroutine-safe (adversary
-	// wrappers routinely capture shared mutable state), so this phase
-	// stays on one goroutine.
-	transports := make([]runtime.Transport, opts.N)
+	// Phase 3 (serial): build the transports and the peers on them.
+	// Caller-supplied Wrap and Neighbors closures are not required to be
+	// goroutine-safe (adversary wrappers routinely capture shared mutable
+	// state), and a peer opens no channel here, so there is nothing to
+	// spread: the O(N^2) Diffie-Hellman work is EstablishLinks'.
 	for id := 0; id < opts.N; id++ {
 		tr, terr := d.buildTransport(wire.NodeID(id))
 		if terr != nil {
 			return nil, terr
 		}
-		transports[id] = tr
-	}
-
-	// Phase 4 (parallel): establish every peer's N-1 blinded channels.
-	// This is the O(N^2) Diffie-Hellman work; the shared key cache means
-	// each unordered pair is derived once and the parallel pool spreads
-	// the rest across cores.
-	err = parallel.ForEach(opts.N, func(id int) error {
-		peer, perr := runtime.NewPeer(d.Encls[id], transports[id], d.Roster, d.peerConfig(opts.N))
-		if perr != nil {
-			return fmt.Errorf("deploy: peer %d: %w", id, perr)
+		if d.Peers[id], err = runtime.NewPeer(d.Encls[id], tr, d.Roster, d.peerConfig(opts.N)); err != nil {
+			return nil, fmt.Errorf("deploy: peer %d: %w", id, err)
 		}
-		d.Peers[id] = peer
-		return nil
-	})
-	if err != nil {
-		return nil, err
 	}
 
 	if err := runtime.Setup(d.Peers); err != nil {
 		return nil, fmt.Errorf("deploy: setup: %w", err)
 	}
 	return d, nil
+}
+
+// EstablishLinks opens every channel the live peers have not used yet,
+// a peer per worker: the shared key cache means each unordered pair is
+// derived once, and the pool spreads the rest across cores. RunInstance
+// calls it ahead of a full-mesh instance, which would otherwise derive
+// every pair in turn on the simulator's goroutine in its first rounds;
+// with nothing missing it is one pass over the peers.
+func (d *Deployment) EstablishLinks() error {
+	var cold []*runtime.Peer
+	for id, p := range d.Peers {
+		if !d.stopped[id] && !p.Halted() && p.Stats().LinksEstablished < uint64(p.N()-1) {
+			cold = append(cold, p)
+		}
+	}
+	if cold == nil {
+		return nil
+	}
+	return parallel.ForEach(len(cold), func(i int) error { return cold[i].EstablishLinks() })
+}
+
+// LinksEstablished is the number of link ends the deployment's current
+// peers hold: N(N-1) once every pair has been used from both sides.
+func (d *Deployment) LinksEstablished() int {
+	total := 0
+	for _, p := range d.Peers {
+		total += int(p.Stats().LinksEstablished)
+	}
+	return total
 }
 
 // Run drains the simulation.

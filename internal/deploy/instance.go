@@ -25,10 +25,20 @@ import (
 //     ran a runtime.Mux first moves its counter past the ids the mux
 //     consumed, so no later instance reuses one.
 //
+// Between the builds and the start it opens the channels the live peers
+// have not used yet (EstablishLinks): an instance talks over the full
+// mesh unless Epoch knows better.
+//
 // A caller that wants a fault schedule, a deadline or a settling tail
 // around the run supplies them as drain or sets them up beforehand; it
 // reads decisions off the protocols it built once RunInstance returns.
 func (d *Deployment) RunInstance(build func(p *runtime.Peer) (runtime.Protocol, int, error), drain func() error) error {
+	return d.runInstance(build, drain, true)
+}
+
+// runInstance is RunInstance's body; with mesh false a channel is left
+// to open at its first frame.
+func (d *Deployment) runInstance(build func(p *runtime.Peer) (runtime.Protocol, int, error), drain func() error, mesh bool) error {
 	type planned struct {
 		proto  runtime.Protocol
 		rounds int
@@ -43,6 +53,11 @@ func (d *Deployment) RunInstance(build func(p *runtime.Peer) (runtime.Protocol, 
 			return fmt.Errorf("deploy: node %d: %w", i, err)
 		}
 		plan[i] = planned{proto, rounds}
+	}
+	if mesh {
+		if err := d.EstablishLinks(); err != nil {
+			return err
+		}
 	}
 	for i, p := range d.Peers {
 		if plan[i].proto != nil {
@@ -98,7 +113,16 @@ type ERNG interface {
 // optimized Algorithm 6 in auto mode (the paper's 2N/3 fallback cluster
 // below the sampled threshold). The protocols come back indexed by node
 // id, nil for a peer that sat out.
+//
+// Sampled Algorithm 6 is the one instance that does not open the full
+// mesh first: a node there talks to the O(log N) cluster members only.
 func (d *Deployment) Epoch(t int, optimized bool, drain func() error) ([]ERNG, error) {
+	mesh := true
+	if optimized {
+		// An error here is NewOptimized's too, and the build returns it.
+		params, _ := erng.ResolveParams(len(d.Peers), t, erng.ModeAuto, 0)
+		mesh = params.Mode != erng.ModeSampled
+	}
 	protos := make([]ERNG, len(d.Peers))
 	build := func(p *runtime.Peer) (runtime.Protocol, int, error) {
 		if optimized {
@@ -116,5 +140,5 @@ func (d *Deployment) Epoch(t int, optimized bool, drain func() error) ([]ERNG, e
 		protos[p.ID()] = b
 		return b, b.Rounds(), nil
 	}
-	return protos, d.RunInstance(build, drain)
+	return protos, d.runInstance(build, drain, mesh)
 }

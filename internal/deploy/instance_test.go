@@ -11,6 +11,7 @@ import (
 	"testing"
 
 	"sgxp2p/internal/core/erb"
+	"sgxp2p/internal/core/erng"
 	"sgxp2p/internal/deploy"
 	"sgxp2p/internal/enclave"
 	"sgxp2p/internal/runtime"
@@ -170,6 +171,69 @@ func TestRunInstanceMuxEndsPastConsumedIDs(t *testing.T) {
 		if !res.Accepted || res.Value != v {
 			t.Fatalf("node %d after the mux run: %+v", id, res)
 		}
+	}
+}
+
+// TestLinksOpenedOnDemand counts the channels an instance opens. A sampled
+// Algorithm 6 epoch is the one instance RunInstance does not open the
+// mesh for: a cluster member multicasts to everyone and ends with N-1
+// links, everyone else answers the members and ends with |cluster|. A
+// broadcast opens the rest, and after it there is nothing left to open.
+func TestLinksOpenedOnDemand(t *testing.T) {
+	const n = 256
+	d := newDeployment(t, n, 85, 61)
+	if links, cache := d.LinksEstablished(), d.KeyCacheLen(); links != 0 || cache != 0 {
+		t.Fatalf("%d link ends, %d cached pairs after New, want none", links, cache)
+	}
+
+	protos, err := d.Epoch(d.Opts.T, true, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	member := make([]bool, n)
+	cluster := 0
+	for i, proto := range protos {
+		o := proto.(*erng.Optimized)
+		if o.Params().Mode != erng.ModeSampled {
+			t.Fatalf("N=%d resolved to mode %v, want the sampled construction", n, o.Params().Mode)
+		}
+		if member[i] = o.Chosen(); member[i] {
+			cluster++
+		}
+	}
+	if cluster < 2 || cluster > n/4 {
+		t.Fatalf("cluster of %d at N=%d", cluster, n)
+	}
+	for i, p := range d.Peers {
+		want := uint64(cluster)
+		if member[i] {
+			want = n - 1
+		}
+		if got := p.Stats().LinksEstablished; got != want {
+			t.Errorf("node %d (member: %v) holds %d links after a sampled epoch, want %d", i, member[i], got, want)
+		}
+	}
+	if got := d.KeyCacheLen(); got == 0 || got >= n*(n-1)/4 {
+		t.Fatalf("%d pairs derived by one sampled epoch of cluster %d, want fewer than half of %d", got, cluster, n*(n-1)/2)
+	}
+
+	if _, err := d.Broadcast(erb.Config{T: d.Opts.T, ExpectedInitiators: []wire.NodeID{0}}, wire.Value{1}, nil); err != nil {
+		t.Fatal(err)
+	}
+	for i, p := range d.Peers {
+		if got := p.Stats().LinksEstablished; got != n-1 {
+			t.Errorf("node %d holds %d links after a broadcast, want %d", i, got, n-1)
+		}
+	}
+	links, cache := d.LinksEstablished(), d.KeyCacheLen()
+	if links != n*(n-1) || cache != n*(n-1)/2 {
+		t.Fatalf("%d link ends, %d cached pairs after a broadcast, want %d and %d", links, cache, n*(n-1), n*(n-1)/2)
+	}
+	if err := d.EstablishLinks(); err != nil {
+		t.Fatal(err)
+	}
+	if l, c := d.LinksEstablished(), d.KeyCacheLen(); l != links || c != cache {
+		t.Fatalf("a second EstablishLinks derived: %d -> %d link ends, %d -> %d pairs", links, l, cache, c)
 	}
 }
 

@@ -208,6 +208,33 @@ func TestLanesMatchSerialLoop(t *testing.T) {
 				return epochs(t, d, 5, true)
 			},
 		},
+		// One sampled epoch from cold, through the instance driver: no
+		// channel is open when round 1 fires, so every pair the cluster uses
+		// is derived by whichever worker fires its first frame, through the
+		// one key cache.
+		{
+			name:      "algorithm-6-cold",
+			opts:      deploy.Options{N: 256, T: 85, Seed: 10, RealCrypto: true},
+			breakEven: time.Nanosecond,
+			run: func(t *testing.T, d *deploy.Deployment) any {
+				protos, err := d.Epoch(d.Opts.T, true, nil)
+				if err != nil {
+					t.Fatal(err)
+				}
+				if links := d.LinksEstablished(); links == 0 || links >= len(protos)*(len(protos)-1) {
+					t.Fatalf("%d link ends after a cold sampled epoch: nothing was derived inside the run, or everything before it", links)
+				}
+				out := make([]erng.Result, len(protos))
+				for i, proto := range protos {
+					res, ok := proto.Result()
+					if !ok {
+						t.Fatalf("node %d undecided", i)
+					}
+					out[i] = res
+				}
+				return out
+			},
+		},
 		// The two shapes whose round ticks the hand-off rule moves to the
 		// workers, split where it splits them: after the first tick.
 		{

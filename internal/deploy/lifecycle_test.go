@@ -9,59 +9,70 @@ import (
 	"sgxp2p/internal/wire"
 )
 
-// TestCrashRestartRederivesSessionKeys is the crash–restart regression:
-// a node stopped mid-epoch and rebooted re-attests with the identical
-// quote and re-derives the identical pairwise session keys through the
-// deployment key cache, so the surviving nodes' already-established
-// links keep working without renegotiation — and the in-flight broadcast
-// settles among the survivors while the node is down.
-func TestCrashRestartRederivesSessionKeys(t *testing.T) {
-	d := newDeployment(t, 5, 1, 424)
-
-	keysBefore, err := d.Encls[3].SessionKeys(d.Encls[0].DHPublic())
-	if err != nil {
-		t.Fatal(err)
+// acceptedBy fails unless every listed node accepted v from initiator.
+func acceptedBy(t *testing.T, engines []*erb.Engine, initiator wire.NodeID, v wire.Value, nodes ...int) {
+	t.Helper()
+	for _, i := range nodes {
+		res, ok := engines[i].Result(initiator)
+		if !ok || !res.Accepted || res.Value != v {
+			t.Fatalf("node %d: ok=%v res=%+v, want %x accepted", i, ok, res, v[:1])
+		}
 	}
-	quoteBefore := d.Roster.Quotes[3]
-	cacheBefore := d.KeyCacheLen()
-	if cacheBefore == 0 {
-		t.Fatal("key cache empty after deployment setup")
+}
+
+// linksHeld is every peer's count of established link ends.
+func linksHeld(d *deploy.Deployment) []uint64 {
+	held := make([]uint64, len(d.Peers))
+	for i, p := range d.Peers {
+		held[i] = p.Stats().LinksEstablished
+	}
+	return held
+}
+
+// TestCrashRestartRederivesSessionKeys is the crash–restart regression. A
+// full-mesh instance leaves one key-cache entry per pair; a node stopped
+// in the middle of it and rebooted re-attests with the identical quote
+// and re-derives the identical pairwise session keys through the cache,
+// so the cache does not grow and the survivors keep the links they hold —
+// establishing is the only thing that writes a peer's link table, and
+// their counts stand still — while the in-flight broadcast settles among
+// the survivors with the node down.
+func TestCrashRestartRederivesSessionKeys(t *testing.T) {
+	const n = 5
+	d := newDeployment(t, n, 1, 424)
+	if got := d.KeyCacheLen(); got != 0 {
+		t.Fatalf("%d pairs derived by New: channels are opened by the instances that use them", got)
 	}
 
 	// Epoch 1: broadcast from node 0; node 3's machine dies mid-round-2.
 	v1 := wire.Value{0xC4}
-	engines := make([]*erb.Engine, len(d.Peers))
-	for i, p := range d.Peers {
-		eng, err := erb.NewEngine(p, erb.Config{T: d.Opts.T, ExpectedInitiators: []wire.NodeID{0}})
-		if err != nil {
-			t.Fatal(err)
-		}
-		engines[i] = eng
-	}
-	engines[0].SetInput(v1)
 	d.Sim.Schedule(d.Sim.Now()+3*d.Opts.Delta, func() {
 		if err := d.Stop(3); err != nil {
 			t.Errorf("mid-epoch stop: %v", err)
 		}
 	})
-	for i, p := range d.Peers {
-		p.Start(engines[i], engines[i].Rounds())
-	}
-	if err := d.Run(); err != nil {
+	engines, err := d.Broadcast(erb.Config{T: d.Opts.T, ExpectedInitiators: []wire.NodeID{0}}, v1, nil)
+	if err != nil {
 		t.Fatal(err)
 	}
 	if !d.Stopped(3) {
 		t.Fatal("node 3 not stopped after scheduled crash")
 	}
-	for i, eng := range engines {
-		if i == 3 {
-			continue
-		}
-		res, ok := eng.Result(0)
-		if !ok || !res.Accepted || res.Value != v1 {
-			t.Fatalf("survivor %d: in-flight broadcast did not settle: ok=%v res=%+v", i, ok, res)
+	acceptedBy(t, engines, 0, v1, 0, 1, 2, 4)
+	if got := d.KeyCacheLen(); got != n*(n-1)/2 {
+		t.Fatalf("key cache holds %d pairs after a full-mesh instance, want %d", got, n*(n-1)/2)
+	}
+	heldBefore := linksHeld(d)
+	for i, held := range heldBefore {
+		if held != n-1 {
+			t.Fatalf("node %d holds %d links after a full-mesh instance, want %d", i, held, n-1)
 		}
 	}
+	keysBefore, err := d.Encls[3].SessionKeys(d.Encls[0].DHPublic())
+	if err != nil {
+		t.Fatal(err)
+	}
+	quoteBefore := d.Roster.Quotes[3]
 
 	// Reboot. Same deployment seed ⇒ same enclave rng stream ⇒ same DH
 	// keypair ⇒ identical quote and, via the key cache, identical session
@@ -75,9 +86,6 @@ func TestCrashRestartRederivesSessionKeys(t *testing.T) {
 	if !reflect.DeepEqual(d.Roster.Quotes[3], quoteBefore) {
 		t.Fatal("restarted node re-attested with a different quote")
 	}
-	if got := d.KeyCacheLen(); got != cacheBefore {
-		t.Fatalf("key cache grew across restart: %d -> %d (keys were re-derived, not re-used)", cacheBefore, got)
-	}
 	keysAfter, err := d.Encls[3].SessionKeys(d.Encls[0].DHPublic())
 	if err != nil {
 		t.Fatal(err)
@@ -89,16 +97,48 @@ func TestCrashRestartRederivesSessionKeys(t *testing.T) {
 	// Epoch 2: the restarted node participates fully — its fresh links
 	// must interoperate with the survivors' original cipher state in both
 	// directions, and its copied sequence table must pass freshness.
-	for _, p := range d.Peers {
-		p.BumpSeqs()
-	}
 	v2 := wire.Value{0xAF}
-	results := broadcast(t, d, 3, v2)
-	for i := 0; i < len(d.Peers); i++ {
-		res, ok := results[wire.NodeID(i)]
-		if !ok || !res.Accepted || res.Value != v2 {
-			t.Fatalf("node %d after restart: ok=%v res=%+v", i, ok, res)
-		}
+	engines, err = d.Broadcast(erb.Config{T: d.Opts.T, ExpectedInitiators: []wire.NodeID{3}}, v2, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	acceptedBy(t, engines, 3, v2, 0, 1, 2, 3, 4)
+	if got := d.KeyCacheLen(); got != n*(n-1)/2 {
+		t.Fatalf("key cache grew across restart: %d -> %d (keys were re-derived, not re-used)", n*(n-1)/2, got)
+	}
+	if held := linksHeld(d); !reflect.DeepEqual(held, heldBefore) {
+		t.Fatalf("links held %v -> %v across restart: a survivor rebuilt a link, or the rebooted node is short of its %d", heldBefore, held, n-1)
+	}
+}
+
+// TestCrashBeforeFirstUse is the sibling case: the node crashes and
+// reboots before any pair was used, so nothing was derived from its first
+// quote. The survivors derive their ends afterwards, from the re-attested
+// quote the shared roster now holds, and it is the same quote.
+func TestCrashBeforeFirstUse(t *testing.T) {
+	const n = 5
+	d := newDeployment(t, n, 1, 425)
+	quoteBefore := d.Roster.Quotes[3]
+	if err := d.Stop(3); err != nil {
+		t.Fatal(err)
+	}
+	if err := d.Restart(3); err != nil {
+		t.Fatal(err)
+	}
+	if !reflect.DeepEqual(d.Roster.Quotes[3], quoteBefore) {
+		t.Fatal("restarted node re-attested with a different quote")
+	}
+	if cache, links := d.KeyCacheLen(), d.LinksEstablished(); cache != 0 || links != 0 {
+		t.Fatalf("%d pairs, %d link ends derived by a crash and a restart alone", cache, links)
+	}
+	v := wire.Value{0x5B}
+	engines, err := d.Broadcast(erb.Config{T: d.Opts.T, ExpectedInitiators: []wire.NodeID{3}}, v, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	acceptedBy(t, engines, 3, v, 0, 1, 2, 3, 4)
+	if cache, links := d.KeyCacheLen(), d.LinksEstablished(); cache != n*(n-1)/2 || links != n*(n-1) {
+		t.Fatalf("%d pairs, %d link ends after the first instance, want %d, %d", cache, links, n*(n-1)/2, n*(n-1))
 	}
 }
 

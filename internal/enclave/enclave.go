@@ -99,12 +99,15 @@ type pairKey struct {
 // both the real ECDH and the model KEX order the public keys canonically —
 // so when enclave i derives the link keys toward j, enclave j's derivation
 // toward i is the identical computation. Sharing one cache across a
-// simulated deployment therefore halves the O(N^2) setup-phase key
-// agreement work, and makes repeated derivations (dynamic joins, link
-// re-establishment) free.
+// simulated deployment therefore halves the key agreement work of the
+// pairs that are used, makes repeated derivations (dynamic joins, a
+// rebooted node's links) free, and makes the keys independent of which
+// end opens a pair first: a channel is opened at its first frame, by
+// either side.
 //
-// The cache is safe for concurrent use: the deployment builder constructs
-// peers on a worker pool. It exists purely as a simulation-side
+// The cache is safe for concurrent use: a deployment opens its peers'
+// channels on a worker pool, and the simulator's lanes open them from
+// several goroutines in mid-run. It exists purely as a simulation-side
 // optimization — a live SGX node holds only its own private key and cannot
 // share derivations — which is why it is opt-in via WithKeyCache and never
 // enabled by the TCP runtime.

@@ -1,10 +1,10 @@
 // Package runtime implements the peer runtime shared by the enclaved
-// protocols: the setup phase of Section 4.1 (mutual remote attestation,
-// Diffie-Hellman link establishment and initial sequence-number exchange),
-// lockstep round scheduling (property P5, rounds of 2*Delta), the
-// authenticated multicast with ACK counting that realizes
-// halt-on-divergence (property P4), and the per-peer sequence tables that
-// realize message freshness (property P6).
+// protocols: the setup phase of Section 4.1 (mutual remote attestation
+// and initial sequence-number exchange up front, Diffie-Hellman link
+// establishment at each pair's first frame), lockstep round scheduling
+// (property P5, rounds of 2*Delta), the authenticated multicast with ACK
+// counting that realizes halt-on-divergence (property P4), and the
+// per-peer sequence tables that realize message freshness (property P6).
 //
 // Protocols (internal/core/erb, internal/core/erng) are state machines
 // driven by two callbacks: OnRound at the start of every round and
@@ -147,6 +147,9 @@ type Stats struct {
 	// omissions — the rest of the multicast proceeds — so a crashed peer
 	// cannot wedge a broadcast.
 	SendFailures uint64
+	// LinksEstablished counts the blinded channels the peer has opened:
+	// N-1 once it has talked to everyone, fewer under a sampling protocol.
+	LinksEstablished uint64
 }
 
 // counters are the peer's registered metric handles, mirroring Stats in
@@ -312,10 +315,15 @@ type pendAck struct {
 
 // Peer is one node's runtime.
 type Peer struct {
-	encl  *enclave.Enclave
-	tr    Transport
-	cfg   Config
-	links []*channel.Link
+	encl *enclave.Enclave
+	tr   Transport
+	cfg  Config
+	// links holds the channels opened so far by remote id (see link);
+	// quotes is the attested roster their remote keys come from, shared
+	// with the other peers built from it.
+	links   []*channel.Link
+	quotes  []enclave.Quote
+	chanCtr *channel.Counters
 
 	proto       Protocol
 	rounds      uint32
@@ -453,8 +461,9 @@ type outSlot struct {
 }
 
 // NewPeer verifies the roster's attestation quotes (F3, property P1),
-// establishes a blinded channel to every other peer, and returns the
-// runtime. The peer's own quote must be at index enclave.ID().
+// binds each to its index, and returns the runtime. The peer's own quote
+// must be at index enclave.ID(). No channel is opened here: a pair's
+// PeerCh_sgx.Init runs at its first frame (link) or in EstablishLinks.
 func NewPeer(encl *enclave.Enclave, tr Transport, roster Roster, cfg Config) (*Peer, error) {
 	if encl == nil || tr == nil {
 		return nil, errors.New("runtime: nil enclave or transport")
@@ -471,21 +480,6 @@ func NewPeer(encl *enclave.Enclave, tr Transport, roster Roster, cfg Config) (*P
 	if cfg.Sealer == nil {
 		cfg.Sealer = channel.RealSealer{}
 	}
-	p := &Peer{
-		encl:     encl,
-		tr:       tr,
-		cfg:      cfg,
-		links:    make([]*channel.Link, cfg.N),
-		seqs:     make([]uint64, cfg.N),
-		trace:    cfg.Trace,
-		ctr:      newCounters(cfg.Metrics),
-		batching: !cfg.DisableBatching,
-		spans:    cfg.Trace.SpansEnabled(),
-	}
-	if p.batching {
-		p.batchHist = cfg.Metrics.Histogram("runtime_batch_msgs", batchMsgBounds)
-	}
-	chanCtr := channel.NewCounters(cfg.Metrics)
 	self := int(encl.ID())
 	for id, q := range roster.Quotes {
 		if id == self {
@@ -499,15 +493,72 @@ func NewPeer(encl *enclave.Enclave, tr Transport, roster Roster, cfg Config) (*P
 		if q.NodeID != wire.NodeID(id) {
 			return nil, fmt.Errorf("runtime: quote %d claims node id %d", id, q.NodeID)
 		}
-		link, err := channel.NewLink(encl, wire.NodeID(id), q.DHPublic, cfg.Sealer)
-		if err != nil {
-			return nil, fmt.Errorf("runtime: link to %d: %w", id, err)
-		}
-		link.SetCounters(chanCtr)
-		p.links[id] = link
+	}
+	p := &Peer{
+		encl:     encl,
+		tr:       tr,
+		cfg:      cfg,
+		links:    make([]*channel.Link, cfg.N),
+		quotes:   roster.Quotes,
+		chanCtr:  channel.NewCounters(cfg.Metrics),
+		seqs:     make([]uint64, cfg.N),
+		trace:    cfg.Trace,
+		ctr:      newCounters(cfg.Metrics),
+		batching: !cfg.DisableBatching,
+		spans:    cfg.Trace.SpansEnabled(),
+	}
+	if p.batching {
+		p.batchHist = cfg.Metrics.Histogram("runtime_batch_msgs", batchMsgBounds)
 	}
 	tr.SetHandler(p.receive)
 	return p, nil
+}
+
+// link returns the blinded channel to id, opening it at the pair's first
+// use. It is nil for the peer's own id and ids outside the roster, and
+// stays nil when the key agreement fails (a halted enclave refuses it):
+// the caller sees an unknown peer, the wire an omission.
+func (p *Peer) link(id wire.NodeID) *channel.Link {
+	if int(id) >= len(p.links) {
+		return nil
+	}
+	if l := p.links[id]; l != nil || id == p.ID() {
+		return l
+	}
+	_ = p.establish(id)
+	return p.links[id]
+}
+
+// establish is PeerCh_sgx.Init toward id. The keys are a function of the
+// pair alone, so which end asks first, or on which goroutine, changes
+// nothing either end later seals.
+func (p *Peer) establish(id wire.NodeID) error {
+	l, err := channel.NewLink(p.encl, id, p.quotes[id].DHPublic, p.cfg.Sealer)
+	if err != nil {
+		return fmt.Errorf("runtime: link to %d: %w", id, err)
+	}
+	l.SetCounters(p.chanCtr)
+	p.links[id] = l
+	p.stats.LinksEstablished++
+	return nil
+}
+
+// EstablishLinks opens every channel the peer has not used yet (a halted
+// peer: none). It touches this peer's state and the locked key cache
+// only, so a deployment runs it for all its peers side by side.
+func (p *Peer) EstablishLinks() error {
+	if p.Halted() {
+		return nil
+	}
+	for id, l := range p.links {
+		if l != nil || wire.NodeID(id) == p.ID() {
+			continue
+		}
+		if err := p.establish(wire.NodeID(id)); err != nil {
+			return err
+		}
+	}
+	return nil
 }
 
 // ID returns this peer's node id.
@@ -584,9 +635,10 @@ func (p *Peer) InstallSeqs(seqs []uint64) error {
 func (p *Peer) SeqOf(id wire.NodeID) uint64 { return p.seqs[int(id)] }
 
 // AddPeer extends the membership with a newly joined node (the dynamic
-// join of Appendix G / assumption S1): the quote is verified, a blinded
-// channel is established, and the joiner's initial sequence number is
-// recorded. The new node's id must be the next dense index.
+// join of Appendix G / assumption S1): the quote is verified and the
+// joiner's initial sequence number recorded; its channel opens like any
+// other, at the first frame. The new node's id must be the next dense
+// index.
 func (p *Peer) AddPeer(roster Roster, q enclave.Quote, seq uint64) error {
 	if p.Halted() {
 		return ErrHalted
@@ -597,12 +649,9 @@ func (p *Peer) AddPeer(roster Roster, q enclave.Quote, seq uint64) error {
 	if err := enclave.VerifyQuote(roster.ServiceKey, roster.Measurement, q); err != nil {
 		return fmt.Errorf("runtime: attestation of joiner %d: %w", q.NodeID, err)
 	}
-	link, err := channel.NewLink(p.encl, q.NodeID, q.DHPublic, p.cfg.Sealer)
-	if err != nil {
-		return fmt.Errorf("runtime: link to joiner %d: %w", q.NodeID, err)
-	}
-	link.SetCounters(channel.NewCounters(p.cfg.Metrics))
-	p.links = append(p.links, link)
+	// Clipped, so the append copies the shared roster, never extends it.
+	p.quotes = append(p.quotes[:len(p.quotes):len(p.quotes)], q)
+	p.links = append(p.links, nil)
 	p.seqs = append(p.seqs, seq)
 	p.cfg.N++
 	return nil
@@ -914,7 +963,7 @@ func (p *Peer) sendEncoded(dst wire.NodeID, encoded []byte, tracked int) error {
 	if p.Halted() {
 		return ErrHalted
 	}
-	if int(dst) >= len(p.links) || p.links[dst] == nil {
+	if p.link(dst) == nil {
 		return ErrUnknownPeer
 	}
 	if p.batching && p.inCallback {
@@ -948,7 +997,7 @@ func (p *Peer) sendFailed(n uint64) {
 // buffered message in flushOutbox).
 func (p *Peer) sealSend(dst wire.NodeID, plaintext []byte) (uint64, error) {
 	sp := p.trace.BeginSpan()
-	env, err := p.links[dst].SealEncodedAppend(p.sealBuf[:0], plaintext)
+	env, err := p.link(dst).SealEncodedAppend(p.sealBuf[:0], plaintext)
 	if err != nil {
 		return 0, err
 	}
@@ -1207,7 +1256,8 @@ func (p *Peer) receive(src wire.NodeID, payload []byte) {
 	if p.Halted() || !p.started || p.finished {
 		return
 	}
-	if int(src) >= len(p.links) || p.links[src] == nil {
+	link := p.link(src)
+	if link == nil {
 		return
 	}
 	// Envelopes are decrypted into the peer's reused open scratch: the
@@ -1215,7 +1265,7 @@ func (p *Peer) receive(src wire.NodeID, payload []byte) {
 	// messages share no bytes with it), so a warm receive pays no
 	// plaintext allocation.
 	sp := p.trace.BeginSpan()
-	plaintext, err := p.links[src].OpenRawAppend(p.openBuf[:0], payload)
+	plaintext, err := link.OpenRawAppend(p.openBuf[:0], payload)
 	if err != nil {
 		p.recvFailure(src)
 		return

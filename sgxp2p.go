@@ -107,7 +107,8 @@ type Cluster struct {
 }
 
 // NewCluster builds and sets up a cluster (enclave launch, attestation,
-// channel establishment, sequence-number exchange).
+// sequence-number exchange). Channels open when first used: all of them
+// ahead of the first broadcast, a sampled beacon epoch's as it goes.
 func NewCluster(opts Options) (*Cluster, error) {
 	c := &Cluster{t: opts.T, ads: make(map[NodeID]*AdversaryOS)}
 	d, err := deploy.New(deploy.Options{
@@ -337,8 +338,8 @@ type JoinOptions struct {
 
 // Join admits a new node into the cluster: the joiner's enclave is
 // launched and attested, the sponsor reliably broadcasts the join
-// announcement through ERB, and on acceptance every node establishes a
-// channel to the newcomer. Returns the new node's id.
+// announcement through ERB, and on acceptance every node admits the
+// newcomer's quote. Returns the new node's id.
 func (c *Cluster) Join(opts JoinOptions) (NodeID, error) {
 	return c.d.Join(deploy.JoinOptions{
 		Sponsor:          opts.Sponsor,
