@@ -7,9 +7,12 @@
 package sgxp2p_test
 
 import (
+	"runtime"
 	"testing"
 
 	"sgxp2p"
+	"sgxp2p/internal/beacon"
+	"sgxp2p/internal/deploy"
 	"sgxp2p/internal/experiments"
 )
 
@@ -185,3 +188,42 @@ func BenchmarkFirstEmission(b *testing.B) {
 // BenchmarkAblation regenerates the design-choice ablations (P4
 // halt-on-divergence on/off, early stopping vs deadline).
 func BenchmarkAblation(b *testing.B) { benchExperiment(b, "ablate") }
+
+// BenchmarkStandingBeaconHeap measures what a standing sampled beacon
+// keeps: 40 Algorithm 6 epochs on one cluster (real crypto at N = 256,
+// the beacon_opt shape, and model crypto at N = 1024), then the live heap
+// after a collection, whole and per link end the epochs opened. A
+// per-peer object sized from N, or one kept per link ever used, shows
+// here as a number before it shows in a profile.
+func BenchmarkStandingBeaconHeap(b *testing.B) {
+	for _, c := range []struct {
+		name string
+		opts deploy.Options
+	}{
+		{"real-n256", deploy.Options{N: 256, T: 85, RealCrypto: true}},
+		{"model-n1024", deploy.Options{N: 1024, T: 341}},
+	} {
+		b.Run(c.name, func(b *testing.B) {
+			for i := 0; i < b.N; i++ {
+				c.opts.Seed = int64(i) + 1
+				d, err := deploy.New(c.opts)
+				if err != nil {
+					b.Fatal(err)
+				}
+				bc, err := beacon.New(d, beacon.Config{T: c.opts.T, Mode: beacon.ModeOptimized})
+				if err != nil {
+					b.Fatal(err)
+				}
+				if _, err := bc.RunEpochs(40); err != nil {
+					b.Fatal(err)
+				}
+				runtime.GC()
+				var ms runtime.MemStats
+				runtime.ReadMemStats(&ms)
+				b.ReportMetric(float64(ms.HeapAlloc)/(1<<20), "live-MiB")
+				b.ReportMetric(float64(ms.HeapAlloc)/float64(d.LinksEstablished()), "B/link-end-used")
+				runtime.KeepAlive(bc)
+			}
+		})
+	}
+}

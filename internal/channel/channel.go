@@ -280,34 +280,57 @@ func (l *Link) SetCounters(c *Counters) { l.ctr = c }
 // and open skips the key schedule and HMAC pad (or checksum seed)
 // derivation; the raw keys are not retained.
 func NewLink(local *enclave.Enclave, remote wire.NodeID, remotePub [xcrypto.PublicKeySize]byte, sealer Sealer) (*Link, error) {
+	l := new(Link)
+	if err := Establish(l, local, remote, remotePub, sealer); err != nil {
+		return nil, err
+	}
+	return l, nil
+}
+
+// Establish is NewLink into a zero Link the caller holds, so an owner that
+// keeps state of its own per link end (the runtime's outbox position)
+// embeds the Link and pays one allocation for both. A Link whose
+// Establish failed must not be used.
+func Establish(l *Link, local *enclave.Enclave, remote wire.NodeID, remotePub [xcrypto.PublicKeySize]byte, sealer Sealer) error {
 	keys, err := local.SessionKeys(remotePub)
 	if err != nil {
-		return nil, fmt.Errorf("channel: link to %d: %w", remote, err)
+		return fmt.Errorf("channel: link to %d: %w", remote, err)
 	}
-	l, err := newLinkFromKeys(remote, keys, sealer)
-	if err == nil && l.cipher != nil {
+	if err := l.prepare(remote, keys, sealer); err != nil {
+		return err
+	}
+	if l.cipher != nil {
 		l.nonces = local.NonceReader()
 	}
-	return l, err
+	return nil
 }
 
 // newLinkFromKeys is NewLink after key agreement; the package tests use
 // it to build links under fixed keys.
 func newLinkFromKeys(remote wire.NodeID, keys xcrypto.SessionKeys, sealer Sealer) (*Link, error) {
-	l := &Link{remote: remote}
+	l := new(Link)
+	if err := l.prepare(remote, keys, sealer); err != nil {
+		return nil, err
+	}
+	return l, nil
+}
+
+// prepare builds the link's cipher state from the pair's session keys.
+func (l *Link) prepare(remote wire.NodeID, keys xcrypto.SessionKeys, sealer Sealer) error {
+	l.remote = remote
 	switch s := sealer.(type) {
 	case RealSealer:
 		c, err := xcrypto.NewLinkCipher(keys)
 		if err != nil {
-			return nil, fmt.Errorf("channel: link to %d: %w", remote, err)
+			return fmt.Errorf("channel: link to %d: %w", remote, err)
 		}
 		l.cipher = c
 	case *ModelSealer:
 		l.model, l.seed = s, modelSeed(keys)
 	default:
-		return nil, fmt.Errorf("channel: link to %d: unsupported sealer %T", remote, sealer)
+		return fmt.Errorf("channel: link to %d: unsupported sealer %T", remote, sealer)
 	}
-	return l, nil
+	return nil
 }
 
 // Remote returns the peer on the far side of the link.

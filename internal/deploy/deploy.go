@@ -111,10 +111,11 @@ type Deployment struct {
 	// opposed to halted enclaves (P4 churn). See lifecycle.go.
 	stopped []bool
 
-	// keyCache memoizes pairwise session keys across all enclaves of the
+	// keyCache hands pairwise session keys across the enclaves of the
 	// deployment: the (i,j) and (j,i) link derivations are symmetric, so
-	// whichever end opens the pair first derives for both. Joining and
-	// restarted nodes (join.go, lifecycle.go) reuse it too.
+	// whichever end opens the pair first derives for both and the other
+	// takes the keys out. Joining and restarted nodes (join.go,
+	// lifecycle.go) go through it too.
 	keyCache *enclave.KeyCache
 }
 
@@ -242,8 +243,9 @@ func New(opts Options) (*Deployment, error) {
 }
 
 // EstablishLinks opens every channel the live peers have not used yet,
-// a peer per worker: the shared key cache means each unordered pair is
-// derived once, and the pool spreads the rest across cores. RunInstance
+// a peer per worker: the shared key cache means an unordered pair is
+// derived once (twice when its two ends ask at the same moment, see
+// KeysDerived), and the pool spreads the rest across cores. RunInstance
 // calls it ahead of a full-mesh instance, which would otherwise derive
 // every pair in turn on the simulator's goroutine in its first rounds;
 // with nothing missing it is one pass over the peers.

@@ -179,11 +179,14 @@ func TestRunInstanceMuxEndsPastConsumedIDs(t *testing.T) {
 // mesh for: a cluster member multicasts to everyone and ends with N-1
 // links, everyone else answers the members and ends with |cluster|. A
 // broadcast opens the rest, and after it there is nothing left to open.
+// Agreements computed are counted by KeysDerived; the key cache holds a
+// pair only between its two ends' openings, so it is empty whenever both
+// ends of every used pair are open.
 func TestLinksOpenedOnDemand(t *testing.T) {
 	const n = 256
 	d := newDeployment(t, n, 85, 61)
-	if links, cache := d.LinksEstablished(), d.KeyCacheLen(); links != 0 || cache != 0 {
-		t.Fatalf("%d link ends, %d cached pairs after New, want none", links, cache)
+	if links, derived := d.LinksEstablished(), d.KeysDerived(); links != 0 || derived != 0 {
+		t.Fatalf("%d link ends, %d agreements after New, want none", links, derived)
 	}
 
 	protos, err := d.Epoch(d.Opts.T, true, nil)
@@ -213,9 +216,17 @@ func TestLinksOpenedOnDemand(t *testing.T) {
 			t.Errorf("node %d (member: %v) holds %d links after a sampled epoch, want %d", i, member[i], got, want)
 		}
 	}
-	if got := d.KeyCacheLen(); got == 0 || got >= n*(n-1)/4 {
+	if got := d.KeysDerived(); got == 0 || got >= n*(n-1)/4 {
 		t.Fatalf("%d pairs derived by one sampled epoch of cluster %d, want fewer than half of %d", got, cluster, n*(n-1)/2)
 	}
+	// Every frame of the epoch was answered, so each used pair is open at
+	// both ends and none is waiting: one agreement per two link ends, plus
+	// the pairs whose ends fired side by side in one window and both missed.
+	sampled := d.LinksEstablished() / 2
+	if derived, waiting := d.KeysDerived(), d.KeyCacheLen(); derived < sampled || derived > 2*sampled || waiting != 0 {
+		t.Fatalf("%d agreements for %d pairs, %d pairs waiting; want one or two per pair and none waiting", derived, sampled, waiting)
+	}
+	t.Logf("sampled epoch of %d pairs: both ends derived for %d", sampled, d.KeysDerived()-sampled)
 
 	if _, err := d.Broadcast(erb.Config{T: d.Opts.T, ExpectedInitiators: []wire.NodeID{0}}, wire.Value{1}, nil); err != nil {
 		t.Fatal(err)
@@ -225,15 +236,21 @@ func TestLinksOpenedOnDemand(t *testing.T) {
 			t.Errorf("node %d holds %d links after a broadcast, want %d", i, got, n-1)
 		}
 	}
-	links, cache := d.LinksEstablished(), d.KeyCacheLen()
-	if links != n*(n-1) || cache != n*(n-1)/2 {
-		t.Fatalf("%d link ends, %d cached pairs after a broadcast, want %d and %d", links, cache, n*(n-1), n*(n-1)/2)
+	// The prefetch opens a peer per worker, so two ends of a pair can both
+	// miss the hand-over and both derive; the later one removes what the
+	// earlier one left, so nothing stays behind either way.
+	const pairs = n * (n - 1) / 2
+	links, derived := d.LinksEstablished(), d.KeysDerived()
+	if links != n*(n-1) || derived < pairs || derived > 2*pairs || d.KeyCacheLen() != 0 {
+		t.Fatalf("%d link ends, %d agreements, %d pairs waiting after a broadcast, want %d, %d..%d, none",
+			links, derived, d.KeyCacheLen(), n*(n-1), pairs, 2*pairs)
 	}
+	t.Logf("prefetch of %d pairs: both ends derived for %d", pairs-sampled, derived-pairs)
 	if err := d.EstablishLinks(); err != nil {
 		t.Fatal(err)
 	}
-	if l, c := d.LinksEstablished(), d.KeyCacheLen(); l != links || c != cache {
-		t.Fatalf("a second EstablishLinks derived: %d -> %d link ends, %d -> %d pairs", links, l, cache, c)
+	if l, c := d.LinksEstablished(), d.KeysDerived(); l != links || c != derived {
+		t.Fatalf("a second EstablishLinks derived: %d -> %d link ends, %d -> %d agreements", links, l, derived, c)
 	}
 }
 

@@ -64,15 +64,26 @@ func (d *Deployment) buildTransport(id wire.NodeID) (runtime.Transport, error) {
 	return tr, nil
 }
 
-// KeyCacheLen returns the number of pair derivations memoized in the
-// deployment-wide session-key cache. A crash–restart must not change it:
-// the rebooted enclave re-derives the identical pairwise keys and hits
-// the existing entries.
+// KeyCacheLen returns the number of pairs one end of which has derived
+// its session keys and left them in the deployment-wide cache for the
+// other end to take (enclave.KeyCache): none once both ends of every used
+// pair are open.
 func (d *Deployment) KeyCacheLen() int {
 	if d.keyCache == nil {
 		return 0
 	}
 	return d.keyCache.Len()
+}
+
+// KeysDerived returns the number of key agreements the deployment's
+// enclaves have computed: one per used pair, plus one for each pair whose
+// two ends both missed the hand-over (side by side in EstablishLinks, or
+// a restarted node re-deriving what its survivor already holds).
+func (d *Deployment) KeysDerived() int {
+	if d.keyCache == nil {
+		return 0
+	}
+	return d.keyCache.Derived()
 }
 
 // Stop crashes a node: the machine goes away mid-protocol. The peer stops
@@ -101,10 +112,11 @@ func (d *Deployment) Stopped(id wire.NodeID) bool {
 // enclave and re-joins the network. Because the enclave's randomness
 // derives deterministically from the deployment seed and the node id, the
 // reboot replays the identical key material — the same X25519 keypair,
-// hence (via the deployment key cache) the very same pairwise session
-// keys, so the surviving nodes' blinded channels remain valid without any
-// re-establishment. The re-attested quote is byte-identical for the same
-// reason (Ed25519 signing is deterministic).
+// hence the very same pairwise session keys, derived again for the pairs
+// the survivors already hold their end of and taken over from the key
+// cache for the rest — so the surviving nodes' blinded channels remain
+// valid without any re-establishment. The re-attested quote is
+// byte-identical for the same reason (Ed25519 signing is deterministic).
 //
 // The restarted peer copies the sequence table and instance counter from
 // the lowest-id live node, exactly like a dynamic joiner (join.go), and

@@ -84,26 +84,38 @@ type Enclave struct {
 	nonces      *bufio.Reader
 }
 
-// pairKey identifies one memoized session-key derivation: the unordered
-// public-key pair, the program measurement mixed into the keys, and the
-// derivation mode (a model-KEX enclave must never share entries with a
-// real-ECDH one).
+// pairKey identifies one session-key derivation: the unordered public-key
+// pair, the program measurement mixed into the keys, and the derivation
+// mode (a model-KEX enclave must never share entries with a real-ECDH
+// one).
 type pairKey struct {
 	pair     xcrypto.PairID
 	meas     xcrypto.Measurement
 	modelKEX bool
 }
 
-// KeyCache memoizes pairwise session keys across the enclaves of one
-// deployment. The Diffie-Hellman derivation is symmetric in the pair —
-// both the real ECDH and the model KEX order the public keys canonically —
-// so when enclave i derives the link keys toward j, enclave j's derivation
-// toward i is the identical computation. Sharing one cache across a
-// simulated deployment therefore halves the key agreement work of the
-// pairs that are used, makes repeated derivations (dynamic joins, a
-// rebooted node's links) free, and makes the keys independent of which
-// end opens a pair first: a channel is opened at its first frame, by
-// either side.
+// KeyCache hands pairwise session keys from one end of a pair to the
+// other across the enclaves of one deployment. The Diffie-Hellman
+// derivation is symmetric in the pair — both the real ECDH and the model
+// KEX order the public keys canonically — so when enclave i derives the
+// link keys toward j, enclave j's derivation toward i is the identical
+// computation. The first end to open a pair derives and leaves the keys
+// here; the second end takes them out. That halves the key agreement work
+// of the pairs that are used, makes the keys independent of which end
+// opens a pair first (a channel is opened at its first frame, by either
+// side), and keeps the cache at the pairs with one end open: nobody asks
+// for a pair's keys a third time, because each end keeps its prepared
+// cipher state in its Link.
+//
+// Nothing is memoized beyond that. A relaunched enclave with new key
+// material derives afresh, and whatever its predecessor left waiting is
+// never taken; a relaunch that replays the old key material
+// (deploy.Restart) takes what is waiting or, for a pair both ends had
+// opened, derives again and leaves an entry nobody takes until the next
+// replay does — one per pair at most, since a second arrival always
+// removes what the first left. The same rule settles two ends that miss
+// side by side under a parallel prefetch: both derive, the later one
+// finds the earlier one's entry and removes it.
 //
 // The cache is safe for concurrent use: a deployment opens its peers'
 // channels on a worker pool, and the simulator's lanes open them from
@@ -112,8 +124,9 @@ type pairKey struct {
 // share derivations — which is why it is opt-in via WithKeyCache and never
 // enabled by the TCP runtime.
 type KeyCache struct {
-	mu sync.Mutex
-	m  map[pairKey]xcrypto.SessionKeys
+	mu      sync.Mutex
+	m       map[pairKey]xcrypto.SessionKeys
+	derived int
 }
 
 // NewKeyCache creates an empty cache, typically one per deployment.
@@ -121,24 +134,54 @@ func NewKeyCache() *KeyCache {
 	return &KeyCache{m: make(map[pairKey]xcrypto.SessionKeys)}
 }
 
-func (c *KeyCache) get(k pairKey) (xcrypto.SessionKeys, bool) {
+// take removes and returns the keys the pair's other end left, if any.
+func (c *KeyCache) take(k pairKey) (xcrypto.SessionKeys, bool) {
 	c.mu.Lock()
 	defer c.mu.Unlock()
 	keys, ok := c.m[k]
+	if ok {
+		c.remove(k)
+	}
 	return keys, ok
 }
 
-func (c *KeyCache) put(k pairKey, keys xcrypto.SessionKeys) {
+// leave counts one derivation and leaves its keys for the pair's other
+// end — unless that end derived meanwhile and left its own, in which case
+// both have theirs and the entry goes.
+func (c *KeyCache) leave(k pairKey, keys xcrypto.SessionKeys) {
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	c.m[k] = keys
+	c.derived++
+	if _, both := c.m[k]; both {
+		c.remove(k)
+	} else {
+		c.m[k] = keys
+	}
 }
 
-// Len returns the number of memoized pair derivations.
+// remove deletes k's entry. A map that drains is replaced: a Go map keeps
+// the buckets of its fullest moment, here a prefetch's worth of pairs.
+func (c *KeyCache) remove(k pairKey) {
+	if delete(c.m, k); len(c.m) == 0 {
+		c.m = make(map[pairKey]xcrypto.SessionKeys)
+	}
+}
+
+// Len returns the number of pairs waiting for their second end.
 func (c *KeyCache) Len() int {
 	c.mu.Lock()
 	defer c.mu.Unlock()
 	return len(c.m)
+}
+
+// Derived returns the number of key agreements computed through the
+// cache. Every opened link end either computed one or took one over, so
+// across a full mesh of P pairs Derived() - P is how often both ends of a
+// pair derived.
+func (c *KeyCache) Derived() int {
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	return c.derived
 }
 
 // Option configures Launch.
@@ -158,8 +201,8 @@ func WithModelKEX() Option {
 }
 
 // WithKeyCache shares a deployment-wide session-key cache with this
-// enclave, so the symmetric (i,j)/(j,i) derivations are computed once per
-// pair instead of twice. Simulation-only; see KeyCache.
+// enclave, so of the symmetric (i,j)/(j,i) derivations the second takes
+// over what the first computed. Simulation-only; see KeyCache.
 func WithKeyCache(c *KeyCache) Option {
 	return func(e *Enclave) { e.keyCache = c }
 }
@@ -214,9 +257,9 @@ func (e *Enclave) DHPublic() [xcrypto.PublicKeySize]byte { return e.dh.Public() 
 // channel layer hands them to channel.NewLink, which (for the real
 // sealer) expands them once into a per-link xcrypto.LinkCipher — AES key
 // schedule plus HMAC pad states. That prepared state lives in the Link,
-// never in the enclave KeyCache; the cache stores only the 64 key bytes,
-// so cache eviction or a fresh derivation can never invalidate a live
-// link's cipher.
+// never in the enclave KeyCache; the cache holds only the 64 key bytes
+// until the pair's other end takes them, so neither that hand-over nor a
+// fresh derivation can invalidate a live link's cipher.
 func (e *Enclave) SessionKeys(remote [xcrypto.PublicKeySize]byte) (xcrypto.SessionKeys, error) {
 	if e.halted {
 		return xcrypto.SessionKeys{}, ErrHalted
@@ -228,7 +271,7 @@ func (e *Enclave) SessionKeys(remote [xcrypto.PublicKeySize]byte) (xcrypto.Sessi
 			meas:     e.measurement,
 			modelKEX: e.modelKEX,
 		}
-		if keys, ok := e.keyCache.get(ck); ok {
+		if keys, ok := e.keyCache.take(ck); ok {
 			return keys, nil
 		}
 	}
@@ -244,12 +287,12 @@ func (e *Enclave) SessionKeys(remote [xcrypto.PublicKeySize]byte) (xcrypto.Sessi
 	}
 	// Mix H(pi) into both keys so that a peer running program pi' != pi
 	// derives unrelated keys and every envelope it produces fails to
-	// authenticate. The cached value is the bound result: a cache hit is
-	// only possible for an enclave with the identical measurement.
+	// authenticate. The handed-over value is the bound result: only an
+	// enclave with the identical measurement can take it.
 	keys.Enc = bindMeasurement(keys.Enc, e.measurement, "enc")
 	keys.Mac = bindMeasurement(keys.Mac, e.measurement, "mac")
 	if e.keyCache != nil {
-		e.keyCache.put(ck, keys)
+		e.keyCache.leave(ck, keys)
 	}
 	return keys, nil
 }

@@ -2,6 +2,7 @@ package enclave
 
 import (
 	"math/rand"
+	"sync"
 	"testing"
 	"testing/quick"
 	"time"
@@ -303,5 +304,79 @@ func TestQuickRoundMonotone(t *testing.T) {
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 100}); err != nil {
 		t.Fatal(err)
+	}
+}
+
+// TestKeyCacheHandsOver: the first end of a pair derives and leaves the
+// keys, the second takes them out, and whoever derives while an entry is
+// already waiting removes it — so the cache holds pairs with one end open
+// and an entry nobody will take cannot be joined by a second one.
+func TestKeyCacheHandsOver(t *testing.T) {
+	cache := NewKeyCache()
+	launchCached := func(id wire.NodeID, seed int64, opts ...Option) *Enclave {
+		t.Helper()
+		e, err := Launch(testProgram, id, rand.New(rand.NewSource(seed)), &fakeClock{}, append(opts, WithKeyCache(cache))...)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return e
+	}
+	derive := func(e, remote *Enclave, wantLen, wantDerived int) [2][32]byte {
+		t.Helper()
+		keys, err := e.SessionKeys(remote.DHPublic())
+		if err != nil {
+			t.Fatal(err)
+		}
+		if cache.Len() != wantLen || cache.Derived() != wantDerived {
+			t.Fatalf("%d pairs waiting, %d agreements computed; want %d and %d", cache.Len(), cache.Derived(), wantLen, wantDerived)
+		}
+		return [2][32]byte{keys.Enc, keys.Mac}
+	}
+	a, b := launchCached(0, 1), launchCached(1, 2)
+	first := derive(a, b, 1, 1)
+	if derive(b, a, 0, 1) != first {
+		t.Fatal("the second end took over different keys")
+	}
+	// A relaunch that replays a's key material derives again — b's end is
+	// open, nobody takes the entry — and the next replay takes it.
+	if derive(launchCached(0, 1), b, 1, 2) != first || derive(launchCached(0, 1), b, 0, 2) != first {
+		t.Fatal("a replayed enclave agreed on different keys")
+	}
+	// A relaunch with fresh key material shares nothing with the old pair.
+	if derive(launchCached(0, 3), b, 1, 3) == first {
+		t.Fatal("a fresh enclave agreed on the old pair's keys")
+	}
+	// Nor does a model-KEX enclave with a real one under the same public
+	// keys: its entry is its own.
+	if derive(launchCached(0, 3, WithModelKEX()), b, 2, 4) == first {
+		t.Fatal("model and real key agreement shared an entry")
+	}
+
+	// Both ends of many pairs asking at the same moment: whichever way
+	// each pair's race goes, nothing is left waiting.
+	cache = NewKeyCache()
+	const n = 24
+	encls := make([]*Enclave, n)
+	for i := range encls {
+		encls[i] = launchCached(wire.NodeID(i), int64(100+i), WithModelKEX())
+	}
+	var wg sync.WaitGroup
+	for i := range encls {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			for j := range encls {
+				if j == i {
+					continue
+				}
+				if _, err := encls[i].SessionKeys(encls[j].DHPublic()); err != nil {
+					t.Error(err)
+				}
+			}
+		}()
+	}
+	wg.Wait()
+	if pairs := n * (n - 1) / 2; cache.Len() != 0 || cache.Derived() < pairs || cache.Derived() > 2*pairs {
+		t.Fatalf("%d pairs waiting after both ends of all %d opened, %d agreements computed", cache.Len(), pairs, cache.Derived())
 	}
 }

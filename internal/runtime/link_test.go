@@ -32,6 +32,15 @@ func initMsg(from wire.NodeID) *wire.Message {
 // lonePeer is node 0 of an attested roster of n, on a deaf transport.
 func lonePeer(t *testing.T, n int) (*Peer, *deafTransport) {
 	t.Helper()
+	tr := &deafTransport{}
+	p, _ := lonePeerOn(t, n, tr)
+	return p, tr
+}
+
+// lonePeerOn is node 0 of an attested roster of n on the given transport,
+// and the roster's enclaves.
+func lonePeerOn(t *testing.T, n int, tr Transport) (*Peer, []*enclave.Enclave) {
+	t.Helper()
 	rng := rand.New(rand.NewSource(23))
 	service, err := enclave.NewAttestationService(rng)
 	if err != nil {
@@ -39,23 +48,18 @@ func lonePeer(t *testing.T, n int) (*Peer, *deafTransport) {
 	}
 	program := []byte("runtime/link_test")
 	roster := Roster{ServiceKey: service.VerifyKey(), Measurement: xcrypto.Measure(program)}
-	var self *enclave.Enclave
-	for id := 0; id < n; id++ {
-		encl, lerr := enclave.Launch(program, wire.NodeID(id), rng, enclave.NewWallClock())
-		if lerr != nil {
-			t.Fatal(lerr)
+	encls := make([]*enclave.Enclave, n)
+	for id := range encls {
+		if encls[id], err = enclave.Launch(program, wire.NodeID(id), rng, enclave.NewWallClock()); err != nil {
+			t.Fatal(err)
 		}
-		if id == 0 {
-			self = encl
-		}
-		roster.Quotes = append(roster.Quotes, service.Attest(encl))
+		roster.Quotes = append(roster.Quotes, service.Attest(encls[id]))
 	}
-	tr := &deafTransport{}
-	p, err := NewPeer(self, tr, roster, Config{N: n, T: 1, Delta: time.Second})
+	p, err := NewPeer(encls[0], tr, roster, Config{N: n, T: 1, Delta: time.Second})
 	if err != nil {
 		t.Fatal(err)
 	}
-	return p, tr
+	return p, encls
 }
 
 // TestLinkEstablishedAtFirstUse: NewPeer opens no channel; the first use

@@ -321,7 +321,7 @@ type Peer struct {
 	// links holds the channels opened so far by remote id (see link);
 	// quotes is the attested roster their remote keys come from, shared
 	// with the other peers built from it.
-	links   []*channel.Link
+	links   []*linkEnd
 	quotes  []enclave.Quote
 	chanCtr *channel.Counters
 
@@ -399,15 +399,20 @@ type Peer struct {
 	// Round-scoped outbox (frame coalescing, ROADMAP 4a). While a
 	// protocol callback runs (inCallback), sendEncoded appends encoded
 	// messages into the destination's outSlot instead of sealing
-	// immediately; the callback's caller flushes every dirty slot as one
-	// sealed frame per link. outDirty preserves first-enqueue order so
-	// the flush sequence is deterministic; outHasRefs gates the sweep
-	// that materializes borrowed singletons (see outSlot.ref).
+	// immediately; the callback's caller flushes every slot as one sealed
+	// frame per link. out holds a slot per destination written to since
+	// the last flush and nothing else, in first-enqueue order, so the
+	// flush sequence is deterministic and the outbox is as wide as the
+	// peer's widest flush window, whatever N is; a link end remembers its
+	// slot (linkEnd.slot). Batch buffers are lent to slots from bufFree
+	// and return to it as their frame is sealed, last in, first out.
+	// outHasRefs gates the sweep that materializes borrowed singletons
+	// (see outSlot.ref).
 	batching   bool
 	inCallback bool
 	outHasRefs bool
 	out        []outSlot
-	outDirty   []wire.NodeID
+	bufFree    [][]byte
 	batchHist  *telemetry.Histogram
 
 	// Frame-cumulative acknowledgment (the multiplexed-runtime ACK fast
@@ -438,10 +443,19 @@ type Peer struct {
 	pendAcks       []pendAck
 }
 
+// linkEnd is what the peer holds per opened link: the channel and, while
+// the current flush window has messages for the remote, the 1-based
+// position of their slot in Peer.out (0: none). The position fits the
+// Link's padding, so it costs a link end nothing.
+type linkEnd struct {
+	channel.Link
+	slot uint32
+}
+
 // outSlot is one destination's share of the round-scoped outbox.
 type outSlot struct {
-	// buf is the batch container under construction; it keeps its
-	// capacity across flushes.
+	// buf is the batch container under construction, on loan from
+	// Peer.bufFree (nil until the slot needs one).
 	buf []byte
 	// ref borrows the first message a callback emits to the destination
 	// straight out of encodeBuf (a multicast's legs all share one
@@ -458,6 +472,9 @@ type outSlot struct {
 	// multicast counts once: a frame ACK credits every tracker of the
 	// window, which is sound only for a destination that received each.
 	cover, seen uint32
+	// dst is whose slot this is: slots sit in first-enqueue order, and a
+	// destination finds its own through linkEnd.slot.
+	dst wire.NodeID
 }
 
 // NewPeer verifies the roster's attestation quotes (F3, property P1),
@@ -498,7 +515,7 @@ func NewPeer(encl *enclave.Enclave, tr Transport, roster Roster, cfg Config) (*P
 		encl:     encl,
 		tr:       tr,
 		cfg:      cfg,
-		links:    make([]*channel.Link, cfg.N),
+		links:    make([]*linkEnd, cfg.N),
 		quotes:   roster.Quotes,
 		chanCtr:  channel.NewCounters(cfg.Metrics),
 		seqs:     make([]uint64, cfg.N),
@@ -518,7 +535,7 @@ func NewPeer(encl *enclave.Enclave, tr Transport, roster Roster, cfg Config) (*P
 // use. It is nil for the peer's own id and ids outside the roster, and
 // stays nil when the key agreement fails (a halted enclave refuses it):
 // the caller sees an unknown peer, the wire an omission.
-func (p *Peer) link(id wire.NodeID) *channel.Link {
+func (p *Peer) link(id wire.NodeID) *linkEnd {
 	if int(id) >= len(p.links) {
 		return nil
 	}
@@ -533,8 +550,8 @@ func (p *Peer) link(id wire.NodeID) *channel.Link {
 // pair alone, so which end asks first, or on which goroutine, changes
 // nothing either end later seals.
 func (p *Peer) establish(id wire.NodeID) error {
-	l, err := channel.NewLink(p.encl, id, p.quotes[id].DHPublic, p.cfg.Sealer)
-	if err != nil {
+	l := new(linkEnd)
+	if err := channel.Establish(&l.Link, p.encl, id, p.quotes[id].DHPublic, p.cfg.Sealer); err != nil {
 		return fmt.Errorf("runtime: link to %d: %w", id, err)
 	}
 	l.SetCounters(p.chanCtr)
@@ -963,11 +980,12 @@ func (p *Peer) sendEncoded(dst wire.NodeID, encoded []byte, tracked int) error {
 	if p.Halted() {
 		return ErrHalted
 	}
-	if p.link(dst) == nil {
+	l := p.link(dst)
+	if l == nil {
 		return ErrUnknownPeer
 	}
 	if p.batching && p.inCallback {
-		p.enqueueBatch(dst, encoded, tracked)
+		p.enqueueBatch(l, encoded, tracked)
 		return nil
 	}
 	// Direct send: every send of a DisableBatching deployment (the figure
@@ -1013,56 +1031,59 @@ func (p *Peer) sealSend(dst wire.NodeID, plaintext []byte) (uint64, error) {
 	return tag, nil
 }
 
-// enqueueBatch appends one encoded message to dst's outbox slot. The
-// destination was validated by sendEncoded; enqueueing cannot fail —
+// enqueueBatch appends one encoded message to the outbox slot of l's
+// remote, opening the slot if this is the window's first message to it.
+// The destination was validated by sendEncoded; enqueueing cannot fail —
 // seal errors surface at flush time, where they degrade to omissions
 // exactly like a failed multicast leg.
-func (p *Peer) enqueueBatch(dst wire.NodeID, encoded []byte, tracked int) {
-	if len(p.out) < len(p.links) {
-		grown := make([]outSlot, len(p.links))
-		copy(grown, p.out)
-		p.out = grown
+func (p *Peer) enqueueBatch(l *linkEnd, encoded []byte, tracked int) {
+	if l.slot == 0 {
+		// Borrow the encoded bytes instead of copying them. The borrow
+		// lives in encodeBuf, which is not reused before copyOutboxRefs
+		// materializes it.
+		p.out = append(p.out, outSlot{dst: l.Remote(), ref: encoded})
+		l.slot = uint32(len(p.out))
+		p.outHasRefs = true
 	}
-	o := &p.out[dst]
+	o := &p.out[l.slot-1]
 	if tracked != 0 && o.seen != uint32(tracked) {
 		o.seen = uint32(tracked)
 		o.cover++
 	}
 	o.n++
 	if o.n == 1 {
-		// First message to dst this flush window: borrow the encoded
-		// bytes instead of copying them. The borrow lives in encodeBuf,
-		// which is not reused before copyOutboxRefs materializes it.
-		p.outDirty = append(p.outDirty, dst)
-		o.ref = encoded
-		p.outHasRefs = true
 		return
 	}
 	// A borrow still standing here is the same encoding enqueued twice to
 	// one dst (duplicate entries in an explicit Multicast dsts list) — no
 	// intervening encode ran to materialize it.
-	o.materialize()
+	p.materialize(o)
 	o.buf = wire.AppendBatchEntry(o.buf, encoded)
 }
 
-// materialize copies a borrowed singleton into the slot's own buffer.
-func (o *outSlot) materialize() {
-	if o.ref != nil {
-		o.buf = wire.AppendBatchEntry(o.buf[:0], o.ref)
-		o.ref = nil
+// materialize copies a borrowed singleton into a batch buffer of the
+// slot's own, the one most recently returned to the pool. (The pool's
+// stale tail entry is overwritten when this window's flush returns it.)
+func (p *Peer) materialize(o *outSlot) {
+	if o.ref == nil {
+		return
 	}
+	if n := len(p.bufFree); n > 0 {
+		o.buf, p.bufFree = p.bufFree[n-1], p.bufFree[:n-1]
+	}
+	o.buf = wire.AppendBatchEntry(o.buf[:0], o.ref)
+	o.ref = nil
 }
 
-// copyOutboxRefs materializes every borrowed outbox reference into its
-// destination's batch buffer. It runs just before the encode scratch is
-// reused — until that moment a singleton outbox entry is only a view of
-// the bytes the last encode produced. A callback that encodes once and
-// flushes (one multicast, or one ACK — the steady state of every
-// protocol in this repo) therefore never copies a message between
-// encode and seal.
+// copyOutboxRefs materializes every borrowed outbox reference into a
+// batch buffer. It runs just before the encode scratch is reused — until
+// that moment a singleton outbox entry is only a view of the bytes the
+// last encode produced. A callback that encodes once and flushes (one
+// multicast, or one ACK — the steady state of every protocol in this
+// repo) therefore never copies a message between encode and seal.
 func (p *Peer) copyOutboxRefs() {
-	for _, dst := range p.outDirty {
-		p.out[dst].materialize()
+	for i := range p.out {
+		p.materialize(&p.out[i])
 	}
 	p.outHasRefs = false
 }
@@ -1074,14 +1095,15 @@ func (p *Peer) copyOutboxRefs() {
 // outbox, it is a no-op.
 func (p *Peer) Flush() { p.flushOutbox() }
 
-// flushOutbox seals and sends every dirty outbox buffer: one envelope
-// per destination covering all messages a callback emitted to it. A
-// buffer holding a single message is sent as the bare encoded message —
+// flushOutbox seals and sends every outbox slot: one envelope per
+// destination covering all messages a callback emitted to it. A slot
+// holding a single message is sent as the bare encoded message —
 // byte-identical framing to an unbatched send — so coalescing only ever
-// changes the wire when it has something to coalesce. Buffers keep
-// their capacity for the next round; flush order is first-enqueue
-// order, which is deterministic, keeping trace streams and simulated
-// network schedules bit-reproducible per seed.
+// changes the wire when it has something to coalesce. A slot's batch
+// buffer goes back to the pool, capacity kept, as soon as its frame is
+// sealed (the plaintext never leaves the peer); flush order is
+// first-enqueue order, which is deterministic, keeping trace streams and
+// simulated network schedules bit-reproducible per seed.
 func (p *Peer) flushOutbox() {
 	if len(p.pendAcks) > 0 {
 		// A mid-delivery flush (halt, stop, or a protocol Flush) must put
@@ -1099,23 +1121,17 @@ func (p *Peer) flushOutbox() {
 		group = p.trackers[p.winStart:]
 	}
 	var fg *frameGroup
-	for _, dst := range p.outDirty {
-		o := &p.out[dst]
-		n := uint64(o.n)
+	for i := range p.out {
+		o := &p.out[i]
+		dst, n := o.dst, uint64(o.n)
 		covered := len(group) > 0 && int(o.cover) == len(group)
-		o.n, o.cover, o.seen = 0, 0, 0
-		if n == 0 {
-			continue
-		}
+		p.links[dst].slot = 0
 		marked := false
+		// A borrowed singleton is the bare encoded message, still alive
+		// in encodeBuf — already in unbatched framing, zero copies.
 		plaintext := o.ref
-		if plaintext != nil {
-			// Borrowed singleton: the bare encoded message, still alive
-			// in encodeBuf — already in unbatched framing, zero copies.
-			o.ref = nil
-		} else {
+		if plaintext == nil {
 			plaintext = o.buf
-			o.buf = o.buf[:0]
 			if n == 1 {
 				// Strip the container: magic byte + one length prefix.
 				plaintext = plaintext[5:]
@@ -1127,6 +1143,9 @@ func (p *Peer) flushOutbox() {
 			}
 		}
 		tag, err := p.sealSend(dst, plaintext)
+		if o.buf != nil {
+			p.bufFree = append(p.bufFree, o.buf)
+		}
 		if err != nil {
 			// Degrade the whole frame to omissions, one per buffered
 			// message, mirroring the per-leg accounting of multicastOne.
@@ -1150,7 +1169,8 @@ func (p *Peer) flushOutbox() {
 			p.registerFrame(dst, tag, fg)
 		}
 	}
-	p.outDirty = p.outDirty[:0]
+	clear(p.out)
+	p.out = p.out[:0]
 	p.outHasRefs = false
 	p.closeWindow()
 }
@@ -1170,7 +1190,7 @@ func (p *Peer) closeWindow() {
 // starves.
 func (p *Peer) registerFrame(dst wire.NodeID, tag uint64, fg *frameGroup) {
 	if p.frameIdx == nil {
-		p.frameIdx = make(map[frameKey]*frameGroup, 2*len(p.links))
+		p.frameIdx = make(map[frameKey]*frameGroup)
 	}
 	k := frameKey{dst: dst, round: p.round, tag: tag}
 	if prev, dup := p.frameIdx[k]; dup {

@@ -56,9 +56,8 @@ type Lanes interface {
 // 242–258 against 229–261 at 250 µs, 472–512 against 351–361 at 500 µs,
 // 929–1013 against 592–634 at 1 ms — a break-even near 250 µs when the
 // second CPU is there to be had. It is not always: in one run of the three
-// no worker arrived inside a millisecond (the hand-off then costs 15–35 µs),
-// and on that host's two vCPUs of one core a memory-bound window gains
-// nothing from the second. So the repository benchmark decides (go run
+// no worker arrived inside a millisecond (the hand-off then costs 15–35 µs).
+// So the repository benchmark decides (go run
 // ./bench, 5 s windows, break-even 300 / 600 / 1000 / 1500 / 2000 µs
 // against the event-count rule this one replaced): erb_mux ops_per_s
 // +24 / +29 / +25 / +19 / +20 %; erb_serial +13 / +5 / +4 / −7 / −11 %
@@ -66,6 +65,19 @@ type Lanes interface {
 // count rule handed off); erng_basic ops_per_cpu_s −25 / −26 / −1 to −8 /
 // 0 / 0 % with ops_per_s unmoved at every value. 1 ms is the value with no
 // loser.
+//
+// The second CPU is a whole one — lscpu reports 2 cores × 1 thread, and two
+// single-threaded passes side by side each keep their solo rate
+// (BenchmarkClusterBroadcast -cpu 1: 3.56–3.71 ms alone, 3.54 and 3.68 ms
+// together; an earlier note here had the two vCPUs share a core) — yet one
+// simulator gains little from it. go test -run=NONE -bench
+// 'ClusterBroadcast|ClusterRandom|FirstEmission' -cpu 1,2 -benchtime=2s
+// -count=3 . reads, -cpu 1 against -cpu 2 (PR 24): ClusterBroadcast
+// 3.34–3.54 against 3.67–5.87 ms, ClusterBroadcastMany 12.2–14.1 against
+// 13.8–14.7 ms, ClusterRandom 0.81–0.90 against 0.77–0.91 ms, and only
+// FirstEmission (a cluster's cold key agreements) 476–482 against 251–290
+// ms. That is input for the re-sweep ROADMAP item 7 asks for; the value
+// below is from before it.
 //
 // A variable only for the tests, which set it to 0 (hand off at the first
 // check) or past any window's length (never).

@@ -137,9 +137,9 @@ func (kp *KeyPair) DeriveSessionKeys(remote [PublicKeySize]byte) (SessionKeys, e
 // PairID canonically identifies an unordered pair of X25519 public keys:
 // the two keys concatenated in ascending byte order. Because both the real
 // ECDH derivation and the model key exchange are symmetric in the pair,
-// PairID is the natural cache key for memoizing pairwise session keys
-// (see enclave.KeyCache): the (i,j) and (j,i) directions map to the same
-// entry.
+// PairID is the natural key under which one end of a pair leaves the
+// session keys for the other (see enclave.KeyCache): the (i,j) and (j,i)
+// directions map to the same entry.
 type PairID [2 * PublicKeySize]byte
 
 // MakePairID builds the canonical pair identifier for two public keys.
