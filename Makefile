@@ -42,10 +42,10 @@ chaos:
 benchsmoke:
 	$(GO) test -run=NONE -bench=. -benchtime=1x ./...
 
-# lint runs the project analyzers (cmd/p2plint: determinism, map-order,
-# enclave-boundary error handling, lockstep, shadow, nilness, plus the
-# interprocedural seal-boundary battery sealflow/keyleak/lockorder — see
-# DESIGN.md §9 and §14) over the whole module and fails on gofmt drift.
+# lint runs the project analyzers (cmd/p2plint, one per invariant:
+# detrand, maporder, droperr, muxboundary, shadow, and the
+# interprocedural seal boundary sealflow/keyleak — see DESIGN.md §9) over
+# the whole module and fails on gofmt drift.
 # Suppressions require `//lint:allow <analyzer> <reason>`; stale
 # suppressions are findings themselves.
 lint:

@@ -1,30 +1,23 @@
 // Command p2plint is the project's static-analysis gate: a multichecker
-// over the custom analyzers in internal/lint that mechanically enforce the
-// reproduction's determinism (P1/F2), enclave-boundary error handling and
-// lockstep scheduling (P5) invariants, the locally reimplemented shadow and
-// nilness passes, and the interprocedural seal-boundary battery (sealflow,
-// keyleak, lockorder — see DESIGN.md §14) built on internal/lint/flow. It
-// is wired into `make lint` and the tier-1 `make verify` gate.
+// over the analyzers in internal/lint, one per invariant the reproduction
+// rests on — replayable determinism and lockstep rounds (detrand: P1/F2,
+// P5), map-order-free output (maporder), handled boundary and evidence
+// errors (droperr), the mux capability boundary (muxboundary), the locally
+// reimplemented shadow pass, and the interprocedural seal boundary built on
+// internal/lint/flow (sealflow, keyleak). DESIGN.md §9 records what each
+// has caught. It is wired into `make lint` and the tier-1 `make verify`
+// gate.
 //
 // Usage:
 //
-//	p2plint [-only name,name] [-json] [-baseline file] [packages...]
+//	p2plint [-only name,name] [-list] [packages...]
 //
 // Packages default to ./... resolved from the enclosing module root. The
-// exit status is 1 when any finding survives suppression (and, with
-// -baseline, is not present in the baseline); suppress deliberate
-// violations in-source with `//lint:allow <analyzer> <reason>`.
-//
-// -json prints findings as a JSON array ({file,line,col,analyzer,message}
-// with module-relative file paths); `p2plint -json > lint-baseline.json`
-// is the way to (re)record a baseline. -baseline compares findings against
-// such a file by (analyzer, file, message) — line numbers are ignored so
-// unrelated edits don't invalidate it — and fails only on new findings,
-// keeping CI green during an incremental burn-down.
+// exit status is 1 when any finding survives suppression; suppress
+// deliberate violations in-source with `//lint:allow <analyzer> <reason>`.
 package main
 
 import (
-	"encoding/json"
 	"flag"
 	"fmt"
 	"os"
@@ -34,20 +27,9 @@ import (
 	"sgxp2p/internal/lint"
 )
 
-// jsonDiag is the machine-readable form of one finding.
-type jsonDiag struct {
-	File     string `json:"file"`
-	Line     int    `json:"line"`
-	Col      int    `json:"col"`
-	Analyzer string `json:"analyzer"`
-	Message  string `json:"message"`
-}
-
 func main() {
 	only := flag.String("only", "", "comma-separated analyzer names to run (default: all)")
 	list := flag.Bool("list", false, "list analyzers and exit")
-	asJSON := flag.Bool("json", false, "print findings as a JSON array")
-	baseline := flag.String("baseline", "", "fail only on findings not present in this baseline file (JSON, as written by -json)")
 	flag.Usage = usage
 	flag.Parse()
 
@@ -74,67 +56,14 @@ func main() {
 	if err != nil {
 		fatal(err)
 	}
-	out := make([]jsonDiag, 0, len(diags))
 	for _, d := range diags {
-		out = append(out, jsonDiag{
-			File:     relPath(root, d.Position.Filename),
-			Line:     d.Position.Line,
-			Col:      d.Position.Column,
-			Analyzer: d.Analyzer,
-			Message:  d.Message,
-		})
+		p := d.Position
+		fmt.Printf("%s:%d:%d: %s: %s\n", relPath(root, p.Filename), p.Line, p.Column, d.Analyzer, d.Message)
 	}
-	if *baseline != "" {
-		known, err := loadBaseline(*baseline)
-		if err != nil {
-			fatal(err)
-		}
-		kept := out[:0]
-		for _, d := range out {
-			if !known[baselineKey(d)] {
-				kept = append(kept, d)
-			}
-		}
-		out = kept
-	}
-
-	if *asJSON {
-		enc := json.NewEncoder(os.Stdout)
-		enc.SetIndent("", "  ")
-		if err := enc.Encode(out); err != nil {
-			fatal(err)
-		}
-	} else {
-		for _, d := range out {
-			fmt.Printf("%s:%d:%d: %s: %s\n", d.File, d.Line, d.Col, d.Analyzer, d.Message)
-		}
-	}
-	if len(out) > 0 {
-		fmt.Fprintf(os.Stderr, "p2plint: %d finding(s)\n", len(out))
+	if len(diags) > 0 {
+		fmt.Fprintf(os.Stderr, "p2plint: %d finding(s)\n", len(diags))
 		os.Exit(1)
 	}
-}
-
-// baselineKey identifies a finding across unrelated edits: the line number
-// is deliberately excluded.
-func baselineKey(d jsonDiag) string {
-	return d.Analyzer + "\x00" + d.File + "\x00" + d.Message
-}
-
-func loadBaseline(path string) (map[string]bool, error) {
-	data, err := os.ReadFile(path)
-	if err != nil {
-		return nil, fmt.Errorf("baseline: %w", err)
-	}
-	var diags []jsonDiag
-	if err := json.Unmarshal(data, &diags); err != nil {
-		return nil, fmt.Errorf("baseline %s: %w", path, err)
-	}
-	known := make(map[string]bool, len(diags))
-	for _, d := range diags {
-		known[baselineKey(d)] = true
-	}
-	return known, nil
 }
 
 func relPath(root, file string) string {
@@ -162,7 +91,7 @@ func selectAnalyzers(all []*lint.Analyzer, names []string) []*lint.Analyzer {
 }
 
 func usage() {
-	fmt.Fprintf(os.Stderr, "usage: p2plint [-only name,name] [-json] [-baseline file] [packages...]\n\nAnalyzers:\n")
+	fmt.Fprintf(os.Stderr, "usage: p2plint [-only name,name] [-list] [packages...]\n\nAnalyzers:\n")
 	for _, a := range lint.Analyzers() {
 		fmt.Fprintf(os.Stderr, "  %-12s %s\n", a.Name, a.Doc)
 	}

@@ -3,7 +3,10 @@ package sgxp2p_test
 import (
 	"os"
 	"regexp"
+	"strings"
 	"testing"
+
+	"sgxp2p/internal/lint"
 )
 
 // TestDocsNameOnlyThingsThatExist scans the documents that tell a reader
@@ -16,6 +19,10 @@ import (
 // one replaced, nor the option and the cancellable simulator events that
 // PR 22 deleted for want of a caller, nor the setup phase that opened every
 // channel before round 1 (a pair's channel opens at its first frame).
+// A //lint:allow or `p2plint -only` in a document, or the Makefile, must
+// name an analyzer in lint.Analyzers(); the analyzers and p2plint flags
+// PR 25 retired may be named only on a line that says they were retired
+// (DESIGN.md §9's verdict rows).
 func TestDocsNameOnlyThingsThatExist(t *testing.T) {
 	makefile, err := os.ReadFile("Makefile")
 	if err != nil {
@@ -43,7 +50,13 @@ func TestDocsNameOnlyThingsThatExist(t *testing.T) {
 		{"retired name", regexp.MustCompile(`(Options\.Program|Sim\.Cancel|vclock\.Event|Sim\.Step|Sim\.At\b|Sim\.After\b)`), func(string) bool { return false }},
 		{"retired phase", regexp.MustCompile(`(establish every peer's N-1 blinded channels)`), func(string) bool { return false }},
 	}
-	for _, doc := range []string{"README.md", "DESIGN.md", "EXPERIMENTS.md", ".claude/skills/verify/SKILL.md"} {
+	analyzers := map[string]bool{}
+	for _, a := range lint.Analyzers() {
+		analyzers[a.Name] = true
+	}
+	analyzerRef := regexp.MustCompile(`(?:lint:allow|p2plint -only) (\w+)`)
+	retired := regexp.MustCompile("lockorder|nilness|`lockstep`|sealerr|-baseline|p2plint -json")
+	for _, doc := range []string{"README.md", "DESIGN.md", "EXPERIMENTS.md", ".claude/skills/verify/SKILL.md", "Makefile"} {
 		text, err := os.ReadFile(doc)
 		if err != nil {
 			t.Fatal(err)
@@ -53,6 +66,16 @@ func TestDocsNameOnlyThingsThatExist(t *testing.T) {
 				if name := string(m[1]); !c.ok(name) {
 					t.Errorf("%s names %s %q, which does not exist", doc, c.what, name)
 				}
+			}
+		}
+		for i, line := range strings.Split(string(text), "\n") {
+			for _, m := range analyzerRef.FindAllStringSubmatch(line, -1) {
+				if !analyzers[m[1]] {
+					t.Errorf("%s:%d names analyzer %q, which is not in lint.Analyzers()", doc, i+1, m[1])
+				}
+			}
+			if m := retired.FindString(line); m != "" && !strings.Contains(line, "retired") {
+				t.Errorf("%s:%d names %q, which PR 25 retired", doc, i+1, m)
 			}
 		}
 	}

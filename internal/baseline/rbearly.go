@@ -147,7 +147,7 @@ func (r *RBearly) broadcastState(rnd uint32) {
 	default:
 		msg.Value[0] = earlyByteUnknown
 	}
-	_ = r.peer.Multicast(nil, msg) //lint:allow sealerr a halted or partitioned receiver is recorded by the runtime; the sender has nothing further to do this round
+	_ = r.peer.Multicast(nil, msg) //lint:allow droperr a halted or partitioned receiver is recorded by the runtime; the sender has nothing further to do this round
 }
 
 // OnMessage implements Proto: record liveness and any concrete value.

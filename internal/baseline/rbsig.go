@@ -97,7 +97,7 @@ func (r *RBsig) OnRound(rnd uint32) {
 			Sigs:      []wire.SigEntry{{Signer: r.initiator, Signature: sig}},
 		}
 		r.seen[v] = msg.Sigs
-		_ = r.peer.Multicast(nil, msg) //lint:allow sealerr a halted or partitioned receiver is recorded by the runtime; the sender has nothing further to do this round
+		_ = r.peer.Multicast(nil, msg) //lint:allow droperr a halted or partitioned receiver is recorded by the runtime; the sender has nothing further to do this round
 	}
 }
 
@@ -115,7 +115,7 @@ func (r *RBsig) multicastOutsideChain(msg *wire.Message) {
 		}
 		dsts = append(dsts, nid)
 	}
-	_ = r.peer.Multicast(dsts, msg) //lint:allow sealerr a halted or partitioned receiver is recorded by the runtime; the sender has nothing further to do this round
+	_ = r.peer.Multicast(dsts, msg) //lint:allow droperr a halted or partitioned receiver is recorded by the runtime; the sender has nothing further to do this round
 }
 
 // OnMessage implements Proto: verify the chain, record new values, queue a

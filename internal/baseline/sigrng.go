@@ -136,7 +136,7 @@ func (a *LookAheadAttacker) OnRound(rnd uint32) {
 		Value:     coin,
 		Sigs:      chain,
 	}
-	_ = a.peer.Multicast(nil, msg) //lint:allow sealerr a halted or partitioned receiver is recorded by the runtime; the sender has nothing further to do this round
+	_ = a.peer.Multicast(nil, msg) //lint:allow droperr a halted or partitioned receiver is recorded by the runtime; the sender has nothing further to do this round
 }
 
 // OnMessage implements Proto: harvest round-1 coins.

@@ -67,7 +67,7 @@ func (s *Strawman) OnRound(rnd uint32) {
 			HasValue:  true,
 			Value:     s.value,
 		}
-		_ = s.peer.Multicast(nil, msg) //lint:allow sealerr a halted or partitioned receiver is recorded by the runtime; the sender has nothing further to do this round
+		_ = s.peer.Multicast(nil, msg) //lint:allow droperr a halted or partitioned receiver is recorded by the runtime; the sender has nothing further to do this round
 	}
 	if rnd == 1 && s.peer.ID() == s.initiator && s.input != nil {
 		s.value = *s.input
@@ -82,7 +82,7 @@ func (s *Strawman) OnRound(rnd uint32) {
 			HasValue:  true,
 			Value:     s.value,
 		}
-		_ = s.peer.Multicast(nil, msg) //lint:allow sealerr a halted or partitioned receiver is recorded by the runtime; the sender has nothing further to do this round
+		_ = s.peer.Multicast(nil, msg) //lint:allow droperr a halted or partitioned receiver is recorded by the runtime; the sender has nothing further to do this round
 	}
 }
 
@@ -181,7 +181,7 @@ func (e *Equivocator) OnRound(rnd uint32) {
 			HasValue:  true,
 			Value:     v,
 		}
-		_ = e.peer.Send(dst, msg) //lint:allow sealerr a halted or partitioned receiver is recorded by the runtime; the sender has nothing further to do this round
+		_ = e.peer.Send(dst, msg) //lint:allow droperr a halted or partitioned receiver is recorded by the runtime; the sender has nothing further to do this round
 	}
 }
 

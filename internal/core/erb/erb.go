@@ -486,7 +486,7 @@ func (e *Engine) multicastEcho(inst *instance, rnd uint32) {
 		HasValue:  true,
 		Value:     inst.value,
 	}
-	_ = e.peer.Multicast(e.mcast, &e.txMsg, e.cfg.AckThreshold) //lint:allow sealerr a halted or partitioned receiver is recorded by the runtime; the sender has nothing further to do this round
+	_ = e.peer.Multicast(e.mcast, &e.txMsg, e.cfg.AckThreshold) //lint:allow droperr a halted or partitioned receiver is recorded by the runtime; the sender has nothing further to do this round
 }
 
 // OnMessage implements runtime.Protocol. The runtime already enforced

@@ -117,7 +117,7 @@ func (o *Optimized) selectionPhase(rnd uint32) {
 		Seq:       o.peer.SeqOf(o.peer.ID()),
 		Round:     rnd,
 	}
-	_ = o.peer.Multicast(nil, msg, 0) //lint:allow sealerr a halted or partitioned receiver is recorded by the runtime; the sender has nothing further to do this round
+	_ = o.peer.Multicast(nil, msg, 0) //lint:allow droperr a halted or partitioned receiver is recorded by the runtime; the sender has nothing further to do this round
 }
 
 // startClusterERB is round 2: cluster members build the embedded ERB
@@ -174,7 +174,7 @@ func (o *Optimized) finalPhase(rnd uint32) {
 			Round:     rnd,
 			Set:       set,
 		}
-		_ = o.peer.Multicast(nil, msg, 0) //lint:allow sealerr a halted sender's tally is discarded along with the node; self-tally below is then moot
+		_ = o.peer.Multicast(nil, msg, 0) //lint:allow droperr a halted sender's tally is discarded along with the node; self-tally below is then moot
 		// The sender counts its own set toward the tally.
 		o.tallyFinal(o.peer.ID(), set, rnd)
 	}

@@ -1,15 +1,17 @@
 // Package lint is p2plint's analysis engine: a small, dependency-free
 // reimplementation of the golang.org/x/tools/go/analysis surface (Analyzer,
 // Pass, Diagnostic) plus the project-specific analyzers that mechanically
-// enforce the reproduction's coding invariants — determinism (paper property
-// P1/F2), lockstep scheduling (P5) and enclave-boundary error handling.
+// enforce the reproduction's coding invariants — replayable determinism and
+// lockstep rounds (paper properties P1/F2, P5), the seal boundary (P2/P3)
+// and enclave-boundary error handling. Each analyzer guards one invariant;
+// DESIGN.md §9 records what each has caught.
 //
 // The framework mirrors x/tools deliberately: each check is an *Analyzer
 // with a Run(*Pass) function reporting Diagnostics, and golden tests use an
-// analysistest-style `// want "regexp"` harness (see testutil.go). We do not
-// vendor x/tools itself — the build must stay self-contained on the Go
-// standard library — so the two x/tools passes we adopt (shadow, nilness)
-// are local reimplementations of the same diagnostics.
+// analysistest-style `// want "regexp"` harness (see testutil_test.go). We
+// do not vendor x/tools itself — the build must stay self-contained on the
+// Go standard library — so the one x/tools pass we adopt (shadow) is a
+// local reimplementation of the same diagnostic.
 //
 // Suppressions use the directive
 //
@@ -17,7 +19,7 @@
 //
 // placed on the offending line or on the line directly above it. The reason
 // is mandatory; a directive without one is itself a finding (see
-// suppress.go). See DESIGN.md §9 for the analyzer-by-analyzer rationale.
+// suppress.go).
 package lint
 
 import (
@@ -46,9 +48,8 @@ type Analyzer struct {
 	// pass.Reportf. Nil for module-level analyzers.
 	Run func(*Pass) error
 	// RunModule performs a whole-module analysis over every loaded package
-	// at once (the interprocedural battery — sealflow, keyleak, lockorder).
-	// Module analyzers only run under LintModule; per-package RunAnalyzers
-	// skips them. Nil for per-package analyzers.
+	// at once (the interprocedural analyzers — sealflow, keyleak). Nil for
+	// per-package analyzers.
 	RunModule func(*ModulePass) error
 }
 
@@ -102,35 +103,6 @@ func (d Diagnostic) String() string {
 	return fmt.Sprintf("%s: %s: %s", d.Position, d.Analyzer, d.Message)
 }
 
-// RunAnalyzers applies every analyzer whose scope covers pkg and returns the
-// surviving diagnostics: suppression directives have been applied and
-// malformed directives reported, so the result is exactly what the driver
-// should print. Diagnostics come back sorted by position.
-func RunAnalyzers(pkg *Package, analyzers []*Analyzer) ([]Diagnostic, error) {
-	var diags []Diagnostic
-	for _, a := range analyzers {
-		if !a.AppliesTo(pkg.Path) {
-			continue
-		}
-		pass := &Pass{
-			Analyzer:  a,
-			Fset:      pkg.Fset,
-			Files:     pkg.Files,
-			Pkg:       pkg.Types,
-			Path:      pkg.Path,
-			TypesInfo: pkg.Info,
-		}
-		if err := a.Run(pass); err != nil {
-			return nil, fmt.Errorf("%s: %s: %w", a.Name, pkg.Path, err)
-		}
-		diags = append(diags, pass.diags...)
-	}
-	dirs, dirDiags := collectDirectives(pkg.Fset, pkg.Files)
-	diags = append(filterSuppressed(diags, dirs), dirDiags...)
-	sortDiagnostics(diags)
-	return diags, nil
-}
-
 // ModulePass carries a module analyzer's view of every loaded package at
 // once. The interprocedural analyzers share one lazily built call graph per
 // LintModule invocation.
@@ -179,8 +151,9 @@ func (p *ModulePass) Reportf(pos token.Pos, format string, args ...any) {
 	})
 }
 
-// LintModule runs the full battery — per-package analyzers on each package,
-// module analyzers once over everything — applies suppression directives,
+// LintModule is the one lint driver (p2plint and the golden tests both call
+// it): per-package analyzers on each package in their scope, module
+// analyzers once over everything; it then applies suppression directives,
 // reports malformed and stale directives, and returns the surviving
 // diagnostics sorted by position. All packages must share one FileSet
 // (Load and LoadDirAll guarantee this).

@@ -3,9 +3,10 @@ package lint
 // DeterministicPackages are the import paths (and subtrees) whose non-test
 // code must be bit-for-bit replayable: the protocol cores the chaos engine
 // replays under fixed seeds, the virtual clock and simulated network that
-// define the replayed timeline, the adversary whose choices are part of the
-// schedule, and the TCP transport whose deliberate wall-clock anchoring is
-// the one sanctioned exception (suppressed in-source with reasons).
+// define the replayed timeline, and the adversary whose choices are part of
+// the schedule. The live transports (tcpnet's real sockets, scenario's real
+// child processes) are wall-clock by definition and nothing replays them,
+// so they are not listed.
 var DeterministicPackages = []string{
 	"sgxp2p/internal/core",
 	"sgxp2p/internal/chaos",
@@ -13,31 +14,26 @@ var DeterministicPackages = []string{
 	"sgxp2p/internal/simnet",
 	"sgxp2p/internal/adversary",
 	"sgxp2p/internal/runtime",
-	"sgxp2p/internal/tcpnet",
 	"sgxp2p/internal/telemetry",
 	"sgxp2p/internal/wire",
 	"sgxp2p/internal/channel",
-	"sgxp2p/internal/scenario",
 	"sgxp2p/internal/beacon",
 }
 
-// Analyzers returns the full p2plint battery in the order findings are
-// attributed: the six per-package project invariants, the two general
-// passes adopted from x/tools (reimplemented locally — see
-// shadow.go/nilness.go), then the three interprocedural analyzers built on
-// internal/lint/flow (module-wide; they only run under LintModule).
+// Analyzers returns the full p2plint battery, one analyzer per invariant,
+// in the order findings are attributed: the four per-package project
+// invariants, the shadow pass adopted from x/tools (reimplemented locally
+// in shadow.go), then the two interprocedural analyzers built on
+// internal/lint/flow (module-wide). DESIGN.md §9 gives each one's invariant
+// and the record that keeps it.
 func Analyzers() []*Analyzer {
 	return []*Analyzer{
 		DetrandAnalyzer,
 		MaporderAnalyzer,
-		SealerrAnalyzer,
-		TelemetryAnalyzer,
-		LockstepAnalyzer,
+		DroperrAnalyzer,
 		MuxboundaryAnalyzer,
 		ShadowAnalyzer,
-		NilnessAnalyzer,
 		SealflowAnalyzer,
 		KeyleakAnalyzer,
-		LockorderAnalyzer,
 	}
 }

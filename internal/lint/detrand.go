@@ -5,36 +5,53 @@ import (
 	"go/types"
 )
 
-// DetrandAnalyzer forbids nondeterministic time and randomness sources in
-// the deterministic packages: the seeded chaos engine replays schedules and
+// DetrandAnalyzer forbids host time and unseeded randomness in the
+// deterministic packages: the seeded chaos engine replays schedules and
 // compares trace fingerprints byte-for-byte (DESIGN.md §8), and the paper's
 // F2 (unbiased enclave randomness) and P1 (execution integrity) arguments
-// assume protocol code draws entropy only from the enclave. A single
-// time.Now or global math/rand call silently breaks both: replays diverge
-// and the adversary model gains an OS-controlled entropy source.
+// assume protocol code draws entropy only from the enclave. Its P5 half
+// (lockstep execution) is the same rule seen from the scheduler: every
+// protocol action happens at a round boundary of the shared virtual clock,
+// so a time.Sleep or raw timer ties progress to host time — under the
+// simulator it never fires (virtual time does not advance while sleeping),
+// and live it desynchronizes rounds across nodes.
 //
 // Flagged in scoped packages (non-test code):
-//   - time.Now, time.Since — wall clock; use the virtual clock
+//   - time.Now, time.Since, time.Until — wall clock; use the virtual clock
 //     (vclock.Clock.Now / runtime transport Now) instead.
+//   - time.Sleep, After, AfterFunc, Tick, NewTimer, NewTicker — OS timers;
+//     schedule on the virtual clock (vclock or the transport's After).
 //   - every package-level math/rand and math/rand/v2 function (Int, Intn,
 //     Float64, Perm, Shuffle, Seed, Read, ...) — process-global, unseeded
 //     state; construct a seeded *rand.Rand or use enclave randomness
 //     (enclave.ReadRand / RandomValue) instead.
-//   - rand.New(rand.NewSource(...)) stays legal: that is the seeded form
-//     every deterministic component uses.
+//   - rand.New(rand.NewSource(...)) and methods on the seeded value stay
+//     legal: that is the form every deterministic component uses.
 var DetrandAnalyzer = &Analyzer{
 	Name: "detrand",
-	Doc: "forbids wall-clock time and global/unseeded math/rand in deterministic packages " +
-		"(use seeded *rand.Rand, the virtual clock, or enclave randomness)",
+	Doc: "forbids wall-clock reads, OS timers and global/unseeded math/rand in deterministic packages " +
+		"(use the virtual clock and its scheduling, a seeded *rand.Rand, or enclave randomness)",
 	Packages: DeterministicPackages,
 	Run:      runDetrand,
 }
 
-// wallClockFuncs are the time package functions that read the wall clock.
-var wallClockFuncs = map[string]bool{
-	"Now":   true,
-	"Since": true,
-	"Until": true,
+const (
+	wallClock = "reads the wall clock in a deterministic package; use the virtual clock (vclock/transport Now)"
+	osTimer   = "schedules on the OS timer in round-driven code; use vclock scheduling (Clock.At/After or the transport's After)"
+)
+
+// hostTime maps each time function that reads the host clock or schedules
+// on the OS timer wheel to the rest of its finding.
+var hostTime = map[string]string{
+	"Now":       wallClock,
+	"Since":     wallClock,
+	"Until":     wallClock,
+	"Sleep":     osTimer,
+	"After":     osTimer,
+	"AfterFunc": osTimer,
+	"Tick":      osTimer,
+	"NewTimer":  osTimer,
+	"NewTicker": osTimer,
 }
 
 func runDetrand(pass *Pass) error {
@@ -45,18 +62,15 @@ func runDetrand(pass *Pass) error {
 				return true
 			}
 			obj := pass.TypesInfo.Uses[sel.Sel]
-			if obj == nil {
+			if obj == nil || !isFunc(obj) {
 				return true
 			}
 			switch pkgPathOf(obj) {
 			case "time":
-				if wallClockFuncs[obj.Name()] && isFunc(obj) {
-					pass.Reportf(sel.Pos(), "time.%s reads the wall clock in a deterministic package; use the virtual clock (vclock/transport Now)", obj.Name())
+				if why, ok := hostTime[obj.Name()]; ok {
+					pass.Reportf(sel.Pos(), "time.%s %s", obj.Name(), why)
 				}
 			case "math/rand", "math/rand/v2":
-				if !isFunc(obj) {
-					return true
-				}
 				switch obj.Name() {
 				case "New", "NewSource", "NewZipf", "NewChaCha8", "NewPCG":
 					// Seeded constructors are the sanctioned form.
@@ -73,11 +87,7 @@ func runDetrand(pass *Pass) error {
 // pkgPathOf returns the import path of the package an object belongs to, or
 // "" for builtins and package names themselves.
 func pkgPathOf(obj types.Object) string {
-	if pn, ok := obj.(*types.PkgName); ok {
-		_ = pn
-		return ""
-	}
-	if obj.Pkg() == nil {
+	if _, ok := obj.(*types.PkgName); ok || obj.Pkg() == nil {
 		return ""
 	}
 	return obj.Pkg().Path()

@@ -1,10 +1,10 @@
 // Package flow is the interprocedural layer under p2plint's seal-boundary
-// analyzers (DESIGN.md §14): a module-wide call graph over go/ast + go/types
+// analyzers (DESIGN.md §9): a module-wide call graph over go/ast + go/types
 // with per-function summaries computed bottom-up over strongly connected
 // components. It stays on the Go standard library, like the rest of
 // internal/lint — no SSA, no x/tools.
 //
-// The package provides three building blocks:
+// The package provides two building blocks:
 //
 //   - Graph (callgraph.go): every function declaration, method and function
 //     literal in the module, with call edges. Dynamic calls are resolved
@@ -17,12 +17,9 @@
 //     parameters reach which sinks/results) in bottom-up SCC order and
 //     reports every source-to-sink path as a Finding at the point where the
 //     taint was introduced into the sink-reaching flow.
-//   - the lock-order analysis (locks.go): per-function sets of mutexes
-//     acquired (directly and transitively) and a module-wide
-//     lock-acquisition graph whose cycles are potential deadlocks.
 //
-// Analyzers built on this package live in internal/lint (sealflow, keyleak,
-// lockorder) and translate Findings into lint.Diagnostics.
+// Analyzers built on this package live in internal/lint (sealflow, keyleak)
+// and translate Findings into lint.Diagnostics.
 package flow
 
 import (
@@ -68,12 +65,7 @@ func recvTypeName(fn *types.Func) string {
 	if !ok || sig.Recv() == nil {
 		return ""
 	}
-	return typeName(sig.Recv().Type())
-}
-
-// typeName returns the defined-type name of t with pointers stripped, or ""
-// when t is not a (pointer to a) named type.
-func typeName(t types.Type) string {
+	t := sig.Recv().Type()
 	if p, ok := t.(*types.Pointer); ok {
 		t = p.Elem()
 	}
@@ -81,17 +73,4 @@ func typeName(t types.Type) string {
 		return n.Obj().Name()
 	}
 	return ""
-}
-
-// typePkgPath returns the import path of the package that defines t (with
-// pointers stripped), or "" for unnamed types.
-func typePkgPath(t types.Type) string {
-	if p, ok := t.(*types.Pointer); ok {
-		t = p.Elem()
-	}
-	n, ok := t.(*types.Named)
-	if !ok || n.Obj().Pkg() == nil {
-		return ""
-	}
-	return n.Obj().Pkg().Path()
 }

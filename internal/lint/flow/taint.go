@@ -701,7 +701,7 @@ func (st *funcState) doCall(call *ast.CallExpr) []taint {
 	if fn != nil && spec.SourceCall != nil && spec.SourceCall(fn) {
 		nres := resultCount(fn)
 		out = make([]taint, nres)
-		src := source{what: calleeLabel(fn)}
+		src := source{what: FuncLabel(fn)}
 		sig := fn.Type().(*types.Signature)
 		for i := 0; i < nres; i++ {
 			if !isErrorType(sig.Results().At(i).Type()) {
@@ -931,9 +931,9 @@ func resultCount(fn *types.Func) int {
 	return sig.Results().Len()
 }
 
-// calleeLabel names a function in findings: package-qualified, with the
-// receiver type for methods.
-func calleeLabel(fn *types.Func) string {
+// FuncLabel names a function in findings: package-qualified, with the
+// receiver type for methods ("tcpnet.Port.Send").
+func FuncLabel(fn *types.Func) string {
 	name := fn.Name()
 	if recv := recvTypeName(fn); recv != "" {
 		name = recv + "." + name

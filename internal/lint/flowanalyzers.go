@@ -7,9 +7,8 @@ import (
 	"sgxp2p/internal/lint/flow"
 )
 
-// The interprocedural battery (DESIGN.md §14). All three analyzers share
-// one module-wide call graph (ModulePass.Graph) and run only under
-// LintModule.
+// The interprocedural analyzers (DESIGN.md §9). Both share one module-wide
+// call graph (ModulePass.Graph) and run once per LintModule call.
 //
 // Package matching uses flow.PathMatches (exact path or "/"-suffix), so the
 // same specs cover the real module ("sgxp2p/internal/wire") and the golden
@@ -92,7 +91,7 @@ var sealflowSpec = &flow.Spec{
 		if payload < 0 {
 			return nil, "", false
 		}
-		return []int{payload}, "network sink " + flowFuncLabel(fn), true
+		return []int{payload}, "network sink " + flow.FuncLabel(fn), true
 	},
 	IgnorePkg: func(path string) bool {
 		return flow.PathIn(path, transportPackages...)
@@ -151,35 +150,17 @@ var keyleakSpec = &flow.Spec{
 		pkg := fnPkgPath(fn)
 		switch {
 		case flow.PathMatches(pkg, "internal/telemetry"):
-			return nil, "telemetry (" + flowFuncLabel(fn) + ")", true
+			return nil, "telemetry (" + flow.FuncLabel(fn) + ")", true
 		case flow.PathMatches(pkg, "internal/wire"):
-			return nil, "wire encoder " + flowFuncLabel(fn), true
+			return nil, "wire encoder " + flow.FuncLabel(fn), true
 		case pkg == "fmt" || pkg == "log" || pkg == "errors":
-			return nil, "log/error formatting " + flowFuncLabel(fn), true
+			return nil, "log/error formatting " + flow.FuncLabel(fn), true
 		}
 		return nil, "", false
 	},
 	IgnorePkg: func(path string) bool {
 		return flow.PathIn(path, tcbPackages...)
 	},
-}
-
-// flowFuncLabel names a function the way findings do: pkg.Recv.Name.
-func flowFuncLabel(fn *types.Func) string {
-	name := fn.Name()
-	if sig, ok := fn.Type().(*types.Signature); ok && sig.Recv() != nil {
-		t := sig.Recv().Type()
-		if p, ok := t.(*types.Pointer); ok {
-			t = p.Elem()
-		}
-		if n, ok := t.(*types.Named); ok {
-			name = n.Obj().Name() + "." + name
-		}
-	}
-	if fn.Pkg() != nil {
-		return lastSegment(fn.Pkg().Path()) + "." + name
-	}
-	return name
 }
 
 // SealflowAnalyzer proves the seal boundary: plaintext entering the runtime
@@ -221,20 +202,6 @@ var KeyleakAnalyzer = &Analyzer{
 					p.Reportf(n.Decl.Name.Pos(), "key material (%s) flows into exported return of %s; key material must not leave the enclave TCB", src, n.Name)
 				}
 			}
-		}
-		return nil
-	},
-}
-
-// LockorderAnalyzer reports cycles in the module-wide lock-acquisition
-// graph: two call paths that take the same pair of mutexes in opposite
-// orders can deadlock under the right interleaving.
-var LockorderAnalyzer = &Analyzer{
-	Name: "lockorder",
-	Doc:  "whole-module lock-acquisition graph; any cycle is a potential deadlock",
-	RunModule: func(p *ModulePass) error {
-		for _, f := range flow.LockOrder(p.Graph()) {
-			p.Reportf(f.Pos, "%s", f.Message)
 		}
 		return nil
 	},

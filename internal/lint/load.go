@@ -66,36 +66,20 @@ func Load(dir string, patterns ...string) ([]*Package, error) {
 	return pkgs, nil
 }
 
-// LoadDirAll is LoadDir returning every package under dir — the
-// subdirectory fakes followed by dir's own package, all sharing one FileSet
-// — so module-level analyzers (LintModule) can be golden-tested against a
-// testdata tree that models cross-package flows.
+// LoadDirAll parses and type-checks a testdata tree outside the module (the
+// golden harness loads fixtures this way) and returns every package in it,
+// all sharing one FileSet: the subdirectory fakes first, then dir's own
+// package. Each subdirectory holding .go files is made importable by its
+// slash path relative to dir (e.g. "internal/runtime"), so a fixture can
+// model cross-package boundaries with local fakes; everything else resolves
+// against the standard library.
 func LoadDirAll(dir string) ([]*Package, error) {
-	main, subs, err := loadDir(dir)
+	files, err := goFilesIn(dir)
 	if err != nil {
 		return nil, err
 	}
-	return append(subs, main), nil
-}
-
-// LoadDir parses and type-checks the .go files of a single directory outside
-// the module (the analysistest harness loads testdata packages this way).
-// Subdirectories holding .go files are pre-loaded first and made importable
-// by their slash path relative to dir (e.g. "internal/runtime"), so a
-// testdata package can model cross-package boundaries with local fakes;
-// everything else resolves against the standard library.
-func LoadDir(dir string) (*Package, error) {
-	main, _, err := loadDir(dir)
-	return main, err
-}
-
-func loadDir(dir string) (*Package, []*Package, error) {
-	files, err := goFilesIn(dir)
-	if err != nil {
-		return nil, nil, err
-	}
 	if len(files) == 0 {
-		return nil, nil, fmt.Errorf("lint: no .go files in %s", dir)
+		return nil, fmt.Errorf("lint: no .go files in %s", dir)
 	}
 	fset := token.NewFileSet()
 	imp := &localImporter{
@@ -104,27 +88,27 @@ func loadDir(dir string) (*Package, []*Package, error) {
 	}
 	subs, err := subPackageDirs(dir)
 	if err != nil {
-		return nil, nil, err
+		return nil, err
 	}
-	var subPkgs []*Package
+	var pkgs []*Package
 	for _, rel := range subs {
 		subFiles, serr := goFilesIn(filepath.Join(dir, rel))
 		if serr != nil {
-			return nil, nil, serr
+			return nil, serr
 		}
 		path := filepath.ToSlash(rel)
 		pkg, serr := check(fset, imp, path, filepath.Join(dir, rel), subFiles)
 		if serr != nil {
-			return nil, nil, serr
+			return nil, serr
 		}
 		imp.pkgs[path] = pkg.Types
-		subPkgs = append(subPkgs, pkg)
+		pkgs = append(pkgs, pkg)
 	}
 	main, err := check(fset, imp, filepath.Base(dir), dir, files)
 	if err != nil {
-		return nil, nil, err
+		return nil, err
 	}
-	return main, subPkgs, nil
+	return append(pkgs, main), nil
 }
 
 // localImporter resolves pre-loaded local packages by relative path and

@@ -2,7 +2,8 @@ package lint
 
 import (
 	"go/ast"
-	"strings"
+
+	"sgxp2p/internal/lint/flow"
 )
 
 // InstanceScopedPackages are the import paths (and subtrees) whose code runs
@@ -40,12 +41,6 @@ var nodeScopedRuntime = map[string]bool{
 	"NewMux":    true,
 }
 
-// boundaryPackage matches an import path against a module-relative package
-// path: equal, or ending in "/"+pkg (so fakes in testdata match too).
-func boundaryPackage(path, pkg string) bool {
-	return path == pkg || strings.HasSuffix(path, "/"+pkg)
-}
-
 func runMuxboundary(pass *Pass) error {
 	for _, f := range pass.Files {
 		ast.Inspect(f, func(n ast.Node) bool {
@@ -57,25 +52,18 @@ func runMuxboundary(pass *Pass) error {
 			if obj == nil {
 				return true
 			}
+			// flow.PathMatches lets the testdata fakes match too.
 			path := pkgPathOf(obj)
 			switch {
-			case boundaryPackage(path, "internal/runtime"):
+			case flow.PathMatches(path, "internal/runtime"):
 				if nodeScopedRuntime[obj.Name()] {
 					pass.Reportf(sel.Pos(), "runtime.%s is node-scoped; instance code must use the runtime.Host capability it was constructed with", obj.Name())
 				}
-			case boundaryPackage(path, "internal/channel"), boundaryPackage(path, "internal/xcrypto"):
-				pass.Reportf(sel.Pos(), "%s.%s bypasses the runtime's per-link cipher state; instance code sends only through Host (Multicast/Send/SendAck)", lastSegment(path), obj.Name())
+			case flow.PathIn(path, "internal/channel", "internal/xcrypto"):
+				pass.Reportf(sel.Pos(), "%s.%s bypasses the runtime's per-link cipher state; instance code sends only through Host (Multicast/Send/SendAck)", obj.Pkg().Name(), obj.Name())
 			}
 			return true
 		})
 	}
 	return nil
-}
-
-// lastSegment returns the final path element of an import path.
-func lastSegment(path string) string {
-	if i := strings.LastIndexByte(path, '/'); i >= 0 {
-		return path[i+1:]
-	}
-	return path
 }

@@ -1,6 +1,6 @@
-// Package detrand is golden-test input: nondeterministic time and
-// randomness sources that the detrand analyzer must flag, next to the
-// seeded forms it must accept.
+// Package detrand is golden-test input: host time (wall-clock reads and OS
+// timers) and unseeded randomness that the detrand analyzer must flag, next
+// to the seeded and virtual-time forms it must accept.
 package detrand
 
 import (
@@ -35,4 +35,33 @@ func durationsOnly(d time.Duration) time.Duration {
 // suppressed documents a deliberate wall-clock read.
 func suppressed() time.Time {
 	return time.Now() //lint:allow detrand startup banner timestamp is presentation-only
+}
+
+func sleeper() {
+	time.Sleep(time.Millisecond) // want "time.Sleep schedules on the OS timer"
+}
+
+func timers(fn func()) {
+	t := time.NewTimer(time.Second) // want "time.NewTimer schedules on the OS timer"
+	defer t.Stop()
+	time.AfterFunc(time.Second, fn) // want "time.AfterFunc schedules on the OS timer"
+	<-time.After(time.Second)       // want "time.After schedules on the OS timer"
+}
+
+func tickers() {
+	tk := time.NewTicker(time.Second) // want "time.NewTicker schedules on the OS timer"
+	tk.Reset(time.Minute)             // methods on the value are not a second finding
+	tk.Stop()
+	<-time.Tick(time.Second) // want "time.Tick schedules on the OS timer"
+}
+
+// durations are not timers; arithmetic stays legal.
+func budget(rounds int, interval time.Duration) time.Duration {
+	return time.Duration(rounds) * interval
+}
+
+// suppressedSleep documents a deliberate host-timer use.
+func suppressedSleep() {
+	//lint:allow detrand backoff in operator tooling runs outside the round loop
+	time.Sleep(10 * time.Millisecond)
 }

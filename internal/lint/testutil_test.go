@@ -8,13 +8,13 @@ package lint
 //	                          next line's only comment is a //lint:allow
 //	                          directive under test)
 //
-// The harness loads the package, runs the analyzer through the same
-// RunAnalyzers path as the driver (so suppression directives and malformed-
-// directive reporting behave identically), and fails on any diagnostic
-// without a matching expectation or expectation without a diagnostic.
+// The harness loads the fixture tree (its package plus any local internal/*
+// fakes), lints it through LintModule — the driver p2plint uses, so
+// suppression, malformed-directive and stale-directive reporting behave
+// identically — and fails on any diagnostic without a matching expectation
+// or expectation without a diagnostic.
 
 import (
-	"os"
 	"path/filepath"
 	"regexp"
 	"strconv"
@@ -30,23 +30,30 @@ type expectation struct {
 	hit  bool
 }
 
-// runGolden runs one analyzer over testdata/src/<name> and checks the
-// diagnostics against the want comments.
-func runGolden(t *testing.T, a *Analyzer, dirName string) {
+// runGolden lints testdata/src/<dirName> with the given analyzers and
+// checks the diagnostics against the want comments. Fixture package paths
+// do not live under sgxp2p/, so the analyzers run unscoped; scoping itself
+// is unit-tested in TestScopes.
+func runGolden(t *testing.T, dirName string, analyzers ...*Analyzer) {
 	t.Helper()
-	pkg, err := LoadDir(filepath.Join("testdata", "src", dirName))
+	pkgs, err := LoadDirAll(filepath.Join("testdata", "src", dirName))
 	if err != nil {
-		t.Fatalf("load testdata package %s: %v", dirName, err)
+		t.Fatalf("load testdata tree %s: %v", dirName, err)
 	}
-	// Testdata package paths do not live under sgxp2p/, so run the analyzer
-	// unscoped; scoping itself is unit-tested in TestScopes.
-	unscoped := *a
-	unscoped.Packages = nil
-	diags, err := RunAnalyzers(pkg, []*Analyzer{&unscoped})
+	unscoped := make([]*Analyzer, len(analyzers))
+	for i, a := range analyzers {
+		c := *a
+		c.Packages = nil
+		unscoped[i] = &c
+	}
+	diags, err := LintModule(pkgs, unscoped)
 	if err != nil {
-		t.Fatalf("run %s: %v", a.Name, err)
+		t.Fatalf("lint %s: %v", dirName, err)
 	}
-	wants := collectWants(t, pkg)
+	var wants []*expectation
+	for _, pkg := range pkgs {
+		wants = append(wants, collectWants(t, pkg)...)
+	}
 	for _, d := range diags {
 		if !matchWant(wants, d) {
 			t.Errorf("unexpected diagnostic: %s", d)
@@ -95,56 +102,4 @@ func matchWant(wants []*expectation, d Diagnostic) bool {
 		}
 	}
 	return false
-}
-
-// runGoldenModule is runGolden for module-level analyzers: it loads the
-// whole testdata tree (main package plus its local fakes) through
-// LoadDirAll and lints it with LintModule, so interprocedural analyzers see
-// cross-package flows and the stale-suppression check runs exactly as in
-// the driver.
-func runGoldenModule(t *testing.T, analyzers []*Analyzer, dirName string) {
-	t.Helper()
-	pkgs, err := LoadDirAll(filepath.Join("testdata", "src", dirName))
-	if err != nil {
-		t.Fatalf("load testdata tree %s: %v", dirName, err)
-	}
-	unscoped := make([]*Analyzer, len(analyzers))
-	for i, a := range analyzers {
-		c := *a
-		c.Packages = nil
-		unscoped[i] = &c
-	}
-	diags, err := LintModule(pkgs, unscoped)
-	if err != nil {
-		t.Fatalf("lint module %s: %v", dirName, err)
-	}
-	var wants []*expectation
-	for _, pkg := range pkgs {
-		wants = append(wants, collectWants(t, pkg)...)
-	}
-	for _, d := range diags {
-		if !matchWant(wants, d) {
-			t.Errorf("unexpected diagnostic: %s", d)
-		}
-	}
-	for _, w := range wants {
-		if !w.hit {
-			t.Errorf("%s:%d: expected diagnostic matching %q, got none", w.file, w.line, w.re)
-		}
-	}
-}
-
-// mustParse builds a tiny throwaway package for unit tests that do not need
-// a full golden directory.
-func mustParse(t *testing.T, src string) *Package {
-	t.Helper()
-	dir := t.TempDir()
-	if err := os.WriteFile(filepath.Join(dir, "x.go"), []byte(src), 0o644); err != nil {
-		t.Fatal(err)
-	}
-	pkg, err := LoadDir(dir)
-	if err != nil {
-		t.Fatal(err)
-	}
-	return pkg
 }

@@ -186,7 +186,7 @@ func (b *Barrier) AwaitReady(timeout time.Duration) error {
 	select {
 	case <-b.readyAll:
 		return nil
-	case <-time.After(timeout): //lint:allow lockstep the barrier bounds real child-process startup; a hung fleet must time out in wall time
+	case <-time.After(timeout):
 		b.mu.Lock()
 		missing := make([]int, 0, b.n)
 		for i := 0; i < b.n; i++ {

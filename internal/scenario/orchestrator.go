@@ -152,7 +152,7 @@ func Run(cfg RunConfig) (*RunReport, error) {
 
 	window := EpochWindow(cfg.Params.T, cfg.Params.Delta)
 	report := &RunReport{Testcase: cfg.Testcase.Name, N: n, Params: cfg.Params, Window: window}
-	began := time.Now() //lint:allow detrand the orchestrator times real OS processes; wall-clock is the quantity being reported
+	began := time.Now()
 
 	barrier, err := NewBarrier(n)
 	if err != nil {
@@ -195,7 +195,7 @@ func Run(cfg RunConfig) (*RunReport, error) {
 	if startDelay == 0 {
 		startDelay = 3*time.Second + time.Duration(n)*15*time.Millisecond
 	}
-	start := time.Now().Add(startDelay) //lint:allow detrand the fleet start epoch is a real wall-clock rendezvous shared with child processes
+	start := time.Now().Add(startDelay)
 	if err := barrier.Release(start); err != nil {
 		return nil, err
 	}
@@ -209,8 +209,7 @@ func Run(cfg RunConfig) (*RunReport, error) {
 		churnWG.Add(1)
 		go func() {
 			defer churnWG.Done()
-			//lint:allow lockstep churn kills real processes at wall-clock epochs; there is no virtual clock spanning the fleet
-			time.Sleep(time.Until(killAt)) //lint:allow detrand churn kills real processes at wall-clock epochs; there is no virtual clock spanning the fleet
+			time.Sleep(time.Until(killAt))
 			fleet.kill(phase.Node)
 			fleet.outcomes[phase.Node].Crashed = true
 			logf("scenario %s: churn: killed node %d mid-epoch %d", cfg.Testcase.Name, phase.Node, phase.Epoch)
@@ -248,8 +247,8 @@ func Run(cfg RunConfig) (*RunReport, error) {
 		}
 	}
 
-	deadline := time.Until(start) + time.Duration(cfg.Params.Epochs)*window + 2*window + 30*time.Second //lint:allow detrand run deadline tracks the real fleet's wall-clock start epoch
-	timeout := time.After(deadline)                                                                     //lint:allow lockstep collection deadline for real processes; no virtual clock spans the fleet
+	deadline := time.Until(start) + time.Duration(cfg.Params.Epochs)*window + 2*window + 30*time.Second
+	timeout := time.After(deadline)
 	terminal := make(map[int]bool, n)
 collect:
 	for pending > 0 {
@@ -283,7 +282,6 @@ collect:
 				}
 				if asked > 0 {
 					logf("scenario %s: requested profiles from %d wedged nodes", cfg.Testcase.Name, asked)
-					//lint:allow lockstep waits out real child-process profile captures in wall time
 					time.Sleep(profileGrace)
 				}
 			}
@@ -293,7 +291,7 @@ collect:
 	churnWG.Wait()
 	fleet.killAll()
 	fleet.reap()
-	report.WallTime = time.Since(began) //lint:allow detrand the orchestrator times real OS processes; wall-clock is the quantity being reported
+	report.WallTime = time.Since(began)
 
 	for _, out := range fleet.outcomes {
 		collectArtifacts(cfg.OutDir, out)

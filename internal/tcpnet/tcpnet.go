@@ -192,7 +192,7 @@ func Listen(self wire.NodeID, addr string) (*Port, error) {
 	p := &Port{
 		self:      self,
 		ln:        ln,
-		origin:    time.Now(), //lint:allow detrand tcpnet is the real-network transport; rounds are anchored to a wall-clock origin by design
+		origin:    time.Now(),
 		addrs:     make(map[wire.NodeID]string),
 		conns:     make(map[wire.NodeID]*outConn),
 		downUntil: make(map[wire.NodeID]time.Time),
@@ -286,7 +286,7 @@ func (p *Port) Now() time.Duration {
 	p.mu.Lock()
 	origin := p.origin
 	p.mu.Unlock()
-	return time.Since(origin) //lint:allow detrand virtual now on the real transport is elapsed wall time since the shared origin
+	return time.Since(origin)
 }
 
 // SetHandler implements runtime.Transport.
@@ -301,7 +301,7 @@ func (p *Port) After(d time.Duration, fn func()) {
 	if d < 0 {
 		d = 0
 	}
-	time.AfterFunc(d, func() { p.post(fn) }) //lint:allow lockstep the real transport schedules round ticks on host time; lockstep is enforced by the engine above it
+	time.AfterFunc(d, func() { p.post(fn) })
 }
 
 // post enqueues fn on the event loop, dropping it if the port is closed.
@@ -377,7 +377,7 @@ func (p *Port) outbound(dst wire.NodeID) (*outConn, error) {
 		return oc, nil
 	}
 	if until, ok := p.downUntil[dst]; ok {
-		if time.Now().Before(until) { //lint:allow detrand redial backoff on the real transport is wall-clock by nature
+		if time.Now().Before(until) {
 			p.mu.Unlock()
 			return nil, fmt.Errorf("tcpnet: peer %d in redial backoff", dst)
 		}
@@ -405,7 +405,7 @@ func (p *Port) dropConn(oc *outConn) {
 	p.mu.Lock()
 	if p.conns[oc.dst] == oc {
 		delete(p.conns, oc.dst)
-		p.downUntil[oc.dst] = time.Now().Add(redialBackoff) //lint:allow detrand redial backoff on the real transport is wall-clock by nature
+		p.downUntil[oc.dst] = time.Now().Add(redialBackoff)
 	}
 	p.mu.Unlock()
 	for {
@@ -473,7 +473,6 @@ func (p *Port) writeLoop(oc *outConn, addr string) {
 				case <-oc.dead:
 					framePool.Put(f)
 					return
-				//lint:allow lockstep link shaping delays the wall-clock wire, not protocol rounds
 				case <-time.After(delay):
 				}
 			}
