@@ -25,9 +25,13 @@ vet:
 # orchestrator, and — since the simulator fires a window's nodes on every
 # core (DESIGN.md §6) — the event engine, the simulated network, and the
 # protocol, beacon and public-API suites that drive clusters through
-# them. The chaos suite is not listed: `chaos` below is its race run.
+# them. The chaos suite is not listed: `chaos` below is its race run. The
+# second run repeats the lane executor's own tests five times: a worker's
+# summon, arrival and cancel race Run's goroutine, and each run sees one
+# schedule of those interleavings.
 race:
 	$(GO) test -race ./internal/deploy/... ./internal/experiments/... ./internal/runtime/... ./internal/tcpnet/... ./internal/scenario/... ./internal/vclock/... ./internal/simnet/... ./internal/core/... ./internal/beacon/... .
+	$(GO) test -race -count=5 -run 'Handoff|Lane' ./internal/vclock/... ./internal/simnet/...
 
 # chaos runs the deterministic fault-injection suite under the race
 # detector (its only race run in `verify`): fixed-seed schedules

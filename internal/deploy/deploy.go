@@ -244,8 +244,8 @@ func New(opts Options) (*Deployment, error) {
 
 // EstablishLinks opens every channel the live peers have not used yet,
 // a peer per worker: the shared key cache means an unordered pair is
-// derived once (twice when its two ends ask at the same moment, see
-// KeysDerived), and the pool spreads the rest across cores. RunInstance
+// derived once — an end that asks while the other derives waits for it —
+// and the pool spreads the pairs across cores. RunInstance
 // calls it ahead of a full-mesh instance, which would otherwise derive
 // every pair in turn on the simulator's goroutine in its first rounds;
 // with nothing missing it is one pass over the peers.

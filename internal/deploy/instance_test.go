@@ -220,13 +220,12 @@ func TestLinksOpenedOnDemand(t *testing.T) {
 		t.Fatalf("%d pairs derived by one sampled epoch of cluster %d, want fewer than half of %d", got, cluster, n*(n-1)/2)
 	}
 	// Every frame of the epoch was answered, so each used pair is open at
-	// both ends and none is waiting: one agreement per two link ends, plus
-	// the pairs whose ends fired side by side in one window and both missed.
+	// both ends and none is waiting: one agreement per two link ends, even
+	// for the pairs whose ends fired side by side in one window.
 	sampled := d.LinksEstablished() / 2
-	if derived, waiting := d.KeysDerived(), d.KeyCacheLen(); derived < sampled || derived > 2*sampled || waiting != 0 {
-		t.Fatalf("%d agreements for %d pairs, %d pairs waiting; want one or two per pair and none waiting", derived, sampled, waiting)
+	if derived, waiting := d.KeysDerived(), d.KeyCacheLen(); derived != sampled || waiting != 0 {
+		t.Fatalf("%d agreements for %d pairs, %d pairs waiting; want one per pair and none waiting", derived, sampled, waiting)
 	}
-	t.Logf("sampled epoch of %d pairs: both ends derived for %d", sampled, d.KeysDerived()-sampled)
 
 	if _, err := d.Broadcast(erb.Config{T: d.Opts.T, ExpectedInitiators: []wire.NodeID{0}}, wire.Value{1}, nil); err != nil {
 		t.Fatal(err)
@@ -236,16 +235,14 @@ func TestLinksOpenedOnDemand(t *testing.T) {
 			t.Errorf("node %d holds %d links after a broadcast, want %d", i, got, n-1)
 		}
 	}
-	// The prefetch opens a peer per worker, so two ends of a pair can both
-	// miss the hand-over and both derive; the later one removes what the
-	// earlier one left, so nothing stays behind either way.
+	// The prefetch opens a peer per worker, so two ends of a pair can ask
+	// at once; the later one waits for the earlier one's agreement.
 	const pairs = n * (n - 1) / 2
 	links, derived := d.LinksEstablished(), d.KeysDerived()
-	if links != n*(n-1) || derived < pairs || derived > 2*pairs || d.KeyCacheLen() != 0 {
-		t.Fatalf("%d link ends, %d agreements, %d pairs waiting after a broadcast, want %d, %d..%d, none",
-			links, derived, d.KeyCacheLen(), n*(n-1), pairs, 2*pairs)
+	if links != n*(n-1) || derived != pairs || d.KeyCacheLen() != 0 {
+		t.Fatalf("%d link ends, %d agreements, %d pairs waiting after a broadcast, want %d, %d, none",
+			links, derived, d.KeyCacheLen(), n*(n-1), pairs)
 	}
-	t.Logf("prefetch of %d pairs: both ends derived for %d", pairs-sampled, derived-pairs)
 	if err := d.EstablishLinks(); err != nil {
 		t.Fatal(err)
 	}

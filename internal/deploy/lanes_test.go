@@ -10,7 +10,6 @@ import (
 	"sgxp2p/internal/deploy"
 	"sgxp2p/internal/runtime"
 	"sgxp2p/internal/simnet"
-	"sgxp2p/internal/vclock"
 	"sgxp2p/internal/wire"
 )
 
@@ -21,11 +20,12 @@ import (
 // with the same event trace, event count, clock, traffic counters, per-node
 // runtime stats and protocol decisions.
 //
-// Whether a window leaves Run's goroutine is otherwise the host's call —
-// the simulator times a window's first events and hands the rest off when
-// that pays — so the tests set the break-even themselves: at 0 every window
-// with two lanes or more goes to the workers whole, at one nanosecond after
-// its first event.
+// Whether a window leaves Run's goroutine, and where, is otherwise the
+// host's call — the simulator summons its workers when a window's pace
+// says they are worth it and hands them the rest when one arrives — so the
+// tests say where the workers arrive (Sim.ArriveAt): at event 0 every
+// window with two lanes or more goes to the workers whole, at event k after
+// its first k events.
 
 // laneOutcome is everything one run can be compared by.
 type laneOutcome struct {
@@ -40,10 +40,10 @@ type laneOutcome struct {
 
 // laneScenario drives a fresh deployment and returns its decisions.
 type laneScenario struct {
-	name      string
-	opts      deploy.Options
-	breakEven time.Duration // see above
-	run       func(t *testing.T, d *deploy.Deployment) any
+	name     string
+	opts     deploy.Options
+	arriveAt int // the event of every window the workers arrive at; see above
+	run      func(t *testing.T, d *deploy.Deployment) any
 }
 
 func (sc laneScenario) outcome(t *testing.T, procs int) (laneOutcome, uint64) {
@@ -53,6 +53,7 @@ func (sc laneScenario) outcome(t *testing.T, procs int) (laneOutcome, uint64) {
 	if err != nil {
 		t.Fatal(err)
 	}
+	d.Sim.ArriveAt(sc.arriveAt)
 	out := laneOutcome{Decisions: sc.run(t, d)}
 	out.Trace, out.Fired, out.Now = d.Sim.TraceHash(), d.Sim.FiredCount(), d.Sim.Now()
 	out.Traffic = d.Net.Traffic()
@@ -66,7 +67,6 @@ func (sc laneScenario) outcome(t *testing.T, procs int) (laneOutcome, uint64) {
 // check runs the scenario on one, two and four workers and compares.
 func (sc laneScenario) check(t *testing.T) laneOutcome {
 	t.Helper()
-	defer vclock.SetHandoffBreakEven(sc.breakEven)()
 	serial, windows := sc.outcome(t, 1)
 	if windows != 0 {
 		t.Fatalf("%s: GOMAXPROCS=1 fired %d windows on workers", sc.name, windows)
@@ -174,6 +174,29 @@ func epochs(t *testing.T, d *deploy.Deployment, k int, optimized bool) [][]erng.
 	return out
 }
 
+// sampledEpochs runs k Algorithm 6 epochs through the instance driver —
+// which opens no channel ahead of a sampled epoch — and returns
+// results[epoch][node].
+func sampledEpochs(t *testing.T, d *deploy.Deployment, k int) [][]erng.Result {
+	t.Helper()
+	out := make([][]erng.Result, k)
+	for e := range out {
+		protos, err := d.Epoch(d.Opts.T, true, nil)
+		if err != nil {
+			t.Fatal(err)
+		}
+		out[e] = make([]erng.Result, len(protos))
+		for i, proto := range protos {
+			res, ok := proto.Result()
+			if !ok {
+				t.Fatalf("epoch %d node %d undecided", e, i)
+			}
+			out[e][i] = res
+		}
+	}
+	return out
+}
+
 func TestLanesMatchSerialLoop(t *testing.T) {
 	scenarios := []laneScenario{
 		{
@@ -213,42 +236,43 @@ func TestLanesMatchSerialLoop(t *testing.T) {
 		// is derived by whichever worker fires its first frame, through the
 		// one key cache.
 		{
-			name:      "algorithm-6-cold",
-			opts:      deploy.Options{N: 256, T: 85, Seed: 10, RealCrypto: true},
-			breakEven: time.Nanosecond,
+			name:     "algorithm-6-cold",
+			opts:     deploy.Options{N: 256, T: 85, Seed: 10, RealCrypto: true},
+			arriveAt: 1,
 			run: func(t *testing.T, d *deploy.Deployment) any {
-				protos, err := d.Epoch(d.Opts.T, true, nil)
-				if err != nil {
-					t.Fatal(err)
-				}
-				if links := d.LinksEstablished(); links == 0 || links >= len(protos)*(len(protos)-1) {
+				out := sampledEpochs(t, d, 1)
+				if links := d.LinksEstablished(); links == 0 || links >= d.Opts.N*(d.Opts.N-1) {
 					t.Fatalf("%d link ends after a cold sampled epoch: nothing was derived inside the run, or everything before it", links)
-				}
-				out := make([]erng.Result, len(protos))
-				for i, proto := range protos {
-					res, ok := proto.Result()
-					if !ok {
-						t.Fatalf("node %d undecided", i)
-					}
-					out[i] = res
 				}
 				return out
 			},
 		},
-		// The two shapes whose round ticks the hand-off rule moves to the
-		// workers, split where it splits them: after the first tick.
+		// Sampled epochs one after another, split inside every window: each
+		// epoch's new cluster first uses pairs the earlier ones never did, so
+		// links open inside windows on both sides of a split, on whichever
+		// worker fires their first frame.
 		{
-			name:      "broadcast-many-split",
-			opts:      deploy.Options{N: 64, T: 31, Seed: 7, RealCrypto: true},
-			breakEven: time.Nanosecond,
+			name:     "algorithm-6-epochs-split",
+			opts:     deploy.Options{N: 256, T: 85, Seed: 11, RealCrypto: true},
+			arriveAt: 5,
+			run: func(t *testing.T, d *deploy.Deployment) any {
+				return sampledEpochs(t, d, 3)
+			},
+		},
+		// The two shapes whose round ticks carry the most work, split after
+		// the first tick.
+		{
+			name:     "broadcast-many-split",
+			opts:     deploy.Options{N: 64, T: 31, Seed: 7, RealCrypto: true},
+			arriveAt: 1,
 			run: func(t *testing.T, d *deploy.Deployment) any {
 				return muxBroadcasts(t, d, 64, 16)
 			},
 		},
 		{
-			name:      "algorithm-3-split",
-			opts:      deploy.Options{N: 32, T: 15, Seed: 8},
-			breakEven: time.Nanosecond,
+			name:     "algorithm-3-split",
+			opts:     deploy.Options{N: 32, T: 15, Seed: 8},
+			arriveAt: 1,
 			run: func(t *testing.T, d *deploy.Deployment) any {
 				return epochs(t, d, 1, false)
 			},
@@ -349,12 +373,12 @@ func TestLanesJoinAndRestart(t *testing.T) {
 	}
 	sc.check(t)
 
-	defer vclock.SetHandoffBreakEven(0)()
 	setProcs(t, 4)
 	d, err := deploy.New(sc.opts)
 	if err != nil {
 		t.Fatal(err)
 	}
+	d.Sim.ArriveAt(0)
 	broadcast(t, d, 0, wire.Value{1})
 	before := d.Sim.ParallelWindows()
 	if before == 0 {
@@ -377,13 +401,13 @@ func TestLanesJoinAndRestart(t *testing.T) {
 // are covered by the telemetry tests' byte-identity) keeps every event
 // firing alone.
 func TestLanesOffForUnsafeOptions(t *testing.T) {
-	defer vclock.SetHandoffBreakEven(0)()
 	setProcs(t, 4)
 	d, err := deploy.New(deploy.Options{N: 64, T: 31, Seed: 3,
 		Wrap: func(_ wire.NodeID, tr runtime.Transport) runtime.Transport { return tr }})
 	if err != nil {
 		t.Fatal(err)
 	}
+	d.Sim.ArriveAt(0)
 	broadcast(t, d, 0, wire.Value{1})
 	if w := d.Sim.ParallelWindows(); w != 0 {
 		t.Fatalf("%d windows fired on workers under Options.Wrap", w)

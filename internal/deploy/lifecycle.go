@@ -76,9 +76,9 @@ func (d *Deployment) KeyCacheLen() int {
 }
 
 // KeysDerived returns the number of key agreements the deployment's
-// enclaves have computed: one per used pair, plus one for each pair whose
-// two ends both missed the hand-over (side by side in EstablishLinks, or
-// a restarted node re-deriving what its survivor already holds).
+// enclaves have computed: one per used pair — the key cache makes an end
+// that asks while the other derives wait for that agreement — plus one for
+// each pair a restarted node re-derives while its survivor holds its end.
 func (d *Deployment) KeysDerived() int {
 	if d.keyCache == nil {
 		return 0

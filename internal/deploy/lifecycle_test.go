@@ -31,8 +31,8 @@ func linksHeld(d *deploy.Deployment) []uint64 {
 }
 
 // TestCrashRestartRederivesSessionKeys is the crash–restart regression. A
-// full-mesh instance computes one agreement per pair (more only where two
-// ends derived side by side) and leaves nothing in the key cache; a node
+// full-mesh instance computes one agreement per pair and leaves nothing in
+// the key cache; a node
 // stopped in the middle of it and rebooted re-attests with the identical
 // quote and derives the identical pairwise session keys again — its n-1
 // pairs, whose survivors took the first derivation over long ago — so the
@@ -65,8 +65,8 @@ func TestCrashRestartRederivesSessionKeys(t *testing.T) {
 	}
 	acceptedBy(t, engines, 0, v1, 0, 1, 2, 4)
 	derivedBefore := d.KeysDerived()
-	if waiting := d.KeyCacheLen(); derivedBefore < pairs || derivedBefore > 2*pairs || waiting != 0 {
-		t.Fatalf("%d agreements, %d pairs waiting after a full-mesh instance, want %d..%d and none", derivedBefore, waiting, pairs, 2*pairs)
+	if waiting := d.KeyCacheLen(); derivedBefore != pairs || waiting != 0 {
+		t.Fatalf("%d agreements, %d pairs waiting after a full-mesh instance, want %d and none", derivedBefore, waiting, pairs)
 	}
 	heldBefore := linksHeld(d)
 	for i, held := range heldBefore {
@@ -150,8 +150,8 @@ func TestCrashBeforeFirstUse(t *testing.T) {
 		t.Fatal(err)
 	}
 	acceptedBy(t, engines, 3, v, 0, 1, 2, 3, 4)
-	if derived, waiting, links := d.KeysDerived(), d.KeyCacheLen(), d.LinksEstablished(); derived < n*(n-1)/2 || waiting != 0 || links != n*(n-1) {
-		t.Fatalf("%d agreements, %d pairs waiting, %d link ends after the first instance, want at least %d, none, %d", derived, waiting, links, n*(n-1)/2, n*(n-1))
+	if derived, waiting, links := d.KeysDerived(), d.KeyCacheLen(), d.LinksEstablished(); derived != n*(n-1)/2 || waiting != 0 || links != n*(n-1) {
+		t.Fatalf("%d agreements, %d pairs waiting, %d link ends after the first instance, want %d, none, %d", derived, waiting, links, n*(n-1)/2, n*(n-1))
 	}
 }
 
@@ -217,6 +217,30 @@ func TestRealCryptoRestart(t *testing.T) {
 	for i := 0; i < 4; i++ {
 		if r, ok := res[wire.NodeID(i)]; !ok || !r.Accepted {
 			t.Fatalf("node %d: broadcast after real-crypto restart failed: %+v", i, r)
+		}
+	}
+}
+
+// TestPrefetchDerivesEachPairOnce opens a full mesh with the parallel
+// prefetch, a peer per worker: the two ends of a pair often ask at the same
+// moment, and the key cache makes the later one wait for the earlier one's
+// agreement rather than compute its own.
+func TestPrefetchDerivesEachPairOnce(t *testing.T) {
+	const n, pairs = 64, 64 * 63 / 2
+	for _, procs := range []int{2, 4} {
+		setProcs(t, procs)
+		for seed := int64(1); seed <= 3; seed++ {
+			d, err := deploy.New(deploy.Options{N: n, T: 31, Seed: seed, RealCrypto: true})
+			if err != nil {
+				t.Fatal(err)
+			}
+			if err := d.EstablishLinks(); err != nil {
+				t.Fatal(err)
+			}
+			if derived, waiting, links := d.KeysDerived(), d.KeyCacheLen(), d.LinksEstablished(); derived != pairs || waiting != 0 || links != n*(n-1) {
+				t.Errorf("procs=%d seed=%d: %d agreements, %d pairs waiting, %d link ends after the prefetch, want %d, none, %d",
+					procs, seed, derived, waiting, links, pairs, n*(n-1))
+			}
 		}
 	}
 }

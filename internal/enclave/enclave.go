@@ -100,22 +100,20 @@ type pairKey struct {
 // KEX order the public keys canonically — so when enclave i derives the
 // link keys toward j, enclave j's derivation toward i is the identical
 // computation. The first end to open a pair derives and leaves the keys
-// here; the second end takes them out. That halves the key agreement work
-// of the pairs that are used, makes the keys independent of which end
-// opens a pair first (a channel is opened at its first frame, by either
-// side), and keeps the cache at the pairs with one end open: nobody asks
-// for a pair's keys a third time, because each end keeps its prepared
-// cipher state in its Link.
+// here; the second end takes them out, and if it asks while the first is
+// still deriving, it waits for that result rather than computing it again.
+// So a pair is derived once however its two ends race, the keys do not
+// depend on which end opens a pair first (a channel is opened at its first
+// frame, by either side), and the cache holds only the pairs with one end
+// open: nobody asks for a pair's keys a third time, because each end keeps
+// its prepared cipher state in its Link.
 //
 // Nothing is memoized beyond that. A relaunched enclave with new key
 // material derives afresh, and whatever its predecessor left waiting is
 // never taken; a relaunch that replays the old key material
 // (deploy.Restart) takes what is waiting or, for a pair both ends had
 // opened, derives again and leaves an entry nobody takes until the next
-// replay does — one per pair at most, since a second arrival always
-// removes what the first left. The same rule settles two ends that miss
-// side by side under a parallel prefetch: both derive, the later one
-// finds the earlier one's entry and removes it.
+// replay does — one per pair at most.
 //
 // The cache is safe for concurrent use: a deployment opens its peers'
 // channels on a worker pool, and the simulator's lanes open them from
@@ -125,45 +123,65 @@ type pairKey struct {
 // enabled by the TCP runtime.
 type KeyCache struct {
 	mu      sync.Mutex
-	m       map[pairKey]xcrypto.SessionKeys
+	settled sync.Cond // broadcast whenever a derivation ends
+	m       map[pairKey]pairEntry
 	derived int
+}
+
+// pairEntry is one pair's keys on their way from the end that derives them
+// to the end that takes them.
+type pairEntry struct {
+	keys    xcrypto.SessionKeys
+	derived bool // keys is set; until then the pair's first end is deriving
 }
 
 // NewKeyCache creates an empty cache, typically one per deployment.
 func NewKeyCache() *KeyCache {
-	return &KeyCache{m: make(map[pairKey]xcrypto.SessionKeys)}
+	c := &KeyCache{m: make(map[pairKey]pairEntry)}
+	c.settled.L = &c.mu
+	return c
 }
 
-// take removes and returns the keys the pair's other end left, if any.
-func (c *KeyCache) take(k pairKey) (xcrypto.SessionKeys, bool) {
+// take returns the keys the pair's other end derived, waiting for them if
+// it is deriving them still. ok is false when no end has asked before: the
+// caller is then the end that derives, and leave settles its derivation.
+func (c *KeyCache) take(k pairKey) (keys xcrypto.SessionKeys, ok bool) {
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	keys, ok := c.m[k]
-	if ok {
-		c.remove(k)
+	for {
+		e, ok := c.m[k]
+		if !ok {
+			c.m[k] = pairEntry{}
+			c.derived++
+			return xcrypto.SessionKeys{}, false
+		}
+		if e.derived {
+			c.remove(k)
+			return e.keys, true
+		}
+		c.settled.Wait()
 	}
-	return keys, ok
 }
 
-// leave counts one derivation and leaves its keys for the pair's other
-// end — unless that end derived meanwhile and left its own, in which case
-// both have theirs and the entry goes.
-func (c *KeyCache) leave(k pairKey, keys xcrypto.SessionKeys) {
+// leave settles the derivation take left to the caller: the keys wait for
+// the pair's other end, or go to it if it waits already. A derivation that
+// failed leaves nothing, and an end waiting for it derives itself.
+func (c *KeyCache) leave(k pairKey, keys xcrypto.SessionKeys, err error) {
 	c.mu.Lock()
-	defer c.mu.Unlock()
-	c.derived++
-	if _, both := c.m[k]; both {
+	if err != nil {
 		c.remove(k)
 	} else {
-		c.m[k] = keys
+		c.m[k] = pairEntry{keys: keys, derived: true}
 	}
+	c.mu.Unlock()
+	c.settled.Broadcast()
 }
 
 // remove deletes k's entry. A map that drains is replaced: a Go map keeps
 // the buckets of its fullest moment, here a prefetch's worth of pairs.
 func (c *KeyCache) remove(k pairKey) {
 	if delete(c.m, k); len(c.m) == 0 {
-		c.m = make(map[pairKey]xcrypto.SessionKeys)
+		c.m = make(map[pairKey]pairEntry)
 	}
 }
 
@@ -175,9 +193,8 @@ func (c *KeyCache) Len() int {
 }
 
 // Derived returns the number of key agreements computed through the
-// cache. Every opened link end either computed one or took one over, so
-// across a full mesh of P pairs Derived() - P is how often both ends of a
-// pair derived.
+// cache: one per pair whose ends opened, plus one per pair a replayed
+// enclave opened again.
 func (c *KeyCache) Derived() int {
 	c.mu.Lock()
 	defer c.mu.Unlock()
@@ -264,17 +281,24 @@ func (e *Enclave) SessionKeys(remote [xcrypto.PublicKeySize]byte) (xcrypto.Sessi
 	if e.halted {
 		return xcrypto.SessionKeys{}, ErrHalted
 	}
-	var ck pairKey
-	if e.keyCache != nil {
-		ck = pairKey{
-			pair:     xcrypto.MakePairID(e.DHPublic(), remote),
-			meas:     e.measurement,
-			modelKEX: e.modelKEX,
-		}
-		if keys, ok := e.keyCache.take(ck); ok {
-			return keys, nil
-		}
+	if e.keyCache == nil {
+		return e.deriveSessionKeys(remote)
 	}
+	ck := pairKey{
+		pair:     xcrypto.MakePairID(e.DHPublic(), remote),
+		meas:     e.measurement,
+		modelKEX: e.modelKEX,
+	}
+	if keys, ok := e.keyCache.take(ck); ok {
+		return keys, nil
+	}
+	keys, err := e.deriveSessionKeys(remote)
+	e.keyCache.leave(ck, keys, err)
+	return keys, err
+}
+
+// deriveSessionKeys is the key agreement itself.
+func (e *Enclave) deriveSessionKeys(remote [xcrypto.PublicKeySize]byte) (xcrypto.SessionKeys, error) {
 	var keys xcrypto.SessionKeys
 	if e.modelKEX {
 		keys = modelSessionKeys(e.DHPublic(), remote)
@@ -291,9 +315,6 @@ func (e *Enclave) SessionKeys(remote [xcrypto.PublicKeySize]byte) (xcrypto.Sessi
 	// enclave with the identical measurement can take it.
 	keys.Enc = bindMeasurement(keys.Enc, e.measurement, "enc")
 	keys.Mac = bindMeasurement(keys.Mac, e.measurement, "mac")
-	if e.keyCache != nil {
-		e.keyCache.leave(ck, keys)
-	}
 	return keys, nil
 }
 

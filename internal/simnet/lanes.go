@@ -17,9 +17,9 @@ import (
 // order, so every draw, counter and sequence number comes out the same.
 // Only the payload copy happens at Send time, because the caller's buffer
 // is gone afterwards. A window may reach the workers part-way — the
-// simulator fires its first events inline and hands off the rest once they
-// are worth it: what fired before BeginWindow took the serial path and left
-// nothing in any log.
+// simulator fires its first events inline and hands off the rest when a
+// worker it summoned arrives: what fired before BeginWindow took the
+// serial path and left nothing in any log.
 
 // opKind says what a logged op replays as. The zero kind ends one
 // event's ops.

@@ -37,6 +37,7 @@ func newGossip(t *testing.T, bandwidth float64) *gossip {
 	t.Helper()
 	sim, net := newNet(t, gossipNodes, bandwidth)
 	net.EnableLanes()
+	sim.ArriveAt(0)
 	g := &gossip{
 		sim: sim, net: net,
 		ports:    make([]*Port, gossipNodes),
@@ -82,7 +83,6 @@ func (g *gossip) receive(id, src wire.NodeID, payload []byte) {
 // counts, every node's journal with its timestamps, and the simulator's
 // trace must not depend on the pool.
 func TestLanesMatchSerialNetwork(t *testing.T) {
-	t.Cleanup(vclock.SetHandoffBreakEven(0))
 	for _, bandwidth := range []float64{0, DefaultBandwidth / 64} {
 		run := func(procs int) *gossip {
 			prev := runtime.GOMAXPROCS(procs)
@@ -134,7 +134,6 @@ func TestLanesMatchSerialNetwork(t *testing.T) {
 // pools are empty, and the same burst again — on one goroutine, so out of
 // the free list alone — finds enough records there to build no new one.
 func TestLaneRecordsReturnToFreeList(t *testing.T) {
-	t.Cleanup(vclock.SetHandoffBreakEven(0))
 	prev := runtime.GOMAXPROCS(4)
 	defer runtime.GOMAXPROCS(prev)
 	g := newGossip(t, 0)
@@ -171,13 +170,13 @@ func TestLaneRecordsReturnToFreeList(t *testing.T) {
 // anew, is the chunk each of the others took for its one frame; and every
 // record is back on the free list when the run ends.
 func TestLaneRecordsDealtOnDemand(t *testing.T) {
-	t.Cleanup(vclock.SetHandoffBreakEven(0))
 	const nodes, primed, burst = 8, 100, 1000
 	run := func(procs int) *Network {
 		prev := runtime.GOMAXPROCS(procs)
 		defer runtime.GOMAXPROCS(prev)
 		sim, net := newNet(t, nodes, 0)
 		net.EnableLanes()
+		sim.ArriveAt(0)
 		send := func(id, frames int) {
 			p := net.Port(wire.NodeID(id))
 			p.After(0, func() {

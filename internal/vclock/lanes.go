@@ -16,15 +16,16 @@ import (
 // reach another inside the window, provided the owner holds back every
 // effect on shared state — scheduling included — until Commit.
 //
-// BeginWindow, Commit and EndWindow run on Run's goroutine while the
-// workers park; Claim and EndEvent run on the worker firing the lane and
-// may touch that lane's state only. Every window starts inline: its events
-// fire on Run's goroutine in (time, sequence) order and act on shared state
-// directly. A window that stays inline to its end — too light to hand off,
-// one lane, or a pool of one — calls none of the methods. A window handed
-// off part-way calls them for the events not yet fired: the inline prefix
-// has acted already and has nothing to commit, and a lane with events on
-// both sides of the split is claimed at its first unfired event.
+// BeginWindow, Commit and EndWindow run on Run's goroutine while no worker
+// fires; Claim and EndEvent run on the worker firing the lane and may
+// touch that lane's state only. Every window starts inline: its events
+// fire on Run's goroutine in (time, sequence) order and act on shared
+// state directly. A window that stays inline to its end — no worker
+// arrived in time, one lane, or a pool of one — calls none of the methods.
+// A window handed off part-way calls them for the events not yet fired:
+// the inline prefix has acted already and has nothing to commit, and a
+// lane with events on both sides of the split is claimed at its first
+// unfired event.
 type Lanes interface {
 	// BeginWindow announces a window about to fire on the given number of
 	// workers, numbered from 0.
@@ -44,66 +45,20 @@ type Lanes interface {
 	EndWindow()
 }
 
-// handoffBreakEven is the inline time a window must still have ahead of
-// it — the pace of its last few events times the events unfired — for the
-// rest of it to go to the workers. The workers park between windows, and a
-// parked worker is slow to start: 64–256 µs pass on the 2-vCPU benchmark
-// host before the first one claims a lane (the scheduler is in no hurry to
-// steal the goroutine Run just woke, and the idle CPU has to be woken too),
-// and what it fires is committed a second time through the owner's log.
-// BenchmarkWindowHandoff, one 64-lane window inline against handed off
-// whole (median µs, three runs): 122–125 against 140–157 at 125 µs of work,
-// 242–258 against 229–261 at 250 µs, 472–512 against 351–361 at 500 µs,
-// 929–1013 against 592–634 at 1 ms — a break-even near 250 µs when the
-// second CPU is there to be had. It is not always: in one run of the three
-// no worker arrived inside a millisecond (the hand-off then costs 15–35 µs).
-// So the repository benchmark decides (go run
-// ./bench, 5 s windows, break-even 300 / 600 / 1000 / 1500 / 2000 µs
-// against the event-count rule this one replaced): erb_mux ops_per_s
-// +24 / +29 / +25 / +19 / +20 %; erb_serial +13 / +5 / +4 / −7 / −11 %
-// (from 1500 µs its 500-event delivery windows stay inline, which the
-// count rule handed off); erng_basic ops_per_cpu_s −25 / −26 / −1 to −8 /
-// 0 / 0 % with ops_per_s unmoved at every value. 1 ms is the value with no
-// loser.
-//
-// The second CPU is a whole one — lscpu reports 2 cores × 1 thread, and two
-// single-threaded passes side by side each keep their solo rate
-// (BenchmarkClusterBroadcast -cpu 1: 3.56–3.71 ms alone, 3.54 and 3.68 ms
-// together; an earlier note here had the two vCPUs share a core) — yet one
-// simulator gains little from it. go test -run=NONE -bench
-// 'ClusterBroadcast|ClusterRandom|FirstEmission' -cpu 1,2 -benchtime=2s
-// -count=3 . reads, -cpu 1 against -cpu 2 (PR 24): ClusterBroadcast
-// 3.34–3.54 against 3.67–5.87 ms, ClusterBroadcastMany 12.2–14.1 against
-// 13.8–14.7 ms, ClusterRandom 0.81–0.90 against 0.77–0.91 ms, and only
-// FirstEmission (a cluster's cold key agreements) 476–482 against 251–290
-// ms. That is input for the re-sweep ROADMAP item 7 asks for; the value
-// below is from before it.
-//
-// A variable only for the tests, which set it to 0 (hand off at the first
-// check) or past any window's length (never).
-var handoffBreakEven = 1000 * time.Microsecond
-
-// SetHandoffBreakEven is for the tests of packages that drive a Sim: they
-// have to reach the workers, or stay off them, whatever the host's speed.
-// It sets handoffBreakEven and returns the function that puts it back.
-func SetHandoffBreakEven(d time.Duration) (restore func()) {
-	prev := handoffBreakEven
-	handoffBreakEven = d
-	return func() { handoffBreakEven = prev }
-}
-
 // paceCheckEvery is how many events fire inline between two reads of the
 // wall clock once a window's first few events — each of them a check — say
-// it is light: a read costs ≈ 35 ns, a light event ≈ 1 µs, and a window
-// that turns heavy part-way (late ACKs, then the round's ticks) is caught
-// within that many events.
+// it is light: a read costs ≈ 35 ns, a light event ≈ 1 µs.
 const paceCheckEvery = 8
 
 // paceSampleTime is the shortest stretch of fewer than paceCheckEvery
 // events whose pace is believed: one event that missed the cache must not
-// send a window of two hundred light ones to the workers, and two round
-// ticks of 63 seals each are enough to send the other 62.
+// summon a worker for a window of light ones.
 const paceSampleTime = 40 * time.Microsecond
+
+// probeEvery is how often a window that would summon does so while
+// hand-offs save nothing: one in probeEvery, so that the measured saving
+// follows the host when it changes.
+const probeEvery = 16
 
 // running counts the Runs in flight in this process. Simulators running
 // side by side — a sweep runs one per core — share the cores, so each
@@ -112,6 +67,15 @@ const paceSampleTime = 40 * time.Microsecond
 // the pool's size.
 var running atomic.Int32
 
+// ArriveAt is for tests that must reach the workers, at a split point of
+// their choosing, whatever the host's speed. With k ≥ 0, every later
+// window of a pool of more than one summons its workers before its first
+// event, Run's goroutine waits at event k (counting from 0) for one to
+// arrive and hands it the remainder unless that is on one lane, and a
+// window of k events or fewer cancels the summon at its end. A k below 0
+// gives the decision back to the host.
+func (s *Sim) ArriveAt(k int) { s.arriveAt = max(k+1, 0) }
+
 // laneState is one lane's share of the window being fired, padded to a
 // cache line because neighbouring lanes fire on different workers.
 type laneState struct {
@@ -119,6 +83,79 @@ type laneState struct {
 	next   int     // first event neither fired inline nor committed
 	now    time.Duration
 	_      [24]byte
+}
+
+// A worker's slot moves parked → summoned (Run's goroutine, with a token
+// on wake) → arrived (the worker) → firing (Run's goroutine: the
+// remainder is the worker's) → parked (the worker, when it has fired).
+// Run's goroutine cancels a summon by taking summoned or arrived back to
+// parked; a token left on wake then finds nothing to do.
+const (
+	parked int32 = iota
+	summoned
+	arrived
+	firing
+)
+
+// workerSlot is how Run's goroutine and one worker meet.
+type workerSlot struct {
+	state     atomic.Int32
+	arrivedAt atomic.Int64 // host time of the latest arrival
+	stop      atomic.Bool  // set by stopWorkers: the next token ends the worker
+	wake      chan struct{}
+}
+
+// handoffRule is what the simulator has measured of its own hand-offs, on
+// this host, under this load.
+type handoffRule struct {
+	// arrival is the moving average of how long a summoned worker takes to
+	// arrive: a window summons once the remainder's inline time is at
+	// least this. 0 until the first summon.
+	arrival time.Duration
+	// saved is the moving average of the share of its inline time — at
+	// the pace measured before the hand-off — a handed-off remainder saved.
+	saved float64
+	held  int // windows that would have summoned since the last probe
+}
+
+// sampleArrival folds one summon-to-arrival time into the average; for a
+// worker cancelled on its way, d is how long it had been on its way, which
+// says something only above the average. A sample counts for at most
+// twice the average, so one scheduler hiccup does not stop summons for a
+// hundred windows, while a host that turns slow doubles it in six.
+func (r *handoffRule) sampleArrival(d time.Duration, onItsWay bool) {
+	switch {
+	case d <= 0 || onItsWay && d <= r.arrival:
+	case r.arrival == 0:
+		r.arrival = d
+	default:
+		r.arrival += (min(d, 2*r.arrival) - r.arrival) / 8
+	}
+}
+
+// sampleSaving folds one hand-off into the average saving: its remainder
+// would have taken ahead inline and took took. A share, not a duration, and
+// a loss counts as at most the whole inline time: a window whose first
+// events were light and whose rest was heavy — ahead at the pace of the
+// first, took at that of the rest — must not outweigh the hundreds of
+// hand-offs around it.
+func (r *handoffRule) sampleSaving(ahead, took time.Duration) {
+	share := max(float64(ahead-took)/float64(ahead), -1)
+	r.saved += (share - r.saved) / 8
+}
+
+// summoning reports whether a window whose remainder outweighs the
+// arrival latency summons: while hand-offs save time, every one; while
+// they save nothing, one in probeEvery.
+func (r *handoffRule) summoning() bool {
+	if r.saved >= 0 {
+		return true
+	}
+	if r.held++; r.held < probeEvery {
+		return false
+	}
+	r.held = 0
+	return true
 }
 
 // SetLanes registers the owner of the lane events' shared state and the
@@ -159,27 +196,40 @@ func (s *Sim) LaneNow(lane int) time.Duration {
 func (s *Sim) ParallelWindows() uint64 { return s.counts.HandedOff }
 
 // LaneCounts says what the hand-off rule did with the windows of lane
-// events fired so far. Like ParallelWindows it describes the host.
+// events fired so far. Like ParallelWindows it describes the host. Every
+// window is Inline or HandedOff, and every summon ends in a hand-off or
+// is Cancelled inside its window.
 type LaneCounts struct {
 	Inline       uint64 // windows fired on Run's goroutine to their end
 	HandedOff    uint64 // windows whose remainder went to the workers
 	WorkerEvents uint64 // events of those remainders
+	Summoned     uint64 // windows that summoned workers
+	Cancelled    uint64 // of those, windows that ended, or had one lane left, before a worker arrived
+	// Arrival is the measured summon-to-arrival latency: the inline time
+	// a window's remainder must have for the next window to summon.
+	Arrival time.Duration
 }
 
 // LaneCounts returns the counts so far.
-func (s *Sim) LaneCounts() LaneCounts { return s.counts }
+func (s *Sim) LaneCounts() LaneCounts {
+	c := s.counts
+	c.Arrival = s.rule.arrival
+	return c
+}
 
 // fireWindow pops every lane event in [head.at, head.at+lookahead) — up
 // to the first untagged event, which is a barrier, and the deadline — and
 // fires them, each lane's in order. It starts right here, in (time,
 // sequence) order, and reads the wall clock as it goes; once the events
 // still unfired would take longer at the pace of the last few than a
-// hand-off costs (handoffBreakEven) and span two lanes or more, the workers
-// fire the rest and the loop commits it. Only the pace is measured, so
-// only the host decides where a window splits; the lookahead argument
-// holds for any suffix of a window — nothing the prefix scheduled lands
-// before the window's end (push panics otherwise) — so what the window
-// computes is the same wherever it does.
+// worker takes to arrive, and span two lanes or more, it summons the
+// workers and keeps firing. At the first event boundary after one
+// arrives the workers fire the rest and the loop commits it; a window
+// that ends first cancels the summon. Only the host's timing decides
+// where a window splits; the lookahead argument holds for any suffix of a
+// window — nothing the prefix scheduled lands before the window's end
+// (push panics otherwise) — so what the window computes is the same
+// wherever it does.
 func (s *Sim) fireWindow(head *entry) {
 	end := head.at + s.lookahead
 	if s.limit > 0 && end > s.limit {
@@ -202,33 +252,47 @@ func (s *Sim) fireWindow(head *entry) {
 		pool = max(1, s.procs/int(running.Load()))
 	}
 	var (
-		last  time.Duration // host time of the last pace sample
-		lastI int           // its index
-		check = -1          // index of the next pace check; none on a pool of one
+		last   time.Duration // host time of the last pace sample
+		lastI  int           // its index
+		pace   time.Duration // host time per event over the last sample
+		check  = -1          // index of the next pace check; none on a pool of one
+		handed time.Duration // host time of the hand-off
+		ahead  time.Duration // the remainder's inline time then, at that pace
 	)
 	if pool > 1 {
 		last, check = hosttime.Now(), 0
+		if s.arriveAt > 0 {
+			s.summon(s.unfiredLanes(pool) - 1)
+			check = -1
+		}
 	}
 	onWorkers := false
 	for i, li := range s.order {
+		if s.summoned > 0 && s.arrivedBy(i) {
+			if s.unfiredLanes(2) == 2 {
+				handed, ahead = hosttime.Now(), pace*time.Duration(len(s.order)-i)
+				s.counts.WorkerEvents += uint64(len(s.order) - i)
+				s.handOff()
+				onWorkers = true
+			} else {
+				s.cancel()
+			}
+		}
 		if i == check {
 			if check++; i >= paceCheckEvery {
 				check = i + paceCheckEvery
 			}
-			var ahead time.Duration
 			if i > 0 {
 				now := hosttime.Now()
 				if n, dt := i-lastI, now-last; n >= paceCheckEvery || dt >= paceSampleTime {
-					ahead = dt / time.Duration(n) * time.Duration(len(s.order)-i)
+					pace = dt / time.Duration(n)
 					last, lastI = now, i
 				}
 			}
-			if ahead >= handoffBreakEven {
-				check = -1 // the rest goes to the workers, or is all on one lane
-				if workers := s.unfiredLanes(pool); workers > 1 {
-					s.counts.WorkerEvents += uint64(len(s.order) - i)
-					s.fireOnWorkers(workers)
-					onWorkers = true
+			if pace > 0 && pace*time.Duration(len(s.order)-i) >= s.rule.arrival {
+				check = -1 // one decision a window
+				if workers := s.unfiredLanes(pool); workers > 1 && s.rule.summoning() {
+					s.summon(workers - 1)
 				}
 			}
 		}
@@ -245,7 +309,13 @@ func (s *Sim) fireWindow(head *entry) {
 	}
 	if onWorkers {
 		s.owner.EndWindow()
+		if ahead > 0 {
+			s.rule.sampleSaving(ahead, hosttime.Now()-handed)
+		}
 	} else {
+		if s.summoned > 0 {
+			s.cancel()
+		}
 		s.counts.Inline++
 	}
 	s.windowEnd = 0
@@ -270,38 +340,118 @@ func (s *Sim) unfiredLanes(limit int) int {
 	return n
 }
 
-// fireOnWorkers fires what is left of the gathered window's lanes on the
-// given number of workers, Run's goroutine being worker 0 — it fires lanes
-// while the parked ones start — and returns when all have fired.
-func (s *Sim) fireOnWorkers(workers int) {
-	s.counts.HandedOff++
-	s.owner.BeginWindow(workers)
-	for len(s.wake) < workers-1 {
-		// Buffered so that Run's goroutine never waits for a worker to
-		// park before it starts on its own share.
-		wake := make(chan struct{}, 1)
-		s.wake = append(s.wake, wake)
+// summon wakes workers 1..n for the window being fired, starting those
+// this Run has not started yet, and returns at once.
+func (s *Sim) summon(n int) {
+	for ; s.live < n; s.live++ {
+		if s.live == len(s.workers) {
+			s.workers = append(s.workers, &workerSlot{wake: make(chan struct{}, 1)})
+		}
 		s.exitWG.Add(1)
-		go s.worker(len(s.wake), wake)
+		go s.worker(s.live+1, s.workers[s.live])
 	}
+	s.counts.Summoned++
+	s.summoned, s.summonedAt = n, hosttime.Now()
+	for _, ws := range s.workers[:n] {
+		ws.state.Store(summoned)
+		select {
+		case ws.wake <- struct{}{}:
+		default: // a cancelled summon's token is still there: it will do
+		}
+	}
+}
+
+// arrivedBy reports whether a summoned worker is there to take the
+// window's events from event i on. Under ArriveAt it is there at the set
+// event, once it has arrived, and nowhere else.
+func (s *Sim) arrivedBy(i int) bool {
+	if s.arriveAt > 0 && i != s.arriveAt-1 {
+		return false
+	}
+	for {
+		for _, ws := range s.workers[:s.summoned] {
+			if ws.state.Load() == arrived {
+				return true
+			}
+		}
+		if s.arriveAt == 0 {
+			return false
+		}
+		osYield()
+	}
+}
+
+// handOff fires what is left of the gathered window's lanes on Run's
+// goroutine — worker 0 — and on the summoned workers that have arrived,
+// cancels the others, and returns when all have fired.
+func (s *Sim) handOff() {
+	s.counts.HandedOff++
+	s.owner.BeginWindow(s.summoned + 1)
 	s.parallel = true
 	s.claim.Store(0)
-	s.windowWG.Add(workers - 1)
-	for _, wake := range s.wake[:workers-1] {
-		wake <- struct{}{}
-	}
+	s.resolve(true)
 	s.fireLanes(0)
 	s.windowWG.Wait()
 	s.parallel = false
 }
 
-// worker fires its share of every window it is woken for, parked in
-// between, until stopWorkers closes its channel.
-func (s *Sim) worker(w int, wake <-chan struct{}) {
+// cancel sends the summoned workers back without a share.
+func (s *Sim) cancel() {
+	s.counts.Cancelled++
+	s.resolve(false)
+}
+
+// resolve ends the window's summon. A worker that has not arrived is
+// cancelled on its way; one that has fires the remainder if fire is set
+// and is sent back otherwise. Either way its time since the summon is a
+// sample of the arrival latency.
+func (s *Sim) resolve(fire bool) {
+	now := hosttime.Now()
+	for _, ws := range s.workers[:s.summoned] {
+		if ws.state.CompareAndSwap(summoned, parked) {
+			s.rule.sampleArrival(now-s.summonedAt, true)
+			continue
+		}
+		s.rule.sampleArrival(time.Duration(ws.arrivedAt.Load())-s.summonedAt, false)
+		if fire {
+			s.windowWG.Add(1)
+			ws.state.Store(firing)
+		} else {
+			ws.state.Store(parked)
+		}
+	}
+	s.summoned = 0
+}
+
+// worker answers every summon it is woken for until stopWorkers stops it.
+func (s *Sim) worker(w int, ws *workerSlot) {
 	defer s.exitWG.Done()
-	for range wake {
-		s.fireLanes(w)
-		s.windowWG.Done()
+	for range ws.wake {
+		if ws.stop.Load() {
+			return
+		}
+		s.attend(w, ws)
+	}
+}
+
+// attend arrives, waits for Run's goroutine to hand it the remainder or
+// send it back — which it does at its next event boundary — fires its
+// share if handed one, and returns once its slot is parked again.
+func (s *Sim) attend(w int, ws *workerSlot) {
+	for {
+		switch ws.state.Load() {
+		case parked:
+			return
+		case summoned:
+			ws.arrivedAt.Store(int64(hosttime.Now()))
+			ws.state.CompareAndSwap(summoned, arrived) // fails only to a cancel
+		case arrived:
+			osYield()
+		case firing:
+			s.fireLanes(w)
+			ws.state.Store(parked)
+			s.windowWG.Done()
+		}
 	}
 }
 
@@ -329,11 +479,23 @@ func (s *Sim) fireLanes(w int) {
 	}
 }
 
-// stopWorkers ends the workers Run started and waits for them to return.
+// stopWorkers ends the workers Run started and waits for them to return;
+// their slots serve the next Run's. A window cut short by a panic may have
+// left a summon open: such slots are parked first, so no worker waits for
+// a verdict that will not come.
 func (s *Sim) stopWorkers() {
-	for _, wake := range s.wake {
-		close(wake)
+	for _, ws := range s.workers[:s.live] {
+		ws.state.CompareAndSwap(summoned, parked)
+		ws.state.CompareAndSwap(arrived, parked)
+		ws.stop.Store(true)
+		select {
+		case ws.wake <- struct{}{}:
+		default: // the token waiting there is taken after the store
+		}
 	}
-	s.wake = s.wake[:0]
 	s.exitWG.Wait()
+	for _, ws := range s.workers[:s.live] {
+		ws.stop.Store(false) // a token left on wake finds a parked slot
+	}
+	s.live, s.summoned = 0, 0
 }

@@ -20,34 +20,17 @@ func setProcs(t *testing.T, procs int) {
 	t.Cleanup(func() { runtime.GOMAXPROCS(prev) })
 }
 
-// never is a break-even no window reaches: every window fires inline.
-const never = time.Duration(1 << 62)
-
-// setBreakEven sets the hand-off break-even for the rest of the test: 0
-// hands every window with two lanes or more to the workers before its
-// first event, never keeps every window inline.
-func setBreakEven(t testing.TB, d time.Duration) {
-	t.Helper()
-	t.Cleanup(SetHandoffBreakEven(d))
-}
-
 // logLanes is the smallest honest Lanes owner: a lane event reaches shared
 // state only through do, which runs the closure at once when events fire
 // one by one and holds it back until the event commits when a window
-// fires on workers.
-//
-// With splitAfter set it also forces where windows split: the break-even
-// drops to 0 once that many events have fired inline since the last
-// hand-off, so the next pace check hands the rest of the window off, and
-// goes back to never when that window ends. splits journals how many had
-// fired inline at each hand-off.
+// fires on workers. splits journals how many events had fired inline since
+// the last hand-off at each hand-off.
 type logLanes struct {
-	sim        *Sim
-	windowed   bool
-	lanes      []logLane
-	splitAfter int // 0: leave the break-even alone
-	inline     int
-	splits     []int
+	sim      *Sim
+	windowed bool
+	lanes    []logLane
+	inline   int
+	splits   []int
 }
 
 type logLane struct {
@@ -64,9 +47,7 @@ func newLogLanes(sim *Sim, lanes int) *logLanes {
 
 func (o *logLanes) do(lane int, fn func()) {
 	if !o.windowed {
-		if o.inline++; o.inline == o.splitAfter {
-			handoffBreakEven = 0
-		}
+		o.inline++
 		fn()
 		return
 	}
@@ -95,10 +76,7 @@ func (o *logLanes) Commit(lane int) {
 }
 
 func (o *logLanes) EndWindow() {
-	o.windowed = false
-	if o.inline = 0; o.splitAfter > 0 {
-		handoffBreakEven = never
-	}
+	o.windowed, o.inline = false, 0
 	for i := range o.lanes {
 		o.lanes[i].log, o.lanes[i].next = o.lanes[i].log[:0], 0
 	}
@@ -170,71 +148,73 @@ func (st *storm) fire(lane int) {
 	})
 }
 
-// TestLaneWindowsMatchSerialLoop runs the storm on a pool of one and on a
-// pool of four: everything observable must be identical.
+// runStorm runs the storm and fails the test if a worker outlives Run.
+func runStorm(t *testing.T, st *storm) {
+	t.Helper()
+	before := runtime.NumGoroutine()
+	if err := st.sim.Run(); err != nil {
+		t.Fatal(err)
+	}
+	// Run's workers have returned (stopWorkers waits for them); give the
+	// runtime a moment to retire the goroutines it counts — longer than a
+	// few yields when there are more workers than CPUs.
+	for deadline := time.Now().Add(time.Second); runtime.NumGoroutine() > before && time.Now().Before(deadline); {
+		time.Sleep(100 * time.Microsecond)
+	}
+	if after := runtime.NumGoroutine(); after > before {
+		t.Errorf("procs=%d: %d goroutines before Run, %d after", runtime.GOMAXPROCS(0), before, after)
+	}
+}
+
+// TestLaneWindowsMatchSerialLoop runs the storm on a pool of one, on a pool
+// of four with every window handed off whole, and on a pool of two where
+// the host decides: everything observable must be identical.
 func TestLaneWindowsMatchSerialLoop(t *testing.T) {
-	setBreakEven(t, 0)
-	run := func(procs int) *storm {
+	run := func(procs, k int) *storm {
 		setProcs(t, procs)
 		st := newStorm(20000)
-		before := runtime.NumGoroutine()
-		if err := st.sim.Run(); err != nil {
-			t.Fatal(err)
-		}
-		// Run's workers have returned (stopWorkers waits for them); give
-		// the runtime a moment to retire the goroutines it counts.
-		for i := 0; i < 1000 && runtime.NumGoroutine() > before; i++ {
-			runtime.Gosched()
-		}
-		if after := runtime.NumGoroutine(); after > before {
-			t.Errorf("procs=%d: %d goroutines before Run, %d after", procs, before, after)
-		}
+		st.sim.ArriveAt(k)
+		runStorm(t, st)
 		return st
 	}
-	serial, parallel := run(1), run(4)
+	serial := run(1, -1)
 	if serial.sim.ParallelWindows() != 0 {
 		t.Errorf("pool of one fired %d windows on workers", serial.sim.ParallelWindows())
 	}
-	if parallel.sim.ParallelWindows() == 0 {
-		t.Fatal("pool of four fired no window on workers: the test compares nothing")
-	}
-	if s, p := serial.sim.TraceHash(), parallel.sim.TraceHash(); s != p {
-		t.Errorf("trace hash %x on one worker, %x on four", s, p)
-	}
-	if s, p := serial.sim.FiredCount(), parallel.sim.FiredCount(); s != p || s != 20000+8*stormLanes {
-		t.Errorf("fired %d on one worker, %d on four, want %d", s, p, 20000+8*stormLanes)
-	}
-	if s, p := serial.sim.Now(), parallel.sim.Now(); s != p {
-		t.Errorf("clock ends at %v on one worker, %v on four", s, p)
-	}
-	if !reflect.DeepEqual(serial.shared, parallel.shared) {
-		t.Error("shared journals differ: events committed in different orders")
-	}
-	if !reflect.DeepEqual(serial.perLan, parallel.perLan) {
-		t.Error("lane journals differ: a lane's events fired out of order or read a different clock")
+	for _, c := range []struct{ procs, k int }{{4, 0}, {2, -1}} {
+		parallel := run(c.procs, c.k)
+		if c.k == 0 && parallel.sim.ParallelWindows() == 0 {
+			t.Fatal("pool of four fired no window on workers: the test compares nothing")
+		}
+		if s, p := serial.sim.TraceHash(), parallel.sim.TraceHash(); s != p {
+			t.Errorf("procs=%d: trace hash %x on one worker, %x on several", c.procs, s, p)
+		}
+		if s, p := serial.sim.FiredCount(), parallel.sim.FiredCount(); s != p || s != 20000+8*stormLanes {
+			t.Errorf("procs=%d: fired %d on one worker, %d on several, want %d", c.procs, s, p, 20000+8*stormLanes)
+		}
+		if s, p := serial.sim.Now(), parallel.sim.Now(); s != p {
+			t.Errorf("procs=%d: clock ends at %v on one worker, %v on several", c.procs, s, p)
+		}
+		if !reflect.DeepEqual(serial.shared, parallel.shared) {
+			t.Errorf("procs=%d: shared journals differ: events committed in different orders", c.procs)
+		}
+		if !reflect.DeepEqual(serial.perLan, parallel.perLan) {
+			t.Errorf("procs=%d: lane journals differ: a lane's events fired out of order or read a different clock", c.procs)
+		}
 	}
 }
 
 // TestHandoffAtAnyIndexMatchesSerial splits windows everywhere a window can
-// split: the storm runs with the hand-off forced after k inline events for
-// every k of its first window — before the first event, with one event
-// left, and wherever in between a lane has events on both sides — and must
-// come out as it does on one goroutine. The later windows split wherever
-// the count since the last hand-off reaches k again.
+// split: the storm runs with its workers arriving at event k of every
+// window, for every k of its first — before the first event, with one
+// event left, and wherever in between a lane has events on both sides —
+// and must come out as it does on one goroutine.
 func TestHandoffAtAnyIndexMatchesSerial(t *testing.T) {
 	for _, shape := range []struct{ lanes, perLane int }{{3, 3}, {8, 4}} {
 		first := shape.lanes * shape.perLane // events of the first window
 		run := func(k int) *storm {
 			st := newStormOf(shape.lanes, shape.perLane, 3000)
-			switch {
-			case k < 0:
-				setBreakEven(t, never)
-			case k == 0:
-				setBreakEven(t, 0)
-			default:
-				setBreakEven(t, never)
-				st.owner.splitAfter = k
-			}
+			st.sim.ArriveAt(k)
 			if err := st.sim.Run(); err != nil {
 				t.Fatal(err)
 			}
@@ -261,13 +241,12 @@ func TestHandoffAtAnyIndexMatchesSerial(t *testing.T) {
 				if !reflect.DeepEqual(serial.perLan, got.perLan) {
 					t.Errorf("%dx%d procs=%d k=%d: a lane's events fired out of order or read a different clock", shape.lanes, shape.perLane, procs, k)
 				}
-				// Every index up to paceCheckEvery is a pace check, so there
-				// the first window splits exactly at k — if two lanes are left.
+				// The first window splits exactly at k — if two lanes are left.
 				left := map[int]bool{}
 				for _, ev := range serial.shared[k:first] {
 					left[ev.lane] = true
 				}
-				if procs > 1 && k <= paceCheckEvery && len(left) > 1 {
+				if procs > 1 && len(left) > 1 {
 					if sp := got.owner.splits; len(sp) == 0 || sp[0] != k {
 						t.Errorf("%dx%d procs=%d k=%d: hand-offs after %v inline events", shape.lanes, shape.perLane, procs, k, sp)
 					}
@@ -283,15 +262,50 @@ func TestHandoffAtAnyIndexMatchesSerial(t *testing.T) {
 	}
 }
 
+// TestLaneCountsAccountForEveryWindow pins what LaneCounts reports, under
+// the host's rule and under forced arrivals — at the first event, inside
+// the larger windows, and after every window's end: every window is
+// counted once, inline or handed off; every summon ends inside its window,
+// in a hand-off or a cancel; a pool of one never summons; and no worker
+// outlives Run.
+func TestLaneCountsAccountForEveryWindow(t *testing.T) {
+	run := func(procs, k int) LaneCounts {
+		setProcs(t, procs)
+		st := newStorm(20000)
+		st.sim.ArriveAt(k)
+		runStorm(t, st)
+		return st.sim.LaneCounts()
+	}
+	windows := run(1, -1).Inline
+	for _, procs := range []int{1, 2, 4} {
+		for _, k := range []int{-1, 0, 100, 1 << 20} {
+			c := run(procs, k)
+			if c.Inline+c.HandedOff != windows || c.HandedOff > c.Summoned || c.Summoned != c.HandedOff+c.Cancelled || (c.HandedOff == 0) != (c.WorkerEvents == 0) {
+				t.Errorf("procs=%d k=%d: counts %+v in %d windows", procs, k, c, windows)
+			}
+			switch {
+			case procs == 1 && c.Summoned != 0:
+				t.Errorf("k=%d: a pool of one summoned %d times", k, c.Summoned)
+			case procs > 1 && k == 0 && c.HandedOff == 0:
+				t.Errorf("procs=%d: workers arriving at every window's first event took none", procs)
+			case procs > 1 && k == 1<<20 && (c.HandedOff != 0 || c.Cancelled == 0):
+				t.Errorf("procs=%d: workers arriving after every window's end: %+v", procs, c)
+			case procs > 1 && k >= 0 && c.Arrival == 0:
+				t.Errorf("procs=%d k=%d: %d summons measured no arrival latency", procs, k, c.Summoned)
+			}
+		}
+	}
+}
+
 // TestUntaggedEventIsBarrier puts an untagged event in the middle of what
 // would be one window: the lane events before it fire (and commit) before
 // it runs, the ones after it after.
 func TestUntaggedEventIsBarrier(t *testing.T) {
-	// Events this light never look worth a hand-off to the measured rule.
-	setBreakEven(t, 0)
+	// Events this light never look worth a summons to the measured rule.
 	for _, procs := range []int{1, 4} {
 		setProcs(t, procs)
 		sim := New()
+		sim.ArriveAt(0)
 		owner := newLogLanes(sim, stormLanes)
 		committed := 0
 		lane := func(l int) func() {
@@ -324,12 +338,12 @@ func TestUntaggedEventIsBarrier(t *testing.T) {
 // it. Either way exactly the events up to the cut fire, and a later Run
 // fires the rest.
 func TestDeadlineAndStopInsideWindow(t *testing.T) {
-	setBreakEven(t, 0)
 	for _, procs := range []int{1, 4} {
 		setProcs(t, procs)
 		const events = 8 * stormLanes
 		build := func() (*Sim, *int) {
 			sim := New()
+			sim.ArriveAt(0)
 			owner := newLogLanes(sim, stormLanes)
 			committed := new(int)
 			for i := 0; i < events; i++ {
@@ -375,9 +389,9 @@ func TestDeadlineAndStopInsideWindow(t *testing.T) {
 // one event at a step, then a stretch: lane events fire inline, act
 // directly, and LaneNow follows the clock.
 func TestStepAndRunUntilAfterParallelRun(t *testing.T) {
-	setBreakEven(t, 0)
 	setProcs(t, 4)
 	st := newStorm(2000)
+	st.sim.ArriveAt(0)
 	if err := st.sim.Run(); err != nil {
 		t.Fatal(err)
 	}
@@ -408,10 +422,10 @@ func TestStepAndRunUntilAfterParallelRun(t *testing.T) {
 // on is enforced, not assumed: an event a lane schedules inside the
 // window being fired panics, on one worker and on four alike.
 func TestLaneTimerShorterThanLookaheadRejected(t *testing.T) {
-	setBreakEven(t, 0)
 	for _, procs := range []int{1, 4} {
 		setProcs(t, procs)
 		sim := New()
+		sim.ArriveAt(0)
 		owner := newLogLanes(sim, stormLanes)
 		for i := 0; i < 8*stormLanes; i++ {
 			l := i % stormLanes
@@ -457,54 +471,81 @@ func spin(x uint64, iters int) uint64 {
 	return x
 }
 
-// BenchmarkWindowHandoff times one window of 64 events on 64 lanes — a
-// round tick's shape — fired inline and handed to the workers before its
-// first event, at several window weights (the sub-benchmark's name is the
-// whole window's nominal inline work). Between windows Run's goroutine
-// works alone for a while, as it does between a simulation's heavy
-// windows, so that the workers are found parked. Where the two columns
-// meet is the break-even that handoffBreakEven's comment cites.
+// BenchmarkWindowHandoff fires windows of 512 events on 64 lanes — a
+// delivery round's shape — under the hand-off rule, at several weights
+// (the sub-benchmark's name is a window's nominal inline work), all in one
+// Run: between two windows Run's goroutine works alone for 300 µs, as it
+// does between a simulation's busy windows, so that the workers are found
+// parked. It reports a window's wall time, how long a summoned worker took
+// to arrive in the windows it took over, and the share of windows handed
+// off.
 func BenchmarkWindowHandoff(b *testing.B) {
-	const events = 64
+	const lanes, perLane = 64, 8
 	start := time.Now()
 	spinSink = spin(1, 1<<22)
 	perIter := float64(time.Since(start)) / (1 << 22)
 	alone := int(float64(300*time.Microsecond) / perIter)
-	for _, window := range []time.Duration{125, 250, 500, 1000, 2000, 4000} {
+	quantile := func(d []time.Duration, q float64) float64 {
+		slices.Sort(d)
+		return float64(d[int(q*float64(len(d)-1))].Nanoseconds()) / 1e3
+	}
+	for _, window := range []time.Duration{125, 250, 500, 1000, 2000} {
 		window *= time.Microsecond
-		iters := int(float64(window/events) / perIter)
-		for _, mode := range []struct {
-			name      string
-			breakEven time.Duration
-		}{{"inline", never}, {"handoff", 0}} {
-			b.Run(window.String()+"/"+mode.name, func(b *testing.B) {
-				setBreakEven(b, mode.breakEven)
-				sim := New()
-				owner := newLogLanes(sim, events)
-				var words [events]struct {
-					x uint64
-					_ [56]byte
+		iters := int(float64(window/(lanes*perLane)) / perIter)
+		b.Run(window.String(), func(b *testing.B) {
+			sim := New()
+			owner := newLogLanes(sim, lanes)
+			var words [lanes]struct {
+				x uint64
+				_ [56]byte
+			}
+			fns := make([]func(), lanes)
+			for l := range fns {
+				fns[l] = func() {
+					words[l].x = spin(words[l].x, iters)
+					owner.do(l, func() {})
 				}
-				spans := make([]time.Duration, 0, b.N)
-				for i := 0; i < b.N; i++ {
-					spinSink = spin(spinSink, alone)
-					began := time.Now()
-					base := sim.Now() + testLookahead
-					for l := 0; l < events; l++ {
-						sim.ScheduleLane(l, base+time.Duration(l), func() {
-							words[l].x = spin(words[l].x, iters)
-							owner.do(l, func() {})
-						})
-					}
-					if err := sim.Run(); err != nil {
-						b.Fatal(err)
-					}
+			}
+			var (
+				spans, arrivals []time.Duration
+				began           time.Time
+				handed          uint64
+				between         func()
+			)
+			// between closes the window before it and schedules the next.
+			between = func() {
+				if !began.IsZero() {
 					spans = append(spans, time.Since(began))
+					if c := sim.LaneCounts(); c.HandedOff > handed {
+						handed = c.HandedOff
+						arrivals = append(arrivals, time.Duration(sim.workers[0].arrivedAt.Load())-sim.summonedAt)
+					}
 				}
-				slices.Sort(spans)
-				b.ReportMetric(float64(spans[len(spans)/2].Nanoseconds())/1e3, "p50-µs/window")
-				b.ReportMetric(float64(spans[len(spans)*9/10].Nanoseconds())/1e3, "p90-µs/window")
-			})
-		}
+				if len(spans) == b.N {
+					return
+				}
+				spinSink = spin(spinSink, alone)
+				base := sim.Now() + 1
+				for j := 0; j < perLane; j++ {
+					for l, fn := range fns {
+						sim.ScheduleLane(l, base+time.Duration(j*lanes+l), fn)
+					}
+				}
+				sim.Schedule(sim.Now()+2*testLookahead, between)
+				began = time.Now()
+			}
+			sim.Schedule(0, between)
+			b.ResetTimer()
+			if err := sim.Run(); err != nil {
+				b.Fatal(err)
+			}
+			b.ReportMetric(quantile(spans, 0.5), "p50-µs/window")
+			b.ReportMetric(quantile(spans, 0.9), "p90-µs/window")
+			if len(arrivals) > 0 {
+				b.ReportMetric(quantile(arrivals, 0.5), "p50-µs-to-arrive")
+				b.ReportMetric(quantile(arrivals, 0.9), "p90-µs-to-arrive")
+			}
+			b.ReportMetric(100*float64(handed)/float64(len(spans)), "%-handed-off")
+		})
 	}
 }

@@ -67,13 +67,18 @@ type Sim struct {
 	active    []int32 // lanes with an event in the window, by first event
 	procs     int     // GOMAXPROCS, read once per Run; see running
 	// parallel is set while workers fire a window: LaneNow then answers
-	// from the lane, not from now. Written only while the workers park.
-	parallel bool
-	wake     []chan struct{} // one per started worker besides Run's goroutine
-	claim    atomic.Int32    // next unclaimed index of active
-	windowWG sync.WaitGroup  // workers still firing the current window
-	exitWG   sync.WaitGroup  // workers not yet returned
-	counts   LaneCounts
+	// from the lane, not from now. Written only while no worker fires.
+	parallel   bool
+	workers    []*workerSlot  // one per worker besides Run's goroutine ever started
+	live       int            // workers this Run has started: workers[:live]
+	summoned   int            // workers summoned for the window being fired
+	summonedAt time.Duration  // host time of that summon
+	arriveAt   int            // ArriveAt's k plus one; 0: the host decides
+	rule       handoffRule    // what hand-offs measured so far
+	claim      atomic.Int32   // next unclaimed index of active
+	windowWG   sync.WaitGroup // workers still firing the current window
+	exitWG     sync.WaitGroup // workers not yet returned
+	counts     LaneCounts
 }
 
 // SetHorizon hints the timescale most events are scheduled on: d should
