@@ -83,7 +83,7 @@ scenario-smoke:
 	@dir=$$(mktemp -d) && trap 'rm -rf "$$dir"' EXIT && \
 	$(GO) build -o "$$dir/p2pnode" ./cmd/p2pnode && \
 	$(GO) run ./cmd/p2pscenario -node-bin "$$dir/p2pnode" -out "$$dir" -keep \
-		-param delta=300ms scenarios/slow-link.toml && \
+		-param delta=300ms scenarios/slow-link.json && \
 	for f in "$$dir"/*/merged.jsonl; do \
 		$(GO) run ./cmd/p2ptrace -check "$$f" || exit 1; done
 
@@ -100,7 +100,7 @@ obs-live-smoke:
 	$(GO) build -o "$$dir/p2pnode" ./cmd/p2pnode && \
 	$(GO) run ./cmd/p2pscenario -node-bin "$$dir/p2pnode" -out "$$dir" -keep \
 		-stream -testcase erb-honest -instances 4 -param delta=300ms \
-		scenarios/honest-sweep.toml && \
+		scenarios/honest-sweep.json && \
 	$(GO) run ./cmd/p2ptrace -check "$$dir"/*/merged.jsonl && \
 	$(GO) run ./cmd/p2ptrace -spans "$$dir"/*/merged.jsonl
 

@@ -22,8 +22,9 @@
 // READY, and receives the full PEERS table plus the shared START instant
 // once every expected process has checked in. -epochs runs several
 // back-to-back protocol epochs on one schedule; a process relaunched by a
-// churn phase passes -resume-epoch to rejoin at the next epoch boundary
-// with recomputed (bumped) sequence numbers, per the restart lifecycle.
+// restart event of the manifest's fault schedule passes -resume-epoch to
+// rejoin at the next epoch boundary with recomputed (bumped) sequence
+// numbers, per the restart lifecycle.
 //
 // The demo shares one attestation-service key derived from -demo-secret:
 // in a production deployment each enclave would be attested by the real
@@ -241,9 +242,10 @@ func run(args []string) error {
 		exp = startExporter(trace, metrics, traceFile, streamTo)
 	}
 
-	// A terminating signal flushes before exiting: churn phases and manual
-	// interrupts get the same artifacts as a clean run. (SIGKILL cannot be
-	// caught — there the trace file ends at the exporter's last drain.)
+	// A terminating signal flushes before exiting: a SIGTERM or a manual
+	// interrupt gets the same artifacts as a clean run. (The runner's
+	// scheduled crashes are SIGKILLs, which cannot be caught — there the
+	// trace file ends at the exporter's last drain.)
 	sigc := make(chan os.Signal, 2)
 	signal.Notify(sigc, syscall.SIGTERM, os.Interrupt)
 	go func() {

@@ -1,17 +1,18 @@
 // Command p2pscenario orchestrates declarative multi-process scenarios:
-// it reads TOML manifests (scenarios/*.toml), spawns a fleet of p2pnode
-// processes over real TCP, runs the readiness barrier, fires churn
-// phases, collects every process's telemetry JSONL and result JSON, and
-// asserts the cross-process invariants (agreement, termination rounds,
-// trace consistency) centrally.
+// it reads JSON manifests (scenarios/*.json), spawns a fleet of p2pnode
+// processes over real TCP, runs the readiness barrier, fires the
+// testcase's fault schedule (crashes and restarts, in chaos.Schedule's
+// text form), collects every process's telemetry JSONL and result JSON,
+// and asserts the cross-process invariants (agreement, termination
+// rounds, trace consistency) centrally.
 //
 // Usage:
 //
-//	p2pscenario scenarios/honest-sweep.toml          # run all testcases (sweeps included)
-//	p2pscenario -list scenarios/*.toml               # list testcases
-//	p2pscenario -testcase erb-honest -instances 16 scenarios/honest-sweep.toml
-//	p2pscenario -param epochs=3 -param delta=300ms scenarios/slow-link.toml
-//	p2pscenario -stream -testcase erb-honest scenarios/honest-sweep.toml  # live plane on
+//	p2pscenario scenarios/honest-sweep.json          # run all testcases (sweeps included)
+//	p2pscenario -list scenarios/*.json               # list scenarios and testcases
+//	p2pscenario -testcase erb-honest -instances 16 scenarios/honest-sweep.json
+//	p2pscenario -param epochs=3 -param delta=300ms scenarios/slow-link.json
+//	p2pscenario -stream -testcase erb-honest scenarios/honest-sweep.json  # live plane on
 //	p2pscenario -bench BENCH_scenario.json -bench-n 128   # live fig2a point vs simnet
 //
 // -stream turns on the live observability plane: every node streams its
@@ -99,7 +100,7 @@ func run(args []string) error {
 
 	if *list {
 		for _, m := range manifests {
-			fmt.Printf("%s\n", m.Name)
+			fmt.Printf("%s: %s\n", m.Name, m.Description)
 			for _, tc := range m.Testcases {
 				sweep := ""
 				if len(tc.Sweep) > 0 {

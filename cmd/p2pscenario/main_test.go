@@ -22,7 +22,7 @@ func TestRunRejectsBadInvocations(t *testing.T) {
 		},
 		{
 			name:    "unknown testcase",
-			args:    []string{"-node-bin", "/bin/true", "-testcase", "nope", "../../scenarios/honest-sweep.toml"},
+			args:    []string{"-node-bin", "/bin/true", "-testcase", "nope", "../../scenarios/honest-sweep.json"},
 			wantErr: `no testcase named "nope" in the given manifests`,
 		},
 	} {

@@ -10,9 +10,10 @@ import (
 )
 
 // TestDocsNameOnlyThingsThatExist scans the documents that tell a reader
-// what to run for make targets, BENCH_*.json snapshots and cmd/
-// directories, and fails on any that is not in the tree — so retiring a
-// harness cannot leave instructions for it behind. Names retired with the
+// what to run for make targets, BENCH_*.json snapshots, cmd/ directories
+// and scenarios/ manifests, and fails on any that is not in the tree — so
+// retiring a harness or a manifest format cannot leave instructions for
+// it behind. Names retired with the
 // second telemetry path (the runner's streamed archive, the invariant that
 // compared it with the dumps, the tracer's ring option) may not reappear,
 // nor may the lane executor's event-count hand-off rule, which a measured
@@ -45,6 +46,7 @@ func TestDocsNameOnlyThingsThatExist(t *testing.T) {
 		{"make target", regexp.MustCompile("(?m)(?:`|^)make ([a-z][a-z0-9-]*)"), func(n string) bool { return targets[n] }},
 		{"snapshot", regexp.MustCompile(`(BENCH_\w+\.json)`), exists},
 		{"command", regexp.MustCompile(`(cmd/[a-z0-9]+)`), exists},
+		{"manifest", regexp.MustCompile(`(scenarios/[\w.-]+\.\w+)`), exists},
 		{"retired name", regexp.MustCompile(`(streamed\.jsonl|stream-parity|Options\.Ring)`), func(string) bool { return false }},
 		{"retired rule", regexp.MustCompile(`(minParallelEvents|256 events)`), func(string) bool { return false }},
 		{"retired name", regexp.MustCompile(`(Options\.Program|Sim\.Cancel|vclock\.Event|Sim\.Step|Sim\.At\b|Sim\.After\b)`), func(string) bool { return false }},

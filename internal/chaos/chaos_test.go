@@ -213,6 +213,90 @@ func TestScheduleValidate(t *testing.T) {
 	}
 }
 
+// TestFaultyChargesUnlistedMajority pins that nodes a partition lists in
+// no group sit in group 0, as the engine applies it: with {0} and {1, 2}
+// listed out of five, group 0 is {0, 3, 4}, so the cut-off minority to
+// charge is {1, 2}, which overflows t=1.
+func TestFaultyChargesUnlistedMajority(t *testing.T) {
+	s := NewSchedule().Partition([][]wire.NodeID{{0}, {1, 2}}, 1, 3)
+	if got := s.Faulty(5); !reflect.DeepEqual(got, []wire.NodeID{1, 2}) {
+		t.Fatalf("Faulty(5) = %v, want [1 2]", got)
+	}
+	if err := s.Validate(5, 1); err == nil {
+		t.Fatal("a 2-node minority passed a t=1 budget")
+	}
+}
+
+// TestParseScheduleRoundTrip pins ParseSchedule as the inverse of String:
+// on a schedule holding every kind, and on every generated schedule of
+// seeds 1–1000 at three network sizes.
+func TestParseScheduleRoundTrip(t *testing.T) {
+	every := NewSchedule().CrashAt(3, 2).
+		FlipBehavior(1, 1, "omit-all", adversary.OmitAll()).
+		FlipBehavior(1, 4, "honest", nil).
+		Partition([][]wire.NodeID{{0, 2, 4}, {1, 3}}, 2, 4)
+	every.RestartAfter(3, 1)
+	scheds := []*Schedule{NewSchedule(), every}
+	for _, nt := range [][2]int{{5, 2}, {9, 4}, {17, 8}} {
+		for seed := int64(1); seed <= 1000; seed++ {
+			scheds = append(scheds, Generate(seed, nt[0], nt[1], nt[1]+2))
+		}
+	}
+	for _, s := range scheds {
+		parsed, err := ParseSchedule(s.String())
+		if err != nil {
+			t.Fatalf("ParseSchedule(%q): %v", s, err)
+		}
+		if parsed.String() != s.String() {
+			t.Fatalf("round trip of %q gave %q", s, parsed)
+		}
+	}
+}
+
+// TestParseScheduleReplays runs parsed schedules: the text of a generated
+// schedule replays the identical run, so a printed Repro is a schedule.
+func TestParseScheduleReplays(t *testing.T) {
+	for seed := int64(1); seed <= 20; seed++ {
+		sched := Generate(seed, 9, 4, 6)
+		parsed, err := ParseSchedule(sched.String())
+		if err != nil {
+			t.Fatal(err)
+		}
+		a, err := RunERBSchedule(seed, 9, 4, sched)
+		if err != nil {
+			t.Fatal(err)
+		}
+		b, err := RunERBSchedule(seed, 9, 4, parsed)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if a.TraceHash != b.TraceHash || a.EventsHash != b.EventsHash {
+			t.Fatalf("seed %d (%s): parsed schedule replays %#x/%#x, generated %#x/%#x",
+				seed, sched, b.TraceHash, b.EventsHash, a.TraceHash, a.EventsHash)
+		}
+	}
+}
+
+// TestParseScheduleRejects pins what does not parse. omit-low is the bias
+// suite's in-process closure: it prints, but names no behavior in the
+// flips table.
+func TestParseScheduleRejects(t *testing.T) {
+	for _, text := range []string{
+		"explode(1)@r2",
+		"crash(1)@r2 heal",
+		"crash(1)",
+		"crash(1)@r-1",
+		"crash(1)@r0",
+		"crash(x)@r2",
+		"flip(1,omit-low)@r1",
+		"part([0 1|2)@r1",
+	} {
+		if s, err := ParseSchedule(text); err == nil {
+			t.Errorf("ParseSchedule(%q) = %q, want an error", text, s)
+		}
+	}
+}
+
 // TestGenerate checks the generator is deterministic and always within
 // the fault budget.
 func TestGenerate(t *testing.T) {

@@ -148,15 +148,7 @@ func (e *Engine) apply(ev Event) {
 		}
 		e.trace.Record(ev.Node, rnd, telemetry.KindFlip, wire.NoNode, 0, label)
 	case KindPartition:
-		group := make([]int, e.d.Opts.N)
-		for gi, g := range ev.Groups {
-			for _, id := range g {
-				if int(id) < len(group) {
-					group[id] = gi
-				}
-			}
-		}
-		e.group = group
+		e.group = groupOf(ev.Groups, e.d.Opts.N)
 		e.stats.Partitions++
 		e.trace.Record(wire.NoNode, rnd, telemetry.KindPartition, wire.NoNode,
 			uint64(len(ev.Groups)), groupsString(ev.Groups))

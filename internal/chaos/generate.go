@@ -3,7 +3,6 @@ package chaos
 import (
 	"math/rand"
 
-	"sgxp2p/internal/adversary"
 	"sgxp2p/internal/wire"
 )
 
@@ -59,22 +58,15 @@ func Generate(seed int64, n, t, rounds int) *Schedule {
 
 	for _, node := range victims[cut:] {
 		r := 1 + rng.Intn(rounds)
-		switch rng.Intn(5) {
-		case 0:
+		// 0 crashes; 1–4 flip to omit-all, omit-even, delay-all or
+		// corrupt-all, the byzantine rows of the flips table.
+		if k := rng.Intn(5); k == 0 {
 			s.CrashAt(node, r)
 			if rng.Intn(2) == 0 {
 				s.RestartAfter(node, 1+rng.Intn(3))
 			}
-		case 1:
-			s.FlipBehavior(node, r, "omit-all", adversary.OmitAll())
-		case 2:
-			s.FlipBehavior(node, r, "omit-even", adversary.OmitTo(func(dst wire.NodeID) bool {
-				return dst%2 == 0
-			}))
-		case 3:
-			s.FlipBehavior(node, r, "delay-all", adversary.DelayAll())
-		case 4:
-			s.FlipBehavior(node, r, "corrupt-all", adversary.CorruptEverything())
+		} else {
+			s.FlipBehavior(node, r, flips[k-1].label, flips[k-1].b)
 		}
 	}
 	return s

@@ -20,7 +20,9 @@ package chaos
 
 import (
 	"fmt"
+	"slices"
 	"sort"
+	"strconv"
 	"strings"
 
 	"sgxp2p/internal/adversary"
@@ -151,25 +153,20 @@ func (s *Schedule) Faulty(n int) []wire.NodeID {
 				faulty[ev.Node] = true
 			}
 		case KindPartition:
-			largest := -1
-			size := -1
-			for gi, g := range ev.Groups {
-				if len(g) > size {
-					largest, size = gi, len(g)
+			group := groupOf(ev.Groups, n)
+			size := make([]int, len(ev.Groups)+1)
+			for _, gi := range group {
+				size[gi]++
+			}
+			largest := 0
+			for gi := range size {
+				if size[gi] > size[largest] {
+					largest = gi
 				}
 			}
-			// Nodes in no listed group share group 0's fate; group 0
-			// merged with unlisted nodes is only "the largest group" if
-			// it is — conservatively charge all listed non-largest
-			// groups. Generate always lists the majority explicitly.
-			for gi, g := range ev.Groups {
-				if gi == largest {
-					continue
-				}
-				for _, id := range g {
-					if int(id) < n {
-						faulty[id] = true
-					}
+			for id, gi := range group {
+				if gi != largest {
+					faulty[id] = true
 				}
 			}
 		}
@@ -219,31 +216,171 @@ func (s *Schedule) Validate(n, t int) error {
 
 // String renders the schedule canonically: one token per event in
 // application order. Two schedules with equal String() apply the same
-// fault program (behaviors are identified by label).
+// fault program (behaviors are identified by label). ParseSchedule reads
+// it back.
 func (s *Schedule) String() string {
 	if len(s.events) == 0 {
 		return "fault-free"
 	}
-	toks := make([]string, 0, len(s.events))
-	for _, ev := range s.events {
-		switch ev.Kind {
-		case KindCrash:
-			toks = append(toks, fmt.Sprintf("crash(%d)@r%d", ev.Node, ev.Round))
-		case KindRestart:
-			toks = append(toks, fmt.Sprintf("restart(%d)@r%d", ev.Node, ev.Round))
-		case KindFlip:
-			label := ev.Label
-			if ev.Behavior == nil {
-				label = "honest"
-			}
-			toks = append(toks, fmt.Sprintf("flip(%d,%s)@r%d", ev.Node, label, ev.Round))
-		case KindPartition:
-			toks = append(toks, fmt.Sprintf("part([%s])@r%d", groupsString(ev.Groups), ev.Round))
-		case KindHeal:
-			toks = append(toks, fmt.Sprintf("heal@r%d", ev.Round))
-		}
+	toks := make([]string, len(s.events))
+	for i, ev := range s.events {
+		toks[i] = ev.String()
 	}
 	return strings.Join(toks, " ")
+}
+
+// String renders the event as its schedule token, e.g. "crash(4)@r10".
+func (ev Event) String() string {
+	switch ev.Kind {
+	case KindCrash:
+		return fmt.Sprintf("crash(%d)@r%d", ev.Node, ev.Round)
+	case KindRestart:
+		return fmt.Sprintf("restart(%d)@r%d", ev.Node, ev.Round)
+	case KindFlip:
+		label := ev.Label
+		if ev.Behavior == nil {
+			label = "honest"
+		}
+		return fmt.Sprintf("flip(%d,%s)@r%d", ev.Node, label, ev.Round)
+	case KindPartition:
+		return fmt.Sprintf("part([%s])@r%d", groupsString(ev.Groups), ev.Round)
+	case KindHeal:
+		return fmt.Sprintf("heal@r%d", ev.Round)
+	}
+	return fmt.Sprintf("kind%d@r%d", ev.Kind, ev.Round)
+}
+
+// flip is a behavior a schedule's text form names by its label.
+type flip struct {
+	label string
+	b     adversary.Behavior
+}
+
+// flips names every behavior a schedule's text can carry: ParseSchedule
+// looks a flip's label up here, and Generate draws its flips from it.
+var flips = []flip{
+	{"omit-all", adversary.OmitAll()},
+	{"omit-even", adversary.OmitTo(func(dst wire.NodeID) bool { return dst%2 == 0 })},
+	{"delay-all", adversary.DelayAll()},
+	{"corrupt-all", adversary.CorruptEverything()},
+	{"honest", nil},
+}
+
+// ParseSchedule reads a schedule back from its String() form — the text
+// Outcome.Repro prints and a scenario manifest's "faults" holds. Flip
+// labels must name a behavior in the flips table; a schedule built with a
+// closure of its own (FlipBehavior with another label) prints but does
+// not parse.
+func ParseSchedule(text string) (*Schedule, error) {
+	s := NewSchedule()
+	if strings.TrimSpace(text) == "fault-free" {
+		return s, nil
+	}
+	// A partition's groups hold spaces: rejoin fields inside its brackets.
+	var toks []string
+	for _, f := range strings.Fields(text) {
+		if k := len(toks) - 1; k >= 0 && strings.Count(toks[k], "[") > strings.Count(toks[k], "]") {
+			toks[k] += " " + f
+			continue
+		}
+		toks = append(toks, f)
+	}
+	for _, tok := range toks {
+		if err := s.parseEvent(tok); err != nil {
+			return nil, fmt.Errorf("chaos: %q: %w", tok, err)
+		}
+	}
+	return s, nil
+}
+
+// parseEvent appends the event one schedule token describes.
+func (s *Schedule) parseEvent(tok string) error {
+	head, r, ok := strings.Cut(tok, "@r")
+	if !ok {
+		return fmt.Errorf("no @r<round>")
+	}
+	round, err := strconv.Atoi(r)
+	if err != nil || round < 1 {
+		return fmt.Errorf("round %q is not a round ≥ 1", r)
+	}
+	name, args, _ := strings.Cut(head, "(")
+	args, closed := strings.CutSuffix(args, ")")
+	switch {
+	case head == "heal":
+		s.Heal(round)
+	case closed && (name == "crash" || name == "restart"):
+		node, err := parseID(args)
+		if err != nil {
+			return err
+		}
+		if name == "crash" {
+			s.CrashAt(node, round)
+		} else {
+			s.add(Event{Round: round, Kind: KindRestart, Node: node})
+		}
+	case closed && name == "flip":
+		id, label, _ := strings.Cut(args, ",")
+		node, err := parseID(id)
+		if err != nil {
+			return err
+		}
+		i := slices.IndexFunc(flips, func(f flip) bool { return f.label == label })
+		if i < 0 {
+			return fmt.Errorf("unknown behavior %q", label)
+		}
+		s.FlipBehavior(node, round, label, flips[i].b)
+	case closed && name == "part" && strings.HasPrefix(args, "[") && strings.HasSuffix(args, "]"):
+		var groups [][]wire.NodeID
+		for _, g := range strings.Split(args[1:len(args)-1], "|") {
+			group := []wire.NodeID{}
+			for _, id := range strings.Fields(g) {
+				node, err := parseID(id)
+				if err != nil {
+					return err
+				}
+				group = append(group, node)
+			}
+			groups = append(groups, group)
+		}
+		s.Partition(groups, round, round)
+	default:
+		return fmt.Errorf("unknown event")
+	}
+	return nil
+}
+
+// parseID reads one node id.
+func parseID(text string) (wire.NodeID, error) {
+	id, err := strconv.ParseUint(text, 10, 32)
+	if err != nil {
+		return 0, fmt.Errorf("node %q is not a node id", text)
+	}
+	return wire.NodeID(id), nil
+}
+
+// UnmarshalText makes a schedule decodable from its String() form, as a
+// scenario manifest's "faults" string is.
+func (s *Schedule) UnmarshalText(text []byte) error {
+	parsed, err := ParseSchedule(string(text))
+	if err != nil {
+		return err
+	}
+	*s = *parsed
+	return nil
+}
+
+// groupOf maps each of n nodes to its partition group; a node listed in
+// no group is in group 0.
+func groupOf(groups [][]wire.NodeID, n int) []int {
+	group := make([]int, n)
+	for gi, g := range groups {
+		for _, id := range g {
+			if int(id) < n {
+				group[id] = gi
+			}
+		}
+	}
+	return group
 }
 
 // groupsString renders a partition layout canonically: groups separated

@@ -176,7 +176,7 @@ func roundSkew(byNode map[int]time.Duration) skewStats {
 }
 
 // Gaps reports how many malformed or out-of-sequence stream lines were
-// seen — nonzero under churn (a relaunch restarts its sequence), zero in
+// seen — nonzero after a restart (a relaunch restarts its sequence), zero in
 // a clean run.
 func (a *Aggregator) Gaps() int {
 	a.mu.Lock()

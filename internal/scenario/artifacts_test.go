@@ -24,7 +24,7 @@ func TestCollectSkipsEmptyTraceAndMergeNamesIncarnation(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	nodes := []*NodeOutcome{{ID: 3}, {ID: 4}}
+	nodes := []*NodeOutcome{{ID: 3, Restarts: 1}, {ID: 4}}
 	for _, out := range nodes {
 		collectArtifacts(dir, out)
 	}

@@ -24,8 +24,8 @@ type NodeEvent struct {
 // process connects, announces READY <id> <addr>, and blocks; once all n
 // expected nodes have checked in the runner releases the barrier, which
 // sends every node the full PEERS table and the shared START instant. A
-// node that connects after the release — the relaunched half of a
-// crash-restart churn phase — receives the same table and instant
+// node that connects after the release — one relaunched by a restart
+// event of the fault schedule — receives the same table and instant
 // immediately, so a restart joins the original schedule.
 //
 // The conversation, one text line each:

@@ -91,7 +91,7 @@ func TestScenarioHonestERB(t *testing.T) {
 	if testing.Short() {
 		t.Skip("spawns a process fleet")
 	}
-	report := runCase(t, "honest-sweep.toml", "erb-honest", 4, map[string]string{
+	report := runCase(t, "honest-sweep.json", "erb-honest", 4, map[string]string{
 		"delta": "250ms", "epochs": "2",
 	})
 	for _, node := range report.Nodes {
@@ -101,10 +101,10 @@ func TestScenarioHonestERB(t *testing.T) {
 	}
 }
 
-// TestScenarioCrashRestart runs the crash-restart manifest: node 4 is
-// SIGKILLed mid-epoch 1 and a relaunched incarnation (same identity,
-// same address, re-derived keys) rejoins at epoch 2 — the PR 3 restart
-// lifecycle exercised across real process boundaries. The run is not
+// TestScenarioCrashRestart runs the crash-restart manifest: its faults
+// SIGKILL node 4 at round 10, mid-epoch 1, and a relaunched incarnation
+// (same identity, same address, re-derived keys) rejoins at epoch 2 — the
+// restart lifecycle exercised across real process boundaries. The run is not
 // streamed, and the killed incarnation still leaves its evidence: its
 // exporter appended whole lines up to its last drain, so trace-4-0.jsonl
 // parses strictly and its events are in the merged archive.
@@ -115,11 +115,11 @@ func TestScenarioCrashRestart(t *testing.T) {
 	// A longer Δ than the manifest default: the test suite shares the
 	// machine with every other package's tests, and a starved process
 	// that misses a whole round window fails its epoch legitimately.
-	report := runCase(t, "crash-restart.toml", "erb-crash-restart", 0, map[string]string{
+	report := runCase(t, "crash-restart.json", "erb-crash-restart", 0, map[string]string{
 		"delta": "300ms",
 	})
 	restarted := report.Nodes[4]
-	if !restarted.Crashed || !restarted.Restarted {
+	if !restarted.Crashed || restarted.Restarts != 1 {
 		t.Fatalf("node 4 outcome %+v", restarted)
 	}
 	if restarted.Result == nil {

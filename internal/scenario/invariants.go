@@ -87,7 +87,7 @@ func checkCompletion(nodes []*NodeOutcome, expectDone map[int]bool, params RunPa
 			missing = append(missing, fmt.Sprintf("node %d wrote no result", node.ID))
 			continue
 		}
-		want := params.Epochs - firstEpoch(node, params)
+		want := params.Epochs - firstEpoch(node)
 		if len(node.Result.Epochs) != want {
 			missing = append(missing, fmt.Sprintf("node %d covered %d/%d epochs", node.ID, len(node.Result.Epochs), want))
 		}
@@ -101,14 +101,11 @@ func checkCompletion(nodes []*NodeOutcome, expectDone map[int]bool, params RunPa
 	return []InvariantResult{inv}
 }
 
-// firstEpoch is the first epoch a node's final incarnation covers.
-func firstEpoch(node *NodeOutcome, params RunParams) int {
-	if node.Restarted {
-		// The relaunch rejoined one epoch after its crash; its result
-		// document starts there.
-		if node.Result != nil && len(node.Result.Epochs) > 0 {
-			return node.Result.Epochs[0].Epoch
-		}
+// firstEpoch is the first epoch a node's final incarnation covers: a
+// relaunch's result document starts at the epoch it rejoined.
+func firstEpoch(node *NodeOutcome) int {
+	if node.Restarts > 0 && len(node.Result.Epochs) > 0 {
+		return node.Result.Epochs[0].Epoch
 	}
 	return 0
 }

@@ -20,7 +20,7 @@ func TestScenarioLiveStream(t *testing.T) {
 	if testing.Short() {
 		t.Skip("spawns a process fleet")
 	}
-	m := repoManifest(t, "honest-sweep.toml")
+	m := repoManifest(t, "honest-sweep.json")
 	tc, err := m.Case("erb-honest")
 	if err != nil {
 		t.Fatal(err)

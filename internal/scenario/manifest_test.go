@@ -26,25 +26,32 @@ func repoManifest(t *testing.T, name string) *Manifest {
 	return m
 }
 
-// TestCheckedInManifestsParse pins that all four shipped manifests parse
-// and resolve with their defaults.
+// TestCheckedInManifestsParse pins that every shipped manifest parses and
+// validates with its defaults and at each sweep point.
 func TestCheckedInManifestsParse(t *testing.T) {
-	for _, name := range []string{
-		"honest-sweep.toml", "byzantine-chain.toml", "crash-restart.toml", "slow-link.toml",
-	} {
+	root, err := moduleRoot()
+	if err != nil {
+		t.Fatal(err)
+	}
+	paths, err := filepath.Glob(filepath.Join(root, "scenarios", "*.json"))
+	if err != nil || len(paths) == 0 {
+		t.Fatalf("no scenarios/*.json manifests (%v)", err)
+	}
+	for _, path := range paths {
+		name := filepath.Base(path)
 		m := repoManifest(t, name)
+		if m.Description == "" {
+			t.Errorf("%s: no description", name)
+		}
 		for i := range m.Testcases {
 			tc := &m.Testcases[i]
 			rp, err := tc.ResolveParams(nil)
 			if err != nil {
 				t.Fatalf("%s/%s: resolve: %v", name, tc.Name, err)
 			}
-			if err := tc.Validate(tc.Instances.Default, rp); err != nil {
-				t.Fatalf("%s/%s: validate: %v", name, tc.Name, err)
-			}
-			for _, n := range tc.Sweep {
+			for _, n := range append([]int{tc.Instances.Default}, tc.Sweep...) {
 				if err := tc.Validate(n, rp); err != nil {
-					t.Fatalf("%s/%s: sweep n=%d: %v", name, tc.Name, n, err)
+					t.Fatalf("%s/%s: n=%d: %v", name, tc.Name, n, err)
 				}
 			}
 		}
@@ -52,9 +59,9 @@ func TestCheckedInManifestsParse(t *testing.T) {
 }
 
 // TestResolveParamsDefaultsAndOverrides pins the merge order: built-in
-// defaults, then manifest defaults, then CLI overrides.
+// defaults, then manifest params, then CLI overrides.
 func TestResolveParamsDefaultsAndOverrides(t *testing.T) {
-	m := repoManifest(t, "honest-sweep.toml")
+	m := repoManifest(t, "honest-sweep.json")
 	tc, err := m.Case("erb-honest")
 	if err != nil {
 		t.Fatal(err)
@@ -63,7 +70,7 @@ func TestResolveParamsDefaultsAndOverrides(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if rp.Mode != "erb" || rp.T != 1 || rp.Delta != 200*time.Millisecond || rp.Epochs != 2 {
+	if rp.Mode != "erb" || rp.T != 1 || rp.Delta != 200*time.Millisecond || rp.Epochs != 2 || rp.SlowNode != -1 {
 		t.Fatalf("defaults = %+v", rp)
 	}
 	rp, err = tc.ResolveParams(map[string]string{"epochs": "5", "delta": "90ms", "mode": "erng"})
@@ -74,58 +81,63 @@ func TestResolveParamsDefaultsAndOverrides(t *testing.T) {
 		t.Fatalf("overrides = %+v", rp)
 	}
 	if _, err := tc.ResolveParams(map[string]string{"mode": "paxos"}); err == nil {
-		t.Fatal("bad enum override accepted")
+		t.Fatal("bad mode override accepted")
+	}
+	if _, err := tc.ResolveParams(map[string]string{"t": "two"}); err == nil {
+		t.Fatal("non-integer override accepted")
 	}
 	if _, err := tc.ResolveParams(map[string]string{"warp": "9"}); err == nil {
 		t.Fatal("unknown override accepted")
 	}
 }
 
-// TestManifestValidation pins the schema-level rejections.
+// TestManifestValidation pins the rejections ParseManifest makes before
+// anything runs: schema, params, and fault schedules a live fleet cannot
+// run.
 func TestManifestValidation(t *testing.T) {
+	// manifest wraps testcases; testcase is a valid one with extra fields.
+	manifest := func(cases ...string) string {
+		return `{"name": "x", "testcases": [` + strings.Join(cases, ", ") + `]}`
+	}
+	testcase := func(extra string) string {
+		return `{"name": "a", "instances": {"min": 5, "max": 8, "default": 5}` + extra + `}`
+	}
 	cases := []struct {
 		src, wantSub string
 	}{
-		{`name = "x"`, "no [[testcases]]"},
-		{
-			"name = \"x\"\n[[testcases]]\ninstances = { min = 2, max = 4, default = 2 }",
-			"missing name",
-		},
-		{
-			"name = \"x\"\n[[testcases]]\nname = \"a\"\ninstances = { min = 8, max = 4, default = 8 }",
-			"bad instances range",
-		},
-		{
-			"name = \"x\"\n[[testcases]]\nname = \"a\"\ninstances = { min = 2, max = 4, default = 2 }\n[testcases.params]\nwarp = { type = \"int\", default = 1 }",
-			"unknown parameter",
-		},
-		{
-			// The batching knob is not a manifest parameter (it lives on
-			// runtime.Config / deploy.Options only): rejected like any
-			// other unknown name.
-			"name = \"x\"\n[[testcases]]\nname = \"a\"\ninstances = { min = 2, max = 4, default = 2 }\n[testcases.params]\nnobatch = { type = \"bool\", default = true }",
-			"param \"nobatch\": unknown parameter",
-		},
-		{
-			"name = \"x\"\n[[testcases]]\nname = \"a\"\ninstances = { min = 2, max = 4, default = 2 }\n[[testcases.churn]]\naction = \"explode\"\nnode = 0\nepoch = 0",
-			"unknown action",
-		},
-		{
-			"name = \"x\"\n[[testcases]]\nname = \"a\"\ninstances = { min = 2, max = 4, default = 2 }\n[[testcases]]\nname = \"a\"\ninstances = { min = 2, max = 4, default = 2 }",
-			"duplicate testcase",
-		},
+		{`{"name": "x"}`, "no testcases"},
+		{manifest(`{"instances": {"min": 2, "max": 4, "default": 2}}`), "missing name"},
+		{manifest(`{"name": "a", "instances": {"min": 8, "max": 4, "default": 8}}`), "bad instances range"},
+		{manifest(testcase(`, "params": {"warp": 1}`)), `unknown parameter "warp"`},
+		// The batching knob is not a manifest parameter (it lives on
+		// runtime.Config / deploy.Options only): rejected like any other
+		// unknown name, as a param or as a field.
+		{manifest(testcase(`, "params": {"nobatch": true}`)), `unknown parameter "nobatch"`},
+		{manifest(testcase(`, "nobatch": true`)), `unknown field "nobatch"`},
+		{`{"name": "x", "nobatch": true, "testcases": []}`, `unknown field "nobatch"`},
+		{manifest(testcase(`, "params": {"mode": "paxos"}`)), "not erb or erng"},
+		{manifest(testcase(`, "params": {"delta": 250}`)), `param "delta"`},
+		{manifest(testcase(`, "faults": "explode(0)@r1"`)), "unknown event"},
+		{manifest(testcase(`, "faults": "flip(1,omit-all)@r2"`)), "flip(1,omit-all)@r2: a live fleet can only crash and restart"},
+		{manifest(testcase(`, "params": {"t": 2}, "faults": "part([0 1 2|3])@r2"`)), "part([0 1 2|3])@r2: a live fleet can only crash and restart"},
+		{manifest(testcase(`, "params": {"epochs": 2}, "faults": "crash(4)@r2 restart(4)@r6"`)), "no later epoch to rejoin"},
+		{manifest(testcase(`, "faults": "restart(4)@r2"`)), "has not crashed"},
+		{manifest(testcase(`, "faults": "crash(4)@r6"`)), "past the run's last round 5"},
+		{manifest(testcase(`, "faults": "crash(9)@r1"`)), "out of range"},
+		{manifest(testcase(""), testcase("")), "duplicate testcase"},
 	}
 	for _, tc := range cases {
 		if _, err := ParseManifest(tc.src); err == nil || !strings.Contains(err.Error(), tc.wantSub) {
-			t.Errorf("ParseManifest err = %v, want substring %q", err, tc.wantSub)
+			t.Errorf("ParseManifest(%s) err = %v, want substring %q", tc.src, err, tc.wantSub)
 		}
 	}
 }
 
 // TestValidateRunConstraints pins the run-level checks: instance bounds,
-// the 2t+1 relation, chain and churn ranges.
+// the 2t+1 relation, positive Δ, chain ranges and the fault schedule's
+// rejoin epoch.
 func TestValidateRunConstraints(t *testing.T) {
-	m := repoManifest(t, "crash-restart.toml")
+	m := repoManifest(t, "crash-restart.json")
 	tc, err := m.Case("")
 	if err != nil {
 		t.Fatal(err)
@@ -140,19 +152,21 @@ func TestValidateRunConstraints(t *testing.T) {
 	if err := tc.Validate(1000, rp); err == nil {
 		t.Fatal("instances above max accepted")
 	}
-	bad := rp
-	bad.T = 10
-	if err := tc.Validate(5, bad); err == nil {
-		t.Fatal("t above (n-1)/2 accepted")
-	}
-	bad = rp
-	bad.ChainLen = rp.T + 1
-	if err := tc.Validate(5, bad); err == nil {
-		t.Fatal("chain_len above t accepted")
-	}
-	bad = rp
-	bad.Epochs = 2
-	if err := tc.Validate(5, bad); err == nil {
-		t.Fatal("crash-restart with no rejoin epoch accepted")
+	for _, c := range []struct {
+		what string
+		edit func(*RunParams)
+	}{
+		{"t above (n-1)/2", func(p *RunParams) { p.T = 10 }},
+		{"t < 0", func(p *RunParams) { p.T = -1 }},
+		{"delta = 0", func(p *RunParams) { p.Delta = 0 }},
+		{"delta < 0", func(p *RunParams) { p.Delta = -time.Second }},
+		{"chain_len above t", func(p *RunParams) { p.ChainLen = p.T + 1 }},
+		{"restart with no rejoin epoch", func(p *RunParams) { p.Epochs = 2 }},
+	} {
+		bad := rp
+		c.edit(&bad)
+		if err := tc.Validate(5, bad); err == nil {
+			t.Errorf("%s accepted", c.what)
+		}
 	}
 }

@@ -11,6 +11,8 @@ import (
 	"strconv"
 	"sync"
 	"time"
+
+	"sgxp2p/internal/chaos"
 )
 
 // EpochWindow is the wall-clock length of one live epoch slot under a
@@ -21,8 +23,17 @@ import (
 // rounds of slack cover finish callbacks and stragglers, and a round
 // lasts 2Δ.
 func EpochWindow(t int, delta time.Duration) time.Duration {
-	return time.Duration(t+2+2) * 2 * delta
+	return time.Duration(epochRounds(t)) * 2 * delta
 }
+
+// epochRounds is EpochWindow in rounds. A live run's fault schedule counts
+// rounds from round 1 of epoch 0, so epoch e starts at round
+// e·epochRounds(t)+1.
+func epochRounds(t int) int { return t + 2 + 2 }
+
+// resumeEpoch is the epoch a node relaunched at the start of round r
+// rejoins: the first one that starts after r.
+func resumeEpoch(r, t int) int { return (r-1)/epochRounds(t) + 1 }
 
 // NodeResult is p2pnode's -result-out JSON document: what the node
 // decided in each epoch, so the runner can assert cross-process
@@ -52,10 +63,10 @@ type NodeOutcome struct {
 	// ID is the node id; Byz marks a byzantine role (chain member).
 	ID  int
 	Byz bool
-	// Crashed marks a node a churn phase killed; Restarted that a new
-	// incarnation rejoined.
-	Crashed   bool
-	Restarted bool
+	// Crashed marks a node a fault killed; Restarts counts the
+	// incarnations relaunched after it.
+	Crashed  bool
+	Restarts int
 	// Result is the (final incarnation's) parsed result document, nil if
 	// the node never wrote one.
 	Result *NodeResult
@@ -128,8 +139,8 @@ type RunConfig struct {
 const profileGrace = 3 * time.Second
 
 // Run orchestrates one testcase: spawn the fleet, run the barrier
-// handshake, fire churn phases, collect traces and results, assert the
-// invariants.
+// handshake, fire the fault schedule, collect traces and results, assert
+// the invariants.
 func Run(cfg RunConfig) (*RunReport, error) {
 	n := cfg.Instances
 	if n == 0 {
@@ -181,7 +192,7 @@ func Run(cfg RunConfig) (*RunReport, error) {
 	defer fleet.killAll()
 
 	for id := 0; id < n; id++ {
-		if err := fleet.spawn(id, 0, 0, "127.0.0.1:0"); err != nil {
+		if err := fleet.spawn(id, 0, "127.0.0.1:0"); err != nil {
 			return nil, err
 		}
 	}
@@ -201,44 +212,40 @@ func Run(cfg RunConfig) (*RunReport, error) {
 	}
 	logf("scenario %s: barrier released, round 1 in %v, window %v", cfg.Testcase.Name, startDelay, window)
 
-	// Churn phases: kill mid-window; a crash-restart relaunches the node
-	// immediately with -resume-epoch so it rejoins at the next boundary.
-	var churnWG sync.WaitGroup
-	for _, phase := range cfg.Testcase.Churn {
-		killAt := start.Add(time.Duration(phase.Epoch)*window + window/2)
-		churnWG.Add(1)
-		go func() {
-			defer churnWG.Done()
-			time.Sleep(time.Until(killAt))
-			fleet.kill(phase.Node)
-			fleet.outcomes[phase.Node].Crashed = true
-			logf("scenario %s: churn: killed node %d mid-epoch %d", cfg.Testcase.Name, phase.Node, phase.Epoch)
-			if phase.Action != "crash-restart" {
-				return
+	// The fault schedule fires on the runner's clock, each event at the
+	// start of its round: a crash SIGKILLs the node, a restart relaunches
+	// it with -resume-epoch so it rejoins at the next epoch boundary.
+	faults := cfg.Testcase.Faults.Events()
+	faultsDone := make(chan struct{})
+	go func() {
+		defer close(faultsDone)
+		for _, ev := range faults {
+			time.Sleep(time.Until(start.Add(time.Duration(ev.Round-1) * 2 * cfg.Params.Delta)))
+			id := int(ev.Node)
+			if ev.Kind == chaos.KindCrash {
+				fleet.kill(id)
+				fleet.outcomes[id].Crashed = true
+				logf("scenario %s: %s: killed node %d", cfg.Testcase.Name, ev, id)
+				continue
 			}
-			addr, ok := barrier.NodeAddr(phase.Node)
-			if !ok {
-				logf("scenario %s: churn: node %d has no recorded address", cfg.Testcase.Name, phase.Node)
-				return
-			}
-			fleet.outcomes[phase.Node].Restarted = true
-			if err := fleet.spawn(phase.Node, 1, phase.Epoch+1, addr); err != nil {
-				logf("scenario %s: churn: relaunch of node %d failed: %v", cfg.Testcase.Name, phase.Node, err)
+			resume := resumeEpoch(ev.Round, cfg.Params.T)
+			addr, _ := barrier.NodeAddr(id)
+			fleet.outcomes[id].Restarts++
+			if err := fleet.spawn(id, resume, addr); err != nil {
+				logf("scenario %s: %s: relaunch of node %d failed: %v", cfg.Testcase.Name, ev, id, err)
 			} else {
-				logf("scenario %s: churn: relaunched node %d for epoch %d", cfg.Testcase.Name, phase.Node, phase.Epoch+1)
+				logf("scenario %s: %s: relaunched node %d for epoch %d", cfg.Testcase.Name, ev, id, resume)
 			}
-		}()
-	}
+		}
+	}()
 
-	// Every node is expected to report DONE except pure-crash victims.
+	// Every node is expected to report DONE except those a crash leaves down.
 	expectDone := make(map[int]bool, n)
 	for id := 0; id < n; id++ {
 		expectDone[id] = true
 	}
-	for _, phase := range cfg.Testcase.Churn {
-		if phase.Action == "crash" {
-			expectDone[phase.Node] = false
-		}
+	for _, ev := range faults {
+		expectDone[int(ev.Node)] = ev.Kind == chaos.KindRestart
 	}
 	pending := 0
 	for id := 0; id < n; id++ {
@@ -288,7 +295,7 @@ collect:
 			break collect
 		}
 	}
-	churnWG.Wait()
+	<-faultsDone
 	fleet.killAll()
 	fleet.reap()
 	report.WallTime = time.Since(began)
@@ -325,7 +332,7 @@ collect:
 // incarnations left in outDir. An incarnation killed before its
 // exporter's first drain leaves a zero-byte trace: nothing to merge.
 func collectArtifacts(outDir string, out *NodeOutcome) {
-	for inc := 0; inc <= 1; inc++ {
+	for inc := 0; inc <= out.Restarts; inc++ {
 		if doc, err := readResult(filepath.Join(outDir, resultName(out.ID, inc))); err == nil {
 			out.Result = doc
 		}
@@ -376,9 +383,11 @@ type fleet struct {
 	outcomes []*NodeOutcome
 }
 
-// spawn launches one node process (incarnation 0 = original, 1 =
-// churn relaunch) and leaves it running.
-func (f *fleet) spawn(id, incarnation, resumeEpoch int, listen string) error {
+// spawn launches one node process and leaves it running. Its incarnation
+// is the node's restart count: 0 for the original, k after the k-th
+// restart.
+func (f *fleet) spawn(id, resumeEpoch int, listen string) error {
+	incarnation := f.outcomes[id].Restarts
 	p := f.cfg.Params
 	args := []string{
 		"-id", strconv.Itoa(id),
@@ -435,7 +444,7 @@ func (f *fleet) spawn(id, incarnation, resumeEpoch int, listen string) error {
 	return nil
 }
 
-// kill SIGKILLs one node process — the crash half of a churn phase.
+// kill SIGKILLs one node process — a crash event of the fault schedule.
 func (f *fleet) kill(id int) {
 	f.mu.Lock()
 	cmd := f.procs[id]
