@@ -11,10 +11,12 @@ build:
 # The second run takes the portable CTR loop and the stdlib HMAC of the
 # link cipher (DESIGN.md §7) through the tests of the two packages that
 # seal, in a build with neither kernel: an amd64 host with AES-NI and
-# SHA-NI otherwise only ever runs the two kernels.
+# SHA-NI otherwise only ever runs the two kernels. Then every example
+# runs once, so one that fails at run time fails the target.
 test:
 	$(GO) test ./...
 	$(GO) test -tags purego ./internal/xcrypto/... ./internal/channel/...
+	@for ex in examples/*/; do $(GO) run ./$$ex >/dev/null || { echo "$$ex failed"; exit 1; }; done
 
 vet:
 	$(GO) vet ./...
@@ -23,14 +25,15 @@ vet:
 # builder, the sweep engine, the peer runtime underneath both, the TCP
 # transport with its pooled frame handoff, the multi-process scenario
 # orchestrator, and — since the simulator fires a window's nodes on every
-# core (DESIGN.md §6) — the event engine, the simulated network, and the
-# protocol, beacon and public-API suites that drive clusters through
-# them. The chaos suite is not listed: `chaos` below is its race run. The
-# second run repeats the lane executor's own tests five times: a worker's
+# core (DESIGN.md §6) — the event engine, the simulated network, the
+# overlay routers that relay on their nodes' lanes, and the protocol,
+# beacon and public-API suites that drive clusters through them. The
+# chaos suite is not listed: `chaos` below is its race run. The second
+# run repeats the lane executor's own tests five times: a worker's
 # summon, arrival and cancel race Run's goroutine, and each run sees one
 # schedule of those interleavings.
 race:
-	$(GO) test -race ./internal/deploy/... ./internal/experiments/... ./internal/runtime/... ./internal/tcpnet/... ./internal/scenario/... ./internal/vclock/... ./internal/simnet/... ./internal/core/... ./internal/beacon/... .
+	$(GO) test -race ./internal/deploy/... ./internal/experiments/... ./internal/runtime/... ./internal/tcpnet/... ./internal/scenario/... ./internal/vclock/... ./internal/simnet/... ./internal/overlay/... ./internal/core/... ./internal/beacon/... .
 	$(GO) test -race -count=5 -run 'Handoff|Lane' ./internal/vclock/... ./internal/simnet/...
 
 # chaos runs the deterministic fault-injection suite under the race

@@ -1,64 +1,10 @@
 package sgxp2p
 
-import (
-	"sgxp2p/internal/committee"
-	"sgxp2p/internal/keygen"
-	"sgxp2p/internal/loadbal"
-	"sgxp2p/internal/randomwalk"
-)
+import "sgxp2p/internal/committee"
 
-// Application types from the paper's Appendix H, re-exported so the
-// examples and downstream users build on the beacon through one import.
-type (
-	// Key is a shared symmetric key derived from beacon output.
-	Key = keygen.Key
-	// KeySchedule derives a deterministic key sequence from a beacon.
-	KeySchedule = keygen.Schedule
-	// Balancer assigns tasks to workers with beacon randomness.
-	Balancer = loadbal.Balancer
-	// Assignment maps task ids to worker indices.
-	Assignment = loadbal.Assignment
-	// Graph is a P2P topology for random walks.
-	Graph = randomwalk.Graph
-	// Walker performs beacon-driven random walks.
-	Walker = randomwalk.Walker
-)
-
-// NewKeySchedule builds a shared-key schedule over a beacon source with a
-// domain-separating context string.
-func NewKeySchedule(src Source, context string) (*KeySchedule, error) {
-	return keygen.NewSchedule(src, context)
-}
-
-// DeriveKey is the pure key-derivation function behind KeySchedule,
-// exposed for offline verification against recorded beacon traces.
-func DeriveKey(context string, epoch uint64, entropy []byte) Key {
-	return keygen.Derive(context, epoch, entropy)
-}
-
-// NewBalancer builds a beacon-driven load balancer over the given number
-// of workers.
-func NewBalancer(src Source, workers int) (*Balancer, error) {
-	return loadbal.New(src, workers)
-}
-
-// AssignmentSpread summarizes an assignment as tasks-per-worker counts.
-func AssignmentSpread(a Assignment, workers int) []int {
-	return loadbal.Spread(a, workers)
-}
-
-// NewGraph builds an empty topology.
-func NewGraph() *Graph { return randomwalk.NewGraph() }
-
-// NewRing builds a ring-with-chords topology of n nodes.
-func NewRing(n, chords int) *Graph { return randomwalk.Ring(n, chords) }
-
-// NewWalker builds a beacon-driven random walker over a graph.
-func NewWalker(src Source, g *Graph) (*Walker, error) {
-	return randomwalk.New(src, g)
-}
-
-// Committee election (the Appendix H sharding use case).
+// Committee election (the Appendix H sharding use case), re-exported so
+// the examples and downstream users build on the beacon through one
+// import.
 type (
 	// Partition is a committee assignment over the network.
 	Partition = committee.Partition

@@ -1,9 +1,8 @@
 // Package beacon implements the first application of the paper's
 // Appendix H: a random beacon service. A beacon periodically emits a
 // common unbiased random value that no participant could predict or bias
-// — the primitive behind lotteries, leader election, committee sampling
-// and the other applications built in this repository (internal/keygen,
-// internal/loadbal, internal/randomwalk).
+// — the primitive behind lotteries, leader election and committee
+// sampling (internal/committee).
 //
 // Each beacon epoch is one ERNG instance (basic or optimized) over a
 // deployment; after the epoch, sequence numbers advance (P6), so replays

@@ -125,74 +125,17 @@ func RunMuxERBSchedule(seed int64, n, t, k int, sched *Schedule) (*MuxOutcome, e
 // one of the K broadcasts. Violations name the offending instance and
 // embed its instance-filtered flight dump.
 func CheckMuxERB(o *MuxOutcome) error {
-	bound := o.F + 2
-	if o.T+2 < bound {
-		bound = o.T + 2
-	}
-	honest := make([]bool, o.N)
-	for i := range honest {
-		honest[i] = true
-	}
-	for _, id := range o.Faulty {
-		honest[id] = false
-	}
-	for i := range o.Nodes {
-		no := &o.Nodes[i]
-		if !no.Honest {
-			continue
-		}
-		if no.Halted {
-			return o.violation("liveness", no.Node, "honest node %d executed halt-on-divergence", no.Node)
-		}
-		if no.Stopped {
-			return o.violation("liveness", no.Node, "honest node %d is stopped", no.Node)
-		}
+	if err := o.checkLiveness(); err != nil {
+		return err
 	}
 	for j := 0; j < o.K; j++ {
 		inst := o.InstanceIDs[j]
-		initiatorHonest := honest[o.Initiators[j]]
-		var ref *InstanceDecision
-		var refNode wire.NodeID
-		for i := 0; i < o.N; i++ {
-			if !honest[i] {
-				continue
-			}
-			dec := &o.Decisions[j][i]
-			node := wire.NodeID(i)
-			if !dec.Decided {
-				return o.violationAt("termination", node, inst, "honest node %d never decided instance %d", node, inst)
-			}
-			if ref == nil {
-				ref, refNode = dec, node
-			} else if dec.Accepted != ref.Accepted || dec.Value != ref.Value {
-				return o.violationAt("agreement", node, inst,
-					"honest nodes %d and %d decided instance %d differently (accepted=%v/%v)",
-					refNode, node, inst, ref.Accepted, dec.Accepted)
-			}
-			rel := dec.Round - (dec.StartRound - 1)
-			if dec.Accepted {
-				if dec.Value != o.InitValues[j] {
-					return o.violationAt("integrity", node, inst,
-						"honest node %d accepted a value initiator %d never sent in instance %d",
-						node, o.Initiators[j], inst)
-				}
-				if int(rel) > bound {
-					return o.violationAt("termination", node, inst,
-						"honest node %d accepted instance %d at relative round %d > min{f+2,t+2}=%d",
-						node, inst, rel, bound)
-				}
-			} else {
-				if int(rel) > o.T+3 {
-					return o.violationAt("termination", node, inst,
-						"honest node %d output bottom for instance %d at relative round %d > t+3=%d",
-						node, inst, rel, o.T+3)
-				}
-				if initiatorHonest {
-					return o.violationAt("validity", node, inst,
-						"honest initiator %d broadcast instance %d, honest node %d output bottom",
-						o.Initiators[j], inst, node)
-				}
-			}
+		fail := func(property string, node wire.NodeID, format string, args ...any) error {
+			return o.violationAt(property, node, inst, format, args...)
+		}
+		in := fmt.Sprintf(" in instance %d", inst)
+		if err := o.checkBroadcast(o.Initiators[j], o.InitValues[j], o.Decisions[j], in, fail); err != nil {
+			return err
 		}
 	}
 	return nil

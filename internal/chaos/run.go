@@ -231,21 +231,24 @@ func (h *harness) outcome() *Outcome {
 // chaos outcome: agreement, validity (honest initiator), integrity, and
 // termination within min{f+2, t+2} rounds (bottom by t+3). A nil return
 // means every invariant held; the error message embeds the schedule and
-// the reproduction hint.
+// the reproduction hint. It is CheckMuxERB's check of one instance that
+// started in round 1.
 func CheckERB(o *Outcome) error {
-	initiatorHonest := true
-	for _, id := range o.Faulty {
-		if id == o.Initiator {
-			initiatorHonest = false
-		}
+	if err := o.checkLiveness(); err != nil {
+		return err
 	}
-	bound := o.F + 2
-	if o.T+2 < bound {
-		bound = o.T + 2
+	decs := make([]InstanceDecision, len(o.Nodes))
+	for i, no := range o.Nodes {
+		decs[i] = InstanceDecision{Decided: no.Decided, Accepted: no.Accepted,
+			Value: no.Value, Round: no.Round, StartRound: 1}
 	}
-	var ref *NodeOutcome
-	for i := range o.Nodes {
-		no := &o.Nodes[i]
+	return o.checkBroadcast(o.Initiator, o.InitValue, decs, "", o.violation)
+}
+
+// checkLiveness fails on the first honest node that halted itself (P4) or
+// is stopped.
+func (o *Outcome) checkLiveness() error {
+	for _, no := range o.Nodes {
 		if !no.Honest {
 			continue
 		}
@@ -255,32 +258,47 @@ func CheckERB(o *Outcome) error {
 		if no.Stopped {
 			return o.violation("liveness", no.Node, "honest node %d is stopped", no.Node)
 		}
-		if !no.Decided {
-			return o.violation("termination", no.Node, "honest node %d never decided", no.Node)
+	}
+	return nil
+}
+
+// checkBroadcast asserts agreement, integrity, validity and the round
+// bounds of one broadcast over the honest nodes' decisions decs[i]; the
+// bounds apply to the round relative to the instance's start. in names the
+// instance in a message ("" for a run of one broadcast), and fail reports a
+// violation with its flight dump.
+func (o *Outcome) checkBroadcast(initiator wire.NodeID, value wire.Value, decs []InstanceDecision, in string,
+	fail func(property string, node wire.NodeID, format string, args ...any) error) error {
+	bound := min(o.F+2, o.T+2)
+	var ref *InstanceDecision
+	var refNode wire.NodeID
+	for i := range decs {
+		if !o.Nodes[i].Honest {
+			continue
+		}
+		dec, node := &decs[i], wire.NodeID(i)
+		if !dec.Decided {
+			return fail("termination", node, "honest node %d never decided%s", node, in)
 		}
 		if ref == nil {
-			ref = no
-		} else if no.Accepted != ref.Accepted || no.Value != ref.Value {
-			return o.violation("agreement", no.Node, "honest nodes %d and %d decided differently (accepted=%v/%v)",
-				ref.Node, no.Node, ref.Accepted, no.Accepted)
+			ref, refNode = dec, node
+		} else if dec.Accepted != ref.Accepted || dec.Value != ref.Value {
+			return fail("agreement", node, "honest nodes %d and %d decided%s differently (accepted=%v/%v)",
+				refNode, node, in, ref.Accepted, dec.Accepted)
 		}
-		if no.Accepted {
-			if no.Value != o.InitValue {
-				return o.violation("integrity", no.Node, "honest node %d accepted a value the initiator never sent", no.Node)
-			}
-			if int(no.Round) > bound {
-				return o.violation("termination", no.Node, "honest node %d accepted at round %d > min{f+2,t+2}=%d",
-					no.Node, no.Round, bound)
-			}
-		} else {
-			if int(no.Round) > o.T+3 {
-				return o.violation("termination", no.Node, "honest node %d output bottom at round %d > t+3=%d",
-					no.Node, no.Round, o.T+3)
-			}
-			if initiatorHonest {
-				return o.violation("validity", no.Node, "honest initiator %d broadcast, honest node %d output bottom",
-					o.Initiator, no.Node)
-			}
+		rel := dec.Round - (dec.StartRound - 1)
+		switch {
+		case dec.Accepted && dec.Value != value:
+			return fail("integrity", node, "honest node %d accepted a value initiator %d never sent%s", node, initiator, in)
+		case dec.Accepted && int(rel) > bound:
+			return fail("termination", node, "honest node %d accepted%s at relative round %d > min{f+2,t+2}=%d",
+				node, in, rel, bound)
+		case !dec.Accepted && int(rel) > o.T+3:
+			return fail("termination", node, "honest node %d output bottom%s at relative round %d > t+3=%d",
+				node, in, rel, o.T+3)
+		case !dec.Accepted && o.Nodes[initiator].Honest:
+			return fail("validity", node, "honest initiator %d broadcast%s, honest node %d output bottom",
+				initiator, in, node)
 		}
 	}
 	return nil

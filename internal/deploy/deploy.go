@@ -126,12 +126,14 @@ type Deployment struct {
 func (d *Deployment) clock(id wire.NodeID) enclave.Clock { return d.Net.Port(id) }
 
 // lanesSafe reports whether the nodes of this deployment may fire side by
-// side (simnet.EnableLanes). Caller-supplied Wrap and Neighbors closures
-// are not goroutine-safe by contract, and with Trace or Metrics the order
-// in which nodes record is itself the output, so any of the four keeps
-// every event firing alone.
+// side (simnet.EnableLanes). A caller-supplied Wrap closure is not
+// goroutine-safe by contract, and with Trace or Metrics the order in which
+// nodes record is itself the output, so any of the three keeps every event
+// firing alone. Neighbors does not: it is called only while a node's
+// transport is built (New's serial phase 3, Restart), and the overlay
+// router it feeds holds one node's state, touched only on that node's lane.
 func (o *Options) lanesSafe() bool {
-	return o.Wrap == nil && o.Neighbors == nil && o.Trace == nil && o.Metrics == nil
+	return o.Wrap == nil && o.Trace == nil && o.Metrics == nil
 }
 
 // New builds a deployment and runs the setup phase: attestation of the
@@ -224,7 +226,8 @@ func New(opts Options) (*Deployment, error) {
 	// Phase 3 (serial): build the transports and the peers on them.
 	// Caller-supplied Wrap and Neighbors closures are not required to be
 	// goroutine-safe (adversary wrappers routinely capture shared mutable
-	// state), and a peer opens no channel here, so there is nothing to
+	// state, and this is the only place besides Restart that calls
+	// Neighbors), and a peer opens no channel here, so there is nothing to
 	// spread: the O(N^2) Diffie-Hellman work is EstablishLinks'.
 	for id := 0; id < opts.N; id++ {
 		tr, terr := d.buildTransport(wire.NodeID(id))

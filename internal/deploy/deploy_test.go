@@ -2,10 +2,12 @@ package deploy_test
 
 import (
 	"testing"
+	"time"
 
 	"sgxp2p/internal/adversary"
 	"sgxp2p/internal/core/erb"
 	"sgxp2p/internal/deploy"
+	"sgxp2p/internal/overlay"
 	"sgxp2p/internal/runtime"
 	"sgxp2p/internal/wire"
 )
@@ -111,14 +113,56 @@ func TestJoinSeveralNodes(t *testing.T) {
 	}
 }
 
-func TestJoinWithPuzzle(t *testing.T) {
-	d := newDeployment(t, 4, 1, 63)
-	newID, err := d.Join(deploy.JoinOptions{Sponsor: 0, PuzzleDifficulty: 8})
+// ringNeighbors is a ring-with-chords overlay: every node links to its
+// ring successor and predecessor and to the nodes five away.
+func ringNeighbors(id wire.NodeID, n int) []wire.NodeID {
+	i := int(id)
+	return []wire.NodeID{
+		wire.NodeID((i + 1) % n),
+		wire.NodeID((i - 1 + n) % n),
+		wire.NodeID((i + 5) % n),
+		wire.NodeID((i - 5 + n) % n),
+	}
+}
+
+// overlayOptions deploys n nodes over ringNeighbors with 50 ms links and a
+// round bound of one link per hop of the overlay's diameter, plus one.
+func overlayOptions(t *testing.T, n, byz int, seed int64) deploy.Options {
+	t.Helper()
+	diam := overlay.Diameter(ringNeighbors, n)
+	if diam <= 0 {
+		t.Fatalf("ring+chords overlay of %d nodes is disconnected", n)
+	}
+	const link = 50 * time.Millisecond
+	return deploy.Options{N: n, T: byz, Seed: seed,
+		Delta: time.Duration(diam+1) * link, LinkDelta: link, Neighbors: ringNeighbors}
+}
+
+// TestJoinRefusedOverSparseOverlay: every router takes its adjacency at
+// New, so a joiner over an overlay would be linked to nobody — its first
+// broadcast would end with every old node deciding bottom and the honest
+// joiner halting itself. Join refuses before launching anything, and the
+// deployment stays as it was.
+func TestJoinRefusedOverSparseOverlay(t *testing.T) {
+	d, err := deploy.New(overlayOptions(t, 16, 7, 71))
 	if err != nil {
 		t.Fatal(err)
 	}
-	if newID != 4 {
-		t.Fatalf("new id = %d", newID)
+	if id, err := d.Join(deploy.JoinOptions{Sponsor: 0}); err != deploy.ErrJoinOverlay {
+		t.Fatalf("join over an overlay: id %d, err %v; want ErrJoinOverlay", id, err)
+	}
+	if len(d.Peers) != 16 || len(d.Encls) != 16 || d.Opts.N != 16 {
+		t.Fatalf("refused join left %d peers, %d enclaves, N=%d", len(d.Peers), len(d.Encls), d.Opts.N)
+	}
+	v := wire.Value{0x71}
+	results := broadcast(t, d, 15, v)
+	if len(results) != 16 {
+		t.Fatalf("%d nodes decided after a refused join, want 16", len(results))
+	}
+	for id, res := range results {
+		if !res.Accepted || res.Value != v {
+			t.Fatalf("node %d after a refused join: %+v", id, res)
+		}
 	}
 }
 

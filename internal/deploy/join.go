@@ -10,7 +10,6 @@ import (
 	"sgxp2p/internal/core/erb"
 	"sgxp2p/internal/enclave"
 	"sgxp2p/internal/runtime"
-	"sgxp2p/internal/sybil"
 	"sgxp2p/internal/wire"
 )
 
@@ -19,19 +18,16 @@ var (
 	// ErrJoinRejected indicates the sponsor's ERB announcement was not
 	// accepted by the network (byzantine sponsor, or partition).
 	ErrJoinRejected = errors.New("deploy: join announcement not accepted")
-	// ErrJoinPuzzle indicates a join attempt without a valid sybil
-	// puzzle solution.
-	ErrJoinPuzzle = errors.New("deploy: invalid sybil puzzle solution")
+	// ErrJoinOverlay indicates a join into a sparse-overlay deployment:
+	// every router took its adjacency at New, so no existing node would
+	// link to the joiner.
+	ErrJoinOverlay = errors.New("deploy: join is not supported over a sparse overlay")
 )
 
 // JoinOptions configures one dynamic join.
 type JoinOptions struct {
 	// Sponsor is the existing node that announces the joiner via ERB.
 	Sponsor wire.NodeID
-	// PuzzleDifficulty, when positive, requires the joiner to solve a
-	// sybil puzzle bound to its quote before the network admits it
-	// (Appendix G, assumption S4).
-	PuzzleDifficulty int
 	// Wrap optionally wraps the new node's transport (byzantine joiner).
 	Wrap TransportWrapper
 }
@@ -57,12 +53,16 @@ func quoteDigest(q enclave.Quote, seq uint64) wire.Value {
 }
 
 // Join implements the dynamic-membership extension of Appendix G: a new
-// node is launched and attested, solves the sybil puzzle if required, a
-// sponsor reliably broadcasts the (quote, seq) digest through ERB, and on
-// acceptance every live node verifies the quote against the digest and
-// admits the joiner. The joiner receives the membership and sequence
-// table and becomes a full peer. Returns the new node's id.
+// node is launched and attested, a sponsor reliably broadcasts the
+// (quote, seq) digest through ERB, and on acceptance every live node
+// verifies the quote against the digest and admits the joiner. The joiner
+// receives the membership and sequence table and becomes a full peer.
+// Returns the new node's id. A deployment over a sparse overlay refuses
+// with ErrJoinOverlay before anything is launched.
 func (d *Deployment) Join(opts JoinOptions) (wire.NodeID, error) {
+	if d.Opts.Neighbors != nil {
+		return wire.NoNode, ErrJoinOverlay
+	}
 	if int(opts.Sponsor) >= len(d.Peers) {
 		return wire.NoNode, fmt.Errorf("deploy: sponsor %d out of range", opts.Sponsor)
 	}
@@ -83,21 +83,6 @@ func (d *Deployment) Join(opts JoinOptions) (wire.NodeID, error) {
 		return wire.NoNode, err
 	}
 	digest := quoteDigest(quote, seq)
-
-	// Sybil defence: the joiner pays for admission with a proof of work
-	// bound to its attested identity.
-	if opts.PuzzleDifficulty > 0 {
-		puzzle := d.joinPuzzle(digest, opts.PuzzleDifficulty)
-		nonce, perr := puzzle.Solve(0)
-		if perr != nil {
-			return wire.NoNode, fmt.Errorf("deploy: joiner could not solve puzzle: %w", perr)
-		}
-		// Every admitting node re-verifies (here once: the deployment is
-		// the honest verifier the paper's peers each implement).
-		if puzzle.Verify(nonce) != nil {
-			return wire.NoNode, ErrJoinPuzzle
-		}
-	}
 
 	// The sponsor reliably broadcasts the join pair to the current
 	// membership: a join is an ordinary instance of the broadcast.
@@ -157,23 +142,6 @@ func (d *Deployment) Join(opts JoinOptions) (wire.NodeID, error) {
 	d.stopped = append(d.stopped, false)
 	d.Opts.N++
 	return newID, nil
-}
-
-// joinPuzzle builds the admission puzzle for a joiner: the challenge is
-// derived from the deployment seed and the current membership size, the
-// binding is the joiner's quote digest.
-func (d *Deployment) joinPuzzle(binding wire.Value, difficulty int) sybil.Puzzle {
-	var p sybil.Puzzle
-	h := sha256.New()
-	h.Write([]byte("sgxp2p/join-challenge/"))
-	var b [16]byte
-	binary.LittleEndian.PutUint64(b[:8], uint64(d.Opts.Seed))
-	binary.LittleEndian.PutUint64(b[8:], uint64(len(d.Peers)))
-	h.Write(b[:])
-	copy(p.Challenge[:], h.Sum(nil))
-	p.Binding = binding[:]
-	p.Difficulty = difficulty
-	return p
 }
 
 // enclaveOptions is the option set every enclave of the deployment is

@@ -259,6 +259,15 @@ func TestLanesMatchSerialLoop(t *testing.T) {
 				return sampledEpochs(t, d, 3)
 			},
 		},
+		// ERB flooded over a sparse overlay: every router relays on its own
+		// node's lane, and the one broadcast takes a window per hop.
+		{
+			name: "erb-overlay",
+			opts: overlayOptions(t, 32, 15, 71),
+			run: func(t *testing.T, d *deploy.Deployment) any {
+				return broadcast(t, d, 0, wire.Value{0x5E})
+			},
+		},
 		// The two shapes whose round ticks carry the most work, split after
 		// the first tick.
 		{
@@ -396,10 +405,10 @@ func TestLanesJoinAndRestart(t *testing.T) {
 }
 
 // TestLanesOffForUnsafeOptions pins the enabling rule: any option that
-// brings caller code which is not goroutine-safe by contract (Wrap,
-// Neighbors) or whose output is the event order itself (Trace, Metrics
-// are covered by the telemetry tests' byte-identity) keeps every event
-// firing alone.
+// brings caller code which is not goroutine-safe by contract (Wrap) or
+// whose output is the event order itself (Trace, Metrics are covered by
+// the telemetry tests' byte-identity) keeps every event firing alone.
+// Neighbors does not (the "erb-overlay" case above).
 func TestLanesOffForUnsafeOptions(t *testing.T) {
 	setProcs(t, 4)
 	d, err := deploy.New(deploy.Options{N: 64, T: 31, Seed: 3,

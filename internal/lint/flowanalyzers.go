@@ -18,7 +18,7 @@ import (
 // hold and use keys by design. Key flows inside them are sanctioned; key
 // material leaving them is a finding.
 var tcbPackages = []string{
-	"internal/enclave", "internal/xcrypto", "internal/channel", "internal/keygen",
+	"internal/enclave", "internal/xcrypto", "internal/channel",
 }
 
 // transportPackages move opaque byte payloads by design; sealflow checks
@@ -104,7 +104,7 @@ var sealflowSpec = &flow.Spec{
 // their summaries still carry taint to callers.
 var keyleakSpec = &flow.Spec{
 	Kind:   "key material",
-	Advice: "key material must not leave the enclave TCB (enclave/xcrypto/channel/keygen)",
+	Advice: "key material must not leave the enclave TCB (enclave/xcrypto/channel)",
 	SourceType: func(t types.Type) bool {
 		if p, ok := t.(*types.Pointer); ok {
 			t = p.Elem()

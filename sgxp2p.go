@@ -330,10 +330,6 @@ var ErrNoOutput = errors.New("sgxp2p: epoch produced no output")
 type JoinOptions struct {
 	// Sponsor is the existing node announcing the joiner via ERB.
 	Sponsor NodeID
-	// PuzzleDifficulty, when positive, makes admission cost a sybil
-	// proof-of-work of ~2^difficulty hashes bound to the joiner's
-	// attested identity.
-	PuzzleDifficulty int
 }
 
 // Join admits a new node into the cluster: the joiner's enclave is
@@ -341,8 +337,5 @@ type JoinOptions struct {
 // announcement through ERB, and on acceptance every node admits the
 // newcomer's quote. Returns the new node's id.
 func (c *Cluster) Join(opts JoinOptions) (NodeID, error) {
-	return c.d.Join(deploy.JoinOptions{
-		Sponsor:          opts.Sponsor,
-		PuzzleDifficulty: opts.PuzzleDifficulty,
-	})
+	return c.d.Join(deploy.JoinOptions{Sponsor: opts.Sponsor})
 }

@@ -1,6 +1,7 @@
 package sgxp2p_test
 
 import (
+	"reflect"
 	"testing"
 
 	"sgxp2p"
@@ -114,50 +115,36 @@ func TestClusterBeaconAndApps(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-
-	sched, err := sgxp2p.NewKeySchedule(b, "transport")
+	elector, err := sgxp2p.NewElector(b, 20, 4)
 	if err != nil {
 		t.Fatal(err)
 	}
-	k1, err := sched.NextKey()
-	if err != nil {
-		t.Fatal(err)
+	var parts []*sgxp2p.Partition
+	for epoch := 0; epoch < 2; epoch++ {
+		p, err := elector.Elect()
+		if err != nil {
+			t.Fatal(err)
+		}
+		total := 0
+		for _, n := range p.Sizes() {
+			if n != 5 {
+				t.Fatalf("epoch %d: committee sizes %v, want 4 of 5", epoch, p.Sizes())
+			}
+			total += n
+		}
+		if total != 20 {
+			t.Fatalf("epoch %d: partition covers %d of 20 nodes", epoch, total)
+		}
+		parts = append(parts, p)
 	}
-	k2, err := sched.NextKey()
-	if err != nil {
-		t.Fatal(err)
+	if reflect.DeepEqual(parts[0].Committees, parts[1].Committees) {
+		t.Fatal("two beacon epochs formed the same committees")
 	}
-	if k1 == k2 {
-		t.Fatal("key schedule repeated a key")
-	}
-
-	bal, err := sgxp2p.NewBalancer(b, 4)
-	if err != nil {
-		t.Fatal(err)
-	}
-	assign, err := bal.AssignBatch([]string{"t1", "t2", "t3", "t4", "t5", "t6", "t7", "t8"})
-	if err != nil {
-		t.Fatal(err)
-	}
-	spread := sgxp2p.AssignmentSpread(assign, 4)
-	total := 0
-	for _, n := range spread {
-		total += n
-	}
-	if total != 8 {
-		t.Fatalf("spread %v does not cover all tasks", spread)
-	}
-
-	walker, err := sgxp2p.NewWalker(b, sgxp2p.NewRing(16, 2))
-	if err != nil {
-		t.Fatal(err)
-	}
-	path, err := walker.Walk(0, 10)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(path) != 11 {
-		t.Fatalf("walk length %d", len(path))
+	// An auditor re-derives each partition from the beacon history.
+	for i, e := range b.History() {
+		if got := sgxp2p.FormCommittees(e.Value[:], 20, 4); !reflect.DeepEqual(got.Committees, parts[i].Committees) {
+			t.Fatalf("epoch %d: audit derived %v, elector formed %v", i, got.Committees, parts[i].Committees)
+		}
 	}
 }
 
@@ -198,7 +185,7 @@ func TestClusterJoin(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	newID, err := c.Join(sgxp2p.JoinOptions{Sponsor: 1, PuzzleDifficulty: 6})
+	newID, err := c.Join(sgxp2p.JoinOptions{Sponsor: 1})
 	if err != nil {
 		t.Fatal(err)
 	}
