@@ -31,10 +31,13 @@ vet:
 # chaos suite is not listed: `chaos` below is its race run. The second
 # run repeats the lane executor's own tests five times: a worker's
 # summon, arrival and cancel race Run's goroutine, and each run sees one
-# schedule of those interleavings.
+# schedule of those interleavings. The third does the same for the
+# prefetch's key-cache reservations, where peers on different workers
+# reserve, derive and wait for each other's pairs.
 race:
 	$(GO) test -race ./internal/deploy/... ./internal/experiments/... ./internal/runtime/... ./internal/tcpnet/... ./internal/scenario/... ./internal/vclock/... ./internal/simnet/... ./internal/overlay/... ./internal/core/... ./internal/beacon/... .
 	$(GO) test -race -count=5 -run 'Handoff|Lane' ./internal/vclock/... ./internal/simnet/...
+	$(GO) test -race -count=5 -run 'PrefetchDerivesEachPairOnce' ./internal/deploy/...
 
 # chaos runs the deterministic fault-injection suite under the race
 # detector (its only race run in `verify`): fixed-seed schedules

@@ -6,8 +6,12 @@
 //
 // A Link corresponds to one (sender, receiver) enclave pair after
 // PeerCh_sgx.Init, which the runtime runs when the pair first has a frame
-// to seal or open rather than for every pair up front (attestation, which
-// says whose key it is, comes before any of them). It owns the directional
+// to seal or open (Establish) rather than for every pair up front —
+// attestation, which says whose key it is, comes before any of them — or
+// for all of a peer's missing pairs at once before a full-mesh instance
+// (EstablishBatch, whose key agreements run eight to a ladder on a CPU
+// with the batch kernel; the caller hands over link slots and ids and the
+// keys never leave this package and the enclave). It owns the directional
 // session keys derived from the Diffie-Hellman exchange and turns
 // wire.Message values into sealed envelopes and back. Everything that
 // crosses the trust boundary to the untrusted OS is a sealed envelope: the
@@ -303,6 +307,32 @@ func Establish(l *Link, local *enclave.Enclave, remote wire.NodeID, remotePub [x
 		l.nonces = local.NonceReader()
 	}
 	return nil
+}
+
+// EstablishBatch is Establish into each of links, links[i] toward remotes[i]
+// with public key remotePubs[i], the key agreements done as one
+// enclave.SessionKeysBatch: a peer opening many channels at once derives
+// them eight to a ladder where the CPU allows. It returns nil when every
+// link was established, and otherwise one error per link, nil for those
+// that were: errs[i] is what Establish would have returned for links[i],
+// and a Link with an error must not be used. The keys never leave the
+// call.
+func EstablishBatch(links []*Link, local *enclave.Enclave, remotes []wire.NodeID, remotePubs [][xcrypto.PublicKeySize]byte, sealer Sealer) (errs []error) {
+	local.SessionKeysBatch(remotePubs, func(i int, keys xcrypto.SessionKeys, err error) {
+		l := links[i]
+		if err != nil {
+			err = fmt.Errorf("channel: link to %d: %w", remotes[i], err)
+		} else if err = l.prepare(remotes[i], keys, sealer); err == nil && l.cipher != nil {
+			l.nonces = local.NonceReader()
+		}
+		if err != nil {
+			if errs == nil {
+				errs = make([]error, len(links))
+			}
+			errs[i] = err
+		}
+	})
+	return errs
 }
 
 // newLinkFromKeys is NewLink after key agreement; the package tests use

@@ -11,10 +11,11 @@
 // whole roster verified, sequence numbers exchanged. The paper's Section
 // 4.1 also opens every pairwise channel at that point; New opens none. A
 // pair's PeerCh_sgx.Init runs at its first frame, or — all missing pairs
-// at once, on every core — in EstablishLinks, which RunInstance calls
-// ahead of every instance but a sampled Algorithm 6 epoch. The keys are
-// a function of the attested pair, so when they are derived shows in no
-// frame, trace or figure.
+// at once, a peer per worker and each peer's agreements eight to a ladder
+// — in EstablishLinks, which RunInstance calls ahead of every instance
+// but a sampled Algorithm 6 epoch. The keys are a function of the
+// attested pair, so when and how they are derived shows in no frame,
+// trace or figure.
 //
 // A deployment's nodes may fire side by side: unless an option says
 // otherwise (see lanesSafe), Run hands the nodes of one network-latency
@@ -246,9 +247,12 @@ func New(opts Options) (*Deployment, error) {
 }
 
 // EstablishLinks opens every channel the live peers have not used yet,
-// a peer per worker: the shared key cache means an unordered pair is
-// derived once — an end that asks while the other derives waits for it —
-// and the pool spreads the pairs across cores. RunInstance
+// a peer per worker, each peer's missing links as one batch
+// (runtime.Peer.EstablishLinks): the shared key cache means an unordered
+// pair is derived once — a peer reserves the pairs nobody has asked for,
+// derives them eight to a ladder and leaves them before it waits for the
+// pairs another peer was deriving — and the pool spreads the pairs across
+// cores. RunInstance
 // calls it ahead of a full-mesh instance, which would otherwise derive
 // every pair in turn on the simulator's goroutine in its first rounds;
 // with nothing missing it is one pass over the peers.

@@ -224,22 +224,66 @@ func TestRealCryptoRestart(t *testing.T) {
 // TestPrefetchDerivesEachPairOnce opens a full mesh with the parallel
 // prefetch, a peer per worker: the two ends of a pair often ask at the same
 // moment, and the key cache makes the later one wait for the earlier one's
-// agreement rather than compute its own.
+// agreement rather than compute its own. Each peer reserves its missing
+// pairs without waiting, derives what it reserved eight to a ladder, and
+// only then waits for the pairs another peer was deriving — a peer that
+// waited while holding reservations could deadlock a cycle of them. The
+// mesh starts closed, or partly open: one sampled Algorithm 6 epoch has
+// opened its pairs at both ends, and then perhaps a node that took part
+// crashed and restarted, so its end of each pair it had opened is derived
+// once more and left for an end that never asks. Every pair is agreed
+// once either way, and only those re-derivations wait afterwards.
 func TestPrefetchDerivesEachPairOnce(t *testing.T) {
-	const n, pairs = 64, 64 * 63 / 2
-	for _, procs := range []int{2, 4} {
-		setProcs(t, procs)
-		for seed := int64(1); seed <= 3; seed++ {
-			d, err := deploy.New(deploy.Options{N: n, T: 31, Seed: seed, RealCrypto: true})
-			if err != nil {
-				t.Fatal(err)
-			}
-			if err := d.EstablishLinks(); err != nil {
-				t.Fatal(err)
-			}
-			if derived, waiting, links := d.KeysDerived(), d.KeyCacheLen(), d.LinksEstablished(); derived != pairs || waiting != 0 || links != n*(n-1) {
-				t.Errorf("procs=%d seed=%d: %d agreements, %d pairs waiting, %d link ends after the prefetch, want %d, none, %d",
-					procs, seed, derived, waiting, links, pairs, n*(n-1))
+	const victim = wire.NodeID(7) // the node the crash-restart case reboots
+	cases := []struct {
+		name    string
+		n, t    int
+		real    bool
+		epoch   bool
+		restart bool
+	}{
+		{name: "closed", n: 64, t: 31, real: true},
+		// At N = 256 (the smallest a sampled epoch runs at) the model key
+		// exchange keeps the race build's five repetitions affordable; its
+		// pairs go through the same reservations.
+		{name: "sampled-epoch", n: 256, t: 85, epoch: true},
+		{name: "crash-restart", n: 256, t: 85, epoch: true, restart: true},
+	}
+	for _, c := range cases {
+		pairs := c.n * (c.n - 1) / 2
+		for _, procs := range []int{1, 2, 4} {
+			setProcs(t, procs)
+			for seed := int64(1); seed <= 3; seed++ {
+				d, err := deploy.New(deploy.Options{N: c.n, T: c.t, Seed: seed, RealCrypto: c.real})
+				if err != nil {
+					t.Fatal(err)
+				}
+				if c.epoch {
+					if _, err := d.Epoch(c.t, true, nil); err != nil {
+						t.Fatal(err)
+					}
+					if waiting := d.KeyCacheLen(); waiting != 0 || d.LinksEstablished() == 0 || d.LinksEstablished() >= c.n*(c.n-1)/2 {
+						t.Fatalf("%s procs=%d seed=%d: the epoch left %d link ends and %d pairs waiting, want a minority of the mesh open at both ends",
+							c.name, procs, seed, d.LinksEstablished(), waiting)
+					}
+				}
+				rederived := 0
+				if c.restart {
+					rederived = int(d.Peers[victim].Stats().LinksEstablished)
+					if err := d.Stop(victim); err != nil {
+						t.Fatal(err)
+					}
+					if err := d.Restart(victim); err != nil {
+						t.Fatal(err)
+					}
+				}
+				if err := d.EstablishLinks(); err != nil {
+					t.Fatal(err)
+				}
+				if derived, waiting, links := d.KeysDerived(), d.KeyCacheLen(), d.LinksEstablished(); derived != pairs+rederived || waiting != rederived || links != c.n*(c.n-1) {
+					t.Errorf("%s procs=%d seed=%d: %d agreements, %d pairs waiting, %d link ends after the prefetch, want %d, %d, %d",
+						c.name, procs, seed, derived, waiting, links, pairs+rederived, rederived, c.n*(c.n-1))
+				}
 			}
 		}
 	}

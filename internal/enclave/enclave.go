@@ -142,25 +142,51 @@ func NewKeyCache() *KeyCache {
 	return c
 }
 
+// What reserve found for a pair.
+const (
+	pairTaken   = iota // the other end's keys were waiting, and are returned
+	pairMine           // no end had asked: the caller derives, then leaves
+	pairPending        // the other end is deriving them
+)
+
 // take returns the keys the pair's other end derived, waiting for them if
 // it is deriving them still. ok is false when no end has asked before: the
 // caller is then the end that derives, and leave settles its derivation.
-func (c *KeyCache) take(k pairKey) (keys xcrypto.SessionKeys, ok bool) {
+func (c *KeyCache) take(k pairKey) (xcrypto.SessionKeys, bool) {
 	c.mu.Lock()
 	defer c.mu.Unlock()
 	for {
-		e, ok := c.m[k]
-		if !ok {
-			c.m[k] = pairEntry{}
-			c.derived++
-			return xcrypto.SessionKeys{}, false
-		}
-		if e.derived {
-			c.remove(k)
-			return e.keys, true
+		keys, found := c.reserveLocked(k)
+		if found != pairPending {
+			return keys, found == pairTaken
 		}
 		c.settled.Wait()
 	}
+}
+
+// reserve is take without the wait: a pair the other end is deriving comes
+// back pairPending. A batch (Enclave.SessionKeysBatch) reserves this way,
+// derives and leaves what it reserved, and only then takes the pending
+// pairs: waiting while holding reservations could deadlock — three batches
+// each holding the pair the next one waits for.
+func (c *KeyCache) reserve(k pairKey) (xcrypto.SessionKeys, int) {
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	return c.reserveLocked(k)
+}
+
+func (c *KeyCache) reserveLocked(k pairKey) (xcrypto.SessionKeys, int) {
+	e, ok := c.m[k]
+	switch {
+	case !ok:
+		c.m[k] = pairEntry{}
+		c.derived++
+		return xcrypto.SessionKeys{}, pairMine
+	case e.derived:
+		c.remove(k)
+		return e.keys, pairTaken
+	}
+	return xcrypto.SessionKeys{}, pairPending
 }
 
 // leave settles the derivation take left to the caller: the keys wait for
@@ -284,17 +310,83 @@ func (e *Enclave) SessionKeys(remote [xcrypto.PublicKeySize]byte) (xcrypto.Sessi
 	if e.keyCache == nil {
 		return e.deriveSessionKeys(remote)
 	}
-	ck := pairKey{
-		pair:     xcrypto.MakePairID(e.DHPublic(), remote),
-		meas:     e.measurement,
-		modelKEX: e.modelKEX,
-	}
+	ck := e.pairKey(remote)
 	if keys, ok := e.keyCache.take(ck); ok {
 		return keys, nil
 	}
 	keys, err := e.deriveSessionKeys(remote)
 	e.keyCache.leave(ck, keys, err)
 	return keys, err
+}
+
+// SessionKeysBatch is SessionKeys toward every key of remotes: it calls
+// settle(i, keys, err) once per i, with what SessionKeys(remotes[i]) would
+// return, and through a KeyCache each pair is still derived once. The
+// pairs this enclave derives go xcrypto.BatchLanes at a time through
+// xcrypto.KeyPair.DeriveSessionKeysBatch, one eight-lane ladder where the
+// CPU has the batch kernel. With a cache, pairs are reserved without
+// waiting (KeyCache.reserve) until a group is full, the group is derived
+// and left; the pairs another end was deriving are taken, waiting if need
+// be, only after the last group was left.
+func (e *Enclave) SessionKeysBatch(remotes [][xcrypto.PublicKeySize]byte, settle func(i int, keys xcrypto.SessionKeys, err error)) {
+	if e.halted {
+		for i := range remotes {
+			settle(i, xcrypto.SessionKeys{}, ErrHalted)
+		}
+		return
+	}
+	var (
+		group   [xcrypto.BatchLanes][xcrypto.PublicKeySize]byte
+		at      [xcrypto.BatchLanes]int
+		keys    [xcrypto.BatchLanes]xcrypto.SessionKeys
+		errs    [xcrypto.BatchLanes]error
+		n       int
+		pending []int
+	)
+	derive := func() {
+		e.deriveBatch(group[:n], keys[:n], errs[:n])
+		if e.keyCache != nil {
+			for j := range n {
+				e.keyCache.leave(e.pairKey(group[j]), keys[j], errs[j])
+			}
+		}
+		for j := range n {
+			settle(at[j], keys[j], errs[j])
+		}
+		n = 0
+	}
+	for i, r := range remotes {
+		if e.keyCache != nil {
+			switch got, found := e.keyCache.reserve(e.pairKey(r)); found {
+			case pairTaken:
+				settle(i, got, nil)
+				continue
+			case pairPending:
+				pending = append(pending, i)
+				continue
+			}
+		}
+		group[n], at[n] = r, i
+		if n++; n == len(group) {
+			derive()
+		}
+	}
+	if n > 0 {
+		derive()
+	}
+	for _, i := range pending {
+		got, err := e.SessionKeys(remotes[i])
+		settle(i, got, err)
+	}
+}
+
+// pairKey is the key-cache entry of the pair toward remote.
+func (e *Enclave) pairKey(remote [xcrypto.PublicKeySize]byte) pairKey {
+	return pairKey{
+		pair:     xcrypto.MakePairID(e.DHPublic(), remote),
+		meas:     e.measurement,
+		modelKEX: e.modelKEX,
+	}
 }
 
 // deriveSessionKeys is the key agreement itself.
@@ -309,13 +401,35 @@ func (e *Enclave) deriveSessionKeys(remote [xcrypto.PublicKeySize]byte) (xcrypto
 			return xcrypto.SessionKeys{}, err
 		}
 	}
-	// Mix H(pi) into both keys so that a peer running program pi' != pi
-	// derives unrelated keys and every envelope it produces fails to
-	// authenticate. The handed-over value is the bound result: only an
-	// enclave with the identical measurement can take it.
+	return e.bind(keys), nil
+}
+
+// deriveBatch is deriveSessionKeys toward every key of remotes.
+func (e *Enclave) deriveBatch(remotes [][xcrypto.PublicKeySize]byte, keys []xcrypto.SessionKeys, errs []error) {
+	if e.modelKEX {
+		for i, r := range remotes {
+			keys[i], errs[i] = modelSessionKeys(e.DHPublic(), r), nil
+		}
+	} else {
+		e.dh.DeriveSessionKeysBatch(remotes, keys, errs)
+	}
+	for i := range remotes {
+		if errs[i] != nil {
+			keys[i] = xcrypto.SessionKeys{}
+		} else {
+			keys[i] = e.bind(keys[i])
+		}
+	}
+}
+
+// bind mixes H(pi) into both keys so that a peer running program pi' != pi
+// derives unrelated keys and every envelope it produces fails to
+// authenticate. The handed-over value is the bound result: only an enclave
+// with the identical measurement can take it.
+func (e *Enclave) bind(keys xcrypto.SessionKeys) xcrypto.SessionKeys {
 	keys.Enc = bindMeasurement(keys.Enc, e.measurement, "enc")
 	keys.Mac = bindMeasurement(keys.Mac, e.measurement, "mac")
-	return keys, nil
+	return keys
 }
 
 func bindMeasurement(key [xcrypto.KeySize]byte, m xcrypto.Measurement, label string) [xcrypto.KeySize]byte {

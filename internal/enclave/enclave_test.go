@@ -8,6 +8,7 @@ import (
 	"time"
 
 	"sgxp2p/internal/wire"
+	"sgxp2p/internal/xcrypto"
 )
 
 // fakeClock is a settable Clock for tests.
@@ -379,5 +380,123 @@ func TestKeyCacheHandsOver(t *testing.T) {
 	wg.Wait()
 	if pairs := n * (n - 1) / 2; cache.Len() != 0 || cache.Derived() != pairs {
 		t.Fatalf("%d pairs waiting after both ends of all %d opened, %d agreements computed", cache.Len(), pairs, cache.Derived())
+	}
+}
+
+// TestSessionKeysBatchLeavesBeforeWaiting stages the cycle a batch must not
+// close: c is deriving the pair (a, c) and will leave it only once it has
+// taken (a, b) — which a's batch reserves first. A batch that waited for
+// (a, c) while still holding (a, b) would wait forever; a batch that
+// derives and leaves what it reserved before it waits lets c through.
+// Every pair is agreed once, and a's keys are the other ends' keys.
+func TestSessionKeysBatchLeavesBeforeWaiting(t *testing.T) {
+	cache := NewKeyCache()
+	var encls [3]*Enclave
+	for i := range encls {
+		e, err := Launch(testProgram, wire.NodeID(i), rand.New(rand.NewSource(int64(50+i))), &fakeClock{}, WithKeyCache(cache))
+		if err != nil {
+			t.Fatal(err)
+		}
+		encls[i] = e
+	}
+	a, b, c := encls[0], encls[1], encls[2]
+	ac := c.pairKey(a.DHPublic())
+	if _, found := cache.reserve(ac); found != pairMine {
+		t.Fatalf("a fresh cache found %d for (a, c)", found)
+	}
+
+	got := make([]xcrypto.SessionKeys, 2)
+	done := make(chan struct{})
+	go func() {
+		defer close(done)
+		a.SessionKeysBatch([][xcrypto.PublicKeySize]byte{b.DHPublic(), c.DHPublic()}, func(i int, keys xcrypto.SessionKeys, err error) {
+			if err != nil {
+				t.Error(err)
+			}
+			got[i] = keys
+		})
+	}()
+	fromB := make(chan xcrypto.SessionKeys, 1)
+	go func() {
+		keys, err := b.SessionKeys(a.DHPublic()) // waits for a's batch to leave (a, b)
+		if err != nil {
+			t.Error(err)
+		}
+		fromB <- keys
+	}()
+	var bKeys xcrypto.SessionKeys
+	select {
+	case bKeys = <-fromB:
+	case <-time.After(10 * time.Second):
+		t.Fatal("a's batch never left (a, b): it waits for (a, c) while holding it")
+	}
+	cKeys, err := c.deriveSessionKeys(a.DHPublic())
+	if err != nil {
+		t.Fatal(err)
+	}
+	cache.leave(ac, cKeys, nil)
+	select {
+	case <-done:
+	case <-time.After(10 * time.Second):
+		t.Fatal("a's batch never took (a, c) once c left it")
+	}
+	if got[0] != bKeys || got[1] != cKeys {
+		t.Fatal("the batch's keys differ from the other ends'")
+	}
+	if cache.Len() != 0 || cache.Derived() != 2 {
+		t.Fatalf("%d pairs waiting, %d agreements; want none and 2", cache.Len(), cache.Derived())
+	}
+}
+
+// TestSessionKeysBatchMatchesSessionKeys holds a batch against SessionKeys
+// pair by pair, for real and model key agreement, with and without a
+// cache, and on a halted enclave.
+func TestSessionKeysBatchMatchesSessionKeys(t *testing.T) {
+	for _, model := range []bool{false, true} {
+		for _, cached := range []bool{false, true} {
+			var opts []Option
+			if model {
+				opts = append(opts, WithModelKEX())
+			}
+			if cached {
+				opts = append(opts, WithKeyCache(NewKeyCache()))
+			}
+			var remotes [][xcrypto.PublicKeySize]byte
+			var want []xcrypto.SessionKeys
+			local, err := Launch(testProgram, 0, rand.New(rand.NewSource(60)), &fakeClock{}, opts...)
+			if err != nil {
+				t.Fatal(err)
+			}
+			for i := 1; i <= 19; i++ { // two full groups and one of three
+				r, err := Launch(testProgram, wire.NodeID(i), rand.New(rand.NewSource(int64(60+i))), &fakeClock{}, opts...)
+				if err != nil {
+					t.Fatal(err)
+				}
+				remotes = append(remotes, r.DHPublic())
+				keys, err := r.SessionKeys(local.DHPublic())
+				if err != nil {
+					t.Fatal(err)
+				}
+				want = append(want, keys)
+			}
+			settled := make([]int, len(remotes))
+			local.SessionKeysBatch(remotes, func(i int, keys xcrypto.SessionKeys, err error) {
+				settled[i]++
+				if err != nil || keys != want[i] {
+					t.Errorf("model=%v cached=%v: pair %d: err %v, keys equal the remote end's: %v", model, cached, i, err, keys == want[i])
+				}
+			})
+			for i, n := range settled {
+				if n != 1 {
+					t.Fatalf("model=%v cached=%v: pair %d settled %d times", model, cached, i, n)
+				}
+			}
+			local.Halt()
+			local.SessionKeysBatch(remotes[:1], func(_ int, _ xcrypto.SessionKeys, err error) {
+				if err != ErrHalted {
+					t.Errorf("a halted enclave's batch: %v, want ErrHalted", err)
+				}
+			})
+		}
 	}
 }

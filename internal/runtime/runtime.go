@@ -561,21 +561,45 @@ func (p *Peer) establish(id wire.NodeID) error {
 }
 
 // EstablishLinks opens every channel the peer has not used yet (a halted
-// peer: none). It touches this peer's state and the locked key cache
-// only, so a deployment runs it for all its peers side by side.
+// peer: none) as one channel.EstablishBatch, so the key agreements run
+// eight to a ladder where the CPU allows; the runtime hands over link
+// slots and ids, the keys stay below. It touches this peer's state and
+// the locked key cache only, so a deployment runs it for all its peers
+// side by side. A failed link stays unopened and the first failure is
+// returned.
 func (p *Peer) EstablishLinks() error {
 	if p.Halted() {
 		return nil
 	}
+	ids := make([]wire.NodeID, 0, len(p.links)-1)
 	for id, l := range p.links {
-		if l != nil || wire.NodeID(id) == p.ID() {
-			continue
-		}
-		if err := p.establish(wire.NodeID(id)); err != nil {
-			return err
+		if l == nil && wire.NodeID(id) != p.ID() {
+			ids = append(ids, wire.NodeID(id))
 		}
 	}
-	return nil
+	if len(ids) == 0 {
+		return nil
+	}
+	ends := make([]linkEnd, len(ids))
+	links := make([]*channel.Link, len(ids))
+	pubs := make([][xcrypto.PublicKeySize]byte, len(ids))
+	for i, id := range ids {
+		links[i], pubs[i] = &ends[i].Link, p.quotes[id].DHPublic
+	}
+	errs := channel.EstablishBatch(links, p.encl, ids, pubs, p.cfg.Sealer)
+	var first error
+	for i := range ends {
+		if errs != nil && errs[i] != nil {
+			if first == nil {
+				first = fmt.Errorf("runtime: link to %d: %w", ids[i], errs[i])
+			}
+			continue
+		}
+		ends[i].SetCounters(p.chanCtr)
+		p.links[ids[i]] = &ends[i]
+		p.stats.LinksEstablished++
+	}
+	return first
 }
 
 // ID returns this peer's node id.

@@ -62,3 +62,39 @@ func TestMACKernelSelection(t *testing.T) {
 		t.Fatalf("NewLinkCipher MAC kernel path = %v, want %v", lc.mac == nil, want)
 	}
 }
+
+// TestX25519KernelSelected reads CPUID and XGETBV afresh, with the bits
+// spelled out here rather than taken from the selection code, and fails
+// (it never skips) when they report AVX-512 F and IFMA with the opmask and
+// ZMM state saved by the operating system but a batch of eight does not
+// go through the kernel: a detection bug would otherwise quietly send every
+// agreement back to crypto/ecdh. The kernel's own reading of the CPU, where
+// there is one, must agree; Linux lists the AVX-512 flags only when it
+// saves that state.
+func TestX25519KernelSelected(t *testing.T) {
+	cpu := cpuid7EBX()&(1<<16) != 0 && cpuid7EBX()&(1<<21) != 0 &&
+		cpuid1ECX()&(1<<27) != 0 && xgetbv0()&0xe6 == 0xe6
+	if haveX25519Kernel != cpu {
+		t.Fatalf("haveX25519Kernel = %v, CPUID and XGETBV say %v", haveX25519Kernel, cpu)
+	}
+	remotes := make([][32]byte, BatchLanes)
+	for i := range remotes {
+		remotes[i][0] = byte(9 + i)
+	}
+	keys := make([]SessionKeys, len(remotes))
+	errs := make([]error, len(remotes))
+	kp := keyPairFrom(t, [32]byte{0: 7})
+	want := 0
+	if cpu {
+		want = BatchLanes
+	}
+	if got := kp.deriveBatch(remotes, keys, errs, x25519BatchMin); got != want {
+		t.Fatalf("a batch of %d took the kernel for %d agreements, want %d (CPU has the kernel: %v)", BatchLanes, got, want, cpu)
+	}
+	if info, err := os.ReadFile("/proc/cpuinfo"); err == nil && strings.Contains(string(info), "\nflags") {
+		has := cpuinfoFlags(t)
+		if linux := has["avx512f"] && has["avx512ifma"]; linux != cpu {
+			t.Fatalf("CPUID and XGETBV say %v, /proc/cpuinfo says avx512f=%v avx512ifma=%v", cpu, has["avx512f"], has["avx512ifma"])
+		}
+	}
+}

@@ -3,12 +3,17 @@
 package xcrypto
 
 // No assembly kernel in this build: every LinkCipher takes the portable
-// CTR loop and the stdlib HMAC, and the entry points below are never
-// reached.
+// CTR loop and the stdlib HMAC, every batched key agreement crypto/ecdh,
+// and the entry points below are never reached.
 const (
-	haveCTRKernel = false
-	haveMACKernel = false
+	haveCTRKernel    = false
+	haveMACKernel    = false
+	haveX25519Kernel = false
 )
+
+func x25519Kernel(*[32]byte, [][32]byte, [][32]byte) {
+	panic("xcrypto: no X25519 kernel in this build")
+}
 
 func expandKeyAsm(*[KeySize]byte, *[60]uint32) { panic("xcrypto: no CTR kernel in this build") }
 

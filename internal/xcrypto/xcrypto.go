@@ -5,10 +5,13 @@
 // Ed25519 signatures for the digital-signature broadcast baseline, and
 // SHA-256 program measurements.
 //
-// Everything here is built from the Go standard library, plus two pieces
-// of assembly adapted from it that a LinkCipher uses on amd64: the
-// AES-256-CTR keystream kernel (ctr_amd64.s) and the SHA-256 block routine
-// under its HMAC (sha_amd64.s); LICENSE-go covers both.
+// Everything here is built from the Go standard library, plus three amd64
+// kernels: two adapted from the standard library's own assembly that a
+// LinkCipher uses, the AES-256-CTR keystream kernel (ctr_amd64.s) and the
+// SHA-256 block routine under its HMAC (sha_amd64.s), which LICENSE-go
+// covers; and the eight-lane AVX-512 IFMA X25519 ladder under
+// KeyPair.DeriveSessionKeysBatch (x25519_amd64.s), held byte for byte to
+// crypto/ecdh.
 package xcrypto
 
 import (
@@ -80,10 +83,12 @@ type SessionKeys struct {
 
 // KeyPair is an X25519 key pair used in the channel setup phase. The
 // public half is kept as bytes from generation on: every session-key
-// derivation and every key-cache lookup reads it.
+// derivation and every key-cache lookup reads it. So is the private
+// scalar, which the batch kernel reads.
 type KeyPair struct {
-	priv *ecdh.PrivateKey
-	pub  [PublicKeySize]byte
+	priv   *ecdh.PrivateKey
+	pub    [PublicKeySize]byte
+	scalar [32]byte
 }
 
 // GenerateKeyPair creates a fresh X25519 key pair from the given entropy
@@ -102,7 +107,7 @@ func GenerateKeyPair(rng io.Reader) (*KeyPair, error) {
 	if err != nil {
 		return nil, fmt.Errorf("xcrypto: generate X25519 key: %w", err)
 	}
-	kp := &KeyPair{priv: priv}
+	kp := &KeyPair{priv: priv, scalar: seed}
 	copy(kp.pub[:], priv.PublicKey().Bytes())
 	return kp, nil
 }
@@ -125,13 +130,16 @@ func (kp *KeyPair) DeriveSessionKeys(remote [PublicKeySize]byte) (SessionKeys, e
 	if err != nil {
 		return keys, fmt.Errorf("xcrypto: ECDH: %w", err)
 	}
+	return kp.sessionKeys(shared, &remote), nil
+}
+
+// sessionKeys derives the directional keys from the shared secret.
+func (kp *KeyPair) sessionKeys(shared []byte, remote *[PublicKeySize]byte) SessionKeys {
 	lo, hi := kp.pub[:], remote[:]
 	if lessBytes(hi, lo) {
 		lo, hi = hi, lo
 	}
-	keys.Enc = kdf(shared, lo, hi, "enc")
-	keys.Mac = kdf(shared, lo, hi, "mac")
-	return keys, nil
+	return SessionKeys{Enc: kdf(shared, lo, hi, "enc"), Mac: kdf(shared, lo, hi, "mac")}
 }
 
 // PairID canonically identifies an unordered pair of X25519 public keys:
