@@ -10,12 +10,14 @@ build:
 
 # The second run takes the portable CTR loop and the stdlib HMAC of the
 # link cipher (DESIGN.md §7) through the tests of the two packages that
-# seal, in a build with neither kernel: an amd64 host with AES-NI and
-# SHA-NI otherwise only ever runs the two kernels. Then every example
-# runs once, so one that fails at run time fails the target.
+# seal, and crypto/ecdh and crypto/ed25519 through the launch and
+# attestation tests of the enclave and deployment packages, in a build
+# with no kernel: an amd64 host with AES-NI, SHA-NI and IFMA otherwise
+# only ever runs the kernels. Then every example runs once, so one that
+# fails at run time fails the target.
 test:
 	$(GO) test ./...
-	$(GO) test -tags purego ./internal/xcrypto/... ./internal/channel/...
+	$(GO) test -tags purego ./internal/xcrypto/... ./internal/channel/... ./internal/enclave/... ./internal/deploy/...
 	@for ex in examples/*/; do $(GO) run ./$$ex >/dev/null || { echo "$$ex failed"; exit 1; }; done
 
 vet:
@@ -33,11 +35,13 @@ vet:
 # summon, arrival and cancel race Run's goroutine, and each run sees one
 # schedule of those interleavings. The third does the same for the
 # prefetch's key-cache reservations, where peers on different workers
-# reserve, derive and wait for each other's pairs.
+# reserve, derive and wait for each other's pairs; the fourth for the
+# batched launch and roster check, whose groups run on the worker pool.
 race:
 	$(GO) test -race ./internal/deploy/... ./internal/experiments/... ./internal/runtime/... ./internal/tcpnet/... ./internal/scenario/... ./internal/vclock/... ./internal/simnet/... ./internal/overlay/... ./internal/core/... ./internal/beacon/... .
 	$(GO) test -race -count=5 -run 'Handoff|Lane' ./internal/vclock/... ./internal/simnet/...
 	$(GO) test -race -count=5 -run 'PrefetchDerivesEachPairOnce' ./internal/deploy/...
+	$(GO) test -race -count=3 -run 'LaunchBatchMatchesLaunch|RosterErrorsMatchSerialLoop' ./internal/enclave/... ./internal/deploy/...
 
 # chaos runs the deterministic fault-injection suite under the race
 # detector (its only race run in `verify`): fixed-seed schedules

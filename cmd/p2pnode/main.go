@@ -293,17 +293,24 @@ func run(args []string) error {
 		ServiceKey:  service.VerifyKey(),
 		Measurement: enclaveMeasurement(program),
 	}
-	var encl *enclave.Enclave
+	ids := make([]wire.NodeID, *n)
+	rngs := make([]io.Reader, *n)
+	clocks := make([]enclave.Clock, *n)
+	for i := range ids {
+		ids[i] = wire.NodeID(i)
+		rngs[i] = mrand.New(mrand.NewSource(*demoSecret ^ int64(i+1)*0x9E3779B9))
+		clocks[i] = clock
+	}
+	encls, err := enclave.LaunchBatch(program, ids, rngs, clocks)
+	if err != nil {
+		return fail(err)
+	}
+	var encl *enclave.Enclave // none for an id outside the roster: NewPeer refuses that
+	if int(self) < len(encls) {
+		encl = encls[self]
+	}
 	seqs := make([]uint64, *n)
-	for i := 0; i < *n; i++ {
-		peerRng := mrand.New(mrand.NewSource(*demoSecret ^ int64(i+1)*0x9E3779B9))
-		e, lerr := enclave.Launch(program, wire.NodeID(i), peerRng, clock)
-		if lerr != nil {
-			return fail(lerr)
-		}
-		if wire.NodeID(i) == self {
-			encl = e
-		}
+	for i, e := range encls {
 		roster.Quotes[i] = service.Attest(e)
 		s, serr := e.RandomSeq()
 		if serr != nil {

@@ -28,6 +28,7 @@ package deploy
 
 import (
 	"fmt"
+	"io"
 	"math/rand"
 	"time"
 
@@ -194,17 +195,32 @@ func New(opts Options) (*Deployment, error) {
 
 	d.keyCache = enclave.NewKeyCache()
 	enclOpts := d.enclaveOptions()
-	// Phase 1 (parallel): launch and attest every enclave. Each enclave
-	// draws only from its own seeded RNG and writes index-distinct slots,
-	// so the result is independent of the pool size.
-	err = parallel.ForEach(opts.N, func(id int) error {
-		rng := rand.New(rand.NewSource(opts.Seed ^ int64(id+1)*0x9E3779B9))
-		encl, lerr := enclave.Launch(DefaultProgram, wire.NodeID(id), rng, d.clock(wire.NodeID(id)), enclOpts...)
-		if lerr != nil {
-			return fmt.Errorf("deploy: enclave %d: %w", id, lerr)
+	// Phase 1 (parallel): launch and attest every enclave, a group of
+	// xcrypto.BatchLanes per worker so that the group's key pairs share a
+	// ladder. Each enclave draws only from its own seeded RNG and writes
+	// index-distinct slots, so the result is independent of the pool size.
+	groups := (opts.N + xcrypto.BatchLanes - 1) / xcrypto.BatchLanes
+	err = parallel.ForEach(groups, func(g int) error {
+		lo, hi := g*xcrypto.BatchLanes, min((g+1)*xcrypto.BatchLanes, opts.N)
+		var (
+			ids    [xcrypto.BatchLanes]wire.NodeID
+			rngs   [xcrypto.BatchLanes]io.Reader
+			clocks [xcrypto.BatchLanes]enclave.Clock
+		)
+		for i := range hi - lo {
+			id := lo + i
+			ids[i] = wire.NodeID(id)
+			rngs[i] = rand.New(rand.NewSource(opts.Seed ^ int64(id+1)*0x9E3779B9))
+			clocks[i] = d.clock(wire.NodeID(id))
 		}
-		d.Encls[id] = encl
-		d.Roster.Quotes[id] = service.Attest(encl)
+		encls, lerr := enclave.LaunchBatch(DefaultProgram, ids[:hi-lo], rngs[:hi-lo], clocks[:hi-lo], enclOpts...)
+		for i, encl := range encls {
+			d.Encls[lo+i] = encl
+			d.Roster.Quotes[lo+i] = service.Attest(encl)
+		}
+		if lerr != nil {
+			return fmt.Errorf("deploy: enclave %d: %w", lo+len(encls), lerr)
+		}
 		return nil
 	})
 	if err != nil {
@@ -213,13 +229,7 @@ func New(opts Options) (*Deployment, error) {
 	// Phase 2 (parallel): verify the whole roster once here instead of
 	// once per peer — the simulated deployment shares one process, so N^2
 	// re-verifications of identical quotes would only burn CPU.
-	err = parallel.ForEach(opts.N, func(id int) error {
-		if verr := enclave.VerifyQuote(d.Roster.ServiceKey, d.Roster.Measurement, d.Roster.Quotes[id]); verr != nil {
-			return fmt.Errorf("deploy: attestation of node %d: %w", id, verr)
-		}
-		return nil
-	})
-	if err != nil {
+	if err = verifyRoster(d.Roster); err != nil {
 		return nil, err
 	}
 	d.Roster.PreVerified = true
@@ -244,6 +254,25 @@ func New(opts Options) (*Deployment, error) {
 		return nil, fmt.Errorf("deploy: setup: %w", err)
 	}
 	return d, nil
+}
+
+// verifyRoster checks every quote of the roster, a group of
+// xcrypto.BatchLanes per worker, each group one batched signature check
+// (enclave.VerifyQuotes), and returns what a loop of enclave.VerifyQuote
+// over the roster would stop at: the lowest failing index's error.
+func verifyRoster(r runtime.Roster) error {
+	n := len(r.Quotes)
+	return parallel.ForEach((n+xcrypto.BatchLanes-1)/xcrypto.BatchLanes, func(g int) error {
+		lo, hi := g*xcrypto.BatchLanes, min((g+1)*xcrypto.BatchLanes, n)
+		var errs [xcrypto.BatchLanes]error
+		enclave.VerifyQuotes(r.ServiceKey, r.Measurement, r.Quotes[lo:hi], errs[:hi-lo])
+		for i, err := range errs[:hi-lo] {
+			if err != nil {
+				return fmt.Errorf("deploy: attestation of node %d: %w", lo+i, err)
+			}
+		}
+		return nil
+	})
 }
 
 // EstablishLinks opens every channel the live peers have not used yet,

@@ -1,7 +1,11 @@
 package enclave
 
 import (
+	"bytes"
+	"fmt"
+	"io"
 	"math/rand"
+	"reflect"
 	"sync"
 	"testing"
 	"testing/quick"
@@ -497,6 +501,109 @@ func TestSessionKeysBatchMatchesSessionKeys(t *testing.T) {
 					t.Errorf("a halted enclave's batch: %v, want ErrHalted", err)
 				}
 			})
+		}
+	}
+}
+
+// TestLaunchBatchMatchesLaunch launches rosters of N enclaves both ways —
+// one LaunchBatch, and Launch plus Attest one at a time — from the same
+// seeded readers: every enclave must have the same DH public key, id and
+// measurement, get the same quote bytes, and leave its reader where the
+// other left it, as the next KiB drawn through ReadRand shows. Then the
+// batched quote check must give every quote VerifyQuote's verdict.
+func TestLaunchBatchMatchesLaunch(t *testing.T) {
+	for _, n := range []int{1, 7, 8, 9, 64, 256} {
+		for seed := int64(1); seed <= 3; seed++ {
+			svc, err := NewAttestationService(rand.New(rand.NewSource(seed)))
+			if err != nil {
+				t.Fatal(err)
+			}
+			rngFor := func(i int) *rand.Rand { return rand.New(rand.NewSource(seed*1000 + int64(i))) }
+			ids := make([]wire.NodeID, n)
+			rngs := make([]io.Reader, n)
+			clocks := make([]Clock, n)
+			for i := range ids {
+				ids[i], rngs[i], clocks[i] = wire.NodeID(i), rngFor(i), &fakeClock{}
+			}
+			batch, err := LaunchBatch(testProgram, ids, rngs, clocks)
+			if err != nil || len(batch) != n {
+				t.Fatalf("N=%d seed %d: %d enclaves, err %v", n, seed, len(batch), err)
+			}
+			quotes := make([]Quote, n)
+			for i, b := range batch {
+				one, err := Launch(testProgram, wire.NodeID(i), rngFor(i), &fakeClock{})
+				if err != nil {
+					t.Fatal(err)
+				}
+				quotes[i] = svc.Attest(b)
+				want := svc.Attest(one)
+				if b.DHPublic() != one.DHPublic() || b.ID() != one.ID() || b.Measurement() != one.Measurement() {
+					t.Fatalf("N=%d seed %d: enclave %d differs from Launch's", n, seed, i)
+				}
+				if !reflect.DeepEqual(quotes[i], want) {
+					t.Fatalf("N=%d seed %d: quote %d differs from Launch's", n, seed, i)
+				}
+				got, next := make([]byte, 1024), make([]byte, 1024)
+				if err := b.ReadRand(got); err != nil {
+					t.Fatal(err)
+				}
+				if err := one.ReadRand(next); err != nil {
+					t.Fatal(err)
+				}
+				if !bytes.Equal(got, next) {
+					t.Fatalf("N=%d seed %d: enclave %d's reader is not where Launch leaves it", n, seed, i)
+				}
+			}
+			// One quote forged, one for another program, where there is room.
+			if n > 2 {
+				quotes[1].Signature = append([]byte(nil), quotes[1].Signature...)
+				quotes[1].Signature[40] ^= 4
+				other, err := Launch([]byte("other"), 2, rngFor(2), &fakeClock{})
+				if err != nil {
+					t.Fatal(err)
+				}
+				quotes[2] = svc.Attest(other)
+			}
+			errs := make([]error, n)
+			VerifyQuotes(svc.VerifyKey(), xcrypto.Measure(testProgram), quotes, errs)
+			for i, q := range quotes {
+				if want := VerifyQuote(svc.VerifyKey(), xcrypto.Measure(testProgram), q); errs[i] != want {
+					t.Fatalf("N=%d seed %d: quote %d checks as %v, VerifyQuote says %v", n, seed, i, errs[i], want)
+				}
+			}
+			if n > 2 && (errs[0] != nil || errs[1] != ErrBadQuote || errs[2] != ErrWrongMeasurement) {
+				t.Fatalf("N=%d seed %d: genuine, forged and other-program quotes check as %v, %v, %v", n, seed, errs[0], errs[1], errs[2])
+			}
+		}
+	}
+}
+
+// TestLaunchBatchStopsWhereLaunchFails holds LaunchBatch's failures to a
+// loop of Launch calls: a reader that runs dry or a missing clock at
+// entry k returns the k enclaves before it and Launch's error for k.
+func TestLaunchBatchStopsWhereLaunchFails(t *testing.T) {
+	const n = 12
+	for _, k := range []int{0, 5, 8, n - 1} {
+		for _, dryReader := range []bool{true, false} {
+			ids := make([]wire.NodeID, n)
+			rngs := make([]io.Reader, n)
+			clocks := make([]Clock, n)
+			for i := range ids {
+				ids[i], rngs[i], clocks[i] = wire.NodeID(i), rand.New(rand.NewSource(int64(i))), &fakeClock{}
+			}
+			if dryReader {
+				rngs[k] = bytes.NewReader(make([]byte, 10))
+			} else {
+				clocks[k] = nil
+			}
+			encls, err := LaunchBatch(testProgram, ids, rngs, clocks)
+			_, want := Launch(testProgram, ids[k], rngs[k], clocks[k])
+			if dryReader {
+				_, want = Launch(testProgram, ids[k], bytes.NewReader(make([]byte, 10)), clocks[k])
+			}
+			if len(encls) != k || want == nil || fmt.Sprint(err) != fmt.Sprint(want) {
+				t.Fatalf("entry %d fails (dry reader %v): %d enclaves and %v, want %d and %v", k, dryReader, len(encls), err, k, want)
+			}
 		}
 	}
 }

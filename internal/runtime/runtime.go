@@ -498,14 +498,17 @@ func NewPeer(encl *enclave.Enclave, tr Transport, roster Roster, cfg Config) (*P
 		cfg.Sealer = channel.RealSealer{}
 	}
 	self := int(encl.ID())
+	var verrs []error // VerifyQuote's verdict on every quote, checked in one batch
+	if !roster.PreVerified {
+		verrs = make([]error, len(roster.Quotes))
+		enclave.VerifyQuotes(roster.ServiceKey, roster.Measurement, roster.Quotes, verrs)
+	}
 	for id, q := range roster.Quotes {
 		if id == self {
 			continue
 		}
-		if !roster.PreVerified {
-			if err := enclave.VerifyQuote(roster.ServiceKey, roster.Measurement, q); err != nil {
-				return nil, fmt.Errorf("runtime: attestation of peer %d: %w", id, err)
-			}
+		if verrs != nil && verrs[id] != nil {
+			return nil, fmt.Errorf("runtime: attestation of peer %d: %w", id, verrs[id])
 		}
 		if q.NodeID != wire.NodeID(id) {
 			return nil, fmt.Errorf("runtime: quote %d claims node id %d", id, q.NodeID)

@@ -98,3 +98,35 @@ func TestX25519KernelSelected(t *testing.T) {
 		}
 	}
 }
+
+// TestVerifyKernelSelected is TestX25519KernelSelected for the eight-lane
+// signature check, which runs on the same kernels under the same
+// detection: it fails (it never skips) when CPUID and XGETBV report
+// AVX-512 F and IFMA with their state saved but a batch of eight genuine
+// signatures is not checked by the kernel, or is not accepted.
+func TestVerifyKernelSelected(t *testing.T) {
+	cpu := cpuid7EBX()&(1<<16) != 0 && cpuid7EBX()&(1<<21) != 0 &&
+		cpuid1ECX()&(1<<27) != 0 && xgetbv0()&0xe6 == 0xe6
+	sk, err := GenerateSigningKey(fixedReader(make([]byte, 32)))
+	if err != nil {
+		t.Fatal(err)
+	}
+	msgs, sigs := make([][]byte, BatchLanes), make([][]byte, BatchLanes)
+	for i := range msgs {
+		msgs[i] = []byte{byte(i)}
+		sigs[i] = sk.Sign(msgs[i])
+	}
+	ok := make([]bool, BatchLanes)
+	want := 0
+	if cpu {
+		want = BatchLanes
+	}
+	if got := sk.VerifyKey().verifyBatch(msgs, sigs, ok, verifyBatchMin); got != want {
+		t.Fatalf("a batch of %d took the kernel for %d signatures, want %d (CPU has the kernel: %v)", BatchLanes, got, want, cpu)
+	}
+	for i, v := range ok {
+		if !v {
+			t.Fatalf("lane %d rejected a genuine signature", i)
+		}
+	}
+}

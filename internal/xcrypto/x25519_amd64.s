@@ -1,7 +1,9 @@
-// Eight-lane X25519 on AVX-512 IFMA (x25519_amd64.go).
+// Eight-lane GF(2^255-19) arithmetic on AVX-512 IFMA: the X25519 ladder
+// (x25519_amd64.go) and the field operations the Ed25519 check composes
+// (verify_amd64.go).
 //
-// A field element of GF(2^255-19) is five limbs in radix 2^52, one ZMM
-// register (or 64-byte row) per limb and one 64-bit lane per agreement.
+// A field element is five limbs in radix 2^52, one ZMM register (or
+// 64-byte row) per limb and one 64-bit lane per agreement or signature.
 // VPMADD52{L,H}UQ read only the low 52 bits of a limb, so an element
 // that feeds a multiplication is carried: each limb's bits above 52 added
 // into the next, limb 4 below 2^47 + 2^10. Where the element feeds
@@ -271,17 +273,18 @@
 	NORM(Z10, Z11, Z12, Z13, Z14); \
 	NORM(Z15, Z16, Z17, Z18, Z19)
 
-// func ladderAsm(x1 *fe8, e *[32]byte, x2, z2 *fe8)
+// func ladderAsm(x1 *fe8, sched *[256]uint8, x2, z2 *fe8)
 //
 // The Montgomery ladder of crypto/ecdh's x25519ScalarMult in every lane,
-// from the tight base point x1 for the clamped scalar e: bits 254 down to
-// 0, each a conditional swap and a step of doubling and differential
-// addition. It writes the final (x2, z2), swapped back and carried. The
-// state lives in this frame, 64-byte aligned so no row straddles a cache
-// line.
+// from the tight base point x1: bits 254 down to 0, each a conditional
+// swap and a step of doubling and differential addition. Byte i of sched
+// has bit l set when bit i of lane l's clamped scalar is, so each lane
+// climbs by its own scalar. It writes the final (x2, z2), swapped back
+// and carried. The state lives in this frame, 64-byte aligned so no row
+// straddles a cache line.
 TEXT ·ladderAsm(SB), 0, $2944-32
 	MOVQ x1+0(FP), SI
-	MOVQ e+8(FP), DX
+	MOVQ sched+8(FP), DX
 	LEAQ 63(SP), DI
 	ANDQ $-64, DI
 	CONSTS
@@ -295,18 +298,14 @@ TEXT ·ladderAsm(SB), 0, $2944-32
 	STORE(DI, oZ2, Z0, Z0, Z0, Z0, Z0)
 	STORE(DI, oZ3, Z1, Z0, Z0, Z0, Z0)
 	MOVQ         $254, R8 // bit position
-	XORQ         R9, R9   // swap
+	XORQ         R9, R9   // lanes swapped after the last step
 
 step:
-	MOVQ    R8, AX
-	SHRQ    $3, AX
-	MOVBQZX (DX)(AX*1), BX
-	MOVQ    R8, CX
-	ANDQ    $7, CX
-	SHRQ    CX, BX
-	ANDQ    $1, BX
+	// The lanes to swap are those whose bit differs from the one before:
+	// the schedule is read at the public bit position, its bytes only
+	// ever reach the opmask.
+	MOVBQZX (DX)(R8*1), BX
 	XORQ    BX, R9
-	NEGQ    R9
 	KMOVW   R9, K1
 	MOVQ    BX, R9
 
@@ -335,7 +334,6 @@ step:
 	JGE  step
 
 	// The last swap, then x2 and z2 carried for the inversion.
-	NEGQ      R9
 	KMOVW     R9, K1
 	MOVQ      x2+16(FP), SI
 	LOADT(DI, oX2)
@@ -404,6 +402,83 @@ sqr:
 	JNZ       sqr
 
 	STORE(DI, 0, Z0, Z1, Z2, Z3, Z4)
+	VZEROUPPER
+	RET
+
+// func feAdd8(out, a, b *fe8)
+//
+// out = a + b, tight; a and b tight.
+TEXT ·feAdd8(SB), NOSPLIT, $0-24
+	MOVQ   out+0(FP), DI
+	MOVQ   a+8(FP), SI
+	MOVQ   b+16(FP), DX
+	CONSTS
+	LOADT(SI, 0)
+	VPADDQ 0(DX), Z10, Z10
+	VPADDQ 64(DX), Z11, Z11
+	VPADDQ 128(DX), Z12, Z12
+	VPADDQ 192(DX), Z13, Z13
+	VPADDQ 256(DX), Z14, Z14
+	TIGHT
+	STORET(DI, 0)
+	VZEROUPPER
+	RET
+
+// func feSub8(out, a, b *fe8)
+//
+// out = a - b, tight; a and b tight. 1088p is added first, so no limb
+// goes negative.
+TEXT ·feSub8(SB), NOSPLIT, $0-24
+	MOVQ   out+0(FP), DI
+	MOVQ   a+8(FP), SI
+	MOVQ   b+16(FP), DX
+	CONSTS
+	LOADT(SI, 0)
+	VPADDQ Z29, Z10, Z10
+	VPADDQ Z30, Z11, Z11
+	VPADDQ Z30, Z12, Z12
+	VPADDQ Z30, Z13, Z13
+	VPADDQ Z31, Z14, Z14
+	VPSUBQ 0(DX), Z10, Z10
+	VPSUBQ 64(DX), Z11, Z11
+	VPSUBQ 128(DX), Z12, Z12
+	VPSUBQ 192(DX), Z13, Z13
+	VPSUBQ 256(DX), Z14, Z14
+	TIGHT
+	STORET(DI, 0)
+	VZEROUPPER
+	RET
+
+// func feAddSub8(sum, diff, a, b *fe8)
+//
+// sum = a + b and diff = a - b, both tight; a and b tight.
+TEXT ·feAddSub8(SB), NOSPLIT, $0-32
+	MOVQ   sum+0(FP), DI
+	MOVQ   diff+8(FP), R8
+	MOVQ   a+16(FP), SI
+	MOVQ   b+24(FP), DX
+	CONSTS
+	LOADA(SI, 0)
+	LOADB(DX, 0)
+	VPADDQ Z5, Z0, Z10
+	VPADDQ Z6, Z1, Z11
+	VPADDQ Z7, Z2, Z12
+	VPADDQ Z8, Z3, Z13
+	VPADDQ Z9, Z4, Z14
+	VPADDQ Z29, Z0, Z15
+	VPADDQ Z30, Z1, Z16
+	VPADDQ Z30, Z2, Z17
+	VPADDQ Z30, Z3, Z18
+	VPADDQ Z31, Z4, Z19
+	VPSUBQ Z5, Z15, Z15
+	VPSUBQ Z6, Z16, Z16
+	VPSUBQ Z7, Z17, Z17
+	VPSUBQ Z8, Z18, Z18
+	VPSUBQ Z9, Z19, Z19
+	TIGHT
+	NORMT(Z15, Z16, Z17, Z18, Z19)
+	STORET(DI, 0)
+	STORE(R8, 0, Z15, Z16, Z17, Z18, Z19)
 	VZEROUPPER
 	RET
 

@@ -1,8 +1,11 @@
 package xcrypto
 
 import (
+	"bytes"
+	"crypto/ecdh"
 	"encoding/hex"
 	"fmt"
+	"io"
 	"math/rand"
 	"testing"
 )
@@ -58,7 +61,8 @@ func TestX25519KernelRFC7748(t *testing.T) {
 	}
 	x25519 := func(k, u [32]byte) [32]byte {
 		var out [1][32]byte
-		x25519Kernel(&k, [][32]byte{u}, out[:])
+		sched := laneSchedule(&[BatchLanes][32]byte{k})
+		x25519Kernel(&sched, [][32]byte{u}, out[:])
 		return out[0]
 	}
 	for _, v := range []struct{ k, u, out string }{
@@ -262,6 +266,200 @@ func BenchmarkX25519Batch(b *testing.B) {
 					kp.deriveBatch(remotes, keys, errs, path.minLanes)
 				}
 				b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N*n), "ns/agreement")
+			})
+		}
+	}
+}
+
+// ecdhPublic is crypto/ecdh's public key for a 32-byte seed.
+func ecdhPublic(tb testing.TB, seed [32]byte) [32]byte {
+	tb.Helper()
+	priv, err := ecdh.X25519().NewPrivateKey(seed[:])
+	if err != nil {
+		tb.Fatal(err)
+	}
+	return [32]byte(priv.PublicKey().Bytes())
+}
+
+// checkKeyPairs generates a key pair from every seed, at minLanes 1 and
+// at BatchLanes+1 (crypto/ecdh only), and holds each public key and each
+// agreement toward the next seed's key against crypto/ecdh.
+func checkKeyPairs(tb testing.TB, seeds [][32]byte) {
+	tb.Helper()
+	rngs := make([]io.Reader, len(seeds))
+	for _, minLanes := range []int{1, BatchLanes + 1} {
+		for i := range seeds {
+			rngs[i] = bytes.NewReader(seeds[i][:])
+		}
+		kps, err := generateKeyPairs(rngs, minLanes)
+		if err != nil || len(kps) != len(seeds) {
+			tb.Fatalf("%d seeds: %d key pairs, err %v", len(seeds), len(kps), err)
+		}
+		for i, kp := range kps {
+			if want := ecdhPublic(tb, seeds[i]); kp.Public() != want {
+				tb.Fatalf("seed %d of %d (minLanes %d): public key %x, crypto/ecdh says %x", i, len(seeds), minLanes, kp.Public(), want)
+			}
+			if kp.scalar != seeds[i] {
+				tb.Fatalf("seed %d of %d: the key pair holds another scalar", i, len(seeds))
+			}
+		}
+	}
+}
+
+// TestGenerateKeyPairsRFC7748 generates the RFC 7748 §6.1 Alice and Bob
+// key pairs in one batch.
+func TestGenerateKeyPairsRFC7748(t *testing.T) {
+	alice := mustHex32(t, "77076d0a7318a57d3c16c17251b26645df4c2f87ebc0992ab177fba51db92c2a")
+	bob := mustHex32(t, "5dab087e624a8a4b79e17f8b83800ee66f3bb1292618b6fd1c2f8b27ff88e0eb")
+	rngs := []io.Reader{bytes.NewReader(alice[:]), bytes.NewReader(bob[:])}
+	kps, err := GenerateKeyPairs(rngs)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for i, want := range []string{
+		"8520f0098930a754748b7ddcb43ef75a0dbf3a0d26381af4eba4a98eaa9b4e6a",
+		"de9edb7d7b7dc1b4d35b61c2ece435373f8343c85b78674dadfc7e146f882b4f",
+	} {
+		if got := kps[i].Public(); got != mustHex32(t, want) {
+			t.Errorf("key pair %d: public key %x, want %s", i, got, want)
+		}
+	}
+	ka, err := kps[0].DeriveSessionKeys(kps[1].Public())
+	if err != nil {
+		t.Fatal(err)
+	}
+	if kb, _ := kps[1].DeriveSessionKeys(kps[0].Public()); ka != kb {
+		t.Fatal("Alice and Bob derive different session keys")
+	}
+}
+
+// TestGenerateKeyPairsRandom holds 10^4 random seeds against crypto/ecdh
+// at batch sizes 1-8, 63 and 256.
+func TestGenerateKeyPairsRandom(t *testing.T) {
+	rng := rand.New(rand.NewSource(44))
+	sizes := []int{1, 2, 3, 4, 5, 6, 7, 8, 63, 256}
+	keys := 0
+	for trial := 0; keys < 10000; trial++ {
+		seeds := make([][32]byte, sizes[trial%len(sizes)])
+		for i := range seeds {
+			rng.Read(seeds[i][:])
+		}
+		checkKeyPairs(t, seeds)
+		keys += len(seeds)
+	}
+}
+
+// TestGenerateKeyPairsOneBitApart gives the eight lanes scalars that
+// differ from a common one in a single bit each, at every bit position
+// clamping leaves free: a schedule transposed the wrong way, or a lane
+// climbing by its neighbour's bits, gives some lane the wrong key.
+func TestGenerateKeyPairsOneBitApart(t *testing.T) {
+	rng := rand.New(rand.NewSource(45))
+	for trial := 0; trial < 4; trial++ {
+		var base [32]byte
+		rng.Read(base[:])
+		for bit := 3; bit < 254; bit += BatchLanes {
+			seeds := make([][32]byte, BatchLanes)
+			for lane := range seeds {
+				seeds[lane] = base
+				if b := bit + lane; b < 254 {
+					seeds[lane][b/8] ^= 1 << (b % 8)
+				}
+			}
+			checkKeyPairs(t, seeds)
+		}
+	}
+}
+
+// TestLaneSchedule pins the transposition bit by bit: bit l of byte i is
+// bit i of lane l's clamped scalar.
+func TestLaneSchedule(t *testing.T) {
+	rng := rand.New(rand.NewSource(46))
+	var scalars [BatchLanes][32]byte
+	for lane := range scalars {
+		rng.Read(scalars[lane][:])
+	}
+	sched := laneSchedule(&scalars)
+	for lane, s := range scalars {
+		s[0] &= 248
+		s[31] = s[31]&127 | 64
+		for i := range 256 {
+			if got, want := sched[i]>>lane&1, s[i/8]>>(i%8)&1; got != want {
+				t.Fatalf("schedule byte %d, lane %d: bit %d, the scalar's bit is %d", i, lane, got, want)
+			}
+		}
+	}
+}
+
+// TestGenerateKeyPairsReads checks that the batch reads the readers in
+// order, exactly 32 bytes each: from one shared source it generates what
+// GenerateKeyPair does in a loop, and leaves the source where the loop
+// does. A reader that fails stops the batch where the loop stops.
+func TestGenerateKeyPairsReads(t *testing.T) {
+	const n = 19
+	batchSrc, loopSrc := rand.New(rand.NewSource(47)), rand.New(rand.NewSource(47))
+	rngs := make([]io.Reader, n)
+	for i := range rngs {
+		rngs[i] = batchSrc
+	}
+	kps, err := GenerateKeyPairs(rngs)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for i := range n {
+		want, err := GenerateKeyPair(loopSrc)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if kps[i].Public() != want.Public() {
+			t.Fatalf("key pair %d differs from the loop's", i)
+		}
+	}
+	if batchSrc.Uint64() != loopSrc.Uint64() {
+		t.Fatal("the batch left its source elsewhere than the loop")
+	}
+	for _, fail := range []int{0, 5, 8, 13} {
+		for i := range rngs {
+			rngs[i] = bytes.NewReader(make([]byte, 32))
+		}
+		rngs[fail] = bytes.NewReader(make([]byte, 31))
+		kps, err := GenerateKeyPairs(rngs)
+		_, want := GenerateKeyPair(bytes.NewReader(make([]byte, 31)))
+		if len(kps) != fail || fmt.Sprint(err) != fmt.Sprint(want) {
+			t.Fatalf("reader %d fails: %d key pairs and %v, want %d and %v", fail, len(kps), err, fail, want)
+		}
+		if r := rngs[fail+1].(*bytes.Reader); r.Len() != 32 {
+			t.Fatalf("reader %d fails: the batch read on past it", fail)
+		}
+	}
+}
+
+// BenchmarkGenerateKeyPairs times one key pair per lane on each path at
+// 1, 2, 4 and 8 lanes: crypto/ecdh one by one, and one kernel call per
+// group.
+func BenchmarkGenerateKeyPairs(b *testing.B) {
+	for _, path := range []struct {
+		name     string
+		minLanes int
+	}{{"ecdh", BatchLanes + 1}, {"kernel", 1}} {
+		if path.name == "kernel" && !haveX25519Kernel {
+			continue
+		}
+		for _, n := range []int{1, 2, 4, 8} {
+			b.Run(fmt.Sprintf("%s/lanes=%d", path.name, n), func(b *testing.B) {
+				src := rand.New(rand.NewSource(48))
+				rngs := make([]io.Reader, n)
+				for i := range rngs {
+					rngs[i] = src
+				}
+				b.ReportAllocs()
+				b.ResetTimer()
+				for i := 0; i < b.N; i++ {
+					if _, err := generateKeyPairs(rngs, path.minLanes); err != nil {
+						b.Fatal(err)
+					}
+				}
+				b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N*n), "ns/key")
 			})
 		}
 	}

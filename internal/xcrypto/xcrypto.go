@@ -2,16 +2,18 @@
 // model and the blinded Peer channel: X25519 Diffie-Hellman key agreement,
 // an encrypt-then-MAC symmetric channel cipher (AES-CTR + HMAC-SHA256,
 // matching the SKE+MAC composition of the paper's Appendix A, Figure 4),
-// Ed25519 signatures for the digital-signature broadcast baseline, and
-// SHA-256 program measurements.
+// Ed25519 signatures for the attestation quotes and the digital-signature
+// broadcast baseline, and SHA-256 program measurements.
 //
 // Everything here is built from the Go standard library, plus three amd64
 // kernels: two adapted from the standard library's own assembly that a
 // LinkCipher uses, the AES-256-CTR keystream kernel (ctr_amd64.s) and the
 // SHA-256 block routine under its HMAC (sha_amd64.s), which LICENSE-go
-// covers; and the eight-lane AVX-512 IFMA X25519 ladder under
-// KeyPair.DeriveSessionKeysBatch (x25519_amd64.s), held byte for byte to
-// crypto/ecdh.
+// covers; and eight-lane AVX-512 IFMA field arithmetic (x25519_amd64.s)
+// under the X25519 ladder of KeyPair.DeriveSessionKeysBatch and
+// GenerateKeyPairs, held byte for byte to crypto/ecdh, and under the
+// Ed25519 check of VerifyKey.VerifyBatch (verify_amd64.go), held verdict
+// for verdict to crypto/ed25519.
 package xcrypto
 
 import (
@@ -26,6 +28,7 @@ import (
 	"errors"
 	"fmt"
 	"io"
+	"sync/atomic"
 )
 
 // Sizes of the fixed-width cryptographic values used on the wire.
@@ -84,9 +87,11 @@ type SessionKeys struct {
 // KeyPair is an X25519 key pair used in the channel setup phase. The
 // public half is kept as bytes from generation on: every session-key
 // derivation and every key-cache lookup reads it. So is the private
-// scalar, which the batch kernel reads.
+// scalar, which the batch kernel reads. The private key as crypto/ecdh
+// holds it is built only where crypto/ecdh computes (ecdhKey): building
+// it is itself a full ladder, for a public key the kernel already made.
 type KeyPair struct {
-	priv   *ecdh.PrivateKey
+	priv   atomic.Pointer[ecdh.PrivateKey]
 	pub    [PublicKeySize]byte
 	scalar [32]byte
 }
@@ -94,22 +99,29 @@ type KeyPair struct {
 // GenerateKeyPair creates a fresh X25519 key pair from the given entropy
 // source. Pass nil to use crypto/rand. The key is derived from exactly 32
 // bytes of the source (ecdh.GenerateKey would nondeterministically consume
-// an extra byte, which would break seeded reproducible deployments).
+// an extra byte, which would break seeded reproducible deployments). It is
+// GenerateKeyPairs for one reader.
 func GenerateKeyPair(rng io.Reader) (*KeyPair, error) {
-	if rng == nil {
-		rng = rand.Reader
-	}
-	var seed [32]byte
-	if _, err := io.ReadFull(rng, seed[:]); err != nil {
-		return nil, fmt.Errorf("xcrypto: X25519 key entropy: %w", err)
-	}
-	priv, err := ecdh.X25519().NewPrivateKey(seed[:])
+	kps, err := GenerateKeyPairs([]io.Reader{rng})
 	if err != nil {
-		return nil, fmt.Errorf("xcrypto: generate X25519 key: %w", err)
+		return nil, err
 	}
-	kp := &KeyPair{priv: priv, scalar: seed}
-	copy(kp.pub[:], priv.PublicKey().Bytes())
-	return kp, nil
+	return kps[0], nil
+}
+
+// ecdhKey returns the private key as crypto/ecdh holds it, building it at
+// the first call. Concurrent first calls may each build it; they build
+// the same key.
+func (kp *KeyPair) ecdhKey() (*ecdh.PrivateKey, error) {
+	if priv := kp.priv.Load(); priv != nil {
+		return priv, nil
+	}
+	priv, err := ecdh.X25519().NewPrivateKey(kp.scalar[:])
+	if err != nil {
+		return nil, err
+	}
+	kp.priv.Store(priv)
+	return priv, nil
 }
 
 // Public returns the 32-byte X25519 public key.
@@ -126,7 +138,11 @@ func (kp *KeyPair) DeriveSessionKeys(remote [PublicKeySize]byte) (SessionKeys, e
 	if err != nil {
 		return keys, fmt.Errorf("xcrypto: parse remote public key: %w", err)
 	}
-	shared, err := kp.priv.ECDH(remotePub)
+	priv, err := kp.ecdhKey()
+	if err != nil {
+		return keys, fmt.Errorf("xcrypto: ECDH: %w", err)
+	}
+	shared, err := priv.ECDH(remotePub)
 	if err != nil {
 		return keys, fmt.Errorf("xcrypto: ECDH: %w", err)
 	}

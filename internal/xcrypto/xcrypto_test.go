@@ -3,7 +3,9 @@ package xcrypto
 import (
 	"bytes"
 	"crypto/sha256"
+	"errors"
 	"math/rand"
+	"sync"
 	"testing"
 	"testing/quick"
 )
@@ -54,10 +56,18 @@ func TestDeriveSessionKeysAgree(t *testing.T) {
 // key, and so every recorded envelope, hangs off these bytes.
 func TestDeriveSessionKeysFormula(t *testing.T) {
 	a, b := mustKeyPair(t, 1), mustKeyPair(t, 2)
-	if got, want := a.Public(), a.priv.PublicKey().Bytes(); !bytes.Equal(got[:], want) {
+	privA, err := a.ecdhKey()
+	if err != nil {
+		t.Fatal(err)
+	}
+	privB, err := b.ecdhKey()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got, want := a.Public(), privA.PublicKey().Bytes(); !bytes.Equal(got[:], want) {
 		t.Fatalf("Public() = %x, the private key says %x", got, want)
 	}
-	shared, err := a.priv.ECDH(b.priv.PublicKey())
+	shared, err := privA.ECDH(privB.PublicKey())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -305,5 +315,36 @@ func TestQuickTamperDetection(t *testing.T) {
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 200}); err != nil {
 		t.Fatal(err)
+	}
+}
+
+// TestECDHKeyBuiltOnceRaced derives single agreements from one fresh key
+// pair on several goroutines at once, so each may be the first to build
+// its crypto/ecdh key; every one must derive the keys a batch does. Run
+// it under -race.
+func TestECDHKeyBuiltOnceRaced(t *testing.T) {
+	kp, peer := mustKeyPair(t, 11), mustKeyPair(t, 12)
+	want, err := peer.DeriveSessionKeys(kp.Public())
+	if err != nil {
+		t.Fatal(err)
+	}
+	var wg sync.WaitGroup
+	errs := make([]error, 4)
+	for g := range errs {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			got, err := kp.DeriveSessionKeys(peer.Public())
+			if err == nil && got != want {
+				err = errors.New("keys differ from the other end's")
+			}
+			errs[g] = err
+		}()
+	}
+	wg.Wait()
+	for g, err := range errs {
+		if err != nil {
+			t.Errorf("goroutine %d: %v", g, err)
+		}
 	}
 }
