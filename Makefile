@@ -10,14 +10,15 @@ build:
 
 # The second run takes the portable CTR loop and the stdlib HMAC of the
 # link cipher (DESIGN.md §7) through the tests of the two packages that
-# seal, and crypto/ecdh and crypto/ed25519 through the launch and
-# attestation tests of the enclave and deployment packages, in a build
-# with no kernel: an amd64 host with AES-NI, SHA-NI and IFMA otherwise
-# only ever runs the kernels. Then every example runs once, so one that
+# seal, crypto/sha256 under the runtime's message digests, and
+# crypto/ecdh and crypto/ed25519 through the launch and attestation
+# tests of the enclave and deployment packages, in a build with no
+# kernel: an amd64 host with AES-NI, SHA-NI and IFMA otherwise only ever
+# runs the kernels. Then every example runs once, so one that
 # fails at run time fails the target.
 test:
 	$(GO) test ./...
-	$(GO) test -tags purego ./internal/xcrypto/... ./internal/channel/... ./internal/enclave/... ./internal/deploy/...
+	$(GO) test -tags purego ./internal/xcrypto/... ./internal/channel/... ./internal/runtime/... ./internal/enclave/... ./internal/deploy/...
 	@for ex in examples/*/; do $(GO) run ./$$ex >/dev/null || { echo "$$ex failed"; exit 1; }; done
 
 vet:
@@ -37,11 +38,18 @@ vet:
 # prefetch's key-cache reservations, where peers on different workers
 # reserve, derive and wait for each other's pairs; the fourth for the
 # batched launch and roster check, whose groups run on the worker pool.
+# The fifth repeats the batched wire golden and the retention tests of
+# the outbox, the payload slabs and the event calendar three times; the
+# sixth runs the outbox tests and the slab and record tests on one, two
+# and four cores, because workers carve payloads from slabs of their
+# own, take records a chunk at a time and release both for each other.
 race:
 	$(GO) test -race ./internal/deploy/... ./internal/experiments/... ./internal/runtime/... ./internal/tcpnet/... ./internal/scenario/... ./internal/vclock/... ./internal/simnet/... ./internal/overlay/... ./internal/core/... ./internal/beacon/... .
 	$(GO) test -race -count=5 -run 'Handoff|Lane' ./internal/vclock/... ./internal/simnet/...
 	$(GO) test -race -count=5 -run 'PrefetchDerivesEachPairOnce' ./internal/deploy/...
 	$(GO) test -race -count=3 -run 'LaunchBatchMatchesLaunch|RosterErrorsMatchSerialLoop' ./internal/enclave/... ./internal/deploy/...
+	$(GO) test -race -count=3 -run 'BatchedWireStreamGolden|MuxOutboxRetention|StandingBeaconPayloadRetention|CalendarArraysFollowTheQueue' ./internal/deploy/... ./internal/runtime/... ./internal/simnet/... ./internal/vclock/...
+	$(GO) test -race -cpu 1,2,4 -run 'SparseOutbox|FinishedPeerReleasesProtocol|LaneSlabs|LaneRecords' ./internal/runtime/... ./internal/simnet/...
 
 # chaos runs the deterministic fault-injection suite under the race
 # detector (its only race run in `verify`): fixed-seed schedules

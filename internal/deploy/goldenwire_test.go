@@ -92,12 +92,11 @@ func (t *hashingTransport) Send(dst wire.NodeID, payload []byte) {
 	t.Transport.Send(dst, payload)
 }
 
-// runGoldenERB replays the reference ERB scenario: N=5, T=2, seed 1,
-// initiator 0 broadcasting a fixed value, full round budget.
+// runGoldenERB replays a reference ERB scenario: initiator 0
+// broadcasting a fixed value, full round budget, at opts' N, T and seed.
 func runGoldenERB(t *testing.T, opts deploy.Options) *wireHasher {
 	t.Helper()
 	rec := newWireHasher()
-	opts.N, opts.T, opts.Seed = 5, 2, 1
 	opts.Wrap = rec.Wrap
 	d, err := deploy.New(opts)
 	if err != nil {
@@ -105,7 +104,7 @@ func runGoldenERB(t *testing.T, opts deploy.Options) *wireHasher {
 	}
 	engines := make([]*erb.Engine, len(d.Peers))
 	for i, p := range d.Peers {
-		eng, eerr := erb.NewEngine(p, erb.Config{T: 2, ExpectedInitiators: []wire.NodeID{0}})
+		eng, eerr := erb.NewEngine(p, erb.Config{T: opts.T, ExpectedInitiators: []wire.NodeID{0}})
 		if eerr != nil {
 			t.Fatal(eerr)
 		}
@@ -126,13 +125,12 @@ func runGoldenERB(t *testing.T, opts deploy.Options) *wireHasher {
 	return rec
 }
 
-// runGoldenERNG replays the reference basic-ERNG scenario: N=5, T=2,
-// seed 3 (all five nodes initiate concurrently — the batching-heavy
+// runGoldenERNG replays a reference basic-ERNG scenario at opts' N, T
+// and seed (every node initiates concurrently — the batching-heavy
 // traffic shape).
 func runGoldenERNG(t *testing.T, opts deploy.Options) *wireHasher {
 	t.Helper()
 	rec := newWireHasher()
-	opts.N, opts.T, opts.Seed = 5, 2, 3
 	opts.Wrap = rec.Wrap
 	d, err := deploy.New(opts)
 	if err != nil {
@@ -141,7 +139,7 @@ func runGoldenERNG(t *testing.T, opts deploy.Options) *wireHasher {
 	protos := make([]*erng.Basic, len(d.Peers))
 	rounds := 0
 	for i, p := range d.Peers {
-		proto, perr := erng.NewBasic(p, 2)
+		proto, perr := erng.NewBasic(p, opts.T)
 		if perr != nil {
 			t.Fatal(perr)
 		}
@@ -165,20 +163,91 @@ func runGoldenERNG(t *testing.T, opts deploy.Options) *wireHasher {
 // TestUnbatchedWireStreamGolden pins the batching-disabled wire stream,
 // byte for byte, and separately with the tag bytes masked out.
 func TestUnbatchedWireStreamGolden(t *testing.T) {
-	opts := deploy.Options{DisableBatching: true}
 	for _, sc := range []struct {
 		name         string
 		got          *wireHasher
 		full, masked uint64
 	}{
-		{"ERB", runGoldenERB(t, opts), goldenERBWireHash, goldenERBMaskedHash},
-		{"ERNG", runGoldenERNG(t, opts), goldenERNGWireHash, goldenERNGMaskedHash},
+		{"ERB", runGoldenERB(t, deploy.Options{N: 5, T: 2, Seed: 1, DisableBatching: true}), goldenERBWireHash, goldenERBMaskedHash},
+		{"ERNG", runGoldenERNG(t, deploy.Options{N: 5, T: 2, Seed: 3, DisableBatching: true}), goldenERNGWireHash, goldenERNGMaskedHash},
 	} {
 		if got := uint64(sc.got.masked); got != sc.masked {
 			t.Errorf("%s unbatched tag-masked wire hash %#x, want %#x (frames, headers or payloads drifted)", sc.name, got, sc.masked)
 		}
 		if got := uint64(sc.got.full); got != sc.full {
 			t.Errorf("%s unbatched wire hash %#x, want %#x (envelope stream drifted)", sc.name, got, sc.full)
+		}
+	}
+}
+
+// runGoldenMux replays a reference multiplexed ERB run at opts' N, T and
+// seed: k broadcasts, initiators round-robin, at most inFlight admitted
+// at once behind one runtime.Mux per node — the shape whose windows send
+// many messages to every destination.
+func runGoldenMux(t *testing.T, opts deploy.Options, k, inFlight int) *wireHasher {
+	t.Helper()
+	rec := newWireHasher()
+	opts.Wrap = rec.Wrap
+	d, err := deploy.New(opts)
+	if err != nil {
+		t.Fatal(err)
+	}
+	engines := make([][]*erb.Engine, opts.N)
+	err = d.RunInstance(func(p *runtime.Peer) (runtime.Protocol, int, error) {
+		m := runtime.NewMux(p, runtime.MuxConfig{MaxInFlight: inFlight})
+		engs := make([]*erb.Engine, k)
+		engines[p.ID()] = engs
+		for j := 0; j < k; j++ {
+			initiator, self := wire.NodeID(j%opts.N), p.ID()
+			if _, serr := m.Spawn(opts.T+2, func(inst *runtime.Instance) (runtime.Protocol, error) {
+				eng, eerr := erb.NewEngine(inst, erb.Config{T: opts.T, StartRound: inst.StartRound(), ExpectedInitiators: []wire.NodeID{initiator}})
+				if eerr == nil && self == initiator {
+					eng.SetInput(muxValue(j))
+				}
+				engs[j] = eng
+				return eng, eerr
+			}); serr != nil {
+				return nil, 0, serr
+			}
+		}
+		return m, m.PlannedRounds(), nil
+	}, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for i, engs := range engines {
+		for j, eng := range engs {
+			if res, ok := eng.Result(wire.NodeID(j % opts.N)); !ok || !res.Accepted {
+				t.Fatalf("node %d did not accept request %d", i, j)
+			}
+		}
+	}
+	return rec
+}
+
+// TestBatchedWireStreamGolden is TestUnbatchedWireStreamGolden with
+// batching on: the coalesced frames — which messages share a container,
+// in what order, which containers invite a frame-cumulative ACK, and the
+// frame ACKs themselves — are pinned byte for byte under the model
+// sealer, tag-masked and in full. The values were recorded before the
+// outbox built its containers from a per-peer window log, and hold after.
+func TestBatchedWireStreamGolden(t *testing.T) {
+	for _, sc := range []struct {
+		name         string
+		run          func() *wireHasher
+		full, masked uint64
+	}{
+		{"ERB N=5", func() *wireHasher { return runGoldenERB(t, deploy.Options{N: 5, T: 2, Seed: 1}) }, 0x492e49ab4f39ec89, 0x1a55961a2745ab11},
+		{"ERB N=17", func() *wireHasher { return runGoldenERB(t, deploy.Options{N: 17, T: 8, Seed: 11}) }, 0xca9ecd8d25669b21, 0x353244c9415a9e49},
+		{"BroadcastMany N=16", func() *wireHasher { return runGoldenMux(t, deploy.Options{N: 16, T: 7, Seed: 5}, 24, 8) }, 0xe1cd3cdf9e683ca9, 0xb431d10af9098d09},
+		{"ERNG N=9", func() *wireHasher { return runGoldenERNG(t, deploy.Options{N: 9, T: 4, Seed: 3}) }, 0x1b7f87cf8790ae85, 0x8d06d59d0a090475},
+	} {
+		got := sc.run()
+		if m := uint64(got.masked); m != sc.masked {
+			t.Errorf("%s batched tag-masked wire hash %#x, want %#x (frames, containers or payloads drifted)", sc.name, m, sc.masked)
+		}
+		if f := uint64(got.full); f != sc.full {
+			t.Errorf("%s batched wire hash %#x, want %#x (envelope stream drifted)", sc.name, f, sc.full)
 		}
 	}
 }

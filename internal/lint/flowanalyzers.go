@@ -38,7 +38,8 @@ func fnPkgPath(fn *types.Func) string {
 // may only reach a network Send/Write sink after passing through
 // channel.Link.SealEncodedAppend. Covers the unbatched path
 // (AppendEncode → SealEncodedAppend → Transport.Send) and the batch
-// outbox (AppendBatchEntry → SealEncodedAppend → Transport.Send) alike.
+// outbox (AppendEncodeEntry or AppendBatchEntry → SealEncodedAppend →
+// Transport.Send) alike.
 var sealflowSpec = &flow.Spec{
 	Kind:   "payload plaintext",
 	Advice: "seal with channel.Link.SealEncodedAppend before the transport",
@@ -47,7 +48,7 @@ var sealflowSpec = &flow.Spec{
 		switch {
 		case flow.PathMatches(pkg, "internal/wire"):
 			switch fn.Name() {
-			case "Encode", "AppendEncode", "AppendBatchEntry":
+			case "Encode", "AppendEncode", "AppendEncodeEntry", "AppendBatchEntry":
 				return true
 			}
 		case flow.PathMatches(pkg, "internal/channel"), flow.PathMatches(pkg, "internal/xcrypto"):

@@ -17,6 +17,12 @@ func (m *Message) AppendEncode(buf []byte) ([]byte, error) {
 	return append(buf, m.Body...), nil
 }
 
+// AppendEncodeEntry appends the plaintext encoding to buf as a batch
+// entry.
+func (m *Message) AppendEncodeEntry(buf []byte) ([]byte, error) {
+	return append(buf, m.Body...), nil
+}
+
 // AppendBatchEntry appends one encoded message to a batch buffer.
 func AppendBatchEntry(buf, encoded []byte) []byte {
 	return append(buf, encoded...)

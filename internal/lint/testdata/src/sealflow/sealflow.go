@@ -47,6 +47,16 @@ func leakBatch(p *tcpnet.Port, m *wire.Message) error {
 	return nil
 }
 
+// leakLog leaks a window log of batch entries without sealing it.
+func leakLog(p *tcpnet.Port, m *wire.Message) error {
+	log, err := m.AppendEncodeEntry(nil)
+	if err != nil {
+		return err
+	}
+	p.Send(7, log) // want "payload plaintext from wire.Message.AppendEncodeEntry reaches network sink tcpnet.Port.Send"
+	return nil
+}
+
 // sealedSend is the legal unbatched path: encode, seal, send. No finding.
 func sealedSend(p *tcpnet.Port, l *channel.Link, m *wire.Message) error {
 	encoded, err := m.AppendEncode(nil)

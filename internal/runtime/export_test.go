@@ -1,12 +1,19 @@
 package runtime
 
-import "sgxp2p/internal/wire"
+import (
+	"unsafe"
+
+	"sgxp2p/internal/wire"
+)
 
 // OutboxHeld reports what the peer's outbox and frame index hold between
-// windows: the slots p.out has room for, the batch buffers in the pool,
-// and the frames indexed for a frame-cumulative ACK.
-func (p *Peer) OutboxHeld() (slots, bufs, frames int) {
-	return cap(p.out), len(p.bufFree), len(p.frameIdx)
+// windows: the slots p.out has room for, the bytes the outbox retains
+// (window log, container scratch, runs and slots, by capacity), and the
+// frames indexed for a frame-cumulative ACK.
+func (p *Peer) OutboxHeld() (slots, bytes, frames int) {
+	bytes = cap(p.wlog) + cap(p.batch) +
+		cap(p.runs)*int(unsafe.Sizeof(outRun{})) + cap(p.out)*int(unsafe.Sizeof(outSlot{}))
+	return cap(p.out), bytes, len(p.frameIdx)
 }
 
 // LinkOpen reports whether the peer has opened its end of the link to id.

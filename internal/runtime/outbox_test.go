@@ -166,47 +166,62 @@ func (f *outboxFixture) slotted() []wire.NodeID {
 }
 
 // settled checks the outbox between windows: no slot, no link end that
-// remembers one, no standing borrow, and `pool` batch buffers back in
-// the pool.
-func (f *outboxFixture) settled(pool int) {
+// remembers one, and an empty window log and run list.
+func (f *outboxFixture) settled() {
 	f.t.Helper()
-	if len(f.p.out) != 0 || f.p.outHasRefs {
-		f.t.Errorf("after the flush: %d slots, borrows standing: %v", len(f.p.out), f.p.outHasRefs)
+	if len(f.p.out) != 0 || len(f.p.runs) != 0 || len(f.p.wlog) != 0 {
+		f.t.Errorf("after the flush: %d slots, %d runs, %d log bytes", len(f.p.out), len(f.p.runs), len(f.p.wlog))
 	}
 	for id, l := range f.p.links {
 		if l != nil && l.slot != 0 {
 			f.t.Errorf("after the flush: link end %d still names slot %d", id, l.slot)
 		}
 	}
-	if got := len(f.p.bufFree); got != pool {
-		f.t.Errorf("%d batch buffers in the pool, want %d", got, pool)
+}
+
+// entries counts the messages in the window log.
+func (f *outboxFixture) entries() int {
+	it, err := wire.IterBatch(append([]byte{wire.BatchMagic}, f.p.wlog...))
+	if err != nil {
+		return 0
+	}
+	n := 0
+	for {
+		_, ok, err := it.Next()
+		if err != nil {
+			f.t.Fatal(err)
+		}
+		if !ok {
+			return n
+		}
+		n++
 	}
 }
 
 // TestSparseOutbox drives the round-scoped outbox through every state a
-// slot can take — opened by a borrow, materialized by the next encode or
-// by a second message, flushed bare or as a container, failed at the seal
-// — and checks what reaches the far ends, the flush order, and that a
-// slot and its buffer exist only between a destination's first message
-// and the window's flush.
+// slot can take — opened by a message, extended by one that follows it in
+// the window log or given a run of its own, flushed bare or as a
+// container, failed at the seal — and checks what reaches the far ends,
+// the flush order, that every message is in the log once however many
+// destinations it has, and that a slot exists only between a
+// destination's first message and the window's flush.
 func TestSparseOutbox(t *testing.T) {
 	all := []wire.NodeID{1, 2, 3}
 	for _, c := range []struct {
 		name   string
 		script func(f *outboxFixture)
 		want   []string
-		pool   int
 		// bare runs the script as its own event instead of as an OnRound.
 		bare bool
 	}{
 		{
-			// One multicast: every leg borrows the one encoding, nothing
-			// is copied, no buffer is taken.
+			// One multicast: every leg borrows the one log entry, and the
+			// flush seals each straight from the log.
 			name: "borrowed singletons",
 			script: func(f *outboxFixture) {
 				f.p.Multicast(nil, msg(0, 1), 0)
-				if got := f.slotted(); !reflect.DeepEqual(got, all) || len(f.p.bufFree) != 0 || f.p.out[1].buf != nil {
-					t.Errorf("slots %v (want %v), buffer taken: %v", got, all, f.p.out[1].buf != nil)
+				if got := f.slotted(); !reflect.DeepEqual(got, all) || f.entries() != 1 || len(f.p.runs) != 3 {
+					t.Errorf("slots %v (want %v), %d log entries, %d runs", got, all, f.entries(), len(f.p.runs))
 				}
 			},
 			want: []string{"1:[1]", "2:[1]", "3:[1]"},
@@ -223,22 +238,35 @@ func TestSparseOutbox(t *testing.T) {
 				}
 			},
 			want: []string{"3:[1 2]"},
-			pool: 1,
 		},
 		{
-			// The second encode materializes the three borrows; node 2's
-			// slot grows into a container, the other two flush bare out of
-			// their buffers. Flush order is first-enqueue order.
-			name: "materialized by the next encode",
+			// The second message follows the first in the log, so node
+			// 2's run extends over both and its slot flushes as a
+			// container; the other two flush bare. Flush order is
+			// first-enqueue order.
+			name: "next encode extends a run",
 			script: func(f *outboxFixture) {
 				f.p.Multicast([]wire.NodeID{3, 1, 2}, msg(0, 1), 0)
 				f.p.Send(2, msg(0, 2))
-				if f.p.outHasRefs || f.p.out[0].ref != nil || f.p.out[0].buf == nil {
-					t.Error("a borrow outlived the encode scratch it pointed into")
+				if f.entries() != 2 || len(f.p.runs) != 3 || f.p.out[2].n != 2 {
+					t.Errorf("%d log entries, %d runs, node 2 holds %d messages", f.entries(), len(f.p.runs), f.p.out[2].n)
 				}
 			},
 			want: []string{"3:[1]", "1:[1]", "2:[1 2]"},
-			pool: 3,
+		},
+		{
+			// A message in between starts a second run: node 1's chain
+			// skips the entry sent only to node 2.
+			name: "interleaved destinations chain runs",
+			script: func(f *outboxFixture) {
+				f.p.Send(1, msg(0, 1))
+				f.p.Send(2, msg(0, 2))
+				f.p.Send(1, msg(0, 3))
+				if o := f.p.out[0]; o.head == o.tail || len(f.p.runs) != 3 {
+					t.Errorf("node 1's chain: runs %d..%d of %d", o.head, o.tail, len(f.p.runs))
+				}
+			},
+			want: []string{"1:[1 3]", "2:[2]"},
 		},
 		{
 			// A destination listed twice gets the message twice in one
@@ -253,7 +281,6 @@ func TestSparseOutbox(t *testing.T) {
 				}
 			},
 			want: []string{"1*:[1 1]", "2:[1]"},
-			pool: 1,
 		},
 		{
 			// A protocol Flush ends the window: the slots go, and the next
@@ -262,7 +289,7 @@ func TestSparseOutbox(t *testing.T) {
 			script: func(f *outboxFixture) {
 				f.p.Multicast(nil, msg(0, 1), 0)
 				f.p.Flush()
-				f.settled(0)
+				f.settled()
 				f.p.Send(2, msg(0, 2))
 				f.p.Send(2, msg(0, 3))
 				if got := f.slotted(); !reflect.DeepEqual(got, []wire.NodeID{2}) || f.p.links[2].slot != 1 {
@@ -270,7 +297,6 @@ func TestSparseOutbox(t *testing.T) {
 				}
 			},
 			want: []string{"1:[1]", "2:[1]", "3:[1]", "2:[2 3]"},
-			pool: 1,
 		},
 		{
 			// A marked frame from node 1 whose first message makes the
@@ -286,7 +312,7 @@ func TestSparseOutbox(t *testing.T) {
 							t.Errorf("%d deferred ACKs, %d slots before the flush", len(f.p.pendAcks), len(f.p.out))
 						}
 						f.p.Flush()
-						f.settled(0)
+						f.settled()
 					}
 				}
 				var batch []byte
@@ -318,7 +344,7 @@ func TestSparseOutbox(t *testing.T) {
 			if got := f.frames(); !reflect.DeepEqual(got, c.want) {
 				t.Errorf("frames %v, want %v", got, c.want)
 			}
-			f.settled(c.pool)
+			f.settled()
 			if st := f.p.Stats(); st.SendFailures != 0 {
 				t.Errorf("%d send failures", st.SendFailures)
 			}
@@ -327,8 +353,8 @@ func TestSparseOutbox(t *testing.T) {
 
 	// A seal that fails — the nonce draw, once the enclave's batch of
 	// nonces is used up — degrades its frame to omissions, one per
-	// message, and still returns the slot's buffer: the next window finds
-	// the outbox as any other flush leaves it.
+	// message, and still empties the log: the next window finds the
+	// outbox as any other flush leaves it.
 	t.Run("seal failure", func(t *testing.T) {
 		f := newOutboxFixture(t)
 		f.entropy.down = true
@@ -343,12 +369,41 @@ func TestSparseOutbox(t *testing.T) {
 		if got, st := f.frames(), f.p.Stats(); len(got) != 0 || st.SendFailures != 4 {
 			t.Errorf("frames %v, %d send failures; want none sent and one omission per message (4)", got, st.SendFailures)
 		}
-		f.settled(3)
+		f.settled()
 		f.entropy.down = false
 		f.callback(window)
 		if got, want := f.frames(), []string{"1:[1]", "2:[1 2]", "3:[1]"}; !reflect.DeepEqual(got, want) {
 			t.Errorf("frames %v once the entropy source is back, want %v", got, want)
 		}
-		f.settled(3)
+		f.settled()
 	})
+}
+
+// TestFinishedPeerReleasesProtocol: once OnFinish and its flush ran, the
+// peer holds no protocol — a Mux and its engines are garbage at the end of
+// the call, not at the next Start — and a frame that arrives afterwards is
+// dropped before it reaches one: not delivered, not counted as a failure.
+func TestFinishedPeerReleasesProtocol(t *testing.T) {
+	f := newOutboxFixture(t)
+	delivered := 0
+	f.proto.onMsg = func(*wire.Message) { delivered++ }
+	for rnd := uint32(2); rnd <= 4; rnd++ {
+		f.p.tick(rnd)
+	}
+	if !f.p.finished || f.p.proto != nil {
+		t.Fatalf("after the last round: finished %v, protocol held %v", f.p.finished, f.p.proto != nil)
+	}
+	enc, err := msg(1, 9).Encode()
+	if err != nil {
+		t.Fatal(err)
+	}
+	env, err := f.far[1].SealEncodedAppend(nil, enc)
+	if err != nil {
+		t.Fatal(err)
+	}
+	before := f.p.Stats()
+	f.p.receive(1, env)
+	if st := f.p.Stats(); delivered != 0 || st != before {
+		t.Errorf("a frame after OnFinish: %d deliveries, stats %+v, want none and %+v", delivered, st, before)
+	}
 }

@@ -17,7 +17,6 @@
 package runtime
 
 import (
-	"crypto/sha256"
 	"errors"
 	"fmt"
 	"math/bits"
@@ -373,18 +372,16 @@ type Peer struct {
 	// are serialized on the event loop and protocols copy what they keep.
 	rxMsg wire.Message
 
-	// encodeBuf, sealBuf and openBuf are per-peer scratch buffers for
-	// the envelope hot path: Multicast/Send encode messages into
-	// encodeBuf (wire.AppendEncode), envelopes are sealed into sealBuf
-	// (valid only during the Transport.Send call — implementations that
-	// retain payloads copy them), and receive decrypts envelopes into
-	// openBuf (channel.OpenRawAppend). All are safe to reuse because
-	// the peer's sends and deliveries are serialized on one event loop
-	// and none of the encodings outlives its call: decoded messages
-	// share no bytes with the plaintext they were parsed from.
-	encodeBuf []byte
-	sealBuf   []byte
-	openBuf   []byte
+	// sealBuf and openBuf are per-peer scratch buffers for the envelope
+	// hot path: envelopes are sealed into sealBuf (valid only during the
+	// Transport.Send call — implementations that retain payloads copy
+	// them), and receive decrypts envelopes into openBuf
+	// (channel.OpenRawAppend). Both are safe to reuse because the peer's
+	// sends and deliveries are serialized on one event loop and neither
+	// outlives its call: decoded messages share no bytes with the
+	// plaintext they were parsed from.
+	sealBuf []byte
+	openBuf []byte
 
 	// tickFn is the single prebound round-tick callback; tickRound is
 	// the round the pending tick will run. A peer has at most one
@@ -396,23 +393,30 @@ type Peer struct {
 	tickFn    func()
 	tickRound uint32
 
-	// Round-scoped outbox (frame coalescing, ROADMAP 4a). While a
-	// protocol callback runs (inCallback), sendEncoded appends encoded
-	// messages into the destination's outSlot instead of sealing
-	// immediately; the callback's caller flushes every slot as one sealed
-	// frame per link. out holds a slot per destination written to since
-	// the last flush and nothing else, in first-enqueue order, so the
-	// flush sequence is deterministic and the outbox is as wide as the
+	// Round-scoped outbox (frame coalescing, ROADMAP 4a). Multicast and
+	// Send encode a message once, into wlog, the window log: entries
+	// framed as in a batch container, a length prefix before each
+	// encoding. While a protocol callback runs (inCallback), each leg
+	// appends the entry to its destination's outSlot instead of sealing
+	// it, and the callback's caller flushes every slot as one sealed
+	// frame per link. A slot records its messages as a chain of runs of
+	// consecutive log entries (outRun), so a multicast's legs share one
+	// encoding and a destination that was sent everything since some
+	// entry holds one run. out holds a slot per destination written to
+	// since the last flush and nothing else, in first-enqueue order, so
+	// the flush sequence is deterministic and the outbox is as wide as the
 	// peer's widest flush window, whatever N is; a link end remembers its
-	// slot (linkEnd.slot). Batch buffers are lent to slots from bufFree
-	// and return to it as their frame is sealed, last in, first out.
-	// outHasRefs gates the sweep that materializes borrowed singletons
-	// (see outSlot.ref).
+	// slot (linkEnd.slot). The flush seals a one-message slot straight
+	// from the log, gathers a longer one into batch, the one container
+	// scratch, and empties the log, the runs and the slots, capacity
+	// kept: between windows the outbox holds the widest window's
+	// messages once, not a buffer per destination.
 	batching   bool
 	inCallback bool
-	outHasRefs bool
+	wlog       []byte
+	runs       []outRun
+	batch      []byte
 	out        []outSlot
-	bufFree    [][]byte
 	batchHist  *telemetry.Histogram
 
 	// Frame-cumulative acknowledgment (the multiplexed-runtime ACK fast
@@ -454,16 +458,9 @@ type linkEnd struct {
 
 // outSlot is one destination's share of the round-scoped outbox.
 type outSlot struct {
-	// buf is the batch container under construction, on loan from
-	// Peer.bufFree (nil until the slot needs one).
-	buf []byte
-	// ref borrows the first message a callback emits to the destination
-	// straight out of encodeBuf (a multicast's legs all share one
-	// encoding) instead of copying it into buf. The borrow is
-	// materialized only if the encode scratch is about to be reused
-	// (copyOutboxRefs), so the common all-singleton flush never copies a
-	// message at all.
-	ref []byte
+	// head and tail are the 1-based positions in Peer.runs of the first
+	// and last run of the slot's chain.
+	head, tail uint32
 	// n counts the messages enqueued since the last flush.
 	n uint32
 	// cover counts the flush window's tracked multicasts that had a leg
@@ -475,6 +472,13 @@ type outSlot struct {
 	// dst is whose slot this is: slots sit in first-enqueue order, and a
 	// destination finds its own through linkEnd.slot.
 	dst wire.NodeID
+}
+
+// outRun is a stretch of consecutive window-log entries bound for one
+// destination, [lo, hi) in Peer.wlog, and next the 1-based position in
+// Peer.runs of the next run of the same slot (0: the last).
+type outRun struct {
+	lo, hi, next uint32
 }
 
 // NewPeer verifies the roster's attestation quotes (F3, property P1),
@@ -773,6 +777,10 @@ func (p *Peer) tick(rnd uint32) {
 		p.proto.OnFinish()
 		p.inCallback = false
 		p.flushOutbox()
+		// A finished peer delivers nothing more (receive drops it), so the
+		// protocol — a Mux and all its engines — is garbage from here on,
+		// not kept until the next Start.
+		p.proto = nil
 		return
 	}
 	p.round = rnd
@@ -904,8 +912,9 @@ func Digest(msg *wire.Message) (wire.Value, error) {
 // DigestEncoded computes H(val) from an already-encoded message. The hot
 // paths (multicast, ACK of a just-received message) hold the encoding
 // already; hashing it directly avoids a second Encode of the same bytes.
+// H is SHA-256 on the block routine the link MAC uses (xcrypto.Sum256).
 func DigestEncoded(encoded []byte) wire.Value {
-	return sha256.Sum256(encoded)
+	return xcrypto.Sum256(encoded)
 }
 
 // Multicast seals msg for every destination and sends it. If ackThreshold
@@ -924,24 +933,28 @@ func (p *Peer) Multicast(dsts []wire.NodeID, msg *wire.Message, ackThreshold int
 	if p.Halted() {
 		return ErrHalted
 	}
-	if p.outHasRefs {
-		p.copyOutboxRefs()
-	}
-	encoded, err := msg.AppendEncode(p.encodeBuf[:0])
+	lo, err := p.logMessage(msg)
 	if err != nil {
 		return err
 	}
-	p.encodeBuf = encoded
 	tracked := 0
 	if ackThreshold > 0 {
-		tracked = p.newTracker(DigestEncoded(encoded), ackThreshold)
+		tracked = p.newTracker(DigestEncoded(p.logged(lo)), ackThreshold)
 	}
+	err = p.multicastLegs(dsts, lo, tracked)
+	p.unlog(lo)
+	return err
+}
+
+// multicastLegs sends the log's last entry, which starts at lo, to every
+// destination of a multicast but the peer itself.
+func (p *Peer) multicastLegs(dsts []wire.NodeID, lo uint32, tracked int) error {
 	if dsts == nil {
 		for id := 0; id < p.cfg.N; id++ {
 			if wire.NodeID(id) == p.ID() {
 				continue
 			}
-			if err := p.multicastOne(wire.NodeID(id), encoded, tracked); err != nil {
+			if err := p.multicastOne(wire.NodeID(id), lo, tracked); err != nil {
 				return err
 			}
 		}
@@ -951,12 +964,41 @@ func (p *Peer) Multicast(dsts []wire.NodeID, msg *wire.Message, ackThreshold int
 		if dst == p.ID() {
 			continue
 		}
-		if err := p.multicastOne(dst, encoded, tracked); err != nil {
+		if err := p.multicastOne(dst, lo, tracked); err != nil {
 			return err
 		}
 	}
 	return nil
 }
+
+// logMessage encodes msg once, as the window log's last entry, and
+// returns where the entry starts.
+func (p *Peer) logMessage(msg *wire.Message) (uint32, error) {
+	lo := uint32(len(p.wlog))
+	log, err := msg.AppendEncodeEntry(p.wlog)
+	if err != nil {
+		return 0, err
+	}
+	p.wlog = log
+	return lo, nil
+}
+
+// logged returns the encoding of the log entry that starts at lo and runs
+// to the end of the log.
+func (p *Peer) logged(lo uint32) []byte {
+	return p.wlog[lo+wire.BatchEntryHeader:]
+}
+
+// unlog drops the log's last entry, which starts at lo, once it was sent
+// directly: only a coalescing window's legs refer to it after the send.
+func (p *Peer) unlog(lo uint32) {
+	if !p.coalescing() {
+		p.wlog = p.wlog[:lo]
+	}
+}
+
+// coalescing reports whether sends join the round-scoped outbox.
+func (p *Peer) coalescing() bool { return p.batching && p.inCallback }
 
 // multicastOne seals and sends one multicast leg. A per-destination
 // failure — an unknown or vanished peer, a seal error on its link — is
@@ -965,8 +1007,8 @@ func (p *Peer) Multicast(dsts []wire.NodeID, msg *wire.Message, ackThreshold int
 // would silently starve every destination after the failed one (the
 // multicast wedge the chaos crash schedules exposed). Only ErrHalted
 // aborts: a halted sender must not keep transmitting.
-func (p *Peer) multicastOne(dst wire.NodeID, encoded []byte, tracked int) error {
-	err := p.sendEncoded(dst, encoded, tracked)
+func (p *Peer) multicastOne(dst wire.NodeID, lo uint32, tracked int) error {
+	err := p.sendEncoded(dst, lo, tracked)
 	if err == nil || errors.Is(err, ErrHalted) {
 		return err
 	}
@@ -977,7 +1019,7 @@ func (p *Peer) multicastOne(dst wire.NodeID, encoded []byte, tracked int) error 
 	p.winMixed = true
 	p.sendFailed(1)
 	if p.trace != nil {
-		inst, _ := wire.PeekInstance(encoded)
+		inst, _ := wire.PeekInstance(p.logged(lo))
 		p.trace.RecordInst(p.ID(), p.round, inst, telemetry.KindSendFail, dst, 0, "")
 	}
 	return nil
@@ -985,25 +1027,23 @@ func (p *Peer) multicastOne(dst wire.NodeID, encoded []byte, tracked int) error 
 
 // Send seals msg for one destination and hands it to the transport.
 func (p *Peer) Send(dst wire.NodeID, msg *wire.Message) error {
-	if p.outHasRefs {
-		p.copyOutboxRefs()
-	}
-	encoded, err := msg.AppendEncode(p.encodeBuf[:0])
+	lo, err := p.logMessage(msg)
 	if err != nil {
 		return err
 	}
-	p.encodeBuf = encoded
-	return p.sendEncoded(dst, encoded, 0)
+	err = p.sendEncoded(dst, lo, 0)
+	p.unlog(lo)
+	return err
 }
 
-// sendEncoded seals an already-encoded message for one destination and
-// hands the envelope to the transport — or, while a protocol callback
-// runs with batching on, appends it to the destination's outbox buffer
-// for the end-of-callback flush. The unknown-peer check stays here, at
-// enqueue time, so Multicast's omission accounting is identical in both
-// modes. tracked is the tracker index of the multicast this leg belongs
-// to (newTracker), 0 for an untracked send.
-func (p *Peer) sendEncoded(dst wire.NodeID, encoded []byte, tracked int) error {
+// sendEncoded seals the log's last entry, which starts at lo, for one
+// destination and hands the envelope to the transport — or, while a
+// protocol callback runs with batching on, appends the entry to the
+// destination's outbox slot for the end-of-callback flush. The
+// unknown-peer check stays here, at enqueue time, so Multicast's omission
+// accounting is identical in both modes. tracked is the tracker index of
+// the multicast this leg belongs to (newTracker), 0 for an untracked send.
+func (p *Peer) sendEncoded(dst wire.NodeID, lo uint32, tracked int) error {
 	if p.Halted() {
 		return ErrHalted
 	}
@@ -1011,8 +1051,8 @@ func (p *Peer) sendEncoded(dst wire.NodeID, encoded []byte, tracked int) error {
 	if l == nil {
 		return ErrUnknownPeer
 	}
-	if p.batching && p.inCallback {
-		p.enqueueBatch(l, encoded, tracked)
+	if p.coalescing() {
+		p.enqueueBatch(l, lo, uint32(len(p.wlog)), tracked)
 		return nil
 	}
 	// Direct send: every send of a DisableBatching deployment (the figure
@@ -1020,7 +1060,7 @@ func (p *Peer) sendEncoded(dst wire.NodeID, encoded []byte, tracked int) error {
 	// of the five bench workloads takes it; it stays because routing it
 	// through flushOutbox would need a flag to keep unbatched traces free
 	// of KindBatchFlush (ROADMAP item 2).
-	_, err := p.sealSend(dst, encoded)
+	_, err := p.sealSend(dst, p.logged(lo))
 	return err
 }
 
@@ -1058,19 +1098,16 @@ func (p *Peer) sealSend(dst wire.NodeID, plaintext []byte) (uint64, error) {
 	return tag, nil
 }
 
-// enqueueBatch appends one encoded message to the outbox slot of l's
+// enqueueBatch appends the log entry [lo, hi) to the outbox slot of l's
 // remote, opening the slot if this is the window's first message to it.
+// An entry that follows the slot's last one in the log extends that run.
 // The destination was validated by sendEncoded; enqueueing cannot fail —
 // seal errors surface at flush time, where they degrade to omissions
 // exactly like a failed multicast leg.
-func (p *Peer) enqueueBatch(l *linkEnd, encoded []byte, tracked int) {
+func (p *Peer) enqueueBatch(l *linkEnd, lo, hi uint32, tracked int) {
 	if l.slot == 0 {
-		// Borrow the encoded bytes instead of copying them. The borrow
-		// lives in encodeBuf, which is not reused before copyOutboxRefs
-		// materializes it.
-		p.out = append(p.out, outSlot{dst: l.Remote(), ref: encoded})
+		p.out = append(p.out, outSlot{dst: l.Remote()})
 		l.slot = uint32(len(p.out))
-		p.outHasRefs = true
 	}
 	o := &p.out[l.slot-1]
 	if tracked != 0 && o.seen != uint32(tracked) {
@@ -1078,41 +1115,31 @@ func (p *Peer) enqueueBatch(l *linkEnd, encoded []byte, tracked int) {
 		o.cover++
 	}
 	o.n++
-	if o.n == 1 {
+	if o.tail != 0 && p.runs[o.tail-1].hi == lo {
+		p.runs[o.tail-1].hi = hi
 		return
 	}
-	// A borrow still standing here is the same encoding enqueued twice to
-	// one dst (duplicate entries in an explicit Multicast dsts list) — no
-	// intervening encode ran to materialize it.
-	p.materialize(o)
-	o.buf = wire.AppendBatchEntry(o.buf, encoded)
+	// A destination listed twice in one multicast gets the entry again:
+	// it does not follow itself, so it starts a run of its own.
+	p.runs = append(p.runs, outRun{lo: lo, hi: hi})
+	r := uint32(len(p.runs))
+	if o.tail == 0 {
+		o.head = r
+	} else {
+		p.runs[o.tail-1].next = r
+	}
+	o.tail = r
 }
 
-// materialize copies a borrowed singleton into a batch buffer of the
-// slot's own, the one most recently returned to the pool. (The pool's
-// stale tail entry is overwritten when this window's flush returns it.)
-func (p *Peer) materialize(o *outSlot) {
-	if o.ref == nil {
-		return
+// container gathers a slot's runs behind the magic byte into the batch
+// scratch: the container AppendBatchEntry would build from its messages.
+func (p *Peer) container(o *outSlot) []byte {
+	b := append(p.batch[:0], wire.BatchMagic)
+	for r := o.head; r != 0; r = p.runs[r-1].next {
+		b = append(b, p.wlog[p.runs[r-1].lo:p.runs[r-1].hi]...)
 	}
-	if n := len(p.bufFree); n > 0 {
-		o.buf, p.bufFree = p.bufFree[n-1], p.bufFree[:n-1]
-	}
-	o.buf = wire.AppendBatchEntry(o.buf[:0], o.ref)
-	o.ref = nil
-}
-
-// copyOutboxRefs materializes every borrowed outbox reference into a
-// batch buffer. It runs just before the encode scratch is reused — until
-// that moment a singleton outbox entry is only a view of the bytes the
-// last encode produced. A callback that encodes once and flushes (one
-// multicast, or one ACK — the steady state of every protocol in this
-// repo) therefore never copies a message between encode and seal.
-func (p *Peer) copyOutboxRefs() {
-	for i := range p.out {
-		p.materialize(&p.out[i])
-	}
-	p.outHasRefs = false
+	p.batch = b
+	return b
 }
 
 // Flush forces the round-scoped outbox onto the wire immediately: the
@@ -1124,13 +1151,14 @@ func (p *Peer) Flush() { p.flushOutbox() }
 
 // flushOutbox seals and sends every outbox slot: one envelope per
 // destination covering all messages a callback emitted to it. A slot
-// holding a single message is sent as the bare encoded message —
-// byte-identical framing to an unbatched send — so coalescing only ever
-// changes the wire when it has something to coalesce. A slot's batch
-// buffer goes back to the pool, capacity kept, as soon as its frame is
-// sealed (the plaintext never leaves the peer); flush order is
-// first-enqueue order, which is deterministic, keeping trace streams and
-// simulated network schedules bit-reproducible per seed.
+// holding a single message is sealed as the bare encoded message, straight
+// from the window log — byte-identical framing to an unbatched send — so
+// coalescing only ever changes the wire when it has something to
+// coalesce, and copies nothing when it has not. A longer slot is gathered
+// into the container scratch and sealed from there (the plaintext never
+// leaves the peer). Flush order is first-enqueue order, which is
+// deterministic, keeping trace streams and simulated network schedules
+// bit-reproducible per seed.
 func (p *Peer) flushOutbox() {
 	if len(p.pendAcks) > 0 {
 		// A mid-delivery flush (halt, stop, or a protocol Flush) must put
@@ -1154,15 +1182,13 @@ func (p *Peer) flushOutbox() {
 		covered := len(group) > 0 && int(o.cover) == len(group)
 		p.links[dst].slot = 0
 		marked := false
-		// A borrowed singleton is the bare encoded message, still alive
-		// in encodeBuf — already in unbatched framing, zero copies.
-		plaintext := o.ref
-		if plaintext == nil {
-			plaintext = o.buf
-			if n == 1 {
-				// Strip the container: magic byte + one length prefix.
-				plaintext = plaintext[5:]
-			} else if covered {
+		var plaintext []byte
+		if n == 1 {
+			// The entry without its length prefix: the bare encoding.
+			plaintext = p.wlog[p.runs[o.head-1].lo+wire.BatchEntryHeader : p.runs[o.head-1].hi]
+		} else {
+			plaintext = p.container(o)
+			if covered {
 				// Multi-message frame that carries every tracked message
 				// of the window: invite one frame-cumulative ACK for it.
 				wire.MarkBatchAcked(plaintext)
@@ -1170,9 +1196,6 @@ func (p *Peer) flushOutbox() {
 			}
 		}
 		tag, err := p.sealSend(dst, plaintext)
-		if o.buf != nil {
-			p.bufFree = append(p.bufFree, o.buf)
-		}
 		if err != nil {
 			// Degrade the whole frame to omissions, one per buffered
 			// message, mirroring the per-leg accounting of multicastOne.
@@ -1196,9 +1219,9 @@ func (p *Peer) flushOutbox() {
 			p.registerFrame(dst, tag, fg)
 		}
 	}
-	clear(p.out)
 	p.out = p.out[:0]
-	p.outHasRefs = false
+	p.runs = p.runs[:0]
+	p.wlog = p.wlog[:0]
 	p.closeWindow()
 }
 

@@ -55,8 +55,9 @@ type op struct {
 // while it fires.
 type workerPool struct {
 	free    []*delivery
+	slab    *slab // the slab the worker carves payloads from, kept across windows
 	claimed []int32
-	_       [16]byte
+	_       [8]byte
 }
 
 // recordChunk is how many records a worker takes off the free list at a
@@ -87,7 +88,7 @@ func (n *Network) BeginWindow(workers int) {
 func (n *Network) Claim(worker, lane int) {
 	p := &n.pools[worker]
 	p.claimed = append(p.claimed, int32(lane))
-	n.nodes[lane].pool = &p.free
+	n.nodes[lane].pool = p
 }
 
 // refill moves up to recordChunk records from the free list to a worker's

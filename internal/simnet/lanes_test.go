@@ -221,3 +221,59 @@ func TestLaneRecordsDealtOnDemand(t *testing.T) {
 		}
 	}
 }
+
+// TestLaneSlabsComeBack checks the payload slabs that workers carve from
+// and that deliveries on any worker release: after the gossip, on one
+// goroutine or on workers, every slab is either the current slab of one
+// carver, held by it alone, or an emptied spare with no payload in flight
+// — and so again after a second run that starts from those slabs.
+func TestLaneSlabsComeBack(t *testing.T) {
+	for _, procs := range []int{1, 2, 4} {
+		prev := runtime.GOMAXPROCS(procs)
+		g := newGossip(t, 0)
+		settled := func() {
+			t.Helper()
+			carvers := []*slab{g.net.slab}
+			for w := range g.net.pools {
+				carvers = append(carvers, g.net.pools[w].slab)
+			}
+			current := map[*slab]bool{}
+			for _, s := range carvers {
+				if s == nil {
+					continue
+				}
+				if current[s] {
+					t.Errorf("procs=%d: two carvers carve from one slab", procs)
+				}
+				current[s] = true
+			}
+			for s := range current {
+				if s.live.Load() != 1 {
+					t.Errorf("procs=%d: a current slab counts %d references, want its carver's alone", procs, s.live.Load())
+				}
+			}
+			for _, s := range g.net.spare {
+				if current[s] || s.live.Load() != 0 || len(s.buf) != 0 {
+					t.Errorf("procs=%d: a spare slab is current: %v, counts %d references, holds %d bytes", procs, current[s], s.live.Load(), len(s.buf))
+				}
+			}
+		}
+		if err := g.sim.Run(); err != nil {
+			t.Fatal(err)
+		}
+		if procs > 1 && g.sim.ParallelWindows() == 0 {
+			t.Fatalf("procs=%d: no window fired on workers", procs)
+		}
+		settled()
+		for i, p := range g.ports {
+			id := wire.NodeID(i)
+			g.rounds[id] = 0
+			p.After(0, func() { g.tick(id) })
+		}
+		if err := g.sim.Run(); err != nil {
+			t.Fatal(err)
+		}
+		settled()
+		runtime.GOMAXPROCS(prev)
+	}
+}

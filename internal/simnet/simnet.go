@@ -30,6 +30,7 @@ import (
 	"fmt"
 	"math/rand"
 	"sync"
+	"sync/atomic"
 	"time"
 
 	"sgxp2p/internal/telemetry"
@@ -38,7 +39,7 @@ import (
 )
 
 // Handler receives a delivered payload on the destination node. The
-// payload buffer belongs to the network and is recycled once the handler
+// payload buffer belongs to the network and is reused once the handler
 // returns; a handler that keeps the bytes must copy them.
 type Handler func(src wire.NodeID, payload []byte)
 
@@ -97,15 +98,24 @@ type Network struct {
 	perNode  []Traffic
 	trace    *telemetry.Tracer
 	ctr      *netCounters
-	// free is the delivery-record free list. A record carries its payload
-	// buffer and a prebound fire closure, so a steady-state send allocates
-	// nothing: the payload is copied into the recycled buffer and the
-	// recycled closure is scheduled. Records return to the list after
-	// their handler ran (a handler cannot outlive the delivery event).
-	// While a window runs on workers each takes a chunk at a time under
-	// freeMu (refill) and EndWindow gathers what they hold.
+	// free is the delivery-record free list. A record carries a prebound
+	// fire closure and its payload is carved from a slab, so a
+	// steady-state send allocates nothing: the payload is copied into the
+	// carver's slab and the recycled closure is scheduled. Records return
+	// to the list after their handler ran (a handler cannot outlive the
+	// delivery event). While a window runs on workers each takes a chunk
+	// at a time under freeMu (refill) and EndWindow gathers what they
+	// hold.
 	free   []*delivery
 	freeMu sync.Mutex
+	// slab is what sends outside a window carve payloads from, and spare
+	// the slabs whose payloads have all fired (under freeMu while a
+	// window runs on workers). A slab is busy from its first carve until
+	// the last delivery carved from it fired, so the payload bytes the
+	// network keeps follow the bytes in flight, not the largest frame a
+	// record ever carried.
+	slab  *slab
+	spare []*slab
 	// windowed is set while a window runs on workers, written only while
 	// they park; see lanes.go for it and the worker pools.
 	windowed bool
@@ -132,20 +142,34 @@ type nodeSlot struct {
 	gone    bool
 	dropped uint64
 	log     []op
-	next    int          // first uncommitted op
-	pool    *[]*delivery // the firing worker's records; nil outside a window: free
-	_       [56]byte     // to 128 bytes
+	next    int         // first uncommitted op
+	pool    *workerPool // the firing worker's; nil outside a window
+	_       [56]byte    // to 128 bytes
 }
 
 // delivery is one in-flight frame: destination epoch captured at send
-// time, the payload copy, and the prebound callback handed to the
-// simulator.
+// time, the payload copy and the slab it was carved from, and the
+// prebound callback handed to the simulator.
 type delivery struct {
 	n        *Network
 	src, dst wire.NodeID
 	ep       int
 	payload  []byte
+	slab     *slab
 	fire     func()
+}
+
+// slabSize is the size of the blocks delivery payloads are carved from; a
+// larger payload gets a slab of its own size.
+const slabSize = 32 << 10
+
+// slab is a block delivery payloads are carved from, back to back. live
+// counts the payloads carved from it that have not fired, plus one while
+// it is a carver's current slab; whichever release brings it to zero —
+// on any worker — returns it to the spare slabs.
+type slab struct {
+	buf  []byte
+	live atomic.Int32
 }
 
 // run delivers (or drops) the frame, then recycles the record. It is an
@@ -166,8 +190,70 @@ func (d *delivery) run() {
 	} else if ns.handler != nil {
 		ns.handler(d.src, d.payload)
 	}
+	n.release(d)
 	pool := n.recordPool(ns)
 	*pool = append(*pool, d)
+}
+
+// release lets go of a record's payload: the last one out of a slab no
+// carver holds returns the slab to the spares.
+func (n *Network) release(d *delivery) {
+	s := d.slab
+	d.payload, d.slab = nil, nil
+	n.unref(s)
+}
+
+// unref drops one reference to s.
+func (n *Network) unref(s *slab) {
+	if s.live.Add(-1) != 0 {
+		return
+	}
+	s.buf = s.buf[:0]
+	if n.windowed {
+		n.freeMu.Lock()
+		defer n.freeMu.Unlock()
+	}
+	n.spare = append(n.spare, s)
+}
+
+// carve copies payload into the slab cur names, moving cur on to a spare
+// slab (or a new one) when the payload does not fit, and returns the copy
+// and the slab it lies in.
+func (n *Network) carve(cur **slab, payload []byte) ([]byte, *slab) {
+	s := *cur
+	if s == nil || cap(s.buf)-len(s.buf) < len(payload) {
+		if s != nil {
+			n.unref(s)
+		}
+		s = n.spareSlab(len(payload))
+		*cur = s
+	}
+	at := len(s.buf)
+	s.buf = append(s.buf, payload...)
+	s.live.Add(1)
+	return s.buf[at:len(s.buf):len(s.buf)], s
+}
+
+// spareSlab takes a spare slab that holds size bytes, or makes one, and
+// marks it held by its carver.
+func (n *Network) spareSlab(size int) *slab {
+	var s *slab
+	if n.windowed {
+		n.freeMu.Lock()
+	}
+	if k := len(n.spare); k > 0 && cap(n.spare[k-1].buf) >= size {
+		s = n.spare[k-1]
+		n.spare[k-1] = nil
+		n.spare = n.spare[:k-1]
+	}
+	if n.windowed {
+		n.freeMu.Unlock()
+	}
+	if s == nil {
+		s = &slab{buf: make([]byte, 0, max(slabSize, size))}
+	}
+	s.live.Store(1)
+	return s
 }
 
 // drop counts one message discarded at a detached node.
@@ -182,9 +268,18 @@ func (n *Network) drop() {
 // recycles into: the free list, or the pool of the worker firing the lane.
 func (n *Network) recordPool(ns *nodeSlot) *[]*delivery {
 	if ns.pool != nil {
-		return ns.pool
+		return &ns.pool.free
 	}
 	return &n.free
+}
+
+// carver returns the slab a node's lane carves payloads from: the
+// network's, or the one of the worker firing the lane.
+func (n *Network) carver(ns *nodeSlot) **slab {
+	if ns.pool != nil {
+		return &ns.pool.slab
+	}
+	return &n.slab
 }
 
 // getDelivery pops a recycled record off the list — a worker's, refilled
@@ -330,9 +425,9 @@ func (n *Network) Reattach(id wire.NodeID) {
 }
 
 // Send transmits payload from src to dst. The payload is copied into a
-// pooled delivery record before Send returns, so the caller may reuse
-// its buffer immediately — this is what lets the runtime seal every
-// envelope into one per-peer scratch buffer. Delivery is scheduled on
+// slab before Send returns, so the caller may reuse its buffer
+// immediately — this is what lets the runtime seal every envelope into
+// one per-peer scratch buffer. Delivery is scheduled on
 // the simulator after queueing and propagation delay — at once, or, from
 // a window running on workers, when src's event commits.
 func (n *Network) Send(src, dst wire.NodeID, payload []byte) {
@@ -342,7 +437,7 @@ func (n *Network) Send(src, dst wire.NodeID, payload []byte) {
 	ns := &n.nodes[int(src)]
 	d := n.getDelivery(n.recordPool(ns))
 	d.src, d.dst = src, dst
-	d.payload = append(d.payload[:0], payload...)
+	d.payload, d.slab = n.carve(n.carver(ns), payload)
 	if n.windowed {
 		ns.log = append(ns.log, op{kind: opSend, d: d})
 		return
@@ -358,6 +453,7 @@ func (n *Network) transmit(d *delivery) {
 	src, dst := d.src, d.dst
 	if n.nodes[int(src)].detached || n.nodes[int(dst)].detached {
 		n.drop()
+		n.release(d)
 		n.free = append(n.free, d)
 		return
 	}

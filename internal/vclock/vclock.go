@@ -306,6 +306,12 @@ const (
 type eventQueue struct {
 	heap []entry
 	ring [][]entry // nil = heap only (no horizon hint)
+	// spare holds the bucket arrays no bucket has on loan: a bucket
+	// borrows one when it first fills and gives it back once its window
+	// has been consumed, so the tier keeps arrays for the buckets
+	// occupied at once — about one horizon of deliveries and the tick
+	// bucket — not a high-water array for each of the ring's buckets.
+	spare [][]entry
 	// shift is log2 of the bucket width: a time maps to its absolute
 	// window index with at >> shift. curAbs is the window index of the
 	// active bucket; curIdx is the consume position inside it. count is
@@ -325,6 +331,9 @@ func (q *eventQueue) push(en entry) {
 		abs := int64(en.at) >> q.shift
 		if abs > q.curAbs && abs < q.curAbs+ringBuckets {
 			b := &q.ring[abs&ringMask]
+			if *b == nil {
+				*b = q.lend()
+			}
 			*b = append(*b, en)
 			q.rung++
 			return
@@ -333,8 +342,21 @@ func (q *eventQueue) push(en entry) {
 	q.heapPush(en)
 }
 
+// lend takes a bucket array off the spare list, or nil (append makes one).
+func (q *eventQueue) lend() []entry {
+	k := len(q.spare)
+	if k == 0 {
+		return nil
+	}
+	b := q.spare[k-1]
+	q.spare[k-1] = nil
+	q.spare = q.spare[:k-1]
+	return b
+}
+
 // ringHead returns the next unconsumed ring entry, advancing and sorting
-// buckets as their windows are reached, or nil if the ring is empty.
+// buckets as their windows are reached, or nil if the ring is empty. A
+// bucket it advances past has been consumed and gives its array back.
 // Advancing past an empty window is safe even though virtual time has
 // not reached it: entries are only ever pushed at or after the current
 // time, and push routes anything at or before the active window to the
@@ -345,7 +367,10 @@ func (q *eventQueue) ringHead() *entry {
 	}
 	b := q.ring[q.curAbs&ringMask]
 	for q.curIdx >= len(b) {
-		q.ring[q.curAbs&ringMask] = b[:0]
+		if b != nil {
+			q.spare = append(q.spare, b[:0])
+			q.ring[q.curAbs&ringMask] = nil
+		}
 		q.curAbs++
 		q.curIdx = 0
 		b = q.ring[q.curAbs&ringMask]

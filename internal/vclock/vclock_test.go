@@ -6,6 +6,7 @@ import (
 	"testing"
 	"testing/quick"
 	"time"
+	"unsafe"
 )
 
 func TestRunFiresInTimeOrder(t *testing.T) {
@@ -272,4 +273,58 @@ func TestScheduleSteadyStateAllocs(t *testing.T) {
 	if allocs != 0 {
 		t.Fatalf("warm Schedule+RunUntil allocated %.1f times per run, want 0", allocs)
 	}
+}
+
+// heldArrays reports the calendar tier's bucket arrays — on loan to a
+// bucket or spare — and their bytes, by capacity.
+func heldArrays(q *eventQueue) (arrays, bytes int) {
+	for _, b := range append(q.ring[:len(q.ring):len(q.ring)], q.spare...) {
+		if cap(b) > 0 {
+			arrays++
+			bytes += cap(b) * int(unsafe.Sizeof(entry{}))
+		}
+	}
+	return arrays, bytes
+}
+
+// TestCalendarArraysFollowTheQueue drives the calendar tier the way a
+// lockstep simulation does — a tick schedules a burst of deliveries over
+// the next horizon and the next tick two horizons on, at a drifting phase
+// so that the bursts visit every bucket of the ring — and checks what the
+// tier keeps afterwards: arrays for the buckets that were occupied at
+// once, about one horizon's worth, not a high-water array for each of
+// the ring's buckets.
+func TestCalendarArraysFollowTheQueue(t *testing.T) {
+	const delta, burst, ticks = time.Millisecond, 2000, 400
+	s := New()
+	s.SetHorizon(delta)
+	rng := rand.New(rand.NewSource(1))
+	noop := func() {}
+	peak, k := 0, 0
+	var tick func()
+	tick = func() {
+		for i := 0; i < burst; i++ {
+			s.Schedule(s.Now()+time.Duration(rng.Int63n(int64(delta))), noop)
+		}
+		peak = max(peak, s.Pending())
+		if k++; k < ticks {
+			s.Schedule(s.Now()+2*delta+time.Duration(rng.Int63n(int64(delta))), tick)
+		}
+	}
+	s.Schedule(0, tick)
+	if err := s.Run(); err != nil {
+		t.Fatal(err)
+	}
+	arrays, held := heldArrays(&s.queue)
+	// A burst spans one horizon of buckets, and the tick's bucket one more.
+	if arrays > bucketsPerHorizon+2 {
+		t.Errorf("the calendar keeps %d bucket arrays, a horizon is %d buckets", arrays, bucketsPerHorizon)
+	}
+	// Each array is as long as the longest bucket it served, rounded up by
+	// append's growth.
+	peakBytes := peak * int(unsafe.Sizeof(entry{}))
+	if held > 3*peakBytes {
+		t.Errorf("the calendar keeps %d bytes of arrays, at most %d were queued at once", held, peakBytes)
+	}
+	t.Logf("%d arrays, %d bytes; peak queued %d bytes", arrays, held, peakBytes)
 }

@@ -3,6 +3,7 @@ package wire
 import (
 	"encoding/binary"
 	"errors"
+	"slices"
 )
 
 // Batch container: all same-round messages one peer sends another are
@@ -73,6 +74,27 @@ func AppendBatchEntry(buf, encoded []byte) []byte {
 	return append(buf, encoded...)
 }
 
+// BatchEntryHeader is the length prefix before each entry of a
+// container.
+const BatchEntryHeader = 4
+
+// AppendEncodeEntry appends m to buf framed as one batch entry — its
+// length prefix, then its encoding — and returns the extended buffer.
+// Entries appended back to back after one magic byte make the container
+// AppendBatchEntry would have built from the same encodings. buf grows
+// like append, so a log of entries reaches its widest size in a few
+// steps and stays there.
+func (m *Message) AppendEncodeEntry(buf []byte) ([]byte, error) {
+	at := len(buf)
+	buf = slices.Grow(buf, BatchEntryHeader+m.EncodedSize())
+	buf, err := m.AppendEncode(append(buf, 0, 0, 0, 0))
+	if err != nil {
+		return nil, err
+	}
+	binary.LittleEndian.PutUint32(buf[at:], uint32(len(buf)-at-BatchEntryHeader))
+	return buf, nil
+}
+
 // BatchIter walks the raw entries of a batch container without decoding
 // them. The receive hot path iterates raw entries so it can digest the
 // exact transmitted bytes for ACKs before per-entry Decode.
@@ -101,15 +123,15 @@ func (it *BatchIter) Next() (entry []byte, ok bool, err error) {
 	if len(it.rest) == 0 {
 		return nil, false, nil
 	}
-	if len(it.rest) < 4 {
+	if len(it.rest) < BatchEntryHeader {
 		return nil, false, ErrTruncated
 	}
 	n := int(binary.LittleEndian.Uint32(it.rest))
-	if len(it.rest)-4 < n {
+	if len(it.rest)-BatchEntryHeader < n {
 		return nil, false, ErrTruncated
 	}
-	entry = it.rest[4 : 4+n]
-	it.rest = it.rest[4+n:]
+	entry = it.rest[BatchEntryHeader : BatchEntryHeader+n]
+	it.rest = it.rest[BatchEntryHeader+n:]
 	return entry, true, nil
 }
 

@@ -32,16 +32,17 @@ import (
 // tests).
 //
 // With both kernels a LinkCipher is one object without a pointer in use:
-// the schedule, the two chaining values and the tag scratch, 336 bytes by
-// value. A LinkCipher is NOT safe for concurrent use: sum (and, on the
-// portable paths, the CTR scratch blocks and the hash.Hash) is reused
-// across calls. Each link owns one instance and the peer runtime
-// serializes all sends and receives on its event loop.
+// the schedule and the two chaining values, 304 bytes by value; the tag an
+// open checks against is computed on the stack. A LinkCipher is NOT safe
+// for concurrent use: on the portable paths the CTR scratch blocks, the
+// hash.Hash and its tag scratch are reused across calls. Each link owns
+// one instance and the peer runtime serializes all sends and receives on
+// its event loop.
 type LinkCipher struct {
 	// mac is nil exactly when the kernel computes this link's tags, and
 	// portable exactly when the kernel runs its CTR. The pointers come
 	// first: the collector scans an object up to its last pointer and
-	// paces itself on those bytes, and what follows is 336 of them per
+	// paces itself on those bytes, and what follows is 304 of them per
 	// link end it has no reason to walk.
 	mac      *portableMAC
 	portable *portableCTR
@@ -52,8 +53,6 @@ type LinkCipher struct {
 	// same reason: a tag copies 32 bytes of it twice, and six objects of
 	// hmac state per link end are six cache misses on a link that was idle.
 	mid macState
-	// sum receives the computed tag during OpenAppend verification.
-	sum [MACSize]byte
 }
 
 // portableCTR is the CTR state of a link without the kernel: the stdlib
@@ -67,11 +66,15 @@ type portableCTR struct {
 }
 
 // portableMAC is the MAC state of a link without the kernel: one reusable
-// stdlib HMAC-SHA256 whose key pads were absorbed at construction. It is
-// a struct around the interface so that a LinkCipher on the kernel pays
-// one nil word for it, not two, and stays in the 352-byte size class.
+// stdlib HMAC-SHA256 whose key pads were absorbed at construction, and the
+// scratch an open's tag is computed into — here, not on the stack, because
+// Sum through the interface would move a stack buffer to the heap on every
+// open. It is a struct around the interface so that a LinkCipher on the
+// kernel pays one nil word for it, not two, and stays in the 320-byte size
+// class.
 type portableMAC struct {
 	hash.Hash
+	sum [MACSize]byte
 }
 
 // NewLinkCipher prepares per-link cipher state from the session keys:
@@ -90,7 +93,7 @@ func newLinkCipher(keys *SessionKeys, ctrKernel, macKernel bool) (*LinkCipher, e
 		c.mid.setKey(&keys.Mac)
 	} else {
 		key := keys.Mac
-		c.mac = &portableMAC{hmac.New(sha256.New, key[:])}
+		c.mac = &portableMAC{Hash: hmac.New(sha256.New, key[:])}
 	}
 	if ctrKernel {
 		expandKeyAsm(&keys.Enc, &c.enc)
@@ -133,8 +136,16 @@ func (c *LinkCipher) OpenAppend(dst, sealed []byte) ([]byte, error) {
 	}
 	body := sealed[:len(sealed)-MACSize]
 	tag := sealed[len(sealed)-MACSize:]
-	c.tag(&c.sum, body)
-	if !hmac.Equal(c.sum[:], tag) {
+	var authentic bool
+	if h := c.mac; h != nil {
+		c.tag(&h.sum, body)
+		authentic = hmac.Equal(h.sum[:], tag)
+	} else {
+		var sum [MACSize]byte
+		c.mid.tag(&sum, body)
+		authentic = hmac.Equal(sum[:], tag)
+	}
+	if !authentic {
 		return nil, ErrAuthFailed
 	}
 	start := len(dst)

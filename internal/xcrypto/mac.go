@@ -41,21 +41,8 @@ func (m *macState) setKey(key *[KeySize]byte) {
 // be the bytes that follow body.
 func (m *macState) tag(out *[MACSize]byte, body []byte) {
 	st := m.inner
-	whole := len(body) &^ (sha256.BlockSize - 1)
-	sha256BlocksAsm(&st, body[:whole])
-
-	// The tail, the 0x80 marker and the 64-bit length make one block when
-	// the tail leaves room for the nine bytes after it, two otherwise. The
-	// length counts the pad block the chaining value already absorbed.
-	var buf [2 * sha256.BlockSize]byte
-	n := copy(buf[:], body[whole:])
-	buf[n] = 0x80
-	end := sha256.BlockSize
-	if n+9 > sha256.BlockSize {
-		end = 2 * sha256.BlockSize
-	}
-	binary.BigEndian.PutUint64(buf[end-8:], uint64(sha256.BlockSize+len(body))*8)
-	sha256BlocksAsm(&st, buf[:end])
+	// The length counts the pad block the chaining value already absorbed.
+	absorb(&st, body, sha256.BlockSize+len(body))
 
 	// Outer hash: the opad block (absorbed) and the 32-byte inner digest.
 	var last [sha256.BlockSize]byte
@@ -65,6 +52,42 @@ func (m *macState) tag(out *[MACSize]byte, body []byte) {
 	st = m.outer
 	sha256BlocksAsm(&st, last[:])
 	putState(out[:], &st)
+}
+
+// absorb runs data through the compression function from st as the end of
+// a message of total bytes: the whole blocks straight from where they lie,
+// the tail with SHA-256's padding from a stack buffer. The tail, the 0x80
+// marker and the 64-bit length make one block when the tail leaves room
+// for the nine bytes after it, two otherwise.
+func absorb(st *[8]uint32, data []byte, total int) {
+	whole := len(data) &^ (sha256.BlockSize - 1)
+	sha256BlocksAsm(st, data[:whole])
+	var buf [2 * sha256.BlockSize]byte
+	n := copy(buf[:], data[whole:])
+	buf[n] = 0x80
+	end := sha256.BlockSize
+	if n+9 > sha256.BlockSize {
+		end = 2 * sha256.BlockSize
+	}
+	binary.BigEndian.PutUint64(buf[end-8:], uint64(total)*8)
+	sha256BlocksAsm(st, buf[:end])
+}
+
+// Sum256 returns the SHA-256 digest of data, as crypto/sha256.Sum256
+// does, on the block routine the link MAC runs on: no hash.Hash state is
+// built, the padding is laid out in a stack block. Without the kernel it
+// is crypto/sha256.Sum256. It hashes what it is given in the clear, so it
+// is for public inputs and digests of plaintext the caller already holds,
+// like the message digests ACKs carry.
+func Sum256(data []byte) [sha256.Size]byte {
+	if !haveMACKernel {
+		return sha256.Sum256(data)
+	}
+	st := sha256IV
+	absorb(&st, data, len(data))
+	var out [sha256.Size]byte
+	putState(out[:], &st)
+	return out
 }
 
 // putState serializes a chaining value as the big-endian digest.

@@ -141,10 +141,42 @@ func BenchmarkMAC(b *testing.B) {
 				body := make([]byte, size)
 				b.SetBytes(int64(size))
 				b.ReportAllocs()
+				var sum [MACSize]byte
 				for i := 0; i < b.N; i++ {
-					lc.tag(&lc.sum, body)
+					lc.tag(&sum, body)
 				}
 			})
 		}
 	}
+}
+
+// checkSum256 holds Sum256 against crypto/sha256 for one input.
+func checkSum256(tb testing.TB, data []byte) {
+	tb.Helper()
+	if got, want := Sum256(data), sha256.Sum256(data); got != want {
+		tb.Fatalf("len %d: Sum256 %x, crypto/sha256 says %x", len(data), got, want)
+	}
+}
+
+// TestSum256EveryLength runs every input length 0…300 — every tail shape
+// behind none, one and several whole blocks — on the block routine, and,
+// in a build without the kernel, on the stdlib fallback.
+func TestSum256EveryLength(t *testing.T) {
+	rng := rand.New(rand.NewSource(43))
+	for n := 0; n <= 300; n++ {
+		data := make([]byte, n)
+		rng.Read(data)
+		checkSum256(t, data)
+	}
+}
+
+// FuzzSum256 holds Sum256 against crypto/sha256 on arbitrary inputs,
+// seeded with the tail shapes of the MAC tests.
+func FuzzSum256(f *testing.F) {
+	for _, n := range macEdgeLengths {
+		f.Add(make([]byte, n))
+	}
+	f.Fuzz(func(t *testing.T, data []byte) {
+		checkSum256(t, data)
+	})
 }
