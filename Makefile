@@ -42,7 +42,10 @@ vet:
 # the outbox, the payload slabs and the event calendar three times; the
 # sixth runs the outbox tests and the slab and record tests on one, two
 # and four cores, because workers carve payloads from slabs of their
-# own, take records a chunk at a time and release both for each other.
+# own, take records a chunk at a time and release both for each other;
+# the seventh does the same for byzantine OSes on lanes — the byzantine
+# lane scenario, a byzantine joiner, the tape, and one behaviour value
+# set on several nodes, each of which must draw from a coin of its own.
 race:
 	$(GO) test -race ./internal/deploy/... ./internal/experiments/... ./internal/runtime/... ./internal/tcpnet/... ./internal/scenario/... ./internal/vclock/... ./internal/simnet/... ./internal/overlay/... ./internal/core/... ./internal/beacon/... .
 	$(GO) test -race -count=5 -run 'Handoff|Lane' ./internal/vclock/... ./internal/simnet/...
@@ -50,6 +53,7 @@ race:
 	$(GO) test -race -count=3 -run 'LaunchBatchMatchesLaunch|RosterErrorsMatchSerialLoop' ./internal/enclave/... ./internal/deploy/...
 	$(GO) test -race -count=3 -run 'BatchedWireStreamGolden|MuxOutboxRetention|StandingBeaconPayloadRetention|CalendarArraysFollowTheQueue' ./internal/deploy/... ./internal/runtime/... ./internal/simnet/... ./internal/vclock/...
 	$(GO) test -race -cpu 1,2,4 -run 'SparseOutbox|FinishedPeerReleasesProtocol|LaneSlabs|LaneRecords' ./internal/runtime/... ./internal/simnet/...
+	$(GO) test -race -cpu 1,2,4 -run 'LanesMatchSerialLoop/erb-byzantine|LanesJoinAndRestart|OnlyRecorderKeepsTape|SharedBehaviorValue' ./internal/deploy/... ./internal/adversary/...
 
 # chaos runs the deterministic fault-injection suite under the race
 # detector (its only race run in `verify`): fixed-seed schedules

@@ -2,21 +2,18 @@ package sgxp2p
 
 import (
 	"sgxp2p/internal/adversary"
-	"sgxp2p/internal/deploy"
-	"sgxp2p/internal/runtime"
-	"sgxp2p/internal/wire"
 )
 
 // Adversary types, re-exported so experiments against byzantine nodes can
 // be built through the public API. A Behavior is the byzantine operating
-// system's per-envelope policy; it observes only destinations and sizes
-// (the blind-box property P3) and can only omit, hold, duplicate or
-// corrupt sealed envelopes — the paper's Theorem A.2 reduction, enforced
-// structurally.
+// system's per-envelope policy, a printable value; it decides from the
+// destination alone (the blind-box property P3) and can only omit, hold,
+// replay or corrupt sealed envelopes — the paper's Theorem A.2 reduction,
+// enforced structurally.
 type (
-	// Behavior is the byzantine OS policy.
+	// Behavior is the byzantine OS policy; the zero value is honest.
 	Behavior = adversary.Behavior
-	// AdversaryOS is the wrapped byzantine OS of one node.
+	// AdversaryOS is the byzantine OS of one node.
 	AdversaryOS = adversary.OS
 	// AdversaryStats counts what a byzantine OS did.
 	AdversaryStats = adversary.Stats
@@ -25,9 +22,9 @@ type (
 // OmitAll drops every outbound envelope (attack A3).
 func OmitAll() Behavior { return adversary.OmitAll() }
 
-// OmitTo drops envelopes to matching destinations (identity-selective
+// OmitTo drops envelopes to the given destinations (identity-selective
 // omission, attack A3).
-func OmitTo(pred func(dst NodeID) bool) Behavior { return adversary.OmitTo(pred) }
+func OmitTo(dsts ...NodeID) Behavior { return adversary.OmitTo(dsts...) }
 
 // OmitProbabilistic drops each envelope independently with probability p.
 func OmitProbabilistic(p float64, seed int64) Behavior {
@@ -42,6 +39,10 @@ func DelayAll() Behavior { return adversary.DelayAll() }
 // channel MAC turns corruption into omission.
 func CorruptEverything() Behavior { return adversary.CorruptEverything() }
 
+// Record is honest, and keeps a tape of the node's envelopes for
+// AdversaryOS.ReplayTape (attack A5).
+func Record() Behavior { return adversary.Record() }
+
 // Chain is the worst-case strategy of the paper's Section 6.3: each chain
 // member forwards only to the next, delaying honest acceptance to ~f+2
 // rounds while every member churns itself out.
@@ -53,20 +54,4 @@ func Chain(chain []NodeID, self int, release NodeID) Behavior {
 // (the Appendix D sanitization model).
 func MisbehaveWithProbability(p float64, seed int64) Behavior {
 	return adversary.MisbehaveWithProbability(p, seed)
-}
-
-// wrapper builds the deploy transport hook installing adversary OSes.
-func (c *Cluster) wrapper(opts Options) deploy.TransportWrapper {
-	if len(opts.Adversary) == 0 {
-		return nil
-	}
-	return func(id wire.NodeID, tr runtime.Transport) runtime.Transport {
-		b, ok := opts.Adversary[id]
-		if !ok || b == nil {
-			return tr
-		}
-		os := adversary.Wrap(id, tr, b, opts.Seed+int64(id))
-		c.ads[id] = os
-		return os
-	}
 }

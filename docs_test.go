@@ -62,7 +62,7 @@ func TestDocsNameOnlyThingsThatExist(t *testing.T) {
 	retired := regexp.MustCompile("lockorder|nilness|`lockstep`|sealerr|-baseline|p2plint -json|" +
 		`PuzzleDifficulty|DeriveKey|NewKeySchedule|NewBalancer|NewWalker|` +
 		`internal/(sybil|keygen|loadbal|randomwalk)\b|examples/(loadbalance|randomwalk)\b`)
-	budget := map[string]int{"README.md": 235, "DESIGN.md": 1327, "EXPERIMENTS.md": 1910}
+	budget := map[string]int{"README.md": 235, "DESIGN.md": 1325, "EXPERIMENTS.md": 1910}
 	for _, doc := range []string{"README.md", "DESIGN.md", "EXPERIMENTS.md", ".claude/skills/verify/SKILL.md", "Makefile"} {
 		text, err := os.ReadFile(doc)
 		if err != nil {

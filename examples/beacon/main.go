@@ -27,7 +27,7 @@ func run() error {
 		N: 9, T: 4, Seed: 7,
 		Adversary: map[sgxp2p.NodeID]sgxp2p.Behavior{
 			0: sgxp2p.DelayAll(),
-			1: sgxp2p.OmitTo(func(dst sgxp2p.NodeID) bool { return dst%2 == 0 }),
+			1: sgxp2p.OmitTo(0, 2, 4, 6, 8),
 		},
 	})
 	if err != nil {

@@ -1,42 +1,36 @@
 package adversary_test
 
 import (
+	"reflect"
 	"testing"
 	"time"
 
 	"sgxp2p/internal/adversary"
 	"sgxp2p/internal/core/erb"
 	"sgxp2p/internal/deploy"
-	"sgxp2p/internal/runtime"
 	"sgxp2p/internal/wire"
 )
 
-// harness bundles a deployment with ERB engines and the byzantine OSes.
+// harness bundles a deployment with ERB engines.
 type harness struct {
 	d       *deploy.Deployment
 	engines []*erb.Engine
-	oses    map[wire.NodeID]*adversary.OS
 }
 
-// build creates an n-node deployment where behaviors[id] != nil marks a
-// byzantine node with that behaviour; all nodes get a recording OS so
-// tests can replay tapes.
+// build creates an n-node deployment where behaviors[id] is set on node
+// id's OS; every other node's OS stays honest.
 func build(t *testing.T, n, byz int, seed int64, behaviors map[wire.NodeID]adversary.Behavior) *harness {
 	t.Helper()
-	h := &harness{oses: make(map[wire.NodeID]*adversary.OS)}
-	d, err := deploy.New(deploy.Options{
-		N: n, T: byz, Seed: seed,
-		Wrap: func(id wire.NodeID, tr runtime.Transport) runtime.Transport {
-			os := adversary.Wrap(id, tr, behaviors[id], seed+int64(id))
-			h.oses[id] = os
-			return os
-		},
-	})
+	d, err := deploy.New(deploy.Options{N: n, T: byz, Seed: seed})
 	if err != nil {
 		t.Fatalf("deploy: %v", err)
 	}
-	h.d = d
-	return h
+	for id := range d.Peers {
+		if b, ok := behaviors[wire.NodeID(id)]; ok {
+			d.OS(wire.NodeID(id)).Set(b)
+		}
+	}
+	return &harness{d: d}
 }
 
 func (h *harness) startERB(t *testing.T, byz int, initiator wire.NodeID, v wire.Value) {
@@ -113,7 +107,7 @@ func TestCorruptionReducesToOmission(t *testing.T) {
 	if authFails == 0 {
 		t.Fatal("no auth failures recorded despite corrupting relays")
 	}
-	if h.oses[1].Stats().Corrupted == 0 {
+	if h.d.OS(1).Stats().Corrupted == 0 {
 		t.Fatal("corruptor OS never corrupted")
 	}
 }
@@ -125,7 +119,7 @@ func TestForgedEnvelopesRejected(t *testing.T) {
 	// Inject garbage from node 1's OS to node 2 right away.
 	h.d.Sim.Schedule(0, func() {
 		for i := 0; i < 10; i++ {
-			h.oses[1].InjectForged(2, 109)
+			h.d.OS(1).InjectForged(2, 109)
 		}
 	})
 	if err := h.d.Run(); err != nil {
@@ -138,8 +132,8 @@ func TestForgedEnvelopesRejected(t *testing.T) {
 	if got := h.d.Peers[2].Stats().AuthFailures; got < 10 {
 		t.Fatalf("peer 2 auth failures = %d, want >= 10", got)
 	}
-	if h.oses[1].Stats().Forged != 10 {
-		t.Fatalf("forged = %d, want 10", h.oses[1].Stats().Forged)
+	if h.d.OS(1).Stats().Forged != 10 {
+		t.Fatalf("forged = %d, want 10", h.d.OS(1).Stats().Forged)
 	}
 }
 
@@ -153,7 +147,7 @@ func TestDelayAttackReducesToOmission(t *testing.T) {
 	// Release just before node 1 halts at the end of round 2 (t = 4s with
 	// the default 1s delta): the held ECHO is stamped round 2 but arrives
 	// during round 3, so receivers discard it (P5).
-	h.d.Sim.Schedule(2*h.d.RoundDuration()-100*time.Millisecond, func() { h.oses[1].Release() })
+	h.d.Sim.Schedule(2*h.d.RoundDuration()-100*time.Millisecond, func() { h.d.OS(1).Release() })
 	if err := h.d.Run(); err != nil {
 		t.Fatal(err)
 	}
@@ -168,7 +162,7 @@ func TestDelayAttackReducesToOmission(t *testing.T) {
 	if mismatches == 0 {
 		t.Fatal("released delayed envelopes were not discarded by the round check")
 	}
-	if h.oses[1].Stats().Held == 0 {
+	if h.d.OS(1).Stats().Held == 0 {
 		t.Fatal("delaying OS never held anything")
 	}
 }
@@ -178,7 +172,7 @@ func TestReplayAttackRejectedAcrossInstances(t *testing.T) {
 	// sequence numbers and replay the whole tape into the next instance:
 	// every replayed envelope must be discarded (P6).
 	const n, byz = 5, 2
-	h := build(t, n, byz, 24, nil)
+	h := build(t, n, byz, 24, map[wire.NodeID]adversary.Behavior{1: adversary.Record()})
 	h.startERB(t, byz, 0, val(0x66))
 	if err := h.d.Run(); err != nil {
 		t.Fatal(err)
@@ -193,7 +187,7 @@ func TestReplayAttackRejectedAcrossInstances(t *testing.T) {
 	// Second instance: initiator 2 broadcasts; node 1 replays its tape.
 	h.startERB(t, byz, 2, val(0x77))
 	h.d.Sim.ScheduleAfter(0, func() {
-		if n := h.oses[1].ReplayTape(); n == 0 {
+		if n := h.d.OS(1).ReplayTape(); n == 0 {
 			t.Error("nothing to replay")
 		}
 	})
@@ -277,27 +271,30 @@ func TestOmitProbabilisticDropsSome(t *testing.T) {
 		t.Fatal(err)
 	}
 	h.checkAgreement(t, 3, 0)
-	st := h.oses[1].Stats()
+	st := h.d.OS(1).Stats()
 	if st.Dropped == 0 || st.Delivered == 0 {
 		t.Fatalf("p=0.5 omission produced stats %+v, want both drops and deliveries", st)
 	}
 }
 
 func TestMisbehaveWithProbabilityEpochal(t *testing.T) {
-	b := adversary.MisbehaveWithProbability(0.5, 7)
+	tr := &sink{}
+	os := adversary.Wrap(0, tr, adversary.MisbehaveWithProbability(0.5, 7), 1)
 	activeEpochs := 0
-	const epochs = 200
+	const epochs, sends = 200, 6
 	for e := 0; e < epochs; e++ {
-		b.(adversary.Epochal).NewEpoch(uint32(e))
-		if b.Outbound(1, 100) == adversary.Drop {
-			activeEpochs++
+		os.NewEpoch(uint32(e))
+		before := len(tr.sent)
+		for i := 0; i < sends; i++ {
+			os.Send(wire.NodeID(i), []byte{1})
 		}
 		// Within one epoch the disposition is stable.
-		first := b.Outbound(1, 100)
-		for i := 0; i < 5; i++ {
-			if b.Outbound(wire.NodeID(i), 50) != first {
-				t.Fatal("disposition changed within an epoch")
-			}
+		switch len(tr.sent) - before {
+		case 0:
+			activeEpochs++
+		case sends:
+		default:
+			t.Fatal("disposition changed within an epoch")
 		}
 	}
 	if activeEpochs < epochs/4 || activeEpochs > epochs*3/4 {
@@ -305,29 +302,70 @@ func TestMisbehaveWithProbabilityEpochal(t *testing.T) {
 	}
 }
 
-func TestOmitToPredicate(t *testing.T) {
-	b := adversary.OmitTo(func(dst wire.NodeID) bool { return dst%2 == 0 })
-	if b.Outbound(2, 10) != adversary.Drop {
-		t.Fatal("even destination not dropped")
+func TestOmitToSet(t *testing.T) {
+	tr := &sink{}
+	b := adversary.OmitTo(4, 2, 2)
+	os := adversary.Wrap(0, tr, b, 1)
+	for dst := wire.NodeID(1); dst < 6; dst++ {
+		os.Send(dst, []byte{1})
 	}
-	if b.Outbound(3, 10) != adversary.Deliver {
-		t.Fatal("odd destination not delivered")
+	if want := []wire.NodeID{1, 3, 5}; !reflect.DeepEqual(tr.sent, want) {
+		t.Fatalf("delivered to %v, want %v", tr.sent, want)
+	}
+	if got := b.String(); got != "omit-to(2,4)" {
+		t.Fatalf("String() = %q", got)
+	}
+}
+
+// TestSharedBehaviorValue: one Behavior value configures many nodes, each
+// OS drawing from a coin of its own, so every node drops what it drops
+// when configured alone — and, on a deployment's lanes, no two workers
+// share a coin (run it under -race at several -cpu values).
+func TestSharedBehaviorValue(t *testing.T) {
+	b := adversary.OmitProbabilistic(0.5, 99)
+	send := func(oses ...*adversary.OS) {
+		for i := 0; i < 64; i++ {
+			for _, os := range oses {
+				os.Send(wire.NodeID(i%7), []byte{byte(i)})
+			}
+		}
+	}
+	alone := &sink{}
+	send(adversary.Wrap(1, alone, b, 1))
+	one, two := &sink{}, &sink{}
+	send(adversary.Wrap(1, one, b, 1), adversary.Wrap(2, two, b, 2))
+	if !reflect.DeepEqual(one.sent, alone.sent) || !reflect.DeepEqual(two.sent, alone.sent) {
+		t.Fatalf("shared value: node 1 delivered %v, node 2 %v, alone %v", one.sent, two.sent, alone.sent)
+	}
+
+	const n, byz = 16, 7
+	h := build(t, n, byz, 29, map[wire.NodeID]adversary.Behavior{1: b, 2: b, 3: b})
+	h.d.Sim.ArriveAt(0)
+	h.startERB(t, byz, 0, val(0xCC))
+	if err := h.d.Run(); err != nil {
+		t.Fatal(err)
+	}
+	h.checkAgreement(t, 4, 0)
+	for id := wire.NodeID(1); id <= 3; id++ {
+		if st := h.d.OS(id).Stats(); st.Dropped == 0 {
+			t.Fatalf("node %d: %+v, want drops", id, st)
+		}
 	}
 }
 
 func TestWrapNilBehaviorIsHonest(t *testing.T) {
 	const n, byz = 5, 2
-	h := build(t, n, byz, 28, nil) // all OSes honest recorders
+	h := build(t, n, byz, 28, nil) // every OS honest
 	h.startERB(t, byz, 0, val(0xBB))
 	if err := h.d.Run(); err != nil {
 		t.Fatal(err)
 	}
 	ok, v, maxRound := h.checkAgreement(t, 0, 0)
 	if !ok || v != val(0xBB) || maxRound > 2 {
-		t.Fatalf("honest run through recording OSes degraded: ok=%v v=%v round=%d", ok, v, maxRound)
+		t.Fatalf("honest run through the OSes degraded: ok=%v v=%v round=%d", ok, v, maxRound)
 	}
-	for id, os := range h.oses {
-		if os.Stats().Dropped != 0 {
+	for id := range h.d.Peers {
+		if h.d.OS(wire.NodeID(id)).Stats().Dropped != 0 {
 			t.Fatalf("honest OS %d dropped messages", id)
 		}
 	}

@@ -52,7 +52,7 @@ func TestDrainDeterministic(t *testing.T) {
 	if st1 != st2 {
 		t.Fatalf("stats diverged: %+v vs %+v", st1, st2)
 	}
-	if os2 := adversary.Wrap(7, &sink{}, nil, 4242); func() int { r, d := os2.Drain(); return r + d }() != 0 {
+	if os2 := adversary.Wrap(7, &sink{}, adversary.Behavior{}, 4242); func() int { r, d := os2.Drain(); return r + d }() != 0 {
 		t.Fatal("drain of an empty hold queue moved envelopes")
 	}
 	if st1.Held != 16 || st1.Delivered != uint64(rel1) || st1.Dropped != uint64(dis1) {
@@ -74,18 +74,16 @@ func TestDrainThenReleaseEmpty(t *testing.T) {
 	}
 }
 
-// TestSwitchableMidStream: the chaos engine flips a node's behavior at a
-// round boundary by swapping the Switchable's inner behavior; the OS
-// wrapper itself never changes.
-func TestSwitchableMidStream(t *testing.T) {
+// TestSetMidStream: the chaos engine flips a node's behavior at a round
+// boundary by Set on its OS; the OS itself never changes.
+func TestSetMidStream(t *testing.T) {
 	tr := &sink{}
-	sw := adversary.NewSwitchable(nil)
-	os := adversary.Wrap(3, tr, sw, 1)
+	os := adversary.Wrap(3, tr, adversary.Behavior{}, 1)
 
 	os.Send(0, []byte{1}) // honest: delivered
-	sw.Set(adversary.OmitAll())
+	os.Set(adversary.OmitAll())
 	os.Send(0, []byte{2}) // omitted
-	sw.Set(nil)
+	os.Set(adversary.Behavior{})
 	os.Send(0, []byte{3}) // honest again
 
 	if got := len(tr.sent); got != 2 {
@@ -94,28 +92,31 @@ func TestSwitchableMidStream(t *testing.T) {
 	if st := os.Stats(); st.Dropped != 1 || st.Delivered != 2 {
 		t.Fatalf("stats = %+v", st)
 	}
-	if sw.Current() != nil {
-		t.Fatal("Current() != nil after flipping back to honest")
-	}
 }
 
-// TestSwitchableForwardsEpochs: NewEpoch reaches the inner behavior
-// through the switch, so epochal behaviors re-roll across instances even
-// when installed mid-run.
-func TestSwitchableForwardsEpochs(t *testing.T) {
-	var epochs []uint32
-	sw := adversary.NewSwitchable(nil)
-	sw.NewEpoch(1) // inner nil: must not panic
-	sw.Set(epochalFunc(func(e uint32) { epochs = append(epochs, e) }))
-	sw.NewEpoch(2)
-	sw.NewEpoch(3)
-	if !reflect.DeepEqual(epochs, []uint32{2, 3}) {
-		t.Fatalf("inner behavior saw epochs %v, want [2 3]", epochs)
+// TestOnlyRecorderKeepsTape: a byzantine OS keeps no copy of what it sent
+// — only a Record OS has a tape — and a Record OS replays what it saw, in
+// order.
+func TestOnlyRecorderKeepsTape(t *testing.T) {
+	for _, b := range []adversary.Behavior{{}, adversary.OmitAll(), adversary.CorruptEverything(), adversary.Chain([]wire.NodeID{0}, 0, 1)} {
+		os := adversary.Wrap(0, &sink{}, b, 1)
+		for i := 0; i < 8; i++ {
+			os.Send(wire.NodeID(i%3), []byte{byte(i)})
+		}
+		if n := os.ReplayTape(); n != 0 {
+			t.Fatalf("%s OS kept a tape of %d envelopes", b, n)
+		}
+	}
+	tr := &sink{}
+	os := adversary.Wrap(0, tr, adversary.Record(), 1)
+	for i := 0; i < 8; i++ {
+		os.Send(wire.NodeID(i%3), []byte{byte(i)})
+	}
+	seen := append([]wire.NodeID(nil), tr.sent...)
+	if n := os.ReplayTape(); n != 8 || !reflect.DeepEqual(tr.sent[8:], seen) {
+		t.Fatalf("replayed %d envelopes to %v, want 8 to %v", n, tr.sent[8:], seen)
+	}
+	if st := os.Stats(); st.Delivered != 8 || st.Replayed != 8 {
+		t.Fatalf("stats = %+v", st)
 	}
 }
-
-// epochalFunc is a Behavior that only cares about epoch boundaries.
-type epochalFunc func(epoch uint32)
-
-func (f epochalFunc) Outbound(wire.NodeID, int) adversary.Action { return adversary.Deliver }
-func (f epochalFunc) NewEpoch(epoch uint32)                      { f(epoch) }

@@ -6,7 +6,6 @@ import (
 
 	"sgxp2p/internal/adversary"
 	"sgxp2p/internal/baseline"
-	"sgxp2p/internal/runtime"
 	"sgxp2p/internal/wire"
 )
 
@@ -377,17 +376,12 @@ func TestRBearlyTrafficCubicUnderOmissionChain(t *testing.T) {
 		for i := range chain {
 			chain[i] = wire.NodeID(i)
 		}
-		d, err := baseline.NewDeployment(baseline.DeployOptions{
-			N: n, T: byz, Seed: 14,
-			Wrap: func(id wire.NodeID, tr runtime.Transport) runtime.Transport {
-				if int(id) >= f {
-					return tr
-				}
-				return adversary.Wrap(id, tr, adversary.Chain(chain, int(id), wire.NodeID(f)), int64(id))
-			},
-		})
+		d, err := baseline.NewDeployment(baseline.DeployOptions{N: n, T: byz, Seed: 14})
 		if err != nil {
 			t.Fatal(err)
+		}
+		for i, id := range chain {
+			d.OS(id).Set(adversary.Chain(chain, i, wire.NodeID(f)))
 		}
 		protos := make([]*baseline.RBearly, n)
 		d.Net.ResetTraffic()

@@ -5,8 +5,8 @@ import (
 	"math/rand"
 	"time"
 
+	"sgxp2p/internal/adversary"
 	"sgxp2p/internal/parallel"
-	"sgxp2p/internal/runtime"
 	"sgxp2p/internal/simnet"
 	"sgxp2p/internal/vclock"
 	"sgxp2p/internal/wire"
@@ -25,9 +25,6 @@ type DeployOptions struct {
 	Seed int64
 	// PKI enables per-node Ed25519 keys (required by RBsig/SigRNG).
 	PKI bool
-	// Wrap, when non-nil, wraps each node's transport (omission-fault /
-	// adversary injection, as in deploy.Options.Wrap).
-	Wrap func(id wire.NodeID, tr runtime.Transport) runtime.Transport
 }
 
 // Deployment is a simulated network of plain (non-enclaved) peers.
@@ -39,7 +36,12 @@ type Deployment struct {
 	// attack protocols can model collusion (key sharing).
 	Keys []*xcrypto.SigningKey
 	Opts DeployOptions
+	oses []*adversary.OS
 }
+
+// OS returns node id's operating system, honest until a behaviour is Set
+// on it (as deploy.Deployment.OS).
+func (d *Deployment) OS(id wire.NodeID) *adversary.OS { return d.oses[id] }
 
 // NewDeployment builds a baseline deployment over the simulated network.
 //
@@ -78,16 +80,14 @@ func NewDeployment(opts DeployOptions) (*Deployment, error) {
 		}
 	}
 	d.Peers = make([]*Peer, opts.N)
+	d.oses = make([]*adversary.OS, opts.N)
 	for i := 0; i < opts.N; i++ {
 		var sk *xcrypto.SigningKey
 		if opts.PKI {
 			sk = d.Keys[i]
 		}
-		var tr runtime.Transport = net.Port(wire.NodeID(i))
-		if opts.Wrap != nil {
-			tr = opts.Wrap(wire.NodeID(i), tr)
-		}
-		p, err := NewPeer(wire.NodeID(i), opts.N, opts.T, opts.Delta, tr, roster, sk)
+		d.oses[i] = adversary.New(wire.NodeID(i), net.Port(wire.NodeID(i)), opts.Seed)
+		p, err := NewPeer(wire.NodeID(i), opts.N, opts.T, opts.Delta, d.oses[i], roster, sk)
 		if err != nil {
 			return nil, fmt.Errorf("baseline: peer %d: %w", i, err)
 		}

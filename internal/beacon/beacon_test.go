@@ -6,7 +6,6 @@ import (
 	"sgxp2p/internal/adversary"
 	"sgxp2p/internal/beacon"
 	"sgxp2p/internal/deploy"
-	"sgxp2p/internal/runtime"
 	"sgxp2p/internal/wire"
 )
 
@@ -94,17 +93,12 @@ func TestBeaconOptimizedMode(t *testing.T) {
 
 func TestBeaconSurvivesByzantineOmitters(t *testing.T) {
 	const n, byz = 7, 3
-	d, err := deploy.New(deploy.Options{
-		N: n, T: byz, Seed: 54,
-		Wrap: func(id wire.NodeID, tr runtime.Transport) runtime.Transport {
-			if int(id) >= byz {
-				return tr
-			}
-			return adversary.Wrap(id, tr, adversary.OmitAll(), int64(id))
-		},
-	})
+	d, err := deploy.New(deploy.Options{N: n, T: byz, Seed: 54})
 	if err != nil {
 		t.Fatal(err)
+	}
+	for id := wire.NodeID(0); id < byz; id++ {
+		d.OS(id).Set(adversary.OmitAll())
 	}
 	b, err := beacon.New(d, beacon.Config{T: byz})
 	if err != nil {

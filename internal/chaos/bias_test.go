@@ -41,12 +41,9 @@ func biasRun(run, n, tb int, optimized bool) (wire.Value, bool, error) {
 			// announcements are not reliably broadcast, so selectively
 			// omitting them splits the cluster view — the known gap pinned
 			// by TestOptimizedSelectiveChosenSplit.
-			half := wire.NodeID(n / 2)
-			sched.FlipBehavior(node, 1, "omit-low", adversary.OmitTo(func(dst wire.NodeID) bool {
-				return dst < half
-			}))
+			sched.FlipBehavior(node, 1, adversary.OmitTo(below(n/2)...))
 		} else {
-			sched.FlipBehavior(node, 1, "omit-all", adversary.OmitAll())
+			sched.FlipBehavior(node, 1, adversary.OmitAll())
 		}
 	}
 	o, err := RunERNGSchedule(seed, n, tb, optimized, sched)
@@ -154,9 +151,7 @@ func TestOptimizedSelectiveChosenSplit(t *testing.T) {
 	const seed = int64(0xB1A5<<8) + 59
 	sched := NewSchedule()
 	for _, node := range []wire.NodeID{5, 6, 7} {
-		sched.FlipBehavior(node, 1, "omit-low", adversary.OmitTo(func(dst wire.NodeID) bool {
-			return dst < 4
-		}))
+		sched.FlipBehavior(node, 1, adversary.OmitTo(below(4)...))
 	}
 	o, err := RunERNGSchedule(seed, 9, 3, true, sched)
 	if err != nil {
@@ -172,7 +167,7 @@ func TestOptimizedSelectiveChosenSplit(t *testing.T) {
 	// consistently at every observer.
 	sym := NewSchedule()
 	for _, node := range []wire.NodeID{5, 6, 7} {
-		sym.FlipBehavior(node, 1, "omit-all", adversary.OmitAll())
+		sym.FlipBehavior(node, 1, adversary.OmitAll())
 	}
 	o, err = RunERNGSchedule(seed, 9, 3, true, sym)
 	if err != nil {
@@ -181,4 +176,13 @@ func TestOptimizedSelectiveChosenSplit(t *testing.T) {
 	if err := CheckERNG(o); err != nil {
 		t.Fatalf("symmetric omission of the same nodes must keep agreement: %v", err)
 	}
+}
+
+// below returns the node ids 0..k-1, the low end of the network.
+func below(k int) []wire.NodeID {
+	ids := make([]wire.NodeID, k)
+	for i := range ids {
+		ids[i] = wire.NodeID(i)
+	}
+	return ids
 }

@@ -138,8 +138,8 @@ func TestPartitionCutsTraffic(t *testing.T) {
 // honest at round 3; the rest of the network is unaffected.
 func TestFlipBehavior(t *testing.T) {
 	sched := NewSchedule().
-		FlipBehavior(2, 1, "omit-all", adversary.OmitAll()).
-		FlipBehavior(2, 3, "honest", nil)
+		FlipBehavior(2, 1, adversary.OmitAll()).
+		FlipBehavior(2, 3, adversary.Behavior{})
 	o, err := RunERBSchedule(5, 5, 2, sched)
 	if err != nil {
 		t.Fatal(err)
@@ -157,7 +157,7 @@ func TestFlipBehavior(t *testing.T) {
 // trace, so both runs dispose of the held envelopes identically.
 func TestDelayDrainDeterministic(t *testing.T) {
 	mk := func() (*Outcome, error) {
-		sched := NewSchedule().FlipBehavior(1, 1, "delay-all", adversary.DelayAll())
+		sched := NewSchedule().FlipBehavior(1, 1, adversary.DelayAll())
 		return RunERBSchedule(23, 5, 2, sched)
 	}
 	a, err := mk()
@@ -185,7 +185,7 @@ func TestDelayDrainDeterministic(t *testing.T) {
 func TestScheduleString(t *testing.T) {
 	s := NewSchedule().CrashAt(3, 2)
 	s.RestartAfter(3, 1)
-	s.FlipBehavior(1, 1, "omit-all", adversary.OmitAll())
+	s.FlipBehavior(1, 1, adversary.OmitAll())
 	s.Partition([][]wire.NodeID{{0, 2, 4}, {1, 3}}, 2, 4)
 	got := s.String()
 	want := "flip(1,omit-all)@r1 crash(3)@r2 part([0 2 4|1 3])@r2 restart(3)@r3 heal@r4"
@@ -232,11 +232,22 @@ func TestFaultyChargesUnlistedMajority(t *testing.T) {
 // seeds 1–1000 at three network sizes.
 func TestParseScheduleRoundTrip(t *testing.T) {
 	every := NewSchedule().CrashAt(3, 2).
-		FlipBehavior(1, 1, "omit-all", adversary.OmitAll()).
-		FlipBehavior(1, 4, "honest", nil).
+		FlipBehavior(1, 1, adversary.OmitAll()).
+		FlipBehavior(1, 4, adversary.Behavior{}).
 		Partition([][]wire.NodeID{{0, 2, 4}, {1, 3}}, 2, 4)
 	every.RestartAfter(3, 1)
-	scheds := []*Schedule{NewSchedule(), every}
+	// Every behavior form, the selective-CHOSEN split's among them.
+	behaviors := NewSchedule()
+	for i, b := range []adversary.Behavior{adversary.OmitEven(), adversary.DelayAll(), adversary.CorruptEverything(),
+		adversary.Record(), adversary.OmitTo(), adversary.OmitTo(below(4)...), adversary.Chain([]wire.NodeID{2, 5}, 0, 6),
+		adversary.OmitProbabilistic(0.25, 99), adversary.MisbehaveWithProbability(0.3, -7)} {
+		behaviors.FlipBehavior(wire.NodeID(i), i+1, b)
+	}
+	split := NewSchedule()
+	for _, node := range []wire.NodeID{5, 6, 7} {
+		split.FlipBehavior(node, 1, adversary.OmitTo(below(4)...))
+	}
+	scheds := []*Schedule{NewSchedule(), every, behaviors, split}
 	for _, nt := range [][2]int{{5, 2}, {9, 4}, {17, 8}} {
 		for seed := int64(1); seed <= 1000; seed++ {
 			scheds = append(scheds, Generate(seed, nt[0], nt[1], nt[1]+2))
@@ -277,9 +288,7 @@ func TestParseScheduleReplays(t *testing.T) {
 	}
 }
 
-// TestParseScheduleRejects pins what does not parse. omit-low is the bias
-// suite's in-process closure: it prints, but names no behavior in the
-// flips table.
+// TestParseScheduleRejects pins what does not parse.
 func TestParseScheduleRejects(t *testing.T) {
 	for _, text := range []string{
 		"explode(1)@r2",
@@ -289,6 +298,16 @@ func TestParseScheduleRejects(t *testing.T) {
 		"crash(1)@r0",
 		"crash(x)@r2",
 		"flip(1,omit-low)@r1",
+		"flip(1,)@r1",
+		"flip(1,omit-all())@r1",
+		"flip(1,record(1))@r1",
+		"flip(1,omit-to)@r1",
+		"flip(1,omit-to(0,x))@r1",
+		"flip(1,omit-to(0,,1))@r1",
+		"flip(1,only-to())@r1",
+		"flip(1,only-to(1,2))@r1",
+		"flip(1,omit-p(0.5))@r1",
+		"flip(1,epoch-p(x,1))@r1",
 		"part([0 1|2)@r1",
 	} {
 		if s, err := ParseSchedule(text); err == nil {

@@ -3,8 +3,12 @@ package chaos
 import (
 	"math/rand"
 
+	"sgxp2p/internal/adversary"
 	"sgxp2p/internal/wire"
 )
+
+// generated are the behaviors Generate flips nodes to.
+var generated = [...]adversary.Behavior{adversary.OmitAll(), adversary.OmitEven(), adversary.DelayAll(), adversary.CorruptEverything()}
 
 // Generate derives a random fault schedule from a seed for a network of
 // n nodes, a fault budget t and a protocol of the given number of
@@ -58,15 +62,14 @@ func Generate(seed int64, n, t, rounds int) *Schedule {
 
 	for _, node := range victims[cut:] {
 		r := 1 + rng.Intn(rounds)
-		// 0 crashes; 1–4 flip to omit-all, omit-even, delay-all or
-		// corrupt-all, the byzantine rows of the flips table.
+		// 0 crashes; 1–4 flip to one of the byzantine behaviors.
 		if k := rng.Intn(5); k == 0 {
 			s.CrashAt(node, r)
 			if rng.Intn(2) == 0 {
 				s.RestartAfter(node, 1+rng.Intn(3))
 			}
 		} else {
-			s.FlipBehavior(node, r, flips[k-1].label, flips[k-1].b)
+			s.FlipBehavior(node, r, generated[k-1])
 		}
 	}
 	return s

@@ -76,7 +76,7 @@ func RunERB(seed int64, n, t int) (*Outcome, error) {
 }
 
 // harness is the one chaos prologue and epilogue: a fresh deployment
-// wrapped and armed with a schedule's fault engine, the drain that settles
+// armed with a schedule's fault engine, the drain that settles
 // a run on it, and the outcome read off it afterwards. The protocol under
 // test runs in between, through the deployment's instance driver with
 // settle as its drain.
@@ -94,9 +94,9 @@ func arm(seed int64, n, t int, sched *Schedule) (*harness, error) {
 	if err := sched.Validate(n, t); err != nil {
 		return nil, err
 	}
-	eng := NewEngine(sched, seed)
+	eng := NewEngine(sched)
 	d, err := deploy.New(deploy.Options{
-		N: n, T: t, Seed: seed, Wrap: eng.Wrap,
+		N: n, T: t, Seed: seed,
 		Trace: telemetry.New(telemetry.Options{}), Metrics: telemetry.NewMetrics(),
 	})
 	if err != nil {

@@ -3,8 +3,9 @@
 // partitions and mid-run adversary behavior flips, all expressed as a
 // reproducible program over lockstep rounds.
 //
-// A Schedule is compiled by an Engine into per-node transport wrappers
-// plus virtual-clock events armed before the peers start. Because the
+// A Schedule is compiled by an Engine into virtual-clock events, armed
+// before the peers start, that act on the deployment's nodes and their
+// OSes. Because the
 // simulator orders same-instant events by scheduling sequence, every
 // chaos event at a round boundary fires before any peer's round tick at
 // that boundary — so "crash node 3 at round 2" means node 3 never
@@ -20,7 +21,6 @@ package chaos
 
 import (
 	"fmt"
-	"slices"
 	"sort"
 	"strconv"
 	"strings"
@@ -53,10 +53,9 @@ type Event struct {
 	Kind  Kind
 	// Node is the subject of crash/restart/flip events.
 	Node wire.NodeID
-	// Behavior and Label describe a flip. A nil Behavior flips the node
-	// back to honest passthrough.
+	// Behavior is what a flip sets on the node's OS; the zero value flips
+	// it back to honest.
 	Behavior adversary.Behavior
-	Label    string
 	// Groups is the partition layout: nodes in different groups cannot
 	// exchange messages while the partition is active. Nodes listed in
 	// no group implicitly belong to group 0.
@@ -110,11 +109,10 @@ func (s *Schedule) RestartAfter(node wire.NodeID, rounds int) *Schedule {
 	return s.add(Event{Round: crash + rounds, Kind: KindRestart, Node: node})
 }
 
-// FlipBehavior swaps node's byzantine OS behavior at the start of the
-// given round. label names the behavior in String(); nil b flips the
-// node back to honest passthrough.
-func (s *Schedule) FlipBehavior(node wire.NodeID, round int, label string, b adversary.Behavior) *Schedule {
-	return s.add(Event{Round: round, Kind: KindFlip, Node: node, Behavior: b, Label: label})
+// FlipBehavior sets node's OS behavior at the start of the given round;
+// the zero Behavior flips the node back to honest.
+func (s *Schedule) FlipBehavior(node wire.NodeID, round int, b adversary.Behavior) *Schedule {
+	return s.add(Event{Round: round, Kind: KindFlip, Node: node, Behavior: b})
 }
 
 // Partition splits the network into the given groups from the start of
@@ -216,8 +214,7 @@ func (s *Schedule) Validate(n, t int) error {
 
 // String renders the schedule canonically: one token per event in
 // application order. Two schedules with equal String() apply the same
-// fault program (behaviors are identified by label). ParseSchedule reads
-// it back.
+// fault program. ParseSchedule reads it back.
 func (s *Schedule) String() string {
 	if len(s.events) == 0 {
 		return "fault-free"
@@ -237,11 +234,7 @@ func (ev Event) String() string {
 	case KindRestart:
 		return fmt.Sprintf("restart(%d)@r%d", ev.Node, ev.Round)
 	case KindFlip:
-		label := ev.Label
-		if ev.Behavior == nil {
-			label = "honest"
-		}
-		return fmt.Sprintf("flip(%d,%s)@r%d", ev.Node, label, ev.Round)
+		return fmt.Sprintf("flip(%d,%s)@r%d", ev.Node, ev.Behavior, ev.Round)
 	case KindPartition:
 		return fmt.Sprintf("part([%s])@r%d", groupsString(ev.Groups), ev.Round)
 	case KindHeal:
@@ -250,27 +243,9 @@ func (ev Event) String() string {
 	return fmt.Sprintf("kind%d@r%d", ev.Kind, ev.Round)
 }
 
-// flip is a behavior a schedule's text form names by its label.
-type flip struct {
-	label string
-	b     adversary.Behavior
-}
-
-// flips names every behavior a schedule's text can carry: ParseSchedule
-// looks a flip's label up here, and Generate draws its flips from it.
-var flips = []flip{
-	{"omit-all", adversary.OmitAll()},
-	{"omit-even", adversary.OmitTo(func(dst wire.NodeID) bool { return dst%2 == 0 })},
-	{"delay-all", adversary.DelayAll()},
-	{"corrupt-all", adversary.CorruptEverything()},
-	{"honest", nil},
-}
-
 // ParseSchedule reads a schedule back from its String() form — the text
-// Outcome.Repro prints and a scenario manifest's "faults" holds. Flip
-// labels must name a behavior in the flips table; a schedule built with a
-// closure of its own (FlipBehavior with another label) prints but does
-// not parse.
+// Outcome.Repro prints and a scenario manifest's "faults" holds. A flip's
+// behavior is read by adversary.ParseBehavior.
 func ParseSchedule(text string) (*Schedule, error) {
 	s := NewSchedule()
 	if strings.TrimSpace(text) == "fault-free" {
@@ -324,11 +299,11 @@ func (s *Schedule) parseEvent(tok string) error {
 		if err != nil {
 			return err
 		}
-		i := slices.IndexFunc(flips, func(f flip) bool { return f.label == label })
-		if i < 0 {
-			return fmt.Errorf("unknown behavior %q", label)
+		b, err := adversary.ParseBehavior(label)
+		if err != nil {
+			return err
 		}
-		s.FlipBehavior(node, round, label, flips[i].b)
+		s.FlipBehavior(node, round, b)
 	case closed && name == "part" && strings.HasPrefix(args, "[") && strings.HasSuffix(args, "]"):
 		var groups [][]wire.NodeID
 		for _, g := range strings.Split(args[1:len(args)-1], "|") {

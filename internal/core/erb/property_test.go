@@ -9,18 +9,24 @@ import (
 	"sgxp2p/internal/adversary"
 	"sgxp2p/internal/core/erb"
 	"sgxp2p/internal/deploy"
-	"sgxp2p/internal/runtime"
 	"sgxp2p/internal/wire"
 )
 
-// randomBehavior draws one of the byzantine OS strategies.
-func randomBehavior(rng *rand.Rand, seed int64) adversary.Behavior {
+// randomBehavior draws one of the byzantine OS strategies for a network
+// of n nodes.
+func randomBehavior(rng *rand.Rand, seed int64, n int) adversary.Behavior {
 	switch rng.Intn(5) {
 	case 0:
 		return adversary.OmitAll()
 	case 1:
 		mask := rng.Int63()
-		return adversary.OmitTo(func(dst wire.NodeID) bool { return (mask>>(dst%16))&1 == 1 })
+		var dsts []wire.NodeID
+		for dst := 0; dst < n; dst++ {
+			if (mask>>(dst%16))&1 == 1 {
+				dsts = append(dsts, wire.NodeID(dst))
+			}
+		}
+		return adversary.OmitTo(dsts...)
 	case 2:
 		return adversary.OmitProbabilistic(rng.Float64(), seed)
 	case 3:
@@ -47,20 +53,16 @@ func scenario(t *testing.T, seed int64) bool {
 	byzSet := make(map[wire.NodeID]adversary.Behavior, byz)
 	perm := rng.Perm(n)
 	for i := 0; i < byz; i++ {
-		byzSet[wire.NodeID(perm[i])] = randomBehavior(rng, seed+int64(i))
+		byzSet[wire.NodeID(perm[i])] = randomBehavior(rng, seed+int64(i), n)
 	}
-	d, err := deploy.New(deploy.Options{
-		N: n, T: tBound, Seed: seed,
-		Wrap: func(id wire.NodeID, tr runtime.Transport) runtime.Transport {
-			b, ok := byzSet[id]
-			if !ok {
-				return tr
-			}
-			return adversary.Wrap(id, tr, b, seed+int64(id))
-		},
-	})
+	d, err := deploy.New(deploy.Options{N: n, T: tBound, Seed: seed})
 	if err != nil {
 		t.Fatalf("seed %d: deploy: %v", seed, err)
+	}
+	for id := range d.Peers {
+		if b, ok := byzSet[wire.NodeID(id)]; ok {
+			d.OS(wire.NodeID(id)).Set(b)
+		}
 	}
 	engines := make([]*erb.Engine, n)
 	for i, p := range d.Peers {
@@ -130,20 +132,11 @@ func TestQuickReliableBroadcastProperties(t *testing.T) {
 func TestQuickDelayedReleaseNeverForges(t *testing.T) {
 	f := func(seed int64, releaseAtRound uint8) bool {
 		const n, byz = 7, 3
-		var os0 *adversary.OS
-		d, err := deploy.New(deploy.Options{
-			N: n, T: byz, Seed: seed,
-			Wrap: func(id wire.NodeID, tr runtime.Transport) runtime.Transport {
-				if id != 1 {
-					return tr
-				}
-				os0 = adversary.Wrap(id, tr, adversary.DelayAll(), seed)
-				return os0
-			},
-		})
+		d, err := deploy.New(deploy.Options{N: n, T: byz, Seed: seed})
 		if err != nil {
 			return false
 		}
+		d.OS(1).Set(adversary.DelayAll())
 		input := wire.Value{0xAB, byte(seed)}
 		engines := make([]*erb.Engine, n)
 		for i, p := range d.Peers {
@@ -158,7 +151,7 @@ func TestQuickDelayedReleaseNeverForges(t *testing.T) {
 			p.Start(engines[i], engines[i].Rounds())
 		}
 		release := d.RoundDuration() * time.Duration(releaseAtRound%6)
-		d.Sim.Schedule(release+d.RoundDuration()/3, func() { os0.Release() })
+		d.Sim.Schedule(release+d.RoundDuration()/3, d.OS(1).Release)
 		if err := d.Run(); err != nil {
 			return false
 		}

@@ -7,7 +7,6 @@ import (
 	"sgxp2p/internal/adversary"
 	"sgxp2p/internal/core/erng"
 	"sgxp2p/internal/deploy"
-	"sgxp2p/internal/runtime"
 	"sgxp2p/internal/wire"
 )
 
@@ -129,18 +128,12 @@ func TestBasicRoundsIsTPlusTwo(t *testing.T) {
 func TestBasicSilentByzantineExcluded(t *testing.T) {
 	const n, byz = 7, 3
 	silent := map[wire.NodeID]bool{0: true, 1: true}
-	d, err := deploy.New(deploy.Options{
-		N: n, T: byz, Seed: 32,
-		Wrap: func(id wire.NodeID, tr runtime.Transport) runtime.Transport {
-			if !silent[id] {
-				return tr
-			}
-			return adversary.Wrap(id, tr, adversary.OmitAll(), 1)
-		},
-	})
+	d, err := deploy.New(deploy.Options{N: n, T: byz, Seed: 32})
 	if err != nil {
 		t.Fatal(err)
 	}
+	d.OS(0).Set(adversary.OmitAll())
+	d.OS(1).Set(adversary.OmitAll())
 	results := runBasic(t, d, byz)
 	// Honest nodes are 2..6; check their agreement only.
 	common := checkCommon(t, results[2:])
@@ -160,20 +153,19 @@ func TestBasicSilentByzantineExcluded(t *testing.T) {
 func TestBasicSelectiveOmissionKeepsAgreement(t *testing.T) {
 	const n, byz = 9, 4
 	for seed := int64(0); seed < 8; seed++ {
-		d, err := deploy.New(deploy.Options{
-			N: n, T: byz, Seed: 40 + seed,
-			Wrap: func(id wire.NodeID, tr runtime.Transport) runtime.Transport {
-				if int(id) >= byz {
-					return tr
-				}
-				mask := seed*13 + int64(id)*7
-				return adversary.Wrap(id, tr, adversary.OmitTo(func(dst wire.NodeID) bool {
-					return (mask>>(dst%8))&1 == 1
-				}), seed)
-			},
-		})
+		d, err := deploy.New(deploy.Options{N: n, T: byz, Seed: 40 + seed})
 		if err != nil {
 			t.Fatal(err)
+		}
+		for id := wire.NodeID(0); id < byz; id++ {
+			mask := seed*13 + int64(id)*7
+			var dsts []wire.NodeID
+			for dst := wire.NodeID(0); dst < n; dst++ {
+				if (mask>>(dst%8))&1 == 1 {
+					dsts = append(dsts, dst)
+				}
+			}
+			d.OS(id).Set(adversary.OmitTo(dsts...))
 		}
 		results := runBasic(t, d, byz)
 		common := checkCommon(t, results[byz:])
@@ -198,22 +190,13 @@ func TestBasicDelayLookAheadNeutralized(t *testing.T) {
 	// and releases them in a later round. Its contribution must not enter
 	// the final set of any honest node, and agreement must hold.
 	const n, byz = 7, 3
-	var os0 *adversary.OS
-	d, err := deploy.New(deploy.Options{
-		N: n, T: byz, Seed: 33,
-		Wrap: func(id wire.NodeID, tr runtime.Transport) runtime.Transport {
-			if id != 0 {
-				return tr
-			}
-			os0 = adversary.Wrap(id, tr, adversary.DelayAll(), 1)
-			return os0
-		},
-	})
+	d, err := deploy.New(deploy.Options{N: n, T: byz, Seed: 33})
 	if err != nil {
 		t.Fatal(err)
 	}
+	d.OS(0).Set(adversary.DelayAll())
 	// Release mid-round-3 (stamps are round 1/2: all stale on arrival).
-	d.Sim.Schedule(d.RoundDuration()*2+d.RoundDuration()/2, func() { os0.Release() })
+	d.Sim.Schedule(d.RoundDuration()*2+d.RoundDuration()/2, d.OS(0).Release)
 	results := runBasic(t, d, byz)
 	common := checkCommon(t, results[1:])
 	if !common.OK {
@@ -299,17 +282,12 @@ func TestOptimizedSampledHonest(t *testing.T) {
 
 func TestOptimizedWithByzantineOmitters(t *testing.T) {
 	const n, byz = 30, 9 // t <= N/3
-	d, err := deploy.New(deploy.Options{
-		N: n, T: byz, Seed: 37,
-		Wrap: func(id wire.NodeID, tr runtime.Transport) runtime.Transport {
-			if int(id) >= byz {
-				return tr
-			}
-			return adversary.Wrap(id, tr, adversary.OmitProbabilistic(0.7, int64(id)), int64(id))
-		},
-	})
+	d, err := deploy.New(deploy.Options{N: n, T: byz, Seed: 37})
 	if err != nil {
 		t.Fatal(err)
+	}
+	for id := wire.NodeID(0); id < byz; id++ {
+		d.OS(id).Set(adversary.OmitProbabilistic(0.7, int64(id)))
 	}
 	results, _ := runOptimized(t, d, byz, erng.ModeFallback, 0)
 	common := checkCommon(t, results[byz:])

@@ -6,7 +6,6 @@ import (
 	"sgxp2p/internal/adversary"
 	"sgxp2p/internal/core/erng"
 	"sgxp2p/internal/deploy"
-	"sgxp2p/internal/runtime"
 	"sgxp2p/internal/wire"
 )
 
@@ -15,21 +14,18 @@ func TestOptimizedChosenOmittedToSome(t *testing.T) {
 	// of the network create divergent cluster views; the FINAL majority
 	// rule must still converge all honest nodes onto one output.
 	const n, byz = 30, 9
-	d, err := deploy.New(deploy.Options{
-		N: n, T: byz, Seed: 81,
-		Wrap: func(id wire.NodeID, tr runtime.Transport) runtime.Transport {
-			if int(id) >= byz {
-				return tr
-			}
-			// Drop to odd-numbered destinations only: half the network
-			// never learns these nodes' cluster membership.
-			return adversary.Wrap(id, tr, adversary.OmitTo(func(dst wire.NodeID) bool {
-				return dst%2 == 1
-			}), int64(id))
-		},
-	})
+	d, err := deploy.New(deploy.Options{N: n, T: byz, Seed: 81})
 	if err != nil {
 		t.Fatal(err)
+	}
+	// Drop to odd-numbered destinations only: half the network never
+	// learns these nodes' cluster membership.
+	var odd []wire.NodeID
+	for dst := wire.NodeID(1); dst < n; dst += 2 {
+		odd = append(odd, dst)
+	}
+	for id := wire.NodeID(0); id < byz; id++ {
+		d.OS(id).Set(adversary.OmitTo(odd...))
 	}
 	results, protos := runOptimized(t, d, byz, erng.ModeFallback, 0)
 	// Views may differ in size across nodes...
@@ -49,17 +45,12 @@ func TestOptimizedRejectsStaleEpochMessages(t *testing.T) {
 	// INIT / ECHO / FINAL envelopes must be discarded (P6), leaving the
 	// second epoch's output intact and fresh.
 	const n, byz = 12, 4
-	oses := make(map[wire.NodeID]*adversary.OS, n)
-	d, err := deploy.New(deploy.Options{
-		N: n, T: byz, Seed: 82,
-		Wrap: func(id wire.NodeID, tr runtime.Transport) runtime.Transport {
-			os := adversary.Wrap(id, tr, nil, int64(id)) // honest recorder
-			oses[id] = os
-			return os
-		},
-	})
+	d, err := deploy.New(deploy.Options{N: n, T: byz, Seed: 82})
 	if err != nil {
 		t.Fatal(err)
+	}
+	for id := wire.NodeID(0); id < n; id++ {
+		d.OS(id).Set(adversary.Record())
 	}
 	first, _ := runOptimized(t, d, byz, erng.ModeFallback, 0)
 	firstCommon := checkCommon(t, first)
@@ -68,8 +59,8 @@ func TestOptimizedRejectsStaleEpochMessages(t *testing.T) {
 	}
 	// Second epoch with every node's first-epoch tape replayed at start.
 	d.Sim.ScheduleAfter(0, func() {
-		for _, os := range oses {
-			os.ReplayTape()
+		for id := wire.NodeID(0); id < n; id++ {
+			d.OS(id).ReplayTape()
 		}
 	})
 	second, _ := runOptimized(t, d, byz, erng.ModeFallback, 0)

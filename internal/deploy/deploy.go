@@ -32,6 +32,7 @@ import (
 	"math/rand"
 	"time"
 
+	"sgxp2p/internal/adversary"
 	"sgxp2p/internal/enclave"
 	"sgxp2p/internal/parallel"
 	"sgxp2p/internal/runtime"
@@ -47,10 +48,9 @@ import (
 // therefore isolates incompatible deployments (property P1).
 var DefaultProgram = []byte("sgxp2p/erb+erng/v1")
 
-// TransportWrapper intercepts a node's transport, the hook through which
-// byzantine OS behaviour (internal/adversary) is injected. It receives the
-// node id and the genuine transport and returns the transport the peer
-// runtime will actually use.
+// TransportWrapper intercepts a node's transport: it receives the node id
+// and the node's OS and returns the transport the peer runtime will
+// actually use.
 type TransportWrapper func(id wire.NodeID, tr runtime.Transport) runtime.Transport
 
 // Options configures a deployment.
@@ -71,10 +71,9 @@ type Options struct {
 	// size-identical model sealer. Experiments default to the model
 	// sealer; protocol-equivalence is proven in internal/channel tests.
 	RealCrypto bool
-	// Wrap, when non-nil, wraps each node's transport (adversary hook).
-	// With Neighbors set, the wrap sits at the physical layer, below the
-	// overlay router — a byzantine OS there can also drop frames it was
-	// supposed to forward for others.
+	// Wrap, when non-nil, wraps each node's transport above its OS, for
+	// instrumentation. Byzantine behaviour is configured on the OS
+	// (Deployment.OS), not here.
 	Wrap TransportWrapper
 	// Neighbors, when non-nil, replaces the full mesh of assumption S5
 	// with a sparse overlay (Appendix G): node id may exchange frames
@@ -113,6 +112,10 @@ type Deployment struct {
 	// opposed to halted enclaves (P4 churn). See lifecycle.go.
 	stopped []bool
 
+	// oses holds every node's operating system, the untrusted layer
+	// between its peer and the network (see OS).
+	oses []*adversary.OS
+
 	// keyCache hands pairwise session keys across the enclaves of the
 	// deployment: the (i,j) and (j,i) link derivations are symmetric, so
 	// whichever end opens the pair first derives for both and the other
@@ -131,9 +134,11 @@ func (d *Deployment) clock(id wire.NodeID) enclave.Clock { return d.Net.Port(id)
 // side (simnet.EnableLanes). A caller-supplied Wrap closure is not
 // goroutine-safe by contract, and with Trace or Metrics the order in which
 // nodes record is itself the output, so any of the three keeps every event
-// firing alone. Neighbors does not: it is called only while a node's
-// transport is built (New's serial phase 3, Restart), and the overlay
-// router it feeds holds one node's state, touched only on that node's lane.
+// firing alone. A node's OS does not, whatever its behaviour: it holds its
+// own node's state only. Nor does Neighbors: it is called only while a
+// node's transport is built (New's serial phase 3, Restart), and the
+// overlay router it feeds holds one node's state, touched only on that
+// node's lane.
 func (o *Options) lanesSafe() bool {
 	return o.Wrap == nil && o.Trace == nil && o.Metrics == nil
 }
@@ -236,10 +241,10 @@ func New(opts Options) (*Deployment, error) {
 
 	// Phase 3 (serial): build the transports and the peers on them.
 	// Caller-supplied Wrap and Neighbors closures are not required to be
-	// goroutine-safe (adversary wrappers routinely capture shared mutable
-	// state, and this is the only place besides Restart that calls
-	// Neighbors), and a peer opens no channel here, so there is nothing to
+	// goroutine-safe (Restart and Join are their only other callers), and
+	// a peer opens no channel here, so there is nothing to
 	// spread: the O(N^2) Diffie-Hellman work is EstablishLinks'.
+	d.oses = make([]*adversary.OS, opts.N)
 	for id := 0; id < opts.N; id++ {
 		tr, terr := d.buildTransport(wire.NodeID(id))
 		if terr != nil {

@@ -8,7 +8,6 @@ import (
 	"sgxp2p/internal/core/erb"
 	"sgxp2p/internal/deploy"
 	"sgxp2p/internal/overlay"
-	"sgxp2p/internal/runtime"
 	"sgxp2p/internal/wire"
 )
 
@@ -169,18 +168,11 @@ func TestJoinRefusedOverSparseOverlay(t *testing.T) {
 func TestJoinRejectedWhenSponsorOmits(t *testing.T) {
 	// A byzantine sponsor whose OS drops everything cannot admit anyone:
 	// the ERB announcement decides bottom everywhere.
-	d, err := deploy.New(deploy.Options{
-		N: 5, T: 2, Seed: 64,
-		Wrap: func(id wire.NodeID, tr runtime.Transport) runtime.Transport {
-			if id != 0 {
-				return tr
-			}
-			return adversary.Wrap(id, tr, adversary.OmitAll(), 1)
-		},
-	})
+	d, err := deploy.New(deploy.Options{N: 5, T: 2, Seed: 64})
 	if err != nil {
 		t.Fatal(err)
 	}
+	d.OS(0).Set(adversary.OmitAll())
 	if _, err := d.Join(deploy.JoinOptions{Sponsor: 0}); err != deploy.ErrJoinRejected {
 		t.Fatalf("join via omitting sponsor: %v, want ErrJoinRejected", err)
 	}

@@ -28,8 +28,6 @@ var (
 type JoinOptions struct {
 	// Sponsor is the existing node that announces the joiner via ERB.
 	Sponsor wire.NodeID
-	// Wrap optionally wraps the new node's transport (byzantine joiner).
-	Wrap TransportWrapper
 }
 
 // quoteDigest canonically hashes a joiner's quote and initial sequence
@@ -57,8 +55,9 @@ func quoteDigest(q enclave.Quote, seq uint64) wire.Value {
 // (quote, seq) digest through ERB, and on acceptance every live node
 // verifies the quote against the digest and admits the joiner. The joiner
 // receives the membership and sequence table and becomes a full peer.
-// Returns the new node's id. A deployment over a sparse overlay refuses
-// with ErrJoinOverlay before anything is launched.
+// Returns the new node's id; its OS (OS) is honest until a behaviour is
+// Set on it. A deployment over a sparse overlay refuses with
+// ErrJoinOverlay before anything is launched.
 func (d *Deployment) Join(opts JoinOptions) (wire.NodeID, error) {
 	if d.Opts.Neighbors != nil {
 		return wire.NoNode, ErrJoinOverlay
@@ -116,11 +115,9 @@ func (d *Deployment) Join(opts JoinOptions) (wire.NodeID, error) {
 	// sequence table copied from the sponsor's enclave state.
 	newRoster := d.Roster
 	newRoster.Quotes = append(append([]enclave.Quote(nil), d.Roster.Quotes...), quote)
-	var tr runtime.Transport = d.Net.Port(newID)
-	if opts.Wrap != nil {
-		// A wrapped transport is not goroutine-safe by contract.
-		d.Net.DisableLanes()
-		tr = opts.Wrap(newID, tr)
+	tr, err := d.buildTransport(newID)
+	if err != nil {
+		return wire.NoNode, err
 	}
 	peer, err := runtime.NewPeer(encl, tr, newRoster, d.peerConfig(len(newRoster.Quotes)))
 	if err != nil {

@@ -5,6 +5,7 @@ import (
 	"testing"
 	"time"
 
+	"sgxp2p/internal/adversary"
 	"sgxp2p/internal/core/erb"
 	"sgxp2p/internal/core/erng"
 	"sgxp2p/internal/deploy"
@@ -268,6 +269,32 @@ func TestLanesMatchSerialLoop(t *testing.T) {
 				return broadcast(t, d, 0, wire.Value{0x5E})
 			},
 		},
+		// A byzantine broadcast: the initiator heads a four-node chain, and
+		// two more nodes corrupt and delay everything, the delayed ones let
+		// go mid-run by an event that fires alone. Every OS acts on its own
+		// node's lane.
+		{
+			name: "erb-byzantine",
+			opts: deploy.Options{N: 64, T: 31, Seed: 13},
+			run: func(t *testing.T, d *deploy.Deployment) any {
+				chain := []wire.NodeID{0, 1, 2, 3}
+				for i, id := range chain {
+					d.OS(id).Set(adversary.Chain(chain, i, 4))
+				}
+				d.OS(10).Set(adversary.CorruptEverything())
+				d.OS(11).Set(adversary.DelayAll())
+				d.Sim.Schedule(d.Sim.Now()+2*d.RoundDuration()+d.Opts.Delta/2, func() { d.OS(11).Release() })
+				res := broadcast(t, d, 0, wire.Value{0xB7})
+				var oses []adversary.Stats
+				for id := range d.Peers {
+					oses = append(oses, d.OS(wire.NodeID(id)).Stats())
+				}
+				if st := d.OS(11).Stats(); st.Held == 0 || d.OS(10).Stats().Corrupted == 0 {
+					t.Fatalf("byzantine OSes idle: delay %+v, corrupt %+v", st, d.OS(10).Stats())
+				}
+				return []any{res, oses}
+			},
+		},
 		// The two shapes whose round ticks carry the most work, split after
 		// the first tick.
 		{
@@ -337,7 +364,7 @@ func TestLanesP4HaltsInsideWindow(t *testing.T) {
 
 // TestLanesJoinAndRestart exercises the membership changes with lanes on:
 // a join grows the lane set mid-life, a restart gives a lane a new peer
-// and a new enclave clock, and a wrapped joiner turns lanes off for good.
+// and a new enclave clock, and a byzantine joiner keeps them on.
 func TestLanesJoinAndRestart(t *testing.T) {
 	sc := laneScenario{
 		name: "join-restart",
@@ -391,16 +418,20 @@ func TestLanesJoinAndRestart(t *testing.T) {
 	broadcast(t, d, 0, wire.Value{1})
 	before := d.Sim.ParallelWindows()
 	if before == 0 {
-		t.Fatal("no window fired on workers before the wrapped join")
+		t.Fatal("no window fired on workers before the byzantine join")
 	}
-	wrap := func(_ wire.NodeID, tr runtime.Transport) runtime.Transport { return tr }
-	if _, err := d.Join(deploy.JoinOptions{Sponsor: 0, Wrap: wrap}); err != nil {
+	id, err := d.Join(deploy.JoinOptions{Sponsor: 0})
+	if err != nil {
 		t.Fatal(err)
 	}
+	d.OS(id).Set(adversary.OmitAll())
 	joined := d.Sim.ParallelWindows()
 	broadcast(t, d, 0, wire.Value{2})
-	if after := d.Sim.ParallelWindows(); after != joined {
-		t.Fatalf("%d windows fired on workers after a wrapped transport joined", after-joined)
+	if after := d.Sim.ParallelWindows(); after == joined {
+		t.Fatal("no window fired on workers after a byzantine joiner")
+	}
+	if d.OS(id).Stats().Dropped == 0 {
+		t.Fatal("the omitting joiner dropped nothing")
 	}
 }
 

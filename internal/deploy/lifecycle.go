@@ -5,6 +5,7 @@ import (
 	"fmt"
 	"math/rand"
 
+	"sgxp2p/internal/adversary"
 	"sgxp2p/internal/channel"
 	"sgxp2p/internal/enclave"
 	"sgxp2p/internal/overlay"
@@ -46,11 +47,17 @@ func (d *Deployment) peerConfig(n int) runtime.Config {
 }
 
 // buildTransport assembles one node's transport stack: network port, the
-// optional adversary wrap, the optional overlay router on top. Used by
-// New for the initial membership and by Restart to rebuild a crashed
-// node's stack.
+// node's OS, the optional Wrap, the optional overlay router on top. Used
+// by New for the initial membership, by Join, and by Restart to rebuild a
+// crashed node's stack on the OS it had.
 func (d *Deployment) buildTransport(id wire.NodeID) (runtime.Transport, error) {
-	var tr runtime.Transport = d.Net.Port(id)
+	if int(id) == len(d.oses) {
+		d.oses = append(d.oses, nil)
+	}
+	if d.oses[id] == nil {
+		d.oses[id] = adversary.New(id, d.Net.Port(id), d.Opts.Seed)
+	}
+	var tr runtime.Transport = d.oses[id]
 	if d.Opts.Wrap != nil {
 		tr = d.Opts.Wrap(id, tr)
 	}
@@ -62,6 +69,16 @@ func (d *Deployment) buildTransport(id wire.NodeID) (runtime.Transport, error) {
 		tr = router
 	}
 	return tr, nil
+}
+
+// OS returns node id's operating system: honest until a behaviour is Set
+// on it, it survives the node's restarts with its behaviour and what it
+// holds. Nil for an id that never joined.
+func (d *Deployment) OS(id wire.NodeID) *adversary.OS {
+	if int(id) >= len(d.oses) {
+		return nil
+	}
+	return d.oses[id]
 }
 
 // KeyCacheLen returns the number of pairs one end of which has derived

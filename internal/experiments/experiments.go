@@ -17,7 +17,6 @@ import (
 	"sgxp2p/internal/adversary"
 	"sgxp2p/internal/core/erb"
 	"sgxp2p/internal/deploy"
-	"sgxp2p/internal/runtime"
 	"sgxp2p/internal/simnet"
 	"sgxp2p/internal/wire"
 )
@@ -212,13 +211,12 @@ func runERB(cfg Config, n int, chainLen int) (erbRun, error) {
 // message count and fitted exponent (3.07 → 2.07, the O(N^3) evidence) all
 // move: EXPERIMENTS.md "coalesce" has the verdict on the knob, and `make
 // figures-check` is the oracle.
-func paperDeployment(cfg Config, n, t int, peakBytes float64, wrap deploy.TransportWrapper) (*deploy.Deployment, error) {
+func paperDeployment(cfg Config, n, t int, peakBytes float64) (*deploy.Deployment, error) {
 	d, err := deploy.New(deploy.Options{
 		N: n, T: t,
 		Delta:           effectiveDelta(cfg.delta(), peakBytes, cfg.bandwidth()),
 		Bandwidth:       cfg.bandwidth(),
 		Seed:            cfg.Seed,
-		Wrap:            wrap,
 		DisableBatching: true,
 	})
 	if err != nil {
@@ -228,29 +226,29 @@ func paperDeployment(cfg Config, n, t int, peakBytes float64, wrap deploy.Transp
 	return d, nil
 }
 
+// setChain makes nodes 0..chainLen-1 the worst-case chain of Section 6.3,
+// the last member releasing to node chainLen; os is the deployment's OS
+// accessor.
+func setChain(os func(wire.NodeID) *adversary.OS, chainLen int) {
+	chain := make([]wire.NodeID, chainLen)
+	for i := range chain {
+		chain[i] = wire.NodeID(i)
+	}
+	for i, id := range chain {
+		os(id).Set(adversary.Chain(chain, i, wire.NodeID(chainLen)))
+	}
+}
+
 // runERBOpts is runERB with an explicit ACK threshold: 0 uses the
 // protocol default (halt-on-divergence active), negative disables ACK
 // tracking entirely — the P4 ablation.
 func runERBOpts(cfg Config, n int, chainLen int, ackThreshold int) (erbRun, error) {
 	byz := (n - 1) / 2
-	var wrap deploy.TransportWrapper
-	if chainLen > 0 {
-		chain := make([]wire.NodeID, chainLen)
-		for i := range chain {
-			chain[i] = wire.NodeID(i)
-		}
-		release := wire.NodeID(chainLen)
-		wrap = func(id wire.NodeID, tr runtime.Transport) runtime.Transport {
-			if int(id) >= chainLen {
-				return tr
-			}
-			return adversary.Wrap(id, tr, adversary.Chain(chain, int(id), release), cfg.Seed+int64(id))
-		}
-	}
-	d, err := paperDeployment(cfg, n, byz, erbPeakBytes(n), wrap)
+	d, err := paperDeployment(cfg, n, byz, erbPeakBytes(n))
 	if err != nil {
 		return erbRun{}, err
 	}
+	setChain(d.OS, chainLen)
 	// Honest and chain runs settle within chainLen+6 rounds; capping the
 	// virtual horizon skips the idle tail of the t+2 window.
 	d.Sim.SetDeadline(time.Duration(chainLen+6) * d.RoundDuration())

@@ -10,7 +10,6 @@ import (
 	"sgxp2p/internal/core/erb"
 	"sgxp2p/internal/deploy"
 	"sgxp2p/internal/parallel"
-	"sgxp2p/internal/runtime"
 	"sgxp2p/internal/stats"
 	"sgxp2p/internal/wire"
 )
@@ -32,23 +31,17 @@ func Sanitize(cfg Config) (*Table, error) {
 	}
 	const p = 0.3
 
-	oses := make(map[wire.NodeID]*adversary.OS, byz)
 	d, err := deploy.New(deploy.Options{
 		N: n, T: byz,
 		Delta:     cfg.delta(),
 		Bandwidth: 0, // complexity experiment: no link model needed
 		Seed:      cfg.Seed,
-		Wrap: func(id wire.NodeID, tr runtime.Transport) runtime.Transport {
-			if int(id) >= byz {
-				return tr
-			}
-			os := adversary.Wrap(id, tr, adversary.MisbehaveWithProbability(p, cfg.Seed+int64(id)), cfg.Seed+int64(id))
-			oses[id] = os
-			return os
-		},
 	})
 	if err != nil {
 		return nil, err
+	}
+	for id := wire.NodeID(0); int(id) < byz; id++ {
+		d.OS(id).Set(adversary.MisbehaveWithProbability(p, cfg.Seed+int64(id)))
 	}
 
 	t := &Table{
@@ -72,8 +65,8 @@ func Sanitize(cfg Config) (*Table, error) {
 
 	rotor := 0
 	for e := 0; e < epochs; e++ {
-		for _, os := range oses {
-			os.NewEpoch(uint32(e))
+		for id := wire.NodeID(0); int(id) < byz; id++ {
+			d.OS(id).NewEpoch(uint32(e))
 		}
 		// The initiator rotates over live nodes (byzantine ones included;
 		// an active byzantine initiator wastes the epoch, which is what
@@ -229,31 +222,15 @@ func runAttackedSigRNG(cfg Config, n, byz int, seed int64, target wire.Value) (w
 // delay everything (and release late) plus a selective omitter, returning
 // the common honest output.
 func runAttackedERNG(cfg Config, n, byz int, seed int64) (wire.Value, error) {
-	var delayer *adversary.OS
-	d, err := deploy.New(deploy.Options{
-		N: n, T: byz, Delta: cfg.delta(), Seed: seed,
-		Wrap: func(id wire.NodeID, tr runtime.Transport) runtime.Transport {
-			switch id {
-			case 0:
-				delayer = adversary.Wrap(id, tr, adversary.DelayAll(), seed)
-				return delayer
-			case 1:
-				return adversary.Wrap(id, tr, adversary.OmitTo(func(dst wire.NodeID) bool { return dst%2 == 0 }), seed)
-			default:
-				return tr
-			}
-		},
-	})
+	d, err := deploy.New(deploy.Options{N: n, T: byz, Delta: cfg.delta(), Seed: seed})
 	if err != nil {
 		return wire.Value{}, err
 	}
+	d.OS(0).Set(adversary.DelayAll())
+	d.OS(1).Set(adversary.OmitEven())
 	// Release the delayed envelopes mid-run: stale rounds, all discarded.
 	protos, err := d.Epoch(byz, false, func() error {
-		d.Sim.Schedule(5*cfg.delta(), func() {
-			if delayer != nil {
-				delayer.Release()
-			}
-		})
+		d.Sim.Schedule(5*cfg.delta(), d.OS(0).Release)
 		return d.Run()
 	})
 	if err != nil {

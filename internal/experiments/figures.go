@@ -71,7 +71,7 @@ type erngRun struct {
 // runBasicERNG executes one unoptimized ERNG epoch on a fresh deployment.
 func runBasicERNG(cfg Config, n int) (erngRun, error) {
 	byz := (n - 1) / 2
-	d, err := paperDeployment(cfg, n, byz, erngBasicPeakBytes(n), nil)
+	d, err := paperDeployment(cfg, n, byz, erngBasicPeakBytes(n))
 	if err != nil {
 		return erngRun{}, err
 	}
@@ -89,7 +89,7 @@ func runBasicERNG(cfg Config, n int) (erngRun, error) {
 // 2N/3 fallback below the sampled threshold).
 func runOptERNG(cfg Config, n int) (erngRun, error) {
 	byz := n / 3
-	d, err := paperDeployment(cfg, n, byz, erngOptPeakBytes(n), nil)
+	d, err := paperDeployment(cfg, n, byz, erngOptPeakBytes(n))
 	if err != nil {
 		return erngRun{}, err
 	}

@@ -22,7 +22,9 @@ func renderAll(t *testing.T, tbl *Table) string {
 // (GOMAXPROCS=1) or on a parallel worker pool (GOMAXPROCS=4). Exercised
 // on a per-point sweep (fig2a), a flattened multi-job table (ablate),
 // and the per-epoch bias sweep — the three sweep shapes the engine
-// supports.
+// supports — and on the chain sweep (fig2c) and the serial sanitization
+// run, where GOMAXPROCS also sets how many workers fire the byzantine
+// deployments' lanes.
 func TestSweepsIdenticalAcrossWorkerCounts(t *testing.T) {
 	sweeps := []struct {
 		name string
@@ -31,6 +33,10 @@ func TestSweepsIdenticalAcrossWorkerCounts(t *testing.T) {
 		{"fig2a", Fig2a},
 		{"ablate", Ablate},
 		{"bias", Bias},
+		// Adversarial deployments, whose byzantine OSes fire on their
+		// nodes' lanes.
+		{"fig2c", Fig2c},
+		{"sanitize", Sanitize},
 	}
 	for _, sw := range sweeps {
 		sw := sw

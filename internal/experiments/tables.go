@@ -4,10 +4,8 @@ import (
 	"fmt"
 	"math/rand"
 
-	"sgxp2p/internal/adversary"
 	"sgxp2p/internal/baseline"
 	"sgxp2p/internal/parallel"
-	"sgxp2p/internal/runtime"
 	"sgxp2p/internal/stats"
 	"sgxp2p/internal/wire"
 )
@@ -25,30 +23,16 @@ type baselineRun struct {
 // optional omission chain of the given length.
 func runBroadcastBaseline(cfg Config, kind string, n, chainLen int) (baselineRun, error) {
 	byz := (n - 1) / 2
-	var wrap func(id wire.NodeID, tr runtime.Transport) runtime.Transport
-	if chainLen > 0 {
-		chain := make([]wire.NodeID, chainLen)
-		for i := range chain {
-			chain[i] = wire.NodeID(i)
-		}
-		release := wire.NodeID(chainLen)
-		wrap = func(id wire.NodeID, tr runtime.Transport) runtime.Transport {
-			if int(id) >= chainLen {
-				return tr
-			}
-			return adversary.Wrap(id, tr, adversary.Chain(chain, int(id), release), cfg.Seed+int64(id))
-		}
-	}
 	d, err := baseline.NewDeployment(baseline.DeployOptions{
 		N: n, T: byz,
 		Delta: cfg.delta(),
 		Seed:  cfg.Seed,
 		PKI:   kind == "rbsig",
-		Wrap:  wrap,
 	})
 	if err != nil {
 		return baselineRun{}, err
 	}
+	setChain(d.OS, chainLen)
 	input := wire.Value{0xB5}
 
 	type resultFn func() (bool, uint32, bool)

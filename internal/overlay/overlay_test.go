@@ -9,7 +9,6 @@ import (
 	"sgxp2p/internal/core/erb"
 	"sgxp2p/internal/deploy"
 	"sgxp2p/internal/overlay"
-	"sgxp2p/internal/runtime"
 	"sgxp2p/internal/simnet"
 	"sgxp2p/internal/vclock"
 	"sgxp2p/internal/wire"
@@ -229,15 +228,12 @@ func TestERBOverOverlayWithByzantineRelays(t *testing.T) {
 		Delta:     time.Duration(2*diam+2) * link,
 		LinkDelta: link,
 		Neighbors: ringNeighbors,
-		Wrap: func(id wire.NodeID, tr runtime.Transport) runtime.Transport {
-			if int(id) >= byz {
-				return tr
-			}
-			return adversary.Wrap(id, tr, adversary.OmitAll(), int64(id))
-		},
 	})
 	if err != nil {
 		t.Fatal(err)
+	}
+	for id := wire.NodeID(0); id < byz; id++ {
+		d.OS(id).Set(adversary.OmitAll())
 	}
 	engines := make([]*erb.Engine, n)
 	for i, p := range d.Peers {

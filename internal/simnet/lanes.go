@@ -71,10 +71,24 @@ const recordChunk = 32
 // vouches for what the network cannot see: that every handler and port
 // timer touches only its own node's state and reaches the network through
 // its own port, and that port timers are no shorter than BaseLatency.
-func (n *Network) EnableLanes() { n.sim.SetLanes(n, n.cfg.BaseLatency) }
+//
+// Each node's op log is carved here from one array, laneOps ops a node,
+// so that a fresh deployment's first windows do not grow every log from
+// empty.
+func (n *Network) EnableLanes() {
+	ops := make([]op, len(n.nodes)*laneOps)
+	for i := range n.nodes {
+		n.nodes[i].log = ops[i*laneOps : i*laneOps : (i+1)*laneOps]
+	}
+	n.sim.SetLanes(n, len(n.nodes), n.cfg.BaseLatency)
+}
+
+// laneOps is the op capacity EnableLanes gives each node's log: a node's
+// sends and timers in one window of a small cluster.
+const laneOps = 16
 
 // DisableLanes takes the promise back: every event fires alone again.
-func (n *Network) DisableLanes() { n.sim.SetLanes(nil, 0) }
+func (n *Network) DisableLanes() { n.sim.SetLanes(nil, 0, 0) }
 
 // BeginWindow implements vclock.Lanes.
 func (n *Network) BeginWindow(workers int) {

@@ -158,14 +158,29 @@ func (r *handoffRule) summoning() bool {
 	return true
 }
 
-// SetLanes registers the owner of the lane events' shared state and the
-// lookahead it promises. A nil owner or a lookahead of zero — the
-// default — makes every event fire alone.
-func (s *Sim) SetLanes(owner Lanes, lookahead time.Duration) {
+// laneEvents is how many events of a window each of the lanes SetLanes
+// announces holds before its slice grows: what a node takes in a window
+// of a small cluster, so that a fresh deployment does not grow every
+// lane's slice from empty.
+const laneEvents = 8
+
+// SetLanes registers the owner of the lane events' shared state, the
+// number of lanes it expects and the lookahead it promises. A nil owner
+// or a lookahead of zero — the default — makes every event fire alone.
+// The expected lanes' window slices are carved from one array here;
+// ScheduleLane adds a lane past them as its first event arrives.
+func (s *Sim) SetLanes(owner Lanes, lanes int, lookahead time.Duration) {
 	if owner == nil {
 		lookahead = 0
 	}
 	s.owner, s.lookahead = owner, lookahead
+	if have := len(s.lanes); lanes > have {
+		events := make([]entry, (lanes-have)*laneEvents)
+		for i := have; i < lanes; i++ {
+			k := (i - have) * laneEvents
+			s.lanes = append(s.lanes, laneState{events: events[k:k:(k + laneEvents)]})
+		}
+	}
 }
 
 // ScheduleLane is Schedule for an event that belongs to a lane: fn reads

@@ -41,7 +41,7 @@ type logLane struct {
 
 func newLogLanes(sim *Sim, lanes int) *logLanes {
 	o := &logLanes{sim: sim, lanes: make([]logLane, lanes)}
-	sim.SetLanes(o, testLookahead)
+	sim.SetLanes(o, lanes, testLookahead)
 	return o
 }
 

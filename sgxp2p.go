@@ -86,8 +86,8 @@ type Options struct {
 	// RealCrypto switches from the size-identical simulation sealer to
 	// real AES-CTR + HMAC-SHA256 channels.
 	RealCrypto bool
-	// Adversary assigns byzantine OS behaviour to nodes (nil entries and
-	// missing ids are honest). See the Omit*/Delay*/Chain constructors.
+	// Adversary assigns byzantine OS behaviour to nodes (missing ids and
+	// zero entries are honest). See the Omit*/Delay*/Chain constructors.
 	Adversary map[NodeID]Behavior
 	// Trace attaches an event tracer to the whole cluster (the simulator's
 	// virtual clock is bound for you); nil records nothing at zero cost.
@@ -110,7 +110,6 @@ type Cluster struct {
 // sequence-number exchange). Channels open when first used: all of them
 // ahead of the first broadcast, a sampled beacon epoch's as it goes.
 func NewCluster(opts Options) (*Cluster, error) {
-	c := &Cluster{t: opts.T, ads: make(map[NodeID]*AdversaryOS)}
 	d, err := deploy.New(deploy.Options{
 		N:          opts.N,
 		T:          opts.T,
@@ -120,12 +119,17 @@ func NewCluster(opts Options) (*Cluster, error) {
 		RealCrypto: opts.RealCrypto,
 		Trace:      opts.Trace,
 		Metrics:    opts.Metrics,
-		Wrap:       c.wrapper(opts),
 	})
 	if err != nil {
 		return nil, err
 	}
-	c.d = d
+	c := &Cluster{d: d, t: opts.T, ads: make(map[NodeID]*AdversaryOS)}
+	for id := range d.Peers {
+		if b, ok := opts.Adversary[NodeID(id)]; ok {
+			c.ads[NodeID(id)] = d.OS(NodeID(id))
+			c.ads[NodeID(id)].Set(b)
+		}
+	}
 	return c, nil
 }
 
@@ -148,9 +152,9 @@ func (c *Cluster) ResetTraffic() { c.d.Net.ResetTraffic() }
 // Now returns the cluster's virtual time.
 func (c *Cluster) Now() time.Duration { return c.d.Sim.Now() }
 
-// AdversaryState exposes the byzantine OS wrapper of a node configured
-// through Options.Adversary (nil for honest nodes), for releasing held
-// messages or replaying tapes mid-experiment.
+// AdversaryState exposes the byzantine OS of a node configured through
+// Options.Adversary (nil for the others), for releasing held messages or
+// replaying tapes mid-experiment.
 func (c *Cluster) AdversaryState(id NodeID) *AdversaryOS { return c.ads[id] }
 
 // Broadcast runs one ERB instance with the given initiator and payload
