@@ -31,8 +31,9 @@ vet:
 # core (DESIGN.md §6) — the event engine, the simulated network, the
 # overlay routers that relay on their nodes' lanes, and the protocol,
 # beacon and public-API suites that drive clusters through them. The
-# chaos suite is not listed: `chaos` below is its race run. The second
-# run repeats the lane executor's own tests five times: a worker's
+# chaos suite is not listed: `chaos` below is its race run (the eighth
+# line repeats its trace tests). The second run repeats the lane
+# executor's own tests five times: a worker's
 # summon, arrival and cancel race Run's goroutine, and each run sees one
 # schedule of those interleavings. The third does the same for the
 # prefetch's key-cache reservations, where peers on different workers
@@ -45,7 +46,11 @@ vet:
 # own, take records a chunk at a time and release both for each other;
 # the seventh does the same for byzantine OSes on lanes — the byzantine
 # lane scenario, a byzantine joiner, the tape, and one behaviour value
-# set on several nodes, each of which must draw from a coin of its own.
+# set on several nodes, each of which must draw from a coin of its own;
+# the eighth for traced and metered runs on lanes, whose workers hand
+# their trace records to the network's op logs and add to shared gauges:
+# the chaos traces against themselves and against one goroutine, the
+# enabling rule, and the mux gauges.
 race:
 	$(GO) test -race ./internal/deploy/... ./internal/experiments/... ./internal/runtime/... ./internal/tcpnet/... ./internal/scenario/... ./internal/vclock/... ./internal/simnet/... ./internal/overlay/... ./internal/core/... ./internal/beacon/... .
 	$(GO) test -race -count=5 -run 'Handoff|Lane' ./internal/vclock/... ./internal/simnet/...
@@ -54,12 +59,13 @@ race:
 	$(GO) test -race -count=3 -run 'BatchedWireStreamGolden|MuxOutboxRetention|StandingBeaconPayloadRetention|CalendarArraysFollowTheQueue' ./internal/deploy/... ./internal/runtime/... ./internal/simnet/... ./internal/vclock/...
 	$(GO) test -race -cpu 1,2,4 -run 'SparseOutbox|FinishedPeerReleasesProtocol|LaneSlabs|LaneRecords' ./internal/runtime/... ./internal/simnet/...
 	$(GO) test -race -cpu 1,2,4 -run 'LanesMatchSerialLoop/erb-byzantine|LanesJoinAndRestart|OnlyRecorderKeepsTape|SharedBehaviorValue' ./internal/deploy/... ./internal/adversary/...
+	$(GO) test -race -cpu 1,2,4 -run 'TraceDeterministic|MuxTraceDeterministic|TracedChaosOnLanes|LanesRule|MuxGaugesSumOverNodes' ./internal/chaos/... ./internal/deploy/...
 
 # chaos runs the deterministic fault-injection suite under the race
-# detector (its only race run in `verify`): fixed-seed schedules
-# (crash-restart, partitions, flips) against ERB/ERNG invariants plus the
-# beacon bias battery. Failures print the seed to replay with
-# `p2pexp -experiment chaos -chaos-seed`.
+# detector: fixed-seed schedules (crash-restart, partitions, flips)
+# against ERB/ERNG invariants plus the beacon bias battery, traced and
+# metered on the lane executor like any other deployment. Failures print
+# the seed to replay with `p2pexp -experiment chaos -chaos-seed`.
 chaos:
 	$(GO) test -race -count=1 ./internal/chaos/...
 
@@ -80,15 +86,17 @@ lint:
 		echo "gofmt drift in:"; echo "$$fmt_out"; exit 1; fi
 
 # obs-smoke is the end-to-end observability check: replay one seeded
-# crash-restart chaos schedule twice with the tracer and metrics on,
+# crash-restart chaos schedule twice with the tracer and metrics on, once
+# on one goroutine and once with the lane executor free to use four,
 # validate the JSONL schema, and require the two traces byte-identical.
-# Any nondeterminism that leaks into an event (wall clock, map order)
-# fails the diff with the first diverging line.
+# Any nondeterminism that leaks into an event (wall clock, map order,
+# the order nodes on different workers record in) fails the diff with
+# the first diverging line.
 obs-smoke:
 	@dir=$$(mktemp -d) && trap 'rm -rf "$$dir"' EXIT && \
-	$(GO) run ./cmd/p2pexp -experiment chaos -chaos-seed 7 \
+	GOMAXPROCS=1 $(GO) run ./cmd/p2pexp -experiment chaos -chaos-seed 7 \
 		-trace "$$dir/a.jsonl" -metrics-out "$$dir/a.prom" >/dev/null && \
-	$(GO) run ./cmd/p2pexp -experiment chaos -chaos-seed 7 \
+	GOMAXPROCS=4 $(GO) run ./cmd/p2pexp -experiment chaos -chaos-seed 7 \
 		-trace "$$dir/b.jsonl" -metrics-out "$$dir/b.prom" >/dev/null && \
 	$(GO) run ./cmd/p2ptrace -check "$$dir/a.jsonl" && \
 	$(GO) run ./cmd/p2ptrace -diff "$$dir/a.jsonl" "$$dir/b.jsonl"

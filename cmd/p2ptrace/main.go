@@ -103,40 +103,40 @@ func printTimeline(w io.Writer, path string, instance int) error {
 // time-ordered stream — the form the scenario runner archives so a
 // multi-process run can be read (and -check'ed) as a single timeline.
 func mergeTraces(w io.Writer, paths []string) error {
+	events, err := readMerged(paths)
+	if err != nil {
+		return err
+	}
+	return telemetry.WriteJSONL(w, events)
+}
+
+// readMerged reads the given traces and merges them into one stream.
+func readMerged(paths []string) ([]telemetry.Event, error) {
 	streams := make([][]telemetry.Event, 0, len(paths))
 	for _, path := range paths {
 		f, err := os.Open(path)
 		if err != nil {
-			return err
+			return nil, err
 		}
 		events, err := telemetry.ReadJSONL(f)
 		f.Close()
 		if err != nil {
-			return fmt.Errorf("%s: %w", path, err)
+			return nil, fmt.Errorf("%s: %w", path, err)
 		}
 		streams = append(streams, events)
 	}
-	return telemetry.WriteJSONL(w, telemetry.MergeEvents(streams...))
+	return telemetry.MergeEvents(streams...), nil
 }
 
 // spanReport merges the given traces, reconstructs the causal span graph
 // and prints the per-hop latency histograms; graphOut, when set, receives
 // the graph itself as JSONL.
 func spanReport(w io.Writer, paths []string, graphOut string) error {
-	streams := make([][]telemetry.Event, 0, len(paths))
-	for _, path := range paths {
-		f, err := os.Open(path)
-		if err != nil {
-			return err
-		}
-		events, err := telemetry.ReadJSONL(f)
-		f.Close()
-		if err != nil {
-			return fmt.Errorf("%s: %w", path, err)
-		}
-		streams = append(streams, events)
+	events, err := readMerged(paths)
+	if err != nil {
+		return err
 	}
-	g := obsplane.Reconstruct(telemetry.MergeEvents(streams...))
+	g := obsplane.Reconstruct(events)
 	if graphOut != "" {
 		gf, err := os.Create(graphOut)
 		if err != nil {

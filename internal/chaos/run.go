@@ -124,11 +124,16 @@ func RunERBSchedule(seed int64, n, t int, sched *Schedule) (*Outcome, error) {
 	if err != nil {
 		return nil, err
 	}
+	return h.runERB()
+}
+
+// runERB broadcasts a random value from node 0 and settles the run.
+func (h *harness) runERB() (*Outcome, error) {
 	v, err := h.d.Encls[0].RandomValue()
 	if err != nil {
 		return nil, err
 	}
-	engines, err := h.d.Broadcast(erb.Config{T: t, ExpectedInitiators: []wire.NodeID{0}}, v, h.settle)
+	engines, err := h.d.Broadcast(erb.Config{T: h.d.Opts.T, ExpectedInitiators: []wire.NodeID{0}}, v, h.settle)
 	if err != nil {
 		return nil, err
 	}
@@ -163,7 +168,12 @@ func RunERNGSchedule(seed int64, n, t int, optimized bool, sched *Schedule) (*Ou
 	if err != nil {
 		return nil, err
 	}
-	protos, err := h.d.Epoch(t, optimized, h.settle)
+	return h.runERNG(optimized)
+}
+
+// runERNG runs one beacon epoch and settles the run.
+func (h *harness) runERNG(optimized bool) (*Outcome, error) {
+	protos, err := h.d.Epoch(h.d.Opts.T, optimized, h.settle)
 	if err != nil {
 		return nil, err
 	}

@@ -3,9 +3,11 @@ package chaos
 import (
 	"bytes"
 	"fmt"
+	"runtime"
 	"strings"
 	"testing"
 
+	"sgxp2p/internal/adversary"
 	"sgxp2p/internal/telemetry"
 	"sgxp2p/internal/wire"
 )
@@ -63,6 +65,82 @@ func TestTraceDeterministic(t *testing.T) {
 			}
 			if !bytes.Equal(exportTrace(t, a), exportTrace(t, b)) {
 				t.Fatal("same seed diverged")
+			}
+		})
+	}
+}
+
+// TestTracedChaosOnLanes replays traced and metered chaos runs with the
+// simulator's workers arriving at the first event of every window, so
+// that every window of two lanes or more fires on them, and requires the
+// JSONL export, the Prometheus text and the stream hash of the same run on
+// one goroutine: what a run records does not depend on where its events
+// fire. Run it with -cpu 1,2,4.
+func TestTracedChaosOnLanes(t *testing.T) {
+	optRounds, err := erngRounds(9, 2, true)
+	if err != nil {
+		t.Fatal(err)
+	}
+	erngRun := func(optimized bool) func(*harness) (*Outcome, error) {
+		return func(h *harness) (*Outcome, error) { return h.runERNG(optimized) }
+	}
+	cases := []struct {
+		name  string
+		seed  int64
+		n, t  int
+		sched *Schedule
+		run   func(*harness) (*Outcome, error)
+	}{
+		{"erb/partition", 11, 9, 4,
+			NewSchedule().Partition([][]wire.NodeID{{0, 1, 2, 5, 6, 7, 8}, {3, 4}}, 1, 3), (*harness).runERB},
+		{"erb/delay-drain", 23, 9, 4,
+			NewSchedule().FlipBehavior(1, 1, adversary.DelayAll()), (*harness).runERB},
+		{"erng/basic", 7, 9, 4, Generate(7, 9, 4, 6), erngRun(false)},
+		{"erng/optimized", 1, 9, 2, Generate(1, 9, 2, optRounds), erngRun(true)},
+	}
+	type record struct {
+		jsonl, prom []byte
+		hash        uint64
+	}
+	procs := runtime.GOMAXPROCS(0)
+	for _, tc := range cases {
+		t.Run(tc.name, func(t *testing.T) {
+			t.Cleanup(func() { runtime.GOMAXPROCS(procs) })
+			replay := func(procs int) (record, uint64) {
+				runtime.GOMAXPROCS(procs)
+				h, err := arm(tc.seed, tc.n, tc.t, tc.sched)
+				if err != nil {
+					t.Fatal(err)
+				}
+				h.d.Sim.ArriveAt(0)
+				o, err := tc.run(h)
+				if err != nil {
+					t.Fatal(err)
+				}
+				if o.Schedule == "fault-free" || o.Stats == (EngineStats{}) {
+					t.Fatalf("schedule %s did nothing: %+v", o.Schedule, o.Stats)
+				}
+				var prom bytes.Buffer
+				if err := o.Metrics.ExportPrometheus(&prom); err != nil {
+					t.Fatal(err)
+				}
+				return record{exportTrace(t, o), prom.Bytes(), o.Trace.Hash()}, h.d.Sim.ParallelWindows()
+			}
+			one, _ := replay(1)
+			got, windows := replay(procs)
+			if procs > 1 && windows == 0 {
+				t.Fatalf("GOMAXPROCS=%d fired no window on workers", procs)
+			}
+			if !bytes.Equal(one.jsonl, got.jsonl) {
+				line, la, lb, _ := telemetry.DiffLines(bytes.NewReader(one.jsonl), bytes.NewReader(got.jsonl))
+				t.Fatalf("GOMAXPROCS=%d trace diverged from GOMAXPROCS=1 at line %d:\n  %s\n  %s", procs, line, la, lb)
+			}
+			if !bytes.Equal(one.prom, got.prom) {
+				line, la, lb, _ := telemetry.DiffLines(bytes.NewReader(one.prom), bytes.NewReader(got.prom))
+				t.Fatalf("GOMAXPROCS=%d metrics diverged from GOMAXPROCS=1 at line %d:\n  %s\n  %s", procs, line, la, lb)
+			}
+			if one.hash != got.hash {
+				t.Fatalf("GOMAXPROCS=%d stream hash %#x, GOMAXPROCS=1 %#x", procs, got.hash, one.hash)
 			}
 		})
 	}

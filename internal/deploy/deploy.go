@@ -17,13 +17,14 @@
 // attested pair, so when and how they are derived shows in no frame,
 // trace or figure.
 //
-// A deployment's nodes may fire side by side: unless an option says
-// otherwise (see lanesSafe), Run hands the nodes of one network-latency
-// window to GOMAXPROCS goroutines (DESIGN.md §6). Nothing a run computes
-// depends on that, but a runtime.Protocol started on one peer must touch
-// only that peer's state — the shipped protocols do — and code that
-// looks across peers belongs between runs or in an event scheduled on
-// Sim directly, which fires alone.
+// A deployment's nodes may fire side by side: unless Options.Wrap is set
+// (see lanesSafe), Run hands the nodes of one network-latency window to
+// GOMAXPROCS goroutines (DESIGN.md §6), traced and metered runs included.
+// Nothing a run computes or records depends on that, but a
+// runtime.Protocol started on one peer must touch only that peer's state
+// — the shipped protocols do — and code that looks across peers belongs
+// between runs or in an event scheduled on Sim directly, which fires
+// alone.
 package deploy
 
 import (
@@ -86,7 +87,8 @@ type Options struct {
 	LinkDelta time.Duration
 	// Trace, when non-nil, receives the round-structured event stream of
 	// every peer and the network (churn, round ticks, deliveries). New
-	// binds its clock to the simulator, so events carry virtual time.
+	// binds its clock to the simulator, so events carry virtual time, and
+	// its holder to the network, so a tracer records one deployment.
 	Trace *telemetry.Tracer
 	// Metrics, when non-nil, is the registry all layers (runtime, channel,
 	// transport) register their counters into.
@@ -132,15 +134,16 @@ func (d *Deployment) clock(id wire.NodeID) enclave.Clock { return d.Net.Port(id)
 
 // lanesSafe reports whether the nodes of this deployment may fire side by
 // side (simnet.EnableLanes). A caller-supplied Wrap closure is not
-// goroutine-safe by contract, and with Trace or Metrics the order in which
-// nodes record is itself the output, so any of the three keeps every event
-// firing alone. A node's OS does not, whatever its behaviour: it holds its
-// own node's state only. Nor does Neighbors: it is called only while a
-// node's transport is built (New's serial phase 3, Restart), and the
-// overlay router it feeds holds one node's state, touched only on that
-// node's lane.
+// goroutine-safe by contract, so it keeps every event firing alone. A
+// node's OS does not, whatever its behaviour: it holds its own node's
+// state only. Nor does Neighbors: it is called only while a node's
+// transport is built (New's serial phase 3, Restart), and the overlay
+// router it feeds holds one node's state, touched only on that node's
+// lane. Nor do Trace and Metrics: the network holds what nodes record on
+// workers and appends it to the stream in the serial order, and every
+// metric adds by atomics and exports sorted by name.
 func (o *Options) lanesSafe() bool {
-	return o.Wrap == nil && o.Trace == nil && o.Metrics == nil
+	return o.Wrap == nil
 }
 
 // New builds a deployment and runs the setup phase: attestation of the

@@ -11,6 +11,7 @@ import (
 	"sgxp2p/internal/deploy"
 	"sgxp2p/internal/runtime"
 	"sgxp2p/internal/simnet"
+	"sgxp2p/internal/telemetry"
 	"sgxp2p/internal/wire"
 )
 
@@ -435,21 +436,96 @@ func TestLanesJoinAndRestart(t *testing.T) {
 	}
 }
 
-// TestLanesOffForUnsafeOptions pins the enabling rule: any option that
-// brings caller code which is not goroutine-safe by contract (Wrap) or
-// whose output is the event order itself (Trace, Metrics are covered by
-// the telemetry tests' byte-identity) keeps every event firing alone.
-// Neighbors does not (the "erb-overlay" case above).
-func TestLanesOffForUnsafeOptions(t *testing.T) {
-	setProcs(t, 4)
-	d, err := deploy.New(deploy.Options{N: 64, T: 31, Seed: 3,
-		Wrap: func(_ wire.NodeID, tr runtime.Transport) runtime.Transport { return tr }})
-	if err != nil {
-		t.Fatal(err)
+// TestLanesRule pins the enabling rule: only Options.Wrap, caller code
+// that is not goroutine-safe by contract, keeps every event firing alone.
+// A traced and metered deployment, causal spans included, fires its
+// windows on the workers and records what it records on one goroutine
+// (the chaos suite's TestTracedChaosOnLanes compares the exports), and so
+// does an overlay (the "erb-overlay" case above).
+func TestLanesRule(t *testing.T) {
+	wrap := func(_ wire.NodeID, tr runtime.Transport) runtime.Transport { return tr }
+	for _, c := range []struct {
+		name  string
+		opts  func() deploy.Options
+		lanes bool
+	}{
+		{"wrap", func() deploy.Options { return deploy.Options{Wrap: wrap} }, false},
+		{"trace+metrics", func() deploy.Options {
+			return deploy.Options{Trace: telemetry.New(telemetry.Options{}), Metrics: telemetry.NewMetrics()}
+		}, true},
+		{"spans", func() deploy.Options { return deploy.Options{Trace: telemetry.New(telemetry.Options{Spans: true})} }, true},
+	} {
+		t.Run(c.name, func(t *testing.T) {
+			run := func(procs int) (*deploy.Deployment, uint64) {
+				setProcs(t, procs)
+				opts := c.opts()
+				opts.N, opts.T, opts.Seed = 64, 31, 3
+				d, err := deploy.New(opts)
+				if err != nil {
+					t.Fatal(err)
+				}
+				d.Sim.ArriveAt(0)
+				broadcast(t, d, 0, wire.Value{1})
+				return d, d.Sim.ParallelWindows()
+			}
+			one, _ := run(1)
+			four, windows := run(4)
+			if (windows > 0) != c.lanes {
+				t.Fatalf("%d windows fired on workers, want them there: %v", windows, c.lanes)
+			}
+			tr1, tr4 := one.Opts.Trace, four.Opts.Trace
+			if tr1.EventCount() != tr4.EventCount() || tr1.Hash() != tr4.Hash() {
+				t.Fatalf("trace of %d events, hash %#x, on four workers; %d, %#x on one",
+					tr4.EventCount(), tr4.Hash(), tr1.EventCount(), tr1.Hash())
+			}
+		})
 	}
-	d.Sim.ArriveAt(0)
-	broadcast(t, d, 0, wire.Value{1})
-	if w := d.Sim.ParallelWindows(); w != 0 {
-		t.Fatalf("%d windows fired on workers under Options.Wrap", w)
+}
+
+// TestMuxGaugesSumOverNodes: every node's mux adds its own running and
+// backlogged instances to the deployment's gauges, so in a metered
+// BroadcastMany they read N times one node's value — samples taken
+// between windows by events that fire alone see every mux in the same
+// state — and the same at GOMAXPROCS 1 and 4.
+func TestMuxGaugesSumOverNodes(t *testing.T) {
+	const n, k, inFlight = 16, 64, 16
+	run := func(procs int) [][2]int64 {
+		setProcs(t, procs)
+		d, err := deploy.New(deploy.Options{N: n, T: 7, Seed: 14, Metrics: telemetry.NewMetrics()})
+		if err != nil {
+			t.Fatal(err)
+		}
+		d.Sim.ArriveAt(0)
+		running := d.Opts.Metrics.Gauge("mux_running_instances")
+		backlog := d.Opts.Metrics.Gauge("mux_backlog_instances")
+		var samples [][2]int64
+		for i := 0; i < 100; i++ {
+			d.Sim.Schedule(d.Sim.Now()+d.RoundDuration()/4+time.Duration(i)*d.RoundDuration()/2, func() {
+				samples = append(samples, [2]int64{running.Value(), backlog.Value()})
+			})
+		}
+		muxBroadcasts(t, d, k, inFlight)
+		if procs > 1 && d.Sim.ParallelWindows() == 0 {
+			t.Fatalf("GOMAXPROCS=%d fired no window on workers", procs)
+		}
+		if running.Value() != 0 || backlog.Value() != 0 {
+			t.Fatalf("gauges read %d running, %d backlogged after the run", running.Value(), backlog.Value())
+		}
+		return samples
+	}
+	one := run(1)
+	var most [2]int64
+	for _, s := range one {
+		if s[0]%n != 0 || s[1]%n != 0 {
+			t.Fatalf("gauges read %v: not %d times one node's value", s, n)
+		}
+		most = [2]int64{max(most[0], s[0]), max(most[1], s[1])}
+	}
+	if want := [2]int64{n * inFlight, n * (k - inFlight)}; most != want {
+		t.Fatalf("gauges peaked at %v, want %v: %d muxes each running %d and holding back the other %d after round 1",
+			most, want, n, inFlight, k-inFlight)
+	}
+	if four := run(4); !reflect.DeepEqual(one, four) {
+		t.Fatalf("gauge samples at GOMAXPROCS=4 differ from GOMAXPROCS=1:\n%v\n%v", four, one)
 	}
 }

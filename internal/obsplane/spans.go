@@ -99,7 +99,7 @@ func Reconstruct(events []telemetry.Event) *Graph {
 		}
 		idx[k] = len(spans)
 		spans = append(spans, SpanRecord{
-			Span: k.span, Src: nodeJSON(k.src), Dst: nodeJSON(k.dst), Round: round,
+			Span: k.span, Src: telemetry.NodeJSON(k.src), Dst: telemetry.NodeJSON(k.dst), Round: round,
 			SealAt: missing, OpenAt: missing, Seal: missing, Open: missing, Transit: missing,
 		})
 		return &spans[len(spans)-1]
@@ -158,15 +158,6 @@ func Reconstruct(events []telemetry.Event) *Graph {
 		return a.Dst < b.Dst
 	})
 	return &Graph{Spans: spans}
-}
-
-// nodeJSON maps a NodeID to its serialized form (-1 for wire.NoNode),
-// matching the telemetry JSONL convention.
-func nodeJSON(id wire.NodeID) int64 {
-	if id == wire.NoNode {
-		return -1
-	}
-	return int64(id)
 }
 
 // WriteJSONL serializes the graph one span chain per line, in graph

@@ -66,8 +66,11 @@ type Mux struct {
 
 	unknownDrops uint64
 
+	// mRunning and mBacklog are registry-wide: every mux of a deployment
+	// adds its own changes (publish), so each reads the sum over muxes.
 	mRunning  *telemetry.Gauge
 	mBacklog  *telemetry.Gauge
+	published struct{ running, backlog int64 } // what this mux has added
 	mSpawned  *telemetry.Counter
 	mRetired  *telemetry.Counter
 	mUnknown  *telemetry.Counter
@@ -127,7 +130,7 @@ func (m *Mux) Spawn(windowRounds int, build func(*Instance) (Protocol, error)) (
 	m.backlog = append(m.backlog, it)
 	m.byID = append(m.byID, it)
 	m.mSpawned.Inc()
-	m.mBacklog.Set(int64(len(m.backlog)))
+	m.publish()
 	return it, nil
 }
 
@@ -207,8 +210,16 @@ func (m *Mux) OnFinish() {
 		it.done, it.err = true, ErrMuxUnadmitted
 	}
 	m.backlog = m.backlog[:0]
-	m.mRunning.Set(0)
-	m.mBacklog.Set(0)
+	m.publish()
+}
+
+// publish adds to the gauges what the running set and the backlog changed
+// by since the last call.
+func (m *Mux) publish() {
+	running, backlog := int64(len(m.running)), int64(len(m.backlog))
+	m.mRunning.Add(running - m.published.running)
+	m.mBacklog.Add(backlog - m.published.backlog)
+	m.published.running, m.published.backlog = running, backlog
 }
 
 // retireExpired finishes every running instance whose window ended before
@@ -229,7 +240,7 @@ func (m *Mux) retireExpired(rnd uint32) {
 		m.running[i] = nil
 	}
 	m.running = kept
-	m.mRunning.Set(int64(len(m.running)))
+	m.publish()
 }
 
 // admit moves backlogged instances into the running set, FIFO, while
@@ -255,8 +266,7 @@ func (m *Mux) admit(rnd uint32) {
 		m.running = append(m.running, it)
 	}
 	if changed {
-		m.mRunning.Set(int64(len(m.running)))
-		m.mBacklog.Set(int64(len(m.backlog)))
+		m.publish()
 	}
 }
 

@@ -3,6 +3,7 @@ package simnet
 import (
 	"time"
 
+	"sgxp2p/internal/telemetry"
 	"sgxp2p/internal/wire"
 )
 
@@ -10,13 +11,14 @@ import (
 // fire side by side, so nothing a node does may touch what nodes share:
 // the traffic counters, the link queue, the latency rng, the detach flags
 // other nodes' sends read, the simulator's event queue and its sequence
-// numbers. Each of those calls — Send, Port.After, Port.Detach — instead
-// appends an op to the node's log, and Commit replays the logs event by
-// event in the serial (time, sequence) order. The replay is the same code
-// the serial path runs (transmit, Detach, ScheduleLane), fed in the same
-// order, so every draw, counter and sequence number comes out the same.
-// Only the payload copy happens at Send time, because the caller's buffer
-// is gone afterwards. A window may reach the workers part-way — the
+// numbers, the tracer's stream. Each of those calls — Send, Port.After,
+// Port.Detach, a trace record — instead appends an op to the node's log,
+// and Commit replays the logs event by event in the serial (time,
+// sequence) order. The replay is the same code the serial path runs
+// (transmit, Detach, ScheduleLane, Tracer.Append), fed in the same order,
+// so every draw, counter, sequence number and trace event comes out the
+// same. Only the payload copy happens at Send time, because the caller's
+// buffer is gone afterwards. A window may reach the workers part-way — the
 // simulator fires its first events inline and hands off the rest when a
 // worker it summoned arrives: what fired before BeginWindow took the
 // serial path and left nothing in any log.
@@ -30,6 +32,7 @@ const (
 	opSend
 	opAfter
 	opDetach
+	opTrace // the node's next held trace record
 )
 
 // op is one held-back effect of a lane event.
@@ -87,9 +90,6 @@ func (n *Network) EnableLanes() {
 // sends and timers in one window of a small cluster.
 const laneOps = 16
 
-// DisableLanes takes the promise back: every event fires alone again.
-func (n *Network) DisableLanes() { n.sim.SetLanes(nil, 0, 0) }
-
 // BeginWindow implements vclock.Lanes.
 func (n *Network) BeginWindow(workers int) {
 	for len(n.pools) < workers {
@@ -122,8 +122,10 @@ func (n *Network) EndEvent(lane int) {
 }
 
 // Commit implements vclock.Lanes: it replays the ops of the lane's next
-// event.
+// event. The workers have fired by now, so what the replay does — the
+// detach record of an opDetach included — acts on shared state directly.
 func (n *Network) Commit(lane int) {
+	n.windowed = false
 	ns := &n.nodes[lane]
 	for {
 		o := &ns.log[ns.next]
@@ -135,6 +137,9 @@ func (n *Network) Commit(lane int) {
 			n.sim.ScheduleLane(lane, n.sim.Now()+o.after, o.fn)
 		case opDetach:
 			n.Detach(wire.NodeID(lane))
+		case opTrace:
+			n.trace.Append(ns.held[ns.nextHeld])
+			ns.nextHeld++
 		case opEnd:
 			return
 		}
@@ -154,7 +159,25 @@ func (n *Network) EndWindow() {
 			n.traffic.Dropped += ns.dropped
 			ns.dropped, ns.gone, ns.pool = 0, false, nil
 			ns.log, ns.next = ns.log[:0], 0
+			ns.held, ns.nextHeld = ns.held[:0], 0
 		}
 		p.claimed = p.claimed[:0]
 	}
+}
+
+// laneHolder is the network's telemetry.Holder: while the workers fire a
+// window it holds a node's trace records in the node's log, beside its
+// sends, so that Commit appends them to the tracer at their event's time
+// and in the serial order.
+type laneHolder struct{ n *Network }
+
+// Holding implements telemetry.Holder: records wait from BeginWindow to
+// the window's first Commit.
+func (h laneHolder) Holding() bool { return h.n.windowed }
+
+// Hold implements telemetry.Holder.
+func (h laneHolder) Hold(ev telemetry.Event) {
+	ns := &h.n.nodes[int(ev.Node)]
+	ns.held = append(ns.held, ev)
+	ns.log = append(ns.log, op{kind: opTrace})
 }

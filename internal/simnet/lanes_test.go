@@ -6,6 +6,7 @@ import (
 	"testing"
 	"time"
 
+	"sgxp2p/internal/telemetry"
 	"sgxp2p/internal/vclock"
 	"sgxp2p/internal/wire"
 )
@@ -19,13 +20,14 @@ type arrival struct {
 
 // gossip is a deployment-free workload for the lane executor: every node
 // multicasts from a port timer for three rounds, every delivery is
-// forwarded while its hop count lasts, and every seventh node detaches
-// itself from inside a delivery handler. Nodes keep their journals to
-// themselves and reach the network only through their ports — the
-// contract EnableLanes asks for.
+// forwarded while its hop count lasts and recorded in the tracer, and
+// every seventh node detaches itself from inside a delivery handler. Nodes
+// keep their journals to themselves and reach the network only through
+// their ports — the contract EnableLanes asks for.
 type gossip struct {
 	sim      *vclock.Sim
 	net      *Network
+	trace    *telemetry.Tracer
 	ports    []*Port
 	journals [][]arrival
 	rounds   []int
@@ -36,10 +38,12 @@ const gossipNodes = 64
 func newGossip(t *testing.T, bandwidth float64) *gossip {
 	t.Helper()
 	sim, net := newNet(t, gossipNodes, bandwidth)
+	tr := telemetry.New(telemetry.Options{Clock: sim.Now})
+	net.SetTelemetry(tr, nil)
 	net.EnableLanes()
 	sim.ArriveAt(0)
 	g := &gossip{
-		sim: sim, net: net,
+		sim: sim, net: net, trace: tr,
 		ports:    make([]*Port, gossipNodes),
 		journals: make([][]arrival, gossipNodes),
 		rounds:   make([]int, gossipNodes),
@@ -67,6 +71,7 @@ func (g *gossip) tick(id wire.NodeID) {
 func (g *gossip) receive(id, src wire.NodeID, payload []byte) {
 	p := g.ports[id]
 	g.journals[id] = append(g.journals[id], arrival{src: src, hops: payload[0], at: p.Now()})
+	g.trace.Record(id, 0, telemetry.KindDeliver, src, uint64(payload[0]), "")
 	if id%7 == 3 && len(g.journals[id]) == 40 {
 		// Halt mid-window: the frames still headed here drop, this one's
 		// forward below drops at the sender.
@@ -80,8 +85,9 @@ func (g *gossip) receive(id, src wire.NodeID, payload []byte) {
 
 // TestLanesMatchSerialNetwork runs the gossip on a pool of one and a pool
 // of four, with and without the shared-link queue: traffic, drops, late
-// counts, every node's journal with its timestamps, and the simulator's
-// trace must not depend on the pool.
+// counts, every node's journal with its timestamps, the simulator's trace
+// and the tracer's stream — deliveries recorded on workers, detaches
+// recorded as their event commits — must not depend on the pool.
 func TestLanesMatchSerialNetwork(t *testing.T) {
 	for _, bandwidth := range []float64{0, DefaultBandwidth / 64} {
 		run := func(procs int) *gossip {
@@ -125,6 +131,18 @@ func TestLanesMatchSerialNetwork(t *testing.T) {
 		}
 		if s, p := serial.sim.FiredCount(), parallel.sim.FiredCount(); s != p {
 			t.Errorf("bandwidth %v: %d events fired on one worker, %d on four", bandwidth, s, p)
+		}
+		if s, p := serial.trace.Events(), parallel.trace.Events(); !reflect.DeepEqual(s, p) {
+			t.Errorf("bandwidth %v: tracer streams differ: %d events on one worker, %d on four", bandwidth, len(s), len(p))
+		}
+		detaches := 0
+		for _, ev := range parallel.trace.Events() {
+			if ev.Kind == telemetry.KindDetach {
+				detaches++
+			}
+		}
+		if detaches == 0 {
+			t.Errorf("bandwidth %v: no detach recorded", bandwidth)
 		}
 	}
 }

@@ -116,8 +116,8 @@ type Network struct {
 	// record ever carried.
 	slab  *slab
 	spare []*slab
-	// windowed is set while a window runs on workers, written only while
-	// they park; see lanes.go for it and the worker pools.
+	// windowed is set while the workers fire a window, from BeginWindow
+	// to its first Commit; see lanes.go for it and the worker pools.
 	windowed bool
 	pools    []workerPool
 }
@@ -139,12 +139,14 @@ type nodeSlot struct {
 
 	// gone shadows detached for the node's own Detach inside a window,
 	// so the lane's later deliveries drop as they would have serially.
-	gone    bool
-	dropped uint64
-	log     []op
-	next    int         // first uncommitted op
-	pool    *workerPool // the firing worker's; nil outside a window
-	_       [56]byte    // to 128 bytes
+	gone     bool
+	dropped  uint64
+	log      []op
+	next     int               // first uncommitted op
+	held     []telemetry.Event // the trace records of the log's opTrace ops
+	nextHeld int               // first uncommitted held record
+	pool     *workerPool       // the firing worker's; nil outside a window
+	_        [24]byte          // to 128 bytes
 }
 
 // delivery is one in-flight frame: destination epoch captured at send
@@ -310,9 +312,12 @@ type netCounters struct {
 
 // SetTelemetry attaches a tracer (detach/reattach churn events) and a
 // metrics registry (traffic counters, envelope-size histogram) to the
-// network. Either may be nil.
+// network. Either may be nil. The tracer's holder becomes the network,
+// which holds what the nodes record while they fire side by side (see
+// lanes.go), so the tracer must record this network's nodes alone.
 func (n *Network) SetTelemetry(tr *telemetry.Tracer, m *telemetry.Metrics) {
 	n.trace = tr
+	tr.SetHolder(laneHolder{n})
 	if m == nil {
 		n.ctr = nil
 		return

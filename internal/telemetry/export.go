@@ -37,11 +37,11 @@ type jsonEvent struct {
 func encodeEvent(ev Event) jsonEvent {
 	return jsonEvent{
 		At:    int64(ev.At),
-		Node:  nodeJSON(ev.Node),
+		Node:  NodeJSON(ev.Node),
 		Round: ev.Round,
 		Inst:  ev.Instance,
 		Kind:  ev.Kind.String(),
-		Peer:  nodeJSON(ev.Peer),
+		Peer:  NodeJSON(ev.Peer),
 		Arg:   ev.Arg,
 		Span:  ev.Span,
 		Note:  ev.Note,
@@ -49,15 +49,15 @@ func encodeEvent(ev Event) jsonEvent {
 	}
 }
 
-// nodeJSON maps a NodeID to its JSONL form (-1 for wire.NoNode).
-func nodeJSON(id wire.NodeID) int64 {
+// NodeJSON maps a NodeID to its JSONL form (-1 for wire.NoNode).
+func NodeJSON(id wire.NodeID) int64 {
 	if id == wire.NoNode {
 		return -1
 	}
 	return int64(id)
 }
 
-// nodeFromJSON is the inverse of nodeJSON.
+// nodeFromJSON is the inverse of NodeJSON.
 func nodeFromJSON(v int64) (wire.NodeID, error) {
 	if v == -1 {
 		return wire.NoNode, nil

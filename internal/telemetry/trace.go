@@ -22,17 +22,41 @@ type Options struct {
 }
 
 // Tracer records the round-structured event stream of one run. All methods
-// are safe on a nil receiver (no-ops) and safe for concurrent use: a traced
-// simulation fires its events one at a time (deploy turns the lane
-// executor off under Trace), but the TCP deployment records from its
-// event-loop goroutines.
+// are safe on a nil receiver (no-ops) and safe for concurrent use: the TCP
+// deployment records from its event-loop goroutines, and a simulation
+// whose nodes fire side by side hands their records to its Holder, which
+// appends them in the order the events would have fired one by one.
 type Tracer struct {
 	mu     sync.Mutex
 	clock  func() time.Duration
 	spans  bool
+	holder Holder
 	events []Event
 	base   uint64 // stream position of events[0]: count of released events
 	hash   uint64
+}
+
+// A Holder keeps back the records made while the order of the stream is
+// not known yet — internal/simnet, while a window of lane events fires on
+// several goroutines — and appends them later, in order, with Append.
+// Holding changes only while no record is being made.
+type Holder interface {
+	// Holding reports whether records are held now. While they are, the
+	// tracer reads no clock: what records then is one lane event, which
+	// takes no time, so a span begun and finished in it lasts 0 and the
+	// holder's Append stamps the event's time.
+	Holding() bool
+	// Hold takes one record made while Holding. ev.Node is the node whose
+	// event made it.
+	Hold(ev Event)
+}
+
+// SetHolder installs the holder records are offered to (nil: none). Call
+// it before anything records.
+func (t *Tracer) SetHolder(h Holder) {
+	if t != nil {
+		t.holder = h
+	}
 }
 
 // New builds a tracer.
@@ -86,9 +110,28 @@ func (t *Tracer) RecordSpan(node wire.NodeID, round uint32, instance uint32, kin
 	t.record(Event{Node: node, Round: round, Kind: kind, Peer: peer, Arg: arg, Instance: instance, Span: span})
 }
 
-// record stamps the clock and stream sequence, then appends the event to
-// the stream and folds it into the hash.
+// record hands the event to the holder while it holds, and appends it
+// otherwise.
 func (t *Tracer) record(ev Event) {
+	if t.holding() {
+		t.holder.Hold(ev)
+		return
+	}
+	t.Append(ev)
+}
+
+// holding reports whether the holder holds records now.
+func (t *Tracer) holding() bool {
+	return t.holder != nil && t.holder.Holding()
+}
+
+// Append stamps the clock and stream sequence on ev, then appends it to
+// the stream and folds it into the hash. It is how every record joins the
+// stream: directly, or through the holder that held it.
+func (t *Tracer) Append(ev Event) {
+	if t == nil {
+		return
+	}
 	t.mu.Lock()
 	if t.clock != nil {
 		ev.At = t.clock()
@@ -99,13 +142,10 @@ func (t *Tracer) record(ev Event) {
 	t.mu.Unlock()
 }
 
-// Now reads the tracer's logical clock (0 when no clock is bound or the
-// tracer is nil). Span instrumentation uses it to measure hop durations
-// with the same clock that stamps the events.
-func (t *Tracer) Now() time.Duration {
-	if t == nil {
-		return 0
-	}
+// now reads the tracer's logical clock (0 when no clock is bound). Span
+// instrumentation uses it to measure hop durations with the same clock
+// that stamps the events.
+func (t *Tracer) now() time.Duration {
 	t.mu.Lock()
 	clock := t.clock
 	t.mu.Unlock()
@@ -120,6 +160,7 @@ func (t *Tracer) Now() time.Duration {
 type Span struct {
 	t     *Tracer
 	start time.Duration
+	held  bool // begun while the holder held: the hop takes no time
 }
 
 // BeginSpan starts timing one hop. It returns the zero (no-op) Span when
@@ -130,7 +171,10 @@ func (t *Tracer) BeginSpan() Span {
 	if t == nil || !t.spans {
 		return Span{}
 	}
-	return Span{t: t, start: t.Now()}
+	if t.holding() {
+		return Span{t: t, held: true}
+	}
+	return Span{t: t, start: t.now()}
 }
 
 // Finish records the hop: kind-specific identity as in RecordSpan, with
@@ -139,9 +183,9 @@ func (s Span) Finish(node wire.NodeID, round uint32, instance uint32, kind Kind,
 	if s.t == nil {
 		return
 	}
-	elapsed := s.t.Now() - s.start
-	if elapsed < 0 {
-		elapsed = 0
+	var elapsed time.Duration
+	if !s.held {
+		elapsed = max(s.t.now()-s.start, 0)
 	}
 	s.t.record(Event{Node: node, Round: round, Kind: kind, Peer: peer, Arg: uint64(elapsed), Instance: instance, Span: span})
 }
