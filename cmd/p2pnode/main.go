@@ -2,34 +2,28 @@
 // counterpart of the simulated experiments, demonstrating that the same
 // protocol code (ERB, basic ERNG) runs over an actual network stack.
 //
-// A demo on one machine, 4 peers tolerating 1 byzantine node:
+// A node runs under the scenario runner (cmd/p2pscenario), which spawns
+// the fleet; -control, the runner's barrier address, is required. The
+// node launches and attests its own enclave, picks an ephemeral port, and
+// announces its directory entry with READY: address, quote and initial
+// sequence number. Once every expected process has checked in it
+// receives the PEERS directory — every node's entry — and the shared
+// START instant (the synchronized start, assumption S2), and builds its
+// roster and sequence table from that directory alone; the runtime checks
+// the roster's quotes in one batch. Node 0 broadcasts -message in erb
+// mode; in erng mode every peer contributes enclave randomness and they
+// agree on a common number. -epochs runs several back-to-back protocol
+// epochs on one schedule; a process relaunched by a restart event of the
+// manifest's fault schedule passes -resume-epoch, announces the same
+// enclave (same seed, same quote), and rejoins at the next epoch boundary
+// with the directory's sequence numbers bumped once per elapsed epoch,
+// per the restart lifecycle.
 //
-//	START=$(( $(date +%s%3N) + 3000 ))
-//	for i in 0 1 2 3; do
-//	  p2pnode -id $i -n 4 -t 1 \
-//	    -peers 0=127.0.0.1:7100,1=127.0.0.1:7101,2=127.0.0.1:7102,3=127.0.0.1:7103 \
-//	    -start-at-ms $START -mode erng &
-//	done; wait
-//
-// All processes must share the -peers table and the -start-at-ms instant
-// (the synchronized start, assumption S2). The peer with -id equal to
-// -initiator broadcasts -message in erb mode; in erng mode every peer
-// contributes enclave randomness and they agree on a common number.
-//
-// Under the scenario runner (cmd/p2pscenario) the address table and start
-// instant come from the runner instead: -control points at the runner's
-// barrier listener, the node picks an ephemeral port, reports it with
-// READY, and receives the full PEERS table plus the shared START instant
-// once every expected process has checked in. -epochs runs several
-// back-to-back protocol epochs on one schedule; a process relaunched by a
-// restart event of the manifest's fault schedule passes -resume-epoch to
-// rejoin at the next epoch boundary with recomputed (bumped) sequence
-// numbers, per the restart lifecycle.
-//
-// The demo shares one attestation-service key derived from -demo-secret:
-// in a production deployment each enclave would be attested by the real
-// IAS instead. Everything else — measurement-bound channels, AES+HMAC
-// sealing, lockstep rounds, halt-on-divergence — is the real protocol.
+// The demo shares one attestation-service key derived from a fixed demo
+// secret, which also seeds each node's enclave: in a production
+// deployment each enclave would be attested by the real IAS instead.
+// Everything else — measurement-bound channels, AES+HMAC sealing,
+// lockstep rounds, halt-on-divergence — is the real protocol.
 package main
 
 import (
@@ -42,7 +36,6 @@ import (
 	"net"
 	"os"
 	"os/signal"
-	"sort"
 	"strings"
 	"sync"
 	"syscall"
@@ -58,7 +51,6 @@ import (
 	"sgxp2p/internal/tcpnet"
 	"sgxp2p/internal/telemetry"
 	"sgxp2p/internal/wire"
-	"sgxp2p/internal/xcrypto"
 )
 
 func main() {
@@ -68,6 +60,16 @@ func main() {
 	}
 }
 
+// Fixed parameters of the demo fleet: every node derives the one
+// attestation service (and seeds its enclave) from demoSecret, node 0
+// initiates in erb mode, and the preflight waits connectTimeout for the
+// peers' listeners.
+const (
+	demoSecret     = 42
+	initiator      = 0
+	connectTimeout = 10 * time.Second
+)
+
 func run(args []string) error {
 	fs := flag.NewFlagSet("p2pnode", flag.ContinueOnError)
 	var (
@@ -75,24 +77,18 @@ func run(args []string) error {
 		n          = fs.Int("n", 4, "network size")
 		t          = fs.Int("t", 1, "byzantine bound (n >= 2t+1)")
 		delta      = fs.Duration("delta", 250*time.Millisecond, "one-way delivery bound")
-		peers      = fs.String("peers", "", "comma-separated id=host:port table for ALL nodes")
-		control    = fs.String("control", "", "scenario runner barrier address; replaces -peers and -start-at-ms")
-		listenAddr = fs.String("listen", "127.0.0.1:0", "listen address in -control mode (ephemeral port by default)")
-		startAtMS  = fs.Int64("start-at-ms", 0, "synchronized start (unix ms); 0 = now + 3s, printed for reuse")
+		control    = fs.String("control", "", "scenario runner barrier address (required)")
+		listenAddr = fs.String("listen", "127.0.0.1:0", "listen address (ephemeral port by default)")
 		mode       = fs.String("mode", "erb", "protocol: erb or erng")
-		initiator  = fs.Int("initiator", 0, "erb mode: broadcasting node")
-		message    = fs.String("message", "hello from the enclave", "erb mode: payload")
+		message    = fs.String("message", "hello from the enclave", "erb mode: node 0's payload")
 		epochs     = fs.Int("epochs", 1, "number of back-to-back protocol epochs to run")
-		resume     = fs.Int("resume-epoch", 0, "rejoin a running schedule at this epoch (restart lifecycle: seqs are re-derived and bumped)")
+		resume     = fs.Int("resume-epoch", 0, "rejoin a running schedule at this epoch (restart lifecycle: seqs are bumped once per elapsed epoch)")
 		chainLen   = fs.Int("chain-len", 0, "nodes 0..chain-len-1 run the worst-case byzantine chain strategy (erb mode)")
 		slow       = fs.String("slow", "", "slow-link shaping: 'all=50ms' or 'id=dur,id=dur' extra delay per outbound frame")
-		connectTO  = fs.Duration("connect-timeout", 10*time.Second, "preflight: every peer must accept a TCP connection within this window")
-		noPref     = fs.Bool("no-preflight", false, "skip the peer reachability preflight")
-		demoSecret = fs.Int64("demo-secret", 42, "shared demo attestation seed (all nodes must agree)")
 		tracePath  = fs.String("trace", "", "append this node's telemetry event stream (JSONL) to a file as the run proceeds")
 		metricsOut = fs.String("metrics-out", "", "write this node's metrics in Prometheus text format to a file on exit")
 		resultOut  = fs.String("result-out", "", "write this node's per-epoch results as JSON to a file on exit")
-		stream     = fs.Bool("stream", false, "stream telemetry events and metric deltas over the control connection during the run (-control mode)")
+		stream     = fs.Bool("stream", false, "stream telemetry events and metric deltas over the control connection during the run")
 		spans      = fs.Bool("spans", false, "record causal span hops (seal/open/deliver/handle) keyed by sealed frame tag")
 		probeEvery = fs.Duration("probe-interval", 0, "sample resource gauges (goroutines, heap, fds, link queues) at this interval; 0 = off")
 		profileDir = fs.String("profile-dir", "", "capture pprof profiles into this directory on an orchestrator PROF request or on failure")
@@ -100,57 +96,50 @@ func run(args []string) error {
 	if err := fs.Parse(args); err != nil {
 		return err
 	}
-	if *n < 2 || *t < 0 || 2**t+1 > *n {
-		return fmt.Errorf("invalid sizes n=%d t=%d", *n, *t)
+	if *control == "" {
+		fs.Usage()
+		return fmt.Errorf("-control is required: p2pnode runs under the scenario runner (cmd/p2pscenario)")
+	}
+	if *n < 2 || *t < 0 || 2**t+1 > *n || *id < 0 || *id >= *n {
+		return fmt.Errorf("invalid sizes id=%d n=%d t=%d", *id, *n, *t)
 	}
 	if *epochs < 1 || *resume < 0 || *resume >= *epochs {
 		return fmt.Errorf("invalid epoch schedule: epochs=%d resume-epoch=%d", *epochs, *resume)
 	}
-	if *stream && *control == "" {
-		return fmt.Errorf("-stream needs a -control connection to stream over")
-	}
 	self := wire.NodeID(*id)
 
-	// Address table and start instant: from the runner's barrier in
-	// -control mode, from flags otherwise.
-	var (
-		addrs map[wire.NodeID]string
-		start time.Time
-		port  *tcpnet.Port
-		ctrl  *controlConn
-		err   error
-	)
-	if *control != "" {
-		port, err = tcpnet.Listen(self, *listenAddr)
-		if err != nil {
-			return err
-		}
-		defer port.Close()
-		ctrl, err = dialControl(*control, *id, port.Addr())
-		if err != nil {
-			return err
-		}
-		defer ctrl.Close()
-		addrs, start, err = ctrl.AwaitStart(*n)
-		if err != nil {
-			return err
-		}
-	} else {
-		addrs, err = parsePeers(*peers, *n)
-		if err != nil {
-			return err
-		}
-		port, err = tcpnet.Listen(self, addrs[self])
-		if err != nil {
-			return err
-		}
-		defer port.Close()
-		start = time.UnixMilli(*startAtMS)
-		if *startAtMS == 0 {
-			start = time.Now().Add(3 * time.Second)
-			fmt.Printf("node %d: starting at %d (pass -start-at-ms %d to the other nodes)\n",
-				self, start.UnixMilli(), start.UnixMilli())
-		}
+	// Setup phase: launch and attest this node's own enclave, seeded from
+	// the demo secret so a relaunched incarnation announces the same
+	// quote and initial sequence number.
+	service, err := enclave.NewAttestationService(mrand.New(mrand.NewSource(demoSecret)))
+	if err != nil {
+		return err
+	}
+	program := []byte("sgxp2p/p2pnode/v1")
+	rng := mrand.New(mrand.NewSource(demoSecret ^ int64(*id+1)*0x9E3779B9))
+	encl, err := enclave.Launch(program, self, rng, enclave.NewWallClock())
+	if err != nil {
+		return err
+	}
+	seq, err := encl.RandomSeq()
+	if err != nil {
+		return err
+	}
+
+	// The directory and start instant come from the runner's barrier.
+	port, err := tcpnet.Listen(self, *listenAddr)
+	if err != nil {
+		return err
+	}
+	defer port.Close()
+	ctrl, err := dialControl(*control, scenario.Entry{Addr: port.Addr(), Quote: service.Attest(encl), Seq: seq})
+	if err != nil {
+		return err
+	}
+	defer ctrl.Close()
+	table, start, err := ctrl.AwaitStart(*n)
+	if err != nil {
+		return err
 	}
 	port.SetOrigin(start)
 
@@ -223,9 +212,7 @@ func run(args []string) error {
 		if derr := dump(); derr != nil {
 			fmt.Fprintln(os.Stderr, "p2pnode:", derr)
 		}
-		if ctrl != nil {
-			ctrl.Fail(ferr)
-		}
+		ctrl.Fail(ferr)
 		return ferr
 	}
 	if trace != nil {
@@ -266,60 +253,24 @@ func run(args []string) error {
 	// Preflight: every peer must be accepting connections. Without it a
 	// missing peer means hanging until the run timeout with nothing to
 	// show; with it the node exits nonzero promptly, telemetry dumped.
-	if !*noPref {
-		if perr := preflight(addrs, self, *connectTO); perr != nil {
-			return fail(perr)
-		}
+	if perr := preflight(table, self, connectTimeout); perr != nil {
+		return fail(perr)
 	}
-	port.Connect(addrs)
-
-	// Demo attestation: every node derives the same service key from the
-	// shared demo secret, so quotes verify across processes without an
-	// online attestation service.
-	service, err := enclave.NewAttestationService(mrand.New(mrand.NewSource(*demoSecret)))
-	if err != nil {
-		return fail(err)
-	}
-	program := []byte("sgxp2p/p2pnode/v1")
-	clock := enclave.NewWallClock()
-
-	// Demo key exchange: with no out-of-band channel in the demo, each
-	// node derives every peer's enclave deterministically from the shared
-	// secret, standing in for the quote exchange of the setup phase. A
-	// relaunched process replays the identical derivation, so its session
-	// keys match the survivors' without channel re-establishment.
+	addrs := make(map[wire.NodeID]string, *n)
 	roster := runtime.Roster{
 		Quotes:      make([]enclave.Quote, *n),
 		ServiceKey:  service.VerifyKey(),
-		Measurement: enclaveMeasurement(program),
-	}
-	ids := make([]wire.NodeID, *n)
-	rngs := make([]io.Reader, *n)
-	clocks := make([]enclave.Clock, *n)
-	for i := range ids {
-		ids[i] = wire.NodeID(i)
-		rngs[i] = mrand.New(mrand.NewSource(*demoSecret ^ int64(i+1)*0x9E3779B9))
-		clocks[i] = clock
-	}
-	encls, err := enclave.LaunchBatch(program, ids, rngs, clocks)
-	if err != nil {
-		return fail(err)
-	}
-	var encl *enclave.Enclave // none for an id outside the roster: NewPeer refuses that
-	if int(self) < len(encls) {
-		encl = encls[self]
+		Measurement: encl.Measurement(),
 	}
 	seqs := make([]uint64, *n)
-	for i, e := range encls {
-		roster.Quotes[i] = service.Attest(e)
-		s, serr := e.RandomSeq()
-		if serr != nil {
-			return fail(serr)
-		}
+	for i, e := range table {
+		addrs[wire.NodeID(i)] = e.Addr
+		roster.Quotes[i] = e.Quote
 		// Restart lifecycle: every elapsed epoch bumped each node's seq
-		// by one, so a resumed process recomputes rather than copies.
-		seqs[i] = s + uint64(*resume)
+		// by one, so a resumed process bumps the directory's.
+		seqs[i] = e.Seq + uint64(*resume)
 	}
+	port.Connect(addrs)
 
 	// Byzantine role: nodes below -chain-len interpose the worst-case
 	// chain adversary (Section 6.3) between protocol and wire.
@@ -329,7 +280,7 @@ func run(args []string) error {
 		for i := range chain {
 			chain[i] = wire.NodeID(i)
 		}
-		transport = adversary.Wrap(self, port, adversary.Chain(chain, int(self), wire.NodeID(*chainLen)), *demoSecret+int64(self))
+		transport = adversary.Wrap(self, port, adversary.Chain(chain, int(self), wire.NodeID(*chainLen)), demoSecret+int64(self))
 	}
 
 	peer, err := runtime.NewPeer(encl, transport, roster, runtime.Config{
@@ -347,8 +298,8 @@ func run(args []string) error {
 
 	runErr := runEpochs(epochsConfig{
 		peer: peer, port: port, self: self,
-		mode: *mode, initiator: *initiator, message: *message,
-		n: *n, t: *t, delta: *delta,
+		mode: *mode, message: *message,
+		t: *t, delta: *delta,
 		epochs: *epochs, resume: *resume,
 		start: start, byz: results.Byz,
 	}, results)
@@ -362,26 +313,23 @@ func run(args []string) error {
 	if derr := dump(); derr != nil {
 		return fail(derr)
 	}
-	if ctrl != nil {
-		ctrl.Done()
-	}
+	ctrl.Done()
 	return nil
 }
 
 // epochsConfig carries everything the epoch loop needs.
 type epochsConfig struct {
-	peer      *runtime.Peer
-	port      *tcpnet.Port
-	self      wire.NodeID
-	mode      string
-	initiator int
-	message   string
-	n, t      int
-	delta     time.Duration
-	epochs    int
-	resume    int
-	start     time.Time
-	byz       bool
+	peer    *runtime.Peer
+	port    *tcpnet.Port
+	self    wire.NodeID
+	mode    string
+	message string
+	t       int
+	delta   time.Duration
+	epochs  int
+	resume  int
+	start   time.Time
+	byz     bool
 }
 
 // runEpochs drives the shared epoch schedule: epoch e starts at
@@ -459,18 +407,18 @@ func buildProtocol(cfg epochsConfig) (runtime.Protocol, chan epochOutcome, int, 
 	case "erb":
 		eng, err := erb.NewEngine(cfg.peer, erb.Config{
 			T:                  cfg.t,
-			ExpectedInitiators: []wire.NodeID{wire.NodeID(cfg.initiator)},
+			ExpectedInitiators: []wire.NodeID{initiator},
 		})
 		if err != nil {
 			return nil, nil, 0, err
 		}
-		if int(cfg.self) == cfg.initiator {
+		if cfg.self == initiator {
 			var v wire.Value
 			copy(v[:], cfg.message)
 			eng.SetInput(v)
 		}
 		proto := &finishHook{Protocol: eng, onFinish: func() {
-			res, ok := eng.Result(wire.NodeID(cfg.initiator))
+			res, ok := eng.Result(initiator)
 			switch {
 			case !ok:
 				done <- epochOutcome{note: "no decision"}
@@ -513,25 +461,20 @@ func buildProtocol(cfg epochsConfig) (runtime.Protocol, chan epochOutcome, int, 
 // preflight verifies every peer's listener accepts a TCP connection
 // within the window, retrying until the deadline. A peer that never
 // comes up is reported by id and address so the failure is actionable.
-func preflight(addrs map[wire.NodeID]string, self wire.NodeID, window time.Duration) error {
+func preflight(table []scenario.Entry, self wire.NodeID, window time.Duration) error {
 	deadline := time.Now().Add(window)
-	ids := make([]int, 0, len(addrs))
-	for id := range addrs {
-		if id != self {
-			ids = append(ids, int(id))
+	for id, e := range table {
+		if wire.NodeID(id) == self {
+			continue
 		}
-	}
-	sort.Ints(ids)
-	for _, id := range ids {
-		addr := addrs[wire.NodeID(id)]
 		for {
-			c, err := net.DialTimeout("tcp", addr, time.Second)
+			c, err := net.DialTimeout("tcp", e.Addr, time.Second)
 			if err == nil {
 				c.Close()
 				break
 			}
 			if time.Now().After(deadline) {
-				return fmt.Errorf("peer %d (%s) never accepted a connection within %v: %w", id, addr, window, err)
+				return fmt.Errorf("peer %d (%s) never accepted a connection within %v: %w", id, e.Addr, window, err)
 			}
 			time.Sleep(100 * time.Millisecond)
 		}
@@ -568,7 +511,8 @@ func applyShaping(port *tcpnet.Port, spec string, n int) error {
 }
 
 // controlConn is the node side of the scenario runner's barrier: a
-// line-oriented TCP conversation (READY → PEERS+START → DONE/FAIL),
+// line-oriented TCP conversation (READY → PEERS+START → DONE/FAIL;
+// internal/scenario owns the READY, PEERS and START formats),
 // which in -stream mode also multiplexes live telemetry (EV/MT lines
 // node→runner) and profile requests (PROF lines runner→node). The write
 // mutex keeps the exporter's lines whole against DONE/FAIL.
@@ -578,14 +522,14 @@ type controlConn struct {
 	mu   sync.Mutex
 }
 
-// dialControl connects to the runner and announces this node's listen
-// address.
-func dialControl(addr string, id int, listenAddr string) (*controlConn, error) {
+// dialControl connects to the runner and announces this node's
+// directory entry.
+func dialControl(addr string, self scenario.Entry) (*controlConn, error) {
 	conn, err := net.DialTimeout("tcp", addr, 10*time.Second)
 	if err != nil {
 		return nil, fmt.Errorf("control %s: %w", addr, err)
 	}
-	if _, err := fmt.Fprintf(conn, "READY %d %s\n", id, listenAddr); err != nil {
+	if err := scenario.WriteReady(conn, self); err != nil {
 		conn.Close()
 		return nil, err
 	}
@@ -593,42 +537,12 @@ func dialControl(addr string, id int, listenAddr string) (*controlConn, error) {
 }
 
 // AwaitStart blocks until the runner releases the barrier, returning the
-// full address table and the shared start instant.
-func (c *controlConn) AwaitStart(n int) (map[wire.NodeID]string, time.Time, error) {
-	peersLine, err := c.readLine("PEERS")
-	if err != nil {
-		return nil, time.Time{}, err
-	}
-	addrs, err := parsePeers(peersLine, n)
-	if err != nil {
-		return nil, time.Time{}, err
-	}
-	startLine, err := c.readLine("START")
-	if err != nil {
-		return nil, time.Time{}, err
-	}
-	var ms int64
-	if _, err := fmt.Sscanf(startLine, "%d", &ms); err != nil {
-		return nil, time.Time{}, fmt.Errorf("control: bad START %q", startLine)
-	}
-	return addrs, time.UnixMilli(ms), nil
-}
-
-// readLine reads one control line and strips the expected verb.
-func (c *controlConn) readLine(verb string) (string, error) {
+// directory of a fleet of n and the shared start instant.
+func (c *controlConn) AwaitStart(n int) ([]scenario.Entry, time.Time, error) {
 	if err := c.conn.SetReadDeadline(time.Now().Add(2 * time.Minute)); err != nil {
-		return "", err
+		return nil, time.Time{}, err
 	}
-	line, err := c.rd.ReadString('\n')
-	if err != nil {
-		return "", fmt.Errorf("control: reading %s: %w", verb, err)
-	}
-	line = strings.TrimSpace(line)
-	rest, found := strings.CutPrefix(line, verb+" ")
-	if !found {
-		return "", fmt.Errorf("control: expected %s, got %q", verb, line)
-	}
-	return rest, nil
+	return scenario.ReadRelease(c.rd, n)
 }
 
 // Done reports successful completion to the runner.
@@ -698,39 +612,4 @@ type finishHook struct {
 func (f *finishHook) OnFinish() {
 	f.Protocol.OnFinish()
 	f.onFinish()
-}
-
-// parsePeers parses "0=h:p,1=h:p,..." into a dense address table.
-func parsePeers(s string, n int) (map[wire.NodeID]string, error) {
-	if s == "" {
-		return nil, fmt.Errorf("-peers is required (id=host:port for all %d nodes)", n)
-	}
-	out := make(map[wire.NodeID]string, n)
-	for _, part := range strings.Split(s, ",") {
-		kv := strings.SplitN(strings.TrimSpace(part), "=", 2)
-		if len(kv) != 2 {
-			return nil, fmt.Errorf("bad peer entry %q", part)
-		}
-		var id int
-		if _, err := fmt.Sscanf(kv[0], "%d", &id); err != nil || id < 0 || id >= n {
-			return nil, fmt.Errorf("bad peer id %q", kv[0])
-		}
-		out[wire.NodeID(id)] = kv[1]
-	}
-	if len(out) != n {
-		missing := make([]int, 0, n)
-		for i := 0; i < n; i++ {
-			if _, ok := out[wire.NodeID(i)]; !ok {
-				missing = append(missing, i)
-			}
-		}
-		sort.Ints(missing)
-		return nil, fmt.Errorf("peer table incomplete, missing ids %v", missing)
-	}
-	return out, nil
-}
-
-// enclaveMeasurement computes the expected program measurement.
-func enclaveMeasurement(program []byte) xcrypto.Measurement {
-	return xcrypto.Measure(program)
 }

@@ -150,7 +150,7 @@ func (e *exporter) Stop() error {
 // owns the control reader from here on — nothing else reads after
 // AwaitStart — and exits when the connection closes.
 func watchProfileRequests(ctrl *controlConn, dir string, id int) {
-	if ctrl == nil || dir == "" {
+	if dir == "" {
 		return
 	}
 	go func() {

@@ -263,9 +263,10 @@ func runBench(bin, dir, outPath string, benchN int) error {
 		Instances: benchN,
 		OutDir:    filepath.Join(dir, tc.Name),
 		// Round 1 waits for the slowest process: each of the n nodes
-		// derives all n demo enclaves and preflights n-1 listeners, so
-		// the fleet's startup work is quadratic in n and shares however
-		// few cores the host has.
+		// launches its own enclave, parses and checks the directory's n
+		// quotes and preflights n-1 listeners, so the fleet's startup
+		// work is quadratic in n and shares however few cores the host
+		// has.
 		StartDelay: 10*time.Second + time.Duration(benchN)*200*time.Millisecond,
 		Log:        os.Stderr,
 	})

@@ -19,7 +19,8 @@ import (
 // nor may the lane executor's event-count hand-off rule, which a measured
 // one replaced, nor the option and the cancellable simulator events that
 // PR 22 deleted for want of a caller, nor the setup phase that opened every
-// channel before round 1 (a pair's channel opens at its first frame).
+// channel before round 1 (a pair's channel opens at its first frame), nor
+// p2pnode's standalone-mode flags and simnet's latency option, both gone.
 // A //lint:allow or `p2plint -only` in a document, or the Makefile, must
 // name an analyzer in lint.Analyzers(). Retired analyzers and p2plint
 // flags, and the retired Appendix G/H packages, examples and their API,
@@ -53,6 +54,7 @@ func TestDocsNameOnlyThingsThatExist(t *testing.T) {
 		{"retired rule", regexp.MustCompile(`(minParallelEvents|256 events)`), func(string) bool { return false }},
 		{"retired name", regexp.MustCompile(`(Options\.Program|Sim\.Cancel|vclock\.Event|Sim\.Step|Sim\.At\b|Sim\.After\b)`), func(string) bool { return false }},
 		{"retired phase", regexp.MustCompile(`(establish every peer's N-1 blinded channels)`), func(string) bool { return false }},
+		{"retired option", regexp.MustCompile(`(start-at-ms|demo-secret|no-preflight|connect-timeout|BaseLatency)`), func(string) bool { return false }},
 	}
 	analyzers := map[string]bool{}
 	for _, a := range lint.Analyzers() {
@@ -62,7 +64,7 @@ func TestDocsNameOnlyThingsThatExist(t *testing.T) {
 	retired := regexp.MustCompile("lockorder|nilness|`lockstep`|sealerr|-baseline|p2plint -json|" +
 		`PuzzleDifficulty|DeriveKey|NewKeySchedule|NewBalancer|NewWalker|` +
 		`internal/(sybil|keygen|loadbal|randomwalk)\b|examples/(loadbalance|randomwalk)\b`)
-	budget := map[string]int{"README.md": 235, "DESIGN.md": 1325, "EXPERIMENTS.md": 1910}
+	budget := map[string]int{"README.md": 229, "DESIGN.md": 1325, "EXPERIMENTS.md": 1910}
 	for _, doc := range []string{"README.md", "DESIGN.md", "EXPERIMENTS.md", ".claude/skills/verify/SKILL.md", "Makefile"} {
 		text, err := os.ReadFile(doc)
 		if err != nil {

@@ -2,32 +2,12 @@ package erb_test
 
 import (
 	"testing"
-	"time"
 
+	"sgxp2p/internal/adversary"
 	"sgxp2p/internal/core/erb"
 	"sgxp2p/internal/deploy"
-	"sgxp2p/internal/runtime"
 	"sgxp2p/internal/wire"
 )
-
-// dropTransport is a byzantine OS that selectively omits outbound
-// envelopes (attack A3). It forwards everything else unchanged.
-type dropTransport struct {
-	inner runtime.Transport
-	drop  func(dst wire.NodeID) bool
-}
-
-func (d *dropTransport) Send(dst wire.NodeID, payload []byte) {
-	if d.drop != nil && d.drop(dst) {
-		return
-	}
-	d.inner.Send(dst, payload)
-}
-
-func (d *dropTransport) SetHandler(h func(src wire.NodeID, payload []byte)) { d.inner.SetHandler(h) }
-func (d *dropTransport) Detach()                                            { d.inner.Detach() }
-func (d *dropTransport) After(t time.Duration, fn func())                   { d.inner.After(t, fn) }
-func (d *dropTransport) Now() time.Duration                                 { return d.inner.Now() }
 
 // buildEngines creates one ERB engine per peer and starts them all for the
 // engine's round count.
@@ -110,18 +90,11 @@ func TestSilentInitiatorAllDecideBottom(t *testing.T) {
 
 func TestOmitAllInitiatorHaltsOthersDecideBottom(t *testing.T) {
 	const n, byz = 7, 3
-	d, err := deploy.New(deploy.Options{
-		N: n, T: byz, Seed: 5,
-		Wrap: func(id wire.NodeID, tr runtime.Transport) runtime.Transport {
-			if id != 0 {
-				return tr
-			}
-			return &dropTransport{inner: tr, drop: func(wire.NodeID) bool { return true }}
-		},
-	})
+	d, err := deploy.New(deploy.Options{N: n, T: byz, Seed: 5})
 	if err != nil {
 		t.Fatal(err)
 	}
+	d.OS(0).Set(adversary.OmitAll())
 	engines := buildEngines(t, d, erb.Config{T: byz, ExpectedInitiators: []wire.NodeID{0}})
 	engines[0].SetInput(value(1))
 	startAll(d, engines)
@@ -145,18 +118,11 @@ func TestSelectiveOmissionStillAgrees(t *testing.T) {
 	// required, but agreement is: either all honest nodes accept m, or all
 	// decide bottom. Here peer 1 relays, so everyone accepts by round f+2.
 	const n, byz = 7, 3
-	d, err := deploy.New(deploy.Options{
-		N: n, T: byz, Seed: 6,
-		Wrap: func(id wire.NodeID, tr runtime.Transport) runtime.Transport {
-			if id != 0 {
-				return tr
-			}
-			return &dropTransport{inner: tr, drop: func(dst wire.NodeID) bool { return dst != 1 }}
-		},
-	})
+	d, err := deploy.New(deploy.Options{N: n, T: byz, Seed: 6})
 	if err != nil {
 		t.Fatal(err)
 	}
+	d.OS(0).Set(adversary.Chain([]wire.NodeID{0}, 0, 1)) // only-to(1)
 	engines := buildEngines(t, d, erb.Config{T: byz, ExpectedInitiators: []wire.NodeID{0}})
 	engines[0].SetInput(value(0x77))
 	startAll(d, engines)
@@ -187,20 +153,19 @@ func TestAgreementPropertyUnderRandomOmissions(t *testing.T) {
 	const n, byz = 9, 4
 	for seed := int64(0); seed < 12; seed++ {
 		seed := seed
-		d, err := deploy.New(deploy.Options{
-			N: n, T: byz, Seed: seed,
-			Wrap: func(id wire.NodeID, tr runtime.Transport) runtime.Transport {
-				if int(id) >= byz {
-					return tr // honest
-				}
-				mask := seed*7 + int64(id)
-				return &dropTransport{inner: tr, drop: func(dst wire.NodeID) bool {
-					return (mask>>(dst%8))&1 == 0
-				}}
-			},
-		})
+		d, err := deploy.New(deploy.Options{N: n, T: byz, Seed: seed})
 		if err != nil {
 			t.Fatal(err)
+		}
+		for id := 0; id < byz; id++ {
+			mask := seed*7 + int64(id)
+			var drop []wire.NodeID
+			for dst := wire.NodeID(0); dst < n; dst++ {
+				if (mask>>(dst%8))&1 == 0 {
+					drop = append(drop, dst)
+				}
+			}
+			d.OS(wire.NodeID(id)).Set(adversary.OmitTo(drop...))
 		}
 		engines := buildEngines(t, d, erb.Config{T: byz, ExpectedInitiators: []wire.NodeID{0}})
 		engines[0].SetInput(value(byte(seed + 1)))

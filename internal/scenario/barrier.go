@@ -3,8 +3,9 @@ package scenario
 import (
 	"bufio"
 	"fmt"
+	"io"
 	"net"
-	"sort"
+	"slices"
 	"strings"
 	"sync"
 	"time"
@@ -20,18 +21,23 @@ type NodeEvent struct {
 	Detail string
 }
 
-// Barrier is the runner side of p2pnode's -control handshake. Each node
-// process connects, announces READY <id> <addr>, and blocks; once all n
-// expected nodes have checked in the runner releases the barrier, which
-// sends every node the full PEERS table and the shared START instant. A
+// Barrier is the runner side of p2pnode's -control handshake and the
+// fleet's directory. Each node process launches its own enclave, connects,
+// announces READY with its directory entry (listen address, attestation
+// quote, initial sequence number), and blocks; once all n expected nodes
+// have checked in the runner releases the barrier, which sends every node
+// the whole directory as one PEERS line and the shared START instant. A
 // node that connects after the release — one relaunched by a restart
-// event of the fault schedule — receives the same table and instant
-// immediately, so a restart joins the original schedule.
+// event of the fault schedule — must announce the enclave its id first
+// announced, the same quote and sequence number, and then receives the
+// stored directory and instant immediately, so a restart joins the
+// original schedule; a READY announcing another enclave is refused and
+// reported as a failed node.
 //
-// The conversation, one text line each:
+// The conversation, one text line each (directory.go owns the formats):
 //
-//	node → runner:  READY <id> <host:port>
-//	runner → node:  PEERS <0=h:p,1=h:p,...>
+//	node → runner:  READY <id> <host:port> <quote hex> <seq>
+//	runner → node:  PEERS <id> <host:port> <quote hex> <seq>,... (every id once)
 //	runner → node:  START <unix-ms>
 //	node → runner:  DONE  |  FAIL <reason>
 //
@@ -46,10 +52,11 @@ type Barrier struct {
 	events chan NodeEvent
 
 	mu       sync.Mutex
-	addrs    map[int]string
-	conns    map[int]net.Conn
+	table    []Entry // entry i is node i's first READY; zero until it arrives
+	ready    int
+	conns    []net.Conn // node i's latest control connection
 	released bool
-	start    time.Time
+	release  string // the PEERS and START lines, fixed by Release
 	readyAll chan struct{}
 	closed   bool
 	sink     func(id int, line string)
@@ -68,8 +75,8 @@ func NewBarrier(n int) (*Barrier, error) {
 		ln:       ln,
 		n:        n,
 		events:   make(chan NodeEvent, 4*n+16),
-		addrs:    make(map[int]string, n),
-		conns:    make(map[int]net.Conn, n),
+		table:    make([]Entry, n),
+		conns:    make([]net.Conn, n),
 		readyAll: make(chan struct{}),
 	}
 	b.wg.Add(1)
@@ -105,12 +112,12 @@ func (b *Barrier) serve(conn net.Conn) {
 		conn.Close()
 		return
 	}
-	var id int
-	var addr string
-	if _, err := fmt.Sscanf(strings.TrimSpace(line), "READY %d %s", &id, &addr); err != nil {
+	e, err := parseReady(strings.TrimSpace(line), b.n)
+	if err != nil {
 		conn.Close()
 		return
 	}
+	id := e.ID()
 
 	b.mu.Lock()
 	if b.closed {
@@ -118,21 +125,28 @@ func (b *Barrier) serve(conn net.Conn) {
 		conn.Close()
 		return
 	}
-	b.addrs[id] = addr
+	switch first := b.table[id]; {
+	case first.Addr == "":
+		b.table[id] = e
+		if b.ready++; b.ready == b.n {
+			close(b.readyAll)
+		}
+	case !first.sameEnclave(e):
+		b.mu.Unlock()
+		conn.Close()
+		b.events <- NodeEvent{ID: id, Kind: "fail", Detail: "barrier: READY announces an enclave other than the node's first"}
+		return
+	}
 	if old := b.conns[id]; old != nil {
 		old.Close()
 	}
 	b.conns[id] = conn
-	allReady := !b.released && len(b.addrs) == b.n
 	lateJoin := b.released
-	if allReady {
-		close(b.readyAll)
-	}
 	b.mu.Unlock()
 
-	b.events <- NodeEvent{ID: id, Kind: "ready", Detail: addr}
+	b.events <- NodeEvent{ID: id, Kind: "ready", Detail: e.Addr}
 	if lateJoin {
-		b.releaseOne(id, conn)
+		b.releaseOne(conn)
 	}
 
 	// Read until DONE/FAIL or EOF; EOF first means the process died.
@@ -188,83 +202,48 @@ func (b *Barrier) AwaitReady(timeout time.Duration) error {
 		return nil
 	case <-time.After(timeout):
 		b.mu.Lock()
-		missing := make([]int, 0, b.n)
-		for i := 0; i < b.n; i++ {
-			if _, ok := b.addrs[i]; !ok {
-				missing = append(missing, i)
-			}
-		}
+		missing := missingIDs(b.table)
 		b.mu.Unlock()
 		return fmt.Errorf("barrier: %d/%d nodes ready after %v, missing %v", b.n-len(missing), b.n, timeout, missing)
 	}
 }
 
 // Release fixes the shared start instant and sends every checked-in node
-// its PEERS table and START line.
+// the PEERS directory and START line.
 func (b *Barrier) Release(start time.Time) error {
 	b.mu.Lock()
 	if b.released {
 		b.mu.Unlock()
 		return fmt.Errorf("barrier: already released")
 	}
-	if len(b.addrs) != b.n {
+	if b.ready != b.n {
 		b.mu.Unlock()
-		return fmt.Errorf("barrier: only %d/%d nodes ready", len(b.addrs), b.n)
+		return fmt.Errorf("barrier: only %d/%d nodes ready", b.ready, b.n)
 	}
 	b.released = true
-	b.start = start
-	ids := make([]int, 0, b.n)
-	for id := range b.conns {
-		ids = append(ids, id)
-	}
-	sort.Ints(ids)
-	conns := make([]net.Conn, 0, len(ids))
-	for _, id := range ids {
-		conns = append(conns, b.conns[id])
-	}
+	b.release = fmt.Sprintf("%s\nSTART %d\n", formatPeers(b.table), start.UnixMilli())
+	conns := slices.Clone(b.conns)
 	b.mu.Unlock()
-	for i, id := range ids {
-		b.releaseOne(id, conns[i])
+	for _, conn := range conns {
+		b.releaseOne(conn)
 	}
 	return nil
 }
 
 // releaseOne sends one node the PEERS+START pair.
-func (b *Barrier) releaseOne(id int, conn net.Conn) {
+func (b *Barrier) releaseOne(conn net.Conn) {
 	b.mu.Lock()
-	line := b.peersLine()
-	startMS := b.start.UnixMilli()
+	release := b.release
 	b.mu.Unlock()
-	_, _ = fmt.Fprintf(conn, "PEERS %s\nSTART %d\n", line, startMS)
-}
-
-// peersLine renders the address table in parsePeers format (mu held).
-func (b *Barrier) peersLine() string {
-	ids := make([]int, 0, len(b.addrs))
-	for id := range b.addrs {
-		ids = append(ids, id)
-	}
-	sort.Ints(ids)
-	parts := make([]string, 0, len(ids))
-	for _, id := range ids {
-		parts = append(parts, fmt.Sprintf("%d=%s", id, b.addrs[id]))
-	}
-	return strings.Join(parts, ",")
+	_, _ = io.WriteString(conn, release)
 }
 
 // NodeAddr returns the listen address node id announced.
 func (b *Barrier) NodeAddr(id int) (string, bool) {
 	b.mu.Lock()
 	defer b.mu.Unlock()
-	addr, ok := b.addrs[id]
-	return addr, ok
-}
-
-// Start returns the released start instant.
-func (b *Barrier) Start() time.Time {
-	b.mu.Lock()
-	defer b.mu.Unlock()
-	return b.start
+	addr := b.table[id].Addr
+	return addr, addr != ""
 }
 
 // Close shuts the barrier down and drops all control connections.
@@ -275,19 +254,13 @@ func (b *Barrier) Close() {
 		return
 	}
 	b.closed = true
-	conns := make([]net.Conn, 0, len(b.conns))
-	ids := make([]int, 0, len(b.conns))
-	for id := range b.conns {
-		ids = append(ids, id)
-	}
-	sort.Ints(ids)
-	for _, id := range ids {
-		conns = append(conns, b.conns[id])
-	}
+	conns := slices.Clone(b.conns)
 	b.mu.Unlock()
 	b.ln.Close()
 	for _, c := range conns {
-		c.Close()
+		if c != nil {
+			c.Close()
+		}
 	}
 	b.wg.Wait()
 }

@@ -68,12 +68,12 @@ type workerPool struct {
 // enough that what a worker leaves unused (at most a chunk) strands little.
 const recordChunk = 32
 
-// EnableLanes promises the simulator BaseLatency as the lookahead of this
+// EnableLanes promises the simulator minLatency as the lookahead of this
 // network's lane events — no delivery arrives sooner after its send — so
 // that it may fire a window of them on several goroutines. The caller
 // vouches for what the network cannot see: that every handler and port
 // timer touches only its own node's state and reaches the network through
-// its own port, and that port timers are no shorter than BaseLatency.
+// its own port, and that port timers are no shorter than minLatency.
 //
 // Each node's op log is carved here from one array, laneOps ops a node,
 // so that a fresh deployment's first windows do not grow every log from
@@ -83,7 +83,7 @@ func (n *Network) EnableLanes() {
 	for i := range n.nodes {
 		n.nodes[i].log = ops[i*laneOps : i*laneOps : (i+1)*laneOps]
 	}
-	n.sim.SetLanes(n, len(n.nodes), n.cfg.BaseLatency)
+	n.sim.SetLanes(n, len(n.nodes), n.minLatency())
 }
 
 // laneOps is the op capacity EnableLanes gives each node's log: a node's

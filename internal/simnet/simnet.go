@@ -5,7 +5,7 @@
 // The network is driven by the discrete-event engine in internal/vclock.
 // Every message experiences
 //
-//   - a propagation latency, uniform in [BaseLatency, Delta] (the TCP/IP
+//   - a propagation latency, uniform in [Delta/10, Delta) (the TCP/IP
 //     substrate's bounded delivery delay, assumption S3), plus
 //   - serialization on a single shared link of configurable bandwidth,
 //     modelled as a FIFO queue, which reproduces the bandwidth-bottleneck
@@ -18,7 +18,7 @@
 //
 // Every node is a lane of the simulator (vclock.Lanes): deliveries to it
 // and timers of its port are its lane's events. Once EnableLanes promised
-// BaseLatency as the lookahead, the simulator may run one window's lanes
+// the minimum latency as the lookahead, the simulator may run one window's lanes
 // on several goroutines, and the network holds back what the nodes do to
 // shared state until the window commits (lanes.go). The numbers above —
 // latencies, traffic, drops, the order of everything — do not depend on
@@ -50,9 +50,6 @@ type Config struct {
 	// Delta is the one-way delivery bound (assumption S3): propagation
 	// latency never exceeds it. A round lasts 2*Delta.
 	Delta time.Duration
-	// BaseLatency is the minimum propagation latency. Defaults to
-	// Delta/10.
-	BaseLatency time.Duration
 	// Bandwidth is the shared-link bandwidth in bytes per second.
 	// Zero means unlimited (no serialization delay).
 	Bandwidth float64
@@ -331,6 +328,10 @@ func (n *Network) SetTelemetry(tr *telemetry.Tracer, m *telemetry.Metrics) {
 	}
 }
 
+// minLatency is the shortest propagation latency, Delta/10: no frame
+// arrives sooner after its send, which makes it the lanes' lookahead.
+func (n *Network) minLatency() time.Duration { return n.cfg.Delta / 10 }
+
 // New creates a network of cfg.N disconnected ports on the given simulator.
 func New(sim *vclock.Sim, cfg Config) (*Network, error) {
 	if sim == nil {
@@ -341,12 +342,6 @@ func New(sim *vclock.Sim, cfg Config) (*Network, error) {
 	}
 	if cfg.Delta <= 0 {
 		return nil, fmt.Errorf("simnet: invalid delta %v", cfg.Delta)
-	}
-	if cfg.BaseLatency <= 0 {
-		cfg.BaseLatency = cfg.Delta / 10
-	}
-	if cfg.BaseLatency > cfg.Delta {
-		return nil, fmt.Errorf("simnet: base latency %v exceeds delta %v", cfg.BaseLatency, cfg.Delta)
 	}
 	// Every event this network schedules — deliveries (≤ Delta ahead) and
 	// the runtimes' lockstep ticks (2·Delta ahead) — sits within a few
@@ -486,10 +481,7 @@ func (n *Network) transmit(d *delivery) {
 	// Latency is strictly below Delta so that a message sent at a round
 	// boundary is always delivered before the next boundary's lockstep
 	// tick, never exactly on it.
-	latency := n.cfg.BaseLatency
-	if spread := n.cfg.Delta - n.cfg.BaseLatency; spread > 0 {
-		latency += time.Duration(n.rng.Int63n(int64(spread)))
-	}
+	latency := n.minLatency() + time.Duration(n.rng.Int63n(int64(n.cfg.Delta-n.minLatency())))
 	arrival := start + latency
 	if arrival-now > n.cfg.Delta {
 		n.traffic.Late++
