@@ -103,10 +103,10 @@ obs-smoke:
 
 # scenario-smoke is the multi-process end-to-end check (DESIGN.md §13):
 # build the real node binary, run the ERNG slow-link manifest at n=4 and
-# the byzantine-chain manifest at its default n=7 (two chain members on
-# the adversary's OS) as actual TCP process fleets via cmd/p2pscenario,
-# then validate each run's merged cross-process telemetry with p2ptrace
-# -check. (The honest ERB fleet at n=4 is obs-live-smoke's run, under the
+# the byzantine-chain manifest at its default n=7 (two flips of its fault
+# schedule, each applied by the flipped node on its own adversary OS) as
+# actual TCP process fleets via cmd/p2pscenario, then validate each run's
+# merged cross-process telemetry with p2ptrace -check. (The honest ERB fleet at n=4 is obs-live-smoke's run, under the
 # same invariants.) The generous Δ override keeps the round windows safe
 # on loaded CI hosts; the invariants (agreement, acceptance, round
 # bounds) are asserted by the runner itself.

@@ -19,6 +19,13 @@
 // with the directory's sequence numbers bumped once per elapsed epoch,
 // per the restart lifecycle.
 //
+// Every node runs on its own adversary OS, honest until the run's fault
+// schedule flips it: -faults carries the manifest's schedule in its
+// chaos.Schedule text, and the node sets each flip that names it at the
+// start of its round, as the simulated fault engine does (the §6.3 chain
+// is two flips, "flip(0,only-to(1))@r1 flip(1,only-to(2))@r1"). Crashes
+// and restarts are the runner's.
+//
 // The demo shares one attestation-service key derived from a fixed demo
 // secret, which also seeds each node's enclave: in a production
 // deployment each enclave would be attested by the real IAS instead.
@@ -42,6 +49,7 @@ import (
 	"time"
 
 	"sgxp2p/internal/adversary"
+	"sgxp2p/internal/chaos"
 	"sgxp2p/internal/core/erb"
 	"sgxp2p/internal/core/erng"
 	"sgxp2p/internal/enclave"
@@ -83,7 +91,7 @@ func run(args []string) error {
 		message    = fs.String("message", "hello from the enclave", "erb mode: node 0's payload")
 		epochs     = fs.Int("epochs", 1, "number of back-to-back protocol epochs to run")
 		resume     = fs.Int("resume-epoch", 0, "rejoin a running schedule at this epoch (restart lifecycle: seqs are bumped once per elapsed epoch)")
-		chainLen   = fs.Int("chain-len", 0, "nodes 0..chain-len-1 run the worst-case byzantine chain strategy (erb mode)")
+		faults     = fs.String("faults", "", "the run's fault schedule (chaos.Schedule text); the node applies its own flip events")
 		slow       = fs.String("slow", "", "slow-link shaping: 'all=50ms' or 'id=dur,id=dur' extra delay per outbound frame")
 		tracePath  = fs.String("trace", "", "append this node's telemetry event stream (JSONL) to a file as the run proceeds")
 		metricsOut = fs.String("metrics-out", "", "write this node's metrics in Prometheus text format to a file on exit")
@@ -105,6 +113,10 @@ func run(args []string) error {
 	}
 	if *epochs < 1 || *resume < 0 || *resume >= *epochs {
 		return fmt.Errorf("invalid epoch schedule: epochs=%d resume-epoch=%d", *epochs, *resume)
+	}
+	sched, err := chaos.ParseSchedule(*faults)
+	if err != nil {
+		return err
 	}
 	self := wire.NodeID(*id)
 
@@ -169,7 +181,7 @@ func run(args []string) error {
 	}
 	watchProfileRequests(ctrl, *profileDir, *id)
 	var exp *exporter // started below, once fail exists to report a bad -trace path
-	results := &scenario.NodeResult{ID: *id, Mode: *mode, N: *n, T: *t, Byz: int(self) < *chainLen}
+	results := &scenario.NodeResult{ID: *id, Mode: *mode, N: *n, T: *t, Byz: scenario.Byzantine(sched, *id)}
 	// dump quiesces the live plane in dependency order — the probe's final
 	// sample lands in the registry, then the exporter's final drain ships
 	// it and completes the trace file — and writes the exit artifacts. It
@@ -272,18 +284,10 @@ func run(args []string) error {
 	}
 	port.Connect(addrs)
 
-	// Byzantine role: nodes below -chain-len interpose the worst-case
-	// chain adversary (Section 6.3) between protocol and wire.
-	var transport runtime.Transport = port
-	if int(self) < *chainLen {
-		chain := make([]wire.NodeID, *chainLen)
-		for i := range chain {
-			chain[i] = wire.NodeID(i)
-		}
-		transport = adversary.Wrap(self, port, adversary.Chain(chain, int(self), wire.NodeID(*chainLen)), demoSecret+int64(self))
-	}
-
-	peer, err := runtime.NewPeer(encl, transport, roster, runtime.Config{
+	// The node runs on its own OS, as every simulated node does: honest
+	// until one of the schedule's flips names it.
+	nodeOS := adversary.New(self, port, demoSecret)
+	peer, err := runtime.NewPeer(encl, nodeOS, roster, runtime.Config{
 		N: *n, T: *t, Delta: *delta, Trace: trace, Metrics: metrics,
 	})
 	if err != nil {
@@ -302,6 +306,7 @@ func run(args []string) error {
 		t: *t, delta: *delta,
 		epochs: *epochs, resume: *resume,
 		start: start, byz: results.Byz,
+		flips: &flips{os: nodeOS, trace: trace, events: sched.Events()},
 	}, results)
 	if runErr != nil {
 		return fail(runErr)
@@ -330,6 +335,7 @@ type epochsConfig struct {
 	resume  int
 	start   time.Time
 	byz     bool
+	flips   *flips
 }
 
 // runEpochs drives the shared epoch schedule: epoch e starts at
@@ -338,7 +344,7 @@ type epochsConfig struct {
 // lifecycle. A process that joined with -resume-epoch starts at its first
 // scheduled slot; earlier epochs belong to its previous incarnation.
 func runEpochs(cfg epochsConfig, results *scenario.NodeResult) error {
-	firstProto, firstDone, protoRounds, err := buildProtocol(cfg)
+	firstProto, firstDone, protoRounds, err := buildProtocol(cfg, cfg.resume)
 	if err != nil {
 		return err
 	}
@@ -356,13 +362,16 @@ func runEpochs(cfg epochsConfig, results *scenario.NodeResult) error {
 		proto, done, rounds := firstProto, firstDone, protoRounds
 		if e > cfg.resume {
 			var perr error
-			proto, done, rounds, perr = buildProtocol(cfg)
+			proto, done, rounds, perr = buildProtocol(cfg, e)
 			if perr != nil {
 				return perr
 			}
 		}
-		peer := cfg.peer
-		cfg.port.After(0, func() { peer.StartIn(proto, rounds, time.Until(epochStart)) })
+		peer, first := cfg.peer, e*scenario.EpochRounds(cfg.t)+1
+		cfg.port.After(0, func() {
+			cfg.flips.through(first)
+			peer.StartIn(proto, rounds, time.Until(epochStart))
+		})
 
 		// The epoch deadline leaves the full window plus one spare window
 		// of wall-clock grace (process scheduling, dump time).
@@ -399,10 +408,39 @@ type epochOutcome struct {
 	note     string
 }
 
+// flips sets this node's share of the run's fault schedule, the flip
+// events that name it, on the node's OS. The runner crashes and restarts
+// processes; a node sets its own behaviour.
+type flips struct {
+	os     *adversary.OS
+	trace  *telemetry.Tracer
+	events []chaos.Event // the schedule's events not yet passed, in order
+}
+
+// through applies every pending flip of this node up to schedule round r,
+// in schedule order, and records each as chaos.Engine does. The epoch
+// loop calls it before StartIn with the epoch's first round, and each
+// round's hook before the protocol acts, so a flip lands before the
+// first send of its round — and one in an epoch's idle slack, or before
+// a relaunched incarnation's first epoch, before the next round it runs.
+func (f *flips) through(r int) {
+	for len(f.events) > 0 && f.events[0].Round <= r {
+		ev := f.events[0]
+		f.events = f.events[1:]
+		if ev.Kind != chaos.KindFlip || ev.Node != f.os.ID() {
+			continue
+		}
+		f.os.Set(ev.Behavior)
+		f.trace.Record(ev.Node, uint32(ev.Round), telemetry.KindFlip, wire.NoNode, 0, ev.Behavior.String())
+	}
+}
+
 // buildProtocol constructs a fresh protocol instance for one epoch and
 // the channel its finish outcome arrives on.
-func buildProtocol(cfg epochsConfig) (runtime.Protocol, chan epochOutcome, int, error) {
+func buildProtocol(cfg epochsConfig, epoch int) (runtime.Protocol, chan epochOutcome, int, error) {
 	done := make(chan epochOutcome, 1)
+	base := epoch * scenario.EpochRounds(cfg.t)
+	onRound := func(rnd uint32) { cfg.flips.through(base + int(rnd)) }
 	switch cfg.mode {
 	case "erb":
 		eng, err := erb.NewEngine(cfg.peer, erb.Config{
@@ -417,7 +455,7 @@ func buildProtocol(cfg epochsConfig) (runtime.Protocol, chan epochOutcome, int, 
 			copy(v[:], cfg.message)
 			eng.SetInput(v)
 		}
-		proto := &finishHook{Protocol: eng, onFinish: func() {
+		proto := &hooks{Protocol: eng, onRound: onRound, onFinish: func() {
 			res, ok := eng.Result(initiator)
 			switch {
 			case !ok:
@@ -439,7 +477,7 @@ func buildProtocol(cfg epochsConfig) (runtime.Protocol, chan epochOutcome, int, 
 		if err != nil {
 			return nil, nil, 0, err
 		}
-		proto := &finishHook{Protocol: b, onFinish: func() {
+		proto := &hooks{Protocol: b, onRound: onRound, onFinish: func() {
 			res, ok := b.Result()
 			if !ok || !res.OK {
 				done <- epochOutcome{note: "no common random number"}
@@ -603,13 +641,20 @@ func writeExport(path string, export func(w io.Writer) error) error {
 	return f.Close()
 }
 
-// finishHook forwards a protocol and signals its finish.
-type finishHook struct {
+// hooks forwards a protocol, running onRound before each of its rounds
+// and onFinish after its finish.
+type hooks struct {
 	runtime.Protocol
+	onRound  func(rnd uint32)
 	onFinish func()
 }
 
-func (f *finishHook) OnFinish() {
-	f.Protocol.OnFinish()
-	f.onFinish()
+func (h *hooks) OnRound(rnd uint32) {
+	h.onRound(rnd)
+	h.Protocol.OnRound(rnd)
+}
+
+func (h *hooks) OnFinish() {
+	h.Protocol.OnFinish()
+	h.onFinish()
 }

@@ -1,10 +1,11 @@
 // Command p2pscenario orchestrates declarative multi-process scenarios:
 // it reads JSON manifests (scenarios/*.json), spawns a fleet of p2pnode
 // processes over real TCP, runs the readiness barrier, fires the
-// testcase's fault schedule (crashes and restarts, in chaos.Schedule's
-// text form), collects every process's telemetry JSONL and result JSON,
-// and asserts the cross-process invariants (agreement, termination
-// rounds, trace consistency) centrally.
+// testcase's fault schedule (chaos.Schedule's text form: the runner
+// crashes and restarts processes, and every node applies its own flips),
+// collects every process's telemetry JSONL and result JSON, and asserts
+// the cross-process invariants (agreement, termination rounds, trace
+// consistency) centrally.
 //
 // Usage:
 //
@@ -13,7 +14,11 @@
 //	p2pscenario -testcase erb-honest -instances 16 scenarios/honest-sweep.json
 //	p2pscenario -param epochs=3 -param delta=300ms scenarios/slow-link.json
 //	p2pscenario -stream -testcase erb-honest scenarios/honest-sweep.json  # live plane on
-//	p2pscenario -bench BENCH_scenario.json -bench-n 128   # live fig2a point vs simnet
+//	p2pscenario -testcase erb-honest -instances 128 -param epochs=1 -param delta=4.3s \
+//		scenarios/honest-sweep.json                   # the live fig2a point
+//
+// The live fig2a point's max_round bound is simnet's 2 decision rounds
+// with one round of tolerance; the simnet side is fig2a's N=128 row.
 //
 // -stream turns on the live observability plane: every node streams its
 // telemetry events (with causal span hops) and metric deltas over the
@@ -28,16 +33,12 @@
 package main
 
 import (
-	"encoding/json"
 	"flag"
 	"fmt"
 	"os"
 	"path/filepath"
-	goruntime "runtime"
 	"strings"
-	"time"
 
-	"sgxp2p/internal/experiments"
 	"sgxp2p/internal/scenario"
 )
 
@@ -71,8 +72,6 @@ func run(args []string) error {
 		nodeBin   = fs.String("node-bin", "", "prebuilt p2pnode binary (default: go build it)")
 		outDir    = fs.String("out", "", "artifact directory (default: temp dir)")
 		keep      = fs.Bool("keep", false, "keep the artifact directory")
-		benchOut  = fs.String("bench", "", "run the live fig2a cross-check and write this BENCH json")
-		benchN    = fs.Int("bench-n", 128, "network size of the live bench point")
 		stream    = fs.Bool("stream", false, "live observability plane: nodes stream telemetry+metrics during the run, the runner aggregates per-round fleet percentiles and writes aggregate.jsonl")
 		profile   = fs.Bool("profile", false, "pprof-on-violation: wedged nodes get CPU+heap captures into <out>/profiles before the fleet is reaped")
 	)
@@ -81,8 +80,8 @@ func run(args []string) error {
 		return err
 	}
 
-	if *benchOut == "" && fs.NArg() == 0 {
-		return fmt.Errorf("no manifests given (and no -bench)")
+	if fs.NArg() == 0 {
+		return fmt.Errorf("no manifests given")
 	}
 
 	manifests := make([]*scenario.Manifest, 0, fs.NArg())
@@ -113,7 +112,7 @@ func run(args []string) error {
 		return nil
 	}
 
-	if *benchOut == "" && *caseName != "" && !hasTestcase(manifests, *caseName) {
+	if *caseName != "" && !hasTestcase(manifests, *caseName) {
 		return fmt.Errorf("no testcase named %q in the given manifests", *caseName)
 	}
 
@@ -134,10 +133,6 @@ func run(args []string) error {
 		if bin, err = scenario.BuildNodeBin(dir); err != nil {
 			return err
 		}
-	}
-
-	if *benchOut != "" {
-		return runBench(bin, dir, *benchOut, *benchN)
 	}
 
 	failures := 0
@@ -210,133 +205,6 @@ func runOne(m *scenario.Manifest, tc *scenario.Testcase, bin, dir string, n int,
 	}
 	if !report.Passed {
 		return fmt.Errorf("invariants violated (artifacts in %s)", sub)
-	}
-	return nil
-}
-
-// benchEntry is one BENCH_scenario.json record: go-benchmark-style
-// timing fields with the live-vs-simnet fields added.
-type benchEntry struct {
-	Name         string  `json:"name"`
-	Iterations   int     `json:"iterations"`
-	NsPerOp      int64   `json:"ns_per_op"`
-	SecondsPerOp float64 `json:"seconds_per_op"`
-	N            int     `json:"n,omitempty"`
-	Rounds       int     `json:"rounds,omitempty"`
-	DeltaMS      int64   `json:"delta_ms,omitempty"`
-	RoundsDelta  *int    `json:"rounds_delta,omitempty"`
-	Tolerance    int     `json:"tolerance_rounds,omitempty"`
-	Agree        *bool   `json:"agree,omitempty"`
-}
-
-// runBench runs the live fig2a point (honest ERB at benchN real TCP
-// processes) and the simnet reference, and records both plus the
-// agreement verdict in a BENCH json.
-func runBench(bin, dir, outPath string, benchN int) error {
-	// The live Δ scales quadratically with the fleet: the echo round
-	// moves n*(n-1) sealed frames through however few cores the host
-	// has, so the delivery bound is dominated by scheduling and crypto
-	// throughput, not link bandwidth. The quadratic term is calibrated
-	// for a single-core worst case (~0.2ms of shared CPU per frame).
-	delta := 500*time.Millisecond +
-		time.Duration(benchN)*4*time.Millisecond +
-		time.Duration(benchN*benchN)*200*time.Microsecond
-	tc := &scenario.Testcase{
-		Name:      fmt.Sprintf("live-fig2a-n%d", benchN),
-		Instances: scenario.Range{Min: 4, Max: 1024, Default: benchN},
-		Expect:    scenario.Expect{Agreement: true, Accepted: true},
-	}
-	rp, err := tc.ResolveParams(nil)
-	if err != nil {
-		return err
-	}
-	rp.T = 1
-	rp.Delta = delta
-	rp.Epochs = 1
-	fmt.Fprintf(os.Stderr, "p2pscenario: live fig2a point: n=%d delta=%v\n", benchN, delta)
-
-	began := time.Now()
-	report, err := scenario.Run(scenario.RunConfig{
-		NodeBin:   bin,
-		Testcase:  tc,
-		Params:    rp,
-		Instances: benchN,
-		OutDir:    filepath.Join(dir, tc.Name),
-		// Round 1 waits for the slowest process: each of the n nodes
-		// launches its own enclave, parses and checks the directory's n
-		// quotes and preflights n-1 listeners, so the fleet's startup
-		// work is quadratic in n and shares however few cores the host
-		// has.
-		StartDelay: 10*time.Second + time.Duration(benchN)*200*time.Millisecond,
-		Log:        os.Stderr,
-	})
-	if err != nil {
-		return err
-	}
-	if !report.Passed {
-		for _, inv := range report.Invariants {
-			fmt.Fprintf(os.Stderr, "p2pscenario: invariant %s ok=%v %s\n", inv.Name, inv.OK, inv.Detail)
-		}
-		return fmt.Errorf("live bench run failed its invariants")
-	}
-	liveWall := time.Since(began)
-	liveRounds := 0
-	for _, node := range report.Nodes {
-		if node.Byz || node.Result == nil {
-			continue
-		}
-		for _, ep := range node.Result.Epochs {
-			if ep.Accepted && int(ep.Round) > liveRounds {
-				liveRounds = int(ep.Round)
-			}
-		}
-	}
-
-	ref, err := experiments.SimnetERBReference(experiments.Config{Seed: 42}, benchN)
-	if err != nil {
-		return err
-	}
-	const tolerance = 1
-	roundsDelta := liveRounds - ref.Rounds
-	agree := roundsDelta >= -tolerance && roundsDelta <= tolerance
-	fmt.Printf("live fig2a n=%d: live rounds=%d, simnet rounds=%d, delta=%d (tolerance %d) agree=%v\n",
-		benchN, liveRounds, ref.Rounds, roundsDelta, tolerance, agree)
-
-	doc := struct {
-		GoVersion  string       `json:"go_version"`
-		GoMaxProcs int          `json:"gomaxprocs"`
-		Workers    int          `json:"workers"`
-		Results    []benchEntry `json:"results"`
-	}{
-		GoVersion:  goruntime.Version(),
-		GoMaxProcs: goruntime.GOMAXPROCS(0),
-		Workers:    0,
-		Results: []benchEntry{
-			{
-				Name: fmt.Sprintf("live_fig2a_erb_n%d", benchN), Iterations: 1,
-				NsPerOp: liveWall.Nanoseconds(), SecondsPerOp: liveWall.Seconds(),
-				N: benchN, Rounds: liveRounds, DeltaMS: delta.Milliseconds(),
-			},
-			{
-				Name: fmt.Sprintf("simnet_fig2a_erb_n%d", benchN), Iterations: 1,
-				NsPerOp: ref.Termination.Nanoseconds(), SecondsPerOp: ref.Termination.Seconds(),
-				N: benchN, Rounds: ref.Rounds, DeltaMS: (ref.OneRound / 2).Milliseconds(),
-			},
-			{
-				Name: "fig2a_live_vs_simnet", Iterations: 1,
-				RoundsDelta: &roundsDelta, Tolerance: tolerance, Agree: &agree,
-			},
-		},
-	}
-	data, err := json.MarshalIndent(doc, "", "  ")
-	if err != nil {
-		return err
-	}
-	if err := os.WriteFile(outPath, append(data, '\n'), 0o644); err != nil {
-		return err
-	}
-	if !agree {
-		return fmt.Errorf("live point disagrees with simnet beyond tolerance")
 	}
 	return nil
 }

@@ -8,57 +8,46 @@ import (
 // Runner produces one experiment's table.
 type Runner func(Config) (*Table, error)
 
-// registry maps experiment ids to their runners. Ids match the
+// registry lists every experiment in presentation order. Ids match the
 // per-experiment index in DESIGN.md.
-var registry = map[string]Runner{
-	"fig2a":    Fig2a,
-	"fig2b":    Fig2b,
-	"fig2c":    Fig2c,
-	"fig3a":    Fig3a,
-	"fig3b":    Fig3b,
-	"fig3c":    Fig3c,
-	"tab1":     Tab1,
-	"tab2":     Tab2,
-	"sanitize": Sanitize,
-	"ablate":   Ablate,
-	"bias":     Bias,
-	"chaos":    Chaos,
-}
-
-// order fixes the presentation order for All.
-var order = []string{
-	"fig2a", "fig2b", "fig2c",
-	"fig3a", "fig3b", "fig3c",
-	"tab1", "tab2",
-	"sanitize", "bias", "ablate", "chaos",
+var registry = []struct {
+	id  string
+	run Runner
+}{
+	{"fig2a", Fig2a}, {"fig2b", Fig2b}, {"fig2c", Fig2c},
+	{"fig3a", Fig3a}, {"fig3b", Fig3b}, {"fig3c", Fig3c},
+	{"tab1", Tab1}, {"tab2", Tab2},
+	{"sanitize", Sanitize}, {"bias", Bias}, {"ablate", Ablate}, {"chaos", Chaos},
 }
 
 // IDs returns the known experiment ids in presentation order.
 func IDs() []string {
-	return append([]string(nil), order...)
+	ids := make([]string, len(registry))
+	for i, e := range registry {
+		ids[i] = e.id
+	}
+	return ids
 }
 
 // Get looks up a runner by id.
 func Get(id string) (Runner, error) {
-	r, ok := registry[id]
-	if !ok {
-		known := make([]string, 0, len(registry))
-		for k := range registry {
-			known = append(known, k)
+	for _, e := range registry {
+		if e.id == id {
+			return e.run, nil
 		}
-		sort.Strings(known)
-		return nil, fmt.Errorf("experiments: unknown id %q (known: %v)", id, known)
 	}
-	return r, nil
+	known := IDs()
+	sort.Strings(known)
+	return nil, fmt.Errorf("experiments: unknown id %q (known: %v)", id, known)
 }
 
 // All runs every experiment in order.
 func All(cfg Config) ([]*Table, error) {
-	out := make([]*Table, 0, len(order))
-	for _, id := range order {
-		tbl, err := registry[id](cfg)
+	out := make([]*Table, 0, len(registry))
+	for _, e := range registry {
+		tbl, err := e.run(cfg)
 		if err != nil {
-			return out, fmt.Errorf("experiments: %s: %w", id, err)
+			return out, fmt.Errorf("experiments: %s: %w", e.id, err)
 		}
 		out = append(out, tbl)
 	}

@@ -6,7 +6,9 @@ import (
 	"sync"
 	"testing"
 
+	"sgxp2p/internal/chaos"
 	"sgxp2p/internal/telemetry"
+	"sgxp2p/internal/wire"
 )
 
 // readTrace strictly parses one JSONL trace file.
@@ -141,5 +143,55 @@ func TestScenarioCrashRestart(t *testing.T) {
 		if !merged[ev] {
 			t.Fatalf("event %+v of the SIGKILLed incarnation is not in merged.jsonl", ev)
 		}
+	}
+}
+
+// TestScenarioChainMatchesSimnet is a live-versus-simnet differential: the
+// byzantine-chain manifest runs as a fleet of n = 7 processes, and its
+// parsed fault schedule runs on simnet's fault engine
+// (chaos.RunERBSchedule). Both worlds execute the same two flips on the
+// same per-node OS, so every honest node's accepted flag and decision
+// round must be equal in both. A flip is the node's own: the runner kills
+// and relaunches nothing, and merged.jsonl holds one flip event for each
+// chain member.
+func TestScenarioChainMatchesSimnet(t *testing.T) {
+	if testing.Short() {
+		t.Skip("spawns a process fleet")
+	}
+	const n = 7
+	report := runCase(t, "byzantine-chain.json", "erb-chain", n, map[string]string{"delta": "300ms"})
+	tc, err := repoManifest(t, "byzantine-chain.json").Case("erb-chain")
+	if err != nil {
+		t.Fatal(err)
+	}
+	sim, err := chaos.RunERBSchedule(1, n, report.Params.T, &tc.Faults)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for i, node := range report.Nodes {
+		if node.Crashed || node.Restarts != 0 {
+			t.Fatalf("node %d was killed or relaunched: %+v", i, node)
+		}
+		simNode := sim.Nodes[i]
+		if node.Byz == simNode.Honest {
+			t.Fatalf("node %d: live byzantine=%v, simnet honest=%v", i, node.Byz, simNode.Honest)
+		}
+		if node.Byz {
+			continue
+		}
+		live := node.Result.Epochs[0]
+		if live.Accepted != simNode.Accepted || live.Round != simNode.Round {
+			t.Errorf("node %d: live accepted=%v in round %d, simnet accepted=%v in round %d",
+				i, live.Accepted, live.Round, simNode.Accepted, simNode.Round)
+		}
+	}
+	flips := map[wire.NodeID]int{}
+	for _, ev := range readTrace(t, report.MergedPath) {
+		if ev.Kind == telemetry.KindFlip {
+			flips[ev.Node]++
+		}
+	}
+	if len(flips) != 2 || flips[0] != 1 || flips[1] != 1 {
+		t.Fatalf("flip events per node in merged.jsonl = %v, want one each for nodes 0 and 1", flips)
 	}
 }

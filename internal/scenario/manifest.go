@@ -37,7 +37,9 @@ type Testcase struct {
 	// "200ms"); the runner may override any of them.
 	Params map[string]any `json:"params"`
 	// Faults is a chaos schedule in its String() form, e.g.
-	// "crash(4)@r10 restart(4)@r11"; Validate holds the live rules.
+	// "crash(4)@r10 restart(4)@r11" or "flip(0,only-to(1))@r1"; Validate
+	// holds the live rules. The runner executes crashes and restarts, and
+	// each node its own flips.
 	Faults chaos.Schedule `json:"faults"`
 	// Sweep, when non-empty, repeats the testcase at each instance count.
 	Sweep []int `json:"sweep"`
@@ -72,7 +74,6 @@ type RunParams struct {
 	T        int           `json:"t"`
 	Delta    time.Duration `json:"delta"`
 	Epochs   int           `json:"epochs"`
-	ChainLen int           `json:"chain_len"`
 	Slow     string        `json:"slow,omitempty"`
 	SlowNode int           `json:"slow_node"`
 	Message  string        `json:"message,omitempty"`
@@ -154,8 +155,6 @@ func (rp *RunParams) Set(key, value string) error {
 		rp.Delta, err = time.ParseDuration(value)
 	case "epochs":
 		rp.Epochs, err = strconv.Atoi(value)
-	case "chain_len":
-		rp.ChainLen, err = strconv.Atoi(value)
 	case "slow":
 		rp.Slow = value
 	case "slow_node":
@@ -204,10 +203,11 @@ func (tc *Testcase) ResolveParams(overrides map[string]string) (RunParams, error
 
 // Validate checks a resolved run of n processes against the testcase's
 // constraints, before any process spawns. The fault schedule must pass
-// chaos's own checks plus the live rules: a live fleet only crashes and
-// restarts processes (a restart after a crash of the same node), every
-// event falls inside the run, and every restart leaves a later epoch to
-// rejoin.
+// chaos's own checks, whose fault budget bounds the flipped nodes too,
+// plus the live rules: a live fleet crashes, restarts and flips nodes but
+// does not partition them (a minority that P4 halts has no rule to rejoin
+// by), every event falls inside the run, a restart follows a crash of the
+// same node, and every restart leaves a later epoch to rejoin.
 func (tc *Testcase) Validate(n int, rp RunParams) error {
 	if n < tc.Instances.Min || n > tc.Instances.Max {
 		return fmt.Errorf("instances %d outside [%d, %d]", n, tc.Instances.Min, tc.Instances.Max)
@@ -221,24 +221,18 @@ func (tc *Testcase) Validate(n int, rp RunParams) error {
 	if rp.Epochs < 1 {
 		return fmt.Errorf("epochs %d < 1", rp.Epochs)
 	}
-	if rp.ChainLen > rp.T {
-		return fmt.Errorf("chain_len %d exceeds byzantine bound t=%d", rp.ChainLen, rp.T)
-	}
-	if rp.ChainLen >= n {
-		return fmt.Errorf("chain_len %d leaves no honest release node", rp.ChainLen)
-	}
 	if rp.SlowNode >= n {
 		return fmt.Errorf("slow_node %d outside fleet of %d", rp.SlowNode, n)
 	}
 	if err := tc.Faults.Validate(n, rp.T); err != nil {
 		return err
 	}
-	last := rp.Epochs * epochRounds(rp.T)
+	last := rp.Epochs * EpochRounds(rp.T)
 	down := map[wire.NodeID]bool{}
 	for _, ev := range tc.Faults.Events() {
 		switch {
-		case ev.Kind != chaos.KindCrash && ev.Kind != chaos.KindRestart:
-			return fmt.Errorf("faults: %s: a live fleet can only crash and restart nodes", ev)
+		case ev.Kind == chaos.KindPartition || ev.Kind == chaos.KindHeal:
+			return fmt.Errorf("faults: %s: a live fleet cannot partition or heal", ev)
 		case ev.Round > last:
 			return fmt.Errorf("faults: %s: past the run's last round %d", ev, last)
 		case ev.Kind == chaos.KindRestart && !down[ev.Node]:
@@ -246,9 +240,23 @@ func (tc *Testcase) Validate(n int, rp RunParams) error {
 		case ev.Kind == chaos.KindRestart && resumeEpoch(ev.Round, rp.T) >= rp.Epochs:
 			return fmt.Errorf("faults: %s: no later epoch to rejoin in %d epochs", ev, rp.Epochs)
 		}
-		down[ev.Node] = ev.Kind == chaos.KindCrash
+		if ev.Kind != chaos.KindFlip {
+			down[ev.Node] = ev.Kind == chaos.KindCrash
+		}
 	}
 	return nil
+}
+
+// Byzantine reports whether the fault schedule flips node id — the one
+// rule that makes a live node byzantine, in the node's result and in the
+// runner's report. The decision invariants skip byzantine nodes.
+func Byzantine(faults *chaos.Schedule, id int) bool {
+	for _, ev := range faults.Events() {
+		if ev.Kind == chaos.KindFlip && int(ev.Node) == id {
+			return true
+		}
+	}
+	return false
 }
 
 // String renders the resolved parameters compactly for reports.

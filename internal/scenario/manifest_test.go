@@ -6,6 +6,10 @@ import (
 	"strings"
 	"testing"
 	"time"
+
+	"sgxp2p/internal/adversary"
+	"sgxp2p/internal/chaos"
+	"sgxp2p/internal/wire"
 )
 
 // repoManifest loads one of the checked-in scenario manifests.
@@ -91,9 +95,9 @@ func TestResolveParamsDefaultsAndOverrides(t *testing.T) {
 	}
 }
 
-// TestManifestValidation pins the rejections ParseManifest makes before
-// anything runs: schema, params, and fault schedules a live fleet cannot
-// run.
+// TestManifestValidation pins what ParseManifest accepts and the
+// rejections it makes before anything runs: schema, params, and fault
+// schedules a live fleet cannot run.
 func TestManifestValidation(t *testing.T) {
 	// manifest wraps testcases; testcase is a valid one with extra fields.
 	manifest := func(cases ...string) string {
@@ -101,6 +105,17 @@ func TestManifestValidation(t *testing.T) {
 	}
 	testcase := func(extra string) string {
 		return `{"name": "a", "instances": {"min": 5, "max": 8, "default": 5}` + extra + `}`
+	}
+	// Flips run live: the chain of Section 6.3, and a flip of a crashed
+	// node before its restart.
+	for _, faults := range []string{
+		"flip(0,only-to(1))@r1 flip(1,only-to(2))@r1",
+		"crash(4)@r2 flip(4,omit-all)@r3 restart(4)@r6",
+	} {
+		src := manifest(testcase(`, "params": {"t": 2, "epochs": 2}, "faults": "` + faults + `"`))
+		if _, err := ParseManifest(src); err != nil {
+			t.Errorf("ParseManifest(%s): %v", src, err)
+		}
 	}
 	cases := []struct {
 		src, wantSub string
@@ -118,8 +133,10 @@ func TestManifestValidation(t *testing.T) {
 		{manifest(testcase(`, "params": {"mode": "paxos"}`)), "not erb or erng"},
 		{manifest(testcase(`, "params": {"delta": 250}`)), `param "delta"`},
 		{manifest(testcase(`, "faults": "explode(0)@r1"`)), "unknown event"},
-		{manifest(testcase(`, "faults": "flip(1,omit-all)@r2"`)), "flip(1,omit-all)@r2: a live fleet can only crash and restart"},
-		{manifest(testcase(`, "params": {"t": 2}, "faults": "part([0 1 2|3])@r2"`)), "part([0 1 2|3])@r2: a live fleet can only crash and restart"},
+		{manifest(testcase(`, "params": {"chain_len": 2}`)), `unknown parameter "chain_len"`},
+		{manifest(testcase(`, "params": {"t": 2}, "faults": "part([0 1 2|3])@r2"`)), "part([0 1 2|3])@r2: a live fleet cannot partition"},
+		{manifest(testcase(`, "faults": "heal@r2"`)), "heal@r2: a live fleet cannot partition or heal"},
+		{manifest(testcase(`, "faults": "flip(4,omit-all)@r1 restart(4)@r2"`)), "restart(4)@r2: node 4 has not crashed"},
 		{manifest(testcase(`, "params": {"epochs": 2}, "faults": "crash(4)@r2 restart(4)@r6"`)), "no later epoch to rejoin"},
 		{manifest(testcase(`, "faults": "restart(4)@r2"`)), "has not crashed"},
 		{manifest(testcase(`, "faults": "crash(4)@r6"`)), "past the run's last round 5"},
@@ -134,7 +151,7 @@ func TestManifestValidation(t *testing.T) {
 }
 
 // TestValidateRunConstraints pins the run-level checks: instance bounds,
-// the 2t+1 relation, positive Δ, chain ranges and the fault schedule's
+// the 2t+1 relation, positive Δ, the fault budget and the fault schedule's
 // rejoin epoch.
 func TestValidateRunConstraints(t *testing.T) {
 	m := repoManifest(t, "crash-restart.json")
@@ -154,18 +171,23 @@ func TestValidateRunConstraints(t *testing.T) {
 	}
 	for _, c := range []struct {
 		what string
-		edit func(*RunParams)
+		edit func(*Testcase, *RunParams)
 	}{
-		{"t above (n-1)/2", func(p *RunParams) { p.T = 10 }},
-		{"t < 0", func(p *RunParams) { p.T = -1 }},
-		{"delta = 0", func(p *RunParams) { p.Delta = 0 }},
-		{"delta < 0", func(p *RunParams) { p.Delta = -time.Second }},
-		{"chain_len above t", func(p *RunParams) { p.ChainLen = p.T + 1 }},
-		{"restart with no rejoin epoch", func(p *RunParams) { p.Epochs = 2 }},
+		{"t above (n-1)/2", func(_ *Testcase, p *RunParams) { p.T = 10 }},
+		{"t < 0", func(_ *Testcase, p *RunParams) { p.T = -1 }},
+		{"delta = 0", func(_ *Testcase, p *RunParams) { p.Delta = 0 }},
+		{"delta < 0", func(_ *Testcase, p *RunParams) { p.Delta = -time.Second }},
+		{"flips of t+1 nodes", func(c *Testcase, p *RunParams) {
+			c.Faults = chaos.Schedule{}
+			for id := 0; id <= p.T; id++ {
+				c.Faults.FlipBehavior(wire.NodeID(id), 1, adversary.OmitAll())
+			}
+		}},
+		{"restart with no rejoin epoch", func(_ *Testcase, p *RunParams) { p.Epochs = 2 }},
 	} {
-		bad := rp
-		c.edit(&bad)
-		if err := tc.Validate(5, bad); err == nil {
+		bad, badParams := *tc, rp
+		c.edit(&bad, &badParams)
+		if err := bad.Validate(5, badParams); err == nil {
 			t.Errorf("%s accepted", c.what)
 		}
 	}

@@ -13,6 +13,7 @@ import (
 	"time"
 
 	"sgxp2p/internal/chaos"
+	"sgxp2p/internal/obsplane"
 )
 
 // EpochWindow is the wall-clock length of one live epoch slot under a
@@ -23,17 +24,17 @@ import (
 // rounds of slack cover finish callbacks and stragglers, and a round
 // lasts 2Δ.
 func EpochWindow(t int, delta time.Duration) time.Duration {
-	return time.Duration(epochRounds(t)) * 2 * delta
+	return time.Duration(EpochRounds(t)) * 2 * delta
 }
 
-// epochRounds is EpochWindow in rounds. A live run's fault schedule counts
-// rounds from round 1 of epoch 0, so epoch e starts at round
-// e·epochRounds(t)+1.
-func epochRounds(t int) int { return t + 2 + 2 }
+// EpochRounds is EpochWindow in rounds. A live run's fault schedule counts
+// rounds from round 1 of epoch 0, so round r of epoch e is schedule round
+// e·EpochRounds(t)+r.
+func EpochRounds(t int) int { return t + 2 + 2 }
 
 // resumeEpoch is the epoch a node relaunched at the start of round r
 // rejoins: the first one that starts after r.
-func resumeEpoch(r, t int) int { return (r-1)/epochRounds(t) + 1 }
+func resumeEpoch(r, t int) int { return (r-1)/EpochRounds(t) + 1 }
 
 // NodeResult is p2pnode's -result-out JSON document: what the node
 // decided in each epoch, so the runner can assert cross-process
@@ -60,7 +61,7 @@ type EpochResult struct {
 
 // NodeOutcome is everything the runner learned about one node.
 type NodeOutcome struct {
-	// ID is the node id; Byz marks a byzantine role (chain member).
+	// ID is the node id; Byz marks a node the fault schedule flips.
 	ID  int
 	Byz bool
 	// Crashed marks a node a fault killed; Restarts counts the
@@ -112,18 +113,12 @@ type RunConfig struct {
 	Instances int
 	// OutDir receives traces, results, logs and the merged trace.
 	OutDir string
-	// StartDelay is the gap between barrier release and round 1; 0
-	// picks a default scaled to the fleet size.
-	StartDelay time.Duration
 	// Stream turns on the live observability plane: every node streams
 	// telemetry events (with causal span hops) and metric deltas over its
 	// control connection, a resource probe samples its process gauges,
 	// and the runner aggregates per-round fleet percentiles live and
 	// writes aggregate.jsonl next to the traces.
 	Stream bool
-	// ProbeInterval overrides the node resource-probe period when
-	// streaming (0 = the node's default).
-	ProbeInterval time.Duration
 	// Profile arms pprof-on-violation: nodes run with -profile-dir at
 	// OutDir/profiles, a node that times out at the run deadline gets a
 	// PROF request (CPU + heap capture) before the fleet is reaped, and
@@ -187,7 +182,7 @@ func Run(cfg RunConfig) (*RunReport, error) {
 		outcomes: make([]*NodeOutcome, n),
 	}
 	for id := 0; id < n; id++ {
-		fleet.outcomes[id] = &NodeOutcome{ID: id, Byz: id < cfg.Params.ChainLen}
+		fleet.outcomes[id] = &NodeOutcome{ID: id, Byz: Byzantine(&cfg.Testcase.Faults, id)}
 	}
 	defer fleet.killAll()
 
@@ -202,24 +197,25 @@ func Run(cfg RunConfig) (*RunReport, error) {
 	if err := barrier.AwaitReady(readyTimeout); err != nil {
 		return nil, err
 	}
-	startDelay := cfg.StartDelay
-	if startDelay == 0 {
-		startDelay = 3*time.Second + time.Duration(n)*15*time.Millisecond
-	}
+	startDelay := 3*time.Second + time.Duration(n)*15*time.Millisecond
 	start := time.Now().Add(startDelay)
 	if err := barrier.Release(start); err != nil {
 		return nil, err
 	}
 	logf("scenario %s: barrier released, round 1 in %v, window %v", cfg.Testcase.Name, startDelay, window)
 
-	// The fault schedule fires on the runner's clock, each event at the
-	// start of its round: a crash SIGKILLs the node, a restart relaunches
-	// it with -resume-epoch so it rejoins at the next epoch boundary.
+	// The runner's share of the fault schedule fires on its clock, each
+	// event at the start of its round: a crash SIGKILLs the node, a restart
+	// relaunches it with -resume-epoch so it rejoins at the next epoch
+	// boundary. Flips are the nodes' own (p2pnode -faults).
 	faults := cfg.Testcase.Faults.Events()
 	faultsDone := make(chan struct{})
 	go func() {
 		defer close(faultsDone)
 		for _, ev := range faults {
+			if ev.Kind == chaos.KindFlip {
+				continue
+			}
 			time.Sleep(time.Until(start.Add(time.Duration(ev.Round-1) * 2 * cfg.Params.Delta)))
 			id := int(ev.Node)
 			if ev.Kind == chaos.KindCrash {
@@ -245,7 +241,9 @@ func Run(cfg RunConfig) (*RunReport, error) {
 		expectDone[id] = true
 	}
 	for _, ev := range faults {
-		expectDone[int(ev.Node)] = ev.Kind == chaos.KindRestart
+		if ev.Kind != chaos.KindFlip {
+			expectDone[int(ev.Node)] = ev.Kind == chaos.KindRestart
+		}
 	}
 	pending := 0
 	for id := 0; id < n; id++ {
@@ -399,25 +397,18 @@ func (f *fleet) spawn(id, resumeEpoch int, listen string) error {
 		"-control", f.barrier.Addr(),
 		"-listen", listen,
 		"-message", p.Message,
+		"-faults", f.cfg.Testcase.Faults.String(),
 		"-trace", filepath.Join(f.cfg.OutDir, traceName(id, incarnation)),
 		"-result-out", filepath.Join(f.cfg.OutDir, resultName(id, incarnation)),
 	}
 	if resumeEpoch > 0 {
 		args = append(args, "-resume-epoch", strconv.Itoa(resumeEpoch))
 	}
-	if p.ChainLen > 0 {
-		args = append(args, "-chain-len", strconv.Itoa(p.ChainLen))
-	}
 	if p.Slow != "" && (p.SlowNode < 0 || p.SlowNode == id) {
 		args = append(args, "-slow", p.Slow)
 	}
 	if f.cfg.Stream {
-		args = append(args, "-stream", "-spans")
-		if f.cfg.ProbeInterval > 0 {
-			args = append(args, "-probe-interval", f.cfg.ProbeInterval.String())
-		} else {
-			args = append(args, "-probe-interval", "250ms")
-		}
+		args = append(args, "-stream", "-spans", "-probe-interval", obsplane.DefaultProbeInterval.String())
 	}
 	if f.cfg.Profile {
 		args = append(args, "-profile-dir", filepath.Join(f.cfg.OutDir, "profiles"))
