@@ -102,19 +102,23 @@ obs-smoke:
 	$(GO) run ./cmd/p2ptrace -diff "$$dir/a.jsonl" "$$dir/b.jsonl"
 
 # scenario-smoke is the multi-process end-to-end check (DESIGN.md §13):
-# build the real node binary, run the ERNG slow-link manifest at n=4 and
-# the byzantine-chain manifest at its default n=7 (two flips of its fault
-# schedule, each applied by the flipped node on its own adversary OS) as
-# actual TCP process fleets via cmd/p2pscenario, then validate each run's
-# merged cross-process telemetry with p2ptrace -check. (The honest ERB fleet at n=4 is obs-live-smoke's run, under the
-# same invariants.) The generous Δ override keeps the round windows safe
-# on loaded CI hosts; the invariants (agreement, acceptance, round
-# bounds) are asserted by the runner itself.
+# build the real node binary, run the ERNG slow-link manifest at n=4, the
+# byzantine-chain manifest at its default n=7 (two flips of its fault
+# schedule, each applied by the flipped node on its own adversary OS) and
+# the optimized-beacon manifest at n=16 (Algorithm 6's fallback cluster,
+# one node flipped to omit everything) as actual TCP process fleets via
+# cmd/p2pscenario, then validate each run's merged cross-process
+# telemetry with p2ptrace -check. (The honest ERB fleet at n=4 is
+# obs-live-smoke's run, under the same invariants.) The generous Δ
+# override keeps the round windows safe on loaded CI hosts; the
+# invariants (agreement, acceptance, round bounds) are asserted by the
+# runner itself.
 scenario-smoke:
 	@dir=$$(mktemp -d) && trap 'rm -rf "$$dir"' EXIT && \
 	$(GO) build -o "$$dir/p2pnode" ./cmd/p2pnode && \
 	$(GO) run ./cmd/p2pscenario -node-bin "$$dir/p2pnode" -out "$$dir" -keep \
-		-param delta=300ms scenarios/slow-link.json scenarios/byzantine-chain.json && \
+		-param delta=300ms scenarios/slow-link.json scenarios/byzantine-chain.json \
+		scenarios/beacon-opt.json && \
 	for f in "$$dir"/*/merged.jsonl; do \
 		$(GO) run ./cmd/p2ptrace -check "$$f" || exit 1; done
 

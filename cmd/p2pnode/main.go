@@ -1,6 +1,8 @@
 // Command p2pnode runs one enclaved peer over real TCP — the live-network
 // counterpart of the simulated experiments, demonstrating that the same
-// protocol code (ERB, basic ERNG) runs over an actual network stack.
+// protocol code runs over an actual network stack: it builds, reads and
+// closes its epochs through deploy's instance catalogue, as a simulated
+// deployment does.
 //
 // A node runs under the scenario runner (cmd/p2pscenario), which spawns
 // the fleet; -control, the runner's barrier address, is required. The
@@ -10,21 +12,21 @@
 // receives the PEERS directory — every node's entry — and the shared
 // START instant (the synchronized start, assumption S2), and builds its
 // roster and sequence table from that directory alone; the runtime checks
-// the roster's quotes in one batch. Node 0 broadcasts -message in erb
-// mode; in erng mode every peer contributes enclave randomness and they
-// agree on a common number. -epochs runs several back-to-back protocol
-// epochs on one schedule; a process relaunched by a restart event of the
-// manifest's fault schedule passes -resume-epoch, announces the same
-// enclave (same seed, same quote), and rejoins at the next epoch boundary
-// with the directory's sequence numbers bumped once per elapsed epoch,
-// per the restart lifecycle.
+// the roster's quotes in one batch. -mode names the catalogue's kind:
+// node 0 broadcasts -message in erb mode; in erng (Algorithm 3) and
+// erng-opt (Algorithm 6) mode every peer contributes enclave randomness
+// and they agree on a common number. -epochs runs several back-to-back
+// protocol epochs on one schedule; a process relaunched by a restart
+// event of the manifest's fault schedule passes -resume-epoch, announces
+// the same enclave (same seed, same quote), closes each epoch it missed
+// (deploy.CloseInstance), and rejoins at the next epoch boundary.
 //
 // Every node runs on its own adversary OS, honest until the run's fault
 // schedule flips it: -faults carries the manifest's schedule in its
 // chaos.Schedule text, and the node sets each flip that names it at the
-// start of its round, as the simulated fault engine does (the §6.3 chain
-// is two flips, "flip(0,only-to(1))@r1 flip(1,only-to(2))@r1"). Crashes
-// and restarts are the runner's.
+// start of its round by the simulated fault engine's rule (chaos.Flips;
+// the §6.3 chain is two flips, "flip(0,only-to(1))@r1
+// flip(1,only-to(2))@r1"). Crashes and restarts are the runner's.
 //
 // The demo shares one attestation-service key derived from a fixed demo
 // secret, which also seeds each node's enclave: in a production
@@ -50,8 +52,7 @@ import (
 
 	"sgxp2p/internal/adversary"
 	"sgxp2p/internal/chaos"
-	"sgxp2p/internal/core/erb"
-	"sgxp2p/internal/core/erng"
+	"sgxp2p/internal/deploy"
 	"sgxp2p/internal/enclave"
 	"sgxp2p/internal/obsplane"
 	"sgxp2p/internal/runtime"
@@ -69,12 +70,10 @@ func main() {
 }
 
 // Fixed parameters of the demo fleet: every node derives the one
-// attestation service (and seeds its enclave) from demoSecret, node 0
-// initiates in erb mode, and the preflight waits connectTimeout for the
-// peers' listeners.
+// attestation service (and seeds its enclave) from demoSecret, and the
+// preflight waits connectTimeout for the peers' listeners.
 const (
 	demoSecret     = 42
-	initiator      = 0
 	connectTimeout = 10 * time.Second
 )
 
@@ -87,12 +86,12 @@ func run(args []string) error {
 		delta      = fs.Duration("delta", 250*time.Millisecond, "one-way delivery bound")
 		control    = fs.String("control", "", "scenario runner barrier address (required)")
 		listenAddr = fs.String("listen", "127.0.0.1:0", "listen address (ephemeral port by default)")
-		mode       = fs.String("mode", "erb", "protocol: erb or erng")
+		mode       = fs.String("mode", "erb", "protocol, a kind of the instance catalogue: erb, erng or erng-opt")
 		message    = fs.String("message", "hello from the enclave", "erb mode: node 0's payload")
 		epochs     = fs.Int("epochs", 1, "number of back-to-back protocol epochs to run")
-		resume     = fs.Int("resume-epoch", 0, "rejoin a running schedule at this epoch (restart lifecycle: seqs are bumped once per elapsed epoch)")
+		resume     = fs.Int("resume-epoch", 0, "rejoin a running schedule at this epoch, closing the epochs before it (restart lifecycle)")
 		faults     = fs.String("faults", "", "the run's fault schedule (chaos.Schedule text); the node applies its own flip events")
-		slow       = fs.String("slow", "", "slow-link shaping: 'all=50ms' or 'id=dur,id=dur' extra delay per outbound frame")
+		slow       = fs.Duration("slow", 0, "slow-node shaping: extra delay per outbound frame on every link")
 		tracePath  = fs.String("trace", "", "append this node's telemetry event stream (JSONL) to a file as the run proceeds")
 		metricsOut = fs.String("metrics-out", "", "write this node's metrics in Prometheus text format to a file on exit")
 		resultOut  = fs.String("result-out", "", "write this node's per-epoch results as JSON to a file on exit")
@@ -113,6 +112,14 @@ func run(args []string) error {
 	}
 	if *epochs < 1 || *resume < 0 || *resume >= *epochs {
 		return fmt.Errorf("invalid epoch schedule: epochs=%d resume-epoch=%d", *epochs, *resume)
+	}
+	kind, err := deploy.LookupKind(*mode)
+	if err != nil {
+		return err
+	}
+	slot, err := scenario.EpochRounds(*mode, *n, *t)
+	if err != nil {
+		return err
 	}
 	sched, err := chaos.ParseSchedule(*faults)
 	if err != nil {
@@ -257,10 +264,8 @@ func run(args []string) error {
 		os.Exit(1)
 	}()
 
-	// Slow-link shaping, applied before any traffic flows.
-	if serr := applyShaping(port, *slow, *n); serr != nil {
-		return fail(serr)
-	}
+	// Slow-node shaping, applied before any traffic flows.
+	port.SetSendDelayAll(*slow)
 
 	// Preflight: every peer must be accepting connections. Without it a
 	// missing peer means hanging until the run timeout with nothing to
@@ -278,9 +283,7 @@ func run(args []string) error {
 	for i, e := range table {
 		addrs[wire.NodeID(i)] = e.Addr
 		roster.Quotes[i] = e.Quote
-		// Restart lifecycle: every elapsed epoch bumped each node's seq
-		// by one, so a resumed process bumps the directory's.
-		seqs[i] = e.Seq + uint64(*resume)
+		seqs[i] = e.Seq
 	}
 	port.Connect(addrs)
 
@@ -293,23 +296,73 @@ func run(args []string) error {
 	if err != nil {
 		return fail(err)
 	}
-	if err := peer.InstallSeqs(seqs); err != nil {
+	if err = peer.InstallSeqs(seqs); err != nil {
 		return fail(err)
 	}
-	if *resume > 0 {
-		peer.AlignInstance(uint32(*resume))
-	}
 
-	runErr := runEpochs(epochsConfig{
-		peer: peer, port: port, self: self,
-		mode: *mode, message: *message,
-		t: *t, delta: *delta,
-		epochs: *epochs, resume: *resume,
-		start: start, byz: results.Byz,
-		flips: &flips{os: nodeOS, trace: trace, events: sched.Events()},
-	}, results)
-	if runErr != nil {
-		return fail(runErr)
+	// The epoch schedule: epoch e starts at start + e·window, and the
+	// node's flips count schedule rounds, epoch e's round r being
+	// e·slot+r. Every epoch is closed at its boundary, as deploy closes an
+	// instance — one a relaunched process missed as soon as it starts.
+	var v wire.Value
+	copy(v[:], *message)
+	flips := chaos.NewFlips(nodeOS, trace, sched)
+	window := scenario.EpochWindow(slot, *delta)
+	fmt.Printf("node %d: listening on %s, %s run: epochs %d..%d in %d-round slots of %v\n",
+		self, port.Addr(), kind.Name, *resume, *epochs-1, slot, window)
+	for e := 0; e < *epochs; e++ {
+		var proto deploy.Protocol // nil for an epoch a previous incarnation ran
+		if e >= *resume {
+			epochStart := start.Add(time.Duration(e) * window)
+			if wait := time.Until(epochStart); e == *resume && wait < 0 {
+				return fail(fmt.Errorf("epoch %d start already passed by %v; pick a later start", e, -wait))
+			}
+			if proto, err = kind.New(peer, *t, v); err != nil {
+				return fail(err)
+			}
+			base, done := e*slot, make(chan deploy.Decision, 1)
+			hooked := &hooks{
+				Protocol: proto,
+				onRound:  func(rnd uint32) { flips.Through(base + int(rnd)) },
+				onFinish: func() { done <- kind.Decision(proto) },
+			}
+			port.After(0, func() {
+				flips.Through(base + 1)
+				peer.StartIn(hooked, proto.Rounds(), time.Until(epochStart))
+			})
+
+			// The epoch deadline leaves the full window plus one spare
+			// window of wall-clock grace (process scheduling, dump time).
+			deadline := time.Until(epochStart) + 2*window
+			res := scenario.EpochResult{Epoch: e}
+			select {
+			case dec := <-done:
+				res.OK, res.Accepted, res.Round = dec.Decided, dec.Accepted, dec.Round
+				switch {
+				case !dec.Decided:
+					res.Note = "no decision"
+				case !dec.Accepted:
+					res.Note = fmt.Sprintf("bottom in round %d", dec.Round)
+				default:
+					res.Value = fmt.Sprintf("%x", dec.Value[:])
+					res.Note = fmt.Sprintf("accepted %s in round %d", res.Value, dec.Round)
+				}
+			case <-time.After(deadline):
+				// A byzantine node halted by P4 never finishes — that is
+				// the protocol working, not a failure; its schedule stays
+				// aligned.
+				res.Note = "no finish before epoch deadline"
+				if !results.Byz {
+					err = fmt.Errorf("epoch %d timed out after %v", e, deadline)
+				}
+			}
+			fmt.Printf("node %d: epoch %d: %s\n", self, e, res.Note)
+			results.Epochs = append(results.Epochs, res)
+			if err != nil {
+				return fail(err)
+			}
+		}
+		port.After(0, func() { deploy.CloseInstance(peer, proto) })
 	}
 	// Artifacts before DONE: the orchestrator may reap the fleet the
 	// moment the last node reports, so the final drain must have reached
@@ -320,180 +373,6 @@ func run(args []string) error {
 	}
 	ctrl.Done()
 	return nil
-}
-
-// epochsConfig carries everything the epoch loop needs.
-type epochsConfig struct {
-	peer    *runtime.Peer
-	port    *tcpnet.Port
-	self    wire.NodeID
-	mode    string
-	message string
-	t       int
-	delta   time.Duration
-	epochs  int
-	resume  int
-	start   time.Time
-	byz     bool
-	flips   *flips
-}
-
-// runEpochs drives the shared epoch schedule: epoch e starts at
-// start + e*window; every node runs the protocol, then bumps its sequence
-// table at the epoch boundary, exactly like the managed restart
-// lifecycle. A process that joined with -resume-epoch starts at its first
-// scheduled slot; earlier epochs belong to its previous incarnation.
-func runEpochs(cfg epochsConfig, results *scenario.NodeResult) error {
-	firstProto, firstDone, protoRounds, err := buildProtocol(cfg, cfg.resume)
-	if err != nil {
-		return err
-	}
-	window := scenario.EpochWindow(cfg.t, cfg.delta)
-	fmt.Printf("node %d: listening on %s, %s run: epochs %d..%d of %d rounds, window %v\n",
-		cfg.self, cfg.port.Addr(), cfg.mode, cfg.resume, cfg.epochs-1, protoRounds, window)
-
-	for e := cfg.resume; e < cfg.epochs; e++ {
-		epochStart := cfg.start.Add(time.Duration(e) * window)
-		if e == cfg.resume {
-			if wait := time.Until(epochStart); wait < 0 {
-				return fmt.Errorf("epoch %d start already passed by %v; pick a later start", e, -wait)
-			}
-		}
-		proto, done, rounds := firstProto, firstDone, protoRounds
-		if e > cfg.resume {
-			var perr error
-			proto, done, rounds, perr = buildProtocol(cfg, e)
-			if perr != nil {
-				return perr
-			}
-		}
-		peer, first := cfg.peer, e*scenario.EpochRounds(cfg.t)+1
-		cfg.port.After(0, func() {
-			cfg.flips.through(first)
-			peer.StartIn(proto, rounds, time.Until(epochStart))
-		})
-
-		// The epoch deadline leaves the full window plus one spare window
-		// of wall-clock grace (process scheduling, dump time).
-		deadline := time.Until(epochStart) + 2*window
-		res := scenario.EpochResult{Epoch: e}
-		select {
-		case out := <-done:
-			res.OK, res.Accepted, res.Value, res.Round, res.Note = out.ok, out.accepted, out.value, out.round, out.note
-			fmt.Printf("node %d: epoch %d: %s\n", cfg.self, e, out.note)
-		case <-time.After(deadline):
-			res.Note = "no finish before epoch deadline"
-			fmt.Printf("node %d: epoch %d: %s\n", cfg.self, e, res.Note)
-			if !cfg.byz {
-				results.Epochs = append(results.Epochs, res)
-				return fmt.Errorf("epoch %d timed out after %v", e, deadline)
-			}
-			// A byzantine node halted by P4 never finishes — that is the
-			// protocol working, not a failure; keep its schedule aligned.
-		}
-		results.Epochs = append(results.Epochs, res)
-		if e+1 < cfg.epochs {
-			cfg.port.After(0, func() { peer.BumpSeqs() })
-		}
-	}
-	return nil
-}
-
-// epochOutcome is what one epoch's finish callback reports.
-type epochOutcome struct {
-	ok       bool
-	accepted bool
-	value    string
-	round    uint32
-	note     string
-}
-
-// flips sets this node's share of the run's fault schedule, the flip
-// events that name it, on the node's OS. The runner crashes and restarts
-// processes; a node sets its own behaviour.
-type flips struct {
-	os     *adversary.OS
-	trace  *telemetry.Tracer
-	events []chaos.Event // the schedule's events not yet passed, in order
-}
-
-// through applies every pending flip of this node up to schedule round r,
-// in schedule order, and records each as chaos.Engine does. The epoch
-// loop calls it before StartIn with the epoch's first round, and each
-// round's hook before the protocol acts, so a flip lands before the
-// first send of its round — and one in an epoch's idle slack, or before
-// a relaunched incarnation's first epoch, before the next round it runs.
-func (f *flips) through(r int) {
-	for len(f.events) > 0 && f.events[0].Round <= r {
-		ev := f.events[0]
-		f.events = f.events[1:]
-		if ev.Kind != chaos.KindFlip || ev.Node != f.os.ID() {
-			continue
-		}
-		f.os.Set(ev.Behavior)
-		f.trace.Record(ev.Node, uint32(ev.Round), telemetry.KindFlip, wire.NoNode, 0, ev.Behavior.String())
-	}
-}
-
-// buildProtocol constructs a fresh protocol instance for one epoch and
-// the channel its finish outcome arrives on.
-func buildProtocol(cfg epochsConfig, epoch int) (runtime.Protocol, chan epochOutcome, int, error) {
-	done := make(chan epochOutcome, 1)
-	base := epoch * scenario.EpochRounds(cfg.t)
-	onRound := func(rnd uint32) { cfg.flips.through(base + int(rnd)) }
-	switch cfg.mode {
-	case "erb":
-		eng, err := erb.NewEngine(cfg.peer, erb.Config{
-			T:                  cfg.t,
-			ExpectedInitiators: []wire.NodeID{initiator},
-		})
-		if err != nil {
-			return nil, nil, 0, err
-		}
-		if cfg.self == initiator {
-			var v wire.Value
-			copy(v[:], cfg.message)
-			eng.SetInput(v)
-		}
-		proto := &hooks{Protocol: eng, onRound: onRound, onFinish: func() {
-			res, ok := eng.Result(initiator)
-			switch {
-			case !ok:
-				done <- epochOutcome{note: "no decision"}
-			case !res.Accepted:
-				done <- epochOutcome{ok: true, round: res.Round, note: "accepted bottom"}
-			default:
-				done <- epochOutcome{
-					ok: true, accepted: true,
-					value: fmt.Sprintf("%x", res.Value[:]),
-					round: res.Round,
-					note:  fmt.Sprintf("accepted %q in round %d", strings.TrimRight(string(res.Value[:]), "\x00"), res.Round),
-				}
-			}
-		}}
-		return proto, done, eng.Rounds(), nil
-	case "erng":
-		b, err := erng.NewBasic(cfg.peer, cfg.t)
-		if err != nil {
-			return nil, nil, 0, err
-		}
-		proto := &hooks{Protocol: b, onRound: onRound, onFinish: func() {
-			res, ok := b.Result()
-			if !ok || !res.OK {
-				done <- epochOutcome{note: "no common random number"}
-				return
-			}
-			done <- epochOutcome{
-				ok: true, accepted: true,
-				value: fmt.Sprintf("%x", res.Value[:]),
-				round: res.Round,
-				note:  fmt.Sprintf("common random number %s from %d contributors", res.Value, len(res.Contributors)),
-			}
-		}}
-		return proto, done, b.Rounds(), nil
-	default:
-		return nil, nil, 0, fmt.Errorf("unknown mode %q", cfg.mode)
-	}
 }
 
 // preflight verifies every peer's listener accepts a TCP connection
@@ -516,34 +395,6 @@ func preflight(table []scenario.Entry, self wire.NodeID, window time.Duration) e
 			}
 			time.Sleep(100 * time.Millisecond)
 		}
-	}
-	return nil
-}
-
-// applyShaping parses the -slow spec and installs per-destination send
-// delays: "all=50ms" shapes every link, "2=50ms,3=100ms" individual ones.
-func applyShaping(port *tcpnet.Port, spec string, n int) error {
-	if spec == "" {
-		return nil
-	}
-	for _, part := range strings.Split(spec, ",") {
-		kv := strings.SplitN(strings.TrimSpace(part), "=", 2)
-		if len(kv) != 2 {
-			return fmt.Errorf("bad -slow entry %q", part)
-		}
-		d, err := time.ParseDuration(kv[1])
-		if err != nil {
-			return fmt.Errorf("bad -slow duration %q: %w", kv[1], err)
-		}
-		if kv[0] == "all" {
-			port.SetSendDelayAll(d)
-			continue
-		}
-		var id int
-		if _, err := fmt.Sscanf(kv[0], "%d", &id); err != nil || id < 0 || id >= n {
-			return fmt.Errorf("bad -slow peer id %q", kv[0])
-		}
-		port.SetSendDelay(wire.NodeID(id), d)
 	}
 	return nil
 }

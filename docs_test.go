@@ -22,7 +22,8 @@ import (
 // channel before round 1 (a pair's channel opens at its first frame), nor
 // p2pnode's standalone-mode flags and simnet's latency option, both gone,
 // nor the live chain's own parameter and flag and the live fig2a bench
-// mode, which the fault schedule's flips and a manifest run replaced.
+// mode, which the fault schedule's flips and a manifest run replaced, nor
+// the slow-link spec form that -slow's one duration replaced.
 // A //lint:allow or `p2plint -only` in a document, or the Makefile, must
 // name an analyzer in lint.Analyzers(). Retired analyzers and p2plint
 // flags, and the retired Appendix G/H packages, examples and their API,
@@ -56,7 +57,7 @@ func TestDocsNameOnlyThingsThatExist(t *testing.T) {
 		{"retired rule", regexp.MustCompile(`(minParallelEvents|256 events)`), func(string) bool { return false }},
 		{"retired name", regexp.MustCompile(`(Options\.Program|Sim\.Cancel|vclock\.Event|Sim\.Step|Sim\.At\b|Sim\.After\b)`), func(string) bool { return false }},
 		{"retired phase", regexp.MustCompile(`(establish every peer's N-1 blinded channels)`), func(string) bool { return false }},
-		{"retired option", regexp.MustCompile(`(start-at-ms|demo-secret|no-preflight|connect-timeout|BaseLatency)`), func(string) bool { return false }},
+		{"retired option", regexp.MustCompile(`(start-at-ms|demo-secret|no-preflight|connect-timeout|BaseLatency|all=60ms)`), func(string) bool { return false }},
 		{"retired name", regexp.MustCompile(`(chain_len|chain-len|bench-n|SimnetERBReference)`), func(string) bool { return false }},
 	}
 	analyzers := map[string]bool{}

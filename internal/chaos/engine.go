@@ -3,6 +3,7 @@ package chaos
 import (
 	"time"
 
+	"sgxp2p/internal/adversary"
 	"sgxp2p/internal/deploy"
 	"sgxp2p/internal/telemetry"
 	"sgxp2p/internal/wire"
@@ -97,9 +98,8 @@ func (e *Engine) apply(ev Event) {
 			e.trace.Record(ev.Node, rnd, telemetry.KindRestartFail, wire.NoNode, 0, err.Error())
 		}
 	case KindFlip:
-		e.d.OS(ev.Node).Set(ev.Behavior)
+		flip(e.d.OS(ev.Node), e.trace, ev)
 		e.stats.Flips++
-		e.trace.Record(ev.Node, rnd, telemetry.KindFlip, wire.NoNode, 0, ev.Behavior.String())
 	case KindPartition:
 		e.partition(groupOf(ev.Groups, e.d.Opts.N))
 		e.stats.Partitions++
@@ -135,4 +135,44 @@ func (e *Engine) Drain() (released, discarded int) {
 	e.stats.DrainReleased += released
 	e.stats.DrainDiscarded += discarded
 	return released, discarded
+}
+
+// flip is the one flip rule, the engine's and a live node's (Flips): the
+// event's behaviour goes on the node's OS, and the trace records it.
+func flip(os *adversary.OS, trace *telemetry.Tracer, ev Event) {
+	os.Set(ev.Behavior)
+	trace.Record(ev.Node, uint32(ev.Round), telemetry.KindFlip, wire.NoNode, 0, ev.Behavior.String())
+}
+
+// Flips is one node's cursor over a run's fault schedule, the flips a
+// live node sets on its own OS: the runner crashes and restarts
+// processes, and a node sets its own behaviour. The engine fires a flip
+// before the round's ticks; a live node fires it inside its tick, after
+// the round's record.
+type Flips struct {
+	os     *adversary.OS
+	trace  *telemetry.Tracer
+	events []Event // the schedule's events not yet passed, in order
+}
+
+// NewFlips returns the cursor of the node os belongs to over sched,
+// recording into trace (nil: no records).
+func NewFlips(os *adversary.OS, trace *telemetry.Tracer, sched *Schedule) *Flips {
+	return &Flips{os: os, trace: trace, events: sched.Events()}
+}
+
+// Through applies every pending flip of this node up to schedule round r,
+// in schedule order. A live node calls it before an epoch's start with
+// the epoch's first round, and in each round before the protocol acts, so
+// a flip lands before the first send of its round — and one in an epoch's
+// idle slack, or before a relaunched incarnation's first epoch, before
+// the next round it runs.
+func (f *Flips) Through(r int) {
+	for len(f.events) > 0 && f.events[0].Round <= r {
+		ev := f.events[0]
+		f.events = f.events[1:]
+		if ev.Kind == KindFlip && ev.Node == f.os.ID() {
+			flip(f.os, f.trace, ev)
+		}
+	}
 }

@@ -3,8 +3,6 @@ package chaos
 import (
 	"fmt"
 
-	"sgxp2p/internal/core/erb"
-	"sgxp2p/internal/core/erng"
 	"sgxp2p/internal/deploy"
 	"sgxp2p/internal/telemetry"
 	"sgxp2p/internal/wire"
@@ -124,37 +122,18 @@ func RunERBSchedule(seed int64, n, t int, sched *Schedule) (*Outcome, error) {
 	if err != nil {
 		return nil, err
 	}
-	return h.runERB()
-}
-
-// runERB broadcasts a random value from node 0 and settles the run.
-func (h *harness) runERB() (*Outcome, error) {
-	v, err := h.d.Encls[0].RandomValue()
-	if err != nil {
-		return nil, err
-	}
-	engines, err := h.d.Broadcast(erb.Config{T: h.d.Opts.T, ExpectedInitiators: []wire.NodeID{0}}, v, h.settle)
-	if err != nil {
-		return nil, err
-	}
-	o := h.outcome()
-	o.InitValue = v
-	for i := range o.Nodes {
-		no := &o.Nodes[i]
-		res, ok := engines[i].Result(0)
-		no.Decided = ok
-		no.Accepted = res.Accepted
-		no.Value = res.Value
-		no.Round = res.Round
-	}
-	return o, nil
+	return h.run("erb")
 }
 
 // RunERNG runs one seeded chaos schedule against an ERNG epoch (basic or
 // optimized beacon) on a fresh deployment. The schedule is generated for
 // the protocol's own round count.
 func RunERNG(seed int64, n, t int, optimized bool) (*Outcome, error) {
-	rounds, err := erngRounds(n, t, optimized)
+	k, err := deploy.LookupKind(beaconMode(optimized))
+	if err != nil {
+		return nil, err
+	}
+	rounds, err := k.Rounds(n, t)
 	if err != nil {
 		return nil, err
 	}
@@ -168,37 +147,44 @@ func RunERNGSchedule(seed int64, n, t int, optimized bool, sched *Schedule) (*Ou
 	if err != nil {
 		return nil, err
 	}
-	return h.runERNG(optimized)
+	return h.run(beaconMode(optimized))
 }
 
-// runERNG runs one beacon epoch and settles the run.
-func (h *harness) runERNG(optimized bool) (*Outcome, error) {
-	protos, err := h.d.Epoch(h.d.Opts.T, optimized, h.settle)
+// beaconMode is the catalogue name of a beacon variant.
+func beaconMode(optimized bool) string {
+	if optimized {
+		return "erng-opt"
+	}
+	return "erng"
+}
+
+// run runs one instance of the catalogue's kind mode — erb broadcasting a
+// random value from node 0, or a beacon epoch — settles the run, and
+// reads every node's decision through the catalogue.
+func (h *harness) run(mode string) (*Outcome, error) {
+	k, err := deploy.LookupKind(mode)
+	if err != nil {
+		return nil, err
+	}
+	var v wire.Value
+	if k.Name == "erb" {
+		// Only a broadcast draws its value: a beacon's node 0 keeps its
+		// enclave's stream for its own contribution.
+		if v, err = h.d.Encls[0].RandomValue(); err != nil {
+			return nil, err
+		}
+	}
+	protos, err := h.d.RunKind(k, h.d.Opts.T, v, h.settle)
 	if err != nil {
 		return nil, err
 	}
 	o := h.outcome()
+	o.InitValue = v
 	for i := range o.Nodes {
-		no := &o.Nodes[i]
-		res, ok := protos[i].Result()
-		no.Decided = ok
-		no.Accepted = res.OK
-		no.Value = res.Value
-		no.Round = res.Round
+		dec, no := k.Decision(protos[i]), &o.Nodes[i]
+		no.Decided, no.Accepted, no.Value, no.Round = dec.Decided, dec.Accepted, dec.Value, dec.Round
 	}
 	return o, nil
-}
-
-// erngRounds resolves the lockstep round count of a beacon variant.
-func erngRounds(n, t int, optimized bool) (int, error) {
-	if !optimized {
-		return t + 2, nil
-	}
-	params, err := erng.ResolveParams(n, t, 0, 0)
-	if err != nil {
-		return 0, err
-	}
-	return params.Rounds(), nil
 }
 
 // outcome fills the run-level fields common to every settled run.

@@ -8,6 +8,7 @@ import (
 	"testing"
 
 	"sgxp2p/internal/adversary"
+	"sgxp2p/internal/deploy"
 	"sgxp2p/internal/telemetry"
 	"sgxp2p/internal/wire"
 )
@@ -77,26 +78,27 @@ func TestTraceDeterministic(t *testing.T) {
 // one goroutine: what a run records does not depend on where its events
 // fire. Run it with -cpu 1,2,4.
 func TestTracedChaosOnLanes(t *testing.T) {
-	optRounds, err := erngRounds(9, 2, true)
+	opt, err := deploy.LookupKind("erng-opt")
 	if err != nil {
 		t.Fatal(err)
 	}
-	erngRun := func(optimized bool) func(*harness) (*Outcome, error) {
-		return func(h *harness) (*Outcome, error) { return h.runERNG(optimized) }
+	optRounds, err := opt.Rounds(9, 2)
+	if err != nil {
+		t.Fatal(err)
 	}
 	cases := []struct {
 		name  string
 		seed  int64
 		n, t  int
 		sched *Schedule
-		run   func(*harness) (*Outcome, error)
+		mode  string
 	}{
 		{"erb/partition", 11, 9, 4,
-			NewSchedule().Partition([][]wire.NodeID{{0, 1, 2, 5, 6, 7, 8}, {3, 4}}, 1, 3), (*harness).runERB},
+			NewSchedule().Partition([][]wire.NodeID{{0, 1, 2, 5, 6, 7, 8}, {3, 4}}, 1, 3), "erb"},
 		{"erb/delay-drain", 23, 9, 4,
-			NewSchedule().FlipBehavior(1, 1, adversary.DelayAll()), (*harness).runERB},
-		{"erng/basic", 7, 9, 4, Generate(7, 9, 4, 6), erngRun(false)},
-		{"erng/optimized", 1, 9, 2, Generate(1, 9, 2, optRounds), erngRun(true)},
+			NewSchedule().FlipBehavior(1, 1, adversary.DelayAll()), "erb"},
+		{"erng/basic", 7, 9, 4, Generate(7, 9, 4, 6), "erng"},
+		{"erng/optimized", 1, 9, 2, Generate(1, 9, 2, optRounds), "erng-opt"},
 	}
 	type record struct {
 		jsonl, prom []byte
@@ -113,7 +115,7 @@ func TestTracedChaosOnLanes(t *testing.T) {
 					t.Fatal(err)
 				}
 				h.d.Sim.ArriveAt(0)
-				o, err := tc.run(h)
+				o, err := h.run(tc.mode)
 				if err != nil {
 					t.Fatal(err)
 				}

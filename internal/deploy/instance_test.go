@@ -15,6 +15,7 @@ import (
 	"sgxp2p/internal/deploy"
 	"sgxp2p/internal/enclave"
 	"sgxp2p/internal/runtime"
+	"sgxp2p/internal/scenario"
 	"sgxp2p/internal/wire"
 )
 
@@ -136,6 +137,67 @@ func TestRunInstanceAdvancesCountersOnce(t *testing.T) {
 				}
 			}
 		}
+	}
+}
+
+// TestCloseInstanceResumesFreshPeer: a relaunched live node closes the k
+// epochs it missed, and from a fresh peer's directory state that leaves
+// every sequence number at the directory's + k and the instance counter
+// at k — where a peer that ran the k instances is.
+func TestCloseInstanceResumesFreshPeer(t *testing.T) {
+	d := newDeployment(t, 4, 1, 74)
+	instances, seqs := counters(d)
+	const k = 3
+	for _, p := range d.Peers {
+		for range k {
+			deploy.CloseInstance(p, nil)
+		}
+	}
+	gotI, gotS := counters(d)
+	for i := range d.Peers {
+		if instances[i] != 0 || gotI[i] != k {
+			t.Fatalf("node %d counts instance %d after %d closes from %d, want %d from 0", i, gotI[i], k, instances[i], k)
+		}
+		for j := range gotS[i] {
+			if gotS[i][j] != seqs[i][j]+k {
+				t.Fatalf("node %d holds seq %d of node %d after %d closes, want the directory's %d + %d", i, gotS[i][j], j, k, seqs[i][j], k)
+			}
+		}
+	}
+}
+
+// TestCatalogueRoundsMatchBuiltProtocols: each kind of the instance
+// catalogue states its round count without a peer — what a live fleet's
+// epoch slot (scenario.EpochRounds: the kind's rounds + 2, t+4 for erb
+// and erng) is computed from — and it is the round count of the protocol
+// the kind builds.
+func TestCatalogueRoundsMatchBuiltProtocols(t *testing.T) {
+	for _, size := range []struct{ n, t int }{{4, 1}, {16, 5}, {64, 21}} {
+		d := newDeployment(t, size.n, size.t, 75)
+		for _, mode := range []string{"erb", "erng", "erng-opt"} {
+			k, err := deploy.LookupKind(mode)
+			if err != nil {
+				t.Fatal(err)
+			}
+			want, err := k.Rounds(size.n, size.t)
+			if err != nil {
+				t.Fatalf("%s at (%d,%d): %v", mode, size.n, size.t, err)
+			}
+			proto, err := k.New(d.Peers[1], size.t, wire.Value{})
+			if err != nil {
+				t.Fatalf("%s at (%d,%d): %v", mode, size.n, size.t, err)
+			}
+			if got := proto.Rounds(); got != want {
+				t.Errorf("%s at (%d,%d): catalogue says %d rounds, the built protocol runs %d", mode, size.n, size.t, want, got)
+			}
+			slot, err := scenario.EpochRounds(mode, size.n, size.t)
+			if err != nil || slot != want+2 || mode != "erng-opt" && slot != size.t+4 {
+				t.Errorf("%s at (%d,%d): epoch slot %d rounds (%v), want %d", mode, size.n, size.t, slot, err, want+2)
+			}
+		}
+	}
+	if _, err := deploy.LookupKind("mux"); err == nil || !strings.Contains(err.Error(), "erb, erng, erng-opt") {
+		t.Fatalf("LookupKind(mux) = %v, want the catalogue's names", err)
 	}
 }
 
@@ -302,12 +364,13 @@ func TestJoinPostState(t *testing.T) {
 }
 
 // TestInstanceLifecycleHasOneOwner keeps P6 in one place: outside the
-// driver's package, the runtime that implements the two calls, the live
-// node (wall-clock epochs, no simulator to drain) and the frozen benchmark
-// mirror, no shipped file may bump sequence numbers or re-align an
-// instance counter by hand.
+// driver's package, the runtime that implements the two calls and the
+// frozen benchmark mirror, no shipped file may bump sequence numbers or
+// re-align an instance counter by hand — a live node closes its epochs
+// with deploy.CloseInstance — and no command builds a protocol but
+// through the instance catalogue.
 func TestInstanceLifecycleHasOneOwner(t *testing.T) {
-	owners := []string{"internal/deploy/", "internal/runtime/", "cmd/p2pnode/", "bench/"}
+	owners := []string{"internal/deploy/", "internal/runtime/", "bench/"}
 	root := filepath.Join("..", "..")
 	err := filepath.WalkDir(root, func(path string, e fs.DirEntry, err error) error {
 		if err != nil {
@@ -335,6 +398,11 @@ func TestInstanceLifecycleHasOneOwner(t *testing.T) {
 		for _, call := range []string{".BumpSeqs(", ".AlignInstance("} {
 			if strings.Contains(string(src), call) {
 				t.Errorf("%s calls %s: closing an instance belongs to deploy.RunInstance", rel, call)
+			}
+		}
+		for _, call := range []string{"erb.NewEngine(", "erng.NewBasic(", "erng.NewOptimized("} {
+			if strings.HasPrefix(rel, "cmd/") && strings.Contains(string(src), call) {
+				t.Errorf("%s calls %s: a command builds its protocols through deploy.LookupKind", rel, call)
 			}
 		}
 		return nil

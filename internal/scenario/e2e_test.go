@@ -86,9 +86,56 @@ func runCase(t *testing.T, manifestName, caseName string, instances int, overrid
 	return report
 }
 
+// matchSimnet is the live-versus-simnet differential: the testcase of a
+// passed live run (manifest's report.Testcase) runs once more on simnet's
+// fault engine (chaos.RunERBSchedule or RunERNGSchedule, by the run's
+// mode). Both worlds build their protocols through deploy's instance
+// catalogue and execute the same flips on the same per-node OS, so they
+// agree on which nodes are byzantine, and every honest node's accepted
+// flag and decision round in every live epoch equal simnet's. Values are
+// not compared: a live enclave draws its own randomness, a live
+// initiator sends the manifest's message. No process may be killed or
+// relaunched. crash-restart and slow-link have no differential: simnet
+// has no multi-epoch relaunch and no link shaping.
+func matchSimnet(t *testing.T, report *RunReport, manifest string) {
+	t.Helper()
+	tc, err := repoManifest(t, manifest).Case(report.Testcase)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var sim *chaos.Outcome
+	if mode := report.Params.Mode; mode == "erb" {
+		sim, err = chaos.RunERBSchedule(1, report.N, report.Params.T, &tc.Faults)
+	} else {
+		sim, err = chaos.RunERNGSchedule(1, report.N, report.Params.T, mode == "erng-opt", &tc.Faults)
+	}
+	if err != nil {
+		t.Fatal(err)
+	}
+	for i, node := range report.Nodes {
+		if node.Crashed || node.Restarts != 0 {
+			t.Fatalf("node %d was killed or relaunched: %+v", i, node)
+		}
+		simNode := sim.Nodes[i]
+		if node.Byz == simNode.Honest {
+			t.Fatalf("node %d: live byzantine=%v, simnet honest=%v", i, node.Byz, simNode.Honest)
+		}
+		if node.Byz {
+			continue
+		}
+		for _, live := range node.Result.Epochs {
+			if live.Accepted != simNode.Accepted || live.Round != simNode.Round {
+				t.Errorf("node %d epoch %d: live accepted=%v in round %d, simnet accepted=%v in round %d",
+					i, live.Epoch, live.Accepted, live.Round, simNode.Accepted, simNode.Round)
+			}
+		}
+	}
+}
+
 // TestScenarioHonestERB runs the honest-sweep manifest's testcase at a
 // small fleet size: real processes, real TCP, the runner's barrier, and
-// central agreement/termination/trace invariants.
+// central agreement/termination/trace invariants; both epochs match a
+// fault-free simnet run.
 func TestScenarioHonestERB(t *testing.T) {
 	if testing.Short() {
 		t.Skip("spawns a process fleet")
@@ -101,6 +148,7 @@ func TestScenarioHonestERB(t *testing.T) {
 			t.Fatalf("node %d result %+v", node.ID, node.Result)
 		}
 	}
+	matchSimnet(t, report, "honest-sweep.json")
 }
 
 // TestScenarioCrashRestart runs the crash-restart manifest: its faults
@@ -146,45 +194,17 @@ func TestScenarioCrashRestart(t *testing.T) {
 	}
 }
 
-// TestScenarioChainMatchesSimnet is a live-versus-simnet differential: the
-// byzantine-chain manifest runs as a fleet of n = 7 processes, and its
-// parsed fault schedule runs on simnet's fault engine
-// (chaos.RunERBSchedule). Both worlds execute the same two flips on the
-// same per-node OS, so every honest node's accepted flag and decision
-// round must be equal in both. A flip is the node's own: the runner kills
-// and relaunches nothing, and merged.jsonl holds one flip event for each
-// chain member.
+// TestScenarioChainMatchesSimnet runs the byzantine-chain manifest as a
+// fleet of n = 7 processes under the differential (matchSimnet): the two
+// flips land on the same nodes in both worlds, and so do the honest
+// decisions and rounds. A flip is the node's own: merged.jsonl holds one
+// flip event for each chain member.
 func TestScenarioChainMatchesSimnet(t *testing.T) {
 	if testing.Short() {
 		t.Skip("spawns a process fleet")
 	}
-	const n = 7
-	report := runCase(t, "byzantine-chain.json", "erb-chain", n, map[string]string{"delta": "300ms"})
-	tc, err := repoManifest(t, "byzantine-chain.json").Case("erb-chain")
-	if err != nil {
-		t.Fatal(err)
-	}
-	sim, err := chaos.RunERBSchedule(1, n, report.Params.T, &tc.Faults)
-	if err != nil {
-		t.Fatal(err)
-	}
-	for i, node := range report.Nodes {
-		if node.Crashed || node.Restarts != 0 {
-			t.Fatalf("node %d was killed or relaunched: %+v", i, node)
-		}
-		simNode := sim.Nodes[i]
-		if node.Byz == simNode.Honest {
-			t.Fatalf("node %d: live byzantine=%v, simnet honest=%v", i, node.Byz, simNode.Honest)
-		}
-		if node.Byz {
-			continue
-		}
-		live := node.Result.Epochs[0]
-		if live.Accepted != simNode.Accepted || live.Round != simNode.Round {
-			t.Errorf("node %d: live accepted=%v in round %d, simnet accepted=%v in round %d",
-				i, live.Accepted, live.Round, simNode.Accepted, simNode.Round)
-		}
-	}
+	report := runCase(t, "byzantine-chain.json", "erb-chain", 7, map[string]string{"delta": "300ms"})
+	matchSimnet(t, report, "byzantine-chain.json")
 	flips := map[wire.NodeID]int{}
 	for _, ev := range readTrace(t, report.MergedPath) {
 		if ev.Kind == telemetry.KindFlip {
@@ -194,4 +214,15 @@ func TestScenarioChainMatchesSimnet(t *testing.T) {
 	if len(flips) != 2 || flips[0] != 1 || flips[1] != 1 {
 		t.Fatalf("flip events per node in merged.jsonl = %v, want one each for nodes 0 and 1", flips)
 	}
+}
+
+// TestScenarioBeaconOptMatchesSimnet runs the optimized beacon live, the
+// beacon-opt manifest at n = 16 (Algorithm 6's fallback cluster, node 0
+// omitting everything), under the differential.
+func TestScenarioBeaconOptMatchesSimnet(t *testing.T) {
+	if testing.Short() {
+		t.Skip("spawns a process fleet")
+	}
+	report := runCase(t, "beacon-opt.json", "erng-opt-omit", 16, map[string]string{"delta": "300ms"})
+	matchSimnet(t, report, "beacon-opt.json")
 }

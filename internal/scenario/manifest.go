@@ -9,6 +9,7 @@ import (
 	"time"
 
 	"sgxp2p/internal/chaos"
+	"sgxp2p/internal/deploy"
 	"sgxp2p/internal/wire"
 )
 
@@ -74,7 +75,7 @@ type RunParams struct {
 	T        int           `json:"t"`
 	Delta    time.Duration `json:"delta"`
 	Epochs   int           `json:"epochs"`
-	Slow     string        `json:"slow,omitempty"`
+	Slow     time.Duration `json:"slow,omitempty"`
 	SlowNode int           `json:"slow_node"`
 	Message  string        `json:"message,omitempty"`
 }
@@ -145,9 +146,7 @@ func (rp *RunParams) Set(key, value string) error {
 	var err error
 	switch key {
 	case "mode":
-		if value != "erb" && value != "erng" {
-			err = fmt.Errorf("%q is not erb or erng", value)
-		}
+		_, err = deploy.LookupKind(value)
 		rp.Mode = value
 	case "t":
 		rp.T, err = strconv.Atoi(value)
@@ -156,7 +155,7 @@ func (rp *RunParams) Set(key, value string) error {
 	case "epochs":
 		rp.Epochs, err = strconv.Atoi(value)
 	case "slow":
-		rp.Slow = value
+		rp.Slow, err = time.ParseDuration(value)
 	case "slow_node":
 		rp.SlowNode, err = strconv.Atoi(value)
 	case "message":
@@ -202,18 +201,21 @@ func (tc *Testcase) ResolveParams(overrides map[string]string) (RunParams, error
 }
 
 // Validate checks a resolved run of n processes against the testcase's
-// constraints, before any process spawns. The fault schedule must pass
-// chaos's own checks, whose fault budget bounds the flipped nodes too,
-// plus the live rules: a live fleet crashes, restarts and flips nodes but
-// does not partition them (a minority that P4 halts has no rule to rejoin
-// by), every event falls inside the run, a restart follows a crash of the
-// same node, and every restart leaves a later epoch to rejoin.
+// constraints, before any process spawns. The mode must run at (n, t) by
+// the instance catalogue's own rule (EpochRounds). The fault schedule
+// must pass chaos's own checks, whose fault budget bounds the flipped
+// nodes too, plus the live rules: a live fleet crashes, restarts and
+// flips nodes but does not partition them (a minority that P4 halts has
+// no rule to rejoin by), every event falls inside the run, a restart
+// follows a crash of the same node, and every restart leaves a later
+// epoch to rejoin.
 func (tc *Testcase) Validate(n int, rp RunParams) error {
 	if n < tc.Instances.Min || n > tc.Instances.Max {
 		return fmt.Errorf("instances %d outside [%d, %d]", n, tc.Instances.Min, tc.Instances.Max)
 	}
-	if rp.T < 0 || 2*rp.T+1 > n {
-		return fmt.Errorf("t=%d needs 0 <= t and n >= %d, have %d", rp.T, 2*rp.T+1, n)
+	rounds, err := EpochRounds(rp.Mode, n, rp.T)
+	if err != nil {
+		return fmt.Errorf("mode %s: %w", rp.Mode, err)
 	}
 	if rp.Delta <= 0 {
 		return fmt.Errorf("delta %v is not positive", rp.Delta)
@@ -221,13 +223,16 @@ func (tc *Testcase) Validate(n int, rp RunParams) error {
 	if rp.Epochs < 1 {
 		return fmt.Errorf("epochs %d < 1", rp.Epochs)
 	}
-	if rp.SlowNode >= n {
-		return fmt.Errorf("slow_node %d outside fleet of %d", rp.SlowNode, n)
+	if rp.Slow < 0 {
+		return fmt.Errorf("slow %v is negative", rp.Slow)
+	}
+	if rp.SlowNode < -1 || rp.SlowNode >= n {
+		return fmt.Errorf("slow_node %d outside fleet of %d (-1: every node)", rp.SlowNode, n)
 	}
 	if err := tc.Faults.Validate(n, rp.T); err != nil {
 		return err
 	}
-	last := rp.Epochs * EpochRounds(rp.T)
+	last := rp.Epochs * rounds
 	down := map[wire.NodeID]bool{}
 	for _, ev := range tc.Faults.Events() {
 		switch {
@@ -237,7 +242,7 @@ func (tc *Testcase) Validate(n int, rp RunParams) error {
 			return fmt.Errorf("faults: %s: past the run's last round %d", ev, last)
 		case ev.Kind == chaos.KindRestart && !down[ev.Node]:
 			return fmt.Errorf("faults: %s: node %d has not crashed", ev, ev.Node)
-		case ev.Kind == chaos.KindRestart && resumeEpoch(ev.Round, rp.T) >= rp.Epochs:
+		case ev.Kind == chaos.KindRestart && resumeEpoch(ev.Round, rounds) >= rp.Epochs:
 			return fmt.Errorf("faults: %s: no later epoch to rejoin in %d epochs", ev, rp.Epochs)
 		}
 		if ev.Kind != chaos.KindFlip {

@@ -130,7 +130,9 @@ func TestManifestValidation(t *testing.T) {
 		{manifest(testcase(`, "params": {"nobatch": true}`)), `unknown parameter "nobatch"`},
 		{manifest(testcase(`, "nobatch": true`)), `unknown field "nobatch"`},
 		{`{"name": "x", "nobatch": true, "testcases": []}`, `unknown field "nobatch"`},
-		{manifest(testcase(`, "params": {"mode": "paxos"}`)), "not erb or erng"},
+		{manifest(testcase(`, "params": {"mode": "paxos"}`)), `unknown mode "paxos": the instance catalogue has erb, erng, erng-opt`},
+		{manifest(testcase(`, "params": {"mode": "erng-opt", "t": 2}`)), "optimized ERNG requires t <= N/3, got t=2 N=5"},
+		{manifest(testcase(`, "params": {"slow": "all=60ms"}`)), `param "slow"`},
 		{manifest(testcase(`, "params": {"delta": 250}`)), `param "delta"`},
 		{manifest(testcase(`, "faults": "explode(0)@r1"`)), "unknown event"},
 		{manifest(testcase(`, "params": {"chain_len": 2}`)), `unknown parameter "chain_len"`},
@@ -177,6 +179,9 @@ func TestValidateRunConstraints(t *testing.T) {
 		{"t < 0", func(_ *Testcase, p *RunParams) { p.T = -1 }},
 		{"delta = 0", func(_ *Testcase, p *RunParams) { p.Delta = 0 }},
 		{"delta < 0", func(_ *Testcase, p *RunParams) { p.Delta = -time.Second }},
+		{"slow < 0", func(_ *Testcase, p *RunParams) { p.Slow = -time.Millisecond }},
+		{"slow_node < -1", func(_ *Testcase, p *RunParams) { p.SlowNode = -2 }},
+		{"slow_node >= n", func(_ *Testcase, p *RunParams) { p.SlowNode = 5 }},
 		{"flips of t+1 nodes", func(c *Testcase, p *RunParams) {
 			c.Faults = chaos.Schedule{}
 			for id := 0; id <= p.T; id++ {

@@ -13,28 +13,37 @@ import (
 	"time"
 
 	"sgxp2p/internal/chaos"
+	"sgxp2p/internal/deploy"
 	"sgxp2p/internal/obsplane"
 )
 
-// EpochWindow is the wall-clock length of one live epoch slot under a
-// byzantine bound t — the one definition p2pnode and the runner both
-// compute the epoch schedule from. Both live protocols run t+2 lockstep
-// rounds (ERB from a round-1 start; basic ERNG embeds an ERB engine with
-// the same window: erb.Engine.Rounds, erng.Basic.Rounds); two more
-// rounds of slack cover finish callbacks and stragglers, and a round
-// lasts 2Δ.
-func EpochWindow(t int, delta time.Duration) time.Duration {
-	return time.Duration(EpochRounds(t)) * 2 * delta
+// EpochRounds is the length of one live epoch slot in rounds, the one
+// definition p2pnode and the runner both compute the epoch schedule from:
+// the rounds of the catalogue's kind mode at (n, t) (deploy.LookupKind),
+// plus two rounds of slack for finish callbacks and stragglers — t+4 for
+// erb and erng. A live run's fault schedule counts rounds from round 1 of
+// epoch 0, so round r of epoch e is schedule round e·EpochRounds+r. The
+// error is the catalogue's: an unknown mode, or one that cannot run at
+// (n, t).
+func EpochRounds(mode string, n, t int) (int, error) {
+	k, err := deploy.LookupKind(mode)
+	if err != nil {
+		return 0, err
+	}
+	rounds, err := k.Rounds(n, t)
+	return rounds + 2, err
 }
 
-// EpochRounds is EpochWindow in rounds. A live run's fault schedule counts
-// rounds from round 1 of epoch 0, so round r of epoch e is schedule round
-// e·EpochRounds(t)+r.
-func EpochRounds(t int) int { return t + 2 + 2 }
+// EpochWindow is the wall-clock length of an epoch slot of the given
+// rounds: a round lasts 2Δ.
+func EpochWindow(rounds int, delta time.Duration) time.Duration {
+	return time.Duration(rounds) * 2 * delta
+}
 
 // resumeEpoch is the epoch a node relaunched at the start of round r
-// rejoins: the first one that starts after r.
-func resumeEpoch(r, t int) int { return (r-1)/EpochRounds(t) + 1 }
+// rejoins, in epoch slots of the given rounds: the first one that starts
+// after r.
+func resumeEpoch(r, rounds int) int { return (r-1)/rounds + 1 }
 
 // NodeResult is p2pnode's -result-out JSON document: what the node
 // decided in each epoch, so the runner can assert cross-process
@@ -156,7 +165,11 @@ func Run(cfg RunConfig) (*RunReport, error) {
 		}
 	}
 
-	window := EpochWindow(cfg.Params.T, cfg.Params.Delta)
+	rounds, err := EpochRounds(cfg.Params.Mode, n, cfg.Params.T)
+	if err != nil {
+		return nil, err
+	}
+	window := EpochWindow(rounds, cfg.Params.Delta)
 	report := &RunReport{Testcase: cfg.Testcase.Name, N: n, Params: cfg.Params, Window: window}
 	began := time.Now()
 
@@ -224,7 +237,7 @@ func Run(cfg RunConfig) (*RunReport, error) {
 				logf("scenario %s: %s: killed node %d", cfg.Testcase.Name, ev, id)
 				continue
 			}
-			resume := resumeEpoch(ev.Round, cfg.Params.T)
+			resume := resumeEpoch(ev.Round, rounds)
 			addr, _ := barrier.NodeAddr(id)
 			fleet.outcomes[id].Restarts++
 			if err := fleet.spawn(id, resume, addr); err != nil {
@@ -404,8 +417,8 @@ func (f *fleet) spawn(id, resumeEpoch int, listen string) error {
 	if resumeEpoch > 0 {
 		args = append(args, "-resume-epoch", strconv.Itoa(resumeEpoch))
 	}
-	if p.Slow != "" && (p.SlowNode < 0 || p.SlowNode == id) {
-		args = append(args, "-slow", p.Slow)
+	if p.Slow > 0 && (p.SlowNode < 0 || p.SlowNode == id) {
+		args = append(args, "-slow", p.Slow.String())
 	}
 	if f.cfg.Stream {
 		args = append(args, "-stream", "-spans", "-probe-interval", obsplane.DefaultProbeInterval.String())

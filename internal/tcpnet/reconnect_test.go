@@ -112,9 +112,9 @@ func TestSendNeverBlocksOnDeadPeer(t *testing.T) {
 	}
 }
 
-// TestSendDelayShapesLink pins the slow-link shaping hook: a configured
-// per-destination delay defers frames toward that peer without touching
-// other links.
+// TestSendDelayShapesLink pins the slow-node shaping hook: a port's send
+// delay defers every frame it sends, and leaves another port's frames
+// alone.
 func TestSendDelayShapesLink(t *testing.T) {
 	a, err := tcpnet.Listen(0, "127.0.0.1:0")
 	if err != nil {
@@ -131,35 +131,34 @@ func TestSendDelayShapesLink(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer c.Close()
-	a.Connect(map[wire.NodeID]string{1: b.Addr(), 2: c.Addr()})
+	a.Connect(map[wire.NodeID]string{2: c.Addr()})
+	b.Connect(map[wire.NodeID]string{2: c.Addr()})
 
 	const shaped = 300 * time.Millisecond
-	a.SetSendDelay(1, shaped)
+	a.SetSendDelayAll(shaped)
 
-	slow := make(chan time.Time, 1)
-	fast := make(chan time.Time, 1)
-	b.SetHandler(func(src wire.NodeID, payload []byte) { slow <- time.Now() })
-	c.SetHandler(func(src wire.NodeID, payload []byte) { fast <- time.Now() })
+	arrived := make(chan wire.NodeID, 2)
+	c.SetHandler(func(src wire.NodeID, payload []byte) { arrived <- src })
 
 	start := time.Now()
-	a.Send(1, []byte("shaped"))
-	a.Send(2, []byte("unshaped"))
+	a.Send(2, []byte("shaped"))
+	b.Send(2, []byte("unshaped"))
 
-	select {
-	case at := <-fast:
-		if d := at.Sub(start); d > shaped {
-			t.Fatalf("unshaped link took %v, shaping leaked across destinations", d)
+	for _, want := range []wire.NodeID{1, 0} {
+		select {
+		case src := <-arrived:
+			d := time.Since(start)
+			switch {
+			case src != want:
+				t.Fatalf("frame from node %d arrived first after %v, want node %d's", src, d, want)
+			case src == 1 && d > shaped:
+				t.Fatalf("unshaped port's frame took %v, shaping leaked across ports", d)
+			case src == 0 && d < shaped:
+				t.Fatalf("shaped port's frame delivered after %v, want >= %v", d, shaped)
+			}
+		case <-time.After(5 * time.Second):
+			t.Fatalf("node %d's frame never arrived", want)
 		}
-	case <-time.After(5 * time.Second):
-		t.Fatal("unshaped frame never arrived")
-	}
-	select {
-	case at := <-slow:
-		if d := at.Sub(start); d < shaped {
-			t.Fatalf("shaped link delivered after %v, want >= %v", d, shaped)
-		}
-	case <-time.After(5 * time.Second):
-		t.Fatal("shaped frame never arrived")
 	}
 }
 

@@ -16,8 +16,8 @@
 // transparently (frames lost in between are omissions, which the lockstep
 // protocols already tolerate), and a peer that never comes up costs
 // nothing but a bounded dial backoff — Send never blocks the event loop.
-// Per-destination send delays (SetSendDelay) shape individual links for
-// slow-network scenarios the simulator cannot express end-to-end.
+// A send delay (SetSendDelayAll) makes a slow node, for slow-network
+// scenarios the simulator cannot express end-to-end.
 package tcpnet
 
 import (
@@ -65,7 +65,6 @@ type Port struct {
 	addrs     map[wire.NodeID]string
 	conns     map[wire.NodeID]*outConn
 	downUntil map[wire.NodeID]time.Time
-	delays    map[wire.NodeID]time.Duration
 	delayAll  time.Duration
 	outSocks  map[net.Conn]struct{}
 	inbound   map[net.Conn]struct{}
@@ -196,7 +195,6 @@ func Listen(self wire.NodeID, addr string) (*Port, error) {
 		addrs:     make(map[wire.NodeID]string),
 		conns:     make(map[wire.NodeID]*outConn),
 		downUntil: make(map[wire.NodeID]time.Time),
-		delays:    make(map[wire.NodeID]time.Duration),
 		outSocks:  make(map[net.Conn]struct{}),
 		inbound:   make(map[net.Conn]struct{}),
 		loop:      make(chan func(), loopBuffer),
@@ -237,23 +235,11 @@ func (p *Port) Connect(addrs map[wire.NodeID]string) {
 	}
 }
 
-// SetSendDelay shapes the outbound link to one destination: every frame
-// toward dst waits d on the writer goroutine before hitting the socket,
-// adding one-way latency and capping the link's frame rate — the
-// slow-link hook of the scenario runner. Zero removes the shaping.
-// Inbound traffic and other destinations are unaffected.
-func (p *Port) SetSendDelay(dst wire.NodeID, d time.Duration) {
-	p.mu.Lock()
-	defer p.mu.Unlock()
-	if d <= 0 {
-		delete(p.delays, dst)
-		return
-	}
-	p.delays[dst] = d
-}
-
-// SetSendDelayAll shapes every outbound link of this node at once (a
-// "slow node" rather than a slow link). Zero removes the shaping.
+// SetSendDelayAll shapes every outbound link of this node, a slow node:
+// every frame waits d on its link's writer goroutine before hitting the
+// socket, adding one-way latency and capping each link's frame rate — the
+// slow-link hook of the scenario runner. Inbound traffic is unaffected.
+// Zero removes the shaping.
 func (p *Port) SetSendDelayAll(d time.Duration) {
 	p.mu.Lock()
 	defer p.mu.Unlock()
@@ -263,13 +249,10 @@ func (p *Port) SetSendDelayAll(d time.Duration) {
 	p.delayAll = d
 }
 
-// sendDelay returns the shaping delay toward dst.
-func (p *Port) sendDelay(dst wire.NodeID) time.Duration {
+// sendDelay returns the shaping delay of every outbound frame.
+func (p *Port) sendDelay() time.Duration {
 	p.mu.Lock()
 	defer p.mu.Unlock()
-	if d, ok := p.delays[dst]; ok && d > p.delayAll {
-		return d
-	}
 	return p.delayAll
 }
 
@@ -465,7 +448,7 @@ func (p *Port) writeLoop(oc *outConn, addr string) {
 		case <-oc.dead:
 			return
 		case f := <-oc.ch:
-			if delay := p.sendDelay(oc.dst); delay > 0 {
+			if delay := p.sendDelay(); delay > 0 {
 				select {
 				case <-p.done:
 					framePool.Put(f)
