@@ -3,7 +3,7 @@
 
 GO ?= go
 
-.PHONY: build test vet race chaos benchsmoke lint obs-smoke scenario-smoke obs-live-smoke figures-check verify bench-compare clean
+.PHONY: build test vet race chaos benchsmoke lint obs-smoke scenario-smoke figures-check verify bench-compare clean
 
 build:
 	$(GO) build ./...
@@ -101,43 +101,33 @@ obs-smoke:
 	$(GO) run ./cmd/p2ptrace -check "$$dir/a.jsonl" && \
 	$(GO) run ./cmd/p2ptrace -diff "$$dir/a.jsonl" "$$dir/b.jsonl"
 
-# scenario-smoke is the multi-process end-to-end check (DESIGN.md §13):
-# build the real node binary, run the ERNG slow-link manifest at n=4, the
-# byzantine-chain manifest at its default n=7 (two flips of its fault
-# schedule, each applied by the flipped node on its own adversary OS) and
-# the optimized-beacon manifest at n=16 (Algorithm 6's fallback cluster,
-# one node flipped to omit everything) as actual TCP process fleets via
-# cmd/p2pscenario, then validate each run's merged cross-process
-# telemetry with p2ptrace -check. (The honest ERB fleet at n=4 is
-# obs-live-smoke's run, under the same invariants.) The generous Δ
-# override keeps the round windows safe on loaded CI hosts; the
-# invariants (agreement, acceptance, round bounds) are asserted by the
-# runner itself.
+# scenario-smoke is the multi-process end-to-end check (DESIGN.md §13)
+# and the live observability plane's (§10): build the real node binary,
+# run the ERNG slow-link manifest at n=4, the byzantine-chain manifest at
+# its default n=7 (two flips of its fault schedule, each applied by the
+# flipped node on its own adversary OS) and the optimized-beacon
+# manifest at n=16 (Algorithm 6's fallback cluster, one node flipped to
+# omit everything), then the honest ERB fleet at n=4 — a second call,
+# because -instances would apply to the other three manifests too — as
+# actual TCP process fleets via cmd/p2pscenario. Every node ships its
+# events, span hops, probe gauges and result over its control connection
+# and the runner writes them, so each run's one event archive,
+# merged.jsonl, is then schema-checked and span-reconstructed — the full
+# path from per-process BeginSpan to the cross-process hop histogram.
+# The generous Δ override keeps the round windows safe on loaded CI
+# hosts; the invariants (agreement, acceptance, round bounds) are
+# asserted by the runner itself.
 scenario-smoke:
 	@dir=$$(mktemp -d) && trap 'rm -rf "$$dir"' EXIT && \
 	$(GO) build -o "$$dir/p2pnode" ./cmd/p2pnode && \
 	$(GO) run ./cmd/p2pscenario -node-bin "$$dir/p2pnode" -out "$$dir" -keep \
 		-param delta=300ms scenarios/slow-link.json scenarios/byzantine-chain.json \
 		scenarios/beacon-opt.json && \
-	for f in "$$dir"/*/merged.jsonl; do \
-		$(GO) run ./cmd/p2ptrace -check "$$f" || exit 1; done
-
-# obs-live-smoke is the live observability plane check (DESIGN.md §10)
-# and the honest-ERB half of the multi-process check: run the 4-node
-# erb-honest fleet with -stream on, so every node's exporter feeds its
-# trace file and, over the control connection, the runner's live view
-# (events, metric deltas, resource-probe gauges). The run's one event
-# archive, merged.jsonl, is then schema-checked and span-reconstructed —
-# the full path from per-process BeginSpan to the cross-process hop
-# histogram.
-obs-live-smoke:
-	@dir=$$(mktemp -d) && trap 'rm -rf "$$dir"' EXIT && \
-	$(GO) build -o "$$dir/p2pnode" ./cmd/p2pnode && \
 	$(GO) run ./cmd/p2pscenario -node-bin "$$dir/p2pnode" -out "$$dir" -keep \
-		-stream -testcase erb-honest -instances 4 -param delta=300ms \
-		scenarios/honest-sweep.json && \
-	$(GO) run ./cmd/p2ptrace -check "$$dir"/*/merged.jsonl && \
-	$(GO) run ./cmd/p2ptrace -spans "$$dir"/*/merged.jsonl
+		-testcase erb-honest -instances 4 -param delta=300ms scenarios/honest-sweep.json && \
+	for f in "$$dir"/*/merged.jsonl; do \
+		$(GO) run ./cmd/p2ptrace -check "$$f" && \
+		$(GO) run ./cmd/p2ptrace -spans "$$f" >/dev/null || exit 1; done
 
 # figures-check regenerates every table and figure at default scale and
 # compares the output byte for byte with the recorded golden (the sweeps
@@ -150,9 +140,9 @@ figures-check:
 # verify is the tier-1 gate: build, vet, full test suite, race subset,
 # chaos fault-injection suite, one-iteration benchmark smoke run, the
 # project lint battery, the traced-replay determinism smoke, the
-# multi-process scenario smoke, the live-streaming observability smoke,
-# and the figures golden check.
-verify: build vet test race chaos benchsmoke lint obs-smoke scenario-smoke obs-live-smoke figures-check
+# multi-process scenario smoke with its live telemetry, and the figures
+# golden check.
+verify: build vet test race chaos benchsmoke lint obs-smoke scenario-smoke figures-check
 
 # bench-compare is the regression gate over the repo benchmark
 # (BENCHMARK.json, bench/README.md): run the whole suite on this tree

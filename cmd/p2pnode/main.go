@@ -21,6 +21,12 @@
 // the same enclave (same seed, same quote), closes each epoch it missed
 // (deploy.CloseInstance), and rejoins at the next epoch boundary.
 //
+// The control connection is the node's one telemetry sink
+// (scenario.Control): its trace, span hops included, its metrics with
+// the resource probe's gauges, and its per-epoch results ride it to the
+// runner, which writes every artifact of the run. On a PROF request, or
+// when it fails, the node writes pprof profiles into -profile-dir.
+//
 // Every node runs on its own adversary OS, honest until the run's fault
 // schedule flips it: -faults carries the manifest's schedule in its
 // chaos.Schedule text, and the node sets each flip that names it at the
@@ -36,17 +42,12 @@
 package main
 
 import (
-	"bufio"
-	"encoding/json"
 	"flag"
 	"fmt"
-	"io"
 	mrand "math/rand"
 	"net"
 	"os"
 	"os/signal"
-	"strings"
-	"sync"
 	"syscall"
 	"time"
 
@@ -54,7 +55,6 @@ import (
 	"sgxp2p/internal/chaos"
 	"sgxp2p/internal/deploy"
 	"sgxp2p/internal/enclave"
-	"sgxp2p/internal/obsplane"
 	"sgxp2p/internal/runtime"
 	"sgxp2p/internal/scenario"
 	"sgxp2p/internal/tcpnet"
@@ -92,13 +92,7 @@ func run(args []string) error {
 		resume     = fs.Int("resume-epoch", 0, "rejoin a running schedule at this epoch, closing the epochs before it (restart lifecycle)")
 		faults     = fs.String("faults", "", "the run's fault schedule (chaos.Schedule text); the node applies its own flip events")
 		slow       = fs.Duration("slow", 0, "slow-node shaping: extra delay per outbound frame on every link")
-		tracePath  = fs.String("trace", "", "append this node's telemetry event stream (JSONL) to a file as the run proceeds")
-		metricsOut = fs.String("metrics-out", "", "write this node's metrics in Prometheus text format to a file on exit")
-		resultOut  = fs.String("result-out", "", "write this node's per-epoch results as JSON to a file on exit")
-		stream     = fs.Bool("stream", false, "stream telemetry events and metric deltas over the control connection during the run")
-		spans      = fs.Bool("spans", false, "record causal span hops (seal/open/deliver/handle) keyed by sealed frame tag")
-		probeEvery = fs.Duration("probe-interval", 0, "sample resource gauges (goroutines, heap, fds, link queues) at this interval; 0 = off")
-		profileDir = fs.String("profile-dir", "", "capture pprof profiles into this directory on an orchestrator PROF request or on failure")
+		profileDir = fs.String("profile-dir", "", "capture pprof profiles into this directory on a runner PROF request or on failure")
 	)
 	if err := fs.Parse(args); err != nil {
 		return err
@@ -151,7 +145,7 @@ func run(args []string) error {
 		return err
 	}
 	defer port.Close()
-	ctrl, err := dialControl(*control, scenario.Entry{Addr: port.Addr(), Quote: service.Attest(encl), Seq: seq})
+	ctrl, err := scenario.DialControl(*control, scenario.Entry{Addr: port.Addr(), Quote: service.Attest(encl), Seq: seq}, *profileDir)
 	if err != nil {
 		return err
 	}
@@ -164,103 +158,33 @@ func run(args []string) error {
 
 	// Telemetry rides on the port's logical clock (time since the shared
 	// start instant), so traces from different nodes of one run line up.
-	// Streaming implies a tracer and registry even without the file flags:
-	// the live plane's whole point is observing a node as it runs.
-	var trace *telemetry.Tracer
-	var metrics *telemetry.Metrics
-	if *tracePath != "" || *stream {
-		trace = telemetry.New(telemetry.Options{Clock: port.Now, Spans: *spans})
-	}
-	if *metricsOut != "" || *stream || *probeEvery > 0 {
-		metrics = telemetry.NewMetrics()
-		port.SetMetrics(metrics)
-	}
-	var probe *obsplane.Probe
-	if *probeEvery > 0 {
-		probe = obsplane.StartProbe(obsplane.ProbeConfig{
-			Metrics:  metrics,
-			Interval: *probeEvery,
-			Queue: func() (int, int, int) {
-				qs := port.QueueStats()
-				return qs.Links, qs.Total, qs.Max
-			},
-		})
-	}
-	watchProfileRequests(ctrl, *profileDir, *id)
-	var exp *exporter // started below, once fail exists to report a bad -trace path
+	trace := telemetry.New(telemetry.Options{Clock: port.Now, Spans: true})
+	metrics := telemetry.NewMetrics()
+	port.SetMetrics(metrics)
+	ctrl.Export(trace, metrics, func() (int, int, int) {
+		qs := port.QueueStats()
+		return qs.Links, qs.Total, qs.Max
+	})
 	results := &scenario.NodeResult{ID: *id, Mode: *mode, N: *n, T: *t, Byz: scenario.Byzantine(sched, *id)}
-	// dump quiesces the live plane in dependency order — the probe's final
-	// sample lands in the registry, then the exporter's final drain ships
-	// it and completes the trace file — and writes the exit artifacts. It
-	// is idempotent and serialized: the signal handler below may run it
-	// concurrently with the main goroutine's exit path, and both must see
-	// a quiesced live plane and whole files.
-	var dumpMu sync.Mutex
-	dump := func() error {
-		dumpMu.Lock()
-		defer dumpMu.Unlock()
-		probe.Stop()
-		xerr := exp.Stop()
-		if exp != nil {
-			fmt.Printf("node %d: telemetry: %d events exported, %d export errors\n", self, exp.cursor-exp.failed, exp.failed)
-		}
-		if xerr != nil {
-			return xerr
-		}
-		if metrics != nil && *metricsOut != "" {
-			if werr := writeExport(*metricsOut, metrics.ExportPrometheus); werr != nil {
-				return werr
-			}
-		}
-		if *resultOut != "" {
-			if werr := writeExport(*resultOut, func(w io.Writer) error {
-				enc := json.NewEncoder(w)
-				return enc.Encode(results)
-			}); werr != nil {
-				return werr
-			}
-		}
-		return nil
-	}
-	// fail flushes whatever telemetry exists before returning the error, so
-	// a run that never gets off the ground still leaves its trace behind —
-	// plus a heap snapshot when profiling is on, so a FAIL is diagnosable
-	// even if the orchestrator never sends PROF.
+	// fail ships what the node has, its telemetry and its results so far,
+	// and reports the error: a run that never gets off the ground still
+	// leaves its trace behind.
 	fail := func(ferr error) error {
-		captureHeapProfile(*profileDir, *id)
-		if derr := dump(); derr != nil {
-			fmt.Fprintln(os.Stderr, "p2pnode:", derr)
-		}
-		ctrl.Fail(ferr)
+		ctrl.Finish(results, ferr)
 		return ferr
 	}
-	if trace != nil {
-		var traceFile *os.File
-		if *tracePath != "" {
-			if traceFile, err = os.Create(*tracePath); err != nil {
-				return fail(err)
-			}
-		}
-		var streamTo *controlConn
-		if *stream {
-			streamTo = ctrl
-		}
-		exp = startExporter(trace, metrics, traceFile, streamTo)
-	}
 
-	// A terminating signal flushes before exiting: a SIGTERM or a manual
-	// interrupt gets the same artifacts as a clean run. (The runner's
-	// scheduled crashes are SIGKILLs, which cannot be caught — there the
-	// trace file ends at the exporter's last drain.)
+	// A terminating signal finishes the conversation before exiting: a
+	// SIGTERM or a manual interrupt ships the same telemetry as a failed
+	// run. (The runner's scheduled crashes are SIGKILLs, which cannot be
+	// caught — there the trace ends at the exporter's last drain.)
 	sigc := make(chan os.Signal, 2)
 	signal.Notify(sigc, syscall.SIGTERM, os.Interrupt)
 	go func() {
 		sig := <-sigc
 		signal.Stop(sigc)
 		fmt.Fprintf(os.Stderr, "p2pnode: %v: flushing telemetry before exit\n", sig)
-		if derr := dump(); derr != nil {
-			fmt.Fprintln(os.Stderr, "p2pnode:", derr)
-		}
+		ctrl.Finish(results, fmt.Errorf("terminated by %v", sig))
 		os.Exit(1)
 	}()
 
@@ -364,14 +288,10 @@ func run(args []string) error {
 		}
 		port.After(0, func() { deploy.CloseInstance(peer, proto) })
 	}
-	// Artifacts before DONE: the orchestrator may reap the fleet the
-	// moment the last node reports, so the final drain must have reached
-	// the trace file, and the result file must be on disk, when the
-	// control message leaves.
-	if derr := dump(); derr != nil {
-		return fail(derr)
-	}
-	ctrl.Done()
+	// The exporter's final drain and the result precede DONE on the
+	// connection: the runner may reap the fleet the moment the last node
+	// reports.
+	ctrl.Finish(results, nil)
 	return nil
 }
 
@@ -397,99 +317,6 @@ func preflight(table []scenario.Entry, self wire.NodeID, window time.Duration) e
 		}
 	}
 	return nil
-}
-
-// controlConn is the node side of the scenario runner's barrier: a
-// line-oriented TCP conversation (READY → PEERS+START → DONE/FAIL;
-// internal/scenario owns the READY, PEERS and START formats),
-// which in -stream mode also multiplexes live telemetry (EV/MT lines
-// node→runner) and profile requests (PROF lines runner→node). The write
-// mutex keeps the exporter's lines whole against DONE/FAIL.
-type controlConn struct {
-	conn net.Conn
-	rd   *bufio.Reader
-	mu   sync.Mutex
-}
-
-// dialControl connects to the runner and announces this node's
-// directory entry.
-func dialControl(addr string, self scenario.Entry) (*controlConn, error) {
-	conn, err := net.DialTimeout("tcp", addr, 10*time.Second)
-	if err != nil {
-		return nil, fmt.Errorf("control %s: %w", addr, err)
-	}
-	if err := scenario.WriteReady(conn, self); err != nil {
-		conn.Close()
-		return nil, err
-	}
-	return &controlConn{conn: conn, rd: bufio.NewReader(conn)}, nil
-}
-
-// AwaitStart blocks until the runner releases the barrier, returning the
-// directory of a fleet of n and the shared start instant.
-func (c *controlConn) AwaitStart(n int) ([]scenario.Entry, time.Time, error) {
-	if err := c.conn.SetReadDeadline(time.Now().Add(2 * time.Minute)); err != nil {
-		return nil, time.Time{}, err
-	}
-	return scenario.ReadRelease(c.rd, n)
-}
-
-// Done reports successful completion to the runner.
-func (c *controlConn) Done() {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	_, _ = fmt.Fprintf(c.conn, "DONE\n")
-}
-
-// Fail reports an error to the runner.
-func (c *controlConn) Fail(err error) {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	_, _ = fmt.Fprintf(c.conn, "FAIL %s\n", strings.ReplaceAll(err.Error(), "\n", " "))
-}
-
-// StreamEvent ships one sequence-numbered telemetry event line.
-func (c *controlConn) StreamEvent(seq uint64, line []byte) {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	_, _ = fmt.Fprintf(c.conn, "EV %d %s\n", seq, line)
-}
-
-// StreamMetric ships one changed metric row.
-func (c *controlConn) StreamMetric(seq uint64, mv telemetry.MetricValue) {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	_, _ = fmt.Fprintf(c.conn, "MT %d %s %s %g\n", seq, mv.Kind, mv.Name, mv.Value)
-}
-
-// ReadVerbLine reads one runner→node line after the barrier released —
-// the profile-request watcher's loop. No deadline: the watcher lives
-// until the connection closes.
-func (c *controlConn) ReadVerbLine() (string, error) {
-	if err := c.conn.SetReadDeadline(time.Time{}); err != nil {
-		return "", err
-	}
-	line, err := c.rd.ReadString('\n')
-	if err != nil {
-		return "", err
-	}
-	return strings.TrimSpace(line), nil
-}
-
-// Close closes the control connection.
-func (c *controlConn) Close() error { return c.conn.Close() }
-
-// writeExport creates path and streams one telemetry export into it.
-func writeExport(path string, export func(w io.Writer) error) error {
-	f, err := os.Create(path)
-	if err != nil {
-		return err
-	}
-	if err := export(f); err != nil {
-		f.Close()
-		return err
-	}
-	return f.Close()
 }
 
 // hooks forwards a protocol, running onRound before each of its rounds

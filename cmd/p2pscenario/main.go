@@ -3,9 +3,9 @@
 // processes over real TCP, runs the readiness barrier, fires the
 // testcase's fault schedule (chaos.Schedule's text form: the runner
 // crashes and restarts processes, and every node applies its own flips),
-// collects every process's telemetry JSONL and result JSON, and asserts
-// the cross-process invariants (agreement, termination rounds, trace
-// consistency) centrally.
+// writes every process's telemetry JSONL and result JSON as they arrive
+// over its control connection, and asserts the cross-process invariants
+// (agreement, termination rounds, trace consistency) centrally.
 //
 // Usage:
 //
@@ -13,23 +13,21 @@
 //	p2pscenario -list scenarios/*.json               # list scenarios and testcases
 //	p2pscenario -testcase erb-honest -instances 16 scenarios/honest-sweep.json
 //	p2pscenario -param epochs=3 -param delta=300ms scenarios/slow-link.json
-//	p2pscenario -stream -testcase erb-honest scenarios/honest-sweep.json  # live plane on
 //	p2pscenario -testcase erb-honest -instances 128 -param epochs=1 -param delta=4.3s \
 //		scenarios/honest-sweep.json                   # the live fig2a point
 //
 // The live fig2a point's max_round bound is simnet's 2 decision rounds
 // with one round of tolerance; the simnet side is fig2a's N=128 row.
 //
-// -stream turns on the live observability plane: every node streams its
-// telemetry events (with causal span hops) and metric deltas over the
-// control connection while running, and the runner reports per-round
-// fleet percentiles live and writes aggregate.jsonl; the events
-// themselves are in merged.jsonl, streamed or not.
-// -profile arms pprof-on-violation captures for wedged nodes.
+// Observation is not a mode: every run records each node's events with
+// their causal span hops and its resource probe gauges, reports per-round
+// fleet percentiles and the runner's ingest lag live, and arms
+// pprof-on-violation captures for wedged nodes.
 //
 // The p2pnode binary is built automatically unless -node-bin points at a
-// prebuilt one. Artifacts (per-node traces, results, logs, merged.jsonl)
-// land in -out (kept) or a temp dir (removed unless -keep).
+// prebuilt one. Artifacts (per-incarnation traces, results and logs,
+// merged.jsonl, aggregate.jsonl, profiles/) land in -out (kept) or a temp
+// dir (removed unless -keep).
 package main
 
 import (
@@ -72,8 +70,6 @@ func run(args []string) error {
 		nodeBin   = fs.String("node-bin", "", "prebuilt p2pnode binary (default: go build it)")
 		outDir    = fs.String("out", "", "artifact directory (default: temp dir)")
 		keep      = fs.Bool("keep", false, "keep the artifact directory")
-		stream    = fs.Bool("stream", false, "live observability plane: nodes stream telemetry+metrics during the run, the runner aggregates per-round fleet percentiles and writes aggregate.jsonl")
-		profile   = fs.Bool("profile", false, "pprof-on-violation: wedged nodes get CPU+heap captures into <out>/profiles before the fleet is reaped")
 	)
 	fs.Var(params, "param", "parameter override key=value (repeatable)")
 	if err := fs.Parse(args); err != nil {
@@ -151,7 +147,7 @@ func run(args []string) error {
 				}
 			}
 			for _, n := range counts {
-				if err := runOne(m, tc, bin, dir, n, params, *stream, *profile); err != nil {
+				if err := runOne(m, tc, bin, dir, n, params); err != nil {
 					fmt.Fprintf(os.Stderr, "p2pscenario: %s/%s n=%d: %v\n", m.Name, tc.Name, n, err)
 					failures++
 				}
@@ -177,7 +173,7 @@ func hasTestcase(manifests []*scenario.Manifest, name string) bool {
 }
 
 // runOne orchestrates a single (testcase, instance count) run.
-func runOne(m *scenario.Manifest, tc *scenario.Testcase, bin, dir string, n int, overrides map[string]string, stream, profile bool) error {
+func runOne(m *scenario.Manifest, tc *scenario.Testcase, bin, dir string, n int, overrides map[string]string) error {
 	rp, err := tc.ResolveParams(overrides)
 	if err != nil {
 		return err
@@ -189,8 +185,6 @@ func runOne(m *scenario.Manifest, tc *scenario.Testcase, bin, dir string, n int,
 		Params:    rp,
 		Instances: n,
 		OutDir:    sub,
-		Stream:    stream,
-		Profile:   profile,
 		Log:       os.Stderr,
 	})
 	if err != nil {

@@ -1,5 +1,6 @@
 // Command p2ptrace inspects JSONL telemetry traces produced by
-// p2pexp -trace and p2pnode -trace.
+// p2pexp -trace and by the scenario runner (its per-incarnation traces
+// and merged.jsonl).
 //
 // Usage:
 //
@@ -16,9 +17,9 @@
 // (or two genuinely different runs).
 //
 // -spans joins the seal/open/deliver/handle hop events of one or more
-// traces (a span-enabled run: p2pnode -spans, or the scenario runner's
-// merged.jsonl archive) into cross-process happens-before chains and
-// prints each hop's latency distribution.
+// traces (a span-enabled run: any scenario run, whose merged.jsonl
+// archive carries every process's hops) into cross-process
+// happens-before chains and prints each hop's latency distribution.
 package main
 
 import (

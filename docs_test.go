@@ -23,7 +23,9 @@ import (
 // p2pnode's standalone-mode flags and simnet's latency option, both gone,
 // nor the live chain's own parameter and flag and the live fig2a bench
 // mode, which the fault schedule's flips and a manifest run replaced, nor
-// the slow-link spec form that -slow's one duration replaced.
+// the slow-link spec form that -slow's one duration replaced, nor the
+// observation knobs and the separate live-plane smoke that went when the
+// control connection became a live node's one telemetry sink.
 // A //lint:allow or `p2plint -only` in a document, or the Makefile, must
 // name an analyzer in lint.Analyzers(). Retired analyzers and p2plint
 // flags, and the retired Appendix G/H packages, examples and their API,
@@ -59,6 +61,7 @@ func TestDocsNameOnlyThingsThatExist(t *testing.T) {
 		{"retired phase", regexp.MustCompile(`(establish every peer's N-1 blinded channels)`), func(string) bool { return false }},
 		{"retired option", regexp.MustCompile(`(start-at-ms|demo-secret|no-preflight|connect-timeout|BaseLatency|all=60ms)`), func(string) bool { return false }},
 		{"retired name", regexp.MustCompile(`(chain_len|chain-len|bench-n|SimnetERBReference)`), func(string) bool { return false }},
+		{"retired name", regexp.MustCompile(`(obs-live-smoke|result-out|probe-interval)`), func(string) bool { return false }},
 	}
 	analyzers := map[string]bool{}
 	for _, a := range lint.Analyzers() {
@@ -68,7 +71,7 @@ func TestDocsNameOnlyThingsThatExist(t *testing.T) {
 	retired := regexp.MustCompile("lockorder|nilness|`lockstep`|sealerr|-baseline|p2plint -json|" +
 		`PuzzleDifficulty|DeriveKey|NewKeySchedule|NewBalancer|NewWalker|` +
 		`internal/(sybil|keygen|loadbal|randomwalk)\b|examples/(loadbalance|randomwalk)\b`)
-	budget := map[string]int{"README.md": 229, "DESIGN.md": 1325, "EXPERIMENTS.md": 1910}
+	budget := map[string]int{"README.md": 226, "DESIGN.md": 1323, "EXPERIMENTS.md": 1907}
 	for _, doc := range []string{"README.md", "DESIGN.md", "EXPERIMENTS.md", ".claude/skills/verify/SKILL.md", "Makefile"} {
 		text, err := os.ReadFile(doc)
 		if err != nil {

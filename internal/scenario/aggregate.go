@@ -7,46 +7,53 @@ import (
 	"io"
 	"os"
 	"path/filepath"
+	"slices"
 	"sort"
-	"strconv"
-	"strings"
 	"sync"
 	"time"
 
 	"sgxp2p/internal/telemetry"
 )
 
-// Aggregator ingests the fleet's live telemetry streams (the EV/MT lines
-// the barrier routes to its stream sink) and folds them into fleet-level
-// views while the run is still going:
+// Aggregator folds the fleet's telemetry (the EV/MT lines every node
+// ships over its control connection, parsed by the barrier) into
+// fleet-level views while the run is still going:
 //
 //   - per-round percentiles: every node's round events carry its
 //     round-entry instant on the shared clock; once a round has a sample
-//     from every node, the spread (p50/p90/max of entry skew) is logged
-//     live — no post-hoc trace merge needed to watch the fleet march.
-//   - metric gauges: the latest streamed value of every metric row per
-//     node, so resource pressure (the obsplane probe gauges) is visible
-//     next to protocol progress.
-//   - the seq-gap count: stream lines that were lost or malformed.
+//     from every node, the spread (p50/p90/max of entry skew) and the
+//     runner's ingest lag (how long after that instant the event reached
+//     the runner) are logged live — no post-hoc trace merge needed to
+//     watch the fleet march.
+//   - metric gauges: the latest value of every metric row per node, so
+//     resource pressure (the obsplane probe gauges) is visible next to
+//     protocol progress.
+//   - the gap count: lines that were malformed or broke their
+//     connection's sequence.
 //
-// It retains no events — every node, a SIGKILLed one included, leaves its
-// own trace file, and merged.jsonl is the run's one event archive — so
-// its memory is O(nodes × rounds).
+// It retains no events — the barrier writes them into the incarnations'
+// trace files, and merged.jsonl is the run's one event archive — so its
+// memory is O(nodes × rounds).
 //
 // Ingest runs on the barrier's per-connection goroutines; everything is
-// guarded by one mutex — the streams are a few lines per node per poll
+// guarded by one mutex — the streams are a few writes per node per export
 // interval, nowhere near contention.
 type Aggregator struct {
-	mu  sync.Mutex
-	n   int
-	log io.Writer
+	mu    sync.Mutex
+	n     int
+	log   io.Writer
+	start time.Time
 
 	metrics map[int]map[string]float64
-	rounds  map[uint32]map[int]time.Duration
+	rounds  map[uint32]map[int]sample
 	seen    map[uint32]bool
-	lastSeq map[int]uint64
 	gaps    int
+	maxLag  time.Duration
 }
+
+// sample is one node's entry into a round: the instant on the shared
+// clock, and the runner's ingest lag behind it.
+type sample struct{ at, lag time.Duration }
 
 // NewAggregator creates an aggregator for an n-node fleet. log, when
 // non-nil, receives the live per-round timeline.
@@ -54,134 +61,118 @@ func NewAggregator(n int, log io.Writer) *Aggregator {
 	return &Aggregator{
 		n: n, log: log,
 		metrics: make(map[int]map[string]float64, n),
-		rounds:  make(map[uint32]map[int]time.Duration),
+		rounds:  make(map[uint32]map[int]sample),
 		seen:    make(map[uint32]bool),
-		lastSeq: make(map[int]uint64, n),
 	}
 }
 
-// Ingest consumes one streamed line from node id. Malformed lines are
-// counted as gaps, never fatal: a half-written line from a dying process
-// is expected input here.
-func (a *Aggregator) Ingest(id int, line string) {
+// setStart fixes the shared start instant the ingest lag is measured from.
+func (a *Aggregator) setStart(start time.Time) {
+	a.mu.Lock()
+	a.start = start
+	a.mu.Unlock()
+}
+
+// gap counts one lost or malformed line.
+func (a *Aggregator) gap() {
+	a.mu.Lock()
+	a.gaps++
+	a.mu.Unlock()
+}
+
+// event folds node id's event in; only its own round entries count.
+func (a *Aggregator) event(id int, ev telemetry.Event) {
+	if ev.Kind != telemetry.KindRound || int(ev.Node) != id {
+		return
+	}
 	a.mu.Lock()
 	defer a.mu.Unlock()
-	switch {
-	case strings.HasPrefix(line, "EV "):
-		a.ingestEvent(id, line[len("EV "):])
-	case strings.HasPrefix(line, "MT "):
-		a.ingestMetric(id, line[len("MT "):])
+	lag := time.Since(a.start) - ev.At
+	a.maxLag = max(a.maxLag, lag)
+	byNode := a.rounds[ev.Round]
+	if byNode == nil {
+		byNode = make(map[int]sample, a.n)
+		a.rounds[ev.Round] = byNode
 	}
-}
-
-func (a *Aggregator) ingestEvent(id int, rest string) {
-	seqTok, payload, ok := strings.Cut(rest, " ")
-	if !ok {
-		a.gaps++
-		return
-	}
-	seq, err := strconv.ParseUint(seqTok, 10, 64)
-	if err != nil {
-		a.gaps++
-		return
-	}
-	ev, err := telemetry.DecodeEventLine([]byte(payload))
-	if err != nil {
-		a.gaps++
-		return
-	}
-	// Sequence continuity per node: a jump means lines were lost (a new
-	// incarnation restarts at 1, which also reads as a jump — both are
-	// worth surfacing in the summary, neither is fatal).
-	if last := a.lastSeq[id]; seq != last+1 && !(last == 0 && seq == 1) {
-		a.gaps++
-	}
-	a.lastSeq[id] = seq
-	if ev.Kind == telemetry.KindRound && int(ev.Node) == id {
-		byNode := a.rounds[ev.Round]
-		if byNode == nil {
-			byNode = make(map[int]time.Duration, a.n)
-			a.rounds[ev.Round] = byNode
-		}
-		if _, dup := byNode[id]; !dup {
-			byNode[id] = ev.At
-			if len(byNode) == a.n {
-				a.reportRound(ev.Round, byNode)
-			}
+	if _, dup := byNode[id]; !dup {
+		byNode[id] = sample{at: ev.At, lag: lag}
+		if len(byNode) == a.n {
+			a.reportRound(ev.Round, byNode)
 		}
 	}
 }
 
-func (a *Aggregator) ingestMetric(id int, rest string) {
-	// MT <seq> <kind> <name> <value>
-	f := strings.Fields(rest)
-	if len(f) != 4 {
-		a.gaps++
-		return
-	}
-	v, err := strconv.ParseFloat(f[3], 64)
-	if err != nil {
-		a.gaps++
-		return
-	}
+// metric records node id's latest value of one "<kind> <name>" row.
+func (a *Aggregator) metric(id int, key string, v float64) {
+	a.mu.Lock()
+	defer a.mu.Unlock()
 	m := a.metrics[id]
 	if m == nil {
 		m = make(map[string]float64)
 		a.metrics[id] = m
 	}
-	m[f[1]+" "+f[2]] = v
+	m[key] = v
 }
 
 // reportRound logs one complete round's entry-skew percentiles (mu held).
 // Skew is each node's round-entry instant minus the fleet's earliest —
 // the live view of assumption S2 holding (or drifting) across the fleet.
-func (a *Aggregator) reportRound(round uint32, byNode map[int]time.Duration) {
+func (a *Aggregator) reportRound(round uint32, byNode map[int]sample) {
 	if a.seen[round] {
 		return
 	}
 	a.seen[round] = true
 	stats := roundSkew(byNode)
 	if a.log != nil {
-		fmt.Fprintf(a.log, "  round %d: %d/%d nodes, entry skew p50=%v p90=%v max=%v\n",
-			round, len(byNode), a.n, stats.P50, stats.P90, stats.Max)
+		fmt.Fprintf(a.log, "  round %d: %d/%d nodes, entry skew p50=%v p90=%v max=%v, ingest lag p50=%v max=%v\n",
+			round, len(byNode), a.n, stats.P50, stats.P90, stats.Max, stats.LagP50, stats.LagMax)
 	}
 }
 
-// skewStats is one round's fleet entry-skew distribution.
+// skewStats is one round's fleet entry-skew distribution, and the
+// runner's ingest lag over the same round events.
 type skewStats struct {
-	Round uint32        `json:"round"`
-	Nodes int           `json:"nodes"`
-	P50   time.Duration `json:"p50_ns"`
-	P90   time.Duration `json:"p90_ns"`
-	Max   time.Duration `json:"max_ns"`
+	Round  uint32        `json:"round"`
+	Nodes  int           `json:"nodes"`
+	P50    time.Duration `json:"p50_ns"`
+	P90    time.Duration `json:"p90_ns"`
+	Max    time.Duration `json:"max_ns"`
+	LagP50 time.Duration `json:"ingest_lag_p50_ns"`
+	LagMax time.Duration `json:"ingest_lag_max_ns"`
 }
 
-// roundSkew folds one round's per-node entry instants into percentiles.
-func roundSkew(byNode map[int]time.Duration) skewStats {
+// roundSkew folds one round's per-node samples into percentiles.
+func roundSkew(byNode map[int]sample) skewStats {
 	at := make([]time.Duration, 0, len(byNode))
-	for _, d := range byNode {
-		at = append(at, d)
+	lag := make([]time.Duration, 0, len(byNode))
+	for _, s := range byNode {
+		at = append(at, s.at)
+		lag = append(lag, s.lag)
 	}
-	sort.Slice(at, func(i, j int) bool { return at[i] < at[j] })
+	slices.Sort(at)
+	slices.Sort(lag)
 	base := at[0]
 	for i := range at {
 		at[i] -= base
 	}
 	return skewStats{
-		Nodes: len(byNode),
-		P50:   at[len(at)/2],
-		P90:   at[len(at)*9/10],
-		Max:   at[len(at)-1],
+		Nodes:  len(byNode),
+		P50:    at[len(at)/2],
+		P90:    at[len(at)*9/10],
+		Max:    at[len(at)-1],
+		LagP50: lag[len(lag)/2],
+		LagMax: lag[len(lag)-1],
 	}
 }
 
-// Gaps reports how many malformed or out-of-sequence stream lines were
-// seen — nonzero after a restart (a relaunch restarts its sequence), zero in
-// a clean run.
-func (a *Aggregator) Gaps() int {
+// totals reports how many lines were malformed or broke their
+// connection's sequence, and the largest ingest lag of any node's round
+// entry. A clean run, crashes and relaunches included, has no gaps: each
+// incarnation's connection starts its own sequence.
+func (a *Aggregator) totals() (gaps int, maxLag time.Duration) {
 	a.mu.Lock()
 	defer a.mu.Unlock()
-	return a.gaps
+	return a.gaps, a.maxLag
 }
 
 // WriteArtifacts persists the aggregated views into outDir as

@@ -5,6 +5,8 @@ import (
 	"fmt"
 	"io"
 	"net"
+	"os"
+	"path/filepath"
 	"slices"
 	"strings"
 	"sync"
@@ -21,52 +23,63 @@ type NodeEvent struct {
 	Detail string
 }
 
-// Barrier is the runner side of p2pnode's -control handshake and the
-// fleet's directory. Each node process launches its own enclave, connects,
-// announces READY with its directory entry (listen address, attestation
-// quote, initial sequence number), and blocks; once all n expected nodes
-// have checked in the runner releases the barrier, which sends every node
-// the whole directory as one PEERS line and the shared START instant. A
-// node that connects after the release — one relaunched by a restart
-// event of the fault schedule — must announce the enclave its id first
-// announced, the same quote and sequence number, and then receives the
-// stored directory and instant immediately, so a restart joins the
-// original schedule; a READY announcing another enclave is refused and
-// reported as a failed node.
+// Barrier is the runner side of p2pnode's -control handshake, the
+// fleet's directory, and the writer of every artifact a node leaves. Each
+// node process launches its own enclave, connects, announces READY with
+// its directory entry (listen address, attestation quote, initial
+// sequence number), and blocks; once all n expected nodes have checked in
+// the runner releases the barrier, which sends every node the whole
+// directory as one PEERS line and the shared START instant. A node that
+// connects after the release — one relaunched by a restart event of the
+// fault schedule — must announce the enclave its id first announced, the
+// same quote and sequence number, and then receives the stored directory
+// and instant immediately, so a restart joins the original schedule; a
+// READY announcing another enclave is refused and reported as a failed
+// node.
 //
-// The conversation, one text line each (directory.go owns the formats):
+// The conversation, one text line each (directory.go owns the release's
+// formats, control.go the rest):
 //
 //	node → runner:  READY <id> <host:port> <quote hex> <seq>
 //	runner → node:  PEERS <id> <host:port> <quote hex> <seq>,... (every id once)
 //	runner → node:  START <unix-ms>
+//	node → runner:  EV / MT lines while it runs, then RESULT <json>
 //	node → runner:  DONE  |  FAIL <reason>
 //
-// The connection then stays open; an EOF before DONE is how the runner
-// observes a crash (deliberate or not). A node started with -stream
-// multiplexes live telemetry onto the same connection (EV/MT lines,
-// routed to the stream sink), and the runner can ask any node for a
-// profile capture with a PROF line in the other direction.
+// The k-th accepted READY of node id is its incarnation k: the barrier
+// writes that connection's events as whole JSONL lines into
+// trace-<id>-<k>.jsonl and its RESULT into result-<id>-<k>.json in the
+// artifact directory, and folds events and metric rows into its
+// Aggregator. The connection then stays open; an EOF before DONE is how
+// the runner observes a crash (deliberate or not), and a connection is
+// read to its EOF even after a relaunch has replaced it, so a SIGKILLed
+// incarnation's trace holds everything it sent. The runner can ask a
+// node's latest incarnation for a profile capture with a PROF line.
 type Barrier struct {
 	ln     net.Listener
 	n      int
+	dir    string
+	agg    *Aggregator
 	events chan NodeEvent
 
 	mu       sync.Mutex
 	table    []Entry // entry i is node i's first READY; zero until it arrives
 	ready    int
+	incs     []int      // accepted READYs per node: the next incarnation
 	conns    []net.Conn // node i's latest control connection
+	all      []net.Conn // every accepted connection, replaced ones included
 	released bool
 	release  string // the PEERS and START lines, fixed by Release
 	readyAll chan struct{}
 	closed   bool
-	sink     func(id int, line string)
 
 	wg sync.WaitGroup
 }
 
 // NewBarrier starts a barrier listener for n nodes on an ephemeral
-// localhost port.
-func NewBarrier(n int) (*Barrier, error) {
+// localhost port, writing artifacts into dir; log, when non-nil, receives
+// the aggregator's live per-round timeline.
+func NewBarrier(n int, dir string, log io.Writer) (*Barrier, error) {
 	ln, err := net.Listen("tcp", "127.0.0.1:0")
 	if err != nil {
 		return nil, err
@@ -74,8 +87,11 @@ func NewBarrier(n int) (*Barrier, error) {
 	b := &Barrier{
 		ln:       ln,
 		n:        n,
+		dir:      dir,
+		agg:      NewAggregator(n, log),
 		events:   make(chan NodeEvent, 4*n+16),
 		table:    make([]Entry, n),
+		incs:     make([]int, n),
 		conns:    make([]net.Conn, n),
 		readyAll: make(chan struct{}),
 	}
@@ -137,55 +153,120 @@ func (b *Barrier) serve(conn net.Conn) {
 		b.events <- NodeEvent{ID: id, Kind: "fail", Detail: "barrier: READY announces an enclave other than the node's first"}
 		return
 	}
-	if old := b.conns[id]; old != nil {
-		old.Close()
-	}
+	inc := b.incs[id]
+	b.incs[id]++
 	b.conns[id] = conn
+	b.all = append(b.all, conn)
 	lateJoin := b.released
 	b.mu.Unlock()
 
+	rec := &recording{id: id, agg: b.agg}
+	rec.trace, err = os.Create(filepath.Join(b.dir, traceName(id, inc)))
+	if err != nil {
+		conn.Close()
+		b.events <- NodeEvent{ID: id, Kind: "fail", Detail: "barrier: " + err.Error()}
+		return
+	}
 	b.events <- NodeEvent{ID: id, Kind: "ready", Detail: e.Addr}
 	if lateJoin {
 		b.releaseOne(conn)
 	}
 
-	// Read until DONE/FAIL or EOF; EOF first means the process died.
+	// Read until EOF, which before DONE means the process died. Whole
+	// lines only: a dying process's half line never reaches the trace.
 	for {
 		line, err := rd.ReadString('\n')
 		if err != nil {
+			rec.close()
 			b.events <- NodeEvent{ID: id, Kind: "disconnect"}
 			conn.Close()
 			return
 		}
-		line = strings.TrimSpace(line)
-		switch {
-		case line == "DONE":
+		verb, rest, _ := strings.Cut(strings.TrimSuffix(line, "\n"), " ")
+		switch verb {
+		case "DONE":
 			b.events <- NodeEvent{ID: id, Kind: "done"}
-		case strings.HasPrefix(line, "FAIL "):
-			b.events <- NodeEvent{ID: id, Kind: "fail", Detail: strings.TrimPrefix(line, "FAIL ")}
-		case strings.HasPrefix(line, "EV ") || strings.HasPrefix(line, "MT "):
-			b.mu.Lock()
-			sink := b.sink
-			b.mu.Unlock()
-			if sink != nil {
-				sink(id, line)
+		case "FAIL":
+			b.events <- NodeEvent{ID: id, Kind: "fail", Detail: rest}
+		case "EV":
+			rec.event(rest)
+		case "MT":
+			rec.metric(rest)
+		case "RESULT":
+			if werr := os.WriteFile(filepath.Join(b.dir, resultName(id, inc)), []byte(rest+"\n"), 0o644); werr != nil {
+				b.events <- NodeEvent{ID: id, Kind: "fail", Detail: "barrier: " + werr.Error()}
 			}
+		}
+		if rd.Buffered() == 0 || len(rec.buf) >= flushBytes {
+			rec.flush()
 		}
 	}
 }
 
-// SetStreamSink installs the consumer for streamed EV/MT lines. The sink
-// runs on the per-connection serve goroutines, so it must be safe for
-// concurrent calls with distinct ids.
-func (b *Barrier) SetStreamSink(sink func(id int, line string)) {
-	b.mu.Lock()
-	b.sink = sink
-	b.mu.Unlock()
+// flushBytes bounds what a recording buffers before it writes: the trace
+// file grows by whole lines, one write per burst the connection delivers.
+const flushBytes = 64 << 10
+
+// recording is the runner's end of one incarnation's telemetry: its
+// trace file, its stream position, and the aggregator it feeds.
+type recording struct {
+	id      int
+	agg     *Aggregator
+	trace   *os.File
+	buf     []byte
+	lastSeq uint64
 }
 
-// SendProf asks one node to capture pprof profiles (it needs to have
-// been started with -profile-dir). Best-effort: a dead connection is
-// exactly when a profile is wanted and exactly when it can fail.
+// event appends one EV line's event to the trace and the aggregator. A
+// line that does not decode, or a sequence number that does not follow
+// this connection's last, is a gap; an undecodable line is dropped.
+func (r *recording) event(rest string) {
+	seq, ev, line, err := parseEV(rest)
+	if err != nil || seq != r.lastSeq+1 {
+		r.agg.gap()
+	}
+	if seq != 0 {
+		r.lastSeq = seq
+	}
+	if err != nil {
+		return
+	}
+	r.buf = append(append(r.buf, line...), '\n')
+	r.agg.event(r.id, ev)
+}
+
+// metric folds one MT line into the aggregator; a malformed one is a gap.
+func (r *recording) metric(rest string) {
+	key, v, err := parseMT(rest)
+	if err != nil {
+		r.agg.gap()
+		return
+	}
+	r.agg.metric(r.id, key, v)
+}
+
+// flush writes the buffered lines to the trace file.
+func (r *recording) flush() {
+	if len(r.buf) == 0 {
+		return
+	}
+	if _, err := r.trace.Write(r.buf); err != nil {
+		r.agg.gap()
+	}
+	r.buf = r.buf[:0]
+}
+
+// close flushes and closes the trace file; a lost write is a gap.
+func (r *recording) close() {
+	r.flush()
+	if err := r.trace.Close(); err != nil {
+		r.agg.gap()
+	}
+}
+
+// SendProf asks node id's latest incarnation to capture pprof profiles
+// into its -profile-dir. Best-effort: a dead connection is exactly when a
+// profile is wanted and exactly when it can fail.
 func (b *Barrier) SendProf(id int) {
 	b.mu.Lock()
 	conn := b.conns[id]
@@ -221,6 +302,7 @@ func (b *Barrier) Release(start time.Time) error {
 		return fmt.Errorf("barrier: only %d/%d nodes ready", b.ready, b.n)
 	}
 	b.released = true
+	b.agg.setStart(start)
 	b.release = fmt.Sprintf("%s\nSTART %d\n", formatPeers(b.table), start.UnixMilli())
 	conns := slices.Clone(b.conns)
 	b.mu.Unlock()
@@ -246,6 +328,14 @@ func (b *Barrier) NodeAddr(id int) (string, bool) {
 	return addr, addr != ""
 }
 
+// Drain stops accepting connections and waits until every accepted one
+// has been read to its EOF — after the fleet is dead, the point from
+// which every trace and result file is whole.
+func (b *Barrier) Drain() {
+	b.ln.Close()
+	b.wg.Wait()
+}
+
 // Close shuts the barrier down and drops all control connections.
 func (b *Barrier) Close() {
 	b.mu.Lock()
@@ -254,13 +344,11 @@ func (b *Barrier) Close() {
 		return
 	}
 	b.closed = true
-	conns := slices.Clone(b.conns)
+	conns := slices.Clone(b.all)
 	b.mu.Unlock()
 	b.ln.Close()
 	for _, c := range conns {
-		if c != nil {
-			c.Close()
-		}
+		c.Close()
 	}
 	b.wg.Wait()
 }

@@ -75,7 +75,7 @@ func (f *fakeNode) release(t *testing.T, n int) ([]Entry, time.Time) {
 // TestBarrierHandshake pins the READY→PEERS+START→DONE conversation: every
 // node is released with every node's address, quote and sequence number.
 func TestBarrierHandshake(t *testing.T) {
-	b, err := NewBarrier(3)
+	b, err := NewBarrier(3, t.TempDir(), nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -136,7 +136,7 @@ func TestBarrierHandshake(t *testing.T) {
 // enclave — a different quote, or a different sequence number — is
 // refused and reported as a failed node.
 func TestBarrierLateJoiner(t *testing.T) {
-	b, err := NewBarrier(2)
+	b, err := NewBarrier(2, t.TempDir(), nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -210,7 +210,7 @@ func awaitEvent(t *testing.T, b *Barrier, id int, kind string) NodeEvent {
 
 // TestBarrierAwaitReadyTimeout pins the actionable timeout message.
 func TestBarrierAwaitReadyTimeout(t *testing.T) {
-	b, err := NewBarrier(3)
+	b, err := NewBarrier(3, t.TempDir(), nil)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -1,12 +1,15 @@
 package scenario
 
 import (
+	"bufio"
+	"encoding/json"
 	"os"
 	"path/filepath"
 	"sync"
 	"testing"
 
 	"sgxp2p/internal/chaos"
+	"sgxp2p/internal/obsplane"
 	"sgxp2p/internal/telemetry"
 	"sgxp2p/internal/wire"
 )
@@ -50,7 +53,8 @@ func nodeBin(t *testing.T) string {
 }
 
 // runCase orchestrates one manifest testcase end-to-end and fails the
-// test on any unmet invariant, dumping the report for diagnosis.
+// test on any unmet invariant, dumping the report for diagnosis, or on
+// telemetry a run must always leave (checkTelemetry).
 func runCase(t *testing.T, manifestName, caseName string, instances int, overrides map[string]string) *RunReport {
 	t.Helper()
 	m := repoManifest(t, manifestName)
@@ -83,7 +87,55 @@ func runCase(t *testing.T, manifestName, caseName string, instances int, overrid
 		}
 		t.Fatalf("scenario %s did not pass", tc.Name)
 	}
+	checkTelemetry(t, report)
 	return report
+}
+
+// checkTelemetry asserts what every live run records without being asked
+// (merged.jsonl's schema check is the trace-consistency invariant): no
+// gap in any connection's sequence, the probe gauges of every node and
+// the runner's ingest lag in aggregate.jsonl, and complete cross-process
+// span chains in merged.jsonl.
+func checkTelemetry(t *testing.T, report *RunReport) {
+	t.Helper()
+	if report.StreamGaps != 0 {
+		t.Fatalf("%d gaps in the control streams of a clean run", report.StreamGaps)
+	}
+	f, err := os.Open(filepath.Join(filepath.Dir(report.MergedPath), "aggregate.jsonl"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer f.Close()
+	gauged, lagged := 0, 0
+	for sc := bufio.NewScanner(f); sc.Scan(); {
+		var row struct {
+			Node    *int               `json:"node"`
+			Metrics map[string]float64 `json:"metrics"`
+			LagMax  int64              `json:"ingest_lag_max_ns"`
+		}
+		if err := json.Unmarshal(sc.Bytes(), &row); err != nil {
+			t.Fatal(err)
+		}
+		if _, ok := row.Metrics["gauge obs_goroutines"]; ok {
+			gauged++
+		}
+		if row.Node == nil && row.LagMax > 0 {
+			lagged++
+		}
+	}
+	if gauged != report.N || lagged == 0 {
+		t.Fatalf("aggregate.jsonl: probe gauges of %d/%d nodes, %d rounds with an ingest lag", gauged, report.N, lagged)
+	}
+	g := obsplane.Reconstruct(readTrace(t, report.MergedPath))
+	complete := 0
+	for i := range g.Spans {
+		if g.Spans[i].Complete() {
+			complete++
+		}
+	}
+	if complete == 0 {
+		t.Fatalf("no complete cross-process span chain among %d spans of merged.jsonl", len(g.Spans))
+	}
 }
 
 // matchSimnet is the live-versus-simnet differential: the testcase of a
@@ -135,7 +187,8 @@ func matchSimnet(t *testing.T, report *RunReport, manifest string) {
 // TestScenarioHonestERB runs the honest-sweep manifest's testcase at a
 // small fleet size: real processes, real TCP, the runner's barrier, and
 // central agreement/termination/trace invariants; both epochs match a
-// fault-free simnet run.
+// fault-free simnet run, and the run leaves its whole telemetry
+// (checkTelemetry: no gaps, probe gauges, complete span chains).
 func TestScenarioHonestERB(t *testing.T) {
 	if testing.Short() {
 		t.Skip("spawns a process fleet")
@@ -151,13 +204,35 @@ func TestScenarioHonestERB(t *testing.T) {
 	matchSimnet(t, report, "honest-sweep.json")
 }
 
+// TestScenarioLiveStream runs a one-epoch honest ERB fleet and checks
+// what arrives over the control connections while it runs: every node's
+// telemetry stream whole (checkTelemetry: no gaps, probe gauges, complete
+// span chains in merged.jsonl) and every node's one-epoch result.
+// Streaming is no mode: the same assertions hold for every fleet test,
+// this one isolates them on the shortest live run.
+func TestScenarioLiveStream(t *testing.T) {
+	if testing.Short() {
+		t.Skip("spawns a process fleet")
+	}
+	report := runCase(t, "honest-sweep.json", "erb-honest", 4, map[string]string{
+		"delta": "250ms", "epochs": "1",
+	})
+	for _, node := range report.Nodes {
+		if node.Result == nil || len(node.Result.Epochs) != 1 {
+			t.Fatalf("node %d result %+v", node.ID, node.Result)
+		}
+	}
+}
+
 // TestScenarioCrashRestart runs the crash-restart manifest: its faults
 // SIGKILL node 4 at round 10, mid-epoch 1, and a relaunched incarnation
 // (same identity, same address, re-derived keys) rejoins at epoch 2 — the
-// restart lifecycle exercised across real process boundaries. The run is not
-// streamed, and the killed incarnation still leaves its evidence: its
-// exporter appended whole lines up to its last drain, so trace-4-0.jsonl
-// parses strictly and its events are in the merged archive.
+// restart lifecycle exercised across real process boundaries. The killed
+// incarnation still leaves its evidence: the barrier read its connection
+// to EOF and wrote whole lines up to its exporter's last drain, so
+// trace-4-0.jsonl parses strictly and its events are in the merged
+// archive; and the relaunch's sequence, which starts again at 1 on its
+// own connection, is no gap.
 func TestScenarioCrashRestart(t *testing.T) {
 	if testing.Short() {
 		t.Skip("spawns a process fleet")
@@ -191,6 +266,9 @@ func TestScenarioCrashRestart(t *testing.T) {
 		if !merged[ev] {
 			t.Fatalf("event %+v of the SIGKILLed incarnation is not in merged.jsonl", ev)
 		}
+	}
+	if report.StreamGaps != 0 {
+		t.Fatalf("%d stream gaps across node 4's incarnations, want 0", report.StreamGaps)
 	}
 }
 

@@ -14,7 +14,6 @@ import (
 
 	"sgxp2p/internal/chaos"
 	"sgxp2p/internal/deploy"
-	"sgxp2p/internal/obsplane"
 )
 
 // EpochRounds is the length of one live epoch slot in rounds, the one
@@ -45,10 +44,10 @@ func EpochWindow(rounds int, delta time.Duration) time.Duration {
 // after r.
 func resumeEpoch(r, rounds int) int { return (r-1)/rounds + 1 }
 
-// NodeResult is p2pnode's -result-out JSON document: what the node
-// decided in each epoch, so the runner can assert cross-process
-// invariants without parsing human-readable logs. p2pnode writes this
-// type and the runner reads it.
+// NodeResult is what a node decided in each epoch, so the runner can
+// assert cross-process invariants without parsing human-readable logs:
+// p2pnode sends it as its RESULT line, and the barrier writes it into the
+// incarnation's result-<id>-<inc>.json.
 type NodeResult struct {
 	ID     int           `json:"id"`
 	Mode   string        `json:"mode"`
@@ -80,8 +79,9 @@ type NodeOutcome struct {
 	// Result is the (final incarnation's) parsed result document, nil if
 	// the node never wrote one.
 	Result *NodeResult
-	// TracePaths are the non-empty JSONL traces the node's incarnations
-	// left, SIGKILLed ones included (up to their exporter's last drain).
+	// TracePaths are the non-empty JSONL traces of the node's
+	// incarnations, SIGKILLed ones included (up to their exporter's last
+	// drain).
 	TracePaths []string
 	// FailDetail is the FAIL reason the node reported, empty otherwise.
 	FailDetail string
@@ -105,10 +105,10 @@ type RunReport struct {
 	Invariants []InvariantResult `json:"invariants"`
 	MergedPath string            `json:"merged_trace,omitempty"`
 	Passed     bool              `json:"passed"`
-	// StreamGaps counts live-stream lines that arrived malformed or out of
-	// sequence (Stream runs only): a hole the exporter or the connection
-	// left, or a relaunched incarnation restarting its sequence.
-	StreamGaps int `json:"stream_gaps,omitempty"`
+	// StreamGaps counts control lines that arrived malformed or broke
+	// their connection's sequence: a hole the exporter or the connection
+	// left. Each incarnation's connection starts its own sequence.
+	StreamGaps int `json:"stream_gaps"`
 }
 
 // RunConfig configures one orchestrated run.
@@ -120,20 +120,11 @@ type RunConfig struct {
 	Params   RunParams
 	// Instances is the process count (0 = the testcase default).
 	Instances int
-	// OutDir receives traces, results, logs and the merged trace.
+	// OutDir receives traces, results, logs, profiles, aggregate.jsonl
+	// and the merged trace.
 	OutDir string
-	// Stream turns on the live observability plane: every node streams
-	// telemetry events (with causal span hops) and metric deltas over its
-	// control connection, a resource probe samples its process gauges,
-	// and the runner aggregates per-round fleet percentiles live and
-	// writes aggregate.jsonl next to the traces.
-	Stream bool
-	// Profile arms pprof-on-violation: nodes run with -profile-dir at
-	// OutDir/profiles, a node that times out at the run deadline gets a
-	// PROF request (CPU + heap capture) before the fleet is reaped, and
-	// a node that FAILs self-captures a heap snapshot.
-	Profile bool
-	// Log, when non-nil, receives run narration.
+	// Log, when non-nil, receives run narration and the live per-round
+	// timeline.
 	Log io.Writer
 }
 
@@ -144,7 +135,13 @@ const profileGrace = 3 * time.Second
 
 // Run orchestrates one testcase: spawn the fleet, run the barrier
 // handshake, fire the fault schedule, collect traces and results, assert
-// the invariants.
+// the invariants. Every node ships its telemetry (span hops included,
+// and resource probe gauges) and its result over its control connection,
+// and the barrier writes them; the runner aggregates per-round fleet
+// percentiles live into aggregate.jsonl. pprof-on-violation is armed in
+// every run: a node that times out at the run deadline gets a PROF
+// request (CPU + heap capture into OutDir/profiles) before the fleet is
+// reaped, and a node that FAILs self-captures a heap snapshot.
 func Run(cfg RunConfig) (*RunReport, error) {
 	n := cfg.Instances
 	if n == 0 {
@@ -156,7 +153,7 @@ func Run(cfg RunConfig) (*RunReport, error) {
 	if cfg.NodeBin == "" {
 		return nil, fmt.Errorf("scenario: no node binary")
 	}
-	if err := os.MkdirAll(cfg.OutDir, 0o755); err != nil {
+	if err := os.MkdirAll(filepath.Join(cfg.OutDir, "profiles"), 0o755); err != nil {
 		return nil, err
 	}
 	logf := func(format string, args ...any) {
@@ -173,22 +170,11 @@ func Run(cfg RunConfig) (*RunReport, error) {
 	report := &RunReport{Testcase: cfg.Testcase.Name, N: n, Params: cfg.Params, Window: window}
 	began := time.Now()
 
-	barrier, err := NewBarrier(n)
+	barrier, err := NewBarrier(n, cfg.OutDir, cfg.Log)
 	if err != nil {
 		return nil, err
 	}
 	defer barrier.Close()
-
-	var agg *Aggregator
-	if cfg.Stream {
-		agg = NewAggregator(n, cfg.Log)
-		barrier.SetStreamSink(agg.Ingest)
-	}
-	if cfg.Profile {
-		if err := os.MkdirAll(filepath.Join(cfg.OutDir, "profiles"), 0o755); err != nil {
-			return nil, err
-		}
-	}
 
 	fleet := &fleet{
 		cfg: cfg, n: n, barrier: barrier,
@@ -288,26 +274,25 @@ collect:
 			}
 		case <-timeout:
 			logf("scenario %s: run deadline hit with %d nodes pending", cfg.Testcase.Name, pending)
-			if cfg.Profile {
-				// pprof-on-violation: ask every wedged node for a CPU+heap
-				// capture and give the window time to run before reaping.
-				asked := 0
-				for id := 0; id < n; id++ {
-					if expectDone[id] && !terminal[id] {
-						barrier.SendProf(id)
-						asked++
-					}
+			// pprof-on-violation: ask every wedged node for a CPU+heap
+			// capture and give the window time to run before reaping.
+			asked := 0
+			for id := 0; id < n; id++ {
+				if expectDone[id] && !terminal[id] {
+					barrier.SendProf(id)
+					asked++
 				}
-				if asked > 0 {
-					logf("scenario %s: requested profiles from %d wedged nodes", cfg.Testcase.Name, asked)
-					time.Sleep(profileGrace)
-				}
+			}
+			if asked > 0 {
+				logf("scenario %s: requested profiles from %d wedged nodes", cfg.Testcase.Name, asked)
+				time.Sleep(profileGrace)
 			}
 			break collect
 		}
 	}
 	<-faultsDone
 	fleet.killAll()
+	barrier.Drain()
 	fleet.reap()
 	report.WallTime = time.Since(began)
 
@@ -321,13 +306,12 @@ collect:
 	report.Invariants = append(report.Invariants, mergeRes)
 	report.Invariants = append(report.Invariants, checkCompletion(fleet.outcomes, expectDone, cfg.Params)...)
 	report.Invariants = append(report.Invariants, checkDecisions(fleet.outcomes, cfg.Testcase, cfg.Params)...)
-	if agg != nil {
-		if aerr := agg.WriteArtifacts(cfg.OutDir); aerr != nil {
-			logf("scenario %s: aggregate artifacts: %v", cfg.Testcase.Name, aerr)
-		}
-		report.StreamGaps = agg.Gaps()
-		logf("scenario %s: live stream: %d gaps", cfg.Testcase.Name, report.StreamGaps)
+	if aerr := barrier.agg.WriteArtifacts(cfg.OutDir); aerr != nil {
+		logf("scenario %s: aggregate artifacts: %v", cfg.Testcase.Name, aerr)
 	}
+	gaps, maxLag := barrier.agg.totals()
+	report.StreamGaps = gaps
+	logf("scenario %s: telemetry: %d gaps, ingest lag max %v", cfg.Testcase.Name, gaps, maxLag.Round(time.Millisecond))
 
 	report.Passed = true
 	for _, inv := range report.Invariants {
@@ -339,8 +323,8 @@ collect:
 	return report, nil
 }
 
-// collectArtifacts picks up the result and trace files the node's
-// incarnations left in outDir. An incarnation killed before its
+// collectArtifacts picks up the result and trace files the barrier wrote
+// for the node's incarnations in outDir. An incarnation killed before its
 // exporter's first drain leaves a zero-byte trace: nothing to merge.
 func collectArtifacts(outDir string, out *NodeOutcome) {
 	for inc := 0; inc <= out.Restarts; inc++ {
@@ -411,20 +395,13 @@ func (f *fleet) spawn(id, resumeEpoch int, listen string) error {
 		"-listen", listen,
 		"-message", p.Message,
 		"-faults", f.cfg.Testcase.Faults.String(),
-		"-trace", filepath.Join(f.cfg.OutDir, traceName(id, incarnation)),
-		"-result-out", filepath.Join(f.cfg.OutDir, resultName(id, incarnation)),
+		"-profile-dir", filepath.Join(f.cfg.OutDir, "profiles"),
 	}
 	if resumeEpoch > 0 {
 		args = append(args, "-resume-epoch", strconv.Itoa(resumeEpoch))
 	}
 	if p.Slow > 0 && (p.SlowNode < 0 || p.SlowNode == id) {
 		args = append(args, "-slow", p.Slow.String())
-	}
-	if f.cfg.Stream {
-		args = append(args, "-stream", "-spans", "-probe-interval", obsplane.DefaultProbeInterval.String())
-	}
-	if f.cfg.Profile {
-		args = append(args, "-profile-dir", filepath.Join(f.cfg.OutDir, "profiles"))
 	}
 	cmd := exec.Command(f.cfg.NodeBin, args...)
 	logPath := filepath.Join(f.cfg.OutDir, fmt.Sprintf("node-%d-%d.log", id, incarnation))
