@@ -50,7 +50,12 @@ vet:
 # the eighth for traced and metered runs on lanes, whose workers hand
 # their trace records to the network's op logs and add to shared gauges:
 # the chaos traces against themselves and against one goroutine, the
-# enabling rule, and the mux gauges.
+# enabling rule, and the mux gauges. The ninth does the same for the
+# pair's one link cipher, which both ends of a pair seal and open through
+# (DESIGN.md §6): two ends on two goroutines, the pair hand-over, a full
+# mesh and a restart; the tenth repeats the first two without the
+# kernels, where each end keeps a cipher of its own because the portable
+# paths write scratch.
 race:
 	$(GO) test -race ./internal/deploy/... ./internal/experiments/... ./internal/runtime/... ./internal/tcpnet/... ./internal/scenario/... ./internal/vclock/... ./internal/simnet/... ./internal/overlay/... ./internal/core/... ./internal/beacon/... .
 	$(GO) test -race -count=5 -run 'Handoff|Lane' ./internal/vclock/... ./internal/simnet/...
@@ -60,6 +65,8 @@ race:
 	$(GO) test -race -cpu 1,2,4 -run 'SparseOutbox|FinishedPeerReleasesProtocol|LaneSlabs|LaneRecords' ./internal/runtime/... ./internal/simnet/...
 	$(GO) test -race -cpu 1,2,4 -run 'LanesMatchSerialLoop/erb-byzantine|LanesJoinAndRestart|OnlyRecorderKeepsTape|SharedBehaviorValue' ./internal/deploy/... ./internal/adversary/...
 	$(GO) test -race -cpu 1,2,4 -run 'TraceDeterministic|MuxTraceDeterministic|TracedChaosOnLanes|LanesRule|MuxGaugesSumOverNodes' ./internal/chaos/... ./internal/deploy/...
+	$(GO) test -race -cpu 1,2,4 -run 'SharedCipherSealWhileOpen|PairSharesOneCipher|FullMeshHoldsOneCipherPerPair|RestartPreparesFreshCipher' ./internal/xcrypto/... ./internal/channel/... ./internal/deploy/...
+	$(GO) test -race -tags purego -run 'SharedCipherSealWhileOpen|PairSharesOneCipher' ./internal/xcrypto/... ./internal/channel/...
 
 # chaos runs the deterministic fault-injection suite under the race
 # detector: fixed-seed schedules (crash-restart, partitions, flips)

@@ -4,25 +4,28 @@
 // (blind-box computation), and — together with the enclave's
 // measurement-bound key derivation — the program-binding half of P1.
 //
-// A Link corresponds to one (sender, receiver) enclave pair after
+// A link end corresponds to one (sender, receiver) enclave pair after
 // PeerCh_sgx.Init, which the runtime runs when the pair first has a frame
-// to seal or open (Establish) rather than for every pair up front —
+// to seal or open (Local.Establish) rather than for every pair up front —
 // attestation, which says whose key it is, comes before any of them — or
-// for all of a peer's missing pairs at once before a full-mesh instance
-// (EstablishBatch, whose key agreements run eight to a ladder on a CPU
-// with the batch kernel; the caller hands over link slots and ids and the
-// keys never leave this package and the enclave). It owns the directional
-// session keys derived from the Diffie-Hellman exchange and turns
-// wire.Message values into sealed envelopes and back. Everything that
+// for many of a peer's missing pairs at once (Local.EstablishBatch, whose
+// key agreements run eight to a ladder on a CPU with the batch kernel;
+// the caller hands over end slots and ids and the keys never leave this
+// package and the enclave). A peer holds one Local, what all its links
+// share, and per link an End: the cipher state prepared from the session
+// keys of the Diffie-Hellman exchange — for a real link the pair's one
+// LinkCipher, which both ends hold where the enclaves share a key cache —
+// through which wire.Message encodings are sealed into envelopes and
+// opened back. Link is an End with a Local of its own. Everything that
 // crosses the trust boundary to the untrusted OS is a sealed envelope: the
 // adversary can drop, hold, duplicate or corrupt envelopes but cannot read
 // or forge them, which is exactly the reduction of Theorem A.2 (byzantine
 // => replay/omit/delay).
 //
-// A Link has one seal and one open, like PeerCh_sgx's Write and Read:
-// SealEncodedAppend and OpenRawAppend, both through the per-link cipher
-// state NewLink prepares once. The Sealer handed to NewLink picks that
-// state:
+// A link has one seal and one open, like PeerCh_sgx's Write and Read:
+// Local.SealAppend and Local.OpenAppend (a Link's SealEncodedAppend and
+// OpenRawAppend), both through the cipher state prepared once when the
+// end opened. The Sealer handed to NewLocal or NewLink picks that state:
 //
 //   - RealSealer computes the actual AES-CTR + HMAC-SHA256 composition of
 //     the paper and is used in unit tests and the live TCP deployment.
@@ -78,7 +81,7 @@ func NewCounters(m *telemetry.Metrics) *Counters {
 var ErrAuth = errors.New("channel: envelope authentication failed")
 
 // Sealer names the envelope scheme of a link: RealSealer or *ModelSealer,
-// the two NewLink knows how to prepare per-link state for. It never sees
+// the two NewLocal knows how to prepare link state for. It never sees
 // key material. Implementations must be deterministic in size:
 // SealedSize(n) bytes for an n-byte plaintext.
 type Sealer interface {
@@ -242,180 +245,213 @@ func modelSeed(keys xcrypto.SessionKeys) uint64 {
 	return keyedFold(foldBasis, keys.Mac[:])
 }
 
-// Link is one direction-agnostic secure channel between the local enclave
-// and one remote peer, established during the setup phase.
-type Link struct {
-	// The dispatch pointers every seal/open touches lead the struct so
-	// they share the Link's first cache line: a large topology holds one
-	// Link per directed pair, and the per-envelope hot path reads only
-	// these fields. Exactly one of cipher and model is set, and the
-	// prepared state is all the link keeps of its session keys.
-	//
-	// cipher is the prepared per-link cipher state built at link
-	// establishment for RealSealer links: the AES key schedule and the
-	// two HMAC chaining values are derived once here instead of on every
-	// envelope. Stateful (the tag scratch; on the portable paths also the
-	// CTR scratch blocks and the stdlib hash), hence per-link and never
-	// shared through the enclave key cache.
-	cipher *xcrypto.LinkCipher
-	// nonces is where cipher draws envelope nonces: the local enclave's
-	// batched reader, shared by all its links (nil means crypto/rand
-	// directly, one read per envelope).
+// Local is the side of all its links that one enclave holds once: the
+// enclave, whose key agreement opens each link; its batched nonce reader,
+// where real links draw envelope nonces, fetched when the first one opens;
+// the *ModelSealer whose envelope counter its model links share (nil: real
+// links); and the metric counters. A peer keeps one Local and, per link
+// end, only an End.
+type Local struct {
+	encl   *enclave.Enclave
 	nonces io.Reader
-	// model and seed are the prepared per-link state for *ModelSealer
-	// links — the simulation analogue of the LinkCipher: the sealer whose
-	// envelope counter all of one peer's links share, and the keyed
-	// checksum's seed, derived from this link's MAC key once here instead
-	// of on every envelope. model is nil otherwise.
-	model *ModelSealer
-	seed  uint64
-	// ctr, when non-nil, tallies seal/open traffic.
+	model  *ModelSealer
 	ctr    *Counters
-	remote wire.NodeID
 }
 
-// SetCounters attaches metric counters to the link (nil detaches them).
-func (l *Link) SetCounters(c *Counters) { l.ctr = c }
-
-// NewLink derives the session keys with the remote enclave's public key
-// and returns the established link. It fails if the local enclave has
-// halted, or if sealer is anything but a RealSealer or a *ModelSealer.
-// The per-link cipher state is prepared here, once, so every later seal
-// and open skips the key schedule and HMAC pad (or checksum seed)
-// derivation; the raw keys are not retained.
-func NewLink(local *enclave.Enclave, remote wire.NodeID, remotePub [xcrypto.PublicKeySize]byte, sealer Sealer) (*Link, error) {
-	l := new(Link)
-	if err := Establish(l, local, remote, remotePub, sealer); err != nil {
+// NewLocal returns the shared side of encl's links under sealer, which
+// must be a RealSealer or a non-nil *ModelSealer. ctr may be nil.
+func NewLocal(encl *enclave.Enclave, sealer Sealer, ctr *Counters) (*Local, error) {
+	lc, err := newLocal(sealer)
+	if err != nil {
 		return nil, err
 	}
-	return l, nil
+	lc.encl, lc.ctr = encl, ctr
+	return lc, nil
 }
 
-// Establish is NewLink into a zero Link the caller holds, so an owner that
-// keeps state of its own per link end (the runtime's outbox position)
-// embeds the Link and pays one allocation for both. A Link whose
-// Establish failed must not be used.
-func Establish(l *Link, local *enclave.Enclave, remote wire.NodeID, remotePub [xcrypto.PublicKeySize]byte, sealer Sealer) error {
-	keys, err := local.SessionKeys(remotePub)
+// newLocal is NewLocal without an enclave: its real links draw nonces
+// from crypto/rand one envelope at a time.
+func newLocal(sealer Sealer) (*Local, error) {
+	switch s := sealer.(type) {
+	case RealSealer:
+		return &Local{}, nil
+	case *ModelSealer:
+		if s != nil {
+			return &Local{model: s}, nil
+		}
+	}
+	return nil, fmt.Errorf("channel: unsupported sealer %T", sealer)
+}
+
+// End is one link end's own state, prepared once when the link opens and
+// all it keeps of the session keys: the pair's xcrypto.LinkCipher for a
+// real link — through an enclave KeyCache the very object the pair's
+// other end holds — or, for a model link, the keyed checksum's seed,
+// derived from the pair's MAC key (the simulation analogue of the
+// cipher). The zero End is a link not opened yet.
+type End struct {
+	cipher *xcrypto.LinkCipher
+	seed   uint64
+}
+
+// Establish is PeerCh_sgx.Init toward remote: it asks the local enclave
+// for the pair's agreement with remotePub and prepares e from it. It fails
+// if the enclave has halted; an End whose Establish failed must not be
+// used.
+func (lc *Local) Establish(e *End, remote wire.NodeID, remotePub [xcrypto.PublicKeySize]byte) error {
+	var err error
+	if lc.model != nil {
+		var keys xcrypto.SessionKeys
+		if keys, err = lc.encl.SessionKeys(remotePub); err == nil {
+			e.seed = modelSeed(keys)
+		}
+	} else {
+		lc.nonces = lc.encl.NonceReader()
+		e.cipher, err = lc.encl.LinkCipher(remotePub)
+	}
 	if err != nil {
 		return fmt.Errorf("channel: link to %d: %w", remote, err)
-	}
-	if err := l.prepare(remote, keys, sealer); err != nil {
-		return err
-	}
-	if l.cipher != nil {
-		l.nonces = local.NonceReader()
 	}
 	return nil
 }
 
-// EstablishBatch is Establish into each of links, links[i] toward remotes[i]
-// with public key remotePubs[i], the key agreements done as one
-// enclave.SessionKeysBatch: a peer opening many channels at once derives
-// them eight to a ladder where the CPU allows. It returns nil when every
-// link was established, and otherwise one error per link, nil for those
-// that were: errs[i] is what Establish would have returned for links[i],
-// and a Link with an error must not be used. The keys never leave the
-// call.
-func EstablishBatch(links []*Link, local *enclave.Enclave, remotes []wire.NodeID, remotePubs [][xcrypto.PublicKeySize]byte, sealer Sealer) (errs []error) {
-	local.SessionKeysBatch(remotePubs, func(i int, keys xcrypto.SessionKeys, err error) {
-		l := links[i]
-		if err != nil {
-			err = fmt.Errorf("channel: link to %d: %w", remotes[i], err)
-		} else if err = l.prepare(remotes[i], keys, sealer); err == nil && l.cipher != nil {
-			l.nonces = local.NonceReader()
+// EstablishBatch is Establish into each of ends, ends[i] toward remotes[i]
+// with public key remotePubs[i], the key agreements done as one enclave
+// batch: a peer opening many channels at once derives them eight to a
+// ladder where the CPU allows. It returns nil when every end was
+// established, and otherwise one error per end, nil for those that were:
+// errs[i] is what Establish would have returned for ends[i]. The keys
+// never leave the call.
+func (lc *Local) EstablishBatch(ends []*End, remotes []wire.NodeID, remotePubs [][xcrypto.PublicKeySize]byte) (errs []error) {
+	fail := func(i int, err error) {
+		if errs == nil {
+			errs = make([]error, len(ends))
 		}
-		if err != nil {
-			if errs == nil {
-				errs = make([]error, len(links))
+		errs[i] = fmt.Errorf("channel: link to %d: %w", remotes[i], err)
+	}
+	if lc.model != nil {
+		lc.encl.SessionKeysBatch(remotePubs, func(i int, keys xcrypto.SessionKeys, err error) {
+			if err != nil {
+				fail(i, err)
+				return
 			}
-			errs[i] = err
+			ends[i].seed = modelSeed(keys)
+		})
+		return errs
+	}
+	lc.nonces = lc.encl.NonceReader()
+	lc.encl.LinkCiphersBatch(remotePubs, func(i int, c *xcrypto.LinkCipher, err error) {
+		if err != nil {
+			fail(i, err)
+			return
 		}
+		ends[i].cipher = c
 	})
 	return errs
 }
 
-// newLinkFromKeys is NewLink after key agreement; the package tests use
-// it to build links under fixed keys.
-func newLinkFromKeys(remote wire.NodeID, keys xcrypto.SessionKeys, sealer Sealer) (*Link, error) {
-	l := new(Link)
-	if err := l.prepare(remote, keys, sealer); err != nil {
+// SealAppend seals an encoded message — or a wire batch container, which
+// is opaque plaintext to the channel — on the link end e, appending the
+// envelope to dst. Both ciphers grow dst to the exact envelope size, so
+// sealing into a nil dst costs one exactly-sized allocation and sealing
+// into a warm buffer costs none. The runtime seals every envelope into
+// one reused per-peer scratch buffer — the Transport.Send contract makes
+// the payload valid only during the call, and transports that keep
+// envelopes (queues, adversarial holds) copy them.
+func (lc *Local) SealAppend(e *End, dst, encoded []byte) ([]byte, error) {
+	var out []byte
+	var err error
+	if e.cipher != nil {
+		out, err = e.cipher.SealAppend(dst, lc.nonces, encoded)
+	} else {
+		out = lc.model.sealAppend(e.seed, dst, encoded)
+	}
+	if err == nil && lc.ctr != nil {
+		lc.ctr.Seals.Inc()
+		lc.ctr.SealedBytes.Add(uint64(len(out) - len(dst)))
+	}
+	return out, err
+}
+
+// OpenAppend verifies and decrypts an envelope on the link end e without
+// interpreting the plaintext, appending it to dst. Any failure is ErrAuth
+// and means the envelope must be treated as an omission (Theorem A.2,
+// step 1). The runtime's receive path opens raw first, then dispatches on
+// the plaintext's first byte: a batch container is unbatched entry by
+// entry, a bare message is decoded directly — with the per-message decode
+// and the Sender == remote binding applied by the caller either way.
+func (lc *Local) OpenAppend(e *End, dst, sealed []byte) ([]byte, error) {
+	var out []byte
+	var err error
+	if e.cipher != nil {
+		if out, err = e.cipher.OpenAppend(dst, sealed); err != nil {
+			err = ErrAuth
+		}
+	} else {
+		out, err = modelOpenAppend(e.seed, dst, sealed)
+	}
+	if lc.ctr != nil {
+		if err != nil {
+			lc.ctr.OpenFailures.Inc()
+		} else {
+			lc.ctr.Opens.Inc()
+			lc.ctr.OpenedBytes.Add(uint64(len(out) - len(dst)))
+		}
+	}
+	return out, err
+}
+
+// Link is one secure channel between the local enclave and one remote
+// peer on its own: an End with a Local of its own, and exactly one seal
+// and one open.
+type Link struct {
+	End
+	local *Local
+}
+
+// NewLink establishes the link to remote with public key remotePub. It
+// fails if the local enclave has halted, or if sealer is anything but a
+// RealSealer or a *ModelSealer. The cipher state is prepared here, once,
+// so every later seal and open skips the key schedule and HMAC pad (or
+// checksum seed) derivation; the raw keys are not retained.
+func NewLink(local *enclave.Enclave, remote wire.NodeID, remotePub [xcrypto.PublicKeySize]byte, sealer Sealer) (*Link, error) {
+	lc, err := NewLocal(local, sealer, nil)
+	if err != nil {
+		return nil, fmt.Errorf("channel: link to %d: %w", remote, err)
+	}
+	l := &Link{local: lc}
+	if err := lc.Establish(&l.End, remote, remotePub); err != nil {
 		return nil, err
 	}
 	return l, nil
 }
 
-// prepare builds the link's cipher state from the pair's session keys.
-func (l *Link) prepare(remote wire.NodeID, keys xcrypto.SessionKeys, sealer Sealer) error {
-	l.remote = remote
-	switch s := sealer.(type) {
-	case RealSealer:
-		c, err := xcrypto.NewLinkCipher(keys)
-		if err != nil {
-			return fmt.Errorf("channel: link to %d: %w", remote, err)
-		}
-		l.cipher = c
-	case *ModelSealer:
-		l.model, l.seed = s, modelSeed(keys)
-	default:
-		return fmt.Errorf("channel: link to %d: unsupported sealer %T", remote, sealer)
+// newLinkFromKeys is NewLink after key agreement; the package tests use
+// it to build links under fixed keys.
+func newLinkFromKeys(keys xcrypto.SessionKeys, sealer Sealer) (*Link, error) {
+	lc, err := newLocal(sealer)
+	if err != nil {
+		return nil, err
 	}
-	return nil
+	l := &Link{local: lc}
+	if lc.model != nil {
+		l.seed = modelSeed(keys)
+	} else if l.cipher, err = xcrypto.NewLinkCipher(keys); err != nil {
+		return nil, err
+	}
+	return l, nil
 }
 
-// Remote returns the peer on the far side of the link.
-func (l *Link) Remote() wire.NodeID { return l.remote }
-
-// SealEncodedAppend seals an encoded message — or a wire batch container,
-// which is opaque plaintext to the channel — for the remote peer,
-// appending the envelope to dst. Both ciphers grow dst to the exact
-// envelope size, so sealing into a nil dst costs one exactly-sized
-// allocation and sealing into a warm buffer costs none. The runtime seals
-// every envelope into one reused per-peer scratch buffer — the
-// Transport.Send contract makes the payload valid only during the call,
-// and transports that keep envelopes (queues, adversarial holds) copy
-// them.
+// SealEncodedAppend seals an encoded message for the remote peer,
+// appending the envelope to dst (Local.SealAppend).
 func (l *Link) SealEncodedAppend(dst, encoded []byte) ([]byte, error) {
-	var out []byte
-	var err error
-	if l.cipher != nil {
-		out, err = l.cipher.SealAppend(dst, l.nonces, encoded)
-	} else {
-		out = l.model.sealAppend(l.seed, dst, encoded)
-	}
-	if err == nil && l.ctr != nil {
-		l.ctr.Seals.Inc()
-		l.ctr.SealedBytes.Add(uint64(len(out) - len(dst)))
-	}
-	return out, err
+	return l.local.SealAppend(&l.End, dst, encoded)
 }
 
-// OpenRawAppend verifies and decrypts an envelope without interpreting
-// the plaintext, appending it to dst. Any failure is ErrAuth and means
-// the envelope must be treated as an omission (Theorem A.2, step 1). The
-// runtime's receive path opens raw first, then dispatches on the
-// plaintext's first byte: a batch container is unbatched entry by entry,
-// a bare message is decoded directly — with the per-message decode and
-// the Sender == Remote() binding applied by the caller either way.
+// OpenRawAppend verifies and decrypts an envelope from the remote peer,
+// appending the plaintext to dst (Local.OpenAppend).
 func (l *Link) OpenRawAppend(dst, sealed []byte) ([]byte, error) {
-	var out []byte
-	var err error
-	if l.cipher != nil {
-		if out, err = l.cipher.OpenAppend(dst, sealed); err != nil {
-			err = ErrAuth
-		}
-	} else {
-		out, err = modelOpenAppend(l.seed, dst, sealed)
-	}
-	if l.ctr != nil {
-		if err != nil {
-			l.ctr.OpenFailures.Inc()
-		} else {
-			l.ctr.Opens.Inc()
-			l.ctr.OpenedBytes.Add(uint64(len(out) - len(dst)))
-		}
-	}
-	return out, err
+	return l.local.OpenAppend(&l.End, dst, sealed)
 }
 
 // FrameTag returns the link-unique identifier of a sealed envelope: the

@@ -198,13 +198,13 @@ func TestLinksShareEnclaveNonceReader(t *testing.T) {
 	ab := mustLink(t, a, 1, b.DHPublic(), RealSealer{})
 	ac := mustLink(t, a, 2, c.DHPublic(), RealSealer{})
 	ba := mustLink(t, b, 0, a.DHPublic(), RealSealer{})
-	if ab.nonces == nil || ab.nonces != ac.nonces {
+	if ab.local.nonces == nil || ab.local.nonces != ac.local.nonces {
 		t.Fatal("links of one enclave do not share its nonce reader")
 	}
-	if ab.nonces == ba.nonces {
+	if ab.local.nonces == ba.local.nonces {
 		t.Fatal("links of different enclaves share a nonce reader")
 	}
-	if l := mustLink(t, a, 1, b.DHPublic(), NewModelSealer()); l.nonces != nil {
+	if l := mustLink(t, a, 1, b.DHPublic(), NewModelSealer()); l.local.nonces != nil {
 		t.Fatal("model link holds a nonce reader")
 	}
 	seen := make(map[[xcrypto.NonceSize]byte]bool)
@@ -264,7 +264,7 @@ func TestLinkSurface(t *testing.T) {
 	for i := 0; i < lt.NumMethod(); i++ {
 		got = append(got, lt.Method(i).Name)
 	}
-	want := []string{"OpenRawAppend", "Remote", "SealEncodedAppend", "SetCounters"}
+	want := []string{"OpenRawAppend", "SealEncodedAppend"}
 	if !reflect.DeepEqual(got, want) {
 		t.Errorf("exported methods of *Link = %v, want %v", got, want)
 	}

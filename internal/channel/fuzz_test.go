@@ -26,7 +26,7 @@ func fuzzKeys() xcrypto.SessionKeys {
 // runtime.
 func fuzzSealerOpen(f *testing.F, mk func() Sealer) {
 	sealer := mk()
-	link, err := newLinkFromKeys(1, fuzzKeys(), sealer)
+	link, err := newLinkFromKeys(fuzzKeys(), sealer)
 	if err != nil {
 		f.Fatal(err)
 	}

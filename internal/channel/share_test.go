@@ -1,0 +1,74 @@
+package channel
+
+import (
+	"io"
+	"math/rand"
+	"testing"
+
+	"sgxp2p/internal/enclave"
+	"sgxp2p/internal/wire"
+	"sgxp2p/internal/xcrypto"
+)
+
+// launchCached launches n enclaves of one deployment: real key agreement,
+// one KeyCache.
+func launchCached(tb testing.TB, n int) []*enclave.Enclave {
+	tb.Helper()
+	cache := enclave.NewKeyCache()
+	ids, rngs, clocks := make([]wire.NodeID, n), make([]io.Reader, n), make([]enclave.Clock, n)
+	for i := range ids {
+		ids[i], rngs[i], clocks[i] = wire.NodeID(i), rand.New(rand.NewSource(int64(40+i))), &fakeClock{}
+	}
+	encls, err := enclave.LaunchBatch(program, ids, rngs, clocks, enclave.WithKeyCache(cache))
+	if err != nil {
+		tb.Fatal(err)
+	}
+	return encls
+}
+
+// shared reports whether this build's link ciphers are handed over whole:
+// with both kernels, a LinkCipher is immutable and Shareable.
+func shared(tb testing.TB) bool {
+	tb.Helper()
+	c, err := xcrypto.NewLinkCipher(xcrypto.SessionKeys{})
+	if err != nil {
+		tb.Fatal(err)
+	}
+	return c.Shareable()
+}
+
+// TestPairSharesOneCipher: through the enclaves' key cache the two ends of
+// a pair hold one *LinkCipher where it is Shareable — whether an end
+// opened alone or in a batch — and model links the same seed; and what
+// one end seals the other opens.
+func TestPairSharesOneCipher(t *testing.T) {
+	encls := launchCached(t, 3)
+	a, b, c := encls[0], encls[1], encls[2]
+	ab := mustLink(t, a, 1, b.DHPublic(), RealSealer{})
+	ba := mustLink(t, b, 0, a.DHPublic(), RealSealer{})
+	if (ab.cipher == ba.cipher) != shared(t) {
+		t.Fatalf("ends of one pair share a cipher: %v; Shareable: %v", ab.cipher == ba.cipher, shared(t))
+	}
+	lc, err := NewLocal(c, RealSealer{}, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	ca, cb := new(End), new(End)
+	if errs := lc.EstablishBatch([]*End{ca, cb}, []wire.NodeID{0, 1}, [][xcrypto.PublicKeySize]byte{a.DHPublic(), b.DHPublic()}); errs != nil {
+		t.Fatal(errs)
+	}
+	ac := mustLink(t, a, 2, c.DHPublic(), RealSealer{})
+	if (ca.cipher == ac.cipher) != shared(t) || ca.cipher == cb.cipher {
+		t.Fatal("a batch did not hand its ciphers over pair by pair")
+	}
+	for _, p := range [][2]*Link{{ab, ba}, {ba, ab}, {ac, {End: *ca, local: lc}}} {
+		if _, err := openMsg(p[1], sealMsg(t, p[0], testMsg(0))); err != nil {
+			t.Fatalf("the pair's other end does not open: %v", err)
+		}
+	}
+	am := mustLink(t, a, 1, b.DHPublic(), NewModelSealer())
+	bm := mustLink(t, b, 0, a.DHPublic(), NewModelSealer())
+	if am.cipher != nil || am.seed == 0 || am.seed != bm.seed {
+		t.Fatal("model ends of one pair hold different seeds")
+	}
+}

@@ -1,4 +1,23 @@
 package deploy
 
+import (
+	"reflect"
+
+	"sgxp2p/internal/runtime"
+	"sgxp2p/internal/wire"
+	"sgxp2p/internal/xcrypto"
+)
+
 // VerifyRoster is New's roster check, for the error-identity tests.
 var VerifyRoster = verifyRoster
+
+// LinkCipher is the cipher p's end of the link to id seals with (nil: not
+// opened), read through the runtime's and the channel's unexported
+// fields: what a link end holds is no API of either.
+func LinkCipher(p *runtime.Peer, id wire.NodeID) *xcrypto.LinkCipher {
+	end := reflect.ValueOf(p).Elem().FieldByName("links").Index(int(id))
+	if end.IsNil() {
+		return nil
+	}
+	return (*xcrypto.LinkCipher)(end.Elem().FieldByName("End").FieldByName("cipher").UnsafePointer())
+}

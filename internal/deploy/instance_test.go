@@ -270,12 +270,17 @@ func TestLinksOpenedOnDemand(t *testing.T) {
 		t.Fatalf("cluster of %d at N=%d", cluster, n)
 	}
 	for i, p := range d.Peers {
-		want := uint64(cluster)
+		// A member's CHOSEN, its first frame, opens its N−1 links as one
+		// batch; a non-member opens each link at a member's first frame.
+		want, batches := uint64(cluster), uint64(0)
 		if member[i] {
-			want = n - 1
+			want, batches = n-1, 1
 		}
 		if got := p.Stats().LinksEstablished; got != want {
 			t.Errorf("node %d (member: %v) holds %d links after a sampled epoch, want %d", i, member[i], got, want)
+		}
+		if got := p.Stats().LinkBatches; got != batches {
+			t.Errorf("node %d (member: %v) opened its links in %d batches, want %d", i, member[i], got, batches)
 		}
 	}
 	if got := d.KeysDerived(); got == 0 || got >= n*(n-1)/4 {

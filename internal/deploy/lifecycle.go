@@ -23,7 +23,8 @@ var (
 )
 
 // newSealer returns a fresh sealer matching the deployment's crypto mode.
-// Sealers hold per-link cipher state, so every peer needs its own.
+// A model sealer holds its peer's envelope counter, so every peer needs
+// its own.
 func (d *Deployment) newSealer() channel.Sealer {
 	if d.Opts.RealCrypto {
 		return channel.RealSealer{}

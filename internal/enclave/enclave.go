@@ -94,19 +94,24 @@ type pairKey struct {
 	modelKEX bool
 }
 
-// KeyCache hands pairwise session keys from one end of a pair to the
+// KeyCache hands a pair's key agreement from one end of the pair to the
 // other across the enclaves of one deployment. The Diffie-Hellman
 // derivation is symmetric in the pair — both the real ECDH and the model
 // KEX order the public keys canonically — so when enclave i derives the
 // link keys toward j, enclave j's derivation toward i is the identical
-// computation. The first end to open a pair derives and leaves the keys
+// computation, and so is the cipher either end prepares from the keys.
+// The first end to open a pair derives the keys, prepares the pair's
+// xcrypto.LinkCipher if it seals with one (LinkCipher), and leaves both
 // here; the second end takes them out, and if it asks while the first is
 // still deriving, it waits for that result rather than computing it again.
-// So a pair is derived once however its two ends race, the keys do not
-// depend on which end opens a pair first (a channel is opened at its first
-// frame, by either side), and the cache holds only the pairs with one end
-// open: nobody asks for a pair's keys a third time, because each end keeps
-// its prepared cipher state in its Link.
+// A Shareable cipher is handed over as the object itself, so the two ends
+// of a pair seal and open through one; any other is not left, and the
+// second end prepares its own from the keys. So a pair is derived and
+// prepared once however its two ends race, the keys do not depend on
+// which end opens a pair first (a channel is opened at its first frame,
+// by either side), and the cache holds only the pairs with one end open:
+// nobody asks for a pair a third time, because each end keeps its cipher
+// state in its link.
 //
 // Nothing is memoized beyond that. A relaunched enclave with new key
 // material derives afresh, and whatever its predecessor left waiting is
@@ -128,11 +133,29 @@ type KeyCache struct {
 	derived int
 }
 
-// pairEntry is one pair's keys on their way from the end that derives them
-// to the end that takes them.
+// session is what one end takes of a pair's agreement: the keys, and the
+// pair's prepared cipher once an end that seals built it.
+type session struct {
+	keys   xcrypto.SessionKeys
+	cipher *xcrypto.LinkCipher
+}
+
+// prepare builds the pair's cipher from the keys for an end that seals
+// (want), unless the end that derived them built it already.
+func (s *session) prepare(want bool) error {
+	if !want || s.cipher != nil {
+		return nil
+	}
+	c, err := xcrypto.NewLinkCipher(s.keys)
+	s.cipher = c
+	return err
+}
+
+// pairEntry is one pair's agreement on its way from the end that derives
+// it to the end that takes it.
 type pairEntry struct {
-	keys    xcrypto.SessionKeys
-	derived bool // keys is set; until then the pair's first end is deriving
+	session
+	derived bool // session is set; until then the pair's first end is deriving
 }
 
 // NewKeyCache creates an empty cache, typically one per deployment.
@@ -149,16 +172,16 @@ const (
 	pairPending        // the other end is deriving them
 )
 
-// take returns the keys the pair's other end derived, waiting for them if
-// it is deriving them still. ok is false when no end has asked before: the
-// caller is then the end that derives, and leave settles its derivation.
-func (c *KeyCache) take(k pairKey) (xcrypto.SessionKeys, bool) {
+// take returns what the pair's other end derived, waiting for it if it is
+// deriving still. ok is false when no end has asked before: the caller is
+// then the end that derives, and leave settles its derivation.
+func (c *KeyCache) take(k pairKey) (session, bool) {
 	c.mu.Lock()
 	defer c.mu.Unlock()
 	for {
-		keys, found := c.reserveLocked(k)
+		s, found := c.reserveLocked(k)
 		if found != pairPending {
-			return keys, found == pairTaken
+			return s, found == pairTaken
 		}
 		c.settled.Wait()
 	}
@@ -169,35 +192,39 @@ func (c *KeyCache) take(k pairKey) (xcrypto.SessionKeys, bool) {
 // derives and leaves what it reserved, and only then takes the pending
 // pairs: waiting while holding reservations could deadlock — three batches
 // each holding the pair the next one waits for.
-func (c *KeyCache) reserve(k pairKey) (xcrypto.SessionKeys, int) {
+func (c *KeyCache) reserve(k pairKey) (session, int) {
 	c.mu.Lock()
 	defer c.mu.Unlock()
 	return c.reserveLocked(k)
 }
 
-func (c *KeyCache) reserveLocked(k pairKey) (xcrypto.SessionKeys, int) {
+func (c *KeyCache) reserveLocked(k pairKey) (session, int) {
 	e, ok := c.m[k]
 	switch {
 	case !ok:
 		c.m[k] = pairEntry{}
 		c.derived++
-		return xcrypto.SessionKeys{}, pairMine
+		return session{}, pairMine
 	case e.derived:
 		c.remove(k)
-		return e.keys, pairTaken
+		return e.session, pairTaken
 	}
-	return xcrypto.SessionKeys{}, pairPending
+	return session{}, pairPending
 }
 
-// leave settles the derivation take left to the caller: the keys wait for
-// the pair's other end, or go to it if it waits already. A derivation that
-// failed leaves nothing, and an end waiting for it derives itself.
-func (c *KeyCache) leave(k pairKey, keys xcrypto.SessionKeys, err error) {
+// leave settles the derivation take left to the caller: the keys, and the
+// cipher if another goroutine may use it, wait for the pair's other end,
+// or go to it if it waits already. A derivation that failed leaves
+// nothing, and an end waiting for it derives itself.
+func (c *KeyCache) leave(k pairKey, s session, err error) {
+	if s.cipher != nil && !s.cipher.Shareable() {
+		s.cipher = nil
+	}
 	c.mu.Lock()
 	if err != nil {
 		c.remove(k)
 	} else {
-		c.m[k] = pairEntry{keys: keys, derived: true}
+		c.m[k] = pairEntry{session: s, derived: true}
 	}
 	c.mu.Unlock()
 	c.settled.Broadcast()
@@ -327,27 +354,49 @@ func (e *Enclave) DHPublic() [xcrypto.PublicKeySize]byte { return e.dh.Public() 
 // on keys only if they run the same program, which is how property P1/P2
 // rejects messages from modified programs (Theorem A.2, step 2).
 //
-// The returned keys are raw material, not prepared cipher state: the
-// channel layer hands them to channel.NewLink, which (for the real
-// sealer) expands them once into a per-link xcrypto.LinkCipher — AES key
-// schedule plus HMAC pad states. That prepared state lives in the Link,
-// never in the enclave KeyCache; the cache holds only the 64 key bytes
-// until the pair's other end takes them, so neither that hand-over nor a
-// fresh derivation can invalidate a live link's cipher.
+// The returned keys are raw material; an end that seals with them asks
+// for LinkCipher instead.
 func (e *Enclave) SessionKeys(remote [xcrypto.PublicKeySize]byte) (xcrypto.SessionKeys, error) {
+	s, err := e.session(remote, false)
+	return s.keys, err
+}
+
+// LinkCipher is SessionKeys expanded into the pair's prepared cipher — the
+// AES key schedule and the HMAC pad states — which the channel layer seals
+// and opens through. Through a KeyCache the end that derives the keys also
+// prepares the cipher, and a Shareable one is what the other end takes: the
+// pair's two ends hold one immutable object, so neither a later hand-over
+// nor a fresh derivation can change a live link's cipher.
+func (e *Enclave) LinkCipher(remote [xcrypto.PublicKeySize]byte) (*xcrypto.LinkCipher, error) {
+	s, err := e.session(remote, true)
+	return s.cipher, err
+}
+
+// session is SessionKeys, with the cipher prepared when seal is set.
+func (e *Enclave) session(remote [xcrypto.PublicKeySize]byte, seal bool) (session, error) {
 	if e.halted {
-		return xcrypto.SessionKeys{}, ErrHalted
+		return session{}, ErrHalted
 	}
 	if e.keyCache == nil {
-		return e.deriveSessionKeys(remote)
+		return e.derive(remote, seal)
 	}
 	ck := e.pairKey(remote)
-	if keys, ok := e.keyCache.take(ck); ok {
-		return keys, nil
+	if s, ok := e.keyCache.take(ck); ok {
+		return s, s.prepare(seal)
 	}
+	s, err := e.derive(remote, seal)
+	e.keyCache.leave(ck, s, err)
+	return s, err
+}
+
+// derive is the key agreement toward remote, prepared when seal is set.
+func (e *Enclave) derive(remote [xcrypto.PublicKeySize]byte, seal bool) (session, error) {
 	keys, err := e.deriveSessionKeys(remote)
-	e.keyCache.leave(ck, keys, err)
-	return keys, err
+	if err != nil {
+		return session{}, err
+	}
+	s := session{keys: keys}
+	return s, s.prepare(seal)
 }
 
 // SessionKeysBatch is SessionKeys toward every key of remotes: it calls
@@ -360,9 +409,22 @@ func (e *Enclave) SessionKeys(remote [xcrypto.PublicKeySize]byte) (xcrypto.Sessi
 // and left; the pairs another end was deriving are taken, waiting if need
 // be, only after the last group was left.
 func (e *Enclave) SessionKeysBatch(remotes [][xcrypto.PublicKeySize]byte, settle func(i int, keys xcrypto.SessionKeys, err error)) {
+	e.sessionBatch(remotes, false, func(i int, s session, err error) { settle(i, s.keys, err) })
+}
+
+// LinkCiphersBatch is LinkCipher toward every key of remotes, as
+// SessionKeysBatch is SessionKeys: the pairs this enclave derives are
+// prepared by it, the others taken over or prepared from the keys.
+func (e *Enclave) LinkCiphersBatch(remotes [][xcrypto.PublicKeySize]byte, settle func(i int, c *xcrypto.LinkCipher, err error)) {
+	e.sessionBatch(remotes, true, func(i int, s session, err error) { settle(i, s.cipher, err) })
+}
+
+// sessionBatch is session toward every key of remotes, batched as
+// SessionKeysBatch says.
+func (e *Enclave) sessionBatch(remotes [][xcrypto.PublicKeySize]byte, seal bool, settle func(i int, s session, err error)) {
 	if e.halted {
 		for i := range remotes {
-			settle(i, xcrypto.SessionKeys{}, ErrHalted)
+			settle(i, session{}, ErrHalted)
 		}
 		return
 	}
@@ -371,18 +433,23 @@ func (e *Enclave) SessionKeysBatch(remotes [][xcrypto.PublicKeySize]byte, settle
 		at      [xcrypto.BatchLanes]int
 		keys    [xcrypto.BatchLanes]xcrypto.SessionKeys
 		errs    [xcrypto.BatchLanes]error
+		derived [xcrypto.BatchLanes]session
 		n       int
 		pending []int
 	)
 	derive := func() {
 		e.deriveBatch(group[:n], keys[:n], errs[:n])
-		if e.keyCache != nil {
-			for j := range n {
-				e.keyCache.leave(e.pairKey(group[j]), keys[j], errs[j])
+		for j := range n {
+			derived[j] = session{keys: keys[j]}
+			if errs[j] == nil {
+				errs[j] = derived[j].prepare(seal)
+			}
+			if e.keyCache != nil {
+				e.keyCache.leave(e.pairKey(group[j]), derived[j], errs[j])
 			}
 		}
 		for j := range n {
-			settle(at[j], keys[j], errs[j])
+			settle(at[j], derived[j], errs[j])
 		}
 		n = 0
 	}
@@ -390,7 +457,8 @@ func (e *Enclave) SessionKeysBatch(remotes [][xcrypto.PublicKeySize]byte, settle
 		if e.keyCache != nil {
 			switch got, found := e.keyCache.reserve(e.pairKey(r)); found {
 			case pairTaken:
-				settle(i, got, nil)
+				err := got.prepare(seal)
+				settle(i, got, err)
 				continue
 			case pairPending:
 				pending = append(pending, i)
@@ -406,7 +474,7 @@ func (e *Enclave) SessionKeysBatch(remotes [][xcrypto.PublicKeySize]byte, settle
 		derive()
 	}
 	for _, i := range pending {
-		got, err := e.SessionKeys(remotes[i])
+		got, err := e.session(remotes[i], seal)
 		settle(i, got, err)
 	}
 }

@@ -438,7 +438,7 @@ func TestSessionKeysBatchLeavesBeforeWaiting(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	cache.leave(ac, cKeys, nil)
+	cache.leave(ac, session{keys: cKeys}, nil)
 	select {
 	case <-done:
 	case <-time.After(10 * time.Second):

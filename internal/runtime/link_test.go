@@ -5,6 +5,7 @@ import (
 	"math/rand"
 	"testing"
 	"time"
+	"unsafe"
 
 	"sgxp2p/internal/enclave"
 	"sgxp2p/internal/wire"
@@ -139,5 +140,15 @@ func TestForgedFrameDerivesOnce(t *testing.T) {
 	p.receive(9, forged)
 	if st := p.Stats(); st.AuthFailures != 2 || st.LinksEstablished != 1 {
 		t.Fatalf("a frame from outside the roster: %d auth failures, %d links", st.AuthFailures, st.LinksEstablished)
+	}
+}
+
+// TestLinkEndSize pins what a peer keeps per opened link: the channel end
+// (the pair's cipher, or the model seed) and the outbox slot position.
+// Everything a peer's links share lives once in the peer, so a link end
+// opened alone fits the 32-byte size class, not the 64-byte one.
+func TestLinkEndSize(t *testing.T) {
+	if size := unsafe.Sizeof(linkEnd{}); size > 32 {
+		t.Fatalf("a link end is %d bytes, want at most 32", size)
 	}
 }

@@ -20,6 +20,7 @@ import (
 	"errors"
 	"fmt"
 	"math/bits"
+	"slices"
 	"time"
 
 	"sgxp2p/internal/channel"
@@ -90,7 +91,8 @@ type Config struct {
 	// Delta is the one-way delivery bound; a round lasts 2*Delta (S3).
 	Delta time.Duration
 	// Sealer builds this peer's sealer. Nil defaults to the real
-	// AES+HMAC sealer.
+	// AES+HMAC sealer; anything but a RealSealer or a *ModelSealer fails
+	// NewPeer.
 	Sealer channel.Sealer
 	// Trace, when non-nil, receives the peer's round-structured event
 	// stream (round ticks, deliveries, ACK traffic, halts). Nil disables
@@ -149,6 +151,10 @@ type Stats struct {
 	// LinksEstablished counts the blinded channels the peer has opened:
 	// N-1 once it has talked to everyone, fewer under a sampling protocol.
 	LinksEstablished uint64
+	// LinkBatches counts the key-agreement batches the peer opened links
+	// in: each EstablishLinks with a link to open, and each multicast
+	// with two or more destinations it had no link to yet.
+	LinkBatches uint64
 }
 
 // counters are the peer's registered metric handles, mirroring Stats in
@@ -317,12 +323,13 @@ type Peer struct {
 	encl *enclave.Enclave
 	tr   Transport
 	cfg  Config
-	// links holds the channels opened so far by remote id (see link);
-	// quotes is the attested roster their remote keys come from, shared
-	// with the other peers built from it.
-	links   []*linkEnd
-	quotes  []enclave.Quote
-	chanCtr *channel.Counters
+	// links holds the channel ends opened so far by remote id (see link);
+	// local is what they share — the enclave, its nonce reader, the model
+	// sealer and the channel counters; quotes is the attested roster their
+	// remote keys come from, shared with the other peers built from it.
+	links  []*linkEnd
+	local  *channel.Local
+	quotes []enclave.Quote
 
 	proto       Protocol
 	rounds      uint32
@@ -447,12 +454,13 @@ type Peer struct {
 	pendAcks       []pendAck
 }
 
-// linkEnd is what the peer holds per opened link: the channel and, while
-// the current flush window has messages for the remote, the 1-based
-// position of their slot in Peer.out (0: none). The position fits the
-// Link's padding, so it costs a link end nothing.
+// linkEnd is what the peer holds per opened link: the channel end and,
+// while the current flush window has messages for the remote, the 1-based
+// position of their slot in Peer.out (0: none). Everything the peer's
+// links share lives once in Peer.local, and the remote is the end's index
+// in Peer.links, so a link end is 24 bytes.
 type linkEnd struct {
-	channel.Link
+	channel.End
 	slot uint32
 }
 
@@ -501,6 +509,10 @@ func NewPeer(encl *enclave.Enclave, tr Transport, roster Roster, cfg Config) (*P
 	if cfg.Sealer == nil {
 		cfg.Sealer = channel.RealSealer{}
 	}
+	local, err := channel.NewLocal(encl, cfg.Sealer, channel.NewCounters(cfg.Metrics))
+	if err != nil {
+		return nil, fmt.Errorf("runtime: %w", err)
+	}
 	self := int(encl.ID())
 	var verrs []error // VerifyQuote's verdict on every quote, checked in one batch
 	if !roster.PreVerified {
@@ -523,8 +535,8 @@ func NewPeer(encl *enclave.Enclave, tr Transport, roster Roster, cfg Config) (*P
 		tr:       tr,
 		cfg:      cfg,
 		links:    make([]*linkEnd, cfg.N),
+		local:    local,
 		quotes:   roster.Quotes,
-		chanCtr:  channel.NewCounters(cfg.Metrics),
 		seqs:     make([]uint64, cfg.N),
 		trace:    cfg.Trace,
 		ctr:      newCounters(cfg.Metrics),
@@ -558,17 +570,16 @@ func (p *Peer) link(id wire.NodeID) *linkEnd {
 // nothing either end later seals.
 func (p *Peer) establish(id wire.NodeID) error {
 	l := new(linkEnd)
-	if err := channel.Establish(&l.Link, p.encl, id, p.quotes[id].DHPublic, p.cfg.Sealer); err != nil {
+	if err := p.local.Establish(&l.End, id, p.quotes[id].DHPublic); err != nil {
 		return fmt.Errorf("runtime: link to %d: %w", id, err)
 	}
-	l.SetCounters(p.chanCtr)
 	p.links[id] = l
 	p.stats.LinksEstablished++
 	return nil
 }
 
 // EstablishLinks opens every channel the peer has not used yet (a halted
-// peer: none) as one channel.EstablishBatch, so the key agreements run
+// peer: none) as one channel.Local.EstablishBatch, so the key agreements run
 // eight to a ladder where the CPU allows; the runtime hands over link
 // slots and ids, the keys stay below. It touches this peer's state and
 // the locked key cache only, so a deployment runs it for all its peers
@@ -587,13 +598,20 @@ func (p *Peer) EstablishLinks() error {
 	if len(ids) == 0 {
 		return nil
 	}
+	return p.establishBatch(ids)
+}
+
+// establishBatch opens the links to ids, distinct ids without a link, as
+// one channel.Local.EstablishBatch.
+func (p *Peer) establishBatch(ids []wire.NodeID) error {
+	p.stats.LinkBatches++
 	ends := make([]linkEnd, len(ids))
-	links := make([]*channel.Link, len(ids))
+	links := make([]*channel.End, len(ids))
 	pubs := make([][xcrypto.PublicKeySize]byte, len(ids))
 	for i, id := range ids {
-		links[i], pubs[i] = &ends[i].Link, p.quotes[id].DHPublic
+		links[i], pubs[i] = &ends[i].End, p.quotes[id].DHPublic
 	}
-	errs := channel.EstablishBatch(links, p.encl, ids, pubs, p.cfg.Sealer)
+	errs := p.local.EstablishBatch(links, ids, pubs)
 	var first error
 	for i := range ends {
 		if errs != nil && errs[i] != nil {
@@ -602,7 +620,6 @@ func (p *Peer) EstablishLinks() error {
 			}
 			continue
 		}
-		ends[i].SetCounters(p.chanCtr)
 		p.links[ids[i]] = &ends[i]
 		p.stats.LinksEstablished++
 	}
@@ -949,6 +966,7 @@ func (p *Peer) Multicast(dsts []wire.NodeID, msg *wire.Message, ackThreshold int
 // multicastLegs sends the log's last entry, which starts at lo, to every
 // destination of a multicast but the peer itself.
 func (p *Peer) multicastLegs(dsts []wire.NodeID, lo uint32, tracked int) error {
+	p.openFirstUse(dsts)
 	if dsts == nil {
 		for id := 0; id < p.cfg.N; id++ {
 			if wire.NodeID(id) == p.ID() {
@@ -969,6 +987,35 @@ func (p *Peer) multicastLegs(dsts []wire.NodeID, lo uint32, tracked int) error {
 		}
 	}
 	return nil
+}
+
+// openFirstUse opens the links a multicast to dsts (nil: everyone) uses
+// for the first time as one batch when there are two or more of them: a
+// cluster member's CHOSEN goes to N−1 peers it never talked to, whose
+// agreements then run eight to a ladder instead of one at a time. A link
+// the batch fails to open stays unopened, and its leg fails in link as a
+// lone first use would.
+func (p *Peer) openFirstUse(dsts []wire.NodeID) {
+	var ids []wire.NodeID
+	missing := func(id wire.NodeID) {
+		if int(id) < len(p.links) && p.links[id] == nil && id != p.ID() {
+			ids = append(ids, id)
+		}
+	}
+	if dsts == nil {
+		for id := range p.links {
+			missing(wire.NodeID(id))
+		}
+	} else {
+		for _, id := range dsts {
+			missing(id)
+		}
+		slices.Sort(ids)
+		ids = slices.Compact(ids)
+	}
+	if len(ids) >= 2 {
+		p.establishBatch(ids)
+	}
 }
 
 // logMessage encodes msg once, as the window log's last entry, and
@@ -1052,7 +1099,7 @@ func (p *Peer) sendEncoded(dst wire.NodeID, lo uint32, tracked int) error {
 		return ErrUnknownPeer
 	}
 	if p.coalescing() {
-		p.enqueueBatch(l, lo, uint32(len(p.wlog)), tracked)
+		p.enqueueBatch(dst, l, lo, uint32(len(p.wlog)), tracked)
 		return nil
 	}
 	// Direct send: every send of a DisableBatching deployment (the figure
@@ -1082,7 +1129,7 @@ func (p *Peer) sendFailed(n uint64) {
 // buffered message in flushOutbox).
 func (p *Peer) sealSend(dst wire.NodeID, plaintext []byte) (uint64, error) {
 	sp := p.trace.BeginSpan()
-	env, err := p.link(dst).SealEncodedAppend(p.sealBuf[:0], plaintext)
+	env, err := p.local.SealAppend(&p.link(dst).End, p.sealBuf[:0], plaintext)
 	if err != nil {
 		return 0, err
 	}
@@ -1104,9 +1151,9 @@ func (p *Peer) sealSend(dst wire.NodeID, plaintext []byte) (uint64, error) {
 // The destination was validated by sendEncoded; enqueueing cannot fail —
 // seal errors surface at flush time, where they degrade to omissions
 // exactly like a failed multicast leg.
-func (p *Peer) enqueueBatch(l *linkEnd, lo, hi uint32, tracked int) {
+func (p *Peer) enqueueBatch(dst wire.NodeID, l *linkEnd, lo, hi uint32, tracked int) {
 	if l.slot == 0 {
-		p.out = append(p.out, outSlot{dst: l.Remote()})
+		p.out = append(p.out, outSlot{dst: dst})
 		l.slot = uint32(len(p.out))
 	}
 	o := &p.out[l.slot-1]
@@ -1335,7 +1382,7 @@ func (p *Peer) receive(src wire.NodeID, payload []byte) {
 	// messages share no bytes with it), so a warm receive pays no
 	// plaintext allocation.
 	sp := p.trace.BeginSpan()
-	plaintext, err := link.OpenRawAppend(p.openBuf[:0], payload)
+	plaintext, err := p.local.OpenAppend(&link.End, p.openBuf[:0], payload)
 	if err != nil {
 		p.recvFailure(src)
 		return

@@ -20,8 +20,9 @@ import (
 // fleet-level views while the run is still going:
 //
 //   - per-round percentiles: every node's round events carry its
-//     round-entry instant on the shared clock; once a round has a sample
-//     from every node, the spread (p50/p90/max of entry skew) and the
+//     round-entry instant on the shared clock, and that instant places
+//     the event in its epoch's slot of the schedule (epochOf); once a
+//     round of an epoch has a sample from every node, the spread (p50/p90/max of entry skew) and the
 //     runner's ingest lag (how long after that instant the event reached
 //     the runner) are logged live — no post-hoc trace merge needed to
 //     watch the fleet march.
@@ -33,7 +34,7 @@ import (
 //
 // It retains no events — the barrier writes them into the incarnations'
 // trace files, and merged.jsonl is the run's one event archive — so its
-// memory is O(nodes × rounds).
+// memory is O(nodes × epochs × rounds).
 //
 // Ingest runs on the barrier's per-connection goroutines; everything is
 // guarded by one mutex — the streams are a few writes per node per export
@@ -43,13 +44,21 @@ type Aggregator struct {
 	n     int
 	log   io.Writer
 	start time.Time
+	// slot and round are the epoch schedule's slot and round lengths
+	// (EpochWindow, 2Δ); a zero slot puts every event in epoch 0.
+	slot, round time.Duration
 
 	metrics map[int]map[string]float64
-	rounds  map[uint32]map[int]sample
-	seen    map[uint32]bool
+	rounds  map[roundKey]map[int]sample
+	seen    map[roundKey]bool
 	gaps    int
 	maxLag  time.Duration
 }
+
+// roundKey names one round of one epoch. A round event carries the
+// node's round within its epoch and instance 0, so the epoch comes from
+// the event's instant (epochOf).
+type roundKey struct{ epoch, round uint32 }
 
 // sample is one node's entry into a round: the instant on the shared
 // clock, and the runner's ingest lag behind it.
@@ -61,9 +70,29 @@ func NewAggregator(n int, log io.Writer) *Aggregator {
 	return &Aggregator{
 		n: n, log: log,
 		metrics: make(map[int]map[string]float64, n),
-		rounds:  make(map[uint32]map[int]sample),
-		seen:    make(map[uint32]bool),
+		rounds:  make(map[roundKey]map[int]sample),
+		seen:    make(map[roundKey]bool),
 	}
+}
+
+// setSchedule fixes the epoch schedule round events are placed in: slots
+// of the given rounds, each round 2Δ long.
+func (a *Aggregator) setSchedule(rounds int, delta time.Duration) {
+	a.mu.Lock()
+	a.slot, a.round = EpochWindow(rounds, delta), 2*delta
+	a.mu.Unlock()
+}
+
+// epochOf is the epoch whose slot round r entered at instant at belongs
+// to: the slot whose start lies nearest to where round r would have
+// started, so a node that enters late or early by up to half a slot
+// still counts toward its own epoch (mu held).
+func (a *Aggregator) epochOf(r uint32, at time.Duration) uint32 {
+	if a.slot <= 0 {
+		return 0
+	}
+	begin := at - time.Duration(max(int(r)-1, 0))*a.round
+	return uint32(max((begin+a.slot/2)/a.slot, 0))
 }
 
 // setStart fixes the shared start instant the ingest lag is measured from.
@@ -89,15 +118,16 @@ func (a *Aggregator) event(id int, ev telemetry.Event) {
 	defer a.mu.Unlock()
 	lag := time.Since(a.start) - ev.At
 	a.maxLag = max(a.maxLag, lag)
-	byNode := a.rounds[ev.Round]
+	k := roundKey{a.epochOf(ev.Round, ev.At), ev.Round}
+	byNode := a.rounds[k]
 	if byNode == nil {
 		byNode = make(map[int]sample, a.n)
-		a.rounds[ev.Round] = byNode
+		a.rounds[k] = byNode
 	}
 	if _, dup := byNode[id]; !dup {
 		byNode[id] = sample{at: ev.At, lag: lag}
 		if len(byNode) == a.n {
-			a.reportRound(ev.Round, byNode)
+			a.reportRound(k, byNode)
 		}
 	}
 }
@@ -117,21 +147,22 @@ func (a *Aggregator) metric(id int, key string, v float64) {
 // reportRound logs one complete round's entry-skew percentiles (mu held).
 // Skew is each node's round-entry instant minus the fleet's earliest —
 // the live view of assumption S2 holding (or drifting) across the fleet.
-func (a *Aggregator) reportRound(round uint32, byNode map[int]sample) {
-	if a.seen[round] {
+func (a *Aggregator) reportRound(k roundKey, byNode map[int]sample) {
+	if a.seen[k] {
 		return
 	}
-	a.seen[round] = true
+	a.seen[k] = true
 	stats := roundSkew(byNode)
 	if a.log != nil {
-		fmt.Fprintf(a.log, "  round %d: %d/%d nodes, entry skew p50=%v p90=%v max=%v, ingest lag p50=%v max=%v\n",
-			round, len(byNode), a.n, stats.P50, stats.P90, stats.Max, stats.LagP50, stats.LagMax)
+		fmt.Fprintf(a.log, "  epoch %d round %d: %d/%d nodes, entry skew p50=%v p90=%v max=%v, ingest lag p50=%v max=%v\n",
+			k.epoch, k.round, len(byNode), a.n, stats.P50, stats.P90, stats.Max, stats.LagP50, stats.LagMax)
 	}
 }
 
 // skewStats is one round's fleet entry-skew distribution, and the
 // runner's ingest lag over the same round events.
 type skewStats struct {
+	Epoch  uint32        `json:"epoch"`
 	Round  uint32        `json:"round"`
 	Nodes  int           `json:"nodes"`
 	P50    time.Duration `json:"p50_ns"`
@@ -176,19 +207,24 @@ func (a *Aggregator) totals() (gaps int, maxLag time.Duration) {
 }
 
 // WriteArtifacts persists the aggregated views into outDir as
-// aggregate.jsonl: one line per completed round's skew percentiles, then
+// aggregate.jsonl: one line per epoch and round with its skew percentiles, then
 // one line per node's final streamed gauge set.
 func (a *Aggregator) WriteArtifacts(outDir string) error {
 	a.mu.Lock()
-	rounds := make([]uint32, 0, len(a.rounds))
-	for r := range a.rounds {
-		rounds = append(rounds, r)
+	keys := make([]roundKey, 0, len(a.rounds))
+	for k := range a.rounds {
+		keys = append(keys, k)
 	}
-	sort.Slice(rounds, func(i, j int) bool { return rounds[i] < rounds[j] })
-	rows := make([]skewStats, 0, len(rounds))
-	for _, r := range rounds {
-		st := roundSkew(a.rounds[r])
-		st.Round = r
+	sort.Slice(keys, func(i, j int) bool {
+		if keys[i].epoch != keys[j].epoch {
+			return keys[i].epoch < keys[j].epoch
+		}
+		return keys[i].round < keys[j].round
+	})
+	rows := make([]skewStats, 0, len(keys))
+	for _, k := range keys {
+		st := roundSkew(a.rounds[k])
+		st.Epoch, st.Round = k.epoch, k.round
 		rows = append(rows, st)
 	}
 	type gaugeRow struct {

@@ -270,6 +270,36 @@ func TestScenarioCrashRestart(t *testing.T) {
 	if report.StreamGaps != 0 {
 		t.Fatalf("%d stream gaps across node 4's incarnations, want 0", report.StreamGaps)
 	}
+	// One skew row per epoch and round: 3 epochs of the 4 rounds ERB runs
+	// at t = 2, the crashed epoch's rows short of node 4.
+	f, err := os.Open(filepath.Join(filepath.Dir(report.MergedPath), "aggregate.jsonl"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer f.Close()
+	rows := map[[2]int]bool{}
+	for sc := bufio.NewScanner(f); sc.Scan(); {
+		var row struct {
+			Node         *int
+			Epoch, Round int
+		}
+		if err := json.Unmarshal(sc.Bytes(), &row); err != nil {
+			t.Fatal(err)
+		}
+		if row.Node == nil {
+			rows[[2]int{row.Epoch, row.Round}] = true
+		}
+	}
+	for e := range 3 {
+		for r := 1; r <= 4; r++ {
+			if !rows[[2]int{e, r}] {
+				t.Errorf("aggregate.jsonl has no skew row for epoch %d round %d", e, r)
+			}
+		}
+	}
+	if len(rows) != 12 {
+		t.Fatalf("aggregate.jsonl has %d skew rows, want 12: %v", len(rows), rows)
+	}
 }
 
 // TestScenarioChainMatchesSimnet runs the byzantine-chain manifest as a

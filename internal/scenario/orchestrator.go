@@ -175,6 +175,7 @@ func Run(cfg RunConfig) (*RunReport, error) {
 		return nil, err
 	}
 	defer barrier.Close()
+	barrier.agg.setSchedule(rounds, cfg.Params.Delta)
 
 	fleet := &fleet{
 		cfg: cfg, n: n, barrier: barrier,

@@ -1,4 +1,4 @@
-// Prepared per-link cipher state for the channel hot path.
+// Prepared cipher state of a link pair for the channel hot path.
 //
 // The one-shot Seal/Open functions — the stdlib cipher.NewCTR + hmac
 // reference the tests compare a LinkCipher against — rebuild the AES-256
@@ -33,11 +33,12 @@ import (
 //
 // With both kernels a LinkCipher is one object without a pointer in use:
 // the schedule and the two chaining values, 304 bytes by value; the tag an
-// open checks against is computed on the stack. A LinkCipher is NOT safe
-// for concurrent use: on the portable paths the CTR scratch blocks, the
-// hash.Hash and its tag scratch are reused across calls. Each link owns
-// one instance and the peer runtime serializes all sends and receives on
-// its event loop.
+// open checks against is computed on the stack. Nothing is written after
+// construction, so such a cipher is safe for concurrent use and both ends
+// of a pair may seal and open through one (Shareable). On the portable
+// paths it is NOT: the CTR scratch blocks, the hash.Hash and its tag
+// scratch are reused across calls, so that cipher has one owner, whose
+// sends and receives the peer runtime serializes on its event loop.
 type LinkCipher struct {
 	// mac is nil exactly when the kernel computes this link's tags, and
 	// portable exactly when the kernel runs its CTR. The pointers come
@@ -77,7 +78,7 @@ type portableMAC struct {
 	sum [MACSize]byte
 }
 
-// NewLinkCipher prepares per-link cipher state from the session keys:
+// NewLinkCipher prepares a pair's cipher state from its session keys:
 // the AES key expansion and the HMAC pad absorption happen here, once.
 func NewLinkCipher(keys SessionKeys) (*LinkCipher, error) {
 	return newLinkCipher(&keys, haveCTRKernel, haveMACKernel)
@@ -107,6 +108,11 @@ func newLinkCipher(keys *SessionKeys, ctrKernel, macKernel bool) (*LinkCipher, e
 	c.portable = &portableCTR{block: block}
 	return c, nil
 }
+
+// Shareable reports whether the cipher holds no per-call scratch: both
+// kernels run it, nothing is written after construction, and the two
+// ends of a pair may use it at once from different goroutines.
+func (c *LinkCipher) Shareable() bool { return c.mac == nil && c.portable == nil }
 
 // SealAppend encrypts and authenticates plaintext exactly like Seal but
 // appends the envelope to dst and returns the extended slice. Pass a

@@ -233,3 +233,63 @@ func steadyStateAllocs(t *testing.T, lc *LinkCipher) {
 		t.Fatalf("warm seal+open allocated %.1f times per op, want 0", allocs)
 	}
 }
+
+// TestSharedCipherSealWhileOpen has the two ends of a pair seal and open
+// at the same time, each on its own goroutine, on every path: where the
+// cipher is Shareable both ends hold the one object (as the enclave key
+// cache hands it over), elsewhere each end builds its own. Under -race a
+// write to a cipher both ends hold fails it.
+func TestSharedCipherSealWhileOpen(t *testing.T) {
+	keys := testKeys(71)
+	for name, a := range linkPaths(t, keys) {
+		t.Run(name, func(t *testing.T) {
+			ctr, mac := a.portable == nil, a.mac == nil
+			if a.Shareable() != (ctr && mac) {
+				t.Fatalf("Shareable() = %v with ctrKernel=%v, macKernel=%v", a.Shareable(), ctr, mac)
+			}
+			b := a
+			if !a.Shareable() {
+				var err error
+				if b, err = newLinkCipher(&keys, ctr, mac); err != nil {
+					t.Fatal(err)
+				}
+			}
+			const envelopes = 200
+			plaintext := func(i int) []byte {
+				p := make([]byte, (i*37)%300)
+				for j := range p {
+					p[j] = byte(i + j)
+				}
+				return p
+			}
+			toA, toB := make(chan []byte, envelopes), make(chan []byte, envelopes)
+			end := func(seed int64, c *LinkCipher, out chan<- []byte, in <-chan []byte) error {
+				rng := rand.New(rand.NewSource(seed))
+				var opened []byte
+				for i := range envelopes {
+					env, err := c.SealAppend(nil, rng, plaintext(i))
+					if err != nil {
+						return err
+					}
+					out <- env
+					got := <-in
+					if opened, err = c.OpenAppend(opened[:0], got); err != nil {
+						return fmt.Errorf("envelope %d: %w", i, err)
+					}
+					if !bytes.Equal(opened, plaintext(i)) {
+						return fmt.Errorf("envelope %d opened to other bytes", i)
+					}
+				}
+				return nil
+			}
+			errs := make(chan error, 1)
+			go func() { errs <- end(1, a, toB, toA) }()
+			if err := end(2, b, toA, toB); err != nil {
+				t.Error(err)
+			}
+			if err := <-errs; err != nil {
+				t.Error(err)
+			}
+		})
+	}
+}
