@@ -3,7 +3,7 @@
 
 GO ?= go
 
-.PHONY: build test vet race chaos benchsmoke lint obs-smoke scenario-smoke figures-check verify bench-compare clean
+.PHONY: build test vet race chaos benchsmoke lint obs-smoke scenario-smoke figures-check verify bench-compare bench-ab clean
 
 build:
 	$(GO) build ./...
@@ -164,6 +164,22 @@ bench-compare:
 	@dir=$$(mktemp -d) && trap 'rm -rf "$$dir"' EXIT && \
 	$(GO) run ./bench -out "$$dir" && \
 	$(GO) run ./bench -compare $(BASE) "$$dir/results.json"
+
+# bench-ab is the A/B a performance claim is judged with: cmd/benchab
+# builds ./bench from a temporary git worktree of BASE and from the
+# working tree, runs PAIRS base/change pairs of one workload
+# (`-seconds SECONDS -trace 0`, one seed, the side that runs first
+# alternating), prints each pair's end-to-end metrics, both sides'
+# medians and quartiles and how many pairs the change won, and removes
+# the worktree —
+#   make bench-ab BASE=<rev> WORKLOAD=<w> PAIRS=<k> SECONDS=<s>
+# Run nothing else meanwhile: the pairs cancel the host's drift, not a
+# second load.
+PAIRS ?= 10
+SECONDS ?= 8
+bench-ab:
+	@test -n "$(BASE)" -a -n "$(WORKLOAD)" || { echo "usage: make bench-ab BASE=<rev> WORKLOAD=<w> [PAIRS=10] [SECONDS=8]"; exit 2; }
+	$(GO) run ./cmd/benchab -base $(BASE) -workload $(WORKLOAD) -pairs $(PAIRS) -seconds $(SECONDS)
 
 clean:
 	$(GO) clean ./...

@@ -70,39 +70,14 @@ type Result struct {
 	At time.Duration
 }
 
-// nodeSet is a dense bitset over NodeIDs with a running count — the
-// Secho set of Algorithm 2. Node ids are small dense integers, so a few
-// words replace the per-instance map and the per-message hashing the
-// delivery path used to pay.
-type nodeSet struct {
-	words []uint64
-	count int
-}
-
-// add records id and reports whether it was newly set.
-func (s *nodeSet) add(id wire.NodeID) bool {
-	w, bit := int(id)/64, uint(id)%64
-	if w >= len(s.words) {
-		grown := make([]uint64, w+1)
-		copy(grown, s.words)
-		s.words = grown
-	}
-	if s.words[w]&(1<<bit) != 0 {
-		return false
-	}
-	s.words[w] |= 1 << bit
-	s.count++
-	return true
-}
-
 // instance is the per-initiator broadcast state of Algorithm 2.
 type instance struct {
 	initiator wire.NodeID
 	value     wire.Value // m~: current candidate
 	hasValue  bool
-	echo      nodeSet // Secho
-	queued    bool    // ECHO queued for next round start
-	echoed    bool    // ECHO already multicast
+	echo      wire.NodeSet // Secho
+	queued    bool         // ECHO queued for next round start
+	echoed    bool         // ECHO already multicast
 	decided   bool
 	result    Result
 }
@@ -136,6 +111,7 @@ type Engine struct {
 	input     *wire.Value
 	instances []*instance // indexed by initiator, nil until tracked
 	pending   []*instance // instances with an ECHO queued for next round
+	spare     []*instance // the queue OnRound drained last, reused next
 	accepted  int         // instances decided with a value (not bottom)
 	metrics   erbMetrics
 
@@ -260,7 +236,13 @@ func NewEngine(peer runtime.Host, cfg Config) (*Engine, error) {
 			e.expect[id] = true
 		}
 	}
-	e.instances = make([]*instance, size)
+	// An instance queues its ECHO once, and OnRound drains one queue while
+	// the round's messages fill the other, so the table and two queues of
+	// nm each are one allocation for the engine's life. Every slice is
+	// capacity-capped: one that outgrows its share reallocates.
+	tables := make([]*instance, size+2*nm)
+	e.instances = tables[:size:size]
+	e.pending, e.spare = tables[size:size:size+nm], tables[size+nm:size+nm:size+2*nm]
 	return e, nil
 }
 
@@ -296,45 +278,22 @@ func (e *Engine) Result(initiator wire.NodeID) (Result, bool) {
 	return inst.result, true
 }
 
-// Results returns all decided instances keyed by initiator.
-func (e *Engine) Results() map[wire.NodeID]Result {
-	out := make(map[wire.NodeID]Result)
+// AppendAccepted appends the accepted (initiator, value) pairs to dst in
+// ascending initiator order — the canonical set the ERNG protocols fold
+// and Algorithm 6 ships in FINAL — read off the instance table.
+func (e *Engine) AppendAccepted(dst []wire.SetEntry) []wire.SetEntry {
 	if e.singleExpect() {
-		if e.instOneLive && e.instOne.decided {
-			out[e.expectOne] = e.instOne.result
+		if e.instOneLive && e.instOne.result.Accepted {
+			dst = append(dst, wire.SetEntry{Initiator: e.expectOne, Value: e.instOne.result.Value})
 		}
-		return out
+		return dst
 	}
 	for id, inst := range e.instances {
-		if inst != nil && inst.decided {
-			out[wire.NodeID(id)] = inst.result
+		if inst != nil && inst.result.Accepted {
+			dst = append(dst, wire.SetEntry{Initiator: wire.NodeID(id), Value: inst.result.Value})
 		}
 	}
-	return out
-}
-
-// DecidedAll reports whether every expected initiator's instance decided.
-// With ExpectedInitiators nil it reports whether all known instances did.
-func (e *Engine) DecidedAll() bool {
-	if e.hasExpect {
-		for _, id := range e.cfg.ExpectedInitiators {
-			if _, ok := e.Result(id); !ok {
-				return false
-			}
-		}
-		return true
-	}
-	known := 0
-	for _, inst := range e.instances {
-		if inst == nil {
-			continue
-		}
-		known++
-		if !inst.decided {
-			return false
-		}
-	}
-	return known > 0
+	return dst
 }
 
 // deadline is the last round of the instance window.
@@ -406,7 +365,7 @@ func (e *Engine) newInstance(initiator wire.NodeID) *instance {
 	// neighbour's.
 	words := e.setSlab[:e.setWords:e.setWords]
 	e.setSlab = e.setSlab[e.setWords:]
-	e.slab = append(e.slab, instance{initiator: initiator, echo: nodeSet{words: words}})
+	e.slab = append(e.slab, instance{initiator: initiator, echo: wire.NodeSetOver(words)})
 	return &e.slab[len(e.slab)-1]
 }
 
@@ -423,7 +382,7 @@ func (e *Engine) OnRound(rnd uint32) {
 	// Queued ECHO multicasts fire at the beginning of the round after the
 	// value was learned (the Wait(rnd) of Algorithm 2).
 	pending := e.pending
-	e.pending = nil
+	e.pending, e.spare = e.spare[:0], pending
 	for _, inst := range pending {
 		if e.peer.Halted() {
 			return
@@ -449,7 +408,7 @@ func (e *Engine) startBroadcast(rnd uint32) {
 	}
 	inst.value = *e.input
 	inst.hasValue = true
-	inst.echo.add(self)
+	inst.echo.Add(self)
 	inst.echoed = true // the INIT plays the role of the initiator's ECHO
 	msg := &wire.Message{
 		Type:      wire.TypeInit,
@@ -538,8 +497,8 @@ func (e *Engine) onInit(msg *wire.Message, rnd uint32) {
 	}
 	inst.value = msg.Value
 	inst.hasValue = true
-	inst.echo.add(msg.Initiator)
-	inst.echo.add(e.self)
+	inst.echo.Add(msg.Initiator)
+	inst.echo.Add(e.self)
 	e.queueEcho(inst)
 	e.maybeAccept(inst, rnd)
 }
@@ -568,10 +527,10 @@ func (e *Engine) onEcho(msg *wire.Message, rnd uint32) {
 	if !inst.hasValue {
 		inst.value = msg.Value
 		inst.hasValue = true
-		inst.echo.add(e.self)
+		inst.echo.Add(e.self)
 		e.queueEcho(inst)
 	}
-	inst.echo.add(msg.Sender)
+	inst.echo.Add(msg.Sender)
 	e.maybeAccept(inst, rnd)
 }
 
@@ -590,7 +549,7 @@ func (e *Engine) maybeAccept(inst *instance, rnd uint32) {
 	if inst.decided || !inst.hasValue {
 		return
 	}
-	if inst.echo.count >= e.acceptThreshold() {
+	if inst.echo.Count() >= e.acceptThreshold() {
 		inst.decided = true
 		e.accepted++
 		inst.result = Result{

@@ -213,8 +213,8 @@ func TestConcurrentInstancesAllAccept(t *testing.T) {
 		t.Fatal(err)
 	}
 	for i, eng := range engines {
-		if !eng.DecidedAll() {
-			t.Fatalf("peer %d has undecided instances", i)
+		if got := eng.AcceptedCount(); got != n {
+			t.Fatalf("peer %d accepted %d instances, want %d", i, got, n)
 		}
 		for init := wire.NodeID(0); init < n; init++ {
 			res, ok := eng.Result(init)
@@ -397,20 +397,23 @@ func TestResultsAndAcceptedCount(t *testing.T) {
 		t.Fatal(err)
 	}
 	for i, eng := range engines {
-		results := eng.Results()
-		if len(results) != n {
-			t.Fatalf("peer %d Results() has %d entries, want %d", i, len(results), n)
-		}
-		for init, res := range results {
-			if !res.Accepted || res.Value != value(byte(init+1)) {
-				t.Fatalf("peer %d Results()[%d] = %+v", i, init, res)
+		for init := wire.NodeID(0); init < n; init++ {
+			if res, ok := eng.Result(init); !ok || !res.Accepted || res.Value != value(byte(init+1)) {
+				t.Fatalf("peer %d Result(%d) = %+v, %v", i, init, res, ok)
 			}
 		}
 		if got := eng.AcceptedCount(); got != n {
 			t.Fatalf("peer %d AcceptedCount = %d, want %d", i, got, n)
 		}
-		if !eng.DecidedAll() {
-			t.Fatalf("peer %d DecidedAll false with everything accepted", i)
+		// The accepted set reads off the instance table in id order.
+		set := eng.AppendAccepted(nil)
+		if len(set) != n {
+			t.Fatalf("peer %d AppendAccepted has %d entries, want %d", i, len(set), n)
+		}
+		for j, e := range set {
+			if e.Initiator != wire.NodeID(j) || e.Value != value(byte(j+1)) {
+				t.Fatalf("peer %d AppendAccepted[%d] = %+v", i, j, e)
+			}
 		}
 	}
 }

@@ -3,7 +3,6 @@ package erng
 import (
 	"errors"
 	"fmt"
-	"sort"
 	"time"
 
 	"sgxp2p/internal/core/erb"
@@ -114,7 +113,7 @@ func (b *Basic) maybeFinishEarly() {
 	if b.decided || b.eng.AcceptedCount() != b.peer.N() {
 		return
 	}
-	b.result = foldSet(acceptedSet(b.eng.Results()), b.peer.Round(), b.peer.Now())
+	b.result = foldSet(accepted(b.eng), b.peer.Round(), b.peer.Now())
 	b.decided = true
 	b.peer.Trace(telemetry.KindDecide, wire.NoNode, uint64(len(b.result.Contributors)))
 }
@@ -125,23 +124,15 @@ func (b *Basic) OnFinish() {
 	if b.decided {
 		return
 	}
-	set := acceptedSet(b.eng.Results())
-	b.result = foldSet(set, b.peer.Round(), b.peer.Now())
+	b.result = foldSet(accepted(b.eng), b.peer.Round(), b.peer.Now())
 	b.decided = true
 	b.peer.Trace(telemetry.KindDecide, wire.NoNode, uint64(len(b.result.Contributors)))
 }
 
-// acceptedSet filters ERB results down to accepted (initiator, value)
-// pairs in canonical (ascending initiator) order.
-func acceptedSet(results map[wire.NodeID]erb.Result) []wire.SetEntry {
-	out := make([]wire.SetEntry, 0, len(results))
-	for id, res := range results {
-		if res.Accepted {
-			out = append(out, wire.SetEntry{Initiator: id, Value: res.Value})
-		}
-	}
-	sort.Slice(out, func(i, j int) bool { return out[i].Initiator < out[j].Initiator })
-	return out
+// accepted is an ERB engine's accepted set in canonical (ascending
+// initiator) order, the set both ERNGs fold.
+func accepted(eng *erb.Engine) []wire.SetEntry {
+	return eng.AppendAccepted(make([]wire.SetEntry, 0, eng.AcceptedCount()))
 }
 
 // foldSet XORs a canonical set into a Result.

@@ -1,10 +1,9 @@
 package erng
 
 import (
-	"crypto/sha256"
 	"errors"
 	"fmt"
-	"sort"
+	"slices"
 
 	"sgxp2p/internal/core/erb"
 	"sgxp2p/internal/runtime"
@@ -26,18 +25,21 @@ type Optimized struct {
 	peer   runtime.Host
 	params Params
 
-	chosen   bool
-	schosen  map[wire.NodeID]bool
-	eng      *erb.Engine // nil for non-cluster nodes
-	finalSet map[[32]byte]*finalTally
-	decided  bool
-	result   Result
+	chosen  bool
+	schosen wire.NodeSet
+	eng     *erb.Engine // nil for non-cluster nodes
+	finals  []finalTally
+	decided bool
+	result  Result
 }
 
-// finalTally counts identical FINAL sets by content hash.
+// finalTally counts the senders of one FINAL set. Sets are told apart by
+// content (slices.Equal): a cluster sends one or two distinct sets, so a
+// scan of a short slice of tallies finds a set's tally without hashing
+// it.
 type finalTally struct {
 	set     []wire.SetEntry
-	senders map[wire.NodeID]bool
+	senders wire.NodeSet
 }
 
 var _ runtime.Protocol = (*Optimized)(nil)
@@ -53,12 +55,7 @@ func NewOptimized(peer runtime.Host, t int, mode Mode, gammaOverride int) (*Opti
 	if err != nil {
 		return nil, err
 	}
-	return &Optimized{
-		peer:     peer,
-		params:   params,
-		schosen:  make(map[wire.NodeID]bool),
-		finalSet: make(map[[32]byte]*finalTally),
-	}, nil
+	return &Optimized{peer: peer, params: params, schosen: wire.NewNodeSet(peer.N())}, nil
 }
 
 // Params returns the resolved sampling parameters.
@@ -73,7 +70,7 @@ func (o *Optimized) Result() (Result, bool) { return o.result, o.decided }
 // ClusterView returns this node's view of the representative cluster
 // (sorted), for tests and experiments.
 func (o *Optimized) ClusterView() []wire.NodeID {
-	return sortedIDs(o.schosen)
+	return o.schosen.AppendIDs(make([]wire.NodeID, 0, o.schosen.Count()))
 }
 
 // Chosen reports whether this node joined the cluster.
@@ -107,7 +104,7 @@ func (o *Optimized) selectionPhase(rnd uint32) {
 		return
 	}
 	o.chosen = true
-	o.schosen[o.peer.ID()] = true
+	o.schosen.Add(o.peer.ID())
 	o.peer.Trace(telemetry.KindChosen, wire.NoNode, 0)
 	msg := &wire.Message{
 		Type:      wire.TypeChosen,
@@ -127,7 +124,7 @@ func (o *Optimized) startClusterERB(rnd uint32) {
 	if !o.chosen {
 		return
 	}
-	members := sortedIDs(o.schosen)
+	members := o.ClusterView()
 	if len(members) < 2 {
 		return // degenerate cluster; the run will output bottom
 	}
@@ -164,7 +161,7 @@ func (o *Optimized) startClusterERB(rnd uint32) {
 func (o *Optimized) finalPhase(rnd uint32) {
 	if o.eng != nil {
 		o.eng.OnRound(rnd) // finalizes any still-open instances to bottom
-		set := acceptedSet(o.eng.Results())
+		set := accepted(o.eng)
 		msg := &wire.Message{
 			Type:      wire.TypeFinal,
 			Sender:    o.peer.ID(),
@@ -206,7 +203,7 @@ func (o *Optimized) onChosen(msg *wire.Message) {
 	if msg.Seq != o.peer.SeqOf(msg.Sender) {
 		return // replay (P6)
 	}
-	o.schosen[msg.Sender] = true
+	o.schosen.Add(msg.Sender)
 }
 
 // onFinal records a FINAL set from a cluster member and decides when a
@@ -218,7 +215,7 @@ func (o *Optimized) onFinal(msg *wire.Message) {
 	if msg.Seq != o.peer.SeqOf(msg.Sender) {
 		return // replay (P6)
 	}
-	if !o.schosen[msg.Sender] {
+	if !o.schosen.Has(msg.Sender) {
 		return // FINAL from outside the observed cluster
 	}
 	o.tallyFinal(msg.Sender, msg.Set, msg.Round)
@@ -229,17 +226,16 @@ func (o *Optimized) tallyFinal(sender wire.NodeID, set []wire.SetEntry, rnd uint
 	if o.decided {
 		return
 	}
-	key := hashSet(set)
-	tally, ok := o.finalSet[key]
-	if !ok {
-		tally = &finalTally{
-			set:     append([]wire.SetEntry(nil), set...),
-			senders: make(map[wire.NodeID]bool),
-		}
-		o.finalSet[key] = tally
+	i := slices.IndexFunc(o.finals, func(t finalTally) bool { return slices.Equal(t.set, set) })
+	if i < 0 {
+		// The set is copied once, into its tally: a received one lives in
+		// the runtime's receive scratch.
+		i = len(o.finals)
+		o.finals = append(o.finals, finalTally{set: slices.Clone(set), senders: wire.NewNodeSet(o.peer.N())})
 	}
-	tally.senders[sender] = true
-	if len(tally.senders) >= o.finalThreshold() {
+	tally := &o.finals[i]
+	tally.senders.Add(sender)
+	if tally.senders.Count() >= o.finalThreshold() {
 		o.result = foldSet(tally.set, rnd, o.peer.Now())
 		o.decided = true
 		o.peer.Trace(telemetry.KindDecide, wire.NoNode, uint64(len(o.result.Contributors)))
@@ -251,7 +247,7 @@ func (o *Optimized) tallyFinal(sender wire.NodeID, set []wire.SetEntry, rnd uint
 // and fewer than gamma byzantine members (Lemma F.1) the honest common
 // set always reaches it.
 func (o *Optimized) finalThreshold() int {
-	return len(o.schosen)/2 + 1
+	return o.schosen.Count()/2 + 1
 }
 
 // OnFinish implements runtime.Protocol.
@@ -266,34 +262,7 @@ func (o *Optimized) OnFinish() {
 	}
 }
 
-// hashSet computes the canonical content hash of a FINAL set.
-func hashSet(set []wire.SetEntry) [32]byte {
-	h := sha256.New()
-	var buf [4 + wire.ValueSize]byte
-	for _, e := range set {
-		buf[0] = byte(e.Initiator)
-		buf[1] = byte(e.Initiator >> 8)
-		buf[2] = byte(e.Initiator >> 16)
-		buf[3] = byte(e.Initiator >> 24)
-		copy(buf[4:], e.Value[:])
-		h.Write(buf[:])
-	}
-	var out [32]byte
-	copy(out[:], h.Sum(nil))
-	return out
-}
-
-// sortedIDs returns the keys of a node set in ascending order.
-func sortedIDs(set map[wire.NodeID]bool) []wire.NodeID {
-	out := make([]wire.NodeID, 0, len(set))
-	for id := range set {
-		out = append(out, id)
-	}
-	sort.Slice(out, func(i, j int) bool { return out[i] < out[j] })
-	return out
-}
-
 // String implements fmt.Stringer for debugging.
 func (o *Optimized) String() string {
-	return fmt.Sprintf("erng.Optimized{chosen=%v cluster=%d decided=%v}", o.chosen, len(o.schosen), o.decided)
+	return fmt.Sprintf("erng.Optimized{chosen=%v cluster=%d decided=%v}", o.chosen, o.schosen.Count(), o.decided)
 }

@@ -3,6 +3,7 @@ package runtime_test
 import (
 	"testing"
 
+	"sgxp2p/internal/runtime"
 	"sgxp2p/internal/wire"
 )
 
@@ -86,5 +87,23 @@ func TestDuplicateAcksNotDoubleCounted(t *testing.T) {
 	}
 	if !sender.peer.Halted() {
 		t.Fatal("sender with one distinct acker met threshold 2: duplicate ACKs were double-counted")
+	}
+}
+
+func TestDigestEncodedMatchesDigest(t *testing.T) {
+	msg := &wire.Message{
+		Type: wire.TypeInit, Sender: 2, Initiator: 2,
+		Seq: 11, Round: 3, HasValue: true, Value: wire.Value{0x42},
+	}
+	viaMsg, err := runtime.Digest(msg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	enc, err := msg.Encode()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if viaMsg != runtime.DigestEncoded(enc) {
+		t.Fatal("DigestEncoded(Encode(msg)) != Digest(msg)")
 	}
 }

@@ -19,7 +19,6 @@ package runtime
 import (
 	"errors"
 	"fmt"
-	"math/bits"
 	"slices"
 	"time"
 
@@ -192,57 +191,6 @@ func newCounters(m *telemetry.Metrics) counters {
 // the N-instance bursts of a concurrent ERNG round.
 var batchMsgBounds = []float64{1, 2, 4, 8, 16, 32, 64, 128, 256, 512}
 
-// nodeBitset is a dense set of NodeIDs. The ACK tracker of a multicast
-// previously used a map[wire.NodeID]bool, one allocation per multicast
-// plus hashing per ACK; node ids are dense small integers, so a bitset
-// does the same job with a single word-slice allocation.
-type nodeBitset struct {
-	words []uint64
-	count int
-}
-
-// set records id and reports whether it was newly set, so duplicate ACKs
-// (replays) are not double-counted.
-func (b *nodeBitset) set(id wire.NodeID) bool {
-	w, bit := int(id)/64, uint(id)%64
-	if w >= len(b.words) {
-		// Joins (AddPeer) can grow membership past the size the tracker
-		// was created for.
-		grown := make([]uint64, w+1)
-		copy(grown, b.words)
-		b.words = grown
-	}
-	if b.words[w]&(1<<bit) != 0 {
-		return false
-	}
-	b.words[w] |= 1 << bit
-	b.count++
-	return true
-}
-
-// reset empties the set, keeping the word capacity for reuse.
-func (b *nodeBitset) reset() {
-	clear(b.words)
-	b.count = 0
-}
-
-// unionCount returns |b ∪ o| without materializing the union; either
-// side's word slice may be shorter (or nil) than the other.
-func (b *nodeBitset) unionCount(o *nodeBitset) int {
-	long, short := b.words, o.words
-	if len(short) > len(long) {
-		long, short = short, long
-	}
-	n := 0
-	for i, w := range long {
-		if i < len(short) {
-			w |= short[i]
-		}
-		n += bits.OnesCount64(w)
-	}
-	return n
-}
-
 // ackTracker tracks acknowledgments for one multicast. Classic digest
 // ACKs land in acked; frame-cumulative ACKs land once in the shared
 // group bitset of the flush window that carried the message, so
@@ -252,7 +200,7 @@ type ackTracker struct {
 	digest    wire.Value
 	round     uint32
 	threshold int
-	acked     nodeBitset
+	acked     wire.NodeSet
 	group     *frameGroup
 }
 
@@ -261,10 +209,10 @@ type ackTracker struct {
 // the whole frame window it was flushed in, counted without double-
 // counting a node that somehow did both.
 func (tk *ackTracker) ackCount() int {
-	if tk.group == nil || tk.group.acked.count == 0 {
-		return tk.acked.count
+	if tk.group == nil || tk.group.acked.Count() == 0 {
+		return tk.acked.Count()
 	}
-	return tk.acked.unionCount(&tk.group.acked)
+	return tk.acked.UnionCount(&tk.group.acked)
 }
 
 // frameGroup is the shared acknowledgment state of one flush window's
@@ -276,7 +224,7 @@ func (tk *ackTracker) ackCount() int {
 // under the counter-based model sealer, negligible under random
 // nonces) so neither window starves.
 type frameGroup struct {
-	acked nodeBitset
+	acked wire.NodeSet
 	next  *frameGroup
 }
 
@@ -856,7 +804,7 @@ func (p *Peer) newTracker(digest wire.Value, threshold int) int {
 		tk = p.trackerFree[n-1]
 		p.trackerFree[n-1] = nil
 		p.trackerFree = p.trackerFree[:n-1]
-		tk.acked.reset()
+		tk.acked.Reset()
 		tk.group = nil
 	} else {
 		tk = new(ackTracker)
@@ -1714,20 +1662,20 @@ func (p *Peer) handleAck(src wire.NodeID, ack *wire.Message) {
 		// actual recipient can credit it.
 		if fg, ok := p.frameIdx[frameKey{dst: src, round: ack.Round, tag: ack.Seq}]; ok {
 			for g := fg; g != nil; g = g.next {
-				g.acked.set(src)
+				g.acked.Add(src)
 			}
 		}
 		return
 	}
 	if len(p.trackers) > ackIndexMin {
 		if tk, ok := p.trackerIdx[ackKey{round: ack.Round, digest: ack.Value}]; ok {
-			tk.acked.set(src)
+			tk.acked.Add(src)
 		}
 		return
 	}
 	for _, tk := range p.trackers {
 		if tk.round == ack.Round && tk.digest == ack.Value {
-			tk.acked.set(src)
+			tk.acked.Add(src)
 			return
 		}
 	}

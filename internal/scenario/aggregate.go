@@ -25,7 +25,9 @@ import (
 //     round of an epoch has a sample from every node, the spread (p50/p90/max of entry skew) and the
 //     runner's ingest lag (how long after that instant the event reached
 //     the runner) are logged live — no post-hoc trace merge needed to
-//     watch the fleet march.
+//     watch the fleet march. The lag is split at the node's drain that
+//     shipped the event (its DR stamp): the node side is event to drain,
+//     the runner side drain to ingest, socket and decoding included.
 //   - metric gauges: the latest value of every metric row per node, so
 //     resource pressure (the obsplane probe gauges) is visible next to
 //     protocol progress.
@@ -53,6 +55,7 @@ type Aggregator struct {
 	seen    map[roundKey]bool
 	gaps    int
 	maxLag  time.Duration
+	maxNode time.Duration // node side of the lag: event to drain
 }
 
 // roundKey names one round of one epoch. A round event carries the
@@ -61,8 +64,8 @@ type Aggregator struct {
 type roundKey struct{ epoch, round uint32 }
 
 // sample is one node's entry into a round: the instant on the shared
-// clock, and the runner's ingest lag behind it.
-type sample struct{ at, lag time.Duration }
+// clock, the runner's ingest lag behind it, and the lag's node side.
+type sample struct{ at, lag, node time.Duration }
 
 // NewAggregator creates an aggregator for an n-node fleet. log, when
 // non-nil, receives the live per-round timeline.
@@ -109,15 +112,16 @@ func (a *Aggregator) gap() {
 	a.mu.Unlock()
 }
 
-// event folds node id's event in; only its own round entries count.
-func (a *Aggregator) event(id int, ev telemetry.Event) {
+// event folds node id's event in, shipped by the drain stamped drainAt;
+// only its own round entries count.
+func (a *Aggregator) event(id int, ev telemetry.Event, drainAt time.Duration) {
 	if ev.Kind != telemetry.KindRound || int(ev.Node) != id {
 		return
 	}
 	a.mu.Lock()
 	defer a.mu.Unlock()
-	lag := time.Since(a.start) - ev.At
-	a.maxLag = max(a.maxLag, lag)
+	lag, node := time.Since(a.start)-ev.At, drainAt-ev.At
+	a.maxLag, a.maxNode = max(a.maxLag, lag), max(a.maxNode, node)
 	k := roundKey{a.epochOf(ev.Round, ev.At), ev.Round}
 	byNode := a.rounds[k]
 	if byNode == nil {
@@ -125,7 +129,7 @@ func (a *Aggregator) event(id int, ev telemetry.Event) {
 		a.rounds[k] = byNode
 	}
 	if _, dup := byNode[id]; !dup {
-		byNode[id] = sample{at: ev.At, lag: lag}
+		byNode[id] = sample{at: ev.At, lag: lag, node: node}
 		if len(byNode) == a.n {
 			a.reportRound(k, byNode)
 		}
@@ -154,56 +158,60 @@ func (a *Aggregator) reportRound(k roundKey, byNode map[int]sample) {
 	a.seen[k] = true
 	stats := roundSkew(byNode)
 	if a.log != nil {
-		fmt.Fprintf(a.log, "  epoch %d round %d: %d/%d nodes, entry skew p50=%v p90=%v max=%v, ingest lag p50=%v max=%v\n",
-			k.epoch, k.round, len(byNode), a.n, stats.P50, stats.P90, stats.Max, stats.LagP50, stats.LagMax)
+		fmt.Fprintf(a.log, "  epoch %d round %d: %d/%d nodes, entry skew p50=%v p90=%v max=%v, ingest lag p50=%v max=%v (node side p50=%v max=%v, runner side p50=%v max=%v)\n",
+			k.epoch, k.round, len(byNode), a.n, stats.P50, stats.P90, stats.Max, stats.LagP50, stats.LagMax,
+			stats.NodeP50, stats.NodeMax, stats.RunnerP50, stats.RunnerMax)
 	}
 }
 
 // skewStats is one round's fleet entry-skew distribution, and the
-// runner's ingest lag over the same round events.
+// runner's ingest lag over the same round events with its node side
+// (event to drain) and runner side (drain to ingest).
 type skewStats struct {
-	Epoch  uint32        `json:"epoch"`
-	Round  uint32        `json:"round"`
-	Nodes  int           `json:"nodes"`
-	P50    time.Duration `json:"p50_ns"`
-	P90    time.Duration `json:"p90_ns"`
-	Max    time.Duration `json:"max_ns"`
-	LagP50 time.Duration `json:"ingest_lag_p50_ns"`
-	LagMax time.Duration `json:"ingest_lag_max_ns"`
+	Epoch     uint32        `json:"epoch"`
+	Round     uint32        `json:"round"`
+	Nodes     int           `json:"nodes"`
+	P50       time.Duration `json:"p50_ns"`
+	P90       time.Duration `json:"p90_ns"`
+	Max       time.Duration `json:"max_ns"`
+	LagP50    time.Duration `json:"ingest_lag_p50_ns"`
+	LagMax    time.Duration `json:"ingest_lag_max_ns"`
+	NodeP50   time.Duration `json:"node_lag_p50_ns"`
+	NodeMax   time.Duration `json:"node_lag_max_ns"`
+	RunnerP50 time.Duration `json:"runner_lag_p50_ns"`
+	RunnerMax time.Duration `json:"runner_lag_max_ns"`
 }
 
 // roundSkew folds one round's per-node samples into percentiles.
 func roundSkew(byNode map[int]sample) skewStats {
-	at := make([]time.Duration, 0, len(byNode))
-	lag := make([]time.Duration, 0, len(byNode))
+	var at, lag, node, runner []time.Duration
 	for _, s := range byNode {
-		at = append(at, s.at)
-		lag = append(lag, s.lag)
+		at, lag = append(at, s.at), append(lag, s.lag)
+		node, runner = append(node, s.node), append(runner, s.lag-s.node)
 	}
 	slices.Sort(at)
 	slices.Sort(lag)
-	base := at[0]
-	for i := range at {
-		at[i] -= base
-	}
+	slices.Sort(node)
+	slices.Sort(runner)
+	mid, last := len(at)/2, len(at)-1
 	return skewStats{
-		Nodes:  len(byNode),
-		P50:    at[len(at)/2],
-		P90:    at[len(at)*9/10],
-		Max:    at[len(at)-1],
-		LagP50: lag[len(lag)/2],
-		LagMax: lag[len(lag)-1],
+		Nodes: len(byNode),
+		P50:   at[mid] - at[0], P90: at[len(at)*9/10] - at[0], Max: at[last] - at[0],
+		LagP50: lag[mid], LagMax: lag[last],
+		NodeP50: node[mid], NodeMax: node[last],
+		RunnerP50: runner[mid], RunnerMax: runner[last],
 	}
 }
 
 // totals reports how many lines were malformed or broke their
 // connection's sequence, and the largest ingest lag of any node's round
-// entry. A clean run, crashes and relaunches included, has no gaps: each
-// incarnation's connection starts its own sequence.
-func (a *Aggregator) totals() (gaps int, maxLag time.Duration) {
+// entry and the largest node side of one. A clean run, crashes and
+// relaunches included, has no gaps: each incarnation's connection starts
+// its own sequence.
+func (a *Aggregator) totals() (gaps int, maxLag, maxNode time.Duration) {
 	a.mu.Lock()
 	defer a.mu.Unlock()
-	return a.gaps, a.maxLag
+	return a.gaps, a.maxLag, a.maxNode
 }
 
 // WriteArtifacts persists the aggregated views into outDir as

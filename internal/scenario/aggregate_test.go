@@ -21,7 +21,7 @@ func TestAggregatorKeysRowsByEpoch(t *testing.T) {
 		for r := uint32(1); r <= 4; r++ {
 			at := time.Duration(e)*slot + time.Duration(r-1)*2*delta
 			for id, skew := range []time.Duration{-3 * time.Millisecond, 40 * time.Millisecond} {
-				a.event(id, telemetry.Event{Kind: telemetry.KindRound, Node: wire.NodeID(id), Round: r, At: max(at+skew, 0)})
+				a.event(id, telemetry.Event{Kind: telemetry.KindRound, Node: wire.NodeID(id), Round: r, At: max(at+skew, 0)}, at+delta)
 			}
 		}
 	}

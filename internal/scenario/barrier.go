@@ -43,7 +43,7 @@ type NodeEvent struct {
 //	node → runner:  READY <id> <host:port> <quote hex> <seq>
 //	runner → node:  PEERS <id> <host:port> <quote hex> <seq>,... (every id once)
 //	runner → node:  START <unix-ms>
-//	node → runner:  EV / MT lines while it runs, then RESULT <json>
+//	node → runner:  DR / EV / MT lines while it runs, then RESULT <json>
 //	node → runner:  DONE  |  FAIL <reason>
 //
 // The k-th accepted READY of node id is its incarnation k: the barrier
@@ -188,6 +188,8 @@ func (b *Barrier) serve(conn net.Conn) {
 			b.events <- NodeEvent{ID: id, Kind: "done"}
 		case "FAIL":
 			b.events <- NodeEvent{ID: id, Kind: "fail", Detail: rest}
+		case "DR":
+			rec.drain(rest)
 		case "EV":
 			rec.event(rest)
 		case "MT":
@@ -208,13 +210,26 @@ func (b *Barrier) serve(conn net.Conn) {
 const flushBytes = 64 << 10
 
 // recording is the runner's end of one incarnation's telemetry: its
-// trace file, its stream position, and the aggregator it feeds.
+// trace file, its stream position, the send stamp of the drain being
+// read, and the aggregator it feeds.
 type recording struct {
 	id      int
 	agg     *Aggregator
 	trace   *os.File
 	buf     []byte
 	lastSeq uint64
+	drainAt time.Duration
+}
+
+// drain notes the DR stamp of the drain whose lines follow; a malformed
+// one is a gap.
+func (r *recording) drain(rest string) {
+	at, err := parseDR(rest)
+	if err != nil {
+		r.agg.gap()
+		return
+	}
+	r.drainAt = at
 }
 
 // event appends one EV line's event to the trace and the aggregator. A
@@ -232,7 +247,7 @@ func (r *recording) event(rest string) {
 		return
 	}
 	r.buf = append(append(r.buf, line...), '\n')
-	r.agg.event(r.id, ev)
+	r.agg.event(r.id, ev, r.drainAt)
 }
 
 // metric folds one MT line into the aggregator; a malformed one is a gap.

@@ -22,6 +22,7 @@ import (
 // owns those formats), the node ships everything the runner keeps of it
 // over this connection, and the runner writes every artifact:
 //
+//	node → runner:  DR <ns>                         a drain's send time since START, before its lines
 //	node → runner:  EV <seq> <event-jsonl>          one trace event
 //	node → runner:  MT <seq> <kind> <name> <value>  a metric row whose value changed
 //	node → runner:  RESULT <json>                   the node's NodeResult
@@ -29,13 +30,15 @@ import (
 //	runner → node:  PROF                            capture CPU and heap profiles
 //
 // The event seq is the tracer's own stream sequence (telemetry.Event.Seq),
-// so the runner detects holes per connection. This file formats and
+// so the runner detects holes per connection. The DR stamp splits an
+// event's ingest lag at the drain that shipped it. This file formats and
 // parses every one of these verbs.
 type Control struct {
 	conn       net.Conn
 	rd         *bufio.Reader
 	id         int
 	profileDir string
+	start      time.Time // the shared START instant, once released
 
 	exp    *exporter
 	finish sync.Once
@@ -70,6 +73,7 @@ func (c *Control) AwaitStart(n int) ([]Entry, time.Time, error) {
 	if err := c.conn.SetReadDeadline(time.Time{}); err != nil {
 		return nil, time.Time{}, err
 	}
+	c.start = start
 	go func() {
 		for {
 			line, err := c.rd.ReadString('\n')
@@ -148,6 +152,12 @@ func parseEV(rest string) (uint64, telemetry.Event, []byte, error) {
 	return seq, ev, []byte(payload), err
 }
 
+// parseDR reads a DR line's rest: the drain's send time since START.
+func parseDR(rest string) (time.Duration, error) {
+	ns, err := strconv.ParseInt(rest, 10, 64)
+	return time.Duration(ns), err
+}
+
 // parseMT reads an MT line's rest into its "<kind> <name>" key and value.
 func parseMT(rest string) (string, float64, error) {
 	f := strings.Fields(rest)
@@ -183,6 +193,7 @@ type exporter struct {
 
 	cursor uint64
 	buf    []byte
+	stamp  []byte
 	mseq   uint64
 	last   map[string]float64
 }
@@ -228,7 +239,11 @@ func (e *exporter) drain() {
 		e.buf = appendMT(e.buf, e.mseq, mv)
 	}
 	if len(e.buf) > 0 {
-		_, _ = e.ctrl.conn.Write(e.buf)
+		// The DR stamp leads the batch and is taken last, just before the
+		// one write of both.
+		e.stamp = append(strconv.AppendInt(append(e.stamp[:0], "DR "...), int64(time.Since(e.ctrl.start)), 10), '\n')
+		bufs := net.Buffers{e.stamp, e.buf}
+		_, _ = bufs.WriteTo(e.ctrl.conn)
 	}
 }
 

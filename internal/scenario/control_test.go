@@ -2,6 +2,7 @@ package scenario
 
 import (
 	"bytes"
+	"encoding/json"
 	"os"
 	"path/filepath"
 	"testing"
@@ -122,7 +123,7 @@ func TestExporterChunkedDrainMatchesExport(t *testing.T) {
 	c2.Finish(&NodeResult{ID: 0}, nil)
 	awaitEvent(t, b, 0, "done")
 	awaitFile(t, filepath.Join(dir, traceName(0, 1)), bytes.Join(lines[:2], nil))
-	if gaps, _ := b.agg.totals(); gaps != 0 {
+	if gaps, _, _ := b.agg.totals(); gaps != 0 {
 		t.Fatalf("%d gaps across two incarnations' streams, want 0", gaps)
 	}
 }
@@ -152,5 +153,54 @@ func TestSendProfReachesNode(t *testing.T) {
 	}
 	if st, err := os.Stat(filepath.Join(profDir, "cpu-0.pprof")); err != nil || st.Size() == 0 {
 		t.Fatalf("cpu-0.pprof: %v, %v", st, err)
+	}
+}
+
+// TestDrainStampSplitsIngestLag: a drain leads with a DR stamp of its
+// send time, which never reaches the trace file, and the runner splits
+// each round event's ingest lag there. An event that waited 50 ms in the
+// node before its drain shows at least that on the node side of its
+// aggregate.jsonl row, the runner side is what is left, and a malformed
+// stamp is a gap.
+func TestDrainStampSplitsIngestLag(t *testing.T) {
+	dir := t.TempDir()
+	b, err := NewBarrier(1, dir, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer b.Close()
+	c := releasedControl(t, b, testEntry(t, 0, "127.0.0.1:9000", 1), "")
+	tr := telemetry.New(telemetry.Options{Clock: func() time.Duration { return time.Since(c.start) }})
+	tr.Record(0, 1, telemetry.KindRound, wire.NoNode, 0, "")
+	const wait = 50 * time.Millisecond
+	time.Sleep(wait)
+	(&exporter{trace: tr, metrics: telemetry.NewMetrics(), ctrl: c, last: map[string]float64{}}).drain()
+	if _, err := c.conn.Write([]byte("DR x\n")); err != nil {
+		t.Fatal(err)
+	}
+	c.Finish(&NodeResult{ID: 0}, nil)
+	awaitEvent(t, b, 0, "done")
+	if err := b.agg.WriteArtifacts(dir); err != nil {
+		t.Fatal(err)
+	}
+	raw, err := os.ReadFile(filepath.Join(dir, "aggregate.jsonl"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	var row skewStats
+	if err := json.Unmarshal(bytes.SplitN(raw, []byte("\n"), 2)[0], &row); err != nil {
+		t.Fatal(err)
+	}
+	// START travels in whole milliseconds, so the two clocks may disagree
+	// by up to one.
+	if row.Round != 1 || row.NodeMax < wait || row.RunnerMax < -time.Millisecond ||
+		row.NodeMax+row.RunnerMax != row.LagMax || row.NodeP50 != row.NodeMax {
+		t.Fatalf("round row %+v: want node side >= %v and node + runner = lag", row, wait)
+	}
+	if gaps, _, maxNode := b.agg.totals(); gaps != 1 || maxNode != row.NodeMax {
+		t.Fatalf("totals: %d gaps, node side max %v; want the malformed stamp's 1 gap and %v", gaps, maxNode, row.NodeMax)
+	}
+	if trace, _ := os.ReadFile(filepath.Join(dir, traceName(0, 0))); bytes.Contains(trace, []byte("DR")) {
+		t.Fatalf("the DR stamp reached the trace file: %q", trace)
 	}
 }

@@ -310,9 +310,10 @@ collect:
 	if aerr := barrier.agg.WriteArtifacts(cfg.OutDir); aerr != nil {
 		logf("scenario %s: aggregate artifacts: %v", cfg.Testcase.Name, aerr)
 	}
-	gaps, maxLag := barrier.agg.totals()
+	gaps, maxLag, maxNode := barrier.agg.totals()
 	report.StreamGaps = gaps
-	logf("scenario %s: telemetry: %d gaps, ingest lag max %v", cfg.Testcase.Name, gaps, maxLag.Round(time.Millisecond))
+	logf("scenario %s: telemetry: %d gaps, ingest lag max %v (node side max %v)", cfg.Testcase.Name, gaps,
+		maxLag.Round(time.Millisecond), maxNode.Round(time.Millisecond))
 
 	report.Passed = true
 	for _, inv := range report.Invariants {
