@@ -43,7 +43,8 @@ vet:
 # the outbox, the payload slabs and the event calendar three times; the
 # sixth runs the outbox tests and the slab and record tests on one, two
 # and four cores, because workers carve payloads from slabs of their
-# own, take records a chunk at a time and release both for each other;
+# own, take records a chunk at a time, build a block of them into their
+# own pool when the free list is dry, and release both for each other;
 # the seventh does the same for byzantine OSes on lanes — the byzantine
 # lane scenario, a byzantine joiner, the tape, and one behaviour value
 # set on several nodes, each of which must draw from a coin of its own;
@@ -53,9 +54,12 @@ vet:
 # enabling rule, and the mux gauges. The ninth does the same for the
 # pair's one link cipher, which both ends of a pair seal and open through
 # (DESIGN.md §6): two ends on two goroutines, the pair hand-over, a full
-# mesh and a restart; the tenth repeats the first two without the
-# kernels, where each end keeps a cipher of its own because the portable
-# paths write scratch.
+# mesh and a restart, the ciphers a key-agreement group carves from one
+# array, used by both ends of every pair at once, and the cold
+# deployment's object count, whose peers derive their groups on the
+# worker pool; the tenth repeats the cipher tests without the kernels,
+# where each end keeps a cipher of its own because the portable paths
+# write scratch.
 race:
 	$(GO) test -race ./internal/deploy/... ./internal/experiments/... ./internal/runtime/... ./internal/tcpnet/... ./internal/scenario/... ./internal/vclock/... ./internal/simnet/... ./internal/overlay/... ./internal/core/... ./internal/beacon/... .
 	$(GO) test -race -count=5 -run 'Handoff|Lane' ./internal/vclock/... ./internal/simnet/...
@@ -65,8 +69,8 @@ race:
 	$(GO) test -race -cpu 1,2,4 -run 'SparseOutbox|FinishedPeerReleasesProtocol|LaneSlabs|LaneRecords' ./internal/runtime/... ./internal/simnet/...
 	$(GO) test -race -cpu 1,2,4 -run 'LanesMatchSerialLoop/erb-byzantine|LanesJoinAndRestart|OnlyRecorderKeepsTape|SharedBehaviorValue' ./internal/deploy/... ./internal/adversary/...
 	$(GO) test -race -cpu 1,2,4 -run 'TraceDeterministic|MuxTraceDeterministic|TracedChaosOnLanes|LanesRule|MuxGaugesSumOverNodes' ./internal/chaos/... ./internal/deploy/...
-	$(GO) test -race -cpu 1,2,4 -run 'SharedCipherSealWhileOpen|PairSharesOneCipher|FullMeshHoldsOneCipherPerPair|RestartPreparesFreshCipher' ./internal/xcrypto/... ./internal/channel/... ./internal/deploy/...
-	$(GO) test -race -tags purego -run 'SharedCipherSealWhileOpen|PairSharesOneCipher' ./internal/xcrypto/... ./internal/channel/...
+	$(GO) test -race -cpu 1,2,4 -run 'SharedCipherSealWhileOpen|PairSharesOneCipher|FullMeshHoldsOneCipherPerPair|RestartPreparesFreshCipher|CarvedCiphers|ColdDeploymentAllocs' ./internal/xcrypto/... ./internal/channel/... ./internal/deploy/...
+	$(GO) test -race -tags purego -run 'SharedCipherSealWhileOpen|PairSharesOneCipher|CarvedCiphers' ./internal/xcrypto/... ./internal/channel/...
 
 # chaos runs the deterministic fault-injection suite under the race
 # detector: fixed-seed schedules (crash-restart, partitions, flips)

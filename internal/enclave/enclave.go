@@ -414,7 +414,9 @@ func (e *Enclave) SessionKeysBatch(remotes [][xcrypto.PublicKeySize]byte, settle
 
 // LinkCiphersBatch is LinkCipher toward every key of remotes, as
 // SessionKeysBatch is SessionKeys: the pairs this enclave derives are
-// prepared by it, the others taken over or prepared from the keys.
+// prepared by it, each group's ciphers in one array
+// (xcrypto.NewLinkCiphers), the others taken over or prepared from the
+// keys.
 func (e *Enclave) LinkCiphersBatch(remotes [][xcrypto.PublicKeySize]byte, settle func(i int, c *xcrypto.LinkCipher, err error)) {
 	e.sessionBatch(remotes, true, func(i int, s session, err error) { settle(i, s.cipher, err) })
 }
@@ -433,17 +435,19 @@ func (e *Enclave) sessionBatch(remotes [][xcrypto.PublicKeySize]byte, seal bool,
 		at      [xcrypto.BatchLanes]int
 		keys    [xcrypto.BatchLanes]xcrypto.SessionKeys
 		errs    [xcrypto.BatchLanes]error
+		ciphers [xcrypto.BatchLanes]*xcrypto.LinkCipher
 		derived [xcrypto.BatchLanes]session
 		n       int
 		pending []int
 	)
 	derive := func() {
 		e.deriveBatch(group[:n], keys[:n], errs[:n])
+		if seal {
+			clear(ciphers[:n])
+			xcrypto.NewLinkCiphers(keys[:n], ciphers[:n], errs[:n])
+		}
 		for j := range n {
-			derived[j] = session{keys: keys[j]}
-			if errs[j] == nil {
-				errs[j] = derived[j].prepare(seal)
-			}
+			derived[j] = session{keys: keys[j], cipher: ciphers[j]}
 			if e.keyCache != nil {
 				e.keyCache.leave(e.pairKey(group[j]), derived[j], errs[j])
 			}
@@ -554,10 +558,12 @@ func modelSessionKeys(a, b [xcrypto.PublicKeySize]byte) xcrypto.SessionKeys {
 			break
 		}
 	}
-	body := append(append([]byte("model-kex/"), lo[:]...), hi[:]...)
+	// Both bodies are built on the stack: this runs once per model pair.
+	var buf [len("model-kex/") + 2*xcrypto.PublicKeySize + 1]byte
+	body := append(append(append(buf[:0], "model-kex/"...), lo[:]...), hi[:]...)
 	var keys xcrypto.SessionKeys
 	keys.Enc = xcrypto.Measure(append(body, 'e'))
-	keys.Mac = xcrypto.Measure(append(append([]byte(nil), body...), 'm'))
+	keys.Mac = xcrypto.Measure(append(body, 'm'))
 	return keys
 }
 

@@ -103,6 +103,24 @@ func TestModelKEXEquivalence(t *testing.T) {
 	}
 }
 
+// TestModelSessionKeysOnTheStack pins the model key agreement's bytes —
+// SHA-256 over "model-kex/", the two public keys in canonical order and
+// 'e' or 'm' — and that it allocates nothing: it runs once per model pair.
+func TestModelSessionKeysOnTheStack(t *testing.T) {
+	a, b := [xcrypto.PublicKeySize]byte{1, 2}, [xcrypto.PublicKeySize]byte{1, 3}
+	body := append(append([]byte("model-kex/"), a[:]...), b[:]...)
+	want := xcrypto.SessionKeys{
+		Enc: xcrypto.Measure(append(append([]byte(nil), body...), 'e')),
+		Mac: xcrypto.Measure(append(append([]byte(nil), body...), 'm')),
+	}
+	if modelSessionKeys(a, b) != want || modelSessionKeys(b, a) != want {
+		t.Fatal("model session keys differ from the hash of the canonically ordered keys")
+	}
+	if allocs := testing.AllocsPerRun(100, func() { modelSessionKeys(a, b) }); allocs != 0 {
+		t.Fatalf("modelSessionKeys allocated %.1f times per pair, want 0", allocs)
+	}
+}
+
 func TestSessionKeysDifferAcrossPrograms(t *testing.T) {
 	clock := &fakeClock{}
 	a := launch(t, 0, 1, clock)

@@ -915,6 +915,13 @@ func (p *Peer) Multicast(dsts []wire.NodeID, msg *wire.Message, ackThreshold int
 // destination of a multicast but the peer itself.
 func (p *Peer) multicastLegs(dsts []wire.NodeID, lo uint32, tracked int) error {
 	p.openFirstUse(dsts)
+	if p.coalescing() {
+		legs := len(dsts)
+		if dsts == nil {
+			legs = p.cfg.N - 1
+		}
+		p.reserveLegs(legs)
+	}
 	if dsts == nil {
 		for id := 0; id < p.cfg.N; id++ {
 			if wire.NodeID(id) == p.ID() {
@@ -1091,6 +1098,20 @@ func (p *Peer) sealSend(dst wire.NodeID, plaintext []byte) (uint64, error) {
 	p.ctr.envelopesSent.Inc()
 	p.tr.Send(dst, env)
 	return tag, nil
+}
+
+// reserveLegs makes the outbox room for a multicast of k legs: each leg
+// may open a slot and start a run, and an outbox with room for fewer of
+// either than the multicast's fan-out grows to it at once, not by
+// append's doublings. The fan-out is the flush window's width at least,
+// so the outbox stays as wide as the widest window.
+func (p *Peer) reserveLegs(k int) {
+	if cap(p.out) < k {
+		p.out = append(make([]outSlot, 0, k), p.out...)
+	}
+	if cap(p.runs) < k {
+		p.runs = append(make([]outRun, 0, k), p.runs...)
+	}
 }
 
 // enqueueBatch appends the log entry [lo, hi) to the outbox slot of l's

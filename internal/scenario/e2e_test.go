@@ -29,22 +29,31 @@ func readTrace(t *testing.T, path string) []telemetry.Event {
 	return events
 }
 
-// nodeBin builds cmd/p2pnode once per test binary.
+// nodeBin builds cmd/p2pnode once per test binary, into a temporary
+// directory TestMain removes when the tests are done.
 var nodeBinOnce struct {
 	sync.Once
+	dir  string
 	path string
 	err  error
+}
+
+func TestMain(m *testing.M) {
+	code := m.Run()
+	if nodeBinOnce.dir != "" {
+		os.RemoveAll(nodeBinOnce.dir)
+	}
+	os.Exit(code)
 }
 
 func nodeBin(t *testing.T) string {
 	t.Helper()
 	nodeBinOnce.Do(func() {
-		dir, err := os.MkdirTemp("", "p2pnode-bin-*")
-		if err != nil {
-			nodeBinOnce.err = err
+		nodeBinOnce.dir, nodeBinOnce.err = os.MkdirTemp("", "p2pnode-bin-*")
+		if nodeBinOnce.err != nil {
 			return
 		}
-		nodeBinOnce.path, nodeBinOnce.err = BuildNodeBin(dir)
+		nodeBinOnce.path, nodeBinOnce.err = BuildNodeBin(nodeBinOnce.dir)
 	})
 	if nodeBinOnce.err != nil {
 		t.Fatal(nodeBinOnce.err)

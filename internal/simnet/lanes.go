@@ -52,15 +52,16 @@ type op struct {
 // round-tick window's demand is all on whichever worker claims the
 // multicasting lanes, so an even split runs one pool dry — it allocates —
 // while the others strand their share. A worker instead takes recordChunk
-// records off the free list whenever its pool is empty, and recycles the
+// records off the free list whenever its pool is empty — builds a block
+// of them into the pool when the free list is dry too — and recycles the
 // records of the deliveries it fires into its pool. Run's goroutine is
 // worker 0 and does the same: the others are taking from the free list
 // while it fires.
 type workerPool struct {
 	free    []*delivery
+	records int   // records built onto free in this window
 	slab    *slab // the slab the worker carves payloads from, kept across windows
 	claimed []int32
-	_       [8]byte
 }
 
 // recordChunk is how many records a worker takes off the free list at a
@@ -154,6 +155,8 @@ func (n *Network) EndWindow() {
 		p := &n.pools[w]
 		n.free = append(n.free, p.free...)
 		p.free = p.free[:0]
+		n.records += p.records
+		p.records = 0
 		for _, lane := range p.claimed {
 			ns := &n.nodes[lane]
 			n.traffic.Dropped += ns.dropped

@@ -183,12 +183,15 @@ func TestLaneRecordsReturnToFreeList(t *testing.T) {
 
 // TestLaneRecordsDealtOnDemand puts one window's demand for records on one
 // lane — a multicast of more frames than the free list holds, next to
-// lanes sending one frame each. The workers take records a chunk at a
-// time, so the most the heavy lane's worker can find missing, and build
-// anew, is the chunk each of the others took for its one frame; and every
-// record is back on the free list when the run ends.
+// lanes sending one frame each. Records are built a block at a time, so
+// one goroutine builds the frames in flight rounded up to whole blocks.
+// The workers take records a chunk at a time, so the most the heavy lane's
+// worker can find missing, and build anew, is the chunk each of the others
+// took for its one frame, plus the unused tail of a block on each worker;
+// and every record built is back on the free list when the run ends.
 func TestLaneRecordsDealtOnDemand(t *testing.T) {
 	const nodes, primed, burst = 8, 100, 1000
+	blocks := func(records int) int { return (records + recordBlock - 1) / recordBlock * recordBlock }
 	run := func(procs int) *Network {
 		prev := runtime.GOMAXPROCS(procs)
 		defer runtime.GOMAXPROCS(prev)
@@ -209,8 +212,11 @@ func TestLaneRecordsDealtOnDemand(t *testing.T) {
 		if err := sim.Run(); err != nil {
 			t.Fatal(err)
 		}
-		if len(net.free) != nodes*primed {
-			t.Fatalf("procs=%d: %d records on the free list after %d sends", procs, len(net.free), nodes*primed)
+		if len(net.free) != net.records {
+			t.Fatalf("procs=%d: %d records on the free list after %d sends, %d built", procs, len(net.free), nodes*primed, net.records)
+		}
+		if net.records%recordBlock != 0 || net.records < blocks(nodes*primed) || net.records > blocks(nodes*primed)+procs*recordBlock {
+			t.Fatalf("procs=%d: %d records built for %d sends in blocks of %d", procs, net.records, nodes*primed, recordBlock)
 		}
 		send(0, burst)
 		for id := 1; id < nodes; id++ {
@@ -227,15 +233,18 @@ func TestLaneRecordsDealtOnDemand(t *testing.T) {
 				t.Errorf("procs=%d: worker %d still holds %d records and %d lanes", procs, w, len(pool.free), len(pool.claimed))
 			}
 		}
+		if len(net.free) != net.records {
+			t.Fatalf("procs=%d: %d records on the free list after the burst, %d built", procs, len(net.free), net.records)
+		}
 		return net
 	}
-	serial := len(run(1).free)
-	if serial != burst+nodes-1 {
-		t.Fatalf("one goroutine built %d records for a window sending %d", serial, burst+nodes-1)
+	serial := run(1).records
+	if want := blocks(burst + nodes - 1); serial != want {
+		t.Fatalf("one goroutine built %d records for a window sending %d, want %d in blocks of %d", serial, burst+nodes-1, want, recordBlock)
 	}
 	for _, procs := range []int{2, 4} {
-		if got := len(run(procs).free); got < serial || got > serial+procs*recordChunk {
-			t.Errorf("procs=%d: %d records built, %d on one goroutine: more than a chunk (%d) a worker apart", procs, got, serial, recordChunk)
+		if got := run(procs).records; got < serial || got > serial+procs*(recordChunk+recordBlock) {
+			t.Errorf("procs=%d: %d records built, %d on one goroutine: more than a chunk (%d) and a block (%d) a worker apart", procs, got, serial, recordChunk, recordBlock)
 		}
 	}
 }

@@ -95,16 +95,20 @@ type Network struct {
 	perNode  []Traffic
 	trace    *telemetry.Tracer
 	ctr      *netCounters
-	// free is the delivery-record free list. A record carries a prebound
-	// fire closure and its payload is carved from a slab, so a
-	// steady-state send allocates nothing: the payload is copied into the
-	// carver's slab and the recycled closure is scheduled. Records return
-	// to the list after their handler ran (a handler cannot outlive the
+	// free is the delivery-record free list. A record is itself the
+	// simulator's event (vclock.Event) and its payload is carved from a
+	// slab, so a steady-state send allocates nothing: the payload is
+	// copied into the carver's slab and the recycled record is scheduled.
+	// Records are built recordBlock at a time, in one array, by whichever
+	// list runs dry — the free list, or a worker's pool — and return to
+	// the list after their handler ran (a handler cannot outlive the
 	// delivery event). While a window runs on workers each takes a chunk
 	// at a time under freeMu (refill) and EndWindow gathers what they
-	// hold.
-	free   []*delivery
-	freeMu sync.Mutex
+	// hold. records counts the records built, the workers' included once
+	// their window ended.
+	free    []*delivery
+	freeMu  sync.Mutex
+	records int
 	// slab is what sends outside a window carve payloads from, and spare
 	// the slabs whose payloads have all fired (under freeMu while a
 	// window runs on workers). A slab is busy from its first carve until
@@ -117,6 +121,8 @@ type Network struct {
 	// to its first Commit; see lanes.go for it and the worker pools.
 	windowed bool
 	pools    []workerPool
+	// ports holds every node's Port, carved once.
+	ports []Port
 }
 
 // nodeSlot is one node's delivery state. epoch counts the node's
@@ -147,16 +153,20 @@ type nodeSlot struct {
 }
 
 // delivery is one in-flight frame: destination epoch captured at send
-// time, the payload copy and the slab it was carved from, and the
-// prebound callback handed to the simulator.
+// time, the payload copy and the slab it was carved from. The record is
+// the event the simulator fires (Fire).
 type delivery struct {
 	n        *Network
 	src, dst wire.NodeID
 	ep       int
 	payload  []byte
 	slab     *slab
-	fire     func()
 }
+
+// recordBlock is how many delivery records are built at a time, in one
+// array: a fresh network pays one object per recordBlock frames in
+// flight, not one per frame.
+const recordBlock = 64
 
 // slabSize is the size of the blocks delivery payloads are carved from; a
 // larger payload gets a slab of its own size.
@@ -171,9 +181,9 @@ type slab struct {
 	live atomic.Int32
 }
 
-// run delivers (or drops) the frame, then recycles the record. It is an
+// Fire delivers (or drops) the frame, then recycles the record. It is an
 // event of the destination's lane.
-func (d *delivery) run() {
+func (d *delivery) Fire() {
 	n := d.n
 	// Only the destination is re-checked at delivery time: envelopes
 	// already in flight when their sender halts still arrive, as they
@@ -190,7 +200,7 @@ func (d *delivery) run() {
 		ns.handler(d.src, d.payload)
 	}
 	n.release(d)
-	pool := n.recordPool(ns)
+	pool, _ := n.recordPool(ns)
 	*pool = append(*pool, d)
 }
 
@@ -264,12 +274,13 @@ func (n *Network) drop() {
 }
 
 // recordPool returns the record list a node's lane takes from and
-// recycles into: the free list, or the pool of the worker firing the lane.
-func (n *Network) recordPool(ns *nodeSlot) *[]*delivery {
+// recycles into — the free list, or the pool of the worker firing the
+// lane — and the count of the records built onto it.
+func (n *Network) recordPool(ns *nodeSlot) (*[]*delivery, *int) {
 	if ns.pool != nil {
-		return &ns.pool.free
+		return &ns.pool.free, &ns.pool.records
 	}
-	return &n.free
+	return &n.free, &n.records
 }
 
 // carver returns the slab a node's lane carves payloads from: the
@@ -282,18 +293,23 @@ func (n *Network) carver(ns *nodeSlot) **slab {
 }
 
 // getDelivery pops a recycled record off the list — a worker's, refilled
-// from the free list when empty — or builds a fresh one.
-func (n *Network) getDelivery(pool *[]*delivery) *delivery {
+// from the free list when empty — or, when none is left, builds a block
+// of records onto it first.
+func (n *Network) getDelivery(pool *[]*delivery, built *int) *delivery {
 	if len(*pool) == 0 && n.windowed {
 		n.refill(pool)
 	}
-	if k := len(*pool); k > 0 {
-		d := (*pool)[k-1]
-		*pool = (*pool)[:k-1]
-		return d
+	if len(*pool) == 0 {
+		block := make([]delivery, recordBlock)
+		for i := range block {
+			block[i].n = n
+			*pool = append(*pool, &block[i])
+		}
+		*built += recordBlock
 	}
-	d := &delivery{n: n}
-	d.fire = d.run
+	k := len(*pool)
+	d := (*pool)[k-1]
+	*pool = (*pool)[:k-1]
 	return d
 }
 
@@ -348,13 +364,18 @@ func New(sim *vclock.Sim, cfg Config) (*Network, error) {
 	// Delta of now, which is exactly the locality the simulator's calendar
 	// tier wants to know about.
 	sim.SetHorizon(cfg.Delta)
-	return &Network{
+	n := &Network{
 		sim:     sim,
 		cfg:     cfg,
 		rng:     rand.New(rand.NewSource(cfg.Seed)),
 		nodes:   make([]nodeSlot, cfg.N),
 		perNode: make([]Traffic, cfg.N),
-	}, nil
+		ports:   make([]Port, cfg.N),
+	}
+	for i := range n.ports {
+		n.ports[i] = Port{net: n, id: wire.NodeID(i)}
+	}
+	return n, nil
 }
 
 // Sim returns the simulator driving this network.
@@ -384,6 +405,7 @@ func (n *Network) AddNode() wire.NodeID {
 	id := wire.NodeID(len(n.nodes))
 	n.nodes = append(n.nodes, nodeSlot{})
 	n.perNode = append(n.perNode, Traffic{})
+	n.ports = append(n.ports, Port{net: n, id: id})
 	n.cfg.N++
 	return id
 }
@@ -490,7 +512,7 @@ func (n *Network) transmit(d *delivery) {
 		}
 	}
 	d.ep = n.nodes[int(dst)].epoch
-	n.sim.ScheduleLane(int(dst), arrival, d.fire)
+	n.sim.ScheduleLaneEvent(int(dst), arrival, d)
 }
 
 // Traffic returns a snapshot of the aggregate traffic counters.
@@ -518,7 +540,7 @@ type Port struct {
 
 // Port returns the port for a node.
 func (n *Network) Port(id wire.NodeID) *Port {
-	return &Port{net: n, id: id}
+	return &n.ports[id]
 }
 
 // ID returns the node id this port belongs to.

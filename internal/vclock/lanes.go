@@ -186,13 +186,21 @@ func (s *Sim) SetLanes(owner Lanes, lanes int, lookahead time.Duration) {
 // ScheduleLane is Schedule for an event that belongs to a lane: fn reads
 // and writes the state of that lane only, under the contract of Lanes.
 func (s *Sim) ScheduleLane(lane int, t time.Duration, fn func()) {
+	if fn == nil {
+		panic("vclock: nil event callback")
+	}
+	s.ScheduleLaneEvent(lane, t, funcEvent(fn))
+}
+
+// ScheduleLaneEvent is ScheduleLane for an Event.
+func (s *Sim) ScheduleLaneEvent(lane int, t time.Duration, ev Event) {
 	if lane < 0 || lane >= 1<<laneBits-1 {
 		panic("vclock: lane out of range")
 	}
 	for lane >= len(s.lanes) {
 		s.lanes = append(s.lanes, laneState{})
 	}
-	s.push(t, fn, uint64(lane)+1)
+	s.push(t, ev, uint64(lane)+1)
 }
 
 // LaneNow is Now as an event of the lane sees it: the time of the lane's
@@ -319,7 +327,7 @@ func (s *Sim) fireWindow(head *entry) {
 		if onWorkers {
 			s.owner.Commit(int(li))
 		} else {
-			en.fn()
+			en.ev.Fire()
 		}
 	}
 	if onWorkers {
@@ -488,7 +496,7 @@ func (s *Sim) fireLanes(w int) {
 		s.owner.Claim(w, li)
 		for k := ln.next; k < len(ln.events); k++ {
 			ln.now = ln.events[k].at
-			ln.events[k].fn()
+			ln.events[k].ev.Fire()
 			s.owner.EndEvent(li)
 		}
 	}

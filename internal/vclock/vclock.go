@@ -129,14 +129,33 @@ func (s *Sim) Now() time.Duration { return s.now }
 // given virtual time. Zero removes the deadline.
 func (s *Sim) SetDeadline(d time.Duration) { s.limit = d }
 
+// Event is what the queue fires: an object that is its own callback. A
+// caller that keeps one record per pending event — simnet's delivery
+// records — schedules the record itself, with no closure bound to it;
+// Schedule and ScheduleLane take a plain func() and queue it as a
+// funcEvent, which costs nothing: a func value is one pointer, and an
+// interface holds it as it is.
+type Event interface{ Fire() }
+
+// funcEvent is a func() queued as an Event.
+type funcEvent func()
+
+// Fire implements Event.
+func (f funcEvent) Fire() { f() }
+
 // Schedule queues fn to run at the given absolute virtual time, as an
 // untagged event. Times in the past are clamped to "now".
-func (s *Sim) Schedule(t time.Duration, fn func()) { s.push(t, fn, 0) }
-
-// push queues fn at time t (clamped to now) under the next sequence
-// number, tagged with its lane plus one, 0 for an untagged event.
-func (s *Sim) push(t time.Duration, fn func(), tag uint64) {
+func (s *Sim) Schedule(t time.Duration, fn func()) {
 	if fn == nil {
+		panic("vclock: nil event callback")
+	}
+	s.push(t, funcEvent(fn), 0)
+}
+
+// push queues ev at time t (clamped to now) under the next sequence
+// number, tagged with its lane plus one, 0 for an untagged event.
+func (s *Sim) push(t time.Duration, ev Event, tag uint64) {
+	if ev == nil {
 		panic("vclock: nil event callback")
 	}
 	if t < s.now {
@@ -145,7 +164,7 @@ func (s *Sim) push(t time.Duration, fn func(), tag uint64) {
 	if t < s.windowEnd {
 		panic("vclock: event scheduled inside the lookahead window being fired")
 	}
-	s.queue.push(entry{at: t, seq: s.nextSeq<<laneBits | tag, fn: fn})
+	s.queue.push(entry{at: t, seq: s.nextSeq<<laneBits | tag, ev: ev})
 	s.nextSeq++
 }
 
@@ -187,11 +206,11 @@ func (s *Sim) traceFire(at time.Duration, seq uint64) {
 	s.trace = h
 }
 
-// fire advances the clock to en and runs its callback.
+// fire advances the clock to en and fires its event.
 func (s *Sim) fire(en entry) {
 	s.now = en.at
 	s.traceFire(en.at, en.number())
-	en.fn()
+	en.ev.Fire()
 }
 
 // Run fires events until the queue drains, a deadline set with SetDeadline
@@ -248,14 +267,14 @@ func (s *Sim) RunUntil(t time.Duration) {
 // seq is the tie-break key: the event's sequence number in the high bits
 // and, below it, its lane tag — the lane plus one, 0 for an untagged event.
 // Sequence numbers are unique, so the tag never decides a comparison. It
-// rides in the key, 24 bytes an entry, because a field of its own makes
-// that 32 and is slower where the queue is deep (ten alternated -cpu 1
-// runs, median: BenchmarkLaneWindows 7.1 ms against 8.2 ms with the field,
-// BenchmarkScheduleAndRun 2.4 ms either way).
+// rides in the key because a field of its own would make an entry 40
+// bytes. ev is an interface, two words, so an entry is 32 bytes: eight
+// more than a bare func() took, paid so that a delivery record is its own
+// event and a fresh network builds no closure per record.
 type entry struct {
 	at  time.Duration
 	seq uint64
-	fn  func()
+	ev  Event
 }
 
 // laneBits is the width of the lane tag in entry.seq: room for a million
@@ -321,7 +340,17 @@ type eventQueue struct {
 	curIdx int
 	rung   int // live entries in the ring (not yet consumed)
 	count  int
+	// longest is the most entries a bucket has held, up to
+	// longestBucket: a bucket array that fills grows to it at once (fill),
+	// so a fresh simulation's first busy round does not grow each of its
+	// buckets' arrays from one entry by doubling.
+	longest int
 }
+
+// longestBucket caps the capacity a filling bucket array takes from
+// eventQueue.longest: a window of ten thousand deliveries must not make
+// every later bucket array that large.
+const longestBucket = 1024
 
 func (q *eventQueue) len() int { return q.count }
 
@@ -334,6 +363,9 @@ func (q *eventQueue) push(en entry) {
 			if *b == nil {
 				*b = q.lend()
 			}
+			if len(*b) == cap(*b) {
+				*b = q.fill(*b)
+			}
 			*b = append(*b, en)
 			q.rung++
 			return
@@ -342,7 +374,15 @@ func (q *eventQueue) push(en entry) {
 	q.heapPush(en)
 }
 
-// lend takes a bucket array off the spare list, or nil (append makes one).
+// fill grows a full bucket array to the longest bucket so far, or to
+// twice its length if it is that long already.
+func (q *eventQueue) fill(b []entry) []entry {
+	grown := make([]entry, len(b), max(1, 2*len(b), q.longest))
+	copy(grown, b)
+	return grown
+}
+
+// lend takes a bucket array off the spare list, or nil (fill makes one).
 func (q *eventQueue) lend() []entry {
 	k := len(q.spare)
 	if k == 0 {
@@ -368,6 +408,7 @@ func (q *eventQueue) ringHead() *entry {
 	b := q.ring[q.curAbs&ringMask]
 	for q.curIdx >= len(b) {
 		if b != nil {
+			q.longest = min(max(q.longest, len(b)), longestBucket)
 			q.spare = append(q.spare, b[:0])
 			q.ring[q.curAbs&ringMask] = nil
 		}

@@ -84,12 +84,50 @@ func NewLinkCipher(keys SessionKeys) (*LinkCipher, error) {
 	return newLinkCipher(&keys, haveCTRKernel, haveMACKernel)
 }
 
+// NewLinkCiphers is NewLinkCipher for a group of pairs, in the shape of
+// KeyPair.DeriveSessionKeysBatch: for every i with errs[i] nil it sets
+// ciphers[i] and errs[i] to what NewLinkCipher(keys[i]) returns, and it
+// leaves the other entries as they are. The ciphers are carved from one
+// array, so a group costs one object where each of its ciphers is one
+// (both kernels); they are distinct ciphers all the same, each as
+// shareable as NewLinkCipher's.
+func NewLinkCiphers(keys []SessionKeys, ciphers []*LinkCipher, errs []error) {
+	n := 0
+	for _, err := range errs[:len(keys)] {
+		if err == nil {
+			n++
+		}
+	}
+	if n == 0 {
+		return
+	}
+	carved := make([]LinkCipher, n)
+	for i := range keys {
+		if errs[i] != nil {
+			continue
+		}
+		c := &carved[0]
+		carved = carved[1:]
+		if errs[i] = c.init(&keys[i], haveCTRKernel, haveMACKernel); errs[i] == nil {
+			ciphers[i] = c
+		}
+	}
+}
+
 // newLinkCipher is NewLinkCipher with the CTR and MAC paths named, so the
 // tests can hold each portable path against its kernel on a host that has
 // both. With both kernels it is one allocation: keys is read in place
 // and only the stdlib branches copy what they retain.
 func newLinkCipher(keys *SessionKeys, ctrKernel, macKernel bool) (*LinkCipher, error) {
 	c := new(LinkCipher)
+	if err := c.init(keys, ctrKernel, macKernel); err != nil {
+		return nil, err
+	}
+	return c, nil
+}
+
+// init prepares the zero cipher c from keys.
+func (c *LinkCipher) init(keys *SessionKeys, ctrKernel, macKernel bool) error {
 	if macKernel {
 		c.mid.setKey(&keys.Mac)
 	} else {
@@ -98,15 +136,15 @@ func newLinkCipher(keys *SessionKeys, ctrKernel, macKernel bool) (*LinkCipher, e
 	}
 	if ctrKernel {
 		expandKeyAsm(&keys.Enc, &c.enc)
-		return c, nil
+		return nil
 	}
 	key := keys.Enc
 	block, err := aes.NewCipher(key[:])
 	if err != nil {
-		return nil, fmt.Errorf("xcrypto: aes: %w", err)
+		return fmt.Errorf("xcrypto: aes: %w", err)
 	}
 	c.portable = &portableCTR{block: block}
-	return c, nil
+	return nil
 }
 
 // Shareable reports whether the cipher holds no per-call scratch: both

@@ -6,7 +6,9 @@ import (
 	"crypto/cipher"
 	"fmt"
 	"math/rand"
+	"sync"
 	"testing"
+	"unsafe"
 )
 
 // testKeys derives a deterministic key pair for cipher tests.
@@ -292,4 +294,119 @@ func TestSharedCipherSealWhileOpen(t *testing.T) {
 			}
 		})
 	}
+}
+
+// TestCarvedCiphersMatchNewLinkCipher holds NewLinkCiphers against
+// NewLinkCipher: a group whose derivation failed for some pairs prepares
+// a cipher for each of the others, sealing the bytes NewLinkCipher's
+// does, leaves the failed ones as they were, and carves what it prepares
+// from one array — one object for the group where the kernels run.
+func TestCarvedCiphersMatchNewLinkCipher(t *testing.T) {
+	const group = 8
+	keys := make([]SessionKeys, group)
+	for i := range keys {
+		keys[i] = testKeys(byte(30 + i))
+	}
+	failed := fmt.Errorf("no agreement")
+	errs := make([]error, group)
+	errs[2], errs[5] = failed, failed
+	ciphers := make([]*LinkCipher, group)
+	NewLinkCiphers(keys, ciphers, errs)
+	var prev *LinkCipher
+	for i, c := range ciphers {
+		if errs[i] == failed {
+			if c != nil {
+				t.Fatalf("pair %d failed to agree and got a cipher", i)
+			}
+			continue
+		}
+		if errs[i] != nil || c == nil {
+			t.Fatalf("pair %d: %v", i, errs[i])
+		}
+		if prev != nil && c != (*LinkCipher)(unsafe.Add(unsafe.Pointer(prev), unsafe.Sizeof(LinkCipher{}))) {
+			t.Fatalf("pair %d's cipher does not follow the previous one in one array", i)
+		}
+		prev = c
+		single, err := NewLinkCipher(keys[i])
+		if err != nil {
+			t.Fatal(err)
+		}
+		if c.Shareable() != single.Shareable() {
+			t.Fatalf("pair %d: carved cipher Shareable %v, NewLinkCipher's %v", i, c.Shareable(), single.Shareable())
+		}
+		plain := []byte("carved or alone, one key schedule")
+		a, err := c.SealAppend(nil, rand.New(rand.NewSource(int64(i))), plain)
+		if err != nil {
+			t.Fatal(err)
+		}
+		b, err := single.SealAppend(nil, rand.New(rand.NewSource(int64(i))), plain)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !bytes.Equal(a, b) {
+			t.Fatalf("pair %d: the carved cipher seals other bytes than NewLinkCipher's", i)
+		}
+		if opened, err := single.OpenAppend(nil, a); err != nil || !bytes.Equal(opened, plain) {
+			t.Fatalf("pair %d: NewLinkCipher's cipher does not open the carved one's envelope: %v", i, err)
+		}
+	}
+	if !ciphers[0].Shareable() {
+		return // the portable paths allocate their stdlib state per cipher
+	}
+	allocs := testing.AllocsPerRun(20, func() {
+		clear(errs)
+		NewLinkCiphers(keys, ciphers, errs)
+	})
+	if allocs != 1 {
+		t.Fatalf("NewLinkCiphers allocated %.1f objects for a group of %d, want 1", allocs, group)
+	}
+}
+
+// TestCarvedCiphersSealSideBySide has the two ends of every pair of one
+// carved group seal and open at the same time, two goroutines a pair, as
+// the lanes of a deployment do: where the ciphers are Shareable both ends
+// hold the carved object, elsewhere each end prepares its own. Under
+// -race a write to a cipher, or to a neighbour in its array, fails it.
+func TestCarvedCiphersSealSideBySide(t *testing.T) {
+	const group, envelopes = 8, 100
+	keys := make([]SessionKeys, group)
+	for i := range keys {
+		keys[i] = testKeys(byte(90 + i))
+	}
+	carved := make([]*LinkCipher, group)
+	NewLinkCiphers(keys, carved, make([]error, group))
+	var wg sync.WaitGroup
+	for i, a := range carved {
+		b := a
+		if !a.Shareable() {
+			var err error
+			if b, err = NewLinkCipher(keys[i]); err != nil {
+				t.Fatal(err)
+			}
+		}
+		toA, toB := make(chan []byte, envelopes), make(chan []byte, envelopes)
+		end := func(seed int64, c *LinkCipher, out chan<- []byte, in <-chan []byte) {
+			defer wg.Done()
+			rng := rand.New(rand.NewSource(seed))
+			var opened []byte
+			for k := range envelopes {
+				plain := []byte{byte(i), byte(k)}
+				env, err := c.SealAppend(nil, rng, plain)
+				if err != nil {
+					t.Error(err)
+					return
+				}
+				out <- env
+				got := <-in
+				if opened, err = c.OpenAppend(opened[:0], got); err != nil || !bytes.Equal(opened, plain) {
+					t.Errorf("pair %d, envelope %d: %v", i, k, err)
+					return
+				}
+			}
+		}
+		wg.Add(2)
+		go end(1, a, toB, toA)
+		go end(2, b, toA, toB)
+	}
+	wg.Wait()
 }
