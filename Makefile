@@ -55,9 +55,10 @@ vet:
 # pair's one link cipher, which both ends of a pair seal and open through
 # (DESIGN.md §6): two ends on two goroutines, the pair hand-over, a full
 # mesh and a restart, the ciphers a key-agreement group carves from one
-# array, used by both ends of every pair at once, and the cold
-# deployment's object count, whose peers derive their groups on the
-# worker pool; the tenth repeats the cipher tests without the kernels,
+# array, used by both ends of every pair at once, and the object counts
+# of a cold deployment, whose peers derive their groups on the worker
+# pool into their tables of channel ends, of one peer's setup and of an
+# enclave's draws; the tenth repeats the cipher tests without the kernels,
 # where each end keeps a cipher of its own because the portable paths
 # write scratch.
 race:
@@ -69,7 +70,7 @@ race:
 	$(GO) test -race -cpu 1,2,4 -run 'SparseOutbox|FinishedPeerReleasesProtocol|LaneSlabs|LaneRecords' ./internal/runtime/... ./internal/simnet/...
 	$(GO) test -race -cpu 1,2,4 -run 'LanesMatchSerialLoop/erb-byzantine|LanesJoinAndRestart|OnlyRecorderKeepsTape|SharedBehaviorValue' ./internal/deploy/... ./internal/adversary/...
 	$(GO) test -race -cpu 1,2,4 -run 'TraceDeterministic|MuxTraceDeterministic|TracedChaosOnLanes|LanesRule|MuxGaugesSumOverNodes' ./internal/chaos/... ./internal/deploy/...
-	$(GO) test -race -cpu 1,2,4 -run 'SharedCipherSealWhileOpen|PairSharesOneCipher|FullMeshHoldsOneCipherPerPair|RestartPreparesFreshCipher|CarvedCiphers|ColdDeploymentAllocs' ./internal/xcrypto/... ./internal/channel/... ./internal/deploy/...
+	$(GO) test -race -cpu 1,2,4 -run 'SharedCipherSealWhileOpen|PairSharesOneCipher|FullMeshHoldsOneCipherPerPair|RestartPreparesFreshCipher|CarvedCiphers|ColdDeploymentAllocs|PeerObjectsIndependentOfN|DrawsAllocateNothing' ./internal/xcrypto/... ./internal/channel/... ./internal/deploy/... ./internal/runtime/... ./internal/enclave/...
 	$(GO) test -race -tags purego -run 'SharedCipherSealWhileOpen|PairSharesOneCipher|CarvedCiphers' ./internal/xcrypto/... ./internal/channel/...
 
 # chaos runs the deterministic fault-injection suite under the race

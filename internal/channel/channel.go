@@ -10,7 +10,7 @@
 // attestation, which says whose key it is, comes before any of them — or
 // for many of a peer's missing pairs at once (Local.EstablishBatch, whose
 // key agreements run eight to a ladder on a CPU with the batch kernel;
-// the caller hands over end slots and ids and the keys never leave this
+// the caller's Ends are filled in place and the keys never leave this
 // package and the enclave). A peer holds one Local, what all its links
 // share, and per link an End: the cipher state prepared from the session
 // keys of the Diffie-Hellman exchange — for a real link the pair's one
@@ -246,11 +246,11 @@ func modelSeed(keys xcrypto.SessionKeys) uint64 {
 }
 
 // Local is the side of all its links that one enclave holds once: the
-// enclave, whose key agreement opens each link; its batched nonce reader,
-// where real links draw envelope nonces, fetched when the first one opens;
-// the *ModelSealer whose envelope counter its model links share (nil: real
-// links); and the metric counters. A peer keeps one Local and, per link
-// end, only an End.
+// enclave, whose key agreement opens each link; its nonce pool, where real
+// links draw envelope nonces, fetched when the first one opens; the
+// *ModelSealer whose envelope counter its model links share (nil: real
+// links); and the metric counters. A peer keeps one Local, by value, and,
+// per link end, only an End.
 type Local struct {
 	encl   *enclave.Enclave
 	nonces io.Reader
@@ -260,10 +260,10 @@ type Local struct {
 
 // NewLocal returns the shared side of encl's links under sealer, which
 // must be a RealSealer or a non-nil *ModelSealer. ctr may be nil.
-func NewLocal(encl *enclave.Enclave, sealer Sealer, ctr *Counters) (*Local, error) {
+func NewLocal(encl *enclave.Enclave, sealer Sealer, ctr *Counters) (Local, error) {
 	lc, err := newLocal(sealer)
 	if err != nil {
-		return nil, err
+		return Local{}, err
 	}
 	lc.encl, lc.ctr = encl, ctr
 	return lc, nil
@@ -271,16 +271,16 @@ func NewLocal(encl *enclave.Enclave, sealer Sealer, ctr *Counters) (*Local, erro
 
 // newLocal is NewLocal without an enclave: its real links draw nonces
 // from crypto/rand one envelope at a time.
-func newLocal(sealer Sealer) (*Local, error) {
+func newLocal(sealer Sealer) (Local, error) {
 	switch s := sealer.(type) {
 	case RealSealer:
-		return &Local{}, nil
+		return Local{}, nil
 	case *ModelSealer:
 		if s != nil {
-			return &Local{model: s}, nil
+			return Local{model: s}, nil
 		}
 	}
-	return nil, fmt.Errorf("channel: unsupported sealer %T", sealer)
+	return Local{}, fmt.Errorf("channel: unsupported sealer %T", sealer)
 }
 
 // End is one link end's own state, prepared once when the link opens and
@@ -315,39 +315,38 @@ func (lc *Local) Establish(e *End, remote wire.NodeID, remotePub [xcrypto.Public
 	return nil
 }
 
-// EstablishBatch is Establish into each of ends, ends[i] toward remotes[i]
-// with public key remotePubs[i], the key agreements done as one enclave
-// batch: a peer opening many channels at once derives them eight to a
-// ladder where the CPU allows. It returns nil when every end was
-// established, and otherwise one error per end, nil for those that were:
-// errs[i] is what Establish would have returned for ends[i]. The keys
-// never leave the call.
-func (lc *Local) EstablishBatch(ends []*End, remotes []wire.NodeID, remotePubs [][xcrypto.PublicKeySize]byte) (errs []error) {
-	fail := func(i int, err error) {
-		if errs == nil {
-			errs = make([]error, len(ends))
+// EstablishBatch is Establish toward every peer of quotes, an attested
+// roster indexed by node id, for which end(i) is not nil: into that End,
+// the key agreements done as one enclave batch, so a peer opening many
+// channels at once derives them eight to a ladder where the CPU allows.
+// It calls settle(i, err) once per such i, err what Establish would have
+// returned for it, after end(i) was prepared; end must return the same
+// End for i until then. The caller's link table is read in place through
+// end, and the keys never leave the call.
+func (lc *Local) EstablishBatch(quotes []enclave.Quote, end func(i int) *End, settle func(i int, err error)) {
+	want := func(i int) bool { return end(i) != nil }
+	done := func(i int, err error) {
+		if err != nil {
+			err = fmt.Errorf("channel: link to %d: %w", quotes[i].NodeID, err)
 		}
-		errs[i] = fmt.Errorf("channel: link to %d: %w", remotes[i], err)
+		settle(i, err)
 	}
 	if lc.model != nil {
-		lc.encl.SessionKeysBatch(remotePubs, func(i int, keys xcrypto.SessionKeys, err error) {
-			if err != nil {
-				fail(i, err)
-				return
+		lc.encl.SessionKeysBatch(quotes, want, func(i int, keys xcrypto.SessionKeys, err error) {
+			if err == nil {
+				end(i).seed = modelSeed(keys)
 			}
-			ends[i].seed = modelSeed(keys)
+			done(i, err)
 		})
-		return errs
+		return
 	}
 	lc.nonces = lc.encl.NonceReader()
-	lc.encl.LinkCiphersBatch(remotePubs, func(i int, c *xcrypto.LinkCipher, err error) {
-		if err != nil {
-			fail(i, err)
-			return
+	lc.encl.LinkCiphersBatch(quotes, want, func(i int, c *xcrypto.LinkCipher, err error) {
+		if err == nil {
+			end(i).cipher = c
 		}
-		ends[i].cipher = c
+		done(i, err)
 	})
-	return errs
 }
 
 // SealAppend seals an encoded message — or a wire batch container, which
@@ -406,7 +405,7 @@ func (lc *Local) OpenAppend(e *End, dst, sealed []byte) ([]byte, error) {
 // and one open.
 type Link struct {
 	End
-	local *Local
+	local Local
 }
 
 // NewLink establishes the link to remote with public key remotePub. It
@@ -420,7 +419,7 @@ func NewLink(local *enclave.Enclave, remote wire.NodeID, remotePub [xcrypto.Publ
 		return nil, fmt.Errorf("channel: link to %d: %w", remote, err)
 	}
 	l := &Link{local: lc}
-	if err := lc.Establish(&l.End, remote, remotePub); err != nil {
+	if err := l.local.Establish(&l.End, remote, remotePub); err != nil {
 		return nil, err
 	}
 	return l, nil

@@ -53,9 +53,26 @@ func TestPairSharesOneCipher(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	ca, cb := new(End), new(End)
-	if errs := lc.EstablishBatch([]*End{ca, cb}, []wire.NodeID{0, 1}, [][xcrypto.PublicKeySize]byte{a.DHPublic(), b.DHPublic()}); errs != nil {
-		t.Fatal(errs)
+	var row [3]End // c's ends; its own entry stays unopened
+	quotes := make([]enclave.Quote, len(encls))
+	for i, e := range encls {
+		quotes[i] = enclave.Quote{NodeID: e.ID(), DHPublic: e.DHPublic()}
+	}
+	settled := 0
+	lc.EstablishBatch(quotes, func(i int) *End {
+		if i == 2 {
+			return nil
+		}
+		return &row[i]
+	}, func(i int, err error) {
+		settled++
+		if err != nil {
+			t.Fatal(err)
+		}
+	})
+	ca, cb := &row[0], &row[1]
+	if settled != 2 || row[2] != (End{}) {
+		t.Fatalf("a batch toward two peers settled %d and touched c's own entry: %v", settled, row[2] != (End{}))
 	}
 	ac := mustLink(t, a, 2, c.DHPublic(), RealSealer{})
 	if (ca.cipher == ac.cipher) != shared(t) || ca.cipher == cb.cipher {

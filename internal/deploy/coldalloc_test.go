@@ -9,20 +9,24 @@ import (
 )
 
 // Objects a cold N = 16 real-crypto deployment may allocate from New
-// through its first broadcast: the count measured when delivery records
-// became their own events, built in blocks, and a key-agreement group's
-// ciphers were carved from one array (935 with the kernels, 4069 on the
-// portable paths of -tags purego; 1690 and 4824 before), plus 10 %.
+// through its first broadcast: the count measured once a peer's link
+// table held each remote's sequence number inline, its channel ends and
+// its two scratch buffers came in one array each, its channel side went
+// by value, its first trackers came with it and its enclave's nonces
+// came from one pool (759 with the kernels, 3893 on the portable paths
+// of -tags purego; 935 and 4069 before, 1690 and 4824 before delivery
+// records and ciphers were built in blocks), plus 10 %.
 const (
-	coldAllocsKernel   = 1030
-	coldAllocsPortable = 4480
+	coldAllocsKernel   = 835
+	coldAllocsPortable = 4282
 )
 
 // TestColdDeploymentAllocs guards what a fresh deployment costs in
 // objects — the setup every short adversarial run pays: New, the batched
 // key agreement of EstablishLinks and one broadcast. A per-frame or
 // per-pair object creeping back into simnet, vclock, the enclave's
-// batches or the runtime's setup shows here as N² more.
+// batches or the runtime's setup shows here as N² more, a per-peer or
+// per-batch one as N more.
 func TestColdDeploymentAllocs(t *testing.T) {
 	const n = 16
 	cold := func() {

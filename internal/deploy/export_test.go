@@ -15,9 +15,9 @@ var VerifyRoster = verifyRoster
 // opened), read through the runtime's and the channel's unexported
 // fields: what a link end holds is no API of either.
 func LinkCipher(p *runtime.Peer, id wire.NodeID) *xcrypto.LinkCipher {
-	end := reflect.ValueOf(p).Elem().FieldByName("links").Index(int(id))
-	if end.IsNil() {
+	ends := reflect.ValueOf(p).Elem().FieldByName("ends")
+	if int(id) >= ends.Len() {
 		return nil
 	}
-	return (*xcrypto.LinkCipher)(end.Elem().FieldByName("End").FieldByName("cipher").UnsafePointer())
+	return (*xcrypto.LinkCipher)(ends.Index(int(id)).FieldByName("cipher").UnsafePointer())
 }

@@ -18,7 +18,6 @@
 package enclave
 
 import (
-	"bufio"
 	"crypto/rand"
 	"errors"
 	"fmt"
@@ -81,7 +80,11 @@ type Enclave struct {
 	modelKEX    bool
 	keyCache    *KeyCache
 	halted      bool
-	nonces      *bufio.Reader
+	// draw is where RandomValue, RandomBelow and RandomSeq read their
+	// bytes: a buffer the enclave owns, so a draw does not move one to
+	// the heap on its way through io.Reader.
+	draw   [len(wire.Value{})]byte
+	nonces *noncePool
 }
 
 // pairKey identifies one session-key derivation: the unordered public-key
@@ -399,37 +402,33 @@ func (e *Enclave) derive(remote [xcrypto.PublicKeySize]byte, seal bool) (session
 	return s, s.prepare(seal)
 }
 
-// SessionKeysBatch is SessionKeys toward every key of remotes: it calls
-// settle(i, keys, err) once per i, with what SessionKeys(remotes[i]) would
-// return, and through a KeyCache each pair is still derived once. The
-// pairs this enclave derives go xcrypto.BatchLanes at a time through
+// SessionKeysBatch is SessionKeys toward the key of every quote that want
+// admits: it calls settle(i, keys, err) once per such i, with what
+// SessionKeys(quotes[i].DHPublic) would return, and through a KeyCache
+// each pair is still derived once. The pairs this enclave derives go
+// xcrypto.BatchLanes at a time through
 // xcrypto.KeyPair.DeriveSessionKeysBatch, one eight-lane ladder where the
 // CPU has the batch kernel. With a cache, pairs are reserved without
 // waiting (KeyCache.reserve) until a group is full, the group is derived
 // and left; the pairs another end was deriving are taken, waiting if need
-// be, only after the last group was left.
-func (e *Enclave) SessionKeysBatch(remotes [][xcrypto.PublicKeySize]byte, settle func(i int, keys xcrypto.SessionKeys, err error)) {
-	e.sessionBatch(remotes, false, func(i int, s session, err error) { settle(i, s.keys, err) })
+// be, only after the last group was left. A roster's quotes are what a
+// peer opens its links toward, so the batch reads them where they are.
+func (e *Enclave) SessionKeysBatch(quotes []Quote, want func(i int) bool, settle func(i int, keys xcrypto.SessionKeys, err error)) {
+	e.sessionBatch(quotes, want, false, func(i int, s session, err error) { settle(i, s.keys, err) })
 }
 
-// LinkCiphersBatch is LinkCipher toward every key of remotes, as
-// SessionKeysBatch is SessionKeys: the pairs this enclave derives are
-// prepared by it, each group's ciphers in one array
+// LinkCiphersBatch is LinkCipher toward the key of every quote that want
+// admits, as SessionKeysBatch is SessionKeys: the pairs this enclave
+// derives are prepared by it, each group's ciphers in one array
 // (xcrypto.NewLinkCiphers), the others taken over or prepared from the
 // keys.
-func (e *Enclave) LinkCiphersBatch(remotes [][xcrypto.PublicKeySize]byte, settle func(i int, c *xcrypto.LinkCipher, err error)) {
-	e.sessionBatch(remotes, true, func(i int, s session, err error) { settle(i, s.cipher, err) })
+func (e *Enclave) LinkCiphersBatch(quotes []Quote, want func(i int) bool, settle func(i int, c *xcrypto.LinkCipher, err error)) {
+	e.sessionBatch(quotes, want, true, func(i int, s session, err error) { settle(i, s.cipher, err) })
 }
 
-// sessionBatch is session toward every key of remotes, batched as
-// SessionKeysBatch says.
-func (e *Enclave) sessionBatch(remotes [][xcrypto.PublicKeySize]byte, seal bool, settle func(i int, s session, err error)) {
-	if e.halted {
-		for i := range remotes {
-			settle(i, session{}, ErrHalted)
-		}
-		return
-	}
+// sessionBatch is session toward the key of every quote that want admits,
+// batched as SessionKeysBatch says.
+func (e *Enclave) sessionBatch(quotes []Quote, want func(i int) bool, seal bool, settle func(i int, s session, err error)) {
 	var (
 		group   [xcrypto.BatchLanes][xcrypto.PublicKeySize]byte
 		at      [xcrypto.BatchLanes]int
@@ -457,7 +456,15 @@ func (e *Enclave) sessionBatch(remotes [][xcrypto.PublicKeySize]byte, seal bool,
 		}
 		n = 0
 	}
-	for i, r := range remotes {
+	for i := range quotes {
+		if !want(i) {
+			continue
+		}
+		if e.halted {
+			settle(i, session{}, ErrHalted)
+			continue
+		}
+		r := quotes[i].DHPublic
 		if e.keyCache != nil {
 			switch got, found := e.keyCache.reserve(e.pairKey(r)); found {
 			case pairTaken:
@@ -478,7 +485,7 @@ func (e *Enclave) sessionBatch(remotes [][xcrypto.PublicKeySize]byte, seal bool,
 		derive()
 	}
 	for _, i := range pending {
-		got, err := e.session(remotes[i], seal)
+		got, err := e.session(quotes[i].DHPublic, seal)
 		settle(i, got, err)
 	}
 }
@@ -571,17 +578,45 @@ func modelSessionKeys(a, b [xcrypto.PublicKeySize]byte) xcrypto.SessionKeys {
 // fetches for envelope nonces: 32 nonces per getrandom call.
 const nonceBatch = 512
 
+// noncePool is the enclave's stock of envelope-nonce bytes: the last left
+// bytes of buf are unread, and a pool with none left — the zero pool
+// among them — refills all of buf from crypto/rand. It is one object,
+// made when the enclave's first real link opens: a model-sealer enclave
+// draws no nonce and a cold deployment opens no link, so neither pays
+// for one.
+type noncePool struct {
+	buf  [nonceBatch]byte
+	left int
+}
+
+// Read implements io.Reader: it fills p from the pool, refilling the pool
+// whenever it runs dry. It fails only when crypto/rand does.
+func (np *noncePool) Read(p []byte) (int, error) {
+	n := 0
+	for n < len(p) {
+		if np.left == 0 {
+			if _, err := io.ReadFull(rand.Reader, np.buf[:]); err != nil {
+				return n, err
+			}
+			np.left = nonceBatch
+		}
+		c := copy(p[n:], np.buf[nonceBatch-np.left:])
+		np.left -= c
+		n += c
+	}
+	return n, nil
+}
+
 // NonceReader returns the enclave's source of envelope nonces: the
 // operating system's CSPRNG (crypto/rand, whatever rng the enclave was
 // launched with — nonces need uniqueness, not replayability), read
-// nonceBatch bytes at a time. Drawing every 16-byte nonce on its own cost
-// a system call and a process-global atomic per envelope; one reader per
-// enclave, shared by all its links, amortizes both and keeps the
-// buffered bytes inside enclave state. Like the enclave it is not safe
-// for concurrent use.
+// nonceBatch bytes at a time into a pool held in enclave state. Drawing
+// every 16-byte nonce on its own cost a system call and a process-global
+// atomic per envelope; one pool per enclave, shared by all its links,
+// amortizes both. Like the enclave it is not safe for concurrent use.
 func (e *Enclave) NonceReader() io.Reader {
 	if e.nonces == nil {
-		e.nonces = bufio.NewReaderSize(rand.Reader, nonceBatch)
+		e.nonces = new(noncePool)
 	}
 	return e.nonces
 }
@@ -601,11 +636,10 @@ func (e *Enclave) ReadRand(buf []byte) error {
 
 // RandomValue draws a fresh k-bit protocol value (k = 256).
 func (e *Enclave) RandomValue() (wire.Value, error) {
-	var v wire.Value
-	if err := e.ReadRand(v[:]); err != nil {
-		return v, err
+	if err := e.ReadRand(e.draw[:]); err != nil {
+		return wire.Value{}, err
 	}
-	return v, nil
+	return e.draw, nil
 }
 
 // RandomBelow draws a uniform value in [0, n) (used by the optimized ERNG
@@ -614,7 +648,7 @@ func (e *Enclave) RandomBelow(n uint64) (uint64, error) {
 	if e.halted {
 		return 0, ErrHalted
 	}
-	return xcrypto.RandomBelow(e.rng, n)
+	return xcrypto.RandomBelow(e.rng, (*[8]byte)(e.draw[:8]), n)
 }
 
 // RandomSeq draws an initial sequence number for the setup phase.
@@ -622,7 +656,7 @@ func (e *Enclave) RandomSeq() (uint64, error) {
 	if e.halted {
 		return 0, ErrHalted
 	}
-	return xcrypto.RandomUint64(e.rng)
+	return xcrypto.RandomUint64(e.rng, (*[8]byte)(e.draw[:8]))
 }
 
 // ElapsedTime returns the trusted elapsed time since the current reference

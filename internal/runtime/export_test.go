@@ -18,5 +18,5 @@ func (p *Peer) OutboxHeld() (slots, bytes, frames int) {
 
 // LinkOpen reports whether the peer has opened its end of the link to id.
 func (p *Peer) LinkOpen(id wire.NodeID) bool {
-	return int(id) < len(p.links) && p.links[id] != nil
+	return int(id) < len(p.links) && p.links[id].state == linkOpen
 }

@@ -7,6 +7,7 @@ import (
 	"time"
 	"unsafe"
 
+	"sgxp2p/internal/channel"
 	"sgxp2p/internal/enclave"
 	"sgxp2p/internal/wire"
 	"sgxp2p/internal/xcrypto"
@@ -63,6 +64,51 @@ func lonePeerOn(t *testing.T, n int, tr Transport) (*Peer, []*enclave.Enclave) {
 	return p, encls
 }
 
+// peerObjects is what a peer costs in objects from NewPeer through
+// EstablishLinks, key agreement aside: the Peer, its link table, its
+// first two trackers' bitset words and its delivery callback, then, at
+// the first open link, its table of channel ends and its scratch buffers.
+const peerObjects = 6
+
+// TestPeerObjectsIndependentOfN counts the objects of NewPeer and
+// EstablishLinks with model links, whose ends hold a seed where a real
+// end holds the pair's cipher (a real batch also carves one cipher array
+// per eight pairs): the same at N = 16 and N = 64, and no more than
+// peerObjects — nothing per link, per batch or per remote id.
+func TestPeerObjectsIndependentOfN(t *testing.T) {
+	count := func(n int) float64 {
+		rng := rand.New(rand.NewSource(int64(n)))
+		service, err := enclave.NewAttestationService(rng)
+		if err != nil {
+			t.Fatal(err)
+		}
+		program := []byte("runtime/link_test")
+		roster := Roster{ServiceKey: service.VerifyKey(), Measurement: xcrypto.Measure(program), PreVerified: true}
+		encls := make([]*enclave.Enclave, n)
+		for id := range encls {
+			if encls[id], err = enclave.Launch(program, wire.NodeID(id), rng, enclave.NewWallClock(), enclave.WithModelKEX()); err != nil {
+				t.Fatal(err)
+			}
+			roster.Quotes = append(roster.Quotes, service.Attest(encls[id]))
+		}
+		cfg := Config{N: n, T: 1, Delta: time.Second, Sealer: channel.NewModelSealer()}
+		tr := &deafTransport{}
+		return testing.AllocsPerRun(20, func() {
+			p, err := NewPeer(encls[0], tr, roster, cfg)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if err := p.EstablishLinks(); err != nil || p.Stats().LinksEstablished != uint64(n-1) {
+				t.Fatalf("EstablishLinks: %v, %d links", err, p.Stats().LinksEstablished)
+			}
+		})
+	}
+	small, large := count(16), count(64)
+	if small != large || large > peerObjects {
+		t.Fatalf("a peer cost %.0f objects at N = 16 and %.0f at N = 64 through EstablishLinks, want the same and at most %d", small, large, peerObjects)
+	}
+}
+
 // TestLinkEstablishedAtFirstUse: NewPeer opens no channel; the first use
 // of a pair does, once; ids that are not a remote peer never do.
 func TestLinkEstablishedAtFirstUse(t *testing.T) {
@@ -84,8 +130,12 @@ func TestLinkEstablishedAtFirstUse(t *testing.T) {
 	}
 
 	first := p.link(2)
-	if first == nil || p.link(2) != first {
-		t.Fatal("link(2) not established, or established twice")
+	if first == nil {
+		t.Fatal("link(2) not established")
+	}
+	opened := *first
+	if *p.link(2) != opened {
+		t.Fatal("link(2) established twice")
 	}
 	if err := p.Send(2, initMsg(0)); err != nil || tr.sent != 1 {
 		t.Fatalf("Send(2): %v, %d frames sent", err, tr.sent)
@@ -96,8 +146,8 @@ func TestLinkEstablishedAtFirstUse(t *testing.T) {
 	if err := p.EstablishLinks(); err != nil {
 		t.Fatal(err)
 	}
-	if got := p.Stats().LinksEstablished; got != n-1 || p.link(2) != first {
-		t.Fatalf("%d links after EstablishLinks (want %d); link(2) kept: %v", got, n-1, p.link(2) == first)
+	if got := p.Stats().LinksEstablished; got != n-1 || *p.link(2) != opened {
+		t.Fatalf("%d links after EstablishLinks (want %d); link(2) kept: %v", got, n-1, *p.link(2) == opened)
 	}
 }
 
@@ -143,12 +193,16 @@ func TestForgedFrameDerivesOnce(t *testing.T) {
 	}
 }
 
-// TestLinkEndSize pins what a peer keeps per opened link: the channel end
-// (the pair's cipher, or the model seed) and the outbox slot position.
-// Everything a peer's links share lives once in the peer, so a link end
-// opened alone fits the 32-byte size class, not the 64-byte one.
+// TestLinkEndSize pins what a peer keeps per roster id: in its link table
+// the remote's sequence number, the outbox slot position and the link's
+// state, 16 bytes, what the pointer and sequence tables it replaces cost
+// before any link opened; and, once a link opens, a channel end (the
+// pair's cipher, or the model seed) in the table of ends. Everything a
+// peer's links share lives once in the peer, so an opened link costs at
+// most 32 bytes per id.
 func TestLinkEndSize(t *testing.T) {
-	if size := unsafe.Sizeof(linkEnd{}); size > 32 {
-		t.Fatalf("a link end is %d bytes, want at most 32", size)
+	entry, end := unsafe.Sizeof(linkEnd{}), unsafe.Sizeof(channel.End{})
+	if entry > 16 || entry+end > 32 {
+		t.Fatalf("a link table entry is %d bytes and an end %d, want at most 16 and 32 together", entry, end)
 	}
 }

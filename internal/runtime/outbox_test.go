@@ -173,7 +173,7 @@ func (f *outboxFixture) settled() {
 		f.t.Errorf("after the flush: %d slots, %d runs, %d log bytes", len(f.p.out), len(f.p.runs), len(f.p.wlog))
 	}
 	for id, l := range f.p.links {
-		if l != nil && l.slot != 0 {
+		if l.slot != 0 {
 			f.t.Errorf("after the flush: link end %d still names slot %d", id, l.slot)
 		}
 	}

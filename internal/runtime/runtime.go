@@ -19,7 +19,6 @@ package runtime
 import (
 	"errors"
 	"fmt"
-	"slices"
 	"time"
 
 	"sgxp2p/internal/channel"
@@ -271,12 +270,19 @@ type Peer struct {
 	encl *enclave.Enclave
 	tr   Transport
 	cfg  Config
-	// links holds the channel ends opened so far by remote id (see link);
-	// local is what they share — the enclave, its nonce reader, the model
-	// sealer and the channel counters; quotes is the attested roster their
-	// remote keys come from, shared with the other peers built from it.
-	links  []*linkEnd
-	local  *channel.Local
+	// links is the link table, one entry per roster id (see linkEnd): the
+	// remote's sequence number, the outbox slot and whether the link is
+	// open. ends holds the channel ends by the same index, each prepared
+	// at the pair's first use (link) or in EstablishLinks; it is nil
+	// until the first link opens (openEnds). local is what the links
+	// share — the enclave, its nonce pool, the model sealer and the
+	// channel counters; quotes is the attested roster their remote keys
+	// come from, shared with the other peers built from it. AddPeer moves
+	// both tables, so no pointer into either is kept past the call that
+	// took it.
+	links  []linkEnd
+	ends   []channel.End
+	local  channel.Local
 	quotes []enclave.Quote
 
 	proto       Protocol
@@ -284,7 +290,6 @@ type Peer struct {
 	round       uint32
 	started     bool
 	finished    bool
-	seqs        []uint64
 	instanceID  uint32
 	trackers    []*ackTracker
 	trackerIdx  map[ackKey]*ackTracker
@@ -295,7 +300,8 @@ type Peer struct {
 
 	// trackerFree holds retired trackers (bitset words included) for
 	// Multicast to reuse: closeRound and Stop refill it, so a standing
-	// peer allocates trackers only up to its busiest round.
+	// peer allocates trackers only up to its busiest round. The first
+	// two come with the peer (firstUse).
 	trackerFree []*ackTracker
 
 	// spans caches trace.SpansEnabled() so every causal-span site costs
@@ -337,6 +343,11 @@ type Peer struct {
 	// plaintext they were parsed from.
 	sealBuf []byte
 	openBuf []byte
+
+	// first backs what every peer's first rounds would otherwise grow
+	// one object at a time: the first two ACK trackers with the lists
+	// that hold them.
+	first firstUse
 
 	// tickFn is the single prebound round-tick callback; tickRound is
 	// the round the pending tick will run. A peer has at most one
@@ -402,14 +413,47 @@ type Peer struct {
 	pendAcks       []pendAck
 }
 
-// linkEnd is what the peer holds per opened link: the channel end and,
-// while the current flush window has messages for the remote, the 1-based
-// position of their slot in Peer.out (0: none). Everything the peer's
-// links share lives once in Peer.local, and the remote is the end's index
-// in Peer.links, so a link end is 24 bytes.
+// linkEnd is the peer's entry for one remote in its link table: the
+// remote's expected sequence number (P6), where the link stands and,
+// while the current flush window has messages for the remote, the
+// 1-based position of their slot in Peer.out (0: none). The remote is the
+// entry's index, so an entry is 16 bytes, all a peer that has opened no
+// link holds per id. The link's channel end is at the same index of
+// Peer.ends, another 16 bytes per id once the peer opens its first link;
+// everything the links share lives once in Peer.local.
 type linkEnd struct {
-	channel.End
-	slot uint32
+	seq   uint64
+	slot  uint32
+	state linkState
+}
+
+// linkState is where an entry's link stands.
+type linkState uint8
+
+const (
+	// linkClosed: not opened yet, or its key agreement failed.
+	linkClosed linkState = iota
+	// linkPicked: picked for the key-agreement batch being assembled
+	// (establishBatch), which leaves it open or closed.
+	linkPicked
+	// linkOpen: the entry's End is prepared.
+	linkOpen
+)
+
+// scratchBytes is the capacity each of a peer's two scratch buffers
+// starts with (openEnds): room for the envelopes of the single-message
+// and two-message frames a broadcast round seals and opens, so a peer
+// grows them only for a wider frame.
+const scratchBytes = 256
+
+// firstUse is carried inside the Peer, so it costs no object of its own:
+// the first two ACK trackers with the backing arrays of the two lists
+// (trackers, trackerFree) they move between. Their bitset words, sized
+// from N, are the one allocation NewPeer makes for them. A mux registers
+// more trackers per round; those grow as they always did.
+type firstUse struct {
+	trackers      [2]ackTracker
+	live, retired [2]*ackTracker
 }
 
 // outSlot is one destination's share of the round-scoped outbox.
@@ -482,15 +526,22 @@ func NewPeer(encl *enclave.Enclave, tr Transport, roster Roster, cfg Config) (*P
 		encl:     encl,
 		tr:       tr,
 		cfg:      cfg,
-		links:    make([]*linkEnd, cfg.N),
+		links:    make([]linkEnd, cfg.N),
 		local:    local,
 		quotes:   roster.Quotes,
-		seqs:     make([]uint64, cfg.N),
 		trace:    cfg.Trace,
 		ctr:      newCounters(cfg.Metrics),
 		batching: !cfg.DisableBatching,
 		spans:    cfg.Trace.SpansEnabled(),
 	}
+	f := &p.first
+	w := (cfg.N + 63) / 64 // a bitset's words for ids below N
+	words := make([]uint64, 2*w)
+	for i := range f.trackers {
+		f.trackers[i].acked = wire.NodeSetOver(words[i*w : (i+1)*w : (i+1)*w])
+	}
+	p.trackers = f.live[:0]
+	p.trackerFree = append(f.retired[:0], &f.trackers[1], &f.trackers[0])
 	if p.batching {
 		p.batchHist = cfg.Metrics.Histogram("runtime_batch_msgs", batchMsgBounds)
 	}
@@ -498,79 +549,109 @@ func NewPeer(encl *enclave.Enclave, tr Transport, roster Roster, cfg Config) (*P
 	return p, nil
 }
 
-// link returns the blinded channel to id, opening it at the pair's first
-// use. It is nil for the peer's own id and ids outside the roster, and
-// stays nil when the key agreement fails (a halted enclave refuses it):
-// the caller sees an unknown peer, the wire an omission.
-func (p *Peer) link(id wire.NodeID) *linkEnd {
+// link returns the channel end toward id, opening the link at the pair's
+// first use. It is nil for the peer's own id and ids outside the roster,
+// and when the key agreement fails (a halted enclave refuses it): the
+// caller sees an unknown peer, the wire an omission.
+func (p *Peer) link(id wire.NodeID) *channel.End {
 	if int(id) >= len(p.links) {
 		return nil
 	}
-	if l := p.links[id]; l != nil || id == p.ID() {
-		return l
+	if p.links[id].state == linkOpen {
+		return &p.ends[id]
 	}
-	_ = p.establish(id)
-	return p.links[id]
+	if id == p.ID() || p.establish(id) != nil {
+		return nil
+	}
+	return &p.ends[id]
+}
+
+// openEnds gives the peer, when its first link opens, what open links
+// use: its table of channel ends, one per roster id, and one backing
+// array for its two scratch buffers. A peer seals and opens only over an
+// open link, so a peer that never opens one — or a cold build before its
+// first frame — pays for neither.
+func (p *Peer) openEnds() {
+	if p.ends != nil {
+		return
+	}
+	p.ends = make([]channel.End, len(p.links))
+	scratch := make([]byte, 2*scratchBytes)
+	p.sealBuf, p.openBuf = scratch[:0:scratchBytes], scratch[scratchBytes:scratchBytes]
 }
 
 // establish is PeerCh_sgx.Init toward id. The keys are a function of the
 // pair alone, so which end asks first, or on which goroutine, changes
 // nothing either end later seals.
 func (p *Peer) establish(id wire.NodeID) error {
-	l := new(linkEnd)
-	if err := p.local.Establish(&l.End, id, p.quotes[id].DHPublic); err != nil {
+	p.openEnds()
+	if err := p.local.Establish(&p.ends[id], id, p.quotes[id].DHPublic); err != nil {
 		return fmt.Errorf("runtime: link to %d: %w", id, err)
 	}
-	p.links[id] = l
+	p.links[id].state = linkOpen
 	p.stats.LinksEstablished++
 	return nil
 }
 
 // EstablishLinks opens every channel the peer has not used yet (a halted
-// peer: none) as one channel.Local.EstablishBatch, so the key agreements run
-// eight to a ladder where the CPU allows; the runtime hands over link
-// slots and ids, the keys stay below. It touches this peer's state and
-// the locked key cache only, so a deployment runs it for all its peers
-// side by side. A failed link stays unopened and the first failure is
-// returned.
+// peer: none) as one channel.Local.EstablishBatch, so the key agreements
+// run eight to a ladder where the CPU allows; the batch prepares the
+// ends in place and the keys stay below. It touches this peer's state
+// and the locked key cache only, so a deployment runs it for all its
+// peers side by side. A failed link stays unopened and the first failure
+// is returned.
 func (p *Peer) EstablishLinks() error {
 	if p.Halted() {
 		return nil
 	}
-	ids := make([]wire.NodeID, 0, len(p.links)-1)
-	for id, l := range p.links {
-		if l == nil && wire.NodeID(id) != p.ID() {
-			ids = append(ids, wire.NodeID(id))
+	picked := 0
+	for id := range p.links {
+		if p.pick(wire.NodeID(id)) {
+			picked++
 		}
 	}
-	if len(ids) == 0 {
+	if picked == 0 {
 		return nil
 	}
-	return p.establishBatch(ids)
+	return p.establishBatch()
 }
 
-// establishBatch opens the links to ids, distinct ids without a link, as
-// one channel.Local.EstablishBatch.
-func (p *Peer) establishBatch(ids []wire.NodeID) error {
+// pick marks id's entry for the next key-agreement batch if id is a
+// remote peer whose link is closed, and reports whether it did.
+func (p *Peer) pick(id wire.NodeID) bool {
+	if int(id) >= len(p.links) || p.links[id].state != linkClosed || id == p.ID() {
+		return false
+	}
+	p.links[id].state = linkPicked
+	return true
+}
+
+// establishBatch opens the links of the picked entries as one
+// channel.Local.EstablishBatch and returns the failure of the lowest id
+// that failed. Every picked entry ends open, or closed if its agreement
+// failed.
+func (p *Peer) establishBatch() error {
 	p.stats.LinkBatches++
-	ends := make([]linkEnd, len(ids))
-	links := make([]*channel.End, len(ids))
-	pubs := make([][xcrypto.PublicKeySize]byte, len(ids))
-	for i, id := range ids {
-		links[i], pubs[i] = &ends[i].End, p.quotes[id].DHPublic
-	}
-	errs := p.local.EstablishBatch(links, ids, pubs)
+	p.openEnds()
 	var first error
-	for i := range ends {
-		if errs != nil && errs[i] != nil {
-			if first == nil {
-				first = fmt.Errorf("runtime: link to %d: %w", ids[i], errs[i])
-			}
-			continue
+	firstID := 0
+	p.local.EstablishBatch(p.quotes, func(id int) *channel.End {
+		if p.links[id].state != linkPicked {
+			return nil
 		}
-		p.links[ids[i]] = &ends[i]
+		return &p.ends[id]
+	}, func(id int, err error) {
+		l := &p.links[id]
+		if err != nil {
+			l.state = linkClosed
+			if first == nil || id < firstID {
+				first, firstID = fmt.Errorf("runtime: link to %d: %w", id, err), id
+			}
+			return
+		}
+		l.state = linkOpen
 		p.stats.LinksEstablished++
-	}
+	})
 	return first
 }
 
@@ -640,12 +721,14 @@ func (p *Peer) InstallSeqs(seqs []uint64) error {
 	if len(seqs) != p.cfg.N {
 		return fmt.Errorf("runtime: got %d seqs, want %d", len(seqs), p.cfg.N)
 	}
-	copy(p.seqs, seqs)
+	for i, s := range seqs {
+		p.links[i].seq = s
+	}
 	return nil
 }
 
 // SeqOf returns the expected current sequence number of a peer.
-func (p *Peer) SeqOf(id wire.NodeID) uint64 { return p.seqs[int(id)] }
+func (p *Peer) SeqOf(id wire.NodeID) uint64 { return p.links[id].seq }
 
 // AddPeer extends the membership with a newly joined node (the dynamic
 // join of Appendix G / assumption S1): the quote is verified and the
@@ -664,8 +747,10 @@ func (p *Peer) AddPeer(roster Roster, q enclave.Quote, seq uint64) error {
 	}
 	// Clipped, so the append copies the shared roster, never extends it.
 	p.quotes = append(p.quotes[:len(p.quotes):len(p.quotes)], q)
-	p.links = append(p.links, nil)
-	p.seqs = append(p.seqs, seq)
+	p.links = append(p.links, linkEnd{seq: seq})
+	if p.ends != nil {
+		p.ends = append(p.ends, channel.End{})
+	}
 	p.cfg.N++
 	return nil
 }
@@ -680,8 +765,8 @@ func (p *Peer) AlignInstance(instance uint32) {
 // instance ("After every valid instance of the protocol, nodes will
 // increase all sequence numbers by 1") and advances the instance id.
 func (p *Peer) BumpSeqs() {
-	for i := range p.seqs {
-		p.seqs[i]++
+	for i := range p.links {
+		p.links[i].seq++
 	}
 	p.instanceID++
 }
@@ -949,27 +1034,28 @@ func (p *Peer) multicastLegs(dsts []wire.NodeID, lo uint32, tracked int) error {
 // cluster member's CHOSEN goes to N−1 peers it never talked to, whose
 // agreements then run eight to a ladder instead of one at a time. A link
 // the batch fails to open stays unopened, and its leg fails in link as a
-// lone first use would.
+// lone first use would. A destination listed twice is picked once.
 func (p *Peer) openFirstUse(dsts []wire.NodeID) {
-	var ids []wire.NodeID
-	missing := func(id wire.NodeID) {
-		if int(id) < len(p.links) && p.links[id] == nil && id != p.ID() {
-			ids = append(ids, id)
+	picked, last := 0, wire.NodeID(0)
+	pick := func(id wire.NodeID) {
+		if p.pick(id) {
+			picked, last = picked+1, id
 		}
 	}
 	if dsts == nil {
 		for id := range p.links {
-			missing(wire.NodeID(id))
+			pick(wire.NodeID(id))
 		}
 	} else {
 		for _, id := range dsts {
-			missing(id)
+			pick(id)
 		}
-		slices.Sort(ids)
-		ids = slices.Compact(ids)
 	}
-	if len(ids) >= 2 {
-		p.establishBatch(ids)
+	switch {
+	case picked >= 2:
+		p.establishBatch()
+	case picked == 1:
+		p.links[last].state = linkClosed // opened alone, by its leg
 	}
 }
 
@@ -1049,12 +1135,11 @@ func (p *Peer) sendEncoded(dst wire.NodeID, lo uint32, tracked int) error {
 	if p.Halted() {
 		return ErrHalted
 	}
-	l := p.link(dst)
-	if l == nil {
+	if p.link(dst) == nil {
 		return ErrUnknownPeer
 	}
 	if p.coalescing() {
-		p.enqueueBatch(dst, l, lo, uint32(len(p.wlog)), tracked)
+		p.enqueueBatch(dst, &p.links[dst], lo, uint32(len(p.wlog)), tracked)
 		return nil
 	}
 	// Direct send: every send of a DisableBatching deployment (the figure
@@ -1084,7 +1169,7 @@ func (p *Peer) sendFailed(n uint64) {
 // buffered message in flushOutbox).
 func (p *Peer) sealSend(dst wire.NodeID, plaintext []byte) (uint64, error) {
 	sp := p.trace.BeginSpan()
-	env, err := p.local.SealAppend(&p.link(dst).End, p.sealBuf[:0], plaintext)
+	env, err := p.local.SealAppend(&p.ends[dst], p.sealBuf[:0], plaintext)
 	if err != nil {
 		return 0, err
 	}
@@ -1342,8 +1427,8 @@ func (p *Peer) receive(src wire.NodeID, payload []byte) {
 	if p.Halted() || !p.started || p.finished {
 		return
 	}
-	link := p.link(src)
-	if link == nil {
+	end := p.link(src)
+	if end == nil {
 		return
 	}
 	// Envelopes are decrypted into the peer's reused open scratch: the
@@ -1351,7 +1436,7 @@ func (p *Peer) receive(src wire.NodeID, payload []byte) {
 	// messages share no bytes with it), so a warm receive pays no
 	// plaintext allocation.
 	sp := p.trace.BeginSpan()
-	plaintext, err := p.local.OpenAppend(&link.End, p.openBuf[:0], payload)
+	plaintext, err := p.local.OpenAppend(end, p.openBuf[:0], payload)
 	if err != nil {
 		p.recvFailure(src)
 		return

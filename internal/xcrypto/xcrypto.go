@@ -321,21 +321,23 @@ func VerifyKeyFromBytes(b []byte) (VerifyKey, error) {
 	return VerifyKey{pub: pub}, nil
 }
 
-// RandomUint64 draws a uniform 64-bit value from the given entropy source.
-func RandomUint64(rng io.Reader) (uint64, error) {
+// RandomUint64 draws a uniform 64-bit value from the given entropy source,
+// reading its eight bytes into scratch: bytes handed to an io.Reader
+// escape, so a scratch the caller keeps makes the draw allocation-free.
+func RandomUint64(rng io.Reader, scratch *[8]byte) (uint64, error) {
 	if rng == nil {
 		rng = rand.Reader
 	}
-	var buf [8]byte
-	if _, err := io.ReadFull(rng, buf[:]); err != nil {
+	if _, err := io.ReadFull(rng, scratch[:]); err != nil {
 		return 0, fmt.Errorf("xcrypto: random: %w", err)
 	}
-	return binary.LittleEndian.Uint64(buf[:]), nil
+	return binary.LittleEndian.Uint64(scratch[:]), nil
 }
 
 // RandomBelow draws a uniform value in [0, n) from the given entropy source
-// using rejection sampling so the result is exactly uniform. n must be > 0.
-func RandomBelow(rng io.Reader, n uint64) (uint64, error) {
+// using rejection sampling so the result is exactly uniform, each draw
+// read into scratch (RandomUint64). n must be > 0.
+func RandomBelow(rng io.Reader, scratch *[8]byte, n uint64) (uint64, error) {
 	if n == 0 {
 		return 0, errors.New("xcrypto: RandomBelow with n == 0")
 	}
@@ -346,7 +348,7 @@ func RandomBelow(rng io.Reader, n uint64) (uint64, error) {
 	// are rejected to avoid modulo bias.
 	limit := ^uint64(0) - ^uint64(0)%n
 	for {
-		v, err := RandomUint64(rng)
+		v, err := RandomUint64(rng, scratch)
 		if err != nil {
 			return 0, err
 		}

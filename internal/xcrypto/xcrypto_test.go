@@ -243,9 +243,10 @@ func TestVerifyKeyFromBytesRoundTrip(t *testing.T) {
 
 func TestRandomBelowBounds(t *testing.T) {
 	rng := detRand(11)
+	var scratch [8]byte
 	for _, n := range []uint64{1, 2, 3, 7, 100, 1 << 40} {
 		for i := 0; i < 200; i++ {
-			v, err := RandomBelow(rng, n)
+			v, err := RandomBelow(rng, &scratch, n)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -254,18 +255,19 @@ func TestRandomBelowBounds(t *testing.T) {
 			}
 		}
 	}
-	if _, err := RandomBelow(rng, 0); err == nil {
+	if _, err := RandomBelow(rng, &scratch, 0); err == nil {
 		t.Fatal("RandomBelow(0) must error")
 	}
 }
 
 func TestRandomBelowRoughlyUniform(t *testing.T) {
 	rng := detRand(13)
+	var scratch [8]byte
 	const n = 8
 	const draws = 8000
 	var counts [n]int
 	for i := 0; i < draws; i++ {
-		v, err := RandomBelow(rng, n)
+		v, err := RandomBelow(rng, &scratch, n)
 		if err != nil {
 			t.Fatal(err)
 		}
