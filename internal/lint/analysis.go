@@ -108,8 +108,8 @@ func (d Diagnostic) String() string {
 // LintModule invocation.
 type ModulePass struct {
 	Analyzer *Analyzer
-	// Fset is the file set shared by all loaded packages (Load and
-	// LoadDirAll use a single one).
+	// Fset is the file set shared by all loaded packages (Load uses a
+	// single one).
 	Fset *token.FileSet
 	Pkgs []*Package
 
@@ -156,7 +156,7 @@ func (p *ModulePass) Reportf(pos token.Pos, format string, args ...any) {
 // analyzers once over everything; it then applies suppression directives,
 // reports malformed and stale directives, and returns the surviving
 // diagnostics sorted by position. All packages must share one FileSet
-// (Load and LoadDirAll guarantee this).
+// (Load guarantees this).
 func LintModule(pkgs []*Package, analyzers []*Analyzer) ([]Diagnostic, error) {
 	if len(pkgs) == 0 {
 		return nil, nil

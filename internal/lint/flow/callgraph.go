@@ -3,13 +3,16 @@ package flow
 import (
 	"fmt"
 	"go/ast"
+	"go/token"
 	"go/types"
 	"sort"
 	"strings"
 )
 
 // FuncNode is one function in the module call graph: a declared function or
-// method (Obj != nil) or a function literal (Lit != nil).
+// method (Obj != nil), a function literal (Lit != nil), or a package's
+// initializer node (neither), which owns the calls and literals in its
+// package-level var initializers.
 type FuncNode struct {
 	// Index is the node's position in Graph.Nodes (stable, deterministic:
 	// packages in load order, files in parse order, declarations in source
@@ -30,7 +33,8 @@ type FuncNode struct {
 	// matching values; see valueSigKey).
 	Sig *types.Signature
 	// Body is the function body; nil for bodyless declarations (none in
-	// this module, but external linkage is legal Go).
+	// this module, but external linkage is legal Go). An initializer
+	// node's body is synthetic: one DeclStmt per package-level var decl.
 	Body *ast.BlockStmt
 	// Enclosing is the lexically enclosing function for literals.
 	Enclosing *FuncNode
@@ -101,11 +105,16 @@ func BuildGraph(pkgs []*PackageInfo) *Graph {
 }
 
 // collectNodes creates one node per function declaration and literal, in
-// deterministic source order.
+// deterministic source order, and per package one initializer node named
+// "<pkg>.var" ("var" cannot name a function) when it has var initializers.
 func (g *Graph) collectNodes() {
 	for _, pkg := range g.Pkgs {
+		vars := &ast.BlockStmt{}
 		for _, file := range pkg.Files {
 			for _, decl := range file.Decls {
+				if gd, ok := decl.(*ast.GenDecl); ok && gd.Tok == token.VAR {
+					vars.List = append(vars.List, &ast.DeclStmt{Decl: gd})
+				}
 				fd, ok := decl.(*ast.FuncDecl)
 				if !ok || fd.Body == nil {
 					continue
@@ -128,6 +137,18 @@ func (g *Graph) collectNodes() {
 				g.byObj[obj] = n
 				g.collectLits(pkg, n, fd.Body)
 			}
+		}
+		if len(vars.List) > 0 {
+			n := &FuncNode{
+				Index: len(g.Nodes),
+				Pkg:   pkg,
+				Name:  lastSegment(pkg.Path) + ".var",
+				Sig:   types.NewSignatureType(nil, nil, nil, nil, nil, false),
+				Body:  vars,
+				Sites: make(map[*ast.CallExpr][]*FuncNode),
+			}
+			g.Nodes = append(g.Nodes, n)
+			g.collectLits(pkg, n, vars)
 		}
 	}
 }

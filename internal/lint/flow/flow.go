@@ -7,11 +7,14 @@
 // The package provides two building blocks:
 //
 //   - Graph (callgraph.go): every function declaration, method and function
-//     literal in the module, with call edges. Dynamic calls are resolved
-//     conservatively: interface method calls fan out to every in-module type
-//     that implements the interface, and calls through function values fan
-//     out to every address-taken function or method value with a matching
-//     signature.
+//     literal in the module, plus one initializer node per package owning
+//     its package-level var initializers, with call edges. The packages must
+//     share one type universe (lint.Load checks each package once), since
+//     nodes are keyed by *types.Func: a static call resolves to its callee
+//     in any package. Dynamic calls are resolved conservatively: interface
+//     method calls fan out to every in-module type that implements the
+//     interface, and calls through function values fan out to every
+//     address-taken function or method value with a matching signature.
 //   - the taint engine (taint.go): given a Spec naming taint sources,
 //     sanitizers and sinks, it computes per-function summaries (which
 //     parameters reach which sinks/results) in bottom-up SCC order and
@@ -42,8 +45,8 @@ type PackageInfo struct {
 
 // PathMatches reports whether a package import path denotes the
 // module-relative package pkg ("internal/channel"): equal or ending in
-// "/"+pkg. Testdata fakes loaded under relative paths match the same way
-// the real module packages do.
+// "/"+pkg. The golden fixtures' fakes ("fixtures/sealflow/internal/wire")
+// match the same way the real module packages do.
 func PathMatches(path, pkg string) bool {
 	return path == pkg || strings.HasSuffix(path, "/"+pkg)
 }

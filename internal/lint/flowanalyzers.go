@@ -12,7 +12,7 @@ import (
 //
 // Package matching uses flow.PathMatches (exact path or "/"-suffix), so the
 // same specs cover the real module ("sgxp2p/internal/wire") and the golden
-// testdata fakes loaded under relative paths ("internal/wire").
+// fixtures' fakes ("fixtures/sealflow/internal/wire").
 
 // tcbPackages is the trusted computing base for key material: packages that
 // hold and use keys by design. Key flows inside them are sanctioned; key
@@ -20,6 +20,12 @@ import (
 var tcbPackages = []string{
 	"internal/enclave", "internal/xcrypto", "internal/channel",
 }
+
+// keyHolders are the packages that hold keys inside their own state: the
+// TCB, plus baseline, the paper's non-TEE comparison, whose nodes keep their
+// own signing keys. Calls into them are opaque to keyleak (see
+// keyleakSpec.SanitizerCall).
+var keyHolders = append([]string{"internal/baseline"}, tcbPackages...)
 
 // transportPackages move opaque byte payloads by design; sealflow checks
 // their public Send surface from the outside rather than their internals.
@@ -58,6 +64,12 @@ var sealflowSpec = &flow.Spec{
 	},
 	SanitizerCall: func(fn *types.Func) bool {
 		pkg := fnPkgPath(fn)
+		if flow.PathMatches(pkg, "internal/scenario") && flow.FuncLabel(fn) == "scenario.Control.Finish" {
+			// The node's RESULT/FAIL line to its own runner is the one
+			// public output: decisions, beacon values and result notes
+			// are what a node exists to publish.
+			return true
+		}
 		if !flow.PathMatches(pkg, "internal/channel") && !flow.PathMatches(pkg, "internal/xcrypto") {
 			return false
 		}
@@ -127,22 +139,29 @@ var keyleakSpec = &flow.Spec{
 	},
 	SanitizerCall: func(fn *types.Func) bool {
 		pkg := fnPkgPath(fn)
-		if !flow.PathMatches(pkg, "internal/channel") && !flow.PathMatches(pkg, "internal/xcrypto") {
+		if !flow.PathIn(pkg, keyHolders...) {
 			return false
 		}
 		name := fn.Name()
 		// Sanctioned key consumers: their outputs (ciphertext, signatures,
 		// public halves, plaintext handed back to the owner) are not key
 		// material.
-		switch {
-		case strings.HasPrefix(name, "Seal"), strings.HasPrefix(name, "seal"),
-			strings.HasPrefix(name, "Open"), strings.HasPrefix(name, "open"):
-			return true
-		case name == "Sign", name == "Verify", name == "Public", name == "VerifyKey",
-			name == "SealedSize", name == "NewLink":
-			return true
+		if flow.PathIn(pkg, "internal/channel", "internal/xcrypto") {
+			switch {
+			case strings.HasPrefix(name, "Seal"), strings.HasPrefix(name, "seal"),
+				strings.HasPrefix(name, "Open"), strings.HasPrefix(name, "open"):
+				return true
+			case name == "Sign", name == "Verify", name == "Public", name == "VerifyKey",
+				name == "SealedSize", name == "NewLink":
+				return true
+			}
 		}
-		return false
+		// Any other call into a key holder is opaque unless a result can
+		// carry raw bytes out: a key holder's handles (an Enclave, a
+		// channel End, a baseline peer) hold keys by design, and following
+		// them field-blind would make everything that reaches a handle key
+		// material. A key-typed value is still a source wherever it is read.
+		return !returnsBytes(fn)
 	},
 	SinkArgs: func(fn *types.Func) ([]int, string, bool) {
 		if !fn.Exported() {
@@ -162,6 +181,29 @@ var keyleakSpec = &flow.Spec{
 	IgnorePkg: func(path string) bool {
 		return flow.PathIn(path, tcbPackages...)
 	},
+}
+
+// returnsBytes reports whether one of fn's results is a []byte, a byte
+// array or a string: a result that can carry key bytes out of its holder.
+func returnsBytes(fn *types.Func) bool {
+	res := fn.Type().(*types.Signature).Results()
+	for i := 0; i < res.Len(); i++ {
+		t := res.At(i).Type().Underlying()
+		if b, ok := t.(*types.Basic); ok && b.Info()&types.IsString != 0 {
+			return true
+		}
+		var elem types.Type
+		switch c := t.(type) {
+		case *types.Slice:
+			elem = c.Elem()
+		case *types.Array:
+			elem = c.Elem()
+		}
+		if b, ok := elem.(*types.Basic); ok && b.Kind() == types.Byte {
+			return true
+		}
+	}
+	return false
 }
 
 // SealflowAnalyzer proves the seal boundary: plaintext entering the runtime

@@ -12,9 +12,9 @@ func TestDetrandGolden(t *testing.T)  { runGolden(t, "detrand", DetrandAnalyzer)
 func TestMaporderGolden(t *testing.T) { runGolden(t, "maporder", MaporderAnalyzer) }
 func TestDroperrGolden(t *testing.T)  { runGolden(t, "droperr", DroperrAnalyzer) }
 
-// TestMuxboundaryGolden additionally exercises LoadDirAll's local-fake
-// importer: the testdata package imports fake internal/runtime,
-// internal/channel and internal/xcrypto subpackages.
+// TestMuxboundaryGolden additionally resolves fixture imports across
+// packages: the testdata package imports fake internal/runtime,
+// internal/channel and internal/xcrypto subpackages by module path.
 func TestMuxboundaryGolden(t *testing.T) { runGolden(t, "muxboundary", MuxboundaryAnalyzer) }
 func TestShadowGolden(t *testing.T)      { runGolden(t, "shadow", ShadowAnalyzer) }
 
@@ -25,8 +25,9 @@ func TestDirectiveGolden(t *testing.T) { runGolden(t, "directive", DetrandAnalyz
 
 // The interprocedural analyzers lint a testdata tree with local internal/*
 // fakes, so sources/sanitizers/sinks cross package boundaries exactly as in
-// the real module. Each fixture pairs violations (including a deliberate
-// plaintext-to-tcpnet leak) with the sealed legal path.
+// the real module, and a helper package (overlay) puts a sink behind a call
+// into another package. Each fixture pairs violations (including a
+// deliberate plaintext-to-tcpnet leak) with the legal path next to it.
 func TestSealflowGolden(t *testing.T) { runGolden(t, "sealflow", SealflowAnalyzer) }
 func TestKeyleakGolden(t *testing.T)  { runGolden(t, "keyleak", KeyleakAnalyzer) }
 

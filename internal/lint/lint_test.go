@@ -1,8 +1,11 @@
 package lint
 
 import (
+	"go/ast"
 	"go/token"
+	"go/types"
 	"strings"
+	"sync"
 	"testing"
 )
 
@@ -95,21 +98,7 @@ func TestSuppressionIsFilePrecise(t *testing.T) {
 // A regression here means new code broke a determinism/boundary invariant
 // (or dropped a mandatory suppression reason).
 func TestModuleIsLintClean(t *testing.T) {
-	if testing.Short() {
-		t.Skip("typechecks the whole module; skipped in -short")
-	}
-	root, err := ModuleRoot(".")
-	if err != nil {
-		t.Fatal(err)
-	}
-	pkgs, err := Load(root, "./...")
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(pkgs) == 0 {
-		t.Fatal("loader found no packages")
-	}
-	diags, err := LintModule(pkgs, Analyzers())
+	diags, err := LintModule(loadModule(t), Analyzers())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -123,3 +112,99 @@ func position(file string, line int) (p token.Position) {
 	p.Line = line
 	return p
 }
+
+// TestModuleCallsResolveAcrossPackages pins the one type universe that
+// sealflow and keyleak rest on: every static call to a module function with
+// a body, declared in another package than the caller's, resolves to that
+// function's node. With a second type-checked copy of each imported package
+// none of them would, and a sink behind a helper in another package would
+// go unseen.
+func TestModuleCallsResolveAcrossPackages(t *testing.T) {
+	pkgs := loadModule(t)
+	g := (&ModulePass{Pkgs: pkgs, shared: &moduleShared{}}).Graph()
+	// Callees are matched by name, not by object, so that a second copy of
+	// a package shows up as calls that fail to resolve.
+	hasBody := make(map[string]bool)
+	for _, n := range g.Nodes {
+		if n.Obj != nil {
+			hasBody[n.Obj.FullName()] = true
+		}
+	}
+	var total, missed int
+	for _, pkg := range pkgs {
+		for _, f := range pkg.Files {
+			ast.Inspect(f, func(n ast.Node) bool {
+				call, ok := n.(*ast.CallExpr)
+				if !ok {
+					return true
+				}
+				fn := staticModuleCallee(pkg.Info, call)
+				if fn == nil || fn.Pkg() == nil || fn.Pkg().Path() == pkg.Path || !hasBody[fn.FullName()] {
+					return true
+				}
+				total++
+				for _, c := range g.ResolveSite(call) {
+					if c.Obj == fn {
+						return true
+					}
+				}
+				missed++
+				t.Errorf("%s: call to %s does not resolve", pkg.Fset.Position(call.Pos()), fn.FullName())
+				return true
+			})
+		}
+	}
+	if total == 0 {
+		t.Fatal("found no cross-package static calls")
+	}
+	t.Logf("%d of %d cross-package static calls resolve", total-missed, total)
+}
+
+// staticModuleCallee returns the function or concrete method a call names,
+// or nil for interface dispatch, function values, conversions and builtins.
+func staticModuleCallee(info *types.Info, call *ast.CallExpr) *types.Func {
+	fun := ast.Unparen(call.Fun)
+	if ix, ok := fun.(*ast.IndexExpr); ok { // explicit instantiation F[T](...)
+		fun = ast.Unparen(ix.X)
+	}
+	var id *ast.Ident
+	switch f := fun.(type) {
+	case *ast.Ident:
+		id = f
+	case *ast.SelectorExpr:
+		if sel, ok := info.Selections[f]; ok && types.IsInterface(sel.Recv()) {
+			return nil
+		}
+		id = f.Sel
+	}
+	fn, _ := info.Uses[id].(*types.Func)
+	return fn
+}
+
+// loadModule loads the whole module once for every test that needs it.
+func loadModule(t *testing.T) []*Package {
+	t.Helper()
+	if testing.Short() {
+		t.Skip("typechecks the whole module; skipped in -short")
+	}
+	moduleOnce.Do(func() {
+		var root string
+		root, moduleErr = ModuleRoot(".")
+		if moduleErr == nil {
+			modulePkgs, moduleErr = Load(root, "./...")
+		}
+	})
+	if moduleErr != nil {
+		t.Fatal(moduleErr)
+	}
+	if len(modulePkgs) == 0 {
+		t.Fatal("loader found no packages")
+	}
+	return modulePkgs
+}
+
+var (
+	moduleOnce sync.Once
+	modulePkgs []*Package
+	moduleErr  error
+)

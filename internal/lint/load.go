@@ -12,7 +12,6 @@ import (
 	"os"
 	"os/exec"
 	"path/filepath"
-	"sort"
 	"strings"
 )
 
@@ -34,14 +33,20 @@ type listedPackage struct {
 	Dir        string
 	ImportPath string
 	GoFiles    []string
+	Standard   bool
+	DepOnly    bool
 }
 
-// Load resolves the package patterns (e.g. "./...") with the go tool, then
-// parses and type-checks every matched package with the standard library's
-// source importer. The importer compiles nothing and follows imports from
-// source, so the loader works in this module without export data and without
-// network access. dir anchors the go tool invocation; "" means the current
-// directory (it must sit inside the module).
+// Load resolves the package patterns (e.g. "./...") with `go list -deps`,
+// then parses and type-checks every non-standard package in dependency
+// order, so each is checked exactly once and every importer of a package
+// sees the same *types.Package: a call into another module package finds
+// its callee's objects. Only the standard library goes through the source
+// importer, which compiles nothing and needs no export data or network.
+// Packages the patterns reach only as dependencies are checked but not
+// returned, so they are not linted. dir anchors the go tool invocation and
+// must sit inside a module ("" means the current directory); the golden
+// fixtures are a module of their own and load the same way.
 func Load(dir string, patterns ...string) ([]*Package, error) {
 	if len(patterns) == 0 {
 		patterns = []string{"./..."}
@@ -51,68 +56,29 @@ func Load(dir string, patterns ...string) ([]*Package, error) {
 		return nil, err
 	}
 	fset := token.NewFileSet()
-	imp := importer.ForCompiler(fset, "source", nil)
+	imp := &localImporter{
+		std:  importer.ForCompiler(fset, "source", nil),
+		pkgs: make(map[string]*types.Package),
+	}
 	var pkgs []*Package
 	for _, lp := range listed {
-		if len(lp.GoFiles) == 0 {
+		if lp.Standard || len(lp.GoFiles) == 0 {
 			continue
 		}
 		pkg, err := check(fset, imp, lp.ImportPath, lp.Dir, lp.GoFiles)
 		if err != nil {
 			return nil, err
 		}
-		pkgs = append(pkgs, pkg)
+		imp.pkgs[lp.ImportPath] = pkg.Types
+		if !lp.DepOnly {
+			pkgs = append(pkgs, pkg)
+		}
 	}
 	return pkgs, nil
 }
 
-// LoadDirAll parses and type-checks a testdata tree outside the module (the
-// golden harness loads fixtures this way) and returns every package in it,
-// all sharing one FileSet: the subdirectory fakes first, then dir's own
-// package. Each subdirectory holding .go files is made importable by its
-// slash path relative to dir (e.g. "internal/runtime"), so a fixture can
-// model cross-package boundaries with local fakes; everything else resolves
-// against the standard library.
-func LoadDirAll(dir string) ([]*Package, error) {
-	files, err := goFilesIn(dir)
-	if err != nil {
-		return nil, err
-	}
-	if len(files) == 0 {
-		return nil, fmt.Errorf("lint: no .go files in %s", dir)
-	}
-	fset := token.NewFileSet()
-	imp := &localImporter{
-		std:  importer.ForCompiler(fset, "source", nil),
-		pkgs: make(map[string]*types.Package),
-	}
-	subs, err := subPackageDirs(dir)
-	if err != nil {
-		return nil, err
-	}
-	var pkgs []*Package
-	for _, rel := range subs {
-		subFiles, serr := goFilesIn(filepath.Join(dir, rel))
-		if serr != nil {
-			return nil, serr
-		}
-		path := filepath.ToSlash(rel)
-		pkg, serr := check(fset, imp, path, filepath.Join(dir, rel), subFiles)
-		if serr != nil {
-			return nil, serr
-		}
-		imp.pkgs[path] = pkg.Types
-		pkgs = append(pkgs, pkg)
-	}
-	main, err := check(fset, imp, filepath.Base(dir), dir, files)
-	if err != nil {
-		return nil, err
-	}
-	return append(pkgs, main), nil
-}
-
-// localImporter resolves pre-loaded local packages by relative path and
-// defers everything else to the standard source importer.
+// localImporter returns the packages Load has already checked and defers
+// only the standard library to the source importer.
 type localImporter struct {
 	std  types.Importer
 	pkgs map[string]*types.Package
@@ -123,52 +89,6 @@ func (l *localImporter) Import(path string) (*types.Package, error) {
 		return pkg, nil
 	}
 	return l.std.Import(path)
-}
-
-// goFilesIn lists the non-test .go file names directly inside dir, sorted.
-func goFilesIn(dir string) ([]string, error) {
-	entries, err := os.ReadDir(dir)
-	if err != nil {
-		return nil, err
-	}
-	var files []string
-	for _, e := range entries {
-		if !e.IsDir() && strings.HasSuffix(e.Name(), ".go") {
-			files = append(files, e.Name())
-		}
-	}
-	sort.Strings(files)
-	return files, nil
-}
-
-// subPackageDirs walks dir's subtree and returns the relative paths of every
-// subdirectory holding .go files, sorted so loading is deterministic.
-// Local fakes must import only the standard library (or subpackages that
-// sort before them).
-func subPackageDirs(dir string) ([]string, error) {
-	var subs []string
-	err := filepath.WalkDir(dir, func(path string, d os.DirEntry, walkErr error) error {
-		if walkErr != nil || !d.IsDir() || path == dir {
-			return walkErr
-		}
-		files, ferr := goFilesIn(path)
-		if ferr != nil {
-			return ferr
-		}
-		if len(files) > 0 {
-			rel, rerr := filepath.Rel(dir, path)
-			if rerr != nil {
-				return rerr
-			}
-			subs = append(subs, rel)
-		}
-		return nil
-	})
-	if err != nil {
-		return nil, err
-	}
-	sort.Strings(subs)
-	return subs, nil
 }
 
 // check parses files (named relative to dir) and type-checks them as one
@@ -204,10 +124,11 @@ func check(fset *token.FileSet, imp types.Importer, path, dir string, names []st
 	}, nil
 }
 
-// goList shells out to `go list -json` for package discovery, the only part
-// of loading the go/* standard packages cannot do alone in module mode.
+// goList shells out to `go list -deps -json` for package discovery, the only
+// part of loading the go/* standard packages cannot do alone in module mode.
+// -deps lists every package after all of its dependencies.
 func goList(dir string, patterns []string) ([]listedPackage, error) {
-	args := append([]string{"list", "-json=Dir,ImportPath,GoFiles", "--"}, patterns...)
+	args := append([]string{"list", "-deps", "-json=Dir,ImportPath,GoFiles,Standard,DepOnly", "--"}, patterns...)
 	cmd := exec.Command("go", args...)
 	cmd.Dir = dir
 	var out, errb bytes.Buffer

@@ -6,8 +6,10 @@ package keyleak
 import (
 	"fmt"
 
-	"internal/telemetry"
-	"internal/xcrypto"
+	"fixtures/keyleak/internal/channel"
+	"fixtures/keyleak/internal/overlay"
+	"fixtures/keyleak/internal/telemetry"
+	"fixtures/keyleak/internal/xcrypto"
 )
 
 // describeKeys leaks key material into an error string.
@@ -52,4 +54,23 @@ func sealedUse(t *telemetry.Tracer, keys xcrypto.SessionKeys, plaintext []byte) 
 // signedUse is sanctioned: signatures are public. No finding.
 func signedUse(sk *xcrypto.SigningKey, msg []byte) []byte {
 	return sk.Sign(msg)
+}
+
+// leakViaOtherPackage formats key bytes through a helper declared in
+// another package: its summary carries the fmt sink back here.
+func leakViaOtherPackage(keys xcrypto.SessionKeys) error {
+	return overlay.Fmt(keys.Enc) // want "key material from xcrypto.SessionKeys reaches log/error formatting fmt.Errorf \\(via overlay.Fmt\\)"
+}
+
+// handleIsOpaque: a key holder's handle keeps its keys inside, so a call
+// that returns only a handle is opaque. No finding.
+func handleIsOpaque(keys xcrypto.SessionKeys) error {
+	end := channel.NewEnd(keys)
+	return fmt.Errorf("link %p", end)
+}
+
+// bytesLeaveTheHolder: a key holder's []byte result can carry the keys
+// out, so the call is followed.
+func bytesLeaveTheHolder(end *channel.End) error {
+	return fmt.Errorf("link %x", end.Material()) // want "key material from xcrypto.SessionKeys reaches log/error formatting"
 }

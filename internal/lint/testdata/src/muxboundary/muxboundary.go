@@ -4,9 +4,9 @@
 package muxboundary
 
 import (
-	"internal/channel"
-	"internal/runtime"
-	"internal/xcrypto"
+	"fixtures/muxboundary/internal/channel"
+	"fixtures/muxboundary/internal/runtime"
+	"fixtures/muxboundary/internal/xcrypto"
 )
 
 // engine is the legal shape: an instance keeps only its Host capability.

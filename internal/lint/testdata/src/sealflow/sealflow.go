@@ -5,9 +5,12 @@
 package sealflow
 
 import (
-	"internal/channel"
-	"internal/tcpnet"
-	"internal/wire"
+	"fixtures/sealflow/internal/channel"
+	"fixtures/sealflow/internal/overlay"
+	"fixtures/sealflow/internal/runtime"
+	"fixtures/sealflow/internal/scenario"
+	"fixtures/sealflow/internal/tcpnet"
+	"fixtures/sealflow/internal/wire"
 )
 
 // leakDirect is the deliberate plaintext-to-tcpnet leak: the encoded
@@ -106,4 +109,35 @@ func allowedLeak(p *tcpnet.Port, m *wire.Message) {
 	encoded, _ := m.Encode()
 	//lint:allow sealflow golden fixture proving directives silence interprocedural findings
 	p.Send(7, encoded)
+}
+
+// leakViaOtherPackage routes the plaintext through a helper declared in
+// another package: its summary carries the transport sink back here.
+func leakViaOtherPackage(t runtime.Transport, m *wire.Message) error {
+	encoded, err := m.Encode()
+	if err != nil {
+		return err
+	}
+	return overlay.SendRaw(t, 1, encoded) // want "payload plaintext from wire.Message.Encode reaches network sink runtime.Transport.Send \\(via overlay.SendRaw\\)"
+}
+
+// finishPublishes hands the same plaintext to the node's runner: the result
+// line is the one public output, so Control.Finish declassifies it. No
+// finding.
+func finishPublishes(c *scenario.Control, m *wire.Message) {
+	encoded, _ := m.Encode()
+	c.Finish(encoded)
+}
+
+// peerTransportLeaks sends that plaintext to a peer instead.
+func peerTransportLeaks(t runtime.Transport, m *wire.Message) error {
+	encoded, _ := m.Encode()
+	return t.Send(2, encoded) // want "payload plaintext from wire.Message.Encode reaches network sink runtime.Transport.Send"
+}
+
+// leakInVar is a package-level var's func literal: the package's
+// initializer node owns it, so its body is analyzed like any function's.
+var leakInVar = func(p *tcpnet.Port, m *wire.Message) {
+	encoded, _ := m.Encode()
+	p.Send(8, encoded) // want "payload plaintext from wire.Message.Encode reaches network sink tcpnet.Port.Send"
 }

@@ -8,11 +8,13 @@ package lint
 //	                          next line's only comment is a //lint:allow
 //	                          directive under test)
 //
-// The harness loads the fixture tree (its package plus any local internal/*
-// fakes), lints it through LintModule — the driver p2plint uses, so
-// suppression, malformed-directive and stale-directive reporting behave
-// identically — and fails on any diagnostic without a matching expectation
-// or expectation without a diagnostic.
+// testdata/src is one module (its own go.mod), so the harness loads a
+// fixture tree (its package plus any local internal/* fakes, imported by
+// module path) with Load, the loader p2plint uses, lints it through
+// LintModule — the driver p2plint uses, so suppression, malformed-directive
+// and stale-directive reporting behave identically — and fails on any
+// diagnostic without a matching expectation or expectation without a
+// diagnostic.
 
 import (
 	"path/filepath"
@@ -36,7 +38,7 @@ type expectation struct {
 // is unit-tested in TestScopes.
 func runGolden(t *testing.T, dirName string, analyzers ...*Analyzer) {
 	t.Helper()
-	pkgs, err := LoadDirAll(filepath.Join("testdata", "src", dirName))
+	pkgs, err := Load(filepath.Join("testdata", "src"), "./"+dirName+"/...")
 	if err != nil {
 		t.Fatalf("load testdata tree %s: %v", dirName, err)
 	}
