@@ -36,8 +36,9 @@ vet:
 # executor's own tests five times: a worker's
 # summon, arrival and cancel race Run's goroutine, and each run sees one
 # schedule of those interleavings. The third does the same for the
-# prefetch's key-cache reservations, where peers on different workers
-# reserve, derive and wait for each other's pairs; the fourth for the
+# prefetch's link schedule, whose chunks workers prepare side by side
+# from the peers they all read, and for the ends left to each peer's
+# batch, which reserve through the key cache; the fourth for the
 # batched launch and roster check, whose groups run on the worker pool.
 # The fifth repeats the batched wire golden and the retention tests of
 # the outbox, the payload slabs and the event calendar three times; the

@@ -9,12 +9,14 @@
 // to seal or open (Local.Establish) rather than for every pair up front —
 // attestation, which says whose key it is, comes before any of them — or
 // for many of a peer's missing pairs at once (Local.EstablishBatch, whose
-// key agreements run eight to a ladder on a CPU with the batch kernel;
-// the caller's Ends are filled in place and the keys never leave this
-// package and the enclave). A peer holds one Local, what all its links
-// share, and per link an End: the cipher state prepared from the session
-// keys of the Diffie-Hellman exchange — for a real link the pair's one
-// LinkCipher, which both ends hold where the enclaves share a key cache —
+// key agreements run eight to a ladder on a CPU with the batch kernel),
+// or for both ends of many pairs at once (EstablishPairs, a deployment's
+// link schedule, then Local.Adopt at each end); the caller's Ends are
+// filled in place and the keys never leave this package and the enclave.
+// A peer holds one Local, what all its links share, and per link an End:
+// the cipher state prepared from the session keys of the Diffie-Hellman
+// exchange — for a real link the pair's one LinkCipher, which both ends
+// hold where it is Shareable and they share a key cache or a schedule —
 // through which wire.Message encodings are sealed into envelopes and
 // opened back. Link is an End with a Local of its own. Everything that
 // crosses the trust boundary to the untrusted OS is a sealed envelope: the
@@ -285,10 +287,10 @@ func newLocal(sealer Sealer) (Local, error) {
 
 // End is one link end's own state, prepared once when the link opens and
 // all it keeps of the session keys: the pair's xcrypto.LinkCipher for a
-// real link — through an enclave KeyCache the very object the pair's
-// other end holds — or, for a model link, the keyed checksum's seed,
-// derived from the pair's MAC key (the simulation analogue of the
-// cipher). The zero End is a link not opened yet.
+// real link — through an enclave KeyCache or EstablishPairs the very
+// object the pair's other end holds — or, for a model link, the keyed
+// checksum's seed, derived from the pair's MAC key (the simulation
+// analogue of the cipher). The zero End is a link not opened yet.
 type End struct {
 	cipher *xcrypto.LinkCipher
 	seed   uint64
@@ -313,6 +315,124 @@ func (lc *Local) Establish(e *End, remote wire.NodeID, remotePub [xcrypto.Public
 		return fmt.Errorf("channel: link to %d: %w", remote, err)
 	}
 	return nil
+}
+
+// PairsWith reports whether lc and o may share a pair's agreement
+// (EstablishPairs): they seal alike, both real or both model, over
+// enclaves that derive alike.
+func (lc *Local) PairsWith(o *Local) bool {
+	return (lc.model == nil) == (o.model == nil) && lc.encl.DerivesLike(o.encl)
+}
+
+// Pair is one link EstablishPairs prepares at both ends: Local's end
+// toward Remote, whose attested key is RemotePub, and Remote's end toward
+// Local from the same agreement. Its two Locals PairsWith each other and
+// have opened neither end.
+type Pair struct {
+	Local     *Local
+	Remote    wire.NodeID
+	RemotePub [xcrypto.PublicKeySize]byte
+}
+
+// PairEnds is what EstablishPairs prepares for one Pair: the End of its
+// local end and of its remote end — the same End twice where the pair's
+// cipher is Shareable or the link is a model link. Adopt opens nothing
+// from the PairEnds of a pair that failed.
+type PairEnds struct {
+	local, remote End
+	ok            bool
+}
+
+// EstablishPairs is PeerCh_sgx.Init at both ends of every pair(k),
+// k < len(ends), into ends[k], and returns the first failure. Each pair
+// is agreed once for both ends, eight pairs to a ladder whichever
+// enclave's scalar each lane carries (enclave.PairSessionKeys), and
+// prepared once: its cipher carved, with the call's other ciphers, from
+// one array, or its model seed derived. EstablishPairs writes nothing but
+// ends, so calls over disjoint ends run side by side; Adopt then opens
+// the ends, each Local on one goroutine.
+func EstablishPairs(ends []PairEnds, pair func(k int) Pair) error {
+	var (
+		first         error
+		carved, twins []xcrypto.LinkCipher
+		n             int
+		lanes         [xcrypto.BatchLanes]Pair
+		at            [xcrypto.BatchLanes]int
+		encls         [xcrypto.BatchLanes]*enclave.Enclave
+		pubs          [xcrypto.BatchLanes][xcrypto.PublicKeySize]byte
+		keys          [xcrypto.BatchLanes]xcrypto.SessionKeys
+		errs          [xcrypto.BatchLanes]error
+	)
+	fail := func(remote wire.NodeID, err error) {
+		if first == nil {
+			first = fmt.Errorf("channel: link to %d: %w", remote, err)
+		}
+	}
+	derive := func() {
+		enclave.PairSessionKeys(encls[:n], pubs[:n], keys[:n], errs[:n])
+		for j, p := range lanes[:n] {
+			k, pe := at[j], &ends[at[j]]
+			if errs[j] != nil {
+				fail(p.Remote, errs[j])
+				continue
+			}
+			if p.Local.model != nil {
+				pe.local.seed = modelSeed(keys[j])
+				pe.remote, pe.ok = pe.local, true
+				continue
+			}
+			if carved == nil {
+				carved = make([]xcrypto.LinkCipher, len(ends))
+			}
+			if err := carved[k].Init(&keys[j]); err != nil {
+				fail(p.Remote, err)
+				continue
+			}
+			pe.local.cipher, pe.remote.cipher, pe.ok = &carved[k], &carved[k], true
+			if !carved[k].Shareable() {
+				// Each end writes scratch into its cipher: the remote end
+				// gets one of its own.
+				if twins == nil {
+					twins = make([]xcrypto.LinkCipher, len(ends))
+				}
+				if err := twins[k].Init(&keys[j]); err != nil {
+					fail(p.Remote, err)
+					pe.ok = false
+					continue
+				}
+				pe.remote.cipher = &twins[k]
+			}
+		}
+		clear(keys[:n])
+		n = 0
+	}
+	for k := range ends {
+		p := pair(k)
+		lanes[n], at[n], encls[n], pubs[n] = p, k, p.Local.encl, p.RemotePub
+		if n++; n == len(lanes) {
+			derive()
+		}
+	}
+	if n > 0 {
+		derive()
+	}
+	return first
+}
+
+// Adopt opens e from pe, which EstablishPairs prepared, as the pair's
+// local end or, when remote is set, as its remote end. It reports whether
+// it opened e: a failed pair's ends stay as they were.
+func (lc *Local) Adopt(e *End, pe *PairEnds, remote bool) bool {
+	if !pe.ok {
+		return false
+	}
+	if *e = pe.local; remote {
+		*e = pe.remote
+	}
+	if e.cipher != nil && lc.nonces == nil {
+		lc.nonces = lc.encl.NonceReader()
+	}
+	return true
 }
 
 // EstablishBatch is Establish toward every peer of quotes, an attested

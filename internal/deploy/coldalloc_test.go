@@ -9,21 +9,20 @@ import (
 )
 
 // Objects a cold N = 16 real-crypto deployment may allocate from New
-// through its first broadcast: the count measured once a peer's link
-// table held each remote's sequence number inline, its channel ends and
-// its two scratch buffers came in one array each, its channel side went
-// by value, its first trackers came with it and its enclave's nonces
-// came from one pool (759 with the kernels, 3893 on the portable paths
-// of -tags purego; 935 and 4069 before, 1690 and 4824 before delivery
+// through its first broadcast: the count measured once the prefetch
+// agreed each pair once for both ends, its ciphers carved a chunk of the
+// link schedule to an array (710 with the kernels, 3739 on the portable
+// paths of -tags purego; 759 and 3893 through the key cache, 935 and
+// 4069 before a peer's tables were dense, 1690 and 4824 before delivery
 // records and ciphers were built in blocks), plus 10 %.
 const (
-	coldAllocsKernel   = 835
-	coldAllocsPortable = 4282
+	coldAllocsKernel   = 781
+	coldAllocsPortable = 4113
 )
 
 // TestColdDeploymentAllocs guards what a fresh deployment costs in
-// objects — the setup every short adversarial run pays: New, the batched
-// key agreement of EstablishLinks and one broadcast. A per-frame or
+// objects — the setup every short adversarial run pays: New, the link
+// schedule of EstablishLinks and one broadcast. A per-frame or
 // per-pair object creeping back into simnet, vclock, the enclave's
 // batches or the runtime's setup shows here as N² more, a per-peer or
 // per-batch one as N more.

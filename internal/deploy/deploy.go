@@ -11,8 +11,8 @@
 // whole roster verified, sequence numbers exchanged. The paper's Section
 // 4.1 also opens every pairwise channel at that point; New opens none. A
 // pair's PeerCh_sgx.Init runs at its first frame, or — all missing pairs
-// at once, a peer per worker and each peer's agreements eight to a ladder
-// — in EstablishLinks, which RunInstance calls ahead of every instance
+// at once, each agreed once for both ends, eight pairs to a ladder — in
+// EstablishLinks, which RunInstance calls ahead of every instance
 // but a sampled Algorithm 6 epoch. The keys are a function of the
 // attested pair, so when and how they are derived shows in no frame,
 // trace or figure.
@@ -31,9 +31,11 @@ import (
 	"fmt"
 	"io"
 	"math/rand"
+	goruntime "runtime"
 	"time"
 
 	"sgxp2p/internal/adversary"
+	"sgxp2p/internal/channel"
 	"sgxp2p/internal/enclave"
 	"sgxp2p/internal/parallel"
 	"sgxp2p/internal/runtime"
@@ -119,11 +121,15 @@ type Deployment struct {
 	oses []*adversary.OS
 
 	// keyCache hands pairwise session keys across the enclaves of the
-	// deployment: the (i,j) and (j,i) link derivations are symmetric, so
+	// deployment for the links EstablishLinks' schedule does not agree for
+	// both ends: the (i,j) and (j,i) link derivations are symmetric, so
 	// whichever end opens the pair first derives for both and the other
-	// takes the keys out. Joining and restarted nodes (join.go,
-	// lifecycle.go) go through it too.
+	// takes the keys out. First-use links, joining and restarted nodes
+	// (join.go, lifecycle.go) go through it.
 	keyCache *enclave.KeyCache
+	// scheduled counts the agreements EstablishLinks' schedules computed,
+	// one per pair opened at both ends (KeysDerived).
+	scheduled int
 }
 
 // clock is the trusted-time source of node id's enclave: the node's port,
@@ -283,27 +289,84 @@ func verifyRoster(r runtime.Roster) error {
 	})
 }
 
-// EstablishLinks opens every channel the live peers have not used yet,
-// a peer per worker, each peer's missing links as one batch
-// (runtime.Peer.EstablishLinks): the shared key cache means an unordered
-// pair is derived once — a peer reserves the pairs nobody has asked for,
-// derives them eight to a ladder and leaves them before it waits for the
-// pairs another peer was deriving — and the pool spreads the pairs across
-// cores. RunInstance
-// calls it ahead of a full-mesh instance, which would otherwise derive
-// every pair in turn on the simulator's goroutine in its first rounds;
-// with nothing missing it is one pass over the peers.
+// EstablishLinks opens every link end the live peers have not opened.
+// First one link schedule: each pair whose two ends are closed and may
+// share an agreement (runtime.Pairable) is listed once, the worker pool
+// agrees the list in chunks of whole ladders, eight pairs to a ladder
+// (runtime.PreparePairs), and one pass opens the prepared ends at both
+// sides (runtime.AdoptPairs). Then each live peer with an end still
+// closed — toward a halted or stopped node, toward a node that holds its
+// end already (a restarted peer's survivors), or between enclaves that
+// derive apart — opens the rest as one batch of its own, a peer per
+// worker (runtime.Peer.EstablishLinks), through the key cache as a
+// first-use link does. RunInstance calls it ahead of a full-mesh
+// instance, which would otherwise derive every pair in turn on the
+// simulator's goroutine in its first rounds; with nothing missing it is
+// one pass over the peers.
 func (d *Deployment) EstablishLinks() error {
+	missing := 0
+	for id, p := range d.Peers {
+		if d.live(id) {
+			missing += max(0, p.N()-1-int(p.Stats().LinksEstablished))
+		}
+	}
+	if missing == 0 {
+		return nil
+	}
+	var err error
+	if pairs := d.linkSchedule(missing); len(pairs) > 0 {
+		ends := make([]channel.PairEnds, len(pairs))
+		chunk := scheduleChunk(len(pairs))
+		err = parallel.ForEach((len(pairs)+chunk-1)/chunk, func(c int) error {
+			lo, hi := c*chunk, min((c+1)*chunk, len(pairs))
+			return runtime.PreparePairs(d.Peers, pairs[lo:hi], ends[lo:hi])
+		})
+		opened := runtime.AdoptPairs(d.Peers, pairs, ends)
+		if d.scheduled += opened; 2*opened == missing {
+			return err
+		}
+	}
 	var cold []*runtime.Peer
 	for id, p := range d.Peers {
-		if !d.stopped[id] && !p.Halted() && p.Stats().LinksEstablished < uint64(p.N()-1) {
+		if d.live(id) && p.Stats().LinksEstablished < uint64(p.N()-1) {
 			cold = append(cold, p)
 		}
 	}
-	if cold == nil {
-		return nil
+	if cerr := parallel.ForEach(len(cold), func(i int) error { return cold[i].EstablishLinks() }); err == nil {
+		err = cerr
 	}
-	return parallel.ForEach(len(cold), func(i int) error { return cold[i].EstablishLinks() })
+	return err
+}
+
+// live reports whether node id runs: neither stopped nor halted.
+func (d *Deployment) live(id int) bool {
+	return !d.stopped[id] && !d.Peers[id].Halted()
+}
+
+// linkSchedule lists the pairs of live peers that EstablishLinks agrees
+// for both ends, in id order. Each opens two of the missing ends the live
+// peers lack, which bounds the list.
+func (d *Deployment) linkSchedule(missing int) []runtime.LinkPair {
+	pairs := make([]runtime.LinkPair, 0, missing/2)
+	for i, p := range d.Peers {
+		if !d.live(i) {
+			continue
+		}
+		for j := i + 1; j < len(d.Peers); j++ {
+			if d.live(j) && runtime.Pairable(p, d.Peers[j]) {
+				pairs = append(pairs, runtime.LinkPair{From: wire.NodeID(i), To: wire.NodeID(j)})
+			}
+		}
+	}
+	return pairs
+}
+
+// scheduleChunk is how many entries of a link schedule of the given
+// length one task of the worker pool prepares: one share per worker,
+// rounded up to whole ladders.
+func scheduleChunk(entries int) int {
+	per := (entries + goruntime.GOMAXPROCS(0) - 1) / goruntime.GOMAXPROCS(0)
+	return max(1, (per+xcrypto.BatchLanes-1)/xcrypto.BatchLanes) * xcrypto.BatchLanes
 }
 
 // LinksEstablished is the number of link ends the deployment's current

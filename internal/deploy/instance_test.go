@@ -302,8 +302,8 @@ func TestLinksOpenedOnDemand(t *testing.T) {
 			t.Errorf("node %d holds %d links after a broadcast, want %d", i, got, n-1)
 		}
 	}
-	// The prefetch opens a peer per worker, so two ends of a pair can ask
-	// at once; the later one waits for the earlier one's agreement.
+	// The prefetch's schedule agrees each pair the epoch left closed once
+	// for both ends.
 	const pairs = n * (n - 1) / 2
 	links, derived := d.LinksEstablished(), d.KeysDerived()
 	if links != n*(n-1) || derived != pairs || d.KeyCacheLen() != 0 {

@@ -94,14 +94,15 @@ func (d *Deployment) KeyCacheLen() int {
 }
 
 // KeysDerived returns the number of key agreements the deployment's
-// enclaves have computed: one per used pair — the key cache makes an end
-// that asks while the other derives wait for that agreement — plus one for
+// enclaves have computed: one per used pair — EstablishLinks' schedule
+// agrees a pair once for both ends, and the key cache makes an end that
+// asks while the other derives wait for that agreement — plus one for
 // each pair a restarted node re-derives while its survivor holds its end.
 func (d *Deployment) KeysDerived() int {
 	if d.keyCache == nil {
-		return 0
+		return d.scheduled
 	}
-	return d.keyCache.Derived()
+	return d.keyCache.Derived() + d.scheduled
 }
 
 // Stop crashes a node: the machine goes away mid-protocol. The peer stops

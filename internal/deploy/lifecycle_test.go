@@ -221,18 +221,17 @@ func TestRealCryptoRestart(t *testing.T) {
 	}
 }
 
-// TestPrefetchDerivesEachPairOnce opens a full mesh with the parallel
-// prefetch, a peer per worker: the two ends of a pair often ask at the same
-// moment, and the key cache makes the later one wait for the earlier one's
-// agreement rather than compute its own. Each peer reserves its missing
-// pairs without waiting, derives what it reserved eight to a ladder, and
-// only then waits for the pairs another peer was deriving — a peer that
-// waited while holding reservations could deadlock a cycle of them. The
-// mesh starts closed, or partly open: one sampled Algorithm 6 epoch has
-// opened its pairs at both ends, and then perhaps a node that took part
-// crashed and restarted, so its end of each pair it had opened is derived
-// once more and left for an end that never asks. Every pair is agreed
-// once either way, and only those re-derivations wait afterwards.
+// TestPrefetchDerivesEachPairOnce opens a full mesh with the prefetch's
+// link schedule, whose chunks the worker pool prepares side by side: a
+// pair with both ends closed is listed once and agreed once for both,
+// and the key cache sees none of it. The mesh starts closed, or partly
+// open: one sampled Algorithm 6 epoch has opened its pairs at both ends
+// through the cache, and then perhaps a node that took part crashed and
+// restarted, so its end of each pair it had opened is in no pair of the
+// schedule: its own batch derives it once more through the cache and
+// leaves it for an end that never asks. KeysDerived counts the schedule's agreements and the cache's:
+// every pair is agreed once either way, and only those re-derivations
+// wait afterwards.
 func TestPrefetchDerivesEachPairOnce(t *testing.T) {
 	const victim = wire.NodeID(7) // the node the crash-restart case reboots
 	cases := []struct {

@@ -124,8 +124,10 @@ type pairKey struct {
 // replay does — one per pair at most.
 //
 // The cache is safe for concurrent use: a deployment opens its peers'
-// channels on a worker pool, and the simulator's lanes open them from
-// several goroutines in mid-run. It exists purely as a simulation-side
+// remaining channels on a worker pool, and the simulator's lanes open
+// first-use links from several goroutines in mid-run. A link schedule
+// agrees the pairs whose two ends are both closed without it
+// (PairSessionKeys). It exists purely as a simulation-side
 // optimization — a live SGX node holds only its own private key and cannot
 // share derivations — which is why it is opt-in via WithKeyCache and never
 // enabled by the TCP runtime.
@@ -487,6 +489,64 @@ func (e *Enclave) sessionBatch(quotes []Quote, want func(i int) bool, seal bool,
 	for _, i := range pending {
 		got, err := e.session(quotes[i].DHPublic, seal)
 		settle(i, got, err)
+	}
+}
+
+// DerivesLike reports whether e and o derive a pair's keys alike: one
+// program measurement and one key-exchange mode, so that what one derives
+// toward the other is what the other derives back (PairSessionKeys).
+func (e *Enclave) DerivesLike(o *Enclave) bool {
+	return e.measurement == o.measurement && e.modelKEX == o.modelKEX
+}
+
+// PairSessionKeys is SessionKeys for pairs of enclaves, each computed once
+// for both ends and without a KeyCache: keys[i] and errs[i] are what
+// locals[i].SessionKeys(remotes[i]) derives, and so, for an enclave that
+// holds remotes[i] and DerivesLike locals[i], what it derives back. The
+// real agreements go eight to a ladder whichever enclave's scalar each
+// lane carries (xcrypto.DeriveSessionKeysPairs). keys and errs must be as
+// long as locals and remotes. Like the KeyCache it is a simulator
+// shortcut: one process computes what the two enclaves would each
+// compute alone, and a live node holds no other enclave to pair with.
+func PairSessionKeys(locals []*Enclave, remotes [][xcrypto.PublicKeySize]byte, keys []xcrypto.SessionKeys, errs []error) {
+	var (
+		kps [xcrypto.BatchLanes]*xcrypto.KeyPair
+		rs  [xcrypto.BatchLanes][xcrypto.PublicKeySize]byte
+		ks  [xcrypto.BatchLanes]xcrypto.SessionKeys
+		es  [xcrypto.BatchLanes]error
+		at  [xcrypto.BatchLanes]int
+		n   int
+	)
+	derive := func() {
+		xcrypto.DeriveSessionKeysPairs(kps[:n], rs[:n], ks[:n], es[:n])
+		for j := range n {
+			keys[at[j]], errs[at[j]] = ks[j], es[j]
+		}
+		clear(ks[:n])
+		n = 0
+	}
+	for i, e := range locals {
+		switch {
+		case e.halted:
+			errs[i] = ErrHalted
+		case e.modelKEX:
+			keys[i], errs[i] = modelSessionKeys(e.DHPublic(), remotes[i]), nil
+		default:
+			kps[n], rs[n], at[n] = e.dh, remotes[i], i
+			if n++; n == len(kps) {
+				derive()
+			}
+		}
+	}
+	if n > 0 {
+		derive()
+	}
+	for i, e := range locals {
+		if errs[i] != nil {
+			keys[i] = xcrypto.SessionKeys{}
+		} else {
+			keys[i] = e.bind(keys[i])
+		}
 	}
 }
 

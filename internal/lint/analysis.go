@@ -152,16 +152,23 @@ func (p *ModulePass) Reportf(pos token.Pos, format string, args ...any) {
 }
 
 // LintModule is the one lint driver (p2plint and the golden tests both call
-// it): per-package analyzers on each package in their scope, module
-// analyzers once over everything; it then applies suppression directives,
-// reports malformed and stale directives, and returns the surviving
-// diagnostics sorted by position. All packages must share one FileSet
-// (Load guarantees this).
+// it): per-package analyzers on each listed package in their scope, module
+// analyzers once over everything, DepOnly packages included, so a call
+// into a dependency is followed into it; it then keeps the findings inside
+// the listed packages, applies suppression directives, reports malformed
+// and stale directives, and returns the surviving diagnostics sorted by
+// position. All packages must share one FileSet (Load guarantees this).
 func LintModule(pkgs []*Package, analyzers []*Analyzer) ([]Diagnostic, error) {
 	if len(pkgs) == 0 {
 		return nil, nil
 	}
 	fset := pkgs[0].Fset
+	listed := make(map[string]bool)
+	for _, pkg := range pkgs {
+		for _, f := range pkg.Files {
+			listed[fset.Position(f.Package).Filename] = !pkg.DepOnly
+		}
+	}
 	var raw []Diagnostic
 	ran := make(map[string]bool, len(analyzers))
 	for _, a := range analyzers {
@@ -170,7 +177,7 @@ func LintModule(pkgs []*Package, analyzers []*Analyzer) ([]Diagnostic, error) {
 			continue
 		}
 		for _, pkg := range pkgs {
-			if !a.AppliesTo(pkg.Path) {
+			if pkg.DepOnly || !a.AppliesTo(pkg.Path) {
 				continue
 			}
 			pass := &Pass{
@@ -196,11 +203,18 @@ func LintModule(pkgs []*Package, analyzers []*Analyzer) ([]Diagnostic, error) {
 		if err := a.RunModule(mp); err != nil {
 			return nil, fmt.Errorf("%s: %w", a.Name, err)
 		}
-		raw = append(raw, mp.diags...)
+		for _, d := range mp.diags {
+			if listed[d.Position.Filename] {
+				raw = append(raw, d)
+			}
+		}
 	}
 	var dirs []directive
 	var dirDiags []Diagnostic
 	for _, pkg := range pkgs {
+		if pkg.DepOnly {
+			continue
+		}
 		ds, dd := collectDirectives(pkg.Fset, pkg.Files)
 		dirs = append(dirs, ds...)
 		dirDiags = append(dirDiags, dd...)

@@ -31,6 +31,16 @@ func TestDirectiveGolden(t *testing.T) { runGolden(t, "directive", DetrandAnalyz
 func TestSealflowGolden(t *testing.T) { runGolden(t, "sealflow", SealflowAnalyzer) }
 func TestKeyleakGolden(t *testing.T)  { runGolden(t, "keyleak", KeyleakAnalyzer) }
 
+// TestFlowGoldenThroughDependencies lints each interprocedural fixture's
+// root package alone, as `p2plint ./internal/deploy` lints one package of
+// the module: its helpers are then dependencies only, and a leak through
+// one must still be reported at the call, while a leak inside one is not
+// reported at all.
+func TestFlowGoldenThroughDependencies(t *testing.T) {
+	t.Run("sealflow", func(t *testing.T) { runGoldenPattern(t, "./sealflow", SealflowAnalyzer) })
+	t.Run("keyleak", func(t *testing.T) { runGoldenPattern(t, "./keyleak", KeyleakAnalyzer) })
+}
+
 // TestStaleLintGolden runs the full battery so the stale-suppression check
 // judges directives for analyzers that actually ran: a live suppression
 // stays silent, a dead one is reported.

@@ -26,6 +26,9 @@ type Package struct {
 	Files []*ast.File
 	Types *types.Package
 	Info  *types.Info
+	// DepOnly marks a package the patterns reach only as a dependency:
+	// the call graph sees into it, but nothing in it is linted.
+	DepOnly bool
 }
 
 // listedPackage is the subset of `go list -json` output the loader needs.
@@ -43,8 +46,9 @@ type listedPackage struct {
 // sees the same *types.Package: a call into another module package finds
 // its callee's objects. Only the standard library goes through the source
 // importer, which compiles nothing and needs no export data or network.
-// Packages the patterns reach only as dependencies are checked but not
-// returned, so they are not linted. dir anchors the go tool invocation and
+// Packages the patterns reach only as dependencies are returned too,
+// marked DepOnly: the interprocedural analyzers follow calls into them,
+// and LintModule reports nothing inside them. dir anchors the go tool invocation and
 // must sit inside a module ("" means the current directory); the golden
 // fixtures are a module of their own and load the same way.
 func Load(dir string, patterns ...string) ([]*Package, error) {
@@ -70,9 +74,8 @@ func Load(dir string, patterns ...string) ([]*Package, error) {
 			return nil, err
 		}
 		imp.pkgs[lp.ImportPath] = pkg.Types
-		if !lp.DepOnly {
-			pkgs = append(pkgs, pkg)
-		}
+		pkg.DepOnly = lp.DepOnly
+		pkgs = append(pkgs, pkg)
 	}
 	return pkgs, nil
 }

@@ -151,7 +151,8 @@ type Stats struct {
 	LinksEstablished uint64
 	// LinkBatches counts the key-agreement batches the peer opened links
 	// in: each EstablishLinks with a link to open, and each multicast
-	// with two or more destinations it had no link to yet.
+	// with two or more destinations it had no link to yet. Links a
+	// deployment's schedule opens (AdoptPairs) are in none.
 	LinkBatches uint64
 }
 
@@ -273,13 +274,13 @@ type Peer struct {
 	// links is the link table, one entry per roster id (see linkEnd): the
 	// remote's sequence number, the outbox slot and whether the link is
 	// open. ends holds the channel ends by the same index, each prepared
-	// at the pair's first use (link) or in EstablishLinks; it is nil
-	// until the first link opens (openEnds). local is what the links
-	// share — the enclave, its nonce pool, the model sealer and the
-	// channel counters; quotes is the attested roster their remote keys
-	// come from, shared with the other peers built from it. AddPeer moves
-	// both tables, so no pointer into either is kept past the call that
-	// took it.
+	// at the pair's first use (link), in EstablishLinks or by a link
+	// schedule (AdoptPairs); it is nil until the first link opens
+	// (openEnds). local is what the links share — the enclave, its nonce
+	// pool, the model sealer and the channel counters; quotes is the
+	// attested roster their remote keys come from, shared with the other
+	// peers built from it. AddPeer moves both tables, so no pointer into
+	// either is kept past the call that took it.
 	links  []linkEnd
 	ends   []channel.End
 	local  channel.Local
@@ -484,7 +485,8 @@ type outRun struct {
 // NewPeer verifies the roster's attestation quotes (F3, property P1),
 // binds each to its index, and returns the runtime. The peer's own quote
 // must be at index enclave.ID(). No channel is opened here: a pair's
-// PeerCh_sgx.Init runs at its first frame (link) or in EstablishLinks.
+// PeerCh_sgx.Init runs at its first frame (link), in EstablishLinks or in
+// a deployment's link schedule (PreparePairs, AdoptPairs).
 func NewPeer(encl *enclave.Enclave, tr Transport, roster Roster, cfg Config) (*Peer, error) {
 	if encl == nil || tr == nil {
 		return nil, errors.New("runtime: nil enclave or transport")
@@ -614,6 +616,71 @@ func (p *Peer) EstablishLinks() error {
 		return nil
 	}
 	return p.establishBatch()
+}
+
+// LinkPair is one entry of a deployment's link schedule: the link between
+// From and To, Pairable, to be opened at both ends from one agreement.
+// Peers are named by their index in the slice handed to PreparePairs and
+// AdoptPairs, their node id.
+type LinkPair struct {
+	From, To wire.NodeID
+}
+
+// linkClosed reports whether the peer's end of the link to id is a remote
+// roster entry it has not opened.
+func (p *Peer) linkClosed(id wire.NodeID) bool {
+	return int(id) < len(p.links) && id != p.ID() && p.links[id].state == linkClosed
+}
+
+// Pairable reports whether both ends of the link between p and q may be
+// opened from one agreement (LinkPair): neither has opened its end,
+// neither has halted, and the two seal alike over enclaves that derive
+// alike, so what one end derives is what the other would.
+func Pairable(p, q *Peer) bool {
+	return p.linkClosed(q.ID()) && q.linkClosed(p.ID()) && !p.Halted() && !q.Halted() &&
+		p.local.PairsWith(&q.local)
+}
+
+// PreparePairs prepares both link ends of every entry of pairs into the
+// same index of ends (channel.EstablishPairs): each entry is agreed once
+// for its two ends, eight entries to a ladder. It reads the peers and
+// writes only ends, so a deployment prepares disjoint chunks of its
+// schedule side by side; the keys stay below the channel layer. It
+// returns the first failure.
+func PreparePairs(peers []*Peer, pairs []LinkPair, ends []channel.PairEnds) error {
+	err := channel.EstablishPairs(ends[:len(pairs)], func(k int) channel.Pair {
+		pr, p := pairs[k], peers[pairs[k].From]
+		return channel.Pair{Local: &p.local, Remote: pr.To, RemotePub: p.quotes[pr.To].DHPublic}
+	})
+	if err != nil {
+		return fmt.Errorf("runtime: %w", err)
+	}
+	return nil
+}
+
+// AdoptPairs opens the link ends PreparePairs prepared for pairs, in
+// order, on the calling goroutine; an entry that failed stays closed at
+// both ends. It returns how many entries it opened: the agreements the
+// schedule computed.
+func AdoptPairs(peers []*Peer, pairs []LinkPair, ends []channel.PairEnds) (agreed int) {
+	for k, pr := range pairs {
+		if peers[pr.From].adopt(pr.To, &ends[k], false) {
+			peers[pr.To].adopt(pr.From, &ends[k], true)
+			agreed++
+		}
+	}
+	return agreed
+}
+
+// adopt opens the peer's end of the link to id from pe (channel.Local.Adopt).
+func (p *Peer) adopt(id wire.NodeID, pe *channel.PairEnds, remote bool) bool {
+	p.openEnds()
+	if !p.local.Adopt(&p.ends[id], pe, remote) {
+		return false
+	}
+	p.links[id].state = linkOpen
+	p.stats.LinksEstablished++
+	return true
 }
 
 // pick marks id's entry for the next key-agreement batch if id is a

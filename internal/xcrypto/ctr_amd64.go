@@ -10,12 +10,6 @@ import "math/bits"
 // 16 bytes has each round wait for the one before it.
 
 //go:noescape
-func ctrBlocks1Asm(xk *[60]uint32, dst, src *[16]byte, ivlo, ivhi uint64)
-
-//go:noescape
-func ctrBlocks2Asm(xk *[60]uint32, dst, src *[32]byte, ivlo, ivhi uint64)
-
-//go:noescape
 func ctrBlocks4Asm(xk *[60]uint32, dst, src *[64]byte, ivlo, ivhi uint64)
 
 //go:noescape
@@ -50,26 +44,18 @@ func ctrKernel(xk *[60]uint32, dst, src []byte, lo, hi uint64) {
 		dst, src = dst[128:], src[128:]
 		lo, hi = add128(lo, hi, 8)
 	}
-	// What is left is at most 7 = 4 + 2 + 1 whole blocks and a partial one.
 	if len(src) >= 64 {
 		ctrBlocks4Asm(xk, (*[64]byte)(dst), (*[64]byte)(src), lo, hi)
 		dst, src = dst[64:], src[64:]
 		lo, hi = add128(lo, hi, 4)
 	}
-	if len(src) >= 32 {
-		ctrBlocks2Asm(xk, (*[32]byte)(dst), (*[32]byte)(src), lo, hi)
-		dst, src = dst[32:], src[32:]
-		lo, hi = add128(lo, hi, 2)
-	}
-	if len(src) >= 16 {
-		ctrBlocks1Asm(xk, (*[16]byte)(dst), (*[16]byte)(src), lo, hi)
-		dst, src = dst[16:], src[16:]
-		lo, hi = add128(lo, hi, 1)
-	}
+	// What is left is under four blocks: one four-block call over a copy
+	// on the stack costs less than a call per block size, the AES unit
+	// running the unused blocks beside the used ones.
 	if len(src) > 0 {
-		var block [16]byte
-		copy(block[:], src)
-		ctrBlocks1Asm(xk, &block, &block, lo, hi)
-		copy(dst, block[:len(src)])
+		var blocks [64]byte
+		copy(blocks[:], src)
+		ctrBlocks4Asm(xk, &blocks, &blocks, lo, hi)
+		copy(dst, blocks[:len(src)])
 	}
 }

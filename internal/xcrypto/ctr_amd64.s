@@ -73,27 +73,6 @@ GLOBL bswapMask<>(SB), RODATA|NOPTR, $16
 	PXOR   ks, X0; \
 	MOVUPS X0, off(DX)
 
-// func ctrBlocks1Asm(xk *[60]uint32, dst, src *[16]byte, ivlo, ivhi uint64)
-// Requires: AES, SSE, SSE2, SSE4.1, SSSE3
-TEXT ·ctrBlocks1Asm(SB), NOSPLIT, $0-40
-	ARGS
-	CTR(X1)
-	ENCRYPT(OP1)
-	XOR(0, X1)
-	RET
-
-// func ctrBlocks2Asm(xk *[60]uint32, dst, src *[32]byte, ivlo, ivhi uint64)
-// Requires: AES, SSE, SSE2, SSE4.1, SSSE3
-TEXT ·ctrBlocks2Asm(SB), NOSPLIT, $0-40
-	ARGS
-	CTR(X1)
-	NEXT
-	CTR(X2)
-	ENCRYPT(OP2)
-	XOR(0, X1)
-	XOR(16, X2)
-	RET
-
 // func ctrBlocks4Asm(xk *[60]uint32, dst, src *[64]byte, ivlo, ivhi uint64)
 // Requires: AES, SSE, SSE2, SSE4.1, SSSE3
 TEXT ·ctrBlocks4Asm(SB), NOSPLIT, $0-40

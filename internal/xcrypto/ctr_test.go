@@ -77,14 +77,15 @@ func ivAt(hi, lo uint64) []byte {
 	return iv
 }
 
-// TestCTRKernelEveryLength runs every length 0…255 — all the
-// 8/4/2/1-block and partial-tail shapes, with and without a leading
-// 8-block group — on both paths.
+// TestCTRKernelEveryLength holds both paths against crypto/cipher's CTR
+// at every length 0…256: every 8- and 4-block shape and every tail of
+// one to 63 bytes the kernel runs as one four-block call over a stack
+// copy, with and without a leading 8-block group, and two whole groups.
 func TestCTRKernelEveryLength(t *testing.T) {
 	keys := testKeys(5)
 	paths := ctrPaths(t, keys)
 	rng := rand.New(rand.NewSource(31))
-	for n := 0; n <= 255; n++ {
+	for n := 0; n <= 256; n++ {
 		iv := make([]byte, NonceSize)
 		rng.Read(iv)
 		src := make([]byte, n)
@@ -94,9 +95,9 @@ func TestCTRKernelEveryLength(t *testing.T) {
 }
 
 // TestCTRKernelCarry places the low limb's overflow at every block
-// position inside an 8-block group, then inside the 4-, 2- and 1-block
-// and partial tail that follow one, and runs the all-0xFF IV (the whole
-// counter wraps to zero after the first block).
+// position inside an 8-block group, then inside the 4-block group and
+// the stack-copied tail that follow one, and runs the all-0xFF IV (the
+// whole counter wraps to zero after the first block).
 func TestCTRKernelCarry(t *testing.T) {
 	keys := testKeys(9)
 	paths := ctrPaths(t, keys)

@@ -114,6 +114,13 @@ func NewLinkCiphers(keys []SessionKeys, ciphers []*LinkCipher, errs []error) {
 	}
 }
 
+// Init prepares the zero cipher c from keys, as NewLinkCipher prepares a
+// new one: a caller that prepares many ciphers at once carves them from
+// one array and prepares each in place.
+func (c *LinkCipher) Init(keys *SessionKeys) error {
+	return c.init(keys, haveCTRKernel, haveMACKernel)
+}
+
 // newLinkCipher is NewLinkCipher with the CTR and MAC paths named, so the
 // tests can hold each portable path against its kernel on a host that has
 // both. With both kernels it is one allocation: keys is read in place

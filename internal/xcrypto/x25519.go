@@ -6,6 +6,7 @@ import (
 	"encoding/binary"
 	"fmt"
 	"io"
+	"sync/atomic"
 )
 
 // BatchLanes is how many agreements, key pairs or signature checks one
@@ -112,24 +113,59 @@ func (kp *KeyPair) DeriveSessionKeysBatch(remotes [][PublicKeySize]byte, keys []
 // of at least minLanes keys; the tests run it at 1. It returns how many
 // agreements the kernel computed.
 func (kp *KeyPair) deriveBatch(remotes [][PublicKeySize]byte, keys []SessionKeys, errs []error, minLanes int) (kernelLanes int) {
-	var (
-		shared [BatchLanes][32]byte
-		sched  [256]uint8
-		ready  bool
-	)
+	// Every lane climbs by the one private scalar, so one schedule serves
+	// every group.
+	locals := [BatchLanes]*KeyPair{kp, kp, kp, kp, kp, kp, kp, kp}
+	var sched *[256]uint8
+	if haveX25519Kernel && len(remotes) >= minLanes {
+		lanes := [BatchLanes][32]byte{kp.scalar, kp.scalar, kp.scalar, kp.scalar, kp.scalar, kp.scalar, kp.scalar, kp.scalar}
+		s := laneSchedule(&lanes)
+		sched = &s
+	}
+	for len(remotes) > 0 {
+		n := min(len(remotes), BatchLanes)
+		kernelLanes += derivePairs(locals[:n], remotes[:n], keys, errs, minLanes, sched)
+		remotes, keys, errs = remotes[n:], keys[n:], errs[n:]
+	}
+	return kernelLanes
+}
+
+// DeriveSessionKeysPairs is DeriveSessionKeys for pairs whose local key
+// pairs differ: keys[i] and errs[i] are what
+// locals[i].DeriveSessionKeys(remotes[i]) returns, byte for byte and
+// error for error. keys and errs must be at least as long as remotes, and
+// locals as long. Where the CPU has the kernel, each group of up to eight
+// pairs costs one eight-lane ladder, each lane climbing by its own pair's
+// scalar: the schedule and kernel GenerateKeyPairs runs.
+func DeriveSessionKeysPairs(locals []*KeyPair, remotes [][PublicKeySize]byte, keys []SessionKeys, errs []error) {
+	derivePairs(locals, remotes, keys, errs, x25519BatchMin, nil)
+}
+
+// derivePairs is DeriveSessionKeysPairs with the kernel taking every group
+// of at least minLanes pairs; the tests run it at 1. A non-nil sched is
+// the lane schedule of every group, for callers whose lanes all carry one
+// scalar; nil builds each group's from locals. It returns how many
+// agreements the kernel computed.
+func derivePairs(locals []*KeyPair, remotes [][PublicKeySize]byte, keys []SessionKeys, errs []error, minLanes int, sched *[256]uint8) (kernelLanes int) {
+	var lanes, shared [BatchLanes][32]byte
 	for len(remotes) > 0 {
 		n := min(len(remotes), BatchLanes)
 		kernel := haveX25519Kernel && n >= minLanes
 		if kernel {
-			if !ready {
-				// Every lane climbs by the one private scalar.
-				lanes := [BatchLanes][32]byte{kp.scalar, kp.scalar, kp.scalar, kp.scalar, kp.scalar, kp.scalar, kp.scalar, kp.scalar}
-				sched, ready = laneSchedule(&lanes), true
+			s := sched
+			if s == nil {
+				for i, kp := range locals[:n] {
+					lanes[i] = kp.scalar
+				}
+				built := laneSchedule(&lanes)
+				s = &built
 			}
-			x25519Kernel(&sched, remotes[:n], shared[:n])
+			x25519Kernel(s, remotes[:n], shared[:n])
+			kernelCalls.Add(1)
+			kernelAgreements.Add(uint64(n))
 			kernelLanes += n
 		}
-		for i := range n {
+		for i, kp := range locals[:n] {
 			// A low-order remote key gives the all-zero secret; crypto/ecdh
 			// then says why in its own words.
 			if !kernel || shared[i] == [32]byte{} {
@@ -138,9 +174,32 @@ func (kp *KeyPair) deriveBatch(remotes [][PublicKeySize]byte, keys []SessionKeys
 				keys[i], errs[i] = kp.sessionKeys(shared[i][:], &remotes[i]), nil
 			}
 		}
-		remotes, keys, errs = remotes[n:], keys[n:], errs[n:]
+		locals, remotes, keys, errs = locals[n:], remotes[n:], keys[n:], errs[n:]
 	}
+	clear(lanes[:])
+	clear(shared[:])
 	return kernelLanes
+}
+
+// X25519Kernel reports whether this build and CPU run the eight-lane
+// ladder: where not, every agreement goes through crypto/ecdh.
+func X25519Kernel() bool { return haveX25519Kernel }
+
+// Process-wide counts of the X25519 agreements computed, by path
+// (Agreements).
+var kernelCalls, kernelAgreements, ecdhAgreements atomic.Uint64
+
+// AgreementCounts is how the agreements a process computed were computed:
+// KernelCalls eight-lane kernel calls, which computed KernelAgreements of
+// them, and ECDH through crypto/ecdh one at a time.
+type AgreementCounts struct {
+	KernelCalls, KernelAgreements, ECDH uint64
+}
+
+// Agreements returns the process's AgreementCounts so far. Key pair
+// generation is not an agreement and is not counted.
+func Agreements() AgreementCounts {
+	return AgreementCounts{KernelCalls: kernelCalls.Load(), KernelAgreements: kernelAgreements.Load(), ECDH: ecdhAgreements.Load()}
 }
 
 // laneSchedule clamps the eight scalars and lays them out for the ladder:

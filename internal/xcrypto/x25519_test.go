@@ -238,6 +238,60 @@ func FuzzX25519Batch(f *testing.F) {
 	})
 }
 
+// checkPairs holds the mixed-scalar batch against DeriveSessionKeys, the
+// crypto/ecdh path, pair by pair — the same keys and the same error — at
+// every lane count from 1 to len(remotes): through derivePairs at minLanes
+// 1, every group through the kernel where the CPU has it, and through
+// DeriveSessionKeysPairs.
+func checkPairs(tb testing.TB, locals []*KeyPair, remotes [][32]byte) {
+	tb.Helper()
+	keys := make([]SessionKeys, len(remotes))
+	errs := make([]error, len(remotes))
+	for n := 1; n <= len(remotes); n++ {
+		for _, minLanes := range []int{1, x25519BatchMin} {
+			clear(keys)
+			clear(errs)
+			derivePairs(locals[:n], remotes[:n], keys, errs, minLanes, nil)
+			for i, r := range remotes[:n] {
+				want, wantErr := locals[i].DeriveSessionKeys(r)
+				if fmt.Sprint(errs[i]) != fmt.Sprint(wantErr) {
+					tb.Fatalf("pair %d of %d (minLanes %d), u=%x: err %v, crypto/ecdh says %v", i, n, minLanes, r, errs[i], wantErr)
+				}
+				if keys[i] != want {
+					tb.Fatalf("pair %d of %d (minLanes %d), u=%x: session keys differ from crypto/ecdh's", i, n, minLanes, r)
+				}
+			}
+		}
+	}
+}
+
+// FuzzX25519Pairs holds the mixed-scalar batch, each lane with its own
+// scalar, against crypto/ecdh on any scalars and any 32-byte remote keys,
+// at every lane count from 1 to 9 (a full group and one more). The seed
+// corpus in testdata holds low-order and at-or-above-p remote keys beside
+// ordinary ones, under distinct scalars and under both clamping extremes.
+func FuzzX25519Pairs(f *testing.F) {
+	f.Add(make([]byte, 32), byte(8), make([]byte, 9*32))
+	f.Fuzz(func(t *testing.T, scalars []byte, lanes byte, points []byte) {
+		n := 1 + int(lanes)%(BatchLanes+1)
+		locals := make([]*KeyPair, n)
+		remotes := make([][32]byte, n)
+		for i := range n {
+			var s [32]byte
+			for j := range s {
+				if len(scalars) > 0 {
+					s[j] = scalars[(32*i+j)%len(scalars)]
+				}
+				if len(points) > 0 {
+					remotes[i][j] = points[(32*i+j)%len(points)]
+				}
+			}
+			locals[i] = keyPairFrom(t, s)
+		}
+		checkPairs(t, locals, remotes)
+	})
+}
+
 // BenchmarkX25519Batch times one agreement per lane on each path at 1, 2,
 // 4 and 8 lanes: crypto/ecdh one by one, and one kernel call per group.
 func BenchmarkX25519Batch(b *testing.B) {

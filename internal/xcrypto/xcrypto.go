@@ -134,6 +134,7 @@ func (kp *KeyPair) Public() [PublicKeySize]byte {
 // same keys because the KDF input orders the two public keys canonically.
 func (kp *KeyPair) DeriveSessionKeys(remote [PublicKeySize]byte) (SessionKeys, error) {
 	var keys SessionKeys
+	ecdhAgreements.Add(1)
 	remotePub, err := ecdh.X25519().NewPublicKey(remote[:])
 	if err != nil {
 		return keys, fmt.Errorf("xcrypto: parse remote public key: %w", err)
