@@ -44,7 +44,6 @@ package main
 import (
 	"flag"
 	"fmt"
-	mrand "math/rand"
 	"net"
 	"os"
 	"os/signal"
@@ -55,6 +54,7 @@ import (
 	"sgxp2p/internal/chaos"
 	"sgxp2p/internal/deploy"
 	"sgxp2p/internal/enclave"
+	"sgxp2p/internal/keyed"
 	"sgxp2p/internal/runtime"
 	"sgxp2p/internal/scenario"
 	"sgxp2p/internal/tcpnet"
@@ -124,13 +124,12 @@ func run(args []string) error {
 	// Setup phase: launch and attest this node's own enclave, seeded from
 	// the demo secret so a relaunched incarnation announces the same
 	// quote and initial sequence number.
-	service, err := enclave.NewAttestationService(mrand.New(mrand.NewSource(demoSecret)))
+	service, err := enclave.NewAttestationService(keyed.Stream(demoSecret, keyed.Attestation, 0))
 	if err != nil {
 		return err
 	}
 	program := []byte("sgxp2p/p2pnode/v1")
-	rng := mrand.New(mrand.NewSource(demoSecret ^ int64(*id+1)*0x9E3779B9))
-	encl, err := enclave.Launch(program, self, rng, enclave.NewWallClock())
+	encl, err := enclave.Launch(program, self, keyed.Stream(demoSecret, keyed.Enclave, uint64(self)), enclave.NewWallClock())
 	if err != nil {
 		return err
 	}

@@ -28,12 +28,13 @@ package adversary
 
 import (
 	"fmt"
-	"math/rand"
+	"math/rand/v2"
 	"slices"
 	"strconv"
 	"strings"
 	"time"
 
+	"sgxp2p/internal/keyed"
 	"sgxp2p/internal/runtime"
 	"sgxp2p/internal/wire"
 )
@@ -198,7 +199,8 @@ type OS struct {
 	inner   runtime.Transport
 	handler func(src wire.NodeID, payload []byte)
 	seed    int64
-	rng     *rand.Rand // corruption bits, drain coins, forged bytes; built on first use
+	src     *rand.ChaCha8 // corruption bits, drain coins, forged bytes; keyed on first use
+	rng     *rand.Rand    // src, for bounded draws
 	b       Behavior
 	coin    *rand.Rand // the behaviour's own draws (omit-p, epoch-p)
 	active  bool       // epoch-p: misbehaving this epoch; false for every other kind
@@ -212,18 +214,19 @@ type OS struct {
 
 var _ runtime.Transport = (*OS)(nil)
 
-// Wrap builds an OS around a genuine transport with behaviour b. seed
-// drives the OS's own draws (corruption bits, drain coins, forged bytes).
+// Wrap builds node id's OS around a genuine transport with behaviour b,
+// in a deployment seeded with seed (New).
 func Wrap(id wire.NodeID, inner runtime.Transport, b Behavior, seed int64) *OS {
-	o := &OS{id: id, inner: inner, seed: seed}
+	o := New(id, inner, seed)
 	o.Set(b)
 	return o
 }
 
 // New builds node id's OS in a deployment seeded with seed: honest, its
-// own draws seeded seed ^ (id+1)·0x5ca1ab1e.
+// own draws (corruption bits, drain coins, forged bytes) the keyed stream
+// (seed, keyed.OS, id).
 func New(id wire.NodeID, inner runtime.Transport, seed int64) *OS {
-	return &OS{id: id, inner: inner, seed: seed ^ int64(id+1)*0x5ca1ab1e}
+	return &OS{id: id, inner: inner, seed: seed}
 }
 
 // Set switches the OS to behaviour b, building b's state afresh: the
@@ -232,7 +235,7 @@ func New(id wire.NodeID, inner runtime.Transport, seed int64) *OS {
 func (o *OS) Set(b Behavior) {
 	o.b, o.coin, o.active = b, nil, false
 	if b.kind == omitP || b.kind == epochP {
-		o.coin = rand.New(rand.NewSource(b.seed))
+		o.coin = rand.New(keyed.Stream(b.seed, keyed.Coin, 0))
 		o.NewEpoch(0)
 	}
 }
@@ -294,8 +297,8 @@ func (o *OS) Send(dst wire.NodeID, payload []byte) {
 		o.stats.Corrupted++
 		bad := append([]byte(nil), payload...)
 		if len(bad) > 0 {
-			i := o.rand().Intn(len(bad))
-			bad[i] ^= 1 << uint(o.rand().Intn(8))
+			i := o.rand().IntN(len(bad))
+			bad[i] ^= 1 << uint(o.rand().IntN(8))
 		}
 		o.transmit(dst, bad)
 	default:
@@ -304,10 +307,11 @@ func (o *OS) Send(dst wire.NodeID, payload []byte) {
 	}
 }
 
-// rand returns the OS's own rng, seeding it on first use.
+// rand returns the OS's own rng, keying it on first use.
 func (o *OS) rand() *rand.Rand {
 	if o.rng == nil {
-		o.rng = rand.New(rand.NewSource(o.seed))
+		o.src = keyed.Stream(o.seed, keyed.OS, uint64(o.id))
+		o.rng = rand.New(o.src)
 	}
 	return o.rng
 }
@@ -354,7 +358,7 @@ func (o *OS) Drain() (released, discarded int) {
 	held := o.held
 	o.held = nil
 	for _, h := range held {
-		if o.rand().Intn(2) == 0 {
+		if o.rand().IntN(2) == 0 {
 			o.stats.Delivered++
 			o.transmit(h.dst, h.payload)
 			released++
@@ -380,7 +384,8 @@ func (o *OS) ReplayTape() int {
 // available approximation of message forgery (A2) without enclave keys.
 func (o *OS) InjectForged(dst wire.NodeID, size int) {
 	buf := make([]byte, size)
-	o.rand().Read(buf)
+	o.rand()
+	o.src.Read(buf) // ChaCha8.Read fills buf and never fails
 	o.stats.Forged++
 	o.transmit(dst, buf)
 }

@@ -2,10 +2,10 @@ package baseline
 
 import (
 	"fmt"
-	"math/rand"
 	"time"
 
 	"sgxp2p/internal/adversary"
+	"sgxp2p/internal/keyed"
 	"sgxp2p/internal/parallel"
 	"sgxp2p/internal/simnet"
 	"sgxp2p/internal/vclock"
@@ -66,8 +66,7 @@ func NewDeployment(opts DeployOptions) (*Deployment, error) {
 		d.Keys = make([]*xcrypto.SigningKey, opts.N)
 		roster.Keys = make([]xcrypto.VerifyKey, opts.N)
 		err := parallel.ForEach(opts.N, func(i int) error {
-			rng := rand.New(rand.NewSource(opts.Seed ^ int64(i+1)*0x51ED))
-			key, kerr := xcrypto.GenerateSigningKey(rng)
+			key, kerr := xcrypto.GenerateSigningKey(keyed.Stream(opts.Seed, keyed.Signing, uint64(i)))
 			if kerr != nil {
 				return fmt.Errorf("baseline: key %d: %w", i, kerr)
 			}

@@ -419,6 +419,31 @@ func EstablishPairs(ends []PairEnds, pair func(k int) Pair) error {
 	return first
 }
 
+// CarveNonces fetches the nonce pools of the real-sealer Locals among
+// local(0..n-1) — nil skips an index — that have none yet, their
+// enclaves' pools carved from one array (enclave.CarveNoncePools): a
+// link schedule opening a whole mesh pays one object for them, not one
+// per enclave at its first real link.
+func CarveNonces(n int, local func(i int) *Local) {
+	bare := func(i int) *Local {
+		if lc := local(i); lc != nil && lc.model == nil && lc.nonces == nil && lc.encl != nil {
+			return lc
+		}
+		return nil
+	}
+	enclave.CarveNoncePools(n, func(i int) *enclave.Enclave {
+		if lc := bare(i); lc != nil {
+			return lc.encl
+		}
+		return nil
+	})
+	for i := range n {
+		if lc := bare(i); lc != nil {
+			lc.nonces = lc.encl.NonceReader()
+		}
+	}
+}
+
 // Adopt opens e from pe, which EstablishPairs prepared, as the pair's
 // local end or, when remote is set, as its remote end. It reports whether
 // it opened e: a failed pair's ends stay as they were.

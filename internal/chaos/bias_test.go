@@ -146,9 +146,12 @@ func TestERNGOptimizedUnbiasedUnderOmission(t *testing.T) {
 // This is inherited from Algorithm 6, whose analysis implicitly assumes
 // every node observes the same Schosen; fixing it would mean reliably
 // broadcasting cluster membership (an extra ERB round). Until then the
-// divergence is pinned here so a future fix flips this test.
+// divergence is pinned here so a future fix flips this test. The seed is
+// the first offset from 0xB1A5<<8 whose cluster draw shows the split
+// under the keyed draws (DESIGN.md §8): of offsets 0–44, 8, 23 and 44
+// split.
 func TestOptimizedSelectiveChosenSplit(t *testing.T) {
-	const seed = int64(0xB1A5<<8) + 59
+	const seed = int64(0xB1A5<<8) + 8
 	sched := NewSchedule()
 	for _, node := range []wire.NodeID{5, 6, 7} {
 		sched.FlipBehavior(node, 1, adversary.OmitTo(below(4)...))

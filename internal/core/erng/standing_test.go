@@ -85,21 +85,22 @@ func writeResult(h hash.Hash, node int, decided bool, r erng.Result) {
 }
 
 // TestStandingSampledBeaconIdentity pins 30 epochs of the benchmark's
-// sampled beacon at seed 1 to what they produced before the epoch state
-// became dense id sets and FINAL sets were tallied by content: every
-// node's decision and cluster view, the traffic and the trace. A change
-// to how a node keeps its epoch state must not change what it does.
+// sampled beacon at seed 1: every node's decision and cluster view, the
+// traffic and the trace. A change to how a node keeps its epoch state
+// must not change what it does. The constants held from before the epoch
+// state became dense id sets until every stream became keyed by what it
+// is for (DESIGN.md §8), which re-drew the clusters and was re-recorded.
 func TestStandingSampledBeaconIdentity(t *testing.T) {
 	if testing.Short() {
 		t.Skip("30 real-crypto epochs at N = 256")
 	}
 	got := runStandingSampled(t, 1, 30)
 	want := standingIdentity{
-		results: "7ac8dae314dee48ae5e4a1fb80ce67ce438fe9336063f6e130d09790dbf193ed",
-		views:   "06436a54694f1bc28bc68f484dc4419897b918815289e3477ce3e0fc1d840243",
-		traffic: simnet.Traffic{Messages: 560190, Bytes: 129037650},
-		events:  1667259,
-		trace:   12403396969977796194,
+		results: "089cd5cc2cf5c671a4d4634ddd50ca23ff5be373104a4ced0624711fe914ccfd",
+		views:   "6a312bbc664578e2c305758fdbf3378feba6df24ce5995fb63eb2883547e7acb",
+		traffic: simnet.Traffic{Messages: 568424, Bytes: 130912858},
+		events:  1696655,
+		trace:   1829107760167761799,
 	}
 	if got != want {
 		t.Fatalf("30 sampled epochs at seed 1:\n got %+v\nwant %+v", got, want)

@@ -30,13 +30,14 @@ package deploy
 import (
 	"fmt"
 	"io"
-	"math/rand"
+	"math/rand/v2"
 	goruntime "runtime"
 	"time"
 
 	"sgxp2p/internal/adversary"
 	"sgxp2p/internal/channel"
 	"sgxp2p/internal/enclave"
+	"sgxp2p/internal/keyed"
 	"sgxp2p/internal/parallel"
 	"sgxp2p/internal/runtime"
 	"sgxp2p/internal/simnet"
@@ -68,7 +69,8 @@ type Options struct {
 	// match the paper's testbed.
 	Bandwidth float64
 	// Seed makes the whole deployment deterministic: network jitter and
-	// every enclave's randomness derive from it. Seed 0 is valid.
+	// every enclave's randomness derive from it, each stream keyed by
+	// what it is for (internal/keyed). Seed 0 is valid.
 	Seed int64
 	// RealCrypto selects the real AES+HMAC sealer instead of the
 	// size-identical model sealer. Experiments default to the model
@@ -186,8 +188,7 @@ func New(opts Options) (*Deployment, error) {
 		net.EnableLanes()
 	}
 
-	masterRNG := rand.New(rand.NewSource(opts.Seed ^ 0x5eed))
-	service, err := enclave.NewAttestationService(masterRNG)
+	service, err := enclave.NewAttestationService(keyed.Stream(opts.Seed, keyed.Attestation, 0))
 	if err != nil {
 		return nil, fmt.Errorf("deploy: attestation service: %w", err)
 	}
@@ -211,8 +212,10 @@ func New(opts Options) (*Deployment, error) {
 	enclOpts := d.enclaveOptions()
 	// Phase 1 (parallel): launch and attest every enclave, a group of
 	// xcrypto.BatchLanes per worker so that the group's key pairs share a
-	// ladder. Each enclave draws only from its own seeded RNG and writes
-	// index-distinct slots, so the result is independent of the pool size.
+	// ladder. Each enclave draws only from its own keyed stream, carved
+	// with the others from one array, and writes index-distinct slots, so
+	// the result is independent of the pool size.
+	streams := make([]rand.ChaCha8, opts.N)
 	groups := (opts.N + xcrypto.BatchLanes - 1) / xcrypto.BatchLanes
 	err = parallel.ForEach(groups, func(g int) error {
 		lo, hi := g*xcrypto.BatchLanes, min((g+1)*xcrypto.BatchLanes, opts.N)
@@ -224,7 +227,8 @@ func New(opts Options) (*Deployment, error) {
 		for i := range hi - lo {
 			id := lo + i
 			ids[i] = wire.NodeID(id)
-			rngs[i] = rand.New(rand.NewSource(opts.Seed ^ int64(id+1)*0x9E3779B9))
+			streams[id].Seed(keyed.Seed(opts.Seed, keyed.Enclave, uint64(id)))
+			rngs[i] = &streams[id]
 			clocks[i] = d.clock(wire.NodeID(id))
 		}
 		encls, lerr := enclave.LaunchBatch(DefaultProgram, ids[:hi-lo], rngs[:hi-lo], clocks[:hi-lo], enclOpts...)

@@ -17,21 +17,22 @@ import (
 // frames, same bytes, same order.
 //
 // Two fingerprints are pinned per scenario. The tag-masked pair skips
-// each envelope's trailing 32 tag bytes and still carries the values
-// recorded on the pre-coalescing tree's envelope stream (PR 5): frame
-// count, order, sizes, headers and payloads have not moved since. The
-// full-envelope pair also covers the tag bytes, so it moves whenever the
-// sealer's checksum does: it was re-recorded when the ModelSealer's
-// byte-serial FNV-1a became the word-parallel keyed fold (PR 12), and
-// the tag-masked pair — pinned on the parent tree first, unchanged
-// after — is the proof that only the tag bytes changed. A change in the
-// masked pair means the unbatched wire format or send schedule drifted.
+// each envelope's trailing 32 tag bytes: frame count, order, sizes,
+// headers and payloads. Payloads carry enclave draws (values, sequence
+// numbers), so both pairs were re-recorded once, when every stream became
+// keyed by what it is for (DESIGN.md §8); before that the masked pair had
+// not moved since the pre-coalescing tree. The full-envelope pair also
+// covers the tag bytes, so it moves whenever the sealer's checksum does:
+// it was re-recorded when the ModelSealer's byte-serial FNV-1a became the
+// word-parallel keyed fold, and the unchanged tag-masked pair was the
+// proof that only the tag bytes changed. A change in the masked pair
+// means the unbatched wire format, send schedule or a draw drifted.
 const (
-	goldenERBWireHash  uint64 = 0x492e49ab4f39ec89
-	goldenERNGWireHash uint64 = 0xd109dbb9c385aedd
+	goldenERBWireHash  uint64 = 0xf2b5ebfc917b4dcd
+	goldenERNGWireHash uint64 = 0x4ed55b9a8f77d501
 
-	goldenERBMaskedHash  uint64 = 0x1a55961a2745ab11
-	goldenERNGMaskedHash uint64 = 0xa6158b2bbd43af55
+	goldenERBMaskedHash  uint64 = 0xb3e53fcd8c9185bd
+	goldenERNGMaskedHash uint64 = 0xbb0b5cc51d787441
 )
 
 // fnvHash is a running FNV-1a fingerprint.
@@ -229,18 +230,18 @@ func runGoldenMux(t *testing.T, opts deploy.Options, k, inFlight int) *wireHashe
 // batching on: the coalesced frames — which messages share a container,
 // in what order, which containers invite a frame-cumulative ACK, and the
 // frame ACKs themselves — are pinned byte for byte under the model
-// sealer, tag-masked and in full. The values were recorded before the
-// outbox built its containers from a per-peer window log, and hold after.
+// sealer, tag-masked and in full. The values were recorded with the keyed
+// draws (the unbatched pair's note says why they moved).
 func TestBatchedWireStreamGolden(t *testing.T) {
 	for _, sc := range []struct {
 		name         string
 		run          func() *wireHasher
 		full, masked uint64
 	}{
-		{"ERB N=5", func() *wireHasher { return runGoldenERB(t, deploy.Options{N: 5, T: 2, Seed: 1}) }, 0x492e49ab4f39ec89, 0x1a55961a2745ab11},
-		{"ERB N=17", func() *wireHasher { return runGoldenERB(t, deploy.Options{N: 17, T: 8, Seed: 11}) }, 0xca9ecd8d25669b21, 0x353244c9415a9e49},
-		{"BroadcastMany N=16", func() *wireHasher { return runGoldenMux(t, deploy.Options{N: 16, T: 7, Seed: 5}, 24, 8) }, 0xe1cd3cdf9e683ca9, 0xb431d10af9098d09},
-		{"ERNG N=9", func() *wireHasher { return runGoldenERNG(t, deploy.Options{N: 9, T: 4, Seed: 3}) }, 0x1b7f87cf8790ae85, 0x8d06d59d0a090475},
+		{"ERB N=5", func() *wireHasher { return runGoldenERB(t, deploy.Options{N: 5, T: 2, Seed: 1}) }, 0xf2b5ebfc917b4dcd, 0xb3e53fcd8c9185bd},
+		{"ERB N=17", func() *wireHasher { return runGoldenERB(t, deploy.Options{N: 17, T: 8, Seed: 11}) }, 0x7e9182ac8c4fce31, 0xf17be3c488114491},
+		{"BroadcastMany N=16", func() *wireHasher { return runGoldenMux(t, deploy.Options{N: 16, T: 7, Seed: 5}, 24, 8) }, 0x5f00d44a9fc01d7e, 0x9be1274bb8637476},
+		{"ERNG N=9", func() *wireHasher { return runGoldenERNG(t, deploy.Options{N: 9, T: 4, Seed: 3}) }, 0x302d7c3eb909a1f9, 0x9a87999e3b9cc769},
 	} {
 		got := sc.run()
 		if m := uint64(got.masked); m != sc.masked {

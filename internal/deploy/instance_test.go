@@ -3,7 +3,6 @@ package deploy_test
 import (
 	"errors"
 	"io/fs"
-	"math/rand"
 	"os"
 	"path/filepath"
 	"reflect"
@@ -14,6 +13,7 @@ import (
 	"sgxp2p/internal/core/erng"
 	"sgxp2p/internal/deploy"
 	"sgxp2p/internal/enclave"
+	"sgxp2p/internal/keyed"
 	"sgxp2p/internal/runtime"
 	"sgxp2p/internal/scenario"
 	"sgxp2p/internal/wire"
@@ -333,7 +333,7 @@ func TestJoinPostState(t *testing.T) {
 	}
 	// The joiner's enclave is a function of the seed and its id (Restart
 	// relies on the same): replay it for the number it drew.
-	rng := rand.New(rand.NewSource(seed ^ int64(newID+1)*0x9E3779B9))
+	rng := keyed.Stream(seed, keyed.Enclave, uint64(newID))
 	encl, err := enclave.Launch(deploy.DefaultProgram, newID, rng, d.Net.Port(newID), enclave.WithModelKEX())
 	if err != nil {
 		t.Fatal(err)

@@ -5,10 +5,10 @@ import (
 	"encoding/binary"
 	"errors"
 	"fmt"
-	"math/rand"
 
 	"sgxp2p/internal/core/erb"
 	"sgxp2p/internal/enclave"
+	"sgxp2p/internal/keyed"
 	"sgxp2p/internal/runtime"
 	"sgxp2p/internal/wire"
 )
@@ -71,7 +71,7 @@ func (d *Deployment) Join(opts JoinOptions) (wire.NodeID, error) {
 
 	// Launch and attest the joiner's enclave.
 	newID := d.Net.AddNode()
-	rng := rand.New(rand.NewSource(d.Opts.Seed ^ int64(newID+1)*0x9E3779B9))
+	rng := keyed.Stream(d.Opts.Seed, keyed.Enclave, uint64(newID))
 	encl, err := enclave.Launch(DefaultProgram, newID, rng, d.clock(newID), d.enclaveOptions()...)
 	if err != nil {
 		return wire.NoNode, fmt.Errorf("deploy: joiner enclave: %w", err)

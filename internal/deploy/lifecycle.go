@@ -3,11 +3,11 @@ package deploy
 import (
 	"errors"
 	"fmt"
-	"math/rand"
 
 	"sgxp2p/internal/adversary"
 	"sgxp2p/internal/channel"
 	"sgxp2p/internal/enclave"
+	"sgxp2p/internal/keyed"
 	"sgxp2p/internal/overlay"
 	"sgxp2p/internal/runtime"
 	"sgxp2p/internal/wire"
@@ -160,7 +160,7 @@ func (d *Deployment) Restart(id wire.NodeID) error {
 	}
 
 	// Reboot: same seed, same rng stream, same enclave identity.
-	rng := rand.New(rand.NewSource(d.Opts.Seed ^ int64(id+1)*0x9E3779B9))
+	rng := keyed.Stream(d.Opts.Seed, keyed.Enclave, uint64(id))
 	encl, err := enclave.Launch(DefaultProgram, id, rng, d.clock(id), d.enclaveOptions()...)
 	if err != nil {
 		return fmt.Errorf("deploy: restart enclave %d: %w", id, err)

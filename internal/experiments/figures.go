@@ -85,15 +85,32 @@ func runBasicERNG(cfg Config, n int) (erngRun, error) {
 	return run, err
 }
 
-// runOptERNG executes one optimized ERNG epoch (auto mode: the paper's
-// 2N/3 fallback below the sampled threshold).
-func runOptERNG(cfg Config, n int) (erngRun, error) {
+// runOptERNG runs k optimized ERNG epochs (auto mode: the paper's 2N/3
+// fallback below the sampled threshold) on one deployment and reports
+// their mean traffic per epoch, OK when every epoch was. One epoch's
+// count follows its cluster draw: fitted over single epochs at N = 8, 16,
+// 32, the growth exponent ranged from 2.1 to 3.6 across seeds 1–12, over
+// means of 32 epochs from 2.80 to 3.00 (Algorithm 3: 3.07).
+func runOptERNG(cfg Config, n, k int) (erngRun, error) {
 	byz := n / 3
 	d, err := paperDeployment(cfg, n, byz, erngOptPeakBytes(n))
 	if err != nil {
 		return erngRun{}, err
 	}
-	return measureEpoch(d, byz, true)
+	mean := erngRun{OK: true}
+	for range k {
+		d.Net.ResetTraffic()
+		run, rerr := measureEpoch(d, byz, true)
+		if rerr != nil {
+			return erngRun{}, rerr
+		}
+		mean.Messages += run.Messages
+		mean.Bytes += run.Bytes
+		mean.OK = mean.OK && run.OK
+	}
+	mean.Messages /= uint64(k)
+	mean.Bytes /= uint64(k)
+	return mean, nil
 }
 
 // measureEpoch runs one honest ERNG epoch over d and measures it; OK is
@@ -284,7 +301,7 @@ func Fig3b(cfg Config) (*Table, error) {
 			}
 			return run, nil
 		}
-		run, rerr := runOptERNG(cfg, n)
+		run, rerr := runOptERNG(cfg, n, 1)
 		if rerr != nil {
 			return erngRun{}, fmt.Errorf("fig3b optimized N=%d: %w", n, rerr)
 		}

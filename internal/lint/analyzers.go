@@ -3,8 +3,9 @@ package lint
 // DeterministicPackages are the import paths (and subtrees) whose non-test
 // code must be bit-for-bit replayable: the protocol cores the chaos engine
 // replays under fixed seeds, the virtual clock and simulated network that
-// define the replayed timeline, and the adversary whose choices are part of
-// the schedule. The live transports (tcpnet's real sockets, scenario's real
+// define the replayed timeline, the adversary whose choices are part of
+// the schedule, and the deployment assembly that keys every stream they
+// draw from. The live transports (tcpnet's real sockets, scenario's real
 // child processes) are wall-clock by definition and nothing replays them,
 // so they are not listed.
 var DeterministicPackages = []string{
@@ -18,6 +19,7 @@ var DeterministicPackages = []string{
 	"sgxp2p/internal/wire",
 	"sgxp2p/internal/channel",
 	"sgxp2p/internal/beacon",
+	"sgxp2p/internal/deploy",
 }
 
 // Analyzers returns the full p2plint battery, one analyzer per invariant,

@@ -25,12 +25,17 @@ import (
 //     Float64, Perm, Shuffle, Seed, Read, ...) — process-global, unseeded
 //     state; construct a seeded *rand.Rand or use enclave randomness
 //     (enclave.ReadRand / RandomValue) instead.
-//   - rand.New(rand.NewSource(...)) and methods on the seeded value stay
-//     legal: that is the form every deterministic component uses.
+//   - math/rand's v1 constructors (New, NewSource, NewZipf): a v1 source
+//     costs 4.9 KB and microseconds to seed, and one stream shared by
+//     several jobs couples them; key a math/rand/v2 stream by what it is
+//     for (internal/keyed) instead.
+//   - math/rand/v2's seeded constructors (NewChaCha8, NewPCG, New over
+//     them) and methods on the seeded value stay legal: that is the form
+//     every deterministic component uses.
 var DetrandAnalyzer = &Analyzer{
 	Name: "detrand",
-	Doc: "forbids wall-clock reads, OS timers and global/unseeded math/rand in deterministic packages " +
-		"(use the virtual clock and its scheduling, a seeded *rand.Rand, or enclave randomness)",
+	Doc: "forbids wall-clock reads, OS timers, global/unseeded math/rand and math/rand's v1 constructors in deterministic packages " +
+		"(use the virtual clock and its scheduling, a keyed math/rand/v2 stream, or enclave randomness)",
 	Packages: DeterministicPackages,
 	Run:      runDetrand,
 }
@@ -73,7 +78,10 @@ func runDetrand(pass *Pass) error {
 			case "math/rand", "math/rand/v2":
 				switch obj.Name() {
 				case "New", "NewSource", "NewZipf", "NewChaCha8", "NewPCG":
-					// Seeded constructors are the sanctioned form.
+					if pkgPathOf(obj) == "math/rand" {
+						pass.Reportf(sel.Pos(), "rand.%s builds a math/rand v1 generator; key a math/rand/v2 stream by what it is for (internal/keyed)", obj.Name())
+					}
+					// math/rand/v2's seeded constructors are the sanctioned form.
 				default:
 					pass.Reportf(sel.Pos(), "global rand.%s uses process-wide unseeded state; use a seeded *rand.Rand or enclave randomness", obj.Name())
 				}

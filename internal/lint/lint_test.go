@@ -29,7 +29,7 @@ func TestScopes(t *testing.T) {
 		{DetrandAnalyzer, "sgxp2p/internal/telemetry", true},
 		{DetrandAnalyzer, "sgxp2p/internal/tcpnet", false},   // real sockets: wall-clock by definition
 		{DetrandAnalyzer, "sgxp2p/internal/scenario", false}, // real child processes, likewise
-		{DetrandAnalyzer, "sgxp2p/internal/deploy", false},
+		{DetrandAnalyzer, "sgxp2p/internal/deploy", true},    // keys every stream a deployment draws from
 		{DroperrAnalyzer, "sgxp2p/cmd/p2ptrace", true},
 		{DetrandAnalyzer, "sgxp2p/internal/corebis", false}, // prefix must respect path boundaries
 		{DetrandAnalyzer, "sgxp2p/internal/experiments", false},

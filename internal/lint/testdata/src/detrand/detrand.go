@@ -5,6 +5,7 @@ package detrand
 
 import (
 	"math/rand"
+	randv2 "math/rand/v2"
 	"time"
 )
 
@@ -21,10 +22,23 @@ func globalRand() int {
 	return n
 }
 
-// seeded is the sanctioned form: explicit seed, local generator.
-func seeded(seed int64) int {
-	rng := rand.New(rand.NewSource(seed))
+// seededV1 is a seeded generator, but a math/rand v1 one: refused.
+func seededV1(seed int64) int {
+	rng := rand.New(rand.NewSource(seed)) // want "rand.New builds a math/rand v1 generator" // want "rand.NewSource builds a math/rand v1 generator"
 	return rng.Intn(10)
+}
+
+// seeded is the sanctioned form: a math/rand/v2 stream keyed by the
+// caller, a local generator over it.
+func seeded(key [32]byte) int {
+	rng := randv2.New(randv2.NewChaCha8(key))
+	return rng.IntN(10) + int(randv2.NewPCG(1, 2).Uint64()%2)
+}
+
+// suppressedV1 documents a deliberate v1 stream kept for its recorded
+// sequence.
+func suppressedV1(seed int64) int {
+	return rand.New(rand.NewSource(seed)).Intn(10) //lint:allow detrand golden fixture keeping a recorded v1 sequence
 }
 
 // durations and other non-clock time API stay legal.

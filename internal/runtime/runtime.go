@@ -360,7 +360,7 @@ type Peer struct {
 	tickFn    func()
 	tickRound uint32
 
-	// Round-scoped outbox (frame coalescing, ROADMAP 4a). Multicast and
+	// Round-scoped outbox (frame coalescing, DESIGN.md §11). Multicast and
 	// Send encode a message once, into wlog, the window log: entries
 	// framed as in a batch container, a length prefix before each
 	// encoding. While a protocol callback runs (inCallback), each leg
@@ -663,6 +663,7 @@ func PreparePairs(peers []*Peer, pairs []LinkPair, ends []channel.PairEnds) erro
 // both ends. It returns how many entries it opened: the agreements the
 // schedule computed.
 func AdoptPairs(peers []*Peer, pairs []LinkPair, ends []channel.PairEnds) (agreed int) {
+	carveTables(peers)
 	for k, pr := range pairs {
 		if peers[pr.From].adopt(pr.To, &ends[k], false) {
 			peers[pr.To].adopt(pr.From, &ends[k], true)
@@ -670,6 +671,42 @@ func AdoptPairs(peers []*Peer, pairs []LinkPair, ends []channel.PairEnds) (agree
 		}
 	}
 	return agreed
+}
+
+// carveTables gives every live peer without a table of channel ends —
+// the peers a link schedule opens their first links on — what openEnds
+// would, each kind carved from one array: the tables, the scratch
+// buffers and, below the runtime, their enclaves' nonce pools
+// (channel.CarveNonces). A closed mesh pays three objects for what its N
+// peers would pay 3N.
+func carveTables(peers []*Peer) {
+	fresh, total := 0, 0
+	for _, p := range peers {
+		if p.ends == nil && !p.Halted() {
+			fresh++
+			total += len(p.links)
+		}
+	}
+	if fresh < 2 {
+		return
+	}
+	ends := make([]channel.End, total)
+	scratch := make([]byte, fresh*2*scratchBytes)
+	for _, p := range peers {
+		if p.ends != nil || p.Halted() {
+			continue
+		}
+		n := len(p.links)
+		p.ends, ends = ends[:n:n], ends[n:]
+		p.sealBuf, p.openBuf = scratch[:0:scratchBytes], scratch[scratchBytes:scratchBytes:2*scratchBytes]
+		scratch = scratch[2*scratchBytes:]
+	}
+	channel.CarveNonces(len(peers), func(i int) *channel.Local {
+		if peers[i].Halted() {
+			return nil
+		}
+		return &peers[i].local
+	})
 }
 
 // adopt opens the peer's end of the link to id from pe (channel.Local.Adopt).

@@ -9,7 +9,7 @@ import (
 
 // While a window runs on the simulator's workers (vclock.Lanes), nodes
 // fire side by side, so nothing a node does may touch what nodes share:
-// the traffic counters, the link queue, the latency rng, the detach flags
+// the traffic counters, the link queue, the latency positions, the detach flags
 // other nodes' sends read, the simulator's event queue and its sequence
 // numbers, the tracer's stream. Each of those calls — Send, Port.After,
 // Port.Detach, a trace record — instead appends an op to the node's log,

@@ -6,7 +6,8 @@
 // Every message experiences
 //
 //   - a propagation latency, uniform in [Delta/10, Delta) (the TCP/IP
-//     substrate's bounded delivery delay, assumption S3), plus
+//     substrate's bounded delivery delay, assumption S3) and drawn as a
+//     function of the frame's coordinates alone (latency), plus
 //   - serialization on a single shared link of configurable bandwidth,
 //     modelled as a FIFO queue, which reproduces the bandwidth-bottleneck
 //     knee the paper observes in Figures 2a/2b.
@@ -28,11 +29,12 @@ package simnet
 import (
 	"errors"
 	"fmt"
-	"math/rand"
+	"math/bits"
 	"sync"
 	"sync/atomic"
 	"time"
 
+	"sgxp2p/internal/keyed"
 	"sgxp2p/internal/telemetry"
 	"sgxp2p/internal/vclock"
 	"sgxp2p/internal/wire"
@@ -53,8 +55,8 @@ type Config struct {
 	// Bandwidth is the shared-link bandwidth in bytes per second.
 	// Zero means unlimited (no serialization delay).
 	Bandwidth float64
-	// Seed seeds the latency jitter. Runs with equal seeds are
-	// bit-for-bit reproducible.
+	// Seed keys the latency draws (keyed.Latency). Runs with equal seeds
+	// are bit-for-bit reproducible.
 	Seed int64
 }
 
@@ -85,7 +87,7 @@ type Traffic struct {
 type Network struct {
 	sim *vclock.Sim
 	cfg Config
-	rng *rand.Rand
+	key uint64 // the latency draws' key
 	// nodes packs each node's delivery state (handler, detach flag,
 	// detach epoch) and its lane's window state into one slot, so the
 	// per-delivery destination checks are one indexed load.
@@ -149,7 +151,14 @@ type nodeSlot struct {
 	held     []telemetry.Event // the trace records of the log's opTrace ops
 	nextHeld int               // first uncommitted held record
 	pool     *workerPool       // the firing worker's; nil outside a window
-	_        [24]byte          // to 128 bytes
+
+	// inAt, inSrc and inPos name the last frame transmitted to the node:
+	// its send instant, its source and its position among that link's
+	// frames at that instant (latency). Only transmit touches them.
+	inAt  time.Duration
+	inSrc wire.NodeID
+	inPos uint32
+	_     [8]byte // to 128 bytes
 }
 
 // delivery is one in-flight frame: destination epoch captured at send
@@ -367,13 +376,14 @@ func New(sim *vclock.Sim, cfg Config) (*Network, error) {
 	n := &Network{
 		sim:     sim,
 		cfg:     cfg,
-		rng:     rand.New(rand.NewSource(cfg.Seed)),
+		key:     keyed.Key(cfg.Seed, keyed.Latency, 0),
 		nodes:   make([]nodeSlot, cfg.N),
 		perNode: make([]Traffic, cfg.N),
 		ports:   make([]Port, cfg.N),
 	}
 	for i := range n.ports {
 		n.ports[i] = Port{net: n, id: wire.NodeID(i)}
+		n.nodes[i].inSrc = wire.NoNode
 	}
 	return n, nil
 }
@@ -403,7 +413,7 @@ func (n *Network) SetHandler(id wire.NodeID, h Handler) {
 // membership, Appendix G).
 func (n *Network) AddNode() wire.NodeID {
 	id := wire.NodeID(len(n.nodes))
-	n.nodes = append(n.nodes, nodeSlot{})
+	n.nodes = append(n.nodes, nodeSlot{inSrc: wire.NoNode})
 	n.perNode = append(n.perNode, Traffic{})
 	n.ports = append(n.ports, Port{net: n, id: id})
 	n.cfg.N++
@@ -500,11 +510,7 @@ func (n *Network) transmit(d *delivery) {
 		n.linkFree = start + tx
 		start = n.linkFree
 	}
-	// Latency is strictly below Delta so that a message sent at a round
-	// boundary is always delivered before the next boundary's lockstep
-	// tick, never exactly on it.
-	latency := n.minLatency() + time.Duration(n.rng.Int63n(int64(n.cfg.Delta-n.minLatency())))
-	arrival := start + latency
+	arrival := start + n.latency(src, dst, now)
 	if arrival-now > n.cfg.Delta {
 		n.traffic.Late++
 		if n.ctr != nil {
@@ -513,6 +519,45 @@ func (n *Network) transmit(d *delivery) {
 	}
 	d.ep = n.nodes[int(dst)].epoch
 	n.sim.ScheduleLaneEvent(int(dst), arrival, d)
+}
+
+// latency draws the propagation latency of the frame src sends dst at
+// now, uniform in [minLatency, Delta): strictly below Delta, so that a
+// message sent at a round boundary is always delivered before the next
+// boundary's lockstep tick, never exactly on it. The draw is a hash of
+// the frame's coordinates under the network's key — (src, dst, now, the
+// frame's position among that link's frames at now) — so it depends on
+// no other frame: a frame the OS drops, or sends, on another link moves
+// no latency on this one (DESIGN.md §8).
+//
+// The position is counted per destination: the node's slot remembers the
+// last frame transmitted to it, and a frame from the same source at the
+// same instant comes next. A node's frames at one instant are one event's
+// sends, transmitted back to back, so the count is the link's. A second
+// event of the same source at that instant (a held envelope released
+// ahead of its tick, say) restarts the count if another source's frame to
+// that destination came between: two of the link's frames then share a
+// draw and arrive together.
+func (n *Network) latency(src, dst wire.NodeID, now time.Duration) time.Duration {
+	in := &n.nodes[int(dst)]
+	if in.inAt == now && in.inSrc == src {
+		in.inPos++
+	} else {
+		in.inAt, in.inSrc, in.inPos = now, src, 0
+	}
+	h := mix64(n.key ^ uint64(src)<<32 ^ uint64(dst))
+	h = mix64(h ^ uint64(now))
+	h = mix64(h ^ uint64(in.inPos))
+	span, _ := bits.Mul64(h, uint64(n.cfg.Delta-n.minLatency()))
+	return n.minLatency() + time.Duration(span)
+}
+
+// mix64 is SplitMix64's finalizer: a bijection of the 64-bit words whose
+// every output bit depends on every input bit.
+func mix64(z uint64) uint64 {
+	z = (z ^ z>>30) * 0xbf58476d1ce4e5b9
+	z = (z ^ z>>27) * 0x94d049bb133111eb
+	return z ^ z>>31
 }
 
 // Traffic returns a snapshot of the aggregate traffic counters.

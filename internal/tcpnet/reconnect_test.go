@@ -1,12 +1,12 @@
 package tcpnet_test
 
 import (
-	mrand "math/rand"
 	"testing"
 	"time"
 
 	"sgxp2p/internal/core/erb"
 	"sgxp2p/internal/enclave"
+	"sgxp2p/internal/keyed"
 	"sgxp2p/internal/runtime"
 	"sgxp2p/internal/tcpnet"
 	"sgxp2p/internal/wire"
@@ -183,8 +183,7 @@ func launchNode(t *testing.T, id wire.NodeID, addr string, n, byz int, delta tim
 	if err != nil {
 		t.Fatal(err)
 	}
-	rng := mrand.New(mrand.NewSource(seed ^ int64(id+1)*0x9E3779B9))
-	encl, err := enclave.Launch(program, id, rng, enclave.NewWallClock())
+	encl, err := enclave.Launch(program, id, keyed.Stream(seed, keyed.Enclave, uint64(id)), enclave.NewWallClock())
 	if err != nil {
 		port.Close()
 		t.Fatal(err)
@@ -218,7 +217,7 @@ func TestERBEpochAfterRestartOverTCP(t *testing.T) {
 
 	// Deterministic roster: every enclave's quote derives from the seed,
 	// exactly like cmd/p2pnode's shared-secret demo attestation.
-	service, err := enclave.NewAttestationService(mrand.New(mrand.NewSource(seed)))
+	service, err := enclave.NewAttestationService(keyed.Stream(seed, keyed.Attestation, 0))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -229,8 +228,7 @@ func TestERBEpochAfterRestartOverTCP(t *testing.T) {
 	}
 	initialSeqs := make([]uint64, n)
 	for i := 0; i < n; i++ {
-		rng := mrand.New(mrand.NewSource(seed ^ int64(i+1)*0x9E3779B9))
-		e, lerr := enclave.Launch(program, wire.NodeID(i), rng, enclave.NewWallClock())
+		e, lerr := enclave.Launch(program, wire.NodeID(i), keyed.Stream(seed, keyed.Enclave, uint64(i)), enclave.NewWallClock())
 		if lerr != nil {
 			t.Fatal(lerr)
 		}

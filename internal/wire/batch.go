@@ -7,7 +7,7 @@ import (
 )
 
 // Batch container: all same-round messages one peer sends another are
-// coalesced into a single sealed frame (ROADMAP item 4a). The container
+// coalesced into a single sealed frame (DESIGN.md §11). The container
 // is one magic byte followed by length-prefixed encoded messages:
 //
 //	0xFF [uint32 LE len][len bytes: one Encode output] ...
